@@ -8,9 +8,9 @@
 //! ```
 //!
 //! `--quick` runs the CI grid (quarter-size request sets, one latency
-//! rate); `--assert` exits non-zero if coalescing does not beat the
-//! per-request baseline on sustained throughput for the small-request
-//! mixes, or if any cell skipped verification; `--tol` loosens the
+//! rate); `--assert` exits non-zero if the coalescing mode falls below the
+//! per-request baseline on sustained throughput for any mix (small,
+//! medium or large), or if any cell skipped verification; `--tol` loosens the
 //! throughput comparison by a multiplicative factor for noisy CI runners;
 //! `--rate` (repeatable) replaces the fixed-arrival latency rates.
 

@@ -29,7 +29,7 @@
 
 use std::time::{Duration, Instant};
 
-use ccsort_parallel::{par_radix_sort_pairs_with, par_radix_sort_with, RadixSortConfig};
+use ccsort_parallel::{par_radix_sort_pairs_with, par_radix_sort_with};
 use ccsort_service::{ServiceConfig, SortService, SubmitError, Ticket};
 
 use crate::realbench::{available_cores, splitmix64};
@@ -56,10 +56,11 @@ pub struct Mix {
 }
 
 /// The mixes the committed artifact covers. `small` is the
-/// high-concurrency/many-tiny-requests regime the batcher exists for;
-/// `large` is its worst case (requests already amortise their own fixed
-/// costs, and the tag lane is pure overhead) and is reported as the
-/// honesty row, not asserted on.
+/// high-concurrency/many-tiny-requests regime the batcher exists for.
+/// `medium` and `large` sit above the service's size gate
+/// (`COALESCE_GATE_KEYS`): their requests already amortise their own
+/// fixed costs, so the service sorts each alone and the coalesced mode
+/// must simply not lose to the baseline there.
 pub const MIXES: &[Mix] = &[
     Mix {
         name: "small_u32",
@@ -142,30 +143,16 @@ impl SvcBenchOpts {
     }
 }
 
-/// The service configuration under test. One executor: on this grid the
-/// engine parallelises inside each batch sort, so extra executors would
-/// only oversubscribe; the mechanism being measured is batching, not
-/// executor-pool scaling.
+/// The service configuration under test: `ServiceConfig::default()` — batch
+/// byte cap, flush window, size gate, engine entry and one executor as
+/// shipped — plus the two things the grid itself decides: a queue deep
+/// enough for the load shape, and the mode switch. A default that loses to
+/// its own baseline shows up here, not behind a private tuning.
 fn service_config(coalescing: bool, queue_limit: usize) -> ServiceConfig {
-    // Coalesced batches get a wider digit: a multi-thousand-key batch
-    // amortises the bigger histograms easily and saves a whole radix pass
-    // (u32: 3 passes instead of 4), while solo sorts keep the default —
-    // a 2048-bin histogram would swamp a 100-key request. The batch byte
-    // cap keeps the working set cache-resident; past it, batch sorts go
-    // memory-bound and per-key cost climbs back above the baseline's.
-    let batch_sort = RadixSortConfig {
-        radix_bits: 11,
-        sequential_cutoff: 1 << 20,
-        ..RadixSortConfig::default()
-    };
     ServiceConfig {
         queue_limit,
-        max_batch_bytes: 1 << 17,
-        max_wait_us: 500,
-        executors: 1,
         coalescing,
-        sort: RadixSortConfig::default(),
-        batch_sort: Some(batch_sort),
+        ..ServiceConfig::default()
     }
 }
 
@@ -507,20 +494,21 @@ fn find_row<'a>(rows: &'a [SvcRow], mix: &str, mode: &str, load: &str) -> &'a Sv
         .unwrap_or_else(|| panic!("missing row {mix}/{mode}/{load}"))
 }
 
-/// The relations the PR claims, machine-relative. Coalescing must beat
-/// the per-request baseline on sustained throughput for the small-request
-/// mixes — the regime it exists for. (The large mix is reported but not
-/// asserted: requests that big already amortise their own fixed costs.)
-/// `tol` > 1 loosens the comparisons for noisy CI runners.
+/// The relations the service claims, machine-relative: at saturation the
+/// default (coalescing) mode sustains at least the per-request baseline's
+/// throughput on every mix — by amortising fixed costs on the small mixes,
+/// and by getting out of the way (size gate: one request per batch) on the
+/// medium and large ones. `tol` > 1 loosens the comparisons for noisy CI
+/// runners.
 pub fn check_assertions(rows: &[SvcRow], tol: f64) -> Vec<String> {
     let mut failures = Vec::new();
-    for mix in ["small_u32", "small_pairs"] {
-        let co = find_row(rows, mix, "coalesced", "saturate");
-        let ba = find_row(rows, mix, "baseline", "saturate");
+    for mix in MIXES {
+        let co = find_row(rows, mix.name, "coalesced", "saturate");
+        let ba = find_row(rows, mix.name, "baseline", "saturate");
         if co.req_per_sec * tol < ba.req_per_sec {
             failures.push(format!(
-                "coalesced vs baseline throughput ({mix}): {:.0} req/s vs {:.0} req/s (tol {tol})",
-                co.req_per_sec, ba.req_per_sec
+                "coalesced vs baseline throughput ({}): {:.0} req/s vs {:.0} req/s (tol {tol})",
+                mix.name, co.req_per_sec, ba.req_per_sec
             ));
         }
     }
@@ -576,7 +564,7 @@ pub fn to_json(rows: &[SvcRow], opts: &SvcBenchOpts) -> String {
     }
     json.push_str("    \"os\": \"linux\"\n  },\n");
     json.push_str(
-        "  \"grid_note\": \"each mix runs coalesced (the batcher) and baseline (coalescing off: one request per batch, served immediately, no flush-window wait) through the identical service machinery; saturate rows submit the whole request set as fast as admission allows and their latency percentiles are queue-depth-dominated (reported for completeness only); rate rows use a fixed open-loop arrival schedule with load shedding and measure latency from intended arrival time; every request's reply on rep 0 is verified byte-identical to a solo ccsort-parallel sort; large_u32 is the batcher's honest worst case (big requests amortise their own fixed costs and the rid tag lane is pure overhead) and carries no assertion\",\n",
+        "  \"grid_note\": \"each mix runs coalesced (the batcher) and baseline (coalescing off: one request per batch, served immediately, no flush-window wait) through the identical service machinery; saturate rows submit the whole request set as fast as admission allows and their latency percentiles are queue-depth-dominated (reported for completeness only); rate rows use a fixed open-loop arrival schedule with load shedding and measure latency from intended arrival time; every request's reply on rep 0 is verified byte-identical to a solo ccsort-parallel sort; the service runs with ServiceConfig::default() in both modes; medium_u32 and large_u32 requests sit above the size gate, so the coalesced mode sorts each alone (mean_batch_requests 1) and is asserted not to lose to the baseline\",\n",
     );
     json.push_str(&format!("  \"reps\": {},\n", opts.reps));
     json.push_str("  \"results\": [\n");

@@ -6,9 +6,14 @@
 //! models:
 //!
 //! * **Shared address space** (the CC-SAS analogue): [`par_radix_sort`] and
-//!   [`par_sample_sort`] — rayon data-parallel sorts whose permutation
-//!   phase writes directly into the shared output through disjoint ranks.
-//!   These are the fast paths for `&mut [K]` sorting.
+//!   [`par_sample_sort`] — data-parallel sorts whose permutation phase
+//!   writes directly into the shared output through disjoint ranks. The
+//!   radix engine forks one OS thread per worker under
+//!   `std::thread::scope` (`std::thread::available_parallelism` of them
+//!   by default) and hands inputs at or below
+//!   [`RadixSortConfig::sequential_cutoff`] to the single sequential
+//!   kernel in [`seq`]; the sample sort runs on rayon. These are the fast
+//!   paths for `&mut [K]` sorting.
 //! * **Message passing** ([`msg`]): an in-process mini-MPI (per-pair
 //!   channels, barriers, allgather, alltoallv) plus [`msg::radix_sort_msg`],
 //!   the paper's MPI radix sort over it.

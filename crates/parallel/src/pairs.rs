@@ -4,6 +4,7 @@
 
 use crate::key::RadixKey;
 use crate::radix::{RadixSortConfig, SortScratch};
+use crate::seq::{hist_len, lsd_sort};
 
 /// Sequential LSD radix sort of parallel `keys`/`values` arrays (structure
 /// of arrays): after return, `keys` is sorted and `values[i]` is still the
@@ -16,46 +17,10 @@ pub fn radix_sort_pairs<K: RadixKey + Default, V: Copy + Default>(
     assert_eq!(keys.len(), values.len(), "keys and values must be parallel arrays");
     assert!((1..=16).contains(&radix_bits));
     let n = keys.len();
-    if n <= 1 {
-        return;
-    }
-    let bins = 1usize << radix_bits;
-    let mask = (bins - 1) as u64;
-    let passes = K::BITS.div_ceil(radix_bits);
     let mut key_scratch = vec![K::default(); n];
     let mut val_scratch = vec![V::default(); n];
-    let mut hist = vec![0usize; bins];
-
-    let mut flipped = false;
-    for pass in 0..passes {
-        let shift = pass * radix_bits;
-        let (ks, vs, kd, vd): (&[K], &[V], &mut [K], &mut [V]) = if flipped {
-            (&*key_scratch, &*val_scratch, &mut *keys, &mut *values)
-        } else {
-            (&*keys, &*values, &mut *key_scratch, &mut *val_scratch)
-        };
-        hist.fill(0);
-        for k in ks {
-            hist[k.digit(shift, mask)] += 1;
-        }
-        let mut acc = 0;
-        for h in hist.iter_mut() {
-            let c = *h;
-            *h = acc;
-            acc += c;
-        }
-        for (k, v) in ks.iter().zip(vs) {
-            let d = k.digit(shift, mask);
-            kd[hist[d]] = *k;
-            vd[hist[d]] = *v;
-            hist[d] += 1;
-        }
-        flipped = !flipped;
-    }
-    if flipped {
-        keys.copy_from_slice(&key_scratch);
-        values.copy_from_slice(&val_scratch);
-    }
+    let mut hist = vec![0usize; hist_len::<K>(radix_bits)];
+    lsd_sort::<K, V, true>(keys, values, &mut key_scratch, &mut val_scratch, &mut hist, radix_bits);
 }
 
 /// Thread-parallel LSD radix sort of parallel `keys`/`values` arrays with
@@ -103,7 +68,7 @@ pub fn par_radix_sort_pairs_with_scratch<K, V>(
         panic!("invalid RadixSortConfig: {e}");
     }
     if keys.len() <= cfg.sequential_cutoff.max(1) {
-        return crate::radix::seq_fallback::<K, V, true>(keys, values, cfg.radix_bits, scratch);
+        return scratch.sort_sequential::<true>(keys, values, cfg.radix_bits);
     }
     crate::radix::sort_engine::<K, V, true>(keys, values, cfg, scratch);
 }
@@ -166,7 +131,8 @@ mod tests {
         let (mut k1, mut v1) = (keys_in.clone(), vals_in.clone());
         let (mut k2, mut v2) = (keys_in, vals_in);
         radix_sort_pairs(&mut k1, &mut v1, 8);
-        par_radix_sort_pairs(&mut k2, &mut v2, 8);
+        let engine = RadixSortConfig { sequential_cutoff: 0, ..Default::default() };
+        par_radix_sort_pairs_with(&mut k2, &mut v2, &engine);
         assert_eq!(k1, k2);
         assert_eq!(v1, v2);
     }
@@ -176,7 +142,8 @@ mod tests {
         // Many duplicate keys; payloads record original order.
         let mut keys: Vec<u8> = (0..20_000u32).map(|i| (i % 5) as u8).collect();
         let mut vals: Vec<u32> = (0..20_000).collect();
-        par_radix_sort_pairs(&mut keys, &mut vals, 8);
+        let engine = RadixSortConfig { sequential_cutoff: 0, ..Default::default() };
+        par_radix_sort_pairs_with(&mut keys, &mut vals, &engine);
         for w in vals.windows(2).zip(keys.windows(2)) {
             let (v, k) = w;
             if k[0] == k[1] {

@@ -35,7 +35,7 @@ use std::ops::Range;
 
 use crate::histogram::{count_digits_into, PaddedCounts};
 use crate::key::RadixKey;
-use crate::seq::{passes_for, DEFAULT_RADIX_BITS};
+use crate::seq::{hist_len, lsd_sort, passes_for, DEFAULT_RADIX_BITS};
 use crate::shared::SharedSlice;
 use crate::steal::ChunkQueue;
 
@@ -48,6 +48,15 @@ const MAX_FUSED_RADIX_BITS: u32 = 12;
 /// back to per-pass counting even when fusion is on.
 const MAX_FUSED_NH_WORDS: usize = 1 << 18;
 
+/// Default [`RadixSortConfig::sequential_cutoff`], from the n × chunks
+/// table in DESIGN.md §14 (n = 2^13…2^20, `chunks` 1 and 2, sequential
+/// kernel vs engine): keys-only `u32` sorts cross over near 2^20,
+/// `(u64, u64)` pairs near 2^18, and with one worker the engine never wins
+/// below 2^19. 2^18 is the minimax choice — on either side of it the lane
+/// that would have preferred the other path loses at most a seventh,
+/// where the old 2^13 lost 4× on a 16,384-key sort.
+const DEFAULT_SEQUENTIAL_CUTOFF: usize = 1 << 18;
+
 /// Largest accepted per-bucket staging buffer. Buffers beyond this stop
 /// fitting in cache, which defeats write coalescing.
 pub const MAX_COALESCE_BYTES: usize = 1 << 20;
@@ -58,10 +67,15 @@ pub const MAX_COALESCE_BYTES: usize = 1 << 20;
 pub struct RadixSortConfig {
     /// Digit width in bits (1..=16).
     pub radix_bits: u32,
-    /// Number of parallel workers; `None` = number of rayon threads.
+    /// Number of parallel workers, each an OS thread under
+    /// `std::thread::scope`; `None` = `std::thread::available_parallelism`.
     pub chunks: Option<usize>,
-    /// Below this length, fall back to the sequential sort (parallel
-    /// overhead doesn't pay off).
+    /// At or below this length, run the sequential kernel of
+    /// [`crate::seq`] instead of the engine: every engine phase is a
+    /// fork/join over `chunks` threads and every chunk flushes `bins`
+    /// partial staging buffers per pass, fixed costs a cache-resident
+    /// input cannot repay. The default is the measured crossover
+    /// (DESIGN.md §14).
     pub sequential_cutoff: usize,
     /// Per-bucket staging-buffer size in bytes for the write-coalescing
     /// permute; `None` selects the direct-scatter permute (one write per
@@ -84,7 +98,7 @@ impl Default for RadixSortConfig {
         RadixSortConfig {
             radix_bits: DEFAULT_RADIX_BITS,
             chunks: None,
-            sequential_cutoff: 1 << 13,
+            sequential_cutoff: DEFAULT_SEQUENTIAL_CUTOFF,
             coalesce_bytes: Some(1024),
             work_stealing: true,
             steal_granularity: 4,
@@ -125,7 +139,7 @@ impl RadixSortConfig {
         }
         if self.chunks == Some(0) {
             return Err("chunks = 0: at least one worker is required (None = one \
-                        per rayon thread)"
+                        per available core)"
                 .to_string());
         }
         match self.coalesce_bytes {
@@ -198,7 +212,7 @@ pub fn par_radix_sort_with_scratch<K, V>(
         panic!("invalid RadixSortConfig: {e}");
     }
     if keys.len() <= cfg.sequential_cutoff.max(1) {
-        seq_fallback::<K, V, false>(keys, &mut [], cfg.radix_bits, scratch);
+        scratch.sort_sequential::<false>(keys, &mut [], cfg.radix_bits);
         return;
     }
     sort_engine::<K, V, false>(keys, &mut [], cfg, scratch);
@@ -392,21 +406,7 @@ impl<K: Copy + Default, V: Copy + Default> SortScratch<K, V> {
         buf_elems: Option<usize>,
         fused_rows: usize,
     ) {
-        // The flip buffers are fully written before they are read (every
-        // permute pass writes all n destination slots), so a same-length
-        // reuse skips the default-fill entirely.
-        let vn = if with_vals { n } else { 0 };
-        let mut grew = false;
-        if self.keys.len() != n {
-            grew |= n > self.keys.capacity();
-            self.keys.clear();
-            self.keys.resize(n, K::default());
-        }
-        if self.vals.len() != vn {
-            grew |= vn > self.vals.capacity();
-            self.vals.clear();
-            self.vals.resize(vn, V::default());
-        }
+        let mut grew = self.ensure_flip(n, with_vals);
         grew |= self.chunk_hists.reset(m, bins);
         grew |= self.offsets.reset(m, bins);
         if workers > self.workers.len() {
@@ -424,10 +424,11 @@ impl<K: Copy + Default, V: Copy + Default> SortScratch<K, V> {
         self.reallocations += grew as u64;
     }
 
-    /// Shape the sequential-fallback buffers (flip buffer + histogram).
-    /// The histogram is zeroed at the start of every pass, so its contents
-    /// don't matter here either.
-    fn ensure_seq(&mut self, n: usize, with_vals: bool, bins: usize) {
+    /// Shape the flip buffers for `n` elements; `true` when one had to
+    /// grow. They are fully written before they are read (every executed
+    /// pass writes all n destination slots), so a same-length reuse skips
+    /// the default-fill entirely.
+    fn ensure_flip(&mut self, n: usize, with_vals: bool) -> bool {
         let vn = if with_vals { n } else { 0 };
         let mut grew = false;
         if self.keys.len() != n {
@@ -440,73 +441,41 @@ impl<K: Copy + Default, V: Copy + Default> SortScratch<K, V> {
             self.vals.clear();
             self.vals.resize(vn, V::default());
         }
-        if self.hist.len() != bins {
-            grew |= bins > self.hist.capacity();
+        grew
+    }
+
+    /// The sequential path of the scratch entry points: the kernel of
+    /// [`crate::seq`] run on this scratch's flip buffers and its
+    /// `passes × bins` histogram (which the kernel zeroes itself), so
+    /// sub-cutoff sorts allocate nothing at steady state either.
+    pub(crate) fn sort_sequential<const WITH_VALS: bool>(
+        &mut self,
+        keys: &mut [K],
+        vals: &mut [V],
+        radix_bits: u32,
+    ) where
+        K: RadixKey,
+    {
+        let n = keys.len();
+        if n <= 1 {
+            return;
+        }
+        let need = hist_len::<K>(radix_bits);
+        let mut grew = self.ensure_flip(n, WITH_VALS);
+        if self.hist.len() != need {
+            grew |= need > self.hist.capacity();
             self.hist.clear();
-            self.hist.resize(bins, 0);
+            self.hist.resize(need, 0);
         }
         self.reallocations += grew as u64;
-    }
-}
-
-/// The sequential fallback of the scratch entry points: the exact
-/// algorithm of [`crate::seq::radix_sort_with_scratch`] /
-/// [`crate::pairs::radix_sort_pairs`] (same pass structure, same stable
-/// permutation, so identical output), run through the caller's scratch so
-/// sub-cutoff sorts allocate nothing at steady state either.
-pub(crate) fn seq_fallback<K, V, const WITH_VALS: bool>(
-    keys: &mut [K],
-    vals: &mut [V],
-    radix_bits: u32,
-    scratch: &mut SortScratch<K, V>,
-) where
-    K: RadixKey + Default,
-    V: Copy + Default,
-{
-    let n = keys.len();
-    if n <= 1 {
-        return;
-    }
-    let bins = 1usize << radix_bits;
-    let mask = (bins - 1) as u64;
-    let passes = passes_for::<K>(radix_bits);
-    scratch.ensure_seq(n, WITH_VALS, bins);
-    let SortScratch { keys: kbuf, vals: vbuf, hist, .. } = scratch;
-    let (kbuf, vbuf) = (&mut kbuf[..], &mut vbuf[..]);
-
-    let mut flipped = false;
-    for pass in 0..passes {
-        let shift = pass * radix_bits;
-        let (ks, vs, kd, vd): (&[K], &[V], &mut [K], &mut [V]) = if flipped {
-            (&*kbuf, &*vbuf, &mut *keys, &mut *vals)
-        } else {
-            (&*keys, &*vals, &mut *kbuf, &mut *vbuf)
-        };
-        hist.fill(0);
-        for k in ks.iter() {
-            hist[k.digit(shift, mask)] += 1;
-        }
-        let mut acc = 0usize;
-        for h in hist.iter_mut() {
-            let c = *h;
-            *h = acc;
-            acc += c;
-        }
-        for (i, &k) in ks.iter().enumerate() {
-            let d = k.digit(shift, mask);
-            kd[hist[d]] = k;
-            if WITH_VALS {
-                vd[hist[d]] = vs[i];
-            }
-            hist[d] += 1;
-        }
-        flipped = !flipped;
-    }
-    if flipped {
-        keys.copy_from_slice(&kbuf[..n]);
-        if WITH_VALS {
-            vals.copy_from_slice(&vbuf[..n]);
-        }
+        lsd_sort::<K, V, WITH_VALS>(
+            keys,
+            vals,
+            &mut self.keys,
+            &mut self.vals,
+            &mut self.hist,
+            radix_bits,
+        );
     }
 }
 
@@ -977,7 +946,8 @@ mod tests {
     #[test]
     fn sorts_large_u32() {
         let mut rng = StdRng::seed_from_u64(1);
-        let v: Vec<u32> = (0..200_000).map(|_| rng.random()).collect();
+        let n = 2 * DEFAULT_SEQUENTIAL_CUTOFF; // the engine, by default
+        let v: Vec<u32> = (0..n).map(|_| rng.random()).collect();
         check_sort(v, &RadixSortConfig::default());
     }
 
@@ -1112,7 +1082,7 @@ mod tests {
     #[test]
     fn steady_state_reuses_scratch_without_reallocating() {
         let mut rng = StdRng::seed_from_u64(32);
-        let cfg = RadixSortConfig::default();
+        let cfg = RadixSortConfig { sequential_cutoff: 0, ..Default::default() };
         let mut scratch: SortScratch<u32> = SortScratch::new();
         let n = 60_000;
         // Warm-up sort shapes every buffer for (n, cfg).
@@ -1157,6 +1127,57 @@ mod tests {
             } else {
                 assert_eq!(scratch.reallocations(), warm, "seq fallback reallocated");
             }
+        }
+    }
+
+    #[test]
+    fn both_sides_of_the_engine_entry_agree_with_std() {
+        // cutoff - 1 and cutoff run the sequential kernel, cutoff + 1 the
+        // engine; keys against sort_unstable, pairs against the stable
+        // sort_by_key (duplicate-heavy keys, payload = input position).
+        let mut rng = StdRng::seed_from_u64(33);
+        let cfg = RadixSortConfig::default();
+        let mut scratch: SortScratch<u32, u32> = SortScratch::new();
+        for n in [cfg.sequential_cutoff - 1, cfg.sequential_cutoff, cfg.sequential_cutoff + 1] {
+            let input: Vec<u32> = (0..n).map(|_| rng.random()).collect();
+            let mut expect = input.clone();
+            expect.sort_unstable();
+            let mut fresh = input.clone();
+            par_radix_sort_with(&mut fresh, &cfg);
+            assert_eq!(fresh, expect, "keys, n={n}");
+            let mut reused = input;
+            par_radix_sort_with_scratch(&mut reused, &cfg, &mut scratch);
+            assert_eq!(reused, expect, "keys through scratch, n={n}");
+
+            let keys_in: Vec<u32> = (0..n).map(|_| rng.random_range(0..1000u32)).collect();
+            let mut expect: Vec<(u32, u32)> = keys_in.iter().copied().zip(0..).collect();
+            expect.sort_by_key(|p| p.0);
+            let (mut keys, mut vals) = (keys_in, (0..n as u32).collect::<Vec<_>>());
+            crate::pairs::par_radix_sort_pairs_with_scratch(&mut keys, &mut vals, &cfg, &mut scratch);
+            let got: Vec<(u32, u32)> = keys.into_iter().zip(vals).collect();
+            assert_eq!(got, expect, "pairs, n={n}");
+        }
+    }
+
+    #[test]
+    fn sequential_path_keeps_its_passes_by_bins_histogram() {
+        // The kernel's histogram is one bins-entry row per pass and lives in
+        // the scratch: a same-shape resort grows nothing, and neither does a
+        // smaller input.
+        let mut rng = StdRng::seed_from_u64(34);
+        let cfg = RadixSortConfig::default();
+        let mut scratch: SortScratch<u64> = SortScratch::new();
+        let n = 16_384;
+        assert!(n <= cfg.sequential_cutoff);
+        let mut v: Vec<u64> = (0..n).map(|_| rng.random()).collect();
+        par_radix_sort_with_scratch(&mut v, &cfg, &mut scratch);
+        assert_eq!(scratch.hist.len(), 8 * 256, "passes x bins counters");
+        let warm = scratch.reallocations();
+        for len in [n, n, n / 3] {
+            let mut v: Vec<u64> = (0..len).map(|_| rng.random()).collect();
+            par_radix_sort_with_scratch(&mut v, &cfg, &mut scratch);
+            assert!(v.windows(2).all(|w| w[0] <= w[1]));
+            assert_eq!(scratch.reallocations(), warm, "sequential resort of {len} keys reallocated");
         }
     }
 

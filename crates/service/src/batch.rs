@@ -1,5 +1,10 @@
 //! Batch assembly and split-back: the data plane of the sorting service.
 //!
+//! Which requests share a batch is decided at claim time by size
+//! ([`COALESCE_GATE_KEYS`], `LaneQueue::claim_into`): requests at or
+//! above the gate are sorted alone in their own buffers; runs of smaller
+//! ones at the queue front coalesce.
+//!
 //! A batch is the concatenation of the queued requests' key arrays, with a
 //! parallel *tag lane* that lets split-back route every element of the
 //! sorted batch to its requester. One stable sort of `(keys, tags)`
@@ -33,8 +38,24 @@ use std::time::Instant;
 
 use ccsort_parallel::{
     par_radix_sort_pairs_with_scratch, par_radix_sort_with_scratch, RadixKey, RadixSortConfig,
-    SortScratch,
+    SortScratch, DEFAULT_RADIX_BITS,
 };
+
+/// The size gate: a request with this many keys or more is never coalesced.
+///
+/// Coalescing trades one widened sort (keys plus a tag lane, then a
+/// split-back scan) for the fixed cost of the sorts it replaces, and on the
+/// executor that fixed cost is one `bins`-entry histogram per digit pass —
+/// zeroed, prefix-summed and walked whatever the request holds. A request
+/// smaller than the histogram cannot amortise it; one at least as large
+/// pays for it with its own keys, and batching it only adds the tag-lane
+/// traffic and pushes the working set out of cache (16 × 16,384 keys
+/// widened: 25.5 ns/key; the same 16,384 keys alone: 7.9). So the gate is
+/// the histogram size of the default digit width. DESIGN.md §15 has the
+/// measured crossovers on both sides of it: executor time per request
+/// favours the solo sort from about 128 keys up, a closed-loop client
+/// from 256 up.
+pub const COALESCE_GATE_KEYS: usize = 1 << DEFAULT_RADIX_BITS;
 
 /// Most requests one batch may hold: the `u16` rid tag (and the `u16`
 /// `rid_of` table on the pairs lane) must be able to name every request.
@@ -113,11 +134,16 @@ impl<K, P> LaneQueue<K, P> {
     }
 
     /// Move one batch of requests from the queue front into `out`
-    /// (clearing it first) and return how many were taken. Coalescing on:
-    /// take requests while the batch stays under `max_batch_bytes` and
-    /// [`MAX_BATCH_REQUESTS`] (always at least one — an oversized request
-    /// forms a solo batch). Coalescing off: take exactly one, the
-    /// per-request baseline.
+    /// (clearing it first) and return how many were taken. Strictly FIFO:
+    /// a batch is always a prefix of the queue, nothing overtakes.
+    ///
+    /// * The front request has [`COALESCE_GATE_KEYS`] keys or more, or
+    ///   coalescing is off: take exactly that one — it is sorted alone, in
+    ///   its own buffer.
+    /// * Otherwise take the run of below-gate requests at the front while
+    ///   the batch stays under `max_batch_bytes` and
+    ///   [`MAX_BATCH_REQUESTS`]; the run ends at the first at-or-above-gate
+    ///   request, which waits for the next claim.
     pub fn claim_into(
         &mut self,
         max_batch_bytes: usize,
@@ -128,14 +154,16 @@ impl<K, P> LaneQueue<K, P> {
         let mut took_bytes = 0usize;
         while let Some(front) = self.q.front() {
             let b = front.bytes();
-            if !out.is_empty() && (took_bytes + b > max_batch_bytes || out.len() >= MAX_BATCH_REQUESTS)
+            let solo = !coalescing || front.keys.len() >= COALESCE_GATE_KEYS;
+            if !out.is_empty()
+                && (solo || took_bytes + b > max_batch_bytes || out.len() >= MAX_BATCH_REQUESTS)
             {
                 break;
             }
             took_bytes += b;
             self.bytes -= b;
             out.push(self.q.pop_front().expect("front checked above"));
-            if !coalescing {
+            if solo {
                 break;
             }
         }
@@ -143,14 +171,27 @@ impl<K, P> LaneQueue<K, P> {
     }
 }
 
-/// What one batch execution did, for the stats counters.
+/// What one batch sort did, for the stats counters.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct BatchOutcome {
     pub requests: u64,
     pub keys: u64,
 }
 
-fn reply_all<K, P>(claimed: &mut Vec<Request<K, P>>, total_keys: usize) -> BatchOutcome {
+impl BatchOutcome {
+    fn of<K, P>(claimed: &[Request<K, P>]) -> Self {
+        BatchOutcome {
+            requests: claimed.len() as u64,
+            keys: claimed.iter().map(|r| r.keys.len() as u64).sum(),
+        }
+    }
+}
+
+/// Send every sorted request of the batch back to its requester. The
+/// executor publishes the batch's counters *before* calling this, so a
+/// client returning from [`Ticket::wait`] reads stats that already include
+/// its own request.
+pub(crate) fn reply_all<K, P>(claimed: &mut Vec<Request<K, P>>) {
     let nreq = claimed.len() as u32;
     let completed = Instant::now();
     for r in claimed.drain(..) {
@@ -164,7 +205,6 @@ fn reply_all<K, P>(claimed: &mut Vec<Request<K, P>>, total_keys: usize) -> Batch
             completed,
         });
     }
-    BatchOutcome { requests: nreq as u64, keys: total_keys as u64 }
 }
 
 /// Per-executor reusable buffers for one keys-only lane. Everything here
@@ -201,16 +241,18 @@ impl<K: RadixKey + Default> KeysLaneScratch<K> {
         self.sort.reallocations()
     }
 
-    /// Sort the claimed batch and reply to every requester. Solo batches
-    /// (the coalescing-off baseline, and any lone flush) skip the tag
-    /// lane and sort in the requester's own buffer with `solo_cfg`;
-    /// coalesced batches use `batch_cfg` (see
+    /// Sort the claimed batch, leaving every request's sorted keys in its
+    /// own buffer for [`reply_all`]. Solo batches (every request at or
+    /// above the size gate, the coalescing-off baseline, and any lone
+    /// flush) skip the tag lane and sort in the requester's own buffer
+    /// with `solo_cfg`; coalesced batches use `batch_cfg` (see
     /// [`crate::ServiceConfig::batch_sort`]).
-    pub fn run(&mut self, solo_cfg: &RadixSortConfig, batch_cfg: &RadixSortConfig) -> BatchOutcome {
+    pub fn sort(&mut self, solo_cfg: &RadixSortConfig, batch_cfg: &RadixSortConfig) -> BatchOutcome {
         let KeysLaneScratch { claimed, keys, tags, cursors, sort } = self;
-        debug_assert!(!claimed.is_empty(), "run() with no claimed requests");
+        debug_assert!(!claimed.is_empty(), "sort() with no claimed requests");
         debug_assert!(claimed.len() <= MAX_BATCH_REQUESTS);
-        let total: usize = claimed.iter().map(|r| r.keys.len()).sum();
+        let outcome = BatchOutcome::of(claimed);
+        let total = outcome.keys as usize;
 
         if claimed.len() == 1 {
             par_radix_sort_with_scratch(&mut claimed[0].keys, solo_cfg, sort);
@@ -234,7 +276,7 @@ impl<K: RadixKey + Default> KeysLaneScratch<K> {
                 cursors[rid] = c + 1;
             }
         }
-        reply_all(claimed, total)
+        outcome
     }
 }
 
@@ -261,11 +303,13 @@ impl PairsLaneScratch {
         self.sort.reallocations() + self.solo.reallocations()
     }
 
-    pub fn run(&mut self, solo_cfg: &RadixSortConfig, batch_cfg: &RadixSortConfig) -> BatchOutcome {
+    /// As [`KeysLaneScratch::sort`], for the key+payload lane.
+    pub fn sort(&mut self, solo_cfg: &RadixSortConfig, batch_cfg: &RadixSortConfig) -> BatchOutcome {
         let PairsLaneScratch { claimed, keys, tags, vals, rid_of, cursors, sort, solo } = self;
-        debug_assert!(!claimed.is_empty(), "run() with no claimed requests");
+        debug_assert!(!claimed.is_empty(), "sort() with no claimed requests");
         debug_assert!(claimed.len() <= MAX_BATCH_REQUESTS);
-        let total: usize = claimed.iter().map(|r| r.keys.len()).sum();
+        let outcome = BatchOutcome::of(claimed);
+        let total = outcome.keys as usize;
 
         if claimed.len() == 1 {
             let r = &mut claimed[0];
@@ -299,6 +343,6 @@ impl PairsLaneScratch {
                 cursors[rid] = c + 1;
             }
         }
-        reply_all(claimed, total)
+        outcome
     }
 }

@@ -11,7 +11,11 @@
 //! with the request: thread wake-up, histogram setup, scratch shaping.
 //! The service amortises them by *coalescing*: compatible queued requests
 //! are merged into one tagged batch, sorted once, and split back to their
-//! requesters (see [`batch`] for the correctness argument). A persistent
+//! requesters (see [`batch`] for the correctness argument). The paper's
+//! other half of that lesson holds too — for large transfers the staging
+//! copy is pure cost — so coalescing is gated by size: a request of
+//! [`COALESCE_GATE_KEYS`] keys or more already amortises its own fixed
+//! costs and is sorted alone, in its own buffer, cache-resident. A persistent
 //! executor pool reuses [`ccsort_parallel::SortScratch`] across batches,
 //! so at steady state the data plane allocates nothing per request —
 //! [`ServiceStats::scratch_reallocations`] proves it at runtime.
@@ -32,5 +36,5 @@
 pub mod batch;
 pub mod service;
 
-pub use batch::{SortedReply, Ticket};
+pub use batch::{SortedReply, Ticket, COALESCE_GATE_KEYS};
 pub use service::{ServiceConfig, ServiceStats, SortService, SubmitError};

@@ -6,10 +6,16 @@
 //! never drops silently). Executor threads wait on a condvar and claim a
 //! batch whenever a lane becomes *ready*: its queued bytes reach
 //! `max_batch_bytes`, or its oldest request has waited `max_wait_us` —
-//! whichever comes first. Claimed requests leave the bounded queue
-//! immediately, so admission capacity frees as soon as a batch starts.
-//! Shutdown drains every queued request before the executors exit; an
-//! accepted request always gets a reply.
+//! whichever comes first. What a claim takes is decided by request size
+//! ([`crate::batch::COALESCE_GATE_KEYS`]): a front request at or above the
+//! gate is claimed alone and sorted in its own buffer; otherwise the run
+//! of below-gate requests at the queue front is coalesced into one tagged
+//! batch, up to `max_batch_bytes`. Claims are strictly FIFO — a batch is a
+//! prefix of its lane, so no request overtakes another. Claimed requests
+//! leave the bounded queue immediately, so admission capacity frees as
+//! soon as a batch starts. A batch's counters are published before its
+//! replies are sent. Shutdown drains every queued request before the
+//! executors exit; an accepted request always gets a reply.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
@@ -19,7 +25,7 @@ use std::time::{Duration, Instant};
 use ccsort_parallel::RadixSortConfig;
 
 use crate::batch::{
-    BatchOutcome, KeysLaneScratch, LaneQueue, PairsLaneScratch, Request, Ticket,
+    reply_all, BatchOutcome, KeysLaneScratch, LaneQueue, PairsLaneScratch, Request, Ticket,
 };
 
 /// Configuration for [`SortService::start`].
@@ -29,7 +35,10 @@ pub struct ServiceConfig {
     /// submissions beyond it are rejected explicitly.
     pub queue_limit: usize,
     /// Flush a lane once its queued key+payload bytes reach this; also the
-    /// target size of a coalesced batch.
+    /// most a coalesced batch may hold. The default keeps a widened batch
+    /// (keys, tags and their flip buffers) cache-resident; requests of
+    /// [`crate::batch::COALESCE_GATE_KEYS`] keys or more are never
+    /// coalesced, whatever this is set to.
     pub max_batch_bytes: usize,
     /// Flush a lane once its oldest request has waited this long, even if
     /// the byte threshold is not met. The latency cost of coalescing at
@@ -38,11 +47,13 @@ pub struct ServiceConfig {
     /// Executor threads. `0` is the deterministic test mode: nothing runs
     /// until the caller pumps [`SortService::drain_one`].
     pub executors: usize,
-    /// `false` disables coalescing — every batch is exactly one request.
-    /// This is the measured baseline `svcbench` compares against.
+    /// `false` disables coalescing — every batch is exactly one request,
+    /// ready the moment it arrives. This is the measured baseline
+    /// `svcbench` compares against.
     pub coalescing: bool,
-    /// Engine configuration for solo sorts (single-request batches — all
-    /// of them, when coalescing is off).
+    /// Engine configuration for solo sorts (single-request batches: every
+    /// request at or above the size gate, and all of them when coalescing
+    /// is off).
     pub sort: RadixSortConfig,
     /// Engine configuration for coalesced (multi-request) batch sorts;
     /// `None` reuses `sort`. A coalesced batch is a much larger sort than
@@ -57,7 +68,7 @@ impl Default for ServiceConfig {
     fn default() -> Self {
         ServiceConfig {
             queue_limit: 4096,
-            max_batch_bytes: 1 << 22,
+            max_batch_bytes: 1 << 17,
             max_wait_us: 200,
             executors: 1,
             coalescing: true,
@@ -249,13 +260,15 @@ fn claim(st: &mut State, kind: LaneKind, cfg: &ServiceConfig, scratch: &mut Exec
     st.pending -= taken;
 }
 
-/// Execute the claimed batch and publish its outcome to the counters.
+/// Sort the claimed batch, publish its outcome to the counters, then send
+/// the replies — in that order, so a client that has its reply reads stats
+/// that include its own request.
 fn run_claimed(shared: &Shared, kind: LaneKind, scratch: &mut ExecScratch) {
     let (solo, batch) = (&shared.cfg.sort, shared.cfg.batch_sort());
     let outcome: BatchOutcome = match kind {
-        LaneKind::U32 => scratch.u32s.run(solo, batch),
-        LaneKind::U64 => scratch.u64s.run(solo, batch),
-        LaneKind::Pairs => scratch.pairs.run(solo, batch),
+        LaneKind::U32 => scratch.u32s.sort(solo, batch),
+        LaneKind::U64 => scratch.u64s.sort(solo, batch),
+        LaneKind::Pairs => scratch.pairs.sort(solo, batch),
     };
     let s = &shared.stats;
     s.batches.fetch_add(1, Ordering::Relaxed);
@@ -267,6 +280,13 @@ fn run_claimed(shared: &Shared, kind: LaneKind, scratch: &mut ExecScratch) {
     let total = scratch.reallocations();
     s.scratch_reallocations.fetch_add(total - scratch.reported, Ordering::Relaxed);
     scratch.reported = total;
+    // The reply channel's send/recv pair orders the relaxed updates above
+    // before anything the requester does after `Ticket::wait` returns.
+    match kind {
+        LaneKind::U32 => reply_all(&mut scratch.u32s.claimed),
+        LaneKind::U64 => reply_all(&mut scratch.u64s.claimed),
+        LaneKind::Pairs => reply_all(&mut scratch.pairs.claimed),
+    }
 }
 
 fn executor_loop(shared: &Shared) {

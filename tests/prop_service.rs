@@ -7,19 +7,33 @@
 //! [`SortService::drain_one`] the only pump, so interleaving submissions
 //! with drains (and varying `max_batch_bytes`) explores arbitrary batch
 //! compositions — from all-solo to one giant batch — without relying on
-//! real-time windows.
+//! real-time windows. Request sizes straddle the size gate
+//! (`COALESCE_GATE_KEYS`): every case mixes below-gate requests, which
+//! coalesce, with at-or-above-gate ones, which are claimed alone between
+//! them.
 
 use ccsort::parallel::{par_radix_sort_pairs_with, par_radix_sort_with};
-use ccsort::service::{ServiceConfig, SortService, SubmitError};
+use ccsort::service::{ServiceConfig, SortService, SubmitError, COALESCE_GATE_KEYS};
 use proptest::prelude::*;
 
 /// Split `workload` at the given fractional cut points into contiguous
-/// request slices (some possibly empty — empty requests are legal).
-fn split_requests<T: Clone>(workload: &[T], cuts: &[usize]) -> Vec<Vec<T>> {
+/// request slices (some possibly empty — empty requests are legal). Each
+/// `near_gate` entry then cuts one more request off the front of the
+/// longest slice, `COALESCE_GATE_KEYS - 1 + entry` keys long, so sizes one
+/// below, at and one above the gate occur whatever the random cuts did.
+fn split_requests<T: Clone>(workload: &[T], cuts: &[usize], near_gate: &[usize]) -> Vec<Vec<T>> {
     let n = workload.len();
     let mut bounds: Vec<usize> = cuts.iter().map(|&c| c % (n + 1)).collect();
     bounds.push(0);
     bounds.push(n);
+    for &delta in near_gate {
+        bounds.sort_unstable();
+        let longest = bounds.windows(2).max_by_key(|w| w[1] - w[0]).expect("two bounds");
+        let cut = longest[0] + COALESCE_GATE_KEYS - 1 + delta;
+        if cut < longest[1] {
+            bounds.push(cut);
+        }
+    }
     bounds.sort_unstable();
     bounds.windows(2).map(|w| workload[w[0]..w[1]].to_vec()).collect()
 }
@@ -31,8 +45,9 @@ proptest! {
     /// drain interleaving: per-request replies equal solo sorts.
     #[test]
     fn coalesced_u32_equals_solo_any_split_any_flush(
-        workload in proptest::collection::vec(any::<u32>(), 0..3000),
-        cuts in proptest::collection::vec(0usize..3000, 0..12),
+        workload in proptest::collection::vec(any::<u32>(), 0..6000),
+        cuts in proptest::collection::vec(0usize..6000, 0..24),
+        near_gate in proptest::collection::vec(0usize..3, 0..4),
         max_batch_bytes in 64usize..(1 << 16),
         drain_every in 1usize..6,
     ) {
@@ -44,7 +59,7 @@ proptest! {
         }).unwrap();
         let cfg = ServiceConfig::default().sort;
         let mut tickets = Vec::new();
-        for (i, req) in split_requests(&workload, &cuts).into_iter().enumerate() {
+        for (i, req) in split_requests(&workload, &cuts, &near_gate).into_iter().enumerate() {
             let mut solo = req.clone();
             par_radix_sort_with(&mut solo, &cfg);
             tickets.push((svc.submit_u32(req).unwrap(), solo));
@@ -65,8 +80,9 @@ proptest! {
     /// the stable order of equal keys within every request.
     #[test]
     fn coalesced_pairs_equal_solo_and_stay_stable(
-        workload in proptest::collection::vec(0u64..16, 0..1500),
-        cuts in proptest::collection::vec(0usize..1500, 0..8),
+        workload in proptest::collection::vec(0u64..16, 0..4000),
+        cuts in proptest::collection::vec(0usize..4000, 0..16),
+        near_gate in proptest::collection::vec(0usize..3, 0..4),
         max_batch_bytes in 256usize..(1 << 15),
         drain_every in 1usize..5,
     ) {
@@ -78,7 +94,7 @@ proptest! {
         }).unwrap();
         let cfg = ServiceConfig::default().sort;
         let mut tickets = Vec::new();
-        for (i, req) in split_requests(&workload, &cuts).into_iter().enumerate() {
+        for (i, req) in split_requests(&workload, &cuts, &near_gate).into_iter().enumerate() {
             let vals: Vec<u64> = (0..req.len() as u64).collect();
             let (mut sk, mut sv) = (req.clone(), vals.clone());
             par_radix_sort_pairs_with(&mut sk, &mut sv, &cfg);

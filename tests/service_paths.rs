@@ -9,7 +9,7 @@
 //! always reproducible.)
 
 use ccsort::parallel::{par_radix_sort_pairs_with, par_radix_sort_with};
-use ccsort::service::{ServiceConfig, SortService, SubmitError};
+use ccsort::service::{ServiceConfig, SortService, SubmitError, COALESCE_GATE_KEYS};
 
 /// Deterministic keys (splitmix64) — the same arrays on every run.
 fn keys(n: usize, seed: u64) -> Vec<u32> {
@@ -29,8 +29,8 @@ fn keys64(n: usize, seed: u64) -> Vec<u64> {
     keys(n, seed).into_iter().map(|k| (k as u64) << 3 | (seed & 7)).collect()
 }
 
-/// Mixed request sizes spanning both engine regimes (sequential fallback
-/// and the threaded engine once batched).
+/// Mixed request sizes on both sides of the size gate: the small ones
+/// coalesce, the 511- and 1024-key ones are claimed alone.
 fn sizes() -> Vec<usize> {
     (0..48).map(|i| [3, 17, 64, 130, 511, 1024][i % 6] + i).collect()
 }
@@ -137,17 +137,16 @@ fn backpressure_is_bounded_and_explicit() {
 fn steady_state_serving_allocates_no_scratch() {
     // Same-shaped waves through the deterministic drain: after the first
     // wave has shaped every engine buffer, the reallocation counter must
-    // go flat — the data plane allocates nothing per request.
-    let svc = SortService::start(ServiceConfig {
-        executors: 0,
-        max_batch_bytes: 1 << 16,
-        ..ServiceConfig::default()
-    })
-    .unwrap();
+    // go flat — the data plane allocates nothing per request. Requests sit
+    // below the size gate, so a wave is one coalesced batch.
+    const KEYS: usize = 200;
+    const _: () = assert!(KEYS < COALESCE_GATE_KEYS);
+    let svc = SortService::start(ServiceConfig { executors: 0, ..ServiceConfig::default() })
+        .unwrap();
     let mut warm = None;
     for wave in 0..4u64 {
         let tickets: Vec<_> = (0..16)
-            .map(|i| svc.submit_u32(keys(256, wave * 100 + i)).unwrap())
+            .map(|i| svc.submit_u32(keys(KEYS, wave * 100 + i)).unwrap())
             .collect();
         svc.drain_all();
         for t in tickets {
@@ -165,6 +164,137 @@ fn steady_state_serving_allocates_no_scratch() {
         }
     }
     svc.shutdown();
+}
+
+/// The queue shape of the gate tests: `s` = a below-gate request, `B` = one
+/// at or above the gate.
+const GATE_QUEUE: [bool; 8] = [false, false, true, false, true, true, false, false];
+/// How `[s, s, B, s, B, B, s, s]` must drain: runs of `s` coalesce, every
+/// `B` goes alone, nothing overtakes.
+const GATE_BATCHES: [usize; 6] = [2, 1, 1, 1, 1, 2];
+
+fn gate_queue_len(i: usize, big: bool) -> usize {
+    if big {
+        COALESCE_GATE_KEYS + 37 * i
+    } else {
+        40 + 11 * i
+    }
+}
+
+#[test]
+fn size_gate_drains_fifo_runs_on_the_keys_lane() {
+    let svc = SortService::start(ServiceConfig { executors: 0, ..ServiceConfig::default() })
+        .unwrap();
+    let mut tickets: Vec<_> = GATE_QUEUE
+        .iter()
+        .enumerate()
+        .map(|(i, &big)| {
+            let input = keys(gate_queue_len(i, big), 0xB000 + i as u64);
+            let mut solo = input.clone();
+            solo.sort();
+            Some((svc.submit_u32(input).unwrap(), solo))
+        })
+        .collect();
+    let mut done = 0;
+    for (b, &want) in GATE_BATCHES.iter().enumerate() {
+        assert!(svc.drain_one(), "batch {b} must be claimable");
+        // Exactly the next `want` requests completed, in submission order.
+        for slot in &mut tickets[done..done + want] {
+            let (t, solo) = slot.take().unwrap();
+            let r = t.try_wait().unwrap_or_else(|| panic!("batch {b} skipped a request"));
+            assert_eq!(r.batch_requests as usize, want, "batch {b}");
+            assert_eq!(r.keys, solo, "reply diverges from a solo sort");
+        }
+        done += want;
+        for (t, _) in tickets[done..].iter().flatten() {
+            assert!(t.try_wait().is_none(), "batch {b} overtook the queue");
+        }
+    }
+    assert!(!svc.drain_one());
+    let stats = svc.shutdown();
+    assert_eq!((stats.batches, stats.completed, stats.coalesced_requests), (6, 8, 4));
+}
+
+#[test]
+fn size_gate_drains_fifo_runs_on_the_pairs_lane() {
+    let svc = SortService::start(ServiceConfig { executors: 0, ..ServiceConfig::default() })
+        .unwrap();
+    let tickets: Vec<_> = GATE_QUEUE
+        .iter()
+        .enumerate()
+        .map(|(i, &big)| {
+            // Nine distinct keys: stability decides most of the order.
+            let n = gate_queue_len(i, big);
+            let k: Vec<u64> = keys64(n, i as u64).iter().map(|x| x % 9).collect();
+            let v: Vec<u64> = (0..n as u64).map(|j| j * 8 + i as u64).collect();
+            let mut solo: Vec<(u64, u64)> = k.iter().copied().zip(v.iter().copied()).collect();
+            solo.sort_by_key(|p| p.0); // stable
+            (svc.submit_pairs_u64(k, v).unwrap(), solo)
+        })
+        .collect();
+    svc.drain_all();
+    // Request i's batch size: each batch of b requests contributes b entries.
+    let want = GATE_BATCHES.iter().flat_map(|&b| std::iter::repeat_n(b, b));
+    for (i, ((t, solo), want)) in tickets.into_iter().zip(want).enumerate() {
+        let r = t.wait();
+        assert_eq!(r.batch_requests as usize, want, "request {i}");
+        let got: Vec<(u64, u64)> = r.keys.into_iter().zip(r.vals).collect();
+        assert_eq!(got, solo, "pairs reply {i} diverges from a solo stable sort");
+    }
+    assert_eq!(svc.shutdown().batches, 6);
+}
+
+#[test]
+fn the_gate_is_a_key_count_and_is_inclusive() {
+    // Two requests of n keys each: one batch of two below the gate, two
+    // batches of one at it and above — on every lane, whatever the bytes.
+    for (n, want) in [
+        (COALESCE_GATE_KEYS - 1, 2),
+        (COALESCE_GATE_KEYS, 1),
+        (COALESCE_GATE_KEYS + 1, 1),
+    ] {
+        let svc = SortService::start(ServiceConfig { executors: 0, ..ServiceConfig::default() })
+            .unwrap();
+        let a: Vec<_> = (0..2).map(|i| svc.submit_u32(keys(n, i)).unwrap()).collect();
+        let b: Vec<_> = (0..2).map(|i| svc.submit_u64(keys64(n, i)).unwrap()).collect();
+        let c: Vec<_> = (0..2)
+            .map(|i| svc.submit_pairs_u64(keys64(n, i), vec![7; n]).unwrap())
+            .collect();
+        svc.drain_all();
+        for t in a {
+            assert_eq!(t.wait().batch_requests, want, "u32 lane, {n} keys");
+        }
+        for t in b {
+            assert_eq!(t.wait().batch_requests, want, "u64 lane, {n} keys");
+        }
+        for t in c {
+            assert_eq!(t.wait().batch_requests, want, "pairs lane, {n} keys");
+        }
+        svc.shutdown();
+    }
+}
+
+#[test]
+fn stats_include_a_request_before_its_ticket_resolves() {
+    // The executor publishes a batch's counters before it sends the
+    // replies, so a client back from `wait()` never reads stats that lag
+    // its own request.
+    let svc = SortService::start(ServiceConfig {
+        executors: 1,
+        max_wait_us: 0,
+        ..ServiceConfig::default()
+    })
+    .unwrap();
+    for i in 1..=1000u64 {
+        let n = 8 + (i as usize % 5) * 100;
+        let reply = svc.submit_u32(keys(n, i)).unwrap().wait();
+        assert_eq!(reply.keys.len(), n);
+        let stats = svc.stats();
+        assert!(stats.completed >= i, "completed = {} after reply {i}", stats.completed);
+        assert!(stats.batches >= i, "batches = {} after reply {i}", stats.batches);
+    }
+    let stats = svc.shutdown();
+    assert_eq!((stats.completed, stats.batches), (1000, 1000));
 }
 
 #[test]
