@@ -13,10 +13,14 @@
 //!
 //! * `radix_simple` — [`RadixSortConfig::simple`]: static partitioning,
 //!   direct scatter, per-pass counting (the pre-optimization baseline);
-//! * `radix_coalesced` — write-coalescing staging buffers + fused
-//!   multi-digit histogramming, still statically partitioned;
-//! * `radix_ws` — the default configuration: coalescing + fusion + the
+//! * `radix_coalesced` — write-coalescing staging buffers + the fold and
+//!   count-during-permute (and with them the MSD-first schedule), still
+//!   statically partitioned;
+//! * `radix_ws` — the default configuration: the same plus the
 //!   work-stealing chunk queue.
+//!
+//! Which pass schedule the engine chose for a radix row
+//! ([`Schedule`]) is printed at the end of its progress line.
 //!
 //! `radix_ws` vs `radix_coalesced` therefore measures exactly the steal
 //! scheduler, and `radix_coalesced` vs `radix_simple` exactly the memory
@@ -33,8 +37,8 @@ use std::collections::BTreeMap;
 use std::time::Instant;
 
 use ccsort_parallel::{
-    histogram, is_sorted, multiset_fingerprint, par_radix_sort_pairs_with, par_radix_sort_with,
-    RadixSortConfig,
+    histogram, is_sorted, multiset_fingerprint, par_radix_sort_pairs_with_scratch,
+    par_radix_sort_with_scratch, RadixSortConfig, Schedule, SortScratch,
 };
 
 /// Deterministic 64-bit generator (splitmix64) so every run of the bench
@@ -289,6 +293,9 @@ pub struct Row {
     pub reps: usize,
     pub best_wall_s: f64,
     pub mkeys_per_sec: f64,
+    /// How the radix engine ran the sort (`None` for every other algorithm):
+    /// which schedule a row measured is printed, not inferred.
+    pub schedule: Option<Schedule>,
 }
 
 /// Bench options: the grid and the measurement discipline.
@@ -342,10 +349,19 @@ fn best_of<T: Clone, F: FnMut(&mut T)>(input: &T, reps: usize, mut sort: F, veri
 }
 
 /// Measure one `(kind, algo, dist, n, threads)` cell. `raw` is the
-/// distribution sample as u64.
-fn run_cell(kind: Kind, algo: Algo, raw: &[u64], threads: usize, reps: usize) -> f64 {
+/// distribution sample as u64. The radix rows sort through a fresh
+/// [`SortScratch`] inside the timed region — what `par_radix_sort_with`
+/// does internally — so the engine's schedule can be read back.
+fn run_cell(
+    kind: Kind,
+    algo: Algo,
+    raw: &[u64],
+    threads: usize,
+    reps: usize,
+) -> (f64, Option<Schedule>) {
     let n = raw.len();
-    match kind {
+    let mut schedule = None;
+    let best = match kind {
         Kind::U32 => {
             let input: Vec<u32> = raw.iter().map(|&x| x as u32).collect();
             let fp = multiset_fingerprint(&input);
@@ -363,7 +379,16 @@ fn run_cell(kind: Kind, algo: Algo, raw: &[u64], threads: usize, reps: usize) ->
                         verify,
                     ),
                 },
-                Some(cfg) => best_of(&input, reps, |v| par_radix_sort_with(v, &cfg), verify),
+                Some(cfg) => best_of(
+                    &input,
+                    reps,
+                    |v| {
+                        let mut scratch = SortScratch::<_, ()>::new();
+                        par_radix_sort_with_scratch(v, &cfg, &mut scratch);
+                        schedule = scratch.last_schedule();
+                    },
+                    verify,
+                ),
             }
         }
         Kind::U64 => {
@@ -383,7 +408,16 @@ fn run_cell(kind: Kind, algo: Algo, raw: &[u64], threads: usize, reps: usize) ->
                         verify,
                     ),
                 },
-                Some(cfg) => best_of(&input, reps, |v| par_radix_sort_with(v, &cfg), verify),
+                Some(cfg) => best_of(
+                    &input,
+                    reps,
+                    |v| {
+                        let mut scratch = SortScratch::<_, ()>::new();
+                        par_radix_sort_with_scratch(v, &cfg, &mut scratch);
+                        schedule = scratch.last_schedule();
+                    },
+                    verify,
+                ),
             }
         }
         Kind::PairsU32 => {
@@ -419,13 +453,23 @@ fn run_cell(kind: Kind, algo: Algo, raw: &[u64], threads: usize, reps: usize) ->
                     best_of(
                         &input,
                         reps,
-                        |kv| par_radix_sort_pairs_with(&mut kv.0, &mut kv.1, &cfg),
+                        |kv| {
+                            let mut scratch = SortScratch::new();
+                            par_radix_sort_pairs_with_scratch(
+                                &mut kv.0,
+                                &mut kv.1,
+                                &cfg,
+                                &mut scratch,
+                            );
+                            schedule = scratch.last_schedule();
+                        },
                         verify,
                     )
                 }
             }
         }
-    }
+    };
+    (best, schedule)
 }
 
 /// Which (kind, dist) combos the grid covers. u32 takes the full
@@ -457,7 +501,7 @@ pub fn run_grid(opts: &RealBenchOpts, progress: bool) -> Vec<Row> {
                 let thread_list: &[usize] =
                     if algo == Algo::Std { &[1] } else { &opts.threads };
                 for &t in thread_list {
-                    let best = run_cell(kind, algo, &raw, t, opts.reps);
+                    let (best, schedule) = run_cell(kind, algo, &raw, t, opts.reps);
                     let row = Row {
                         kind: kind.name(),
                         algo: algo.name(),
@@ -467,12 +511,14 @@ pub fn run_grid(opts: &RealBenchOpts, progress: bool) -> Vec<Row> {
                         reps: opts.reps,
                         best_wall_s: best,
                         mkeys_per_sec: n as f64 / best / 1e6,
+                        schedule,
                     };
                     if progress {
                         println!(
-                            "{:9} {:24} {:13} n={:<9} t={:<3} best {:>8.4}s  {:>8.2} Mkeys/s",
+                            "{:9} {:24} {:13} n={:<9} t={:<3} best {:>8.4}s  {:>8.2} Mkeys/s  {}",
                             row.kind, row.algo, row.dist, row.n, row.threads,
-                            row.best_wall_s, row.mkeys_per_sec
+                            row.best_wall_s, row.mkeys_per_sec,
+                            row.schedule.map_or(String::new(), |s| format!("{s:?}"))
                         );
                     }
                     rows.push(row);
@@ -524,6 +570,7 @@ fn histogram_padding_rows(
             reps: opts.reps.max(3),
             best_wall_s: best,
             mkeys_per_sec: n as f64 / best / 1e6,
+            schedule: None,
         };
         if progress {
             println!(

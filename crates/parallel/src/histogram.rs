@@ -253,9 +253,9 @@ pub fn par_digit_histogram_unpadded<K: RadixKey>(
 /// at shift `p * radix_bits`.
 ///
 /// Global digit counts are permutation-invariant, so the rows stay valid
-/// across every pass of an LSD sort no matter how the data moves; the
-/// radix engine uses exactly this to decide up front which passes are
-/// trivial (all keys in one bin ⇒ identity permutation ⇒ skippable).
+/// across every pass of an LSD sort no matter how the data moves. (The
+/// radix engine no longer needs them: it learns which passes are trivial
+/// from an OR/AND fold of the keys, one read and no counters.)
 pub fn par_multi_digit_histogram<K: RadixKey>(keys: &[K], radix_bits: u32) -> Vec<Vec<usize>> {
     assert!((1..=16).contains(&radix_bits));
     let bins = 1usize << radix_bits;

@@ -4,7 +4,7 @@
 
 use crate::key::RadixKey;
 use crate::radix::{RadixSortConfig, SortScratch};
-use crate::seq::{hist_len, lsd_sort};
+use crate::seq::{all_passes, hist_len, lsd_sort};
 
 /// Sequential LSD radix sort of parallel `keys`/`values` arrays (structure
 /// of arrays): after return, `keys` is sorted and `values[i]` is still the
@@ -20,7 +20,16 @@ pub fn radix_sort_pairs<K: RadixKey + Default, V: Copy + Default>(
     let mut key_scratch = vec![K::default(); n];
     let mut val_scratch = vec![V::default(); n];
     let mut hist = vec![0usize; hist_len::<K>(radix_bits)];
-    lsd_sort::<K, V, true>(keys, values, &mut key_scratch, &mut val_scratch, &mut hist, radix_bits);
+    lsd_sort::<K, V, true>(
+        keys,
+        values,
+        &mut key_scratch,
+        &mut val_scratch,
+        &mut hist,
+        radix_bits,
+        all_passes::<K>(radix_bits),
+        false,
+    );
 }
 
 /// Thread-parallel LSD radix sort of parallel `keys`/`values` arrays with
@@ -36,10 +45,12 @@ where
 /// Thread-parallel LSD radix sort of parallel `keys`/`values` arrays with
 /// an explicit configuration. Runs the same engine as
 /// [`crate::par_radix_sort_with`] with the payload lane enabled, so the
-/// pairs sort gets write coalescing, work stealing, and fused
-/// histogramming too. Stable for every configuration: within a chunk,
-/// records are staged and flushed in input order to consecutive ranks;
-/// across chunks, lower chunk ids rank first for equal digits.
+/// pairs sort gets write coalescing, work stealing, the fold and both
+/// pass schedules too. Stable for every configuration and either
+/// schedule: within a chunk, records are staged and flushed in input
+/// order to consecutive ranks; across chunks, lower chunk ids rank first
+/// for equal digits; and the MSD-first bucket phase is the stable
+/// sequential kernel on keys that already agree on the top digit.
 pub fn par_radix_sort_pairs_with<K, V>(keys: &mut [K], values: &mut [V], cfg: &RadixSortConfig)
 where
     K: RadixKey + Default,

@@ -17,32 +17,44 @@
 //!   a skew-slowed chunk) never serializes a phase. Output is independent
 //!   of the steal schedule: every element's destination is fixed by the
 //!   rank arithmetic before the phase starts.
-//! * **Fused multi-digit histogramming**
-//!   ([`RadixSortConfig::fused_histogram`]): one unrolled read pass counts
-//!   every pass's digits at once (global counts are permutation-invariant),
-//!   which both discovers trivial passes to skip outright and seeds the
-//!   first per-chunk histogram; each permute then counts the *next* pass's
-//!   per-chunk digits while the keys are already in registers, eliminating
-//!   the per-pass re-read of the whole array.
+//! * **Fold, then count only what runs**
+//!   ([`RadixSortConfig::fused_histogram`]): one parallel read folds the
+//!   OR and the AND of every key's `to_bits()`; a pass is trivial exactly
+//!   when no bit of its digit differs between the two, so the set of live
+//!   passes costs one cheap read and no counting. Per-chunk histograms are
+//!   then counted for one digit at a time, and each permute counts the
+//!   *next* live pass's per-chunk digits while the keys are already in
+//!   registers, eliminating the per-pass re-read of the whole array.
+//!
+//! On top of those parts the engine picks one of two pass **schedules**
+//! per sort, from the data ([`Schedule`], [`SortScratch::last_schedule`]):
+//!
+//! * **MSD-first** — the paper's sample-sort shape for integers: move every
+//!   key across the machine once, then sort locally. The top live digit is
+//!   counted; when every bucket of its global histogram is at most
+//!   [`RadixSortConfig::sequential_cutoff`] keys, one coalesced permute on
+//!   that digit splits the array into `bins` buckets and the workers drain
+//!   the buckets through a [`ChunkQueue`], finishing each with the
+//!   cache-resident sequential kernel ([`crate::seq`]) on the live passes
+//!   below the top digit, landing the result straight in `keys`.
+//! * **LSD** — one out-of-cache permute per live pass, least significant
+//!   first: what runs when a bucket is too big for the kernel (skew), when
+//!   only one pass is live, or when fusion is off.
 //!
 //! All count matrices are cache-line padded ([`PaddedCounts`]), so no two
 //! workers' counters ever share a line. The pre-optimization behaviour is
-//! preserved behind [`RadixSortConfig::simple`]; every configuration
-//! produces bit-identical sorted output (and identical stable order in the
-//! pairs sorts), which the property suite checks against `sort_unstable`.
+//! preserved behind [`RadixSortConfig::simple`]; every configuration and
+//! either schedule produce bit-identical sorted output (and identical
+//! stable order in the pairs sorts), which the property suite checks
+//! against `sort_unstable`.
 
 use std::ops::Range;
 
-use crate::histogram::{count_digits_into, PaddedCounts};
+use crate::histogram::{count_digits_into, exclusive_prefix_sum, PaddedCounts};
 use crate::key::RadixKey;
-use crate::seq::{hist_len, lsd_sort, passes_for, DEFAULT_RADIX_BITS};
+use crate::seq::{all_passes, hist_len, lsd_sort, passes_for, DEFAULT_RADIX_BITS};
 use crate::shared::SharedSlice;
 use crate::steal::ChunkQueue;
-
-/// Digit widths above this skip the fused-histogram path: the per-worker
-/// next-pass count matrices stop fitting in cache and the fused read's
-/// global rows stop paying for themselves.
-const MAX_FUSED_RADIX_BITS: u32 = 12;
 
 /// Per-worker next-pass count matrices larger than this many counters fall
 /// back to per-pass counting even when fusion is on.
@@ -70,12 +82,15 @@ pub struct RadixSortConfig {
     /// Number of parallel workers, each an OS thread under
     /// `std::thread::scope`; `None` = `std::thread::available_parallelism`.
     pub chunks: Option<usize>,
-    /// At or below this length, run the sequential kernel of
-    /// [`crate::seq`] instead of the engine: every engine phase is a
-    /// fork/join over `chunks` threads and every chunk flushes `bins`
-    /// partial staging buffers per pass, fixed costs a cache-resident
-    /// input cannot repay. The default is the measured crossover
-    /// (DESIGN.md §14).
+    /// The largest input the sequential kernel of [`crate::seq`] should
+    /// take. A whole sort at or below this length never enters the engine:
+    /// every engine phase is a fork/join over `chunks` threads and every
+    /// chunk flushes `bins` partial staging buffers per pass, fixed costs
+    /// a cache-resident input cannot repay. Above it, the same length
+    /// decides the engine's schedule: when every bucket of the top live
+    /// digit is at or below it, the engine partitions once on that digit
+    /// and finishes each bucket with the kernel ([`Schedule::MsdFirst`]).
+    /// The default is the measured crossover (DESIGN.md §14).
     pub sequential_cutoff: usize,
     /// Per-bucket staging-buffer size in bytes for the write-coalescing
     /// permute; `None` selects the direct-scatter permute (one write per
@@ -87,9 +102,11 @@ pub struct RadixSortConfig {
     /// Chunks per worker when `work_stealing` is on: the over-partitioning
     /// factor that gives thieves something to take.
     pub steal_granularity: usize,
-    /// Count all passes' digits in one fused read pass (enables trivial
-    /// pass skipping) and count the next pass's digits during each permute
-    /// (eliminates per-pass re-reads).
+    /// Learn the live passes from one OR/AND fold over the keys (trivial
+    /// passes are then never counted or run, and the MSD-first schedule
+    /// becomes available) and count the next pass's digits during each
+    /// permute (eliminates per-pass re-reads). Off: one counting read per
+    /// pass, LSD schedule only — the differential oracle.
     pub fused_histogram: bool,
 }
 
@@ -166,6 +183,21 @@ impl RadixSortConfig {
     }
 }
 
+/// How one sort through a [`SortScratch`] was run — the engine's own answer
+/// to "which path did that take?" ([`SortScratch::last_schedule`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Schedule {
+    /// At or below `sequential_cutoff`: the sequential kernel, no threads.
+    Sequential,
+    /// One permute on pass `top_pass`, then every bucket finished in cache
+    /// by the sequential kernel. `live_passes` counts the non-trivial
+    /// passes including the top one; `largest_bucket` is the most keys any
+    /// top digit holds (at most `sequential_cutoff`).
+    MsdFirst { top_pass: u32, live_passes: u32, largest_bucket: usize },
+    /// One permute per non-trivial pass, least significant digit first.
+    Lsd { executed_passes: u32 },
+}
+
 /// Sort `keys` in parallel with the default configuration.
 pub fn par_radix_sort<K: RadixKey + Default>(keys: &mut [K]) {
     par_radix_sort_with(keys, &RadixSortConfig::default());
@@ -220,7 +252,7 @@ pub fn par_radix_sort_with_scratch<K, V>(
 
 /// Fixed-stride chunk geometry: stride is a power of two so the permute can
 /// map an output position to its destination chunk with one shift (the
-/// fused next-pass counters are indexed by destination chunk).
+/// next-pass counters a permute fills are indexed by destination chunk).
 #[derive(Clone, Copy)]
 struct ChunkGeom {
     q_shift: u32,
@@ -320,13 +352,14 @@ impl<K: Copy + Default, V: Copy + Default> Stage<K, V> {
 }
 
 /// One worker's private reusable buffers: the coalescing stage, the
-/// next-pass count matrix the fused permute fills, and the fused read's
-/// per-pass global counts. Handed to exactly one worker thread per phase
-/// (disjoint `&mut` via `iter_mut`), so no synchronization is needed.
+/// next-pass count matrix a permute fills, and the `passes × bins`
+/// histogram the sequential kernel needs in the bucket phase. Handed to
+/// exactly one worker thread per phase (disjoint `&mut` via `iter_mut`),
+/// so no synchronization is needed.
 struct WorkerScratch<K, V> {
     stage: Stage<K, V>,
     nh: PaddedCounts,
-    fused: PaddedCounts,
+    bucket_hist: Vec<usize>,
     reallocations: u64,
 }
 
@@ -335,18 +368,29 @@ impl<K: Copy + Default, V: Copy + Default> WorkerScratch<K, V> {
         WorkerScratch {
             stage: Stage::empty(),
             nh: PaddedCounts::new(0, 0),
-            fused: PaddedCounts::new(0, 0),
+            bucket_hist: Vec::new(),
             reallocations: 0,
         }
     }
 }
 
+/// Give `v` exactly `len` counters (contents unspecified), reusing its
+/// allocation; `true` when it had to grow.
+fn reshape(v: &mut Vec<usize>, len: usize) -> bool {
+    let grew = len > v.capacity();
+    if v.len() != len {
+        v.clear();
+        v.resize(len, 0);
+    }
+    grew
+}
+
 /// Caller-owned reusable buffers for [`par_radix_sort_with_scratch`] and
 /// [`crate::pairs::par_radix_sort_pairs_with_scratch`]: the flip buffers,
-/// the per-chunk count matrices, the sequential-fallback histogram, and
-/// one `WorkerScratch` per worker. Everything is reshaped (never shrunk)
-/// on each call, so a steady stream of same-shaped sorts touches only
-/// buffers allocated by the first call.
+/// the per-chunk count matrices, the sequential-fallback histogram, the
+/// top digit's bucket bounds, and one `WorkerScratch` per worker.
+/// Everything is reshaped (never shrunk) on each call, so a steady stream
+/// of same-shaped sorts touches only buffers allocated by the first call.
 ///
 /// `V = ()` for keys-only scratches. A scratch may be reused freely across
 /// input lengths, digit widths, and configurations — it grows to the
@@ -355,10 +399,14 @@ pub struct SortScratch<K, V = ()> {
     keys: Vec<K>,
     vals: Vec<V>,
     hist: Vec<usize>,
+    /// The top digit's global histogram, then (MSD-first) its exclusive
+    /// prefix sum: bucket `d` is `bucket_starts[d]..bucket_starts[d + 1]`.
+    bucket_starts: Vec<usize>,
     chunk_hists: PaddedCounts,
     offsets: PaddedCounts,
     workers: Vec<WorkerScratch<K, V>>,
     reallocations: u64,
+    last_schedule: Option<Schedule>,
 }
 
 impl<K: Copy + Default, V: Copy + Default> Default for SortScratch<K, V> {
@@ -374,11 +422,19 @@ impl<K: Copy + Default, V: Copy + Default> SortScratch<K, V> {
             keys: Vec::new(),
             vals: Vec::new(),
             hist: Vec::new(),
+            bucket_starts: Vec::new(),
             chunk_hists: PaddedCounts::new(0, 0),
             offsets: PaddedCounts::new(0, 0),
             workers: Vec::new(),
             reallocations: 0,
+            last_schedule: None,
         }
+    }
+
+    /// The schedule the most recent sort through this scratch ran
+    /// (`None` before the first). Written once per sort.
+    pub fn last_schedule(&self) -> Option<Schedule> {
+        self.last_schedule
     }
 
     /// How many times any backing buffer has grown since construction.
@@ -395,7 +451,6 @@ impl<K: Copy + Default, V: Copy + Default> SortScratch<K, V> {
 
     /// Shape every engine buffer for one sort. Counts growths in
     /// `reallocations`; reuse is the common case.
-    #[allow(clippy::too_many_arguments)]
     fn ensure(
         &mut self,
         n: usize,
@@ -404,7 +459,6 @@ impl<K: Copy + Default, V: Copy + Default> SortScratch<K, V> {
         bins: usize,
         workers: usize,
         buf_elems: Option<usize>,
-        fused_rows: usize,
     ) {
         let mut grew = self.ensure_flip(n, with_vals);
         grew |= self.chunk_hists.reset(m, bins);
@@ -416,9 +470,6 @@ impl<K: Copy + Default, V: Copy + Default> SortScratch<K, V> {
         for w in &mut self.workers[..workers] {
             if let Some(e) = buf_elems {
                 w.reallocations += w.stage.reset(bins, e, with_vals) as u64;
-            }
-            if fused_rows > 0 {
-                w.reallocations += w.fused.reset(fused_rows, bins) as u64;
             }
         }
         self.reallocations += grew as u64;
@@ -456,17 +507,13 @@ impl<K: Copy + Default, V: Copy + Default> SortScratch<K, V> {
     ) where
         K: RadixKey,
     {
+        self.last_schedule = Some(Schedule::Sequential);
         let n = keys.len();
         if n <= 1 {
             return;
         }
-        let need = hist_len::<K>(radix_bits);
         let mut grew = self.ensure_flip(n, WITH_VALS);
-        if self.hist.len() != need {
-            grew |= need > self.hist.capacity();
-            self.hist.clear();
-            self.hist.resize(need, 0);
-        }
+        grew |= reshape(&mut self.hist, hist_len::<K>(radix_bits));
         self.reallocations += grew as u64;
         lsd_sort::<K, V, WITH_VALS>(
             keys,
@@ -475,15 +522,29 @@ impl<K: Copy + Default, V: Copy + Default> SortScratch<K, V> {
             &mut self.vals,
             &mut self.hist,
             radix_bits,
+            all_passes::<K>(radix_bits),
+            false,
         );
     }
 }
 
+/// Whether the MSD-first schedule can be chosen at all for `n` keys. Some
+/// bucket holds at least the mean, so a mean above the cutoff rules it out
+/// before anything is counted. And the bucket phase pays `bins` counters of
+/// zeroing and prefix sum per pass per bucket whatever the bucket holds,
+/// which the per-key work covers only when the mean bucket is at least half
+/// a histogram long (`bins² <= 2n`; with 16-bit digits that is never).
+fn msd_first_possible(n: usize, bins: usize, cutoff: usize) -> bool {
+    n.div_ceil(bins) <= cutoff && bins <= 2 * n / bins
+}
+
 /// The shared engine behind [`par_radix_sort_with`] (V = `()`, no payload
 /// lane) and `par_radix_sort_pairs_with` (`WITH_VALS = true`). Stable for
-/// any configuration: within a chunk, keys are staged and flushed in input
-/// order to consecutive positions; across chunks, the digit-major rank
-/// construction orders lower chunk ids first.
+/// any configuration and either schedule: within a chunk, keys are staged
+/// and flushed in input order to consecutive positions; across chunks, the
+/// digit-major rank construction orders lower chunk ids first; and the
+/// bucket phase of the MSD-first schedule is the stable sequential kernel
+/// on the lower digits of keys that already agree on the top one.
 pub(crate) fn sort_engine<K, V, const WITH_VALS: bool>(
     keys: &mut [K],
     vals: &mut [V],
@@ -504,7 +565,7 @@ pub(crate) fn sort_engine<K, V, const WITH_VALS: bool>(
     let exec = Exec { geom: ChunkGeom::new(n, target_chunks), workers, steal: cfg.work_stealing };
     let m = exec.geom.chunks();
 
-    let fused = cfg.fused_histogram && cfg.radix_bits <= MAX_FUSED_RADIX_BITS;
+    let fused = cfg.fused_histogram;
     // Counting the next pass during a permute needs one m × bins matrix per
     // worker; past the cache budget the re-read is cheaper than the misses.
     // It also needs the staging buffers: counting at flush time walks keys
@@ -514,43 +575,95 @@ pub(crate) fn sort_engine<K, V, const WITH_VALS: bool>(
         fused && cfg.coalesce_bytes.is_some() && m * bins <= MAX_FUSED_NH_WORDS;
     let buf_elems = cfg.coalesce_bytes.map(|b| (b / std::mem::size_of::<K>()).max(1));
 
-    scratch.ensure(
-        n,
-        WITH_VALS,
-        m,
-        bins,
-        workers,
-        buf_elems,
-        if fused { total_passes.saturating_sub(1) } else { 0 },
-    );
-    let SortScratch { keys: key_scratch, vals: val_scratch, chunk_hists, offsets, workers: ws, .. } =
-        scratch;
+    scratch.ensure(n, WITH_VALS, m, bins, workers, buf_elems);
+    let SortScratch {
+        keys: key_scratch,
+        vals: val_scratch,
+        bucket_starts,
+        chunk_hists,
+        offsets,
+        workers: ws,
+        reallocations,
+        last_schedule,
+        ..
+    } = scratch;
     let (key_scratch, val_scratch) = (&mut key_scratch[..], &mut val_scratch[..]);
     let ws = &mut ws[..workers];
 
-    // Pass schedule. In fused mode one read pass yields every pass's global
-    // histogram (permutation-invariant, so valid for the whole sort): a
-    // pass whose keys all share one digit is an identity permutation and is
-    // skipped without ever being read again. The same read fills the
-    // per-chunk histograms for pass 0, valid while no permute has moved
-    // anything.
-    let mut skip = vec![false; total_passes];
+    // Live passes (bit p = pass p). A pass is an identity permutation
+    // exactly when every key has the same digit there, i.e. when the OR and
+    // the AND of all keys agree on every bit of the digit; such passes are
+    // never counted or run. Without fusion every pass is presumed live and
+    // the trivial ones are discovered from their counts, one read each.
+    let live = if fused {
+        let (or, and) = run_fold(keys, exec);
+        (0..total_passes)
+            .filter(|&p| ((or ^ and) >> (p as u32 * cfg.radix_bits)) & mask != 0)
+            .fold(0u64, |live, p| live | 1 << p)
+    } else {
+        all_passes::<K>(cfg.radix_bits)
+    };
+
+    // Which per-chunk histograms `chunk_hists` currently holds, if any.
     let mut have_hists: Option<usize> = None;
-    if fused {
-        let globals = run_fused_count(keys, exec, cfg.radix_bits, total_passes, chunk_hists, ws);
-        for (pass, hist) in globals.iter().enumerate() {
-            skip[pass] = hist.contains(&n);
+
+    // Schedule. Count the top live digit; if the sequential kernel would
+    // take every one of its buckets, partition on it once and finish each
+    // bucket in cache. Otherwise fall through to one permute per live pass.
+    if fused && live.count_ones() >= 2 && msd_first_possible(n, bins, cfg.sequential_cutoff) {
+        let top = 63 - live.leading_zeros() as usize;
+        let top_shift = top as u32 * cfg.radix_bits;
+        run_count(keys, exec, top_shift, mask, chunk_hists);
+        have_hists = Some(top);
+        *reallocations += reshape(bucket_starts, bins + 1) as u64;
+        let (top_hist, total) = bucket_starts.split_at_mut(bins);
+        top_hist.fill(0);
+        for c in 0..m {
+            for (g, h) in top_hist.iter_mut().zip(chunk_hists.row(c)) {
+                *g += h;
+            }
         }
-        if !skip[0] {
-            have_hists = Some(0);
+        let largest_bucket = top_hist.iter().copied().max().unwrap_or(0);
+        if largest_bucket <= cfg.sequential_cutoff {
+            let trivial = build_offsets(chunk_hists, offsets, n);
+            debug_assert!(!trivial, "a live pass has two non-empty bins");
+            let ctx = PermuteCtx {
+                src_k: &*keys,
+                src_v: &*vals,
+                out_k: SharedSlice::new(key_scratch),
+                out_v: SharedSlice::new(val_scratch),
+                geom: exec.geom,
+                shift: top_shift,
+                mask,
+                bins,
+                next_shift: None,
+            };
+            run_permute::<K, V, WITH_VALS>(&ctx, exec, buf_elems, offsets, chunk_hists, ws);
+
+            total[0] = exclusive_prefix_sum(top_hist);
+            for w in ws.iter_mut() {
+                w.reallocations += reshape(&mut w.bucket_hist, hist_len::<K>(cfg.radix_bits)) as u64;
+            }
+            let lanes = BucketLanes {
+                src_k: SharedSlice::new(key_scratch),
+                src_v: SharedSlice::new(val_scratch),
+                dst_k: SharedSlice::new(keys),
+                dst_v: SharedSlice::new(vals),
+            };
+            let below = live & ((1u64 << top) - 1);
+            run_buckets::<K, V, WITH_VALS>(&lanes, exec, cfg.radix_bits, below, bucket_starts, ws);
+            *last_schedule = Some(Schedule::MsdFirst {
+                top_pass: top as u32,
+                live_passes: live.count_ones(),
+                largest_bucket,
+            });
+            return;
         }
     }
 
+    let mut executed_passes = 0;
     let mut flipped = false;
-    for pass in 0..total_passes {
-        if skip[pass] {
-            continue;
-        }
+    for pass in (0..total_passes).filter(|&p| live >> p & 1 == 1) {
         let shift = pass as u32 * cfg.radix_bits;
         let (src_k, dst_k): (&[K], &mut [K]) =
             if flipped { (&*key_scratch, &mut *keys) } else { (&*keys, &mut *key_scratch) };
@@ -564,14 +677,14 @@ pub(crate) fn sort_engine<K, V, const WITH_VALS: bool>(
         let trivial = build_offsets(chunk_hists, offsets, n);
         if trivial {
             // Identity permutation discovered from the counts alone (only
-            // reachable without fusion; the fused schedule skips these
-            // before counting). Data stays in place; no flip.
+            // reachable without fusion; the fold leaves such passes out of
+            // `live`). Data stays in place; no flip.
             debug_assert!(!fused);
             continue;
         }
 
         let next_exec = if count_during_permute {
-            ((pass + 1)..total_passes).find(|&p| !skip[p])
+            ((pass + 1)..total_passes).find(|&p| live >> p & 1 == 1)
         } else {
             None
         };
@@ -590,6 +703,7 @@ pub(crate) fn sort_engine<K, V, const WITH_VALS: bool>(
         if let Some(np) = next_exec {
             have_hists = Some(np);
         }
+        executed_passes += 1;
         flipped = !flipped;
     }
 
@@ -599,6 +713,7 @@ pub(crate) fn sort_engine<K, V, const WITH_VALS: bool>(
             vals.copy_from_slice(&val_scratch[..n]);
         }
     }
+    *last_schedule = Some(Schedule::Lsd { executed_passes });
 }
 
 /// Worker count when the configuration leaves it to the machine.
@@ -673,60 +788,81 @@ fn run_count<K: RadixKey>(
     });
 }
 
-/// The fused read: per-chunk counts for pass 0 into `chunk_hists`, plus
-/// per-worker padded global counts for every later pass (each worker's
-/// reusable `fused` matrix, zeroed by `ensure`), reduced and returned as
-/// one global histogram per pass.
-fn run_fused_count<K, V>(
-    src: &[K],
+/// The OR and the AND of every key's order-preserving image, in parallel
+/// over the chunk queue: the one read that tells the engine which digits
+/// differ anywhere in the input.
+fn run_fold<K: RadixKey>(src: &[K], exec: Exec) -> (u64, u64) {
+    let queue = ChunkQueue::new(exec.workers, exec.geom.chunks(), exec.steal);
+    let parts = run_workers(exec.workers, |w| {
+        let (mut or, mut and) = (0u64, u64::MAX);
+        while let Some(c) = queue.claim(w) {
+            for k in &src[exec.geom.range(c)] {
+                let bits = k.to_bits();
+                or |= bits;
+                and &= bits;
+            }
+        }
+        (or, and)
+    });
+    parts.into_iter().fold((0, u64::MAX), |a, b| (a.0 | b.0, a.1 & b.1))
+}
+
+/// Both buffers of the bucket phase, keys and payloads: after the top-digit
+/// permute the data sits in `src`, and each bucket's sorted result must
+/// land in the same range of `dst` (the caller's arrays).
+struct BucketLanes<'a, K, V> {
+    src_k: SharedSlice<'a, K>,
+    src_v: SharedSlice<'a, V>,
+    dst_k: SharedSlice<'a, K>,
+    dst_v: SharedSlice<'a, V>,
+}
+
+/// The bucket phase of the MSD-first schedule: workers drain the `bins`
+/// buckets of the top digit through the chunk queue and finish each with
+/// the sequential kernel on the live passes `below` the top digit, which
+/// lands it in `dst` whatever the parity of the passes it ran. Bucket `b`
+/// is `starts[b]..starts[b + 1]` of both buffers.
+fn run_buckets<K, V, const WITH_VALS: bool>(
+    lanes: &BucketLanes<'_, K, V>,
     exec: Exec,
     radix_bits: u32,
-    passes: usize,
-    chunk_hists: &mut PaddedCounts,
+    below: u64,
+    starts: &[usize],
     ws: &mut [WorkerScratch<K, V>],
-) -> Vec<Vec<usize>>
-where
-    K: RadixKey + Send,
-    V: Send,
+) where
+    K: RadixKey,
+    V: Copy + Send + Sync,
 {
-    let bins = 1usize << radix_bits;
-    let mask = (bins - 1) as u64;
-    let shared = chunk_hists.shared();
-    let queue = ChunkQueue::new(exec.workers, exec.geom.chunks(), exec.steal);
-    // L1-blocked, pass-major: each block is counted once per pass through
-    // the unrolled counter while it is still cache-hot, so the fused read
-    // costs the same instructions as `passes` separate count loops but
-    // makes only one trip through memory.
-    const FUSED_BLOCK: usize = 2048;
+    let queue = ChunkQueue::new(exec.workers, starts.len() - 1, exec.steal);
     run_workers_scratch(exec.workers, ws, |w, wsc| {
-        let high = &mut wsc.fused;
-        while let Some(c) = queue.claim(w) {
-            // SAFETY: chunk ids are claimed exactly once per phase.
-            let row0 = unsafe { shared.row_mut(c) };
-            row0.fill(0);
-            for block in src[exec.geom.range(c)].chunks(FUSED_BLOCK) {
-                count_digits_into(block, 0, mask, row0);
-                for p in 1..passes {
-                    count_digits_into(block, p as u32 * radix_bits, mask, high.row_mut(p - 1));
-                }
-            }
+        while let Some(b) = queue.claim(w) {
+            let range = starts[b]..starts[b + 1];
+            let vrange = if WITH_VALS { range.clone() } else { 0..0 };
+            // SAFETY: `starts` is one exclusive prefix sum ending in n, so
+            // the bucket ranges are consecutive sub-ranges of both buffers,
+            // pairwise disjoint; bucket ids are claimed exactly once per
+            // phase, so this worker is the only one touching range `b` of
+            // any lane, and nothing else accesses the lanes in this phase.
+            let (sk, sv, dk, dv) = unsafe {
+                (
+                    lanes.src_k.slice_mut(range.clone()),
+                    lanes.src_v.slice_mut(vrange.clone()),
+                    lanes.dst_k.slice_mut(range),
+                    lanes.dst_v.slice_mut(vrange),
+                )
+            };
+            lsd_sort::<K, V, WITH_VALS>(
+                sk,
+                sv,
+                dk,
+                dv,
+                &mut wsc.bucket_hist,
+                radix_bits,
+                below,
+                true,
+            );
         }
     });
-
-    let mut globals = vec![vec![0usize; bins]; passes];
-    for c in 0..exec.geom.chunks() {
-        for (g, h) in globals[0].iter_mut().zip(chunk_hists.row(c)) {
-            *g += h;
-        }
-    }
-    for part in ws.iter() {
-        for (p, global) in globals.iter_mut().enumerate().skip(1) {
-            for (g, h) in global.iter_mut().zip(part.fused.row(p - 1)) {
-                *g += h;
-            }
-        }
-    }
-    globals
 }
 
 /// Global ranks from per-chunk counts, digit-major: `offset[c][d]` = keys
@@ -1010,7 +1146,7 @@ mod tests {
             (0..40_000).map(|_| rng.random_range(0..8u32)).collect(),
             (0..40_000u32).collect(),
             // Keys confined to the low 16 bits: the two high passes are
-            // trivial and the fused path must skip them.
+            // trivial and the fold must leave them out.
             (0..40_000).map(|_| rng.random_range(0..u16::MAX as u32)).collect(),
         ];
         for cfg in all_configs() {
@@ -1178,6 +1314,272 @@ mod tests {
             par_radix_sort_with_scratch(&mut v, &cfg, &mut scratch);
             assert!(v.windows(2).all(|w| w[0] <= w[1]));
             assert_eq!(scratch.reallocations(), warm, "sequential resort of {len} keys reallocated");
+        }
+    }
+
+    /// A cutoff small enough that 40,000 keys enter the engine and large
+    /// enough that uniform top-digit buckets (≈ 156 keys) fit under it.
+    const SMALL_CUTOFF: usize = 4096;
+
+    /// Sort `input` through a scratch whose flip buffer is pre-filled with
+    /// `poison`, check the result against `sort_unstable`, and return the
+    /// schedule the engine reports.
+    fn schedule_of<K: RadixKey + Default + std::fmt::Debug>(
+        input: Vec<K>,
+        cfg: &RadixSortConfig,
+        poison: K,
+    ) -> Schedule {
+        let mut expect = input.clone();
+        expect.sort_unstable();
+        let mut scratch: SortScratch<K> = SortScratch::new();
+        scratch.keys = vec![poison; input.len()];
+        let mut v = input;
+        par_radix_sort_with_scratch(&mut v, cfg, &mut scratch);
+        assert_eq!(v, expect, "diverged under {cfg:?}");
+        scratch.last_schedule().expect("a sort ran")
+    }
+
+    fn small_cutoff(cfg: RadixSortConfig) -> RadixSortConfig {
+        RadixSortConfig { sequential_cutoff: SMALL_CUTOFF, ..cfg }
+    }
+
+    #[test]
+    fn msd_first_is_reached_under_every_fused_config() {
+        let mut rng = StdRng::seed_from_u64(40);
+        let input: Vec<u32> = (0..40_000).map(|_| rng.random()).collect();
+        for cfg in all_configs().into_iter().map(small_cutoff) {
+            let schedule = schedule_of(input.clone(), &cfg, u32::MAX);
+            if cfg.fused_histogram {
+                assert!(
+                    matches!(
+                        schedule,
+                        Schedule::MsdFirst { top_pass: 3, live_passes: 4, largest_bucket }
+                            if largest_bucket <= SMALL_CUTOFF
+                    ),
+                    "{schedule:?} under {cfg:?}"
+                );
+            } else {
+                assert_eq!(schedule, Schedule::Lsd { executed_passes: 4 }, "under {cfg:?}");
+            }
+        }
+        // At or below the cutoff nothing enters the engine.
+        let cfg = small_cutoff(RadixSortConfig::default());
+        assert_eq!(schedule_of(input[..SMALL_CUTOFF].to_vec(), &cfg, 0), Schedule::Sequential);
+    }
+
+    /// 40,000 `u32` keys whose top digit 0 holds exactly `largest` of them
+    /// and whose other 255 top digits share the rest evenly.
+    fn keys_with_largest_bucket(largest: usize, rng: &mut StdRng) -> Vec<u32> {
+        (0..40_000usize)
+            .map(|i| {
+                let low = rng.random::<u32>() & 0x00FF_FFFF;
+                if i < largest { low } else { (1 + i as u32 % 255) << 24 | low }
+            })
+            .collect()
+    }
+
+    #[test]
+    fn schedule_flips_exactly_when_a_bucket_exceeds_the_cutoff() {
+        let mut rng = StdRng::seed_from_u64(41);
+        let cfg = small_cutoff(RadixSortConfig { chunks: Some(3), ..Default::default() });
+        for largest in [SMALL_CUTOFF - 1, SMALL_CUTOFF] {
+            assert_eq!(
+                schedule_of(keys_with_largest_bucket(largest, &mut rng), &cfg, u32::MAX),
+                Schedule::MsdFirst { top_pass: 3, live_passes: 4, largest_bucket: largest }
+            );
+        }
+        assert_eq!(
+            schedule_of(keys_with_largest_bucket(SMALL_CUTOFF + 1, &mut rng), &cfg, u32::MAX),
+            Schedule::Lsd { executed_passes: 4 }
+        );
+        // `sequential_cutoff: 0` asks for the engine's LSD loop outright.
+        let lsd_only = RadixSortConfig { sequential_cutoff: 0, ..cfg };
+        assert_eq!(
+            schedule_of(keys_with_largest_bucket(100, &mut rng), &lsd_only, u32::MAX),
+            Schedule::Lsd { executed_passes: 4 }
+        );
+    }
+
+    #[test]
+    fn adversarial_shapes_pick_the_schedule_the_rule_says() {
+        let mut rng = StdRng::seed_from_u64(42);
+        let cfg = small_cutoff(RadixSortConfig { chunks: Some(4), ..Default::default() });
+        let n = 40_000;
+        // All equal: the fold finds no live pass; nothing is counted or moved.
+        assert_eq!(schedule_of(vec![7u32; n], &cfg, 0), Schedule::Lsd { executed_passes: 0 });
+        assert_eq!(schedule_of(vec![-7i64; n], &cfg, 0), Schedule::Lsd { executed_passes: 0 });
+        // One outlier with the high bit set: the top digit is live but its
+        // bucket 0 holds n - 1 keys, so the LSD loop runs passes 0, 1 and 7.
+        let mut outlier: Vec<u64> = (0..n).map(|_| rng.random::<u64>() & 0xFFFF).collect();
+        outlier[n / 3] |= 1 << 63;
+        assert_eq!(schedule_of(outlier, &cfg, u64::MAX), Schedule::Lsd { executed_passes: 3 });
+        // One live pass: nothing below the top digit to finish in cache.
+        let one_pass: Vec<u32> = (0..n).map(|_| (rng.random::<u32>() & 0xFF) << 8).collect();
+        assert_eq!(schedule_of(one_pass, &cfg, u32::MAX), Schedule::Lsd { executed_passes: 1 });
+        // u64 keys below 2^16 and below 2^24: the top *live* digit, not the
+        // key type's top digit, is the partition digit.
+        let below_2_16: Vec<u64> = (0..n).map(|_| rng.random::<u64>() & 0xFFFF).collect();
+        assert!(matches!(
+            schedule_of(below_2_16, &cfg, u64::MAX),
+            Schedule::MsdFirst { top_pass: 1, live_passes: 2, .. }
+        ));
+        let below_2_24: Vec<u64> = (0..n).map(|_| rng.random::<u64>() & 0xFF_FFFF).collect();
+        assert!(matches!(
+            schedule_of(below_2_24, &cfg, u64::MAX),
+            Schedule::MsdFirst { top_pass: 2, live_passes: 3, .. }
+        ));
+    }
+
+    #[test]
+    fn signed_keys_straddling_zero_fold_on_the_sign_flipped_image() {
+        // -1000..1000 as two's complement differ in every bit; as sign-flipped
+        // images too, and the top digit then splits them into a negative
+        // bucket (0x7F) and a non-negative one (0x80) in the right order.
+        // Inside either bucket pass 2 is trivial (0xFF or 0x00), which the
+        // kernel discovers itself: two executed passes, an even count.
+        let mut rng = StdRng::seed_from_u64(43);
+        let n = 40_000;
+        let cfg = RadixSortConfig { sequential_cutoff: 30_000, chunks: Some(3), ..Default::default() };
+        let v32: Vec<i32> = (0..n).map(|_| rng.random_range(-1000..1000i32)).collect();
+        assert!(matches!(
+            schedule_of(v32, &cfg, i32::MIN),
+            Schedule::MsdFirst { top_pass: 3, live_passes: 4, largest_bucket } if largest_bucket > n / 3
+        ));
+        let v64: Vec<i64> = (0..n).map(|_| rng.random_range(-1000..1000i64)).collect();
+        assert!(matches!(
+            schedule_of(v64, &cfg, i64::MIN),
+            Schedule::MsdFirst { top_pass: 7, live_passes: 8, .. }
+        ));
+        // Full-range signed keys: 256 top buckets.
+        let wide: Vec<i64> = (0..n).map(|_| rng.random()).collect();
+        assert!(matches!(
+            schedule_of(wide, &small_cutoff(cfg), 0),
+            Schedule::MsdFirst { top_pass: 7, live_passes: 8, .. }
+        ));
+    }
+
+    #[test]
+    fn msd_first_lands_in_keys_for_odd_and_even_pass_counts_below_the_top() {
+        // Byte 3 is always live and uniform (the partition digit); one, two
+        // and three live bytes below it. An odd count lands in the other
+        // buffer by itself, an even one needs the kernel's closing copy; the
+        // flip buffer is poisoned either way.
+        let mut rng = StdRng::seed_from_u64(44);
+        let cfg = small_cutoff(RadixSortConfig { chunks: Some(2), ..Default::default() });
+        for below in [&[1usize][..], &[0, 2], &[0, 1, 2]] {
+            let mask = below.iter().fold(0xFF00_0000u32, |m, b| m | 0xFF << (8 * b));
+            let input: Vec<u32> = (0..40_000).map(|_| rng.random::<u32>() & mask).collect();
+            assert!(matches!(
+                schedule_of(input, &cfg, u32::MAX),
+                Schedule::MsdFirst { top_pass: 3, live_passes, .. } if live_passes as usize == below.len() + 1
+            ));
+        }
+    }
+
+    #[test]
+    fn msd_first_with_more_workers_than_buckets_or_keys() {
+        let mut rng = StdRng::seed_from_u64(45);
+        // 4-bit digits: 16 buckets. 40 workers > 16 buckets; 1000 workers > n.
+        for (n, chunks) in [(3000usize, 40usize), (200, 1000)] {
+            let cfg = RadixSortConfig {
+                radix_bits: 4,
+                chunks: Some(chunks),
+                sequential_cutoff: n / 4,
+                ..Default::default()
+            };
+            let input: Vec<u16> = (0..n).map(|_| rng.random()).collect();
+            assert!(matches!(
+                schedule_of(input, &cfg, u16::MAX),
+                Schedule::MsdFirst { top_pass: 3, live_passes: 4, .. }
+            ));
+        }
+    }
+
+    /// Small enough for the gating Miri step (`.github/workflows/ci.yml`):
+    /// the whole MSD-first path — fold, count, coalesced permute, disjoint
+    /// `&mut` bucket sub-slices of both lanes, kernel — on three real
+    /// threads, pairs lane included.
+    #[test]
+    fn msd_first_small_n_under_miri() {
+        let n = 300u32;
+        let cfg = RadixSortConfig {
+            radix_bits: 4,
+            chunks: Some(3),
+            sequential_cutoff: 64,
+            coalesce_bytes: Some(16),
+            ..Default::default()
+        };
+        let keys_in: Vec<u16> = (0..n).map(|i| (i.wrapping_mul(2_654_435_761) >> 7) as u16 & 0xF037).collect();
+        let mut expect: Vec<(u16, u32)> = keys_in.iter().copied().zip(0..).collect();
+        expect.sort_by_key(|p| p.0);
+        let (mut keys, mut vals) = (keys_in, (0..n).collect::<Vec<_>>());
+        let mut scratch: SortScratch<u16, u32> = SortScratch::new();
+        crate::pairs::par_radix_sort_pairs_with_scratch(&mut keys, &mut vals, &cfg, &mut scratch);
+        assert_eq!(keys.into_iter().zip(vals).collect::<Vec<_>>(), expect);
+        assert!(matches!(scratch.last_schedule(), Some(Schedule::MsdFirst { top_pass: 3, .. })));
+    }
+
+    #[test]
+    fn msd_first_keeps_pairs_stable() {
+        // 1,000 distinct keys spread over bytes 0, 1 and 3, forty copies of
+        // each, payload = input index: the stable order is the only right
+        // answer, and it must survive partition ∘ per-bucket kernel.
+        let mut rng = StdRng::seed_from_u64(46);
+        let n = 40_000u32;
+        let keys_in: Vec<u32> = (0..n)
+            .map(|_| (rng.random_range(0..50u32) << 24) | (rng.random_range(0..20u32) * 257))
+            .collect();
+        let mut expect: Vec<(u32, u32)> = keys_in.iter().copied().zip(0..).collect();
+        expect.sort_by_key(|p| p.0);
+        for cfg in all_configs().into_iter().map(small_cutoff) {
+            let (mut keys, mut vals) = (keys_in.clone(), (0..n).collect::<Vec<_>>());
+            let mut scratch: SortScratch<u32, u32> = SortScratch::new();
+            crate::pairs::par_radix_sort_pairs_with_scratch(&mut keys, &mut vals, &cfg, &mut scratch);
+            let got: Vec<(u32, u32)> = keys.into_iter().zip(vals).collect();
+            assert_eq!(got, expect, "stable order diverges under {cfg:?}");
+            assert_eq!(
+                matches!(scratch.last_schedule(), Some(Schedule::MsdFirst { top_pass: 3, live_passes: 3, .. })),
+                cfg.fused_histogram,
+                "{:?} under {cfg:?}",
+                scratch.last_schedule()
+            );
+        }
+    }
+
+    #[test]
+    fn default_and_simple_agree_bit_for_bit_across_the_schedules() {
+        let mut rng = StdRng::seed_from_u64(47);
+        let n = 2 * DEFAULT_SEQUENTIAL_CUTOFF;
+        let input: Vec<u32> = (0..n).map(|_| rng.random()).collect();
+        let mut scratch: SortScratch<u32> = SortScratch::new();
+        let mut by_default = input.clone();
+        par_radix_sort_with_scratch(&mut by_default, &RadixSortConfig::default(), &mut scratch);
+        assert!(matches!(scratch.last_schedule(), Some(Schedule::MsdFirst { top_pass: 3, .. })));
+        let mut by_simple = input;
+        par_radix_sort_with_scratch(&mut by_simple, &RadixSortConfig::simple(), &mut scratch);
+        assert_eq!(scratch.last_schedule(), Some(Schedule::Lsd { executed_passes: 4 }));
+        assert_eq!(by_default, by_simple);
+        assert!(by_default.windows(2).all(|w| w[0] <= w[1]));
+    }
+
+    #[test]
+    fn msd_first_steady_state_reuses_scratch_without_reallocating() {
+        let mut rng = StdRng::seed_from_u64(48);
+        let cfg = small_cutoff(RadixSortConfig { chunks: Some(3), ..Default::default() });
+        let mut scratch: SortScratch<u64, u32> = SortScratch::new();
+        let n = 40_000;
+        let mut warm = 0;
+        for round in 0..4 {
+            let mut keys: Vec<u64> = (0..n).map(|_| rng.random()).collect();
+            let mut vals: Vec<u32> = (0..n as u32).collect();
+            crate::pairs::par_radix_sort_pairs_with_scratch(&mut keys, &mut vals, &cfg, &mut scratch);
+            assert!(keys.windows(2).all(|w| w[0] <= w[1]));
+            assert!(matches!(scratch.last_schedule(), Some(Schedule::MsdFirst { .. })));
+            if round == 0 {
+                warm = scratch.reallocations();
+            } else {
+                assert_eq!(scratch.reallocations(), warm, "MSD-first resort reallocated");
+            }
         }
     }
 

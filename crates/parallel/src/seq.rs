@@ -25,18 +25,28 @@ pub(crate) fn hist_len<K: RadixKey>(radix_bits: u32) -> usize {
     passes_for::<K>(radix_bits) as usize * (1usize << radix_bits)
 }
 
+/// The live-pass mask that runs every pass of `K` (bit `p` = pass `p`).
+pub(crate) fn all_passes<K: RadixKey>(radix_bits: u32) -> u64 {
+    u64::MAX >> (64 - passes_for::<K>(radix_bits))
+}
+
 /// The one sequential LSD kernel behind [`radix_sort_with_scratch`],
-/// [`crate::pairs::radix_sort_pairs`] and the sub-cutoff path of the
-/// `par_radix_sort_*` entry points (`WITH_VALS` selects the payload lane;
-/// keys-only callers pass `V = ()` and empty slices).
+/// [`crate::pairs::radix_sort_pairs`], the sub-cutoff path of the
+/// `par_radix_sort_*` entry points and the bucket phase of the engine's
+/// MSD-first schedule (`WITH_VALS` selects the payload lane; keys-only
+/// callers pass `V = ()` and empty slices).
 ///
-/// One blocked read counts every pass's digits (the counts are
-/// permutation-invariant, so they stay valid while the passes move the
+/// Only the passes in `live` are counted and run; the caller vouches that
+/// every other pass is trivial for these keys ([`all_passes`] when it knows
+/// nothing). One blocked read counts the live passes' digits (the counts
+/// are permutation-invariant, so they stay valid while the passes move the
 /// keys); a pass whose histogram holds all `n` keys in one bin is the
 /// identity permutation and is skipped without touching the data again.
 /// Each executed pass is a stable scatter between `keys` and the flip
-/// buffer `kbuf`; the result always ends in `keys`/`vals`. `hist` is
-/// [`hist_len`] counters, contents irrelevant on entry.
+/// buffer `kbuf`; the result ends in `kbuf`/`vbuf` when `land_in_buf`, in
+/// `keys`/`vals` otherwise, whatever the parity of the executed passes.
+/// `hist` is [`hist_len`] counters, contents irrelevant on entry.
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn lsd_sort<K, V, const WITH_VALS: bool>(
     keys: &mut [K],
     vals: &mut [V],
@@ -44,62 +54,72 @@ pub(crate) fn lsd_sort<K, V, const WITH_VALS: bool>(
     vbuf: &mut [V],
     hist: &mut [usize],
     radix_bits: u32,
+    live: u64,
+    land_in_buf: bool,
 ) where
     K: RadixKey,
     V: Copy,
 {
     let n = keys.len();
-    if n <= 1 {
-        return;
-    }
     let bins = 1usize << radix_bits;
     let mask = (bins - 1) as u64;
     debug_assert_eq!(kbuf.len(), n);
     debug_assert_eq!(hist.len(), hist_len::<K>(radix_bits));
+    let is_live = |pass: usize| live >> pass & 1 == 1;
 
-    hist.fill(0);
-    for block in keys.chunks(COUNT_BLOCK) {
-        for (pass, row) in hist.chunks_exact_mut(bins).enumerate() {
-            count_digits_into(block, pass as u32 * radix_bits, mask, row);
-        }
-    }
-
-    // One bin holds all n keys exactly when it is the bin of any one key.
-    let probe = keys[0];
     // src/dst flip each executed pass; `flipped` tracks where the data is.
     let mut flipped = false;
-    for (pass, offs) in hist.chunks_exact_mut(bins).enumerate() {
-        let shift = pass as u32 * radix_bits;
-        if offs[probe.digit(shift, mask)] == n {
-            continue;
-        }
-        let (ks, vs, kd, vd): (&[K], &[V], &mut [K], &mut [V]) = if flipped {
-            (&*kbuf, &*vbuf, &mut *keys, &mut *vals)
-        } else {
-            (&*keys, &*vals, &mut *kbuf, &mut *vbuf)
-        };
-        // Exclusive prefix sum -> starting offsets.
-        let mut acc = 0usize;
-        for h in offs.iter_mut() {
-            let c = *h;
-            *h = acc;
-            acc += c;
-        }
-        for (i, &k) in ks.iter().enumerate() {
-            let d = k.digit(shift, mask);
-            let pos = offs[d];
-            kd[pos] = k;
-            if WITH_VALS {
-                vd[pos] = vs[i];
+    if n > 1 {
+        for (pass, row) in hist.chunks_exact_mut(bins).enumerate() {
+            if is_live(pass) {
+                row.fill(0);
             }
-            offs[d] = pos + 1;
         }
-        flipped = !flipped;
+        for block in keys.chunks(COUNT_BLOCK) {
+            for (pass, row) in hist.chunks_exact_mut(bins).enumerate() {
+                if is_live(pass) {
+                    count_digits_into(block, pass as u32 * radix_bits, mask, row);
+                }
+            }
+        }
+
+        // One bin holds all n keys exactly when it is the bin of any one key.
+        let probe = keys[0];
+        for (pass, offs) in hist.chunks_exact_mut(bins).enumerate() {
+            let shift = pass as u32 * radix_bits;
+            if !is_live(pass) || offs[probe.digit(shift, mask)] == n {
+                continue;
+            }
+            let (ks, vs, kd, vd): (&[K], &[V], &mut [K], &mut [V]) = if flipped {
+                (&*kbuf, &*vbuf, &mut *keys, &mut *vals)
+            } else {
+                (&*keys, &*vals, &mut *kbuf, &mut *vbuf)
+            };
+            // Exclusive prefix sum -> starting offsets.
+            let mut acc = 0usize;
+            for h in offs.iter_mut() {
+                let c = *h;
+                *h = acc;
+                acc += c;
+            }
+            for (i, &k) in ks.iter().enumerate() {
+                let d = k.digit(shift, mask);
+                let pos = offs[d];
+                kd[pos] = k;
+                if WITH_VALS {
+                    vd[pos] = vs[i];
+                }
+                offs[d] = pos + 1;
+            }
+            flipped = !flipped;
+        }
     }
-    if flipped {
-        keys.copy_from_slice(kbuf);
+    if flipped != land_in_buf {
+        let (ks, vs, kd, vd): (&[K], &[V], &mut [K], &mut [V]) =
+            if flipped { (kbuf, vbuf, keys, vals) } else { (keys, vals, kbuf, vbuf) };
+        kd.copy_from_slice(ks);
         if WITH_VALS {
-            vals.copy_from_slice(vbuf);
+            vd.copy_from_slice(vs);
         }
     }
 }
@@ -111,7 +131,16 @@ pub fn radix_sort_with_scratch<K: RadixKey>(keys: &mut [K], scratch: &mut [K], r
     assert!((1..=16).contains(&radix_bits), "radix_bits out of range");
     assert_eq!(keys.len(), scratch.len());
     let mut hist = vec![0usize; hist_len::<K>(radix_bits)];
-    lsd_sort::<K, (), false>(keys, &mut [], scratch, &mut [], &mut hist, radix_bits);
+    lsd_sort::<K, (), false>(
+        keys,
+        &mut [],
+        scratch,
+        &mut [],
+        &mut hist,
+        radix_bits,
+        all_passes::<K>(radix_bits),
+        false,
+    );
 }
 
 /// Sort `keys` with an LSD radix sort (allocates one scratch buffer).
@@ -225,6 +254,36 @@ mod tests {
         for live_bytes in [&[2usize][..], &[0, 3], &[0, 1, 3]] {
             let mask = live_bytes.iter().fold(0u32, |m, b| m | 0xFF << (8 * b));
             check_lands_in_keys((0..3000).map(|_| rng.random::<u32>() & mask).collect(), u32::MAX);
+        }
+    }
+
+    #[test]
+    fn only_live_passes_run_and_the_result_lands_where_asked() {
+        // The bucket-phase contract: the caller names the live passes (a
+        // superset of the non-trivial ones) and the buffer the result must
+        // end in; payloads record input order, so the answer is unique.
+        let mut rng = StdRng::seed_from_u64(7);
+        for (live_bytes, n) in [(&[0usize, 2][..], 3000usize), (&[1], 3000), (&[0, 1, 2], 3000), (&[0, 2], 1), (&[], 0)] {
+            let mask = live_bytes.iter().fold(0u32, |m, b| m | 0xFF << (8 * b));
+            let live = live_bytes.iter().fold(0u64, |l, b| l | 1 << b);
+            let keys_in: Vec<u32> = (0..n).map(|_| rng.random::<u32>() & mask & 0x1F1F_1F1F).collect();
+            let mut expect: Vec<(u32, u32)> = keys_in.iter().copied().zip(0..).collect();
+            expect.sort_by_key(|p| p.0);
+            for (live, land_in_buf) in [(live, true), (live, false), (all_passes::<u32>(8), true)] {
+                let (mut keys, mut vals) = (keys_in.clone(), (0..n as u32).collect::<Vec<_>>());
+                let (mut kbuf, mut vbuf) = (vec![u32::MAX; n], vec![u32::MAX; n]);
+                // Dead rows are never read or written: poison them.
+                let mut hist = vec![usize::MAX; hist_len::<u32>(8)];
+                lsd_sort::<u32, u32, true>(
+                    &mut keys, &mut vals, &mut kbuf, &mut vbuf, &mut hist, 8, live, land_in_buf,
+                );
+                let (k, v) = if land_in_buf { (kbuf, vbuf) } else { (keys, vals) };
+                assert_eq!(k.into_iter().zip(v).collect::<Vec<_>>(), expect, "live={live:#b}");
+                if live.count_ones() < 4 {
+                    let dead = (0..4).find(|p| live >> p & 1 == 0).expect("a dead pass");
+                    assert!(hist[dead * 256..(dead + 1) * 256].iter().all(|&c| c == usize::MAX));
+                }
+            }
         }
     }
 

@@ -10,13 +10,23 @@
 //! target the same index — exactly the invariant the histogram arithmetic
 //! guarantees (and which the test suite checks by validating every sorted
 //! output).
+//!
+//! The bucket phase of the engine's MSD-first schedule needs the coarser
+//! form of the same thing: whole `&mut` sub-slices, one per bucket, handed
+//! to whichever worker claims the bucket. [`SharedSlice::slice_mut`] is
+//! that primitive; debug builds record every range handed out and panic on
+//! the first overlap.
 
 use std::marker::PhantomData;
+use std::ops::Range;
 
 /// A shareable pointer to a mutable slice, for disjoint concurrent writes.
 pub struct SharedSlice<'a, T> {
     ptr: *mut T,
     len: usize,
+    /// Ranges handed out by [`SharedSlice::slice_mut`], start → end.
+    #[cfg(debug_assertions)]
+    lent: std::sync::Mutex<std::collections::BTreeMap<usize, usize>>,
     _marker: PhantomData<&'a mut [T]>,
 }
 
@@ -27,7 +37,13 @@ impl<'a, T> SharedSlice<'a, T> {
     /// Wrap a mutable slice. The borrow keeps the underlying storage alive
     /// and exclusive for `'a`.
     pub fn new(slice: &'a mut [T]) -> Self {
-        SharedSlice { ptr: slice.as_mut_ptr(), len: slice.len(), _marker: PhantomData }
+        SharedSlice {
+            ptr: slice.as_mut_ptr(),
+            len: slice.len(),
+            #[cfg(debug_assertions)]
+            lent: Default::default(),
+            _marker: PhantomData,
+        }
     }
 
     /// Length of the underlying slice.
@@ -74,6 +90,42 @@ impl<'a, T> SharedSlice<'a, T> {
             self.len
         );
         unsafe { std::ptr::copy_nonoverlapping(src.as_ptr(), self.ptr.add(index), src.len()) };
+    }
+
+    /// Exclusive access to `range` of the underlying slice — the
+    /// per-bucket primitive: a worker that has claimed a bucket sorts that
+    /// bucket's range of both buffers as ordinary `&mut` slices.
+    ///
+    /// # Safety
+    ///
+    /// * `range.end <= len()` (checked in debug builds), and
+    /// * for as long as the returned slice lives, nothing else reads or
+    ///   writes any index in `range`: no other `slice_mut` range overlaps it
+    ///   and no `write`/`write_slice`/`read` targets it. The engine
+    ///   guarantees this by cutting the bucket ranges from one exclusive
+    ///   prefix sum (consecutive, hence pairwise disjoint) and claiming each
+    ///   bucket id exactly once ([`crate::steal::ChunkQueue`]). Debug builds
+    ///   panic when two non-empty ranges handed out by one `SharedSlice`
+    ///   overlap.
+    #[allow(clippy::mut_from_ref)]
+    #[inline]
+    pub unsafe fn slice_mut(&self, range: Range<usize>) -> &mut [T] {
+        debug_assert!(
+            range.start <= range.end && range.end <= self.len,
+            "SharedSlice sub-slice out of bounds: {range:?} of {}",
+            self.len
+        );
+        #[cfg(debug_assertions)]
+        if !range.is_empty() {
+            let mut lent = self.lent.lock().unwrap_or_else(|e| e.into_inner());
+            let before = lent.range(..range.end).next_back();
+            assert!(
+                before.is_none_or(|(_, &end)| end <= range.start),
+                "SharedSlice sub-slices overlap: {range:?} vs {before:?}"
+            );
+            lent.insert(range.start, range.end);
+        }
+        unsafe { std::slice::from_raw_parts_mut(self.ptr.add(range.start), range.len()) }
     }
 
     /// Read the value at `index`.
@@ -138,6 +190,40 @@ mod tests {
             }
         });
         assert!(out.iter().enumerate().all(|(i, &v)| v == i as u32));
+    }
+
+    #[test]
+    fn disjoint_sub_slices_are_plain_mutable_slices() {
+        let n = 1000;
+        let mut out = vec![0u32; n];
+        let shared = SharedSlice::new(&mut out);
+        // Consecutive ranges from one prefix sum, empty ones included.
+        let bounds = [0usize, 10, 10, 400, 401, 1000];
+        std::thread::scope(|s| {
+            for (b, w) in bounds.windows(2).enumerate() {
+                let shared = &shared;
+                s.spawn(move || {
+                    // SAFETY: the ranges are consecutive and each is taken once.
+                    let part = unsafe { shared.slice_mut(w[0]..w[1]) };
+                    part.fill(b as u32 + 1);
+                    part.reverse();
+                });
+            }
+        });
+        for (b, w) in bounds.windows(2).enumerate() {
+            assert!(out[w[0]..w[1]].iter().all(|&v| v == b as u32 + 1));
+        }
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "sub-slices overlap")]
+    fn overlapping_sub_slices_are_caught_in_debug_builds() {
+        let mut out = vec![0u32; 100];
+        let shared = SharedSlice::new(&mut out);
+        // Only the assertion is under test: the second slice is never formed.
+        let _a = unsafe { shared.slice_mut(10..50) };
+        let _b = unsafe { shared.slice_mut(49..60) };
     }
 
     #[test]

@@ -3,11 +3,21 @@
 //! multi-digit histogramming — sized for the curated ThreadSanitizer CI
 //! tier: real threads, real contention, no proptest shrinking loops.
 //!
-//! Every sort here runs with `sequential_cutoff: 0` so the parallel engine
-//! (not the sequential fallback) is what TSan instruments.
+//! Every sort here runs with a `sequential_cutoff` below its input length
+//! so the parallel engine (not the sequential fallback) is what TSan
+//! instruments: `0` pins the LSD schedule, `MSD_CUTOFF` lets uniform inputs
+//! take the MSD-first one (partition once, then disjoint `&mut` bucket
+//! sub-slices of both buffers finished by the sequential kernel). The
+//! MSD-first tests read the schedule back from the scratch instead of
+//! inferring it.
 
-use ccsort::parallel::pairs::{par_radix_sort_pairs_with, radix_sort_pairs};
-use ccsort::parallel::{par_radix_sort_with, ChunkQueue, RadixSortConfig};
+use ccsort::parallel::pairs::{
+    par_radix_sort_pairs_with, par_radix_sort_pairs_with_scratch, radix_sort_pairs,
+};
+use ccsort::parallel::{
+    par_radix_sort_with, par_radix_sort_with_scratch, ChunkQueue, RadixSortConfig, Schedule,
+    SortScratch,
+};
 
 /// Deterministic keys (splitmix64) — the same arrays on every run, so a
 /// TSan report here is always reproducible.
@@ -44,6 +54,84 @@ fn configs() -> Vec<RadixSortConfig> {
     ]
 }
 
+/// One dominant bucket (zipf-like worst case for static partitioning, and
+/// a top-digit bucket no cutoff here admits) plus a uniform tail; all
+/// passes above the first are near-trivial.
+fn skewed_keys() -> Vec<u32> {
+    let mut input = keys(60_000, 2);
+    for (i, k) in input.iter_mut().enumerate() {
+        if i % 4 != 0 {
+            *k = 0xAB00 + (i % 7) as u32;
+        }
+    }
+    input
+}
+
+/// The same grid with a cutoff that admits the MSD-first schedule: 60,000
+/// uniform keys make 256 top-digit buckets of a few hundred keys each.
+const MSD_CUTOFF: usize = 4096;
+
+fn msd_configs() -> Vec<RadixSortConfig> {
+    configs().into_iter().map(|c| RadixSortConfig { sequential_cutoff: MSD_CUTOFF, ..c }).collect()
+}
+
+#[test]
+fn msd_first_schedule_sorts_uniform_keys_on_every_engine_path() {
+    let input = keys(60_000, 5);
+    let mut expect = input.clone();
+    expect.sort_unstable();
+    for cfg in msd_configs() {
+        let mut scratch: SortScratch<u32> = SortScratch::new();
+        let mut v = input.clone();
+        par_radix_sort_with_scratch(&mut v, &cfg, &mut scratch);
+        assert_eq!(v, expect, "diverged under {cfg:?}");
+        let schedule = scratch.last_schedule().expect("a sort ran");
+        if cfg.fused_histogram {
+            assert!(
+                matches!(schedule, Schedule::MsdFirst { top_pass: 3, live_passes: 4, .. }),
+                "{schedule:?} under {cfg:?}"
+            );
+        } else {
+            assert_eq!(schedule, Schedule::Lsd { executed_passes: 4 }, "under {cfg:?}");
+        }
+    }
+}
+
+#[test]
+fn msd_first_schedule_keeps_pairs_stable_and_skew_falls_back_to_lsd() {
+    // 4,096 distinct keys over bytes 0 and 3, payload = original index:
+    // the stable order must survive partition ∘ per-bucket kernel under
+    // stealing. `skewed_keys` puts three quarters of the keys in one top
+    // bucket: same configs, LSD schedule.
+    let input: Vec<u32> = keys(40_000, 6).iter().map(|k| k & 0xFF00_000F).collect();
+    let vals: Vec<u32> = (0..input.len() as u32).collect();
+    let (mut ks, mut vs) = (input.clone(), vals.clone());
+    radix_sort_pairs(&mut ks, &mut vs, 8);
+    let skewed = skewed_keys();
+    let mut skewed_expect = skewed.clone();
+    skewed_expect.sort_unstable();
+    for cfg in msd_configs().into_iter().filter(|c| c.fused_histogram) {
+        let mut scratch: SortScratch<u32, u32> = SortScratch::new();
+        let (mut k, mut v) = (input.clone(), vals.clone());
+        par_radix_sort_pairs_with_scratch(&mut k, &mut v, &cfg, &mut scratch);
+        assert_eq!(k, ks, "keys diverged under {cfg:?}");
+        assert_eq!(v, vs, "stability broken under {cfg:?}");
+        assert!(
+            matches!(
+                scratch.last_schedule(),
+                Some(Schedule::MsdFirst { top_pass: 3, live_passes: 2, .. })
+            ),
+            "{:?} under {cfg:?}",
+            scratch.last_schedule()
+        );
+
+        let mut s = skewed.clone();
+        par_radix_sort_with_scratch(&mut s, &cfg, &mut scratch);
+        assert_eq!(s, skewed_expect, "skewed keys diverged under {cfg:?}");
+        assert_eq!(scratch.last_schedule(), Some(Schedule::Lsd { executed_passes: 4 }));
+    }
+}
+
 #[test]
 fn every_engine_path_sorts_uniform_keys() {
     let input = keys(60_000, 1);
@@ -58,14 +146,7 @@ fn every_engine_path_sorts_uniform_keys() {
 
 #[test]
 fn every_engine_path_sorts_skewed_keys() {
-    // One dominant bucket (zipf-like worst case for static partitioning)
-    // plus a uniform tail; all passes above the first are near-trivial.
-    let mut input = keys(60_000, 2);
-    for (i, k) in input.iter_mut().enumerate() {
-        if i % 4 != 0 {
-            *k = 0xAB00 + (i % 7) as u32;
-        }
-    }
+    let input = skewed_keys();
     let mut expect = input.clone();
     expect.sort_unstable();
     for cfg in configs() {
@@ -122,8 +203,10 @@ fn chunk_queue_contended_claims_are_exactly_once() {
 
 #[test]
 fn wide_digit_and_u64_paths() {
-    // 12-bit digits stay on the fused path; 16-bit digits take the
-    // per-pass fallback. Both under stealing with real threads.
+    // 12-bit digits count the next pass during each permute; with 16-bit
+    // digits the next-pass matrices are past the cache budget and every
+    // pass is counted by its own read. Both under stealing with real
+    // threads.
     let input: Vec<u64> = keys(40_000, 4).iter().map(|&k| (k as u64) << 13 | k as u64).collect();
     let mut expect = input.clone();
     expect.sort_unstable();

@@ -3,10 +3,13 @@
 //! identical to the standard library's.
 
 use ccsort::parallel::msg::radix_sort_msg;
-use ccsort::parallel::pairs::{par_radix_sort_pairs_with, radix_sort_pairs};
+use ccsort::parallel::pairs::{
+    par_radix_sort_pairs_with, par_radix_sort_pairs_with_scratch, radix_sort_pairs,
+};
 use ccsort::parallel::sym::radix_sort_shmem;
 use ccsort::parallel::{
     par_radix_sort_with, par_sample_sort_with, seq_radix_sort, RadixSortConfig, SampleSortConfig,
+    Schedule, SortScratch,
 };
 use proptest::prelude::*;
 
@@ -228,6 +231,55 @@ proptest! {
         radix_sort_pairs(&mut ks, &mut vs, cfg.radix_bits);
         let (mut kp, mut vp) = (keys, vals);
         par_radix_sort_pairs_with(&mut kp, &mut vp, &cfg);
+        prop_assert_eq!(kp, ks);
+        prop_assert_eq!(vp, vs);
+    }
+
+    #[test]
+    fn either_schedule_is_stable_and_equals_the_simple_oracle(
+        shape in prop::sample::select(vec![0usize, 0, 0, 1, 2, 3]),
+        n in 0usize..6000,
+        seed in any::<u64>(),
+        bits in 3u32..=5,
+        key_bits in prop::sample::select(vec![8u32, 12, 16, 20, 30, 32]),
+        cutoff_div in prop::sample::select(vec![2usize, 3, 4, 8]),
+        chunks in prop::sample::select(vec![1usize, 2, 3, 5, 7, 8, 13]),
+        coalesce_sel in 0usize..5,
+        ws in any::<bool>(),
+        gran in prop::sample::select(vec![1usize, 2, 8]),
+    ) {
+        // A cutoff that is a fraction of n lets the data decide between the
+        // MSD-first and the LSD schedule (narrow digits keep `bins² <= 2n`
+        // reachable at these sizes; `key_bits` moves the top live digit).
+        // Whatever it decides: pairs equal the stable `sort_by_key`, equal
+        // the per-pass-counting oracle bit for bit, and an MSD-first report
+        // is only ever made within the rule.
+        let cfg = RadixSortConfig {
+            sequential_cutoff: n / cutoff_div,
+            ..build_config(bits, chunks, coalesce_sel, ws, gran, true)
+        };
+        let keys: Vec<u32> = build_input(shape, n, seed).iter().map(|k| k >> (32 - key_bits)).collect();
+        let vals: Vec<u32> = (0..keys.len() as u32).collect();
+        let mut expect: Vec<(u32, u32)> = keys.iter().copied().zip(vals.iter().copied()).collect();
+        expect.sort_by_key(|p| p.0);
+
+        let mut scratch: SortScratch<u32, u32> = SortScratch::new();
+        let (mut kp, mut vp) = (keys.clone(), vals.clone());
+        par_radix_sort_pairs_with_scratch(&mut kp, &mut vp, &cfg, &mut scratch);
+        let got: Vec<(u32, u32)> = kp.iter().copied().zip(vp.iter().copied()).collect();
+        prop_assert_eq!(&got, &expect);
+        if let Some(Schedule::MsdFirst { live_passes, largest_bucket, .. }) = scratch.last_schedule() {
+            prop_assert!(live_passes >= 2 && largest_bucket <= cfg.sequential_cutoff);
+        }
+
+        let oracle = RadixSortConfig {
+            radix_bits: bits,
+            chunks: Some(chunks),
+            sequential_cutoff: cfg.sequential_cutoff,
+            ..RadixSortConfig::simple()
+        };
+        let (mut ks, mut vs) = (keys, vals);
+        par_radix_sort_pairs_with(&mut ks, &mut vs, &oracle);
         prop_assert_eq!(kp, ks);
         prop_assert_eq!(vp, vs);
     }
