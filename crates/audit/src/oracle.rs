@@ -222,12 +222,7 @@ pub fn audit_threaded(pt: &Point) -> Vec<String> {
             Box::new(move |v: &mut Vec<u32>| {
                 par_radix_sort_with(
                     v,
-                    &RadixSortConfig {
-                        radix_bits: r,
-                        chunks: Some(p),
-                        sequential_cutoff: 0,
-                        ..Default::default()
-                    },
+                    &RadixSortConfig { radix_bits: r, chunks: Some(p), sequential_cutoff: 0 },
                 )
             }),
         ),

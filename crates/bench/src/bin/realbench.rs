@@ -6,12 +6,11 @@
 //! realbench [--out <path>] [--quick] [--assert] [--tol <factor>]
 //! ```
 //!
-//! `--quick` runs the pruned CI grid (1M keys, {1, max} threads);
-//! `--assert` exits non-zero if the PR's internal performance relations do
-//! not hold (coalescing beats the simple path, the full stack beats rayon
-//! on uniform u32, stealing beats static partitioning on zipf, padded
-//! histogram counters are no slower than unpadded); `--tol` loosens those
-//! comparisons by a multiplicative factor for noisy CI runners.
+//! `--quick` runs the pruned CI grid (16M keys, {1, max} threads);
+//! `--assert` exits non-zero if the engine's internal performance
+//! relations do not hold on uniform u32 (the default is no slower than the
+//! LSD-only schedule, and beats the parallel merge sort); `--tol` loosens
+//! those comparisons by a multiplicative factor for noisy CI runners.
 
 use std::io::Write;
 use std::time::Instant;

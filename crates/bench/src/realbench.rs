@@ -9,24 +9,21 @@
 //! times interleaved and the fastest wall time wins, so turbo/thermal
 //! drift cannot bias late-running variants.
 //!
-//! Three radix variants isolate the mechanisms this library stacks:
+//! Two radix rows run the one engine on its two schedules:
 //!
-//! * `radix_simple` — [`RadixSortConfig::simple`]: static partitioning,
-//!   direct scatter, per-pass counting (the pre-optimization baseline);
-//! * `radix_coalesced` — write-coalescing staging buffers + the fold and
-//!   count-during-permute (and with them the MSD-first schedule), still
-//!   statically partitioned;
-//! * `radix_ws` — the default configuration: the same plus the
-//!   work-stealing chunk queue.
+//! * `radix_lsd` — [`RadixSortConfig::simple`]: one coalesced permute per
+//!   live pass, the paper's parallel radix sort;
+//! * `radix` — the default configuration, which partitions once on the top
+//!   live digit and finishes the buckets in cache (MSD-first) whenever no
+//!   bucket is too big for that.
 //!
 //! Which pass schedule the engine chose for a radix row
-//! ([`Schedule`]) is printed at the end of its progress line.
-//!
-//! `radix_ws` vs `radix_coalesced` therefore measures exactly the steal
-//! scheduler, and `radix_coalesced` vs `radix_simple` exactly the memory
-//! tricks. Every timed sort is verified (untimed) to be a sorted
-//! permutation of its input — and bit-identical, stable order for pairs —
-//! before its time is accepted.
+//! ([`Schedule`]) is printed at the end of its progress line, so
+//! `radix` vs `radix_lsd` measures exactly the schedule choice — and reads
+//! level wherever the data (skew, duplicates) keeps the default on LSD.
+//! Every timed sort is verified (untimed) to be a sorted permutation of
+//! its input — and bit-identical, stable order for pairs — before its time
+//! is accepted.
 //!
 //! The JSON is written by hand (like `simbench`) so the format is
 //! identical on every toolchain, and includes a `machine` block: thread
@@ -37,7 +34,7 @@ use std::collections::BTreeMap;
 use std::time::Instant;
 
 use ccsort_parallel::{
-    histogram, is_sorted, multiset_fingerprint, par_radix_sort_pairs_with_scratch,
+    is_sorted, multiset_fingerprint, par_radix_sort_pairs_with_scratch,
     par_radix_sort_with_scratch, RadixSortConfig, Schedule, SortScratch,
 };
 
@@ -161,12 +158,10 @@ pub enum Algo {
     Std,
     /// `rayon::par_sort_unstable` — the parallel comparison baseline.
     Rayon,
-    /// [`RadixSortConfig::simple`]: the pre-optimization radix path.
-    RadixSimple,
-    /// Coalescing + fused histograms, static partitioning.
-    RadixCoalesced,
-    /// The default configuration: coalescing + fusion + work stealing.
-    RadixWs,
+    /// [`RadixSortConfig::simple`]: the engine held to its LSD schedule.
+    RadixLsd,
+    /// The default configuration: the schedule chosen from the data.
+    Radix,
 }
 
 impl Algo {
@@ -174,24 +169,20 @@ impl Algo {
         match self {
             Algo::Std => "std_sort_unstable",
             Algo::Rayon => "rayon_par_sort_unstable",
-            Algo::RadixSimple => "radix_simple",
-            Algo::RadixCoalesced => "radix_coalesced",
-            Algo::RadixWs => "radix_ws",
+            Algo::RadixLsd => "radix_lsd",
+            Algo::Radix => "radix",
         }
     }
 
     /// The radix configuration for this algorithm pinned to `threads`
     /// workers, or `None` for the comparison-sort baselines.
     fn radix_config(self, threads: usize) -> Option<RadixSortConfig> {
-        let pinned = RadixSortConfig { chunks: Some(threads), ..RadixSortConfig::default() };
-        match self {
-            Algo::Std | Algo::Rayon => None,
-            Algo::RadixSimple => {
-                Some(RadixSortConfig { chunks: Some(threads), ..RadixSortConfig::simple() })
-            }
-            Algo::RadixCoalesced => Some(RadixSortConfig { work_stealing: false, ..pinned }),
-            Algo::RadixWs => Some(pinned),
-        }
+        let base = match self {
+            Algo::Std | Algo::Rayon => return None,
+            Algo::RadixLsd => RadixSortConfig::simple(),
+            Algo::Radix => RadixSortConfig::default(),
+        };
+        Some(RadixSortConfig { chunks: Some(threads), ..base })
     }
 }
 
@@ -319,9 +310,9 @@ impl RealBenchOpts {
         RealBenchOpts { sizes: vec![1 << 20, 1 << 24], threads, reps: 3 }
     }
 
-    /// The CI grid: 16M keys (the size where the coalescing and stealing
-    /// relations are out-of-cache and robust), {1, max} threads — minutes,
-    /// not tens of them.
+    /// The CI grid: 16M keys (the size where the asserted relations are
+    /// out-of-cache and robust), {1, max} threads — minutes, not tens of
+    /// them.
     pub fn quick() -> Self {
         RealBenchOpts { sizes: vec![1 << 24], threads: vec![1, available_cores().max(2)], reps: 3 }
     }
@@ -487,16 +478,14 @@ pub const COMBOS: &[(Kind, Dist)] = &[
     (Kind::PairsU32, Dist::DupHeavy),
 ];
 
-/// Run the whole grid and return the rows (sort rows plus the histogram
-/// padding regression pair).
+/// Run the whole grid and return the rows.
 pub fn run_grid(opts: &RealBenchOpts, progress: bool) -> Vec<Row> {
     let mut rows = Vec::new();
     let mut zipf_cache = BTreeMap::new();
     for &(kind, dist) in COMBOS {
         for &n in &opts.sizes {
             let raw = gen_raw(n, dist, 0xC0FF_EE00 ^ n as u64, &mut zipf_cache);
-            for algo in [Algo::Std, Algo::Rayon, Algo::RadixSimple, Algo::RadixCoalesced, Algo::RadixWs]
-            {
+            for algo in [Algo::Std, Algo::Rayon, Algo::RadixLsd, Algo::Radix] {
                 // std is single-threaded: one row, at threads = 1.
                 let thread_list: &[usize] =
                     if algo == Algo::Std { &[1] } else { &opts.threads };
@@ -526,61 +515,6 @@ pub fn run_grid(opts: &RealBenchOpts, progress: bool) -> Vec<Row> {
             }
         }
     }
-    rows.extend(histogram_padding_rows(opts, progress, &mut zipf_cache));
-    rows
-}
-
-/// The false-sharing regression pair: `par_digit_histogram` with
-/// cache-line-padded per-thread counters vs the unpadded fold it replaced,
-/// same input. Measured, not assumed — reported at threads = 1 because the
-/// fold runs through the (sequential in this build) rayon facade, so the
-/// pair demonstrates the padding costs nothing even without contention;
-/// under real contention it can only help more.
-fn histogram_padding_rows(
-    opts: &RealBenchOpts,
-    progress: bool,
-    zipf_cache: &mut BTreeMap<usize, Zipf>,
-) -> Vec<Row> {
-    let n = *opts.sizes.iter().max().expect("non-empty sizes");
-    let keys: Vec<u32> =
-        gen_raw(n, Dist::Uniform, 0xFEED, zipf_cache).iter().map(|&x| x as u32).collect();
-    let expect = histogram::par_digit_histogram(&keys, 0, 8);
-    let mut rows = Vec::new();
-    for (name, padded) in [("hist_padded", true), ("hist_unpadded", false)] {
-        let best = {
-            let mut best = f64::INFINITY;
-            for _ in 0..opts.reps.max(3) {
-                let t0 = Instant::now();
-                let h = if padded {
-                    histogram::par_digit_histogram(&keys, 0, 8)
-                } else {
-                    histogram::par_digit_histogram_unpadded(&keys, 0, 8)
-                };
-                best = best.min(t0.elapsed().as_secs_f64());
-                assert_eq!(h, expect, "padded and unpadded histograms must agree");
-            }
-            best
-        };
-        let row = Row {
-            kind: "hist",
-            algo: name,
-            dist: Dist::Uniform.name(),
-            n,
-            threads: 1,
-            reps: opts.reps.max(3),
-            best_wall_s: best,
-            mkeys_per_sec: n as f64 / best / 1e6,
-            schedule: None,
-        };
-        if progress {
-            println!(
-                "{:9} {:24} {:13} n={:<9} t={:<3} best {:>8.4}s  {:>8.2} Mkeys/s",
-                row.kind, row.algo, row.dist, row.n, row.threads, row.best_wall_s,
-                row.mkeys_per_sec
-            );
-        }
-        rows.push(row);
-    }
     rows
 }
 
@@ -590,7 +524,7 @@ fn find_row<'a>(rows: &'a [Row], kind: &str, algo: &str, dist: &str, n: usize, t
         .unwrap_or_else(|| panic!("missing row {kind}/{algo}/{dist}/n={n}/t={t}"))
 }
 
-/// The internal relations the PR claims, checked at the grid's largest
+/// The engine's internal relations, checked at the grid's largest
 /// size and thread count (machine-relative, so they are meaningful on any
 /// host). `tol` > 1 loosens the comparisons for noisy CI runners; 1.0
 /// demands strict wins. Returns human-readable failures.
@@ -606,29 +540,18 @@ pub fn check_assertions(rows: &[Row], opts: &RealBenchOpts, tol: f64) -> Vec<Str
             ));
         }
     };
-    // Coalescing + fusion beat the pre-optimization path on uniform keys.
+    // The MSD-first schedule pays: where the default takes it, it is no
+    // slower than one permute per pass.
     require(
-        "coalesced vs simple (uniform u32)",
-        find_row(rows, "u32", "radix_coalesced", "uniform", n, t),
-        find_row(rows, "u32", "radix_simple", "uniform", n, t),
+        "default vs LSD-only (uniform u32)",
+        find_row(rows, "u32", "radix", "uniform", n, t),
+        find_row(rows, "u32", "radix_lsd", "uniform", n, t),
     );
-    // The full radix stack beats rayon's comparison sort on uniform u32.
+    // The radix engine beats the parallel merge sort on uniform u32.
     require(
-        "radix_ws vs rayon (uniform u32)",
-        find_row(rows, "u32", "radix_ws", "uniform", n, t),
+        "radix vs parallel merge (uniform u32)",
+        find_row(rows, "u32", "radix", "uniform", n, t),
         find_row(rows, "u32", "rayon_par_sort_unstable", "uniform", n, t),
-    );
-    // Work stealing beats static partitioning on the skewed row.
-    require(
-        "stealing vs static (zipf u32)",
-        find_row(rows, "u32", "radix_ws", "zipf", n, t),
-        find_row(rows, "u32", "radix_coalesced", "zipf", n, t),
-    );
-    // Padded per-thread counters are no slower than the unpadded fold.
-    require(
-        "padded vs unpadded histogram",
-        find_row(rows, "hist", "hist_padded", "uniform", n, 1),
-        find_row(rows, "hist", "hist_unpadded", "uniform", n, 1),
     );
     failures
 }
@@ -669,7 +592,7 @@ pub fn to_json(rows: &[Row], opts: &RealBenchOpts) -> String {
     json.push_str(&format!("    \"mem_gb\": {},\n", mem_kb / (1 << 20)));
     if max_t > cores {
         json.push_str(&format!(
-            "    \"note\": \"thread counts above {} are oversubscribed on this host: those rows measure scheduling robustness (work stealing vs static partitioning under timesharing), not parallel scaling\",\n",
+            "    \"note\": \"thread counts above {} are oversubscribed on this host: those rows measure scheduling robustness under timesharing, not parallel scaling\",\n",
             cores
         ));
     }
@@ -728,8 +651,8 @@ mod tests {
     fn tiny_grid_produces_verified_rows_and_assertions_resolve() {
         let opts = RealBenchOpts { sizes: vec![1 << 14], threads: vec![1, 2], reps: 1 };
         let rows = run_grid(&opts, false);
-        // std once + 4 parallel algos × 2 thread counts, per combo + 2 hist rows.
-        assert_eq!(rows.len(), COMBOS.len() * (1 + 4 * 2) + 2);
+        // std once + 3 parallel algos × 2 thread counts, per combo.
+        assert_eq!(rows.len(), COMBOS.len() * (1 + 3 * 2));
         assert!(rows.iter().all(|r| r.best_wall_s > 0.0));
         // The relations must at least be *resolvable* (rows present); at
         // this toy size the timings themselves are noise, so use a huge
@@ -738,6 +661,6 @@ mod tests {
         assert!(failures.is_empty(), "{failures:?}");
         let json = to_json(&rows, &opts);
         assert!(json.contains("\"bench\": \"real_sorts\""));
-        assert!(json.contains("radix_ws"));
+        assert!(json.contains("\"radix_lsd\"") && json.contains("\"radix\""));
     }
 }

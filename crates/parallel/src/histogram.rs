@@ -213,40 +213,6 @@ pub fn par_digit_histogram<K: RadixKey>(keys: &[K], shift: u32, radix_bits: u32)
         .to_vec()
 }
 
-/// The pre-padding histogram: per-thread accumulators are plain `Vec`s
-/// whose allocations can share cache lines at the edges. Kept only so
-/// `realbench` can *measure* the padding effect (a regression row in
-/// `BENCH_real_sorts.json`) instead of assuming it.
-#[doc(hidden)]
-pub fn par_digit_histogram_unpadded<K: RadixKey>(
-    keys: &[K],
-    shift: u32,
-    radix_bits: u32,
-) -> Vec<usize> {
-    assert!((1..=16).contains(&radix_bits));
-    let bins = 1usize << radix_bits;
-    let mask = (bins - 1) as u64;
-    keys.par_chunks(64 * 1024)
-        .fold(
-            || vec![0usize; bins],
-            |mut h, chunk| {
-                for k in chunk {
-                    h[k.digit(shift, mask)] += 1;
-                }
-                h
-            },
-        )
-        .reduce(
-            || vec![0usize; bins],
-            |mut a, b| {
-                for (x, y) in a.iter_mut().zip(b) {
-                    *x += y;
-                }
-                a
-            },
-        )
-}
-
 /// Fused multi-digit histogram: one parallel read of `keys` counting every
 /// LSD pass's digit at once. Returns `passes_for::<K>(radix_bits)` rows of
 /// `1 << radix_bits` global counts — row `p` is the histogram of the digit
@@ -333,7 +299,6 @@ mod tests {
             }
             assert_eq!(par, ser, "shift={shift} bits={bits}");
             assert_eq!(par.iter().sum::<usize>(), keys.len());
-            assert_eq!(par_digit_histogram_unpadded(&keys, shift, bits), ser);
         }
     }
 

@@ -61,7 +61,7 @@ pub use pairs::{
 };
 pub use radix::{
     par_radix_sort, par_radix_sort_with, par_radix_sort_with_scratch, RadixSortConfig, Schedule,
-    SortScratch, MAX_COALESCE_BYTES,
+    SortScratch,
 };
 pub use sample::{par_sample_sort, par_sample_sort_with, SampleSortConfig, SAMPLES_PER_PART};
 pub use seq::{radix_sort as seq_radix_sort, radix_sort_with_scratch, DEFAULT_RADIX_BITS};

@@ -8,9 +8,8 @@
 //! radix sort: Allgather the histograms, permute locally into contiguous
 //! chunks, send every contiguously-destined chunk to its owner.
 
+use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Barrier};
-
-use crossbeam::channel::{unbounded, Receiver, Sender};
 
 use crate::key::RadixKey;
 use crate::seq::passes_for;
@@ -102,7 +101,7 @@ where
         (0..size).map(|_| (0..size).map(|_| None).collect()).collect();
     for src in 0..size {
         for (dst, inbox) in inboxes.iter_mut().enumerate() {
-            let (tx, rx) = unbounded();
+            let (tx, rx) = channel();
             senders[src].push(Some(tx));
             inbox[src] = Some(rx);
             let _ = dst;

@@ -46,11 +46,11 @@ where
 /// an explicit configuration. Runs the same engine as
 /// [`crate::par_radix_sort_with`] with the payload lane enabled, so the
 /// pairs sort gets write coalescing, work stealing, the fold and both
-/// pass schedules too. Stable for every configuration and either
-/// schedule: within a chunk, records are staged and flushed in input
-/// order to consecutive ranks; across chunks, lower chunk ids rank first
-/// for equal digits; and the MSD-first bucket phase is the stable
-/// sequential kernel on keys that already agree on the top digit.
+/// pass schedules too. Stable on either schedule: within a chunk, records
+/// are staged and flushed in input order to consecutive ranks; across
+/// chunks, lower chunk ids rank first for equal digits; and the MSD-first
+/// bucket phase is the stable sequential kernel on keys that already agree
+/// on the top digit.
 pub fn par_radix_sort_pairs_with<K, V>(keys: &mut [K], values: &mut [V], cfg: &RadixSortConfig)
 where
     K: RadixKey + Default,
@@ -176,24 +176,21 @@ mod tests {
 
     #[test]
     fn pairs_stable_under_every_config() {
-        // Duplicate-heavy keys with order-recording payloads: every
-        // mechanism combination must reproduce the sequential stable order.
+        // Duplicate-heavy keys with order-recording payloads: every worker
+        // count × digit width must reproduce the sequential stable order.
         let mut rng = StdRng::seed_from_u64(9);
-        let keys_in: Vec<u16> = (0..30_000).map(|_| rng.random_range(0..32u16)).collect();
-        let vals_in: Vec<u32> = (0..30_000).collect();
+        let keys_in: Vec<u16> = (0..12_000).map(|_| rng.random_range(0..32u16)).collect();
+        let vals_in: Vec<u32> = (0..12_000).collect();
         let (mut ks, mut vs) = (keys_in.clone(), vals_in.clone());
         radix_sort_pairs(&mut ks, &mut vs, 8);
-        let base = RadixSortConfig { sequential_cutoff: 0, ..Default::default() };
-        for cfg in [
-            RadixSortConfig { sequential_cutoff: 0, ..RadixSortConfig::simple() },
-            RadixSortConfig { coalesce_bytes: Some(8), ..base.clone() },
-            RadixSortConfig { fused_histogram: false, work_stealing: false, ..base.clone() },
-            base,
-        ] {
-            let (mut k, mut v) = (keys_in.clone(), vals_in.clone());
-            par_radix_sort_pairs_with(&mut k, &mut v, &cfg);
-            assert_eq!(k, ks, "keys diverge under {cfg:?}");
-            assert_eq!(v, vs, "stable order diverges under {cfg:?}");
+        for chunks in [1usize, 3, 5, 7, 13] {
+            for radix_bits in [4u32, 8, 11] {
+                let cfg = RadixSortConfig { radix_bits, chunks: Some(chunks), ..RadixSortConfig::simple() };
+                let (mut k, mut v) = (keys_in.clone(), vals_in.clone());
+                par_radix_sort_pairs_with(&mut k, &mut v, &cfg);
+                assert_eq!(k, ks, "keys diverge under {cfg:?}");
+                assert_eq!(v, vs, "stable order diverges under {cfg:?}");
+            }
         }
     }
 

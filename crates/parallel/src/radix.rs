@@ -5,21 +5,19 @@
 //! permutation through a [`SharedSlice`] — with the paper's communication
 //! tricks ported to real cores:
 //!
-//! * **Write coalescing** ([`RadixSortConfig::coalesce_bytes`]): each
-//!   worker stages keys in small per-bucket buffers and flushes a full
-//!   buffer with one contiguous block store into the shared output. The
-//!   scattered single-element remote writes that dominate the paper's
-//!   permutation phase become full-cache-line bursts — the paper's message
-//!   coalescing, lifted to shared memory.
-//! * **Work stealing** ([`RadixSortConfig::work_stealing`]): the input is
-//!   over-partitioned into more chunks than workers and both the counting
-//!   and permute phases drain a [`ChunkQueue`], so a straggling worker (or
-//!   a skew-slowed chunk) never serializes a phase. Output is independent
-//!   of the steal schedule: every element's destination is fixed by the
-//!   rank arithmetic before the phase starts.
-//! * **Fold, then count only what runs**
-//!   ([`RadixSortConfig::fused_histogram`]): one parallel read folds the
-//!   OR and the AND of every key's `to_bits()`; a pass is trivial exactly
+//! * **Write coalescing**: each worker stages keys in `STAGE_BYTES`
+//!   per-bucket buffers and flushes a full buffer with one contiguous
+//!   block store into the shared output. The scattered single-element
+//!   remote writes that dominate the paper's permutation phase become
+//!   full-cache-line bursts — the paper's message coalescing, lifted to
+//!   shared memory.
+//! * **Work stealing**: the input is cut into `CHUNKS_PER_WORKER` chunks
+//!   per worker and every phase drains a [`ChunkQueue`], so a straggling
+//!   worker (or a skew-slowed chunk) never serializes a phase. Output is
+//!   independent of the steal schedule: every element's destination is
+//!   fixed by the rank arithmetic before the phase starts.
+//! * **Fold, then count only what runs**: one parallel read folds the OR
+//!   and the AND of every key's `to_bits()`; a pass is trivial exactly
 //!   when no bit of its digit differs between the two, so the set of live
 //!   passes costs one cheap read and no counting. Per-chunk histograms are
 //!   then counted for one digit at a time, and each permute counts the
@@ -38,15 +36,15 @@
 //!   cache-resident sequential kernel ([`crate::seq`]) on the live passes
 //!   below the top digit, landing the result straight in `keys`.
 //! * **LSD** — one out-of-cache permute per live pass, least significant
-//!   first: what runs when a bucket is too big for the kernel (skew), when
-//!   only one pass is live, or when fusion is off.
+//!   first: what runs when a bucket is too big for the kernel (skew) or
+//!   when only one pass is live. [`RadixSortConfig::simple`] asks for it
+//!   outright.
 //!
 //! All count matrices are cache-line padded ([`PaddedCounts`]), so no two
-//! workers' counters ever share a line. The pre-optimization behaviour is
-//! preserved behind [`RadixSortConfig::simple`]; every configuration and
-//! either schedule produce bit-identical sorted output (and identical
-//! stable order in the pairs sorts), which the property suite checks
-//! against `sort_unstable`.
+//! workers' counters ever share a line. Both schedules produce
+//! bit-identical sorted output (and identical stable order in the pairs
+//! sorts), which the property suite checks against `sort_unstable` and the
+//! stable `sort_by_key`.
 
 use std::ops::Range;
 
@@ -57,8 +55,17 @@ use crate::shared::SharedSlice;
 use crate::steal::ChunkQueue;
 
 /// Per-worker next-pass count matrices larger than this many counters fall
-/// back to per-pass counting even when fusion is on.
+/// back to one counting read per pass.
 const MAX_FUSED_NH_WORDS: usize = 1 << 18;
+
+/// Bytes each staging bucket holds before it is flushed as one block: 16
+/// cache lines per store, and the whole 256-bucket stage (256 KiB) stays
+/// L2-resident (DESIGN.md §14).
+const STAGE_BYTES: usize = 1024;
+
+/// Chunks cut per worker, so that a worker that runs dry can take a
+/// quarter of a straggler's region at a time (DESIGN.md §14).
+const CHUNKS_PER_WORKER: usize = 4;
 
 /// Default [`RadixSortConfig::sequential_cutoff`], from the n × chunks
 /// table in DESIGN.md §14 (n = 2^13…2^20, `chunks` 1 and 2, sequential
@@ -68,10 +75,6 @@ const MAX_FUSED_NH_WORDS: usize = 1 << 18;
 /// that would have preferred the other path loses at most a seventh,
 /// where the old 2^13 lost 4× on a 16,384-key sort.
 const DEFAULT_SEQUENTIAL_CUTOFF: usize = 1 << 18;
-
-/// Largest accepted per-bucket staging buffer. Buffers beyond this stop
-/// fitting in cache, which defeats write coalescing.
-pub const MAX_COALESCE_BYTES: usize = 1 << 20;
 
 /// Configuration for [`par_radix_sort_with`] and
 /// [`crate::pairs::par_radix_sort_pairs_with`].
@@ -90,24 +93,9 @@ pub struct RadixSortConfig {
     /// decides the engine's schedule: when every bucket of the top live
     /// digit is at or below it, the engine partitions once on that digit
     /// and finishes each bucket with the kernel ([`Schedule::MsdFirst`]).
-    /// The default is the measured crossover (DESIGN.md §14).
+    /// The default is the measured crossover (DESIGN.md §14); `0` keeps
+    /// every sort on the [`Schedule::Lsd`] engine.
     pub sequential_cutoff: usize,
-    /// Per-bucket staging-buffer size in bytes for the write-coalescing
-    /// permute; `None` selects the direct-scatter permute (one write per
-    /// element, the pre-coalescing behaviour).
-    pub coalesce_bytes: Option<usize>,
-    /// Drain the counting and permute phases through a work-stealing chunk
-    /// queue instead of static partitioning.
-    pub work_stealing: bool,
-    /// Chunks per worker when `work_stealing` is on: the over-partitioning
-    /// factor that gives thieves something to take.
-    pub steal_granularity: usize,
-    /// Learn the live passes from one OR/AND fold over the keys (trivial
-    /// passes are then never counted or run, and the MSD-first schedule
-    /// becomes available) and count the next pass's digits during each
-    /// permute (eliminates per-pass re-reads). Off: one counting read per
-    /// pass, LSD schedule only — the differential oracle.
-    pub fused_histogram: bool,
 }
 
 impl Default for RadixSortConfig {
@@ -116,27 +104,17 @@ impl Default for RadixSortConfig {
             radix_bits: DEFAULT_RADIX_BITS,
             chunks: None,
             sequential_cutoff: DEFAULT_SEQUENTIAL_CUTOFF,
-            coalesce_bytes: Some(1024),
-            work_stealing: true,
-            steal_granularity: 4,
-            fused_histogram: true,
         }
     }
 }
 
 impl RadixSortConfig {
-    /// The correctness-grade configuration this library shipped before the
-    /// speed work: static partitioning, direct scatter, one counting pass
-    /// per digit. Kept selectable as the baseline the benchmarks compare
-    /// against.
+    /// The paper's parallel radix sort and nothing else: one permute per
+    /// live pass at every length, never the sequential kernel, never
+    /// MSD-first. The second schedule the tests and `realbench` compare the
+    /// default against.
     pub fn simple() -> Self {
-        RadixSortConfig {
-            coalesce_bytes: None,
-            work_stealing: false,
-            steal_granularity: 1,
-            fused_histogram: false,
-            ..RadixSortConfig::default()
-        }
+        RadixSortConfig { sequential_cutoff: 0, ..RadixSortConfig::default() }
     }
 
     /// Check the configuration before any thread or buffer is created,
@@ -157,26 +135,6 @@ impl RadixSortConfig {
         if self.chunks == Some(0) {
             return Err("chunks = 0: at least one worker is required (None = one \
                         per available core)"
-                .to_string());
-        }
-        match self.coalesce_bytes {
-            Some(0) => {
-                return Err("coalesce_bytes = 0: a zero-sized staging buffer cannot \
-                            hold a key; use None for the direct-scatter permute"
-                    .to_string())
-            }
-            Some(b) if b > MAX_COALESCE_BYTES => {
-                return Err(format!(
-                    "coalesce_bytes = {b}: staging buffers above {MAX_COALESCE_BYTES} \
-                     bytes per bucket stop fitting in cache, which defeats write \
-                     coalescing"
-                ))
-            }
-            _ => {}
-        }
-        if self.steal_granularity == 0 {
-            return Err("steal_granularity = 0: the work-stealing queue needs at \
-                        least one chunk per worker"
                 .to_string());
         }
         Ok(())
@@ -205,22 +163,15 @@ pub fn par_radix_sort<K: RadixKey + Default>(keys: &mut [K]) {
 
 /// Sort `keys` in parallel with an explicit configuration.
 pub fn par_radix_sort_with<K: RadixKey + Default>(keys: &mut [K], cfg: &RadixSortConfig) {
-    if let Err(e) = cfg.validate() {
-        panic!("invalid RadixSortConfig: {e}");
-    }
-    if keys.len() <= cfg.sequential_cutoff.max(1) {
-        crate::seq::radix_sort(keys, cfg.radix_bits);
-        return;
-    }
-    let mut scratch = SortScratch::new();
-    sort_engine::<K, (), false>(keys, &mut [], cfg, &mut scratch);
+    let mut scratch: SortScratch<K> = SortScratch::new();
+    par_radix_sort_with_scratch(keys, cfg, &mut scratch);
 }
 
 /// Sort `keys` in parallel, reusing `scratch` across calls.
 ///
-/// Identical output to [`par_radix_sort_with`] (bit for bit, every
-/// configuration), but every buffer the engine needs — the flip buffer,
-/// the count matrices, and each worker's write-coalescing staging blocks —
+/// Identical output to [`par_radix_sort_with`] (bit for bit), but every
+/// buffer the engine needs — the flip buffer, the count matrices, and each
+/// worker's write-coalescing staging blocks —
 /// lives in the caller-owned [`SortScratch`] and is reused on the next
 /// call. A long-running caller (the sorting service) that sorts a steady
 /// stream of same-shaped inputs therefore allocates nothing per sort after
@@ -286,12 +237,19 @@ impl ChunkGeom {
     }
 }
 
-/// How a phase runs: chunk geometry, worker count, steal or static.
+/// How a phase runs: chunk geometry and worker count.
 #[derive(Clone, Copy)]
 struct Exec {
     geom: ChunkGeom,
     workers: usize,
-    steal: bool,
+}
+
+impl Exec {
+    /// The stealing queue one phase drains its `items` (chunks or buckets)
+    /// through.
+    fn queue(&self, items: usize) -> ChunkQueue {
+        ChunkQueue::new(self.workers, items, true)
+    }
 }
 
 /// Everything a permute worker needs, shared read-only across workers.
@@ -309,33 +267,40 @@ struct PermuteCtx<'a, K, V> {
     next_shift: Option<u32>,
 }
 
-/// Per-worker write-coalescing staging: `elems` keys (and payloads) per
+/// Per-worker write-coalescing staging: `ELEMS` keys (and payloads) per
 /// bucket, flushed as one contiguous block when full and at chunk ends.
 struct Stage<K, V> {
     kbuf: Vec<K>,
     vbuf: Vec<V>,
     fill: Vec<u32>,
-    elems: usize,
+}
+
+impl<K, V> Stage<K, V> {
+    /// Keys per bucket: `STAGE_BYTES` worth, and never zero — the
+    /// unchecked staging stores rely on every bucket holding a key.
+    const ELEMS: usize = {
+        let e = STAGE_BYTES / std::mem::size_of::<K>();
+        if e == 0 { 1 } else { e }
+    };
 }
 
 impl<K: Copy + Default, V: Copy + Default> Stage<K, V> {
     fn empty() -> Self {
-        Stage { kbuf: Vec::new(), vbuf: Vec::new(), fill: Vec::new(), elems: 0 }
+        Stage { kbuf: Vec::new(), vbuf: Vec::new(), fill: Vec::new() }
     }
 
-    /// Shape the buffers for `bins` buckets of `elems` elements, reusing
-    /// the existing allocations when they are large enough. Returns `true`
-    /// when any backing buffer had to grow. Staged contents are governed
-    /// entirely by `fill`, so a same-shape reset only zeroes the (tiny)
-    /// fill array — the steady-state path writes nothing else.
-    fn reset(&mut self, bins: usize, elems: usize, with_vals: bool) -> bool {
-        let kn = bins * elems;
+    /// Shape the buffers for `bins` buckets, reusing the existing
+    /// allocations when they are large enough. Returns `true` when any
+    /// backing buffer had to grow. Staged contents are governed entirely
+    /// by `fill`, so a same-shape reset only zeroes the (tiny) fill array
+    /// — the steady-state path writes nothing else.
+    fn reset(&mut self, bins: usize, with_vals: bool) -> bool {
+        let kn = bins * Self::ELEMS;
         let vn = if with_vals { kn } else { 0 };
         let same_shape =
             self.kbuf.len() == kn && self.vbuf.len() == vn && self.fill.len() == bins;
         if same_shape {
             self.fill.fill(0);
-            self.elems = elems;
             return false;
         }
         let grew =
@@ -346,7 +311,6 @@ impl<K: Copy + Default, V: Copy + Default> Stage<K, V> {
         self.vbuf.resize(vn, V::default());
         self.fill.clear();
         self.fill.resize(bins, 0);
-        self.elems = elems;
         grew
     }
 }
@@ -451,15 +415,7 @@ impl<K: Copy + Default, V: Copy + Default> SortScratch<K, V> {
 
     /// Shape every engine buffer for one sort. Counts growths in
     /// `reallocations`; reuse is the common case.
-    fn ensure(
-        &mut self,
-        n: usize,
-        with_vals: bool,
-        m: usize,
-        bins: usize,
-        workers: usize,
-        buf_elems: Option<usize>,
-    ) {
+    fn ensure(&mut self, n: usize, with_vals: bool, m: usize, bins: usize, workers: usize) {
         let mut grew = self.ensure_flip(n, with_vals);
         grew |= self.chunk_hists.reset(m, bins);
         grew |= self.offsets.reset(m, bins);
@@ -468,9 +424,7 @@ impl<K: Copy + Default, V: Copy + Default> SortScratch<K, V> {
             self.workers.resize_with(workers, WorkerScratch::new);
         }
         for w in &mut self.workers[..workers] {
-            if let Some(e) = buf_elems {
-                w.reallocations += w.stage.reset(bins, e, with_vals) as u64;
-            }
+            w.reallocations += w.stage.reset(bins, with_vals) as u64;
         }
         self.reallocations += grew as u64;
     }
@@ -539,12 +493,12 @@ fn msd_first_possible(n: usize, bins: usize, cutoff: usize) -> bool {
 }
 
 /// The shared engine behind [`par_radix_sort_with`] (V = `()`, no payload
-/// lane) and `par_radix_sort_pairs_with` (`WITH_VALS = true`). Stable for
-/// any configuration and either schedule: within a chunk, keys are staged
-/// and flushed in input order to consecutive positions; across chunks, the
-/// digit-major rank construction orders lower chunk ids first; and the
-/// bucket phase of the MSD-first schedule is the stable sequential kernel
-/// on the lower digits of keys that already agree on the top one.
+/// lane) and `par_radix_sort_pairs_with` (`WITH_VALS = true`). Stable on
+/// either schedule: within a chunk, keys are staged and flushed in input
+/// order to consecutive positions; across chunks, the digit-major rank
+/// construction orders lower chunk ids first; and the bucket phase of the
+/// MSD-first schedule is the stable sequential kernel on the lower digits
+/// of keys that already agree on the top one.
 pub(crate) fn sort_engine<K, V, const WITH_VALS: bool>(
     keys: &mut [K],
     vals: &mut [V],
@@ -560,22 +514,15 @@ pub(crate) fn sort_engine<K, V, const WITH_VALS: bool>(
     let mask = (bins - 1) as u64;
     let total_passes = passes_for::<K>(cfg.radix_bits) as usize;
     let workers = cfg.chunks.unwrap_or_else(default_workers).clamp(1, n);
-    let target_chunks =
-        if cfg.work_stealing { workers.saturating_mul(cfg.steal_granularity) } else { workers };
-    let exec = Exec { geom: ChunkGeom::new(n, target_chunks), workers, steal: cfg.work_stealing };
+    let geom = ChunkGeom::new(n, workers.saturating_mul(CHUNKS_PER_WORKER));
+    let exec = Exec { geom, workers };
     let m = exec.geom.chunks();
 
-    let fused = cfg.fused_histogram;
     // Counting the next pass during a permute needs one m × bins matrix per
     // worker; past the cache budget the re-read is cheaper than the misses.
-    // It also needs the staging buffers: counting at flush time walks keys
-    // that are already cache-hot in blocks, whereas counting inside the
-    // direct scatter loop adds a row lookup to every single element.
-    let count_during_permute =
-        fused && cfg.coalesce_bytes.is_some() && m * bins <= MAX_FUSED_NH_WORDS;
-    let buf_elems = cfg.coalesce_bytes.map(|b| (b / std::mem::size_of::<K>()).max(1));
+    let count_during_permute = m * bins <= MAX_FUSED_NH_WORDS;
 
-    scratch.ensure(n, WITH_VALS, m, bins, workers, buf_elems);
+    scratch.ensure(n, WITH_VALS, m, bins, workers);
     let SortScratch {
         keys: key_scratch,
         vals: val_scratch,
@@ -593,16 +540,11 @@ pub(crate) fn sort_engine<K, V, const WITH_VALS: bool>(
     // Live passes (bit p = pass p). A pass is an identity permutation
     // exactly when every key has the same digit there, i.e. when the OR and
     // the AND of all keys agree on every bit of the digit; such passes are
-    // never counted or run. Without fusion every pass is presumed live and
-    // the trivial ones are discovered from their counts, one read each.
-    let live = if fused {
-        let (or, and) = run_fold(keys, exec);
-        (0..total_passes)
-            .filter(|&p| ((or ^ and) >> (p as u32 * cfg.radix_bits)) & mask != 0)
-            .fold(0u64, |live, p| live | 1 << p)
-    } else {
-        all_passes::<K>(cfg.radix_bits)
-    };
+    // never counted or run.
+    let (or, and) = run_fold(keys, exec);
+    let live = (0..total_passes)
+        .filter(|&p| ((or ^ and) >> (p as u32 * cfg.radix_bits)) & mask != 0)
+        .fold(0u64, |live, p| live | 1 << p);
 
     // Which per-chunk histograms `chunk_hists` currently holds, if any.
     let mut have_hists: Option<usize> = None;
@@ -610,7 +552,7 @@ pub(crate) fn sort_engine<K, V, const WITH_VALS: bool>(
     // Schedule. Count the top live digit; if the sequential kernel would
     // take every one of its buckets, partition on it once and finish each
     // bucket in cache. Otherwise fall through to one permute per live pass.
-    if fused && live.count_ones() >= 2 && msd_first_possible(n, bins, cfg.sequential_cutoff) {
+    if live.count_ones() >= 2 && msd_first_possible(n, bins, cfg.sequential_cutoff) {
         let top = 63 - live.leading_zeros() as usize;
         let top_shift = top as u32 * cfg.radix_bits;
         run_count(keys, exec, top_shift, mask, chunk_hists);
@@ -625,8 +567,7 @@ pub(crate) fn sort_engine<K, V, const WITH_VALS: bool>(
         }
         let largest_bucket = top_hist.iter().copied().max().unwrap_or(0);
         if largest_bucket <= cfg.sequential_cutoff {
-            let trivial = build_offsets(chunk_hists, offsets, n);
-            debug_assert!(!trivial, "a live pass has two non-empty bins");
+            build_offsets(chunk_hists, offsets, n);
             let ctx = PermuteCtx {
                 src_k: &*keys,
                 src_v: &*vals,
@@ -638,7 +579,7 @@ pub(crate) fn sort_engine<K, V, const WITH_VALS: bool>(
                 bins,
                 next_shift: None,
             };
-            run_permute::<K, V, WITH_VALS>(&ctx, exec, buf_elems, offsets, chunk_hists, ws);
+            run_permute::<K, V, WITH_VALS>(&ctx, exec, offsets, chunk_hists, ws);
 
             total[0] = exclusive_prefix_sum(top_hist);
             for w in ws.iter_mut() {
@@ -674,14 +615,7 @@ pub(crate) fn sort_engine<K, V, const WITH_VALS: bool>(
             run_count(src_k, exec, shift, mask, chunk_hists);
             have_hists = Some(pass);
         }
-        let trivial = build_offsets(chunk_hists, offsets, n);
-        if trivial {
-            // Identity permutation discovered from the counts alone (only
-            // reachable without fusion; the fold leaves such passes out of
-            // `live`). Data stays in place; no flip.
-            debug_assert!(!fused);
-            continue;
-        }
+        build_offsets(chunk_hists, offsets, n);
 
         let next_exec = if count_during_permute {
             ((pass + 1)..total_passes).find(|&p| live >> p & 1 == 1)
@@ -699,7 +633,7 @@ pub(crate) fn sort_engine<K, V, const WITH_VALS: bool>(
             bins,
             next_shift: next_exec.map(|p| p as u32 * cfg.radix_bits),
         };
-        run_permute::<K, V, WITH_VALS>(&ctx, exec, buf_elems, offsets, chunk_hists, ws);
+        run_permute::<K, V, WITH_VALS>(&ctx, exec, offsets, chunk_hists, ws);
         if let Some(np) = next_exec {
             have_hists = Some(np);
         }
@@ -776,7 +710,7 @@ fn run_count<K: RadixKey>(
     chunk_hists: &mut PaddedCounts,
 ) {
     let shared = chunk_hists.shared();
-    let queue = ChunkQueue::new(exec.workers, exec.geom.chunks(), exec.steal);
+    let queue = exec.queue(exec.geom.chunks());
     run_workers(exec.workers, |w| {
         while let Some(c) = queue.claim(w) {
             // SAFETY: chunk ids are claimed exactly once per phase, so row
@@ -792,7 +726,7 @@ fn run_count<K: RadixKey>(
 /// over the chunk queue: the one read that tells the engine which digits
 /// differ anywhere in the input.
 fn run_fold<K: RadixKey>(src: &[K], exec: Exec) -> (u64, u64) {
-    let queue = ChunkQueue::new(exec.workers, exec.geom.chunks(), exec.steal);
+    let queue = exec.queue(exec.geom.chunks());
     let parts = run_workers(exec.workers, |w| {
         let (mut or, mut and) = (0u64, u64::MAX);
         while let Some(c) = queue.claim(w) {
@@ -833,7 +767,7 @@ fn run_buckets<K, V, const WITH_VALS: bool>(
     K: RadixKey,
     V: Copy + Send + Sync,
 {
-    let queue = ChunkQueue::new(exec.workers, starts.len() - 1, exec.steal);
+    let queue = exec.queue(starts.len() - 1);
     run_workers_scratch(exec.workers, ws, |w, wsc| {
         while let Some(b) = queue.claim(w) {
             let range = starts[b]..starts[b + 1];
@@ -866,25 +800,21 @@ fn run_buckets<K, V, const WITH_VALS: bool>(
 }
 
 /// Global ranks from per-chunk counts, digit-major: `offset[c][d]` = keys
-/// of smaller digits anywhere + digit-`d` keys of chunks before `c`.
-/// Returns true when one digit holds every key (identity permutation).
-fn build_offsets(chunk_hists: &PaddedCounts, offsets: &mut PaddedCounts, n: usize) -> bool {
+/// of smaller digits anywhere + digit-`d` keys of chunks before `c`. Only
+/// live passes get here, so no digit holds every key.
+fn build_offsets(chunk_hists: &PaddedCounts, offsets: &mut PaddedCounts, n: usize) {
     let m = chunk_hists.rows();
     let bins = chunk_hists.bins();
     let mut acc = 0usize;
-    let mut trivial = false;
     for d in 0..bins {
         let before = acc;
         for c in 0..m {
             offsets.row_mut(c)[d] = acc;
             acc += chunk_hists.row(c)[d];
         }
-        if acc - before == n {
-            trivial = true;
-        }
+        debug_assert!(acc - before < n, "a live pass has two non-empty bins");
     }
     debug_assert_eq!(acc, n);
-    trivial
 }
 
 /// One parallel permute pass over the chunk queue. When
@@ -895,7 +825,6 @@ fn build_offsets(chunk_hists: &PaddedCounts, offsets: &mut PaddedCounts, n: usiz
 fn run_permute<K, V, const WITH_VALS: bool>(
     ctx: &PermuteCtx<'_, K, V>,
     exec: Exec,
-    buf_elems: Option<usize>,
     offsets: &mut PaddedCounts,
     chunk_hists: &mut PaddedCounts,
     ws: &mut [WorkerScratch<K, V>],
@@ -905,7 +834,7 @@ fn run_permute<K, V, const WITH_VALS: bool>(
 {
     let m = ctx.geom.chunks();
     let off_shared = offsets.shared();
-    let queue = ChunkQueue::new(exec.workers, m, exec.steal);
+    let queue = exec.queue(m);
     run_workers_scratch(exec.workers, ws, |w, wsc| {
         // The next-pass count matrix is reshaped (reusing its buffer) at
         // the start of every permute pass that fuses counting; zeroing it
@@ -918,16 +847,7 @@ fn run_permute<K, V, const WITH_VALS: bool>(
             // SAFETY: chunk ids are claimed exactly once per phase, so
             // offset row `c` is touched by this worker only.
             let off = unsafe { off_shared.row_mut(c) };
-            match buf_elems {
-                Some(_) => permute_chunk_coalesced::<K, V, WITH_VALS>(
-                    ctx,
-                    ctx.geom.range(c),
-                    off,
-                    &mut wsc.stage,
-                    nh,
-                ),
-                None => permute_chunk_direct::<K, V, WITH_VALS>(ctx, ctx.geom.range(c), off, nh),
-            }
+            permute_chunk::<K, V, WITH_VALS>(ctx, ctx.geom.range(c), off, &mut wsc.stage, nh);
         }
     });
 
@@ -940,7 +860,7 @@ fn run_permute<K, V, const WITH_VALS: bool>(
 }
 
 /// Permute one chunk through the write-coalescing stage.
-fn permute_chunk_coalesced<K, V, const WITH_VALS: bool>(
+fn permute_chunk<K, V, const WITH_VALS: bool>(
     ctx: &PermuteCtx<'_, K, V>,
     range: Range<usize>,
     off: &mut [usize],
@@ -950,14 +870,14 @@ fn permute_chunk_coalesced<K, V, const WITH_VALS: bool>(
     K: RadixKey,
     V: Copy,
 {
-    let e = stage.elems;
+    let e = Stage::<K, V>::ELEMS;
     let start = range.start;
     for (j, k) in ctx.src_k[range].iter().copied().enumerate() {
         let d = k.digit(ctx.shift, ctx.mask);
         // SAFETY: `d <= mask < bins`, `fill.len() == bins`, and the
-        // invariant `fill[d] < elems` (restored by the flush below the
+        // invariant `fill[d] < ELEMS` (restored by the flush below the
         // moment a bucket becomes full) keeps `d * e + f` inside the
-        // `bins * elems` buffers.
+        // `bins * ELEMS` buffers.
         let f = unsafe {
             let f = *stage.fill.get_unchecked(d) as usize;
             *stage.kbuf.get_unchecked_mut(d * e + f) = k;
@@ -997,7 +917,7 @@ fn flush_digit<K, V, const WITH_VALS: bool>(
     V: Copy,
 {
     let len = stage.fill[d] as usize;
-    let e = stage.elems;
+    let e = Stage::<K, V>::ELEMS;
     let base = off[d];
     let kseg = &stage.kbuf[d * e..d * e + len];
     // SAFETY: [base, base + len) lies inside this chunk's digit-d rank
@@ -1022,37 +942,6 @@ fn flush_digit<K, V, const WITH_VALS: bool>(
     stage.fill[d] = 0;
 }
 
-/// Permute one chunk with one write per element — the pre-coalescing
-/// behaviour, kept selectable (`coalesce_bytes: None`) as the measured
-/// baseline.
-fn permute_chunk_direct<K, V, const WITH_VALS: bool>(
-    ctx: &PermuteCtx<'_, K, V>,
-    range: Range<usize>,
-    off: &mut [usize],
-    nh: &mut PaddedCounts,
-) where
-    K: RadixKey,
-    V: Copy,
-{
-    for i in range {
-        let k = ctx.src_k[i];
-        let d = k.digit(ctx.shift, ctx.mask);
-        let pos = off[d];
-        // SAFETY: ranks partition [0, n) disjointly across (chunk, digit);
-        // see `build_offsets`.
-        unsafe {
-            ctx.out_k.write(pos, k);
-            if WITH_VALS {
-                ctx.out_v.write(pos, ctx.src_v[i]);
-            }
-        }
-        off[d] = pos + 1;
-        if let Some(next_shift) = ctx.next_shift {
-            nh.row_mut(ctx.geom.chunk_of(pos))[k.digit(next_shift, ctx.mask)] += 1;
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1066,17 +955,40 @@ mod tests {
         assert_eq!(v, expect);
     }
 
-    /// Every mechanism toggle, for the cross-config sweeps below.
+    /// Worker counts (one, odd, prime, more than the cores of any CI
+    /// machine) × digit widths, on the LSD schedule; `small_cutoff` turns
+    /// each into its MSD-first twin. Worker counts above n come from the
+    /// small inputs the sweeps feed these.
     fn all_configs() -> Vec<RadixSortConfig> {
-        let base = RadixSortConfig { sequential_cutoff: 0, ..RadixSortConfig::default() };
-        vec![
-            RadixSortConfig { sequential_cutoff: 0, ..RadixSortConfig::simple() },
-            RadixSortConfig { coalesce_bytes: None, work_stealing: true, ..base.clone() },
-            RadixSortConfig { coalesce_bytes: Some(64), work_stealing: false, ..base.clone() },
-            RadixSortConfig { coalesce_bytes: Some(4), fused_histogram: false, ..base.clone() },
-            RadixSortConfig { coalesce_bytes: Some(1024), steal_granularity: 3, ..base.clone() },
-            base,
-        ]
+        let mut configs = Vec::new();
+        for chunks in [1usize, 3, 5, 7, 13] {
+            for radix_bits in [4u32, 8, 11] {
+                configs.push(RadixSortConfig {
+                    radix_bits,
+                    chunks: Some(chunks),
+                    ..RadixSortConfig::simple()
+                });
+            }
+        }
+        configs
+    }
+
+    /// The most keys of one digit (at `shift`) any chunk of the engine's
+    /// geometry for `cfg` holds, and whether some (chunk, digit) count is
+    /// not a whole number of staging buffers — what decides which flush
+    /// kinds a permute on that digit takes.
+    fn flush_profile<K: RadixKey>(keys: &[K], cfg: &RadixSortConfig, shift: u32) -> (usize, bool) {
+        let workers = cfg.chunks.expect("tests pin the worker count").clamp(1, keys.len());
+        let geom = ChunkGeom::new(keys.len(), workers * CHUNKS_PER_WORKER);
+        let bins = 1usize << cfg.radix_bits;
+        let (mut most, mut partial) = (0, false);
+        for c in 0..geom.chunks() {
+            let mut row = vec![0usize; bins];
+            count_digits_into(&keys[geom.range(c)], shift, (bins - 1) as u64, &mut row);
+            most = most.max(row.iter().copied().max().unwrap_or(0));
+            partial |= row.iter().any(|&k| k % Stage::<K, ()>::ELEMS != 0);
+        }
+        (most, partial)
     }
 
     #[test]
@@ -1157,14 +1069,62 @@ mod tests {
     }
 
     #[test]
-    fn simple_and_default_agree_bit_for_bit() {
+    fn dup_heavy_keys_take_full_buffer_and_chunk_end_flushes() {
+        // Eight distinct values in 40,000 keys: every chunk holds thousands
+        // of each, so buckets fill (a flush of exactly ELEMS keys) many
+        // times over and end each chunk part-full (a flush of fewer).
         let mut rng = StdRng::seed_from_u64(8);
-        let v: Vec<u64> = (0..50_000).map(|_| rng.random::<u64>() & 0xFFFF_FFFF).collect();
-        let mut a = v.clone();
-        let mut b = v;
-        par_radix_sort_with(&mut a, &RadixSortConfig { sequential_cutoff: 0, ..RadixSortConfig::simple() });
-        par_radix_sort_with(&mut b, &RadixSortConfig { sequential_cutoff: 0, ..Default::default() });
-        assert_eq!(a, b);
+        let v: Vec<u32> = (0..40_000).map(|_| rng.random_range(0..8u32) * 0x0101).collect();
+        for chunks in [1usize, 3] {
+            let cfg = RadixSortConfig { chunks: Some(chunks), ..RadixSortConfig::simple() };
+            for shift in [0, 8] {
+                let (most, partial) = flush_profile(&v, &cfg, shift);
+                assert!(most > Stage::<u32, ()>::ELEMS && partial, "most={most} partial={partial}");
+            }
+            assert_eq!(schedule_of(v.clone(), &cfg, u32::MAX), Schedule::Lsd { executed_passes: 2 });
+        }
+        // 64 keys in one chunk per worker: no bucket ever fills, so every
+        // store is a chunk-end flush of a part-full buffer.
+        let few: Vec<u32> = (0..64).map(|_| rng.random()).collect();
+        let cfg = RadixSortConfig { chunks: Some(2), ..RadixSortConfig::simple() };
+        assert!(flush_profile(&few, &cfg, 0).0 < Stage::<u32, ()>::ELEMS);
+        assert_eq!(schedule_of(few, &cfg, u32::MAX), Schedule::Lsd { executed_passes: 4 });
+    }
+
+    #[test]
+    fn flushed_block_straddling_a_destination_chunk_counts_into_both() {
+        // One worker, 4,096 keys: four chunks of 1,024. Byte 0 is 1 except
+        // for 100 zeros, all in the last chunk, so the 1s rank from 100 and
+        // chunk 0's fourth full buffer lands on [868, 1124) — across the
+        // boundary between destination chunks 0 and 1. Byte 1 is live, so
+        // that permute counts it for the next pass, per destination chunk;
+        // a miscounted straddle would misplace pass 1.
+        let mut rng = StdRng::seed_from_u64(9);
+        let n = 4096;
+        let cfg = RadixSortConfig { chunks: Some(1), ..RadixSortConfig::simple() };
+        let geom = ChunkGeom::new(n, CHUNKS_PER_WORKER);
+        assert_eq!((geom.chunks(), geom.range(0)), (4, 0..1024));
+        let elems = Stage::<u32, ()>::ELEMS;
+        assert!(100 + 3 * elems < 1024 && 1024 < 100 + 4 * elems);
+        assert!(geom.chunks() << cfg.radix_bits <= MAX_FUSED_NH_WORDS, "counts during the permute");
+        let v: Vec<u32> = (0..n)
+            .map(|i| rng.random_range(0..256u32) << 8 | u32::from(i < n - 100))
+            .collect();
+        assert_eq!(schedule_of(v, &cfg, u32::MAX), Schedule::Lsd { executed_passes: 2 });
+    }
+
+    #[test]
+    fn wide_digits_past_the_count_budget_fall_back_to_one_count_per_pass() {
+        // 16-bit digits, two workers: 5 chunks × 65,536 counters per worker
+        // is past MAX_FUSED_NH_WORDS, so no permute counts for the next
+        // pass and each of the two live passes is counted by its own read.
+        let mut rng = StdRng::seed_from_u64(10);
+        let n = 40_000;
+        let cfg = RadixSortConfig { radix_bits: 16, chunks: Some(2), ..RadixSortConfig::simple() };
+        let m = ChunkGeom::new(n, 2 * CHUNKS_PER_WORKER).chunks();
+        assert!(m << cfg.radix_bits > MAX_FUSED_NH_WORDS, "m = {m}");
+        let v: Vec<u32> = (0..n).map(|_| rng.random()).collect();
+        assert_eq!(schedule_of(v, &cfg, u32::MAX), Schedule::Lsd { executed_passes: 2 });
     }
 
     #[test]
@@ -1176,13 +1136,9 @@ mod tests {
             (RadixSortConfig { radix_bits: 0, ..ok.clone() }, "radix_bits = 0"),
             (RadixSortConfig { radix_bits: 17, ..ok.clone() }, "radix_bits = 17"),
             (RadixSortConfig { chunks: Some(0), ..ok.clone() }, "chunks = 0"),
-            (RadixSortConfig { coalesce_bytes: Some(0), ..ok.clone() }, "coalesce_bytes = 0"),
-            (
-                RadixSortConfig { coalesce_bytes: Some(MAX_COALESCE_BYTES + 1), ..ok.clone() },
-                "coalesce_bytes =",
-            ),
-            (RadixSortConfig { steal_granularity: 0, ..ok.clone() }, "steal_granularity = 0"),
         ];
+        // Every cutoff is a meaningful request, the extremes included.
+        assert!(RadixSortConfig { sequential_cutoff: usize::MAX, ..ok.clone() }.validate().is_ok());
         for (cfg, needle) in cases {
             let err = cfg.validate().expect_err("config must be rejected");
             assert!(err.contains(needle), "error {err:?} does not name {needle:?}");
@@ -1193,10 +1149,7 @@ mod tests {
     #[should_panic(expected = "invalid RadixSortConfig")]
     fn sort_rejects_degenerate_config() {
         let mut v = vec![3u32, 1, 2];
-        par_radix_sort_with(
-            &mut v,
-            &RadixSortConfig { coalesce_bytes: Some(0), ..Default::default() },
-        );
+        par_radix_sort_with(&mut v, &RadixSortConfig { chunks: Some(0), ..Default::default() });
     }
 
     #[test]
@@ -1344,22 +1297,24 @@ mod tests {
     }
 
     #[test]
-    fn msd_first_is_reached_under_every_fused_config() {
+    fn msd_first_is_reached_at_every_worker_count_and_digit_width_the_rule_admits() {
         let mut rng = StdRng::seed_from_u64(40);
         let input: Vec<u32> = (0..40_000).map(|_| rng.random()).collect();
         for cfg in all_configs().into_iter().map(small_cutoff) {
             let schedule = schedule_of(input.clone(), &cfg, u32::MAX);
-            if cfg.fused_histogram {
+            let passes = passes_for::<u32>(cfg.radix_bits);
+            if cfg.radix_bits == 11 {
+                // 2,048 bins: `bins² <= 2n` fails at this n, whatever the cutoff.
+                assert_eq!(schedule, Schedule::Lsd { executed_passes: passes }, "under {cfg:?}");
+            } else {
                 assert!(
                     matches!(
                         schedule,
-                        Schedule::MsdFirst { top_pass: 3, live_passes: 4, largest_bucket }
-                            if largest_bucket <= SMALL_CUTOFF
+                        Schedule::MsdFirst { top_pass, live_passes, largest_bucket }
+                            if top_pass == passes - 1 && live_passes == passes && largest_bucket <= SMALL_CUTOFF
                     ),
                     "{schedule:?} under {cfg:?}"
                 );
-            } else {
-                assert_eq!(schedule, Schedule::Lsd { executed_passes: 4 }, "under {cfg:?}");
             }
         }
         // At or below the cutoff nothing enters the engine.
@@ -1392,12 +1347,26 @@ mod tests {
             schedule_of(keys_with_largest_bucket(SMALL_CUTOFF + 1, &mut rng), &cfg, u32::MAX),
             Schedule::Lsd { executed_passes: 4 }
         );
-        // `sequential_cutoff: 0` asks for the engine's LSD loop outright.
-        let lsd_only = RadixSortConfig { sequential_cutoff: 0, ..cfg };
+        // `simple()` asks for the engine's LSD loop outright.
+        let lsd_only = RadixSortConfig { chunks: Some(3), ..RadixSortConfig::simple() };
         assert_eq!(
             schedule_of(keys_with_largest_bucket(100, &mut rng), &lsd_only, u32::MAX),
             Schedule::Lsd { executed_passes: 4 }
         );
+        // Across the boundary the two schedules agree bit for bit on pairs
+        // too, and with the stable `sort_by_key`.
+        for largest in [SMALL_CUTOFF - 1, SMALL_CUTOFF, SMALL_CUTOFF + 1] {
+            let keys_in: Vec<u32> =
+                keys_with_largest_bucket(largest, &mut rng).iter().map(|k| k & 0xFF00_00FF).collect();
+            let mut expect: Vec<(u32, u32)> = keys_in.iter().copied().zip(0..).collect();
+            expect.sort_by_key(|p| p.0);
+            for c in [&cfg, &lsd_only] {
+                let (mut keys, mut vals) = (keys_in.clone(), (0..40_000u32).collect::<Vec<_>>());
+                crate::pairs::par_radix_sort_pairs_with(&mut keys, &mut vals, c);
+                let got: Vec<(u32, u32)> = keys.into_iter().zip(vals).collect();
+                assert_eq!(got, expect, "largest bucket {largest} under {c:?}");
+            }
+        }
     }
 
     #[test]
@@ -1481,12 +1450,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(45);
         // 4-bit digits: 16 buckets. 40 workers > 16 buckets; 1000 workers > n.
         for (n, chunks) in [(3000usize, 40usize), (200, 1000)] {
-            let cfg = RadixSortConfig {
-                radix_bits: 4,
-                chunks: Some(chunks),
-                sequential_cutoff: n / 4,
-                ..Default::default()
-            };
+            let cfg = RadixSortConfig { radix_bits: 4, chunks: Some(chunks), sequential_cutoff: n / 4 };
             let input: Vec<u16> = (0..n).map(|_| rng.random()).collect();
             assert!(matches!(
                 schedule_of(input, &cfg, u16::MAX),
@@ -1498,25 +1462,32 @@ mod tests {
     /// Small enough for the gating Miri step (`.github/workflows/ci.yml`):
     /// the whole MSD-first path — fold, count, coalesced permute, disjoint
     /// `&mut` bucket sub-slices of both lanes, kernel — on three real
-    /// threads, pairs lane included.
+    /// threads, pairs lane included. `u64` keys stage 128 to a bucket; the
+    /// first 200 keys share top digit 5 inside chunk 0 (256 keys), so that
+    /// bucket fills once and every other store is a chunk-end flush.
     #[test]
     fn msd_first_small_n_under_miri() {
-        let n = 300u32;
-        let cfg = RadixSortConfig {
-            radix_bits: 4,
-            chunks: Some(3),
-            sequential_cutoff: 64,
-            coalesce_bytes: Some(16),
-            ..Default::default()
-        };
-        let keys_in: Vec<u16> = (0..n).map(|i| (i.wrapping_mul(2_654_435_761) >> 7) as u16 & 0xF037).collect();
-        let mut expect: Vec<(u16, u32)> = keys_in.iter().copied().zip(0..).collect();
+        let n = 1600u32;
+        let cfg = RadixSortConfig { radix_bits: 4, chunks: Some(3), sequential_cutoff: 256 };
+        let keys_in: Vec<u64> = (0..n)
+            .map(|i| {
+                let low = u64::from(i.wrapping_mul(2_654_435_761) >> 28);
+                let top = if i < 200 { 5 } else { u64::from(i % 15) + u64::from(i % 15 >= 5) };
+                top << 4 | low
+            })
+            .collect();
+        let (most, partial) = flush_profile(&keys_in, &cfg, 4);
+        assert!(most > Stage::<u64, u32>::ELEMS && partial, "most={most} partial={partial}");
+        let mut expect: Vec<(u64, u32)> = keys_in.iter().copied().zip(0..).collect();
         expect.sort_by_key(|p| p.0);
         let (mut keys, mut vals) = (keys_in, (0..n).collect::<Vec<_>>());
-        let mut scratch: SortScratch<u16, u32> = SortScratch::new();
+        let mut scratch: SortScratch<u64, u32> = SortScratch::new();
         crate::pairs::par_radix_sort_pairs_with_scratch(&mut keys, &mut vals, &cfg, &mut scratch);
         assert_eq!(keys.into_iter().zip(vals).collect::<Vec<_>>(), expect);
-        assert!(matches!(scratch.last_schedule(), Some(Schedule::MsdFirst { top_pass: 3, .. })));
+        assert_eq!(
+            scratch.last_schedule(),
+            Some(Schedule::MsdFirst { top_pass: 1, live_passes: 2, largest_bucket: 200 })
+        );
     }
 
     #[test]
@@ -1537,12 +1508,14 @@ mod tests {
             crate::pairs::par_radix_sort_pairs_with_scratch(&mut keys, &mut vals, &cfg, &mut scratch);
             let got: Vec<(u32, u32)> = keys.into_iter().zip(vals).collect();
             assert_eq!(got, expect, "stable order diverges under {cfg:?}");
-            assert_eq!(
-                matches!(scratch.last_schedule(), Some(Schedule::MsdFirst { top_pass: 3, live_passes: 3, .. })),
-                cfg.fused_histogram,
-                "{:?} under {cfg:?}",
-                scratch.last_schedule()
+            // Bytes 0, 1 and 3 are live: three 8-bit passes. The top 4-bit
+            // digit has four values (a bucket of 12,800), and 2,048 bins are
+            // too many for 40,000 keys: both stay LSD.
+            let msd = matches!(
+                scratch.last_schedule(),
+                Some(Schedule::MsdFirst { top_pass: 3, live_passes: 3, .. })
             );
+            assert_eq!(msd, cfg.radix_bits == 8, "{:?} under {cfg:?}", scratch.last_schedule());
         }
     }
 

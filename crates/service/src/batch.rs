@@ -244,10 +244,8 @@ impl<K: RadixKey + Default> KeysLaneScratch<K> {
     /// Sort the claimed batch, leaving every request's sorted keys in its
     /// own buffer for [`reply_all`]. Solo batches (every request at or
     /// above the size gate, the coalescing-off baseline, and any lone
-    /// flush) skip the tag lane and sort in the requester's own buffer
-    /// with `solo_cfg`; coalesced batches use `batch_cfg` (see
-    /// [`crate::ServiceConfig::batch_sort`]).
-    pub fn sort(&mut self, solo_cfg: &RadixSortConfig, batch_cfg: &RadixSortConfig) -> BatchOutcome {
+    /// flush) skip the tag lane and sort in the requester's own buffer.
+    pub fn sort(&mut self, cfg: &RadixSortConfig) -> BatchOutcome {
         let KeysLaneScratch { claimed, keys, tags, cursors, sort } = self;
         debug_assert!(!claimed.is_empty(), "sort() with no claimed requests");
         debug_assert!(claimed.len() <= MAX_BATCH_REQUESTS);
@@ -255,7 +253,7 @@ impl<K: RadixKey + Default> KeysLaneScratch<K> {
         let total = outcome.keys as usize;
 
         if claimed.len() == 1 {
-            par_radix_sort_with_scratch(&mut claimed[0].keys, solo_cfg, sort);
+            par_radix_sort_with_scratch(&mut claimed[0].keys, cfg, sort);
         } else {
             keys.clear();
             tags.clear();
@@ -266,7 +264,7 @@ impl<K: RadixKey + Default> KeysLaneScratch<K> {
                 let new_len = tags.len() + r.keys.len();
                 tags.resize(new_len, rid as u16);
             }
-            par_radix_sort_pairs_with_scratch(&mut keys[..], &mut tags[..], batch_cfg, sort);
+            par_radix_sort_pairs_with_scratch(&mut keys[..], &mut tags[..], cfg, sort);
             cursors.clear();
             cursors.resize(claimed.len(), 0);
             for (&k, &t) in keys.iter().zip(tags.iter()) {
@@ -304,7 +302,7 @@ impl PairsLaneScratch {
     }
 
     /// As [`KeysLaneScratch::sort`], for the key+payload lane.
-    pub fn sort(&mut self, solo_cfg: &RadixSortConfig, batch_cfg: &RadixSortConfig) -> BatchOutcome {
+    pub fn sort(&mut self, cfg: &RadixSortConfig) -> BatchOutcome {
         let PairsLaneScratch { claimed, keys, tags, vals, rid_of, cursors, sort, solo } = self;
         debug_assert!(!claimed.is_empty(), "sort() with no claimed requests");
         debug_assert!(claimed.len() <= MAX_BATCH_REQUESTS);
@@ -313,7 +311,7 @@ impl PairsLaneScratch {
 
         if claimed.len() == 1 {
             let r = &mut claimed[0];
-            par_radix_sort_pairs_with_scratch(&mut r.keys, &mut r.vals, solo_cfg, solo);
+            par_radix_sort_pairs_with_scratch(&mut r.keys, &mut r.vals, cfg, solo);
         } else {
             assert!(total <= u32::MAX as usize, "batch exceeds u32 position space");
             keys.clear();
@@ -330,7 +328,7 @@ impl PairsLaneScratch {
             }
             tags.clear();
             tags.extend(0..total as u32);
-            par_radix_sort_pairs_with_scratch(&mut keys[..], &mut tags[..], batch_cfg, sort);
+            par_radix_sort_pairs_with_scratch(&mut keys[..], &mut tags[..], cfg, sort);
             cursors.clear();
             cursors.resize(claimed.len(), 0);
             for (&k, &pos) in keys.iter().zip(tags.iter()) {

@@ -51,17 +51,9 @@ pub struct ServiceConfig {
     /// ready the moment it arrives. This is the measured baseline
     /// `svcbench` compares against.
     pub coalescing: bool,
-    /// Engine configuration for solo sorts (single-request batches: every
-    /// request at or above the size gate, and all of them when coalescing
-    /// is off).
+    /// Engine configuration for every sort the service runs, solo and
+    /// coalesced batches alike.
     pub sort: RadixSortConfig,
-    /// Engine configuration for coalesced (multi-request) batch sorts;
-    /// `None` reuses `sort`. A coalesced batch is a much larger sort than
-    /// the requests it contains, so its optimal digit width differs: wide
-    /// histograms amortise over a big batch but would swamp a tiny solo
-    /// sort. The sorted output is bit-identical under every valid
-    /// configuration, so this is purely a performance knob.
-    pub batch_sort: Option<RadixSortConfig>,
 }
 
 impl Default for ServiceConfig {
@@ -73,7 +65,6 @@ impl Default for ServiceConfig {
             executors: 1,
             coalescing: true,
             sort: RadixSortConfig::default(),
-            batch_sort: None,
         }
     }
 }
@@ -88,16 +79,7 @@ impl ServiceConfig {
         if self.max_batch_bytes == 0 {
             return Err("max_batch_bytes = 0: a batch could never hold a key".to_string());
         }
-        self.sort.validate().map_err(|e| format!("sort.{e}"))?;
-        if let Some(b) = &self.batch_sort {
-            b.validate().map_err(|e| format!("batch_sort.{e}"))?;
-        }
-        Ok(())
-    }
-
-    /// The engine configuration coalesced batches run with.
-    pub fn batch_sort(&self) -> &RadixSortConfig {
-        self.batch_sort.as_ref().unwrap_or(&self.sort)
+        self.sort.validate().map_err(|e| format!("sort.{e}"))
     }
 }
 
@@ -264,11 +246,11 @@ fn claim(st: &mut State, kind: LaneKind, cfg: &ServiceConfig, scratch: &mut Exec
 /// the replies — in that order, so a client that has its reply reads stats
 /// that include its own request.
 fn run_claimed(shared: &Shared, kind: LaneKind, scratch: &mut ExecScratch) {
-    let (solo, batch) = (&shared.cfg.sort, shared.cfg.batch_sort());
+    let cfg = &shared.cfg.sort;
     let outcome: BatchOutcome = match kind {
-        LaneKind::U32 => scratch.u32s.sort(solo, batch),
-        LaneKind::U64 => scratch.u64s.sort(solo, batch),
-        LaneKind::Pairs => scratch.pairs.sort(solo, batch),
+        LaneKind::U32 => scratch.u32s.sort(cfg),
+        LaneKind::U64 => scratch.u64s.sort(cfg),
+        LaneKind::Pairs => scratch.pairs.sort(cfg),
     };
     let s = &shared.stats;
     s.batches.fetch_add(1, Ordering::Relaxed);

@@ -1,14 +1,16 @@
-//! Deterministic coverage of the speed-grade parallel radix paths —
-//! write-coalescing staging, the work-stealing chunk queue, and fused
-//! multi-digit histogramming — sized for the curated ThreadSanitizer CI
-//! tier: real threads, real contention, no proptest shrinking loops.
+//! Deterministic coverage of the parallel radix engine — write-coalescing
+//! staging, the work-stealing chunk queue, the fold and counting during
+//! the permute — sized for the gating ThreadSanitizer CI tier: real
+//! threads, real contention, no proptest shrinking loops. The engine's
+//! whole configuration space is schedules × worker counts × digit widths,
+//! and this file crosses all of it.
 //!
 //! Every sort here runs with a `sequential_cutoff` below its input length
 //! so the parallel engine (not the sequential fallback) is what TSan
-//! instruments: `0` pins the LSD schedule, `MSD_CUTOFF` lets uniform inputs
-//! take the MSD-first one (partition once, then disjoint `&mut` bucket
-//! sub-slices of both buffers finished by the sequential kernel). The
-//! MSD-first tests read the schedule back from the scratch instead of
+//! instruments: `simple()` pins the LSD schedule, `MSD_CUTOFF` lets uniform
+//! inputs take the MSD-first one (partition once, then disjoint `&mut`
+//! bucket sub-slices of both buffers finished by the sequential kernel).
+//! The MSD-first tests read the schedule back from the scratch instead of
 //! inferring it.
 
 use ccsort::parallel::pairs::{
@@ -34,24 +36,14 @@ fn keys(n: usize, seed: u64) -> Vec<u32> {
         .collect()
 }
 
-/// The mechanism grid: every combination that takes a distinct code path
-/// through the engine, at worker counts that force contention (more
-/// workers than cores on any CI machine) including non-powers of two.
+/// The LSD schedule at worker counts that force contention (more workers
+/// than cores on any CI machine), non-powers of two included, and at the
+/// machine's own count.
 fn configs() -> Vec<RadixSortConfig> {
-    let base = RadixSortConfig { sequential_cutoff: 0, ..RadixSortConfig::default() };
-    vec![
-        RadixSortConfig { sequential_cutoff: 0, ..RadixSortConfig::simple() },
-        // Stealing without coalescing: direct scatter through the queue.
-        RadixSortConfig { coalesce_bytes: None, chunks: Some(7), ..base.clone() },
-        // Coalescing without stealing: static regions, staged flushes.
-        RadixSortConfig { work_stealing: false, chunks: Some(5), ..base.clone() },
-        // Tiny staging buffers: flush on (almost) every element.
-        RadixSortConfig { coalesce_bytes: Some(4), chunks: Some(6), ..base.clone() },
-        // Fused histogramming off: per-pass counting under stealing.
-        RadixSortConfig { fused_histogram: false, chunks: Some(13), ..base.clone() },
-        // Everything on, fine-grained stealing.
-        RadixSortConfig { chunks: Some(11), steal_granularity: 4, ..base },
-    ]
+    [None, Some(1), Some(3), Some(5), Some(7), Some(13)]
+        .into_iter()
+        .map(|chunks| RadixSortConfig { chunks, ..RadixSortConfig::simple() })
+        .collect()
 }
 
 /// One dominant bucket (zipf-like worst case for static partitioning, and
@@ -67,8 +59,8 @@ fn skewed_keys() -> Vec<u32> {
     input
 }
 
-/// The same grid with a cutoff that admits the MSD-first schedule: 60,000
-/// uniform keys make 256 top-digit buckets of a few hundred keys each.
+/// The same worker counts with a cutoff that admits the MSD-first schedule:
+/// 60,000 uniform keys make 256 top-digit buckets of a few hundred keys each.
 const MSD_CUTOFF: usize = 4096;
 
 fn msd_configs() -> Vec<RadixSortConfig> {
@@ -86,14 +78,10 @@ fn msd_first_schedule_sorts_uniform_keys_on_every_engine_path() {
         par_radix_sort_with_scratch(&mut v, &cfg, &mut scratch);
         assert_eq!(v, expect, "diverged under {cfg:?}");
         let schedule = scratch.last_schedule().expect("a sort ran");
-        if cfg.fused_histogram {
-            assert!(
-                matches!(schedule, Schedule::MsdFirst { top_pass: 3, live_passes: 4, .. }),
-                "{schedule:?} under {cfg:?}"
-            );
-        } else {
-            assert_eq!(schedule, Schedule::Lsd { executed_passes: 4 }, "under {cfg:?}");
-        }
+        assert!(
+            matches!(schedule, Schedule::MsdFirst { top_pass: 3, live_passes: 4, .. }),
+            "{schedule:?} under {cfg:?}"
+        );
     }
 }
 
@@ -110,7 +98,7 @@ fn msd_first_schedule_keeps_pairs_stable_and_skew_falls_back_to_lsd() {
     let skewed = skewed_keys();
     let mut skewed_expect = skewed.clone();
     skewed_expect.sort_unstable();
-    for cfg in msd_configs().into_iter().filter(|c| c.fused_histogram) {
+    for cfg in msd_configs() {
         let mut scratch: SortScratch<u32, u32> = SortScratch::new();
         let (mut k, mut v) = (input.clone(), vals.clone());
         par_radix_sort_pairs_with_scratch(&mut k, &mut v, &cfg, &mut scratch);
@@ -204,23 +192,19 @@ fn chunk_queue_contended_claims_are_exactly_once() {
 #[test]
 fn wide_digit_and_u64_paths() {
     // 12-bit digits count the next pass during each permute; with 16-bit
-    // digits the next-pass matrices are past the cache budget and every
-    // pass is counted by its own read. Both under stealing with real
-    // threads.
+    // digits the next-pass matrices (20 chunks × 65,536 counters a worker)
+    // are past the cache budget and every pass is counted by its own read.
+    // Both under stealing with real threads; the 45-bit keys have four
+    // live 12-bit passes and three live 16-bit ones.
     let input: Vec<u64> = keys(40_000, 4).iter().map(|&k| (k as u64) << 13 | k as u64).collect();
     let mut expect = input.clone();
     expect.sort_unstable();
-    for bits in [12u32, 16] {
+    for (bits, executed_passes) in [(12u32, 4), (16, 3)] {
         let mut v = input.clone();
-        par_radix_sort_with(
-            &mut v,
-            &RadixSortConfig {
-                radix_bits: bits,
-                chunks: Some(6),
-                sequential_cutoff: 0,
-                ..RadixSortConfig::default()
-            },
-        );
+        let mut scratch: SortScratch<u64> = SortScratch::new();
+        let cfg = RadixSortConfig { radix_bits: bits, chunks: Some(6), ..RadixSortConfig::simple() };
+        par_radix_sort_with_scratch(&mut v, &cfg, &mut scratch);
         assert_eq!(v, expect, "diverged at radix_bits={bits}");
+        assert_eq!(scratch.last_schedule(), Some(Schedule::Lsd { executed_passes }));
     }
 }

@@ -13,31 +13,13 @@ use ccsort::parallel::{
 };
 use proptest::prelude::*;
 
-/// Build a `RadixSortConfig` covering the whole mechanism space —
-/// coalescing buffer size (including none and sub-cache-line sizes), work
-/// stealing with varying granularity, fused histogramming, digit width,
-/// and non-power-of-two worker counts — from sampled scalars.
-fn build_config(
-    radix_bits: u32,
-    chunks: usize,
-    coalesce_sel: usize,
-    work_stealing: bool,
-    steal_granularity: usize,
-    fused_histogram: bool,
-) -> RadixSortConfig {
-    let coalesce_bytes = [None, Some(4), Some(64), Some(256), Some(1024)][coalesce_sel % 5];
-    RadixSortConfig {
-        radix_bits,
-        chunks: Some(chunks),
-        sequential_cutoff: 0,
-        coalesce_bytes,
-        work_stealing,
-        steal_granularity,
-        fused_histogram,
-    }
+/// The LSD-only engine (`simple()`) at a sampled digit width and worker
+/// count — with the cutoff, the whole of the engine's configuration space.
+fn build_config(radix_bits: u32, chunks: usize) -> RadixSortConfig {
+    RadixSortConfig { radix_bits, chunks: Some(chunks), ..RadixSortConfig::simple() }
 }
 
-/// Build an input that stresses the new paths: 0 = uniform, 1 = zipf-like
+/// Build an input that stresses the engine: 0 = uniform, 1 = zipf-like
 /// skew (a hot value dominating one radix bucket plus a tail), 2 =
 /// duplicate-heavy (8 distinct values), 3 = nearly sorted.
 fn build_input(shape: usize, n: usize, seed: u64) -> Vec<u32> {
@@ -95,12 +77,7 @@ proptest! {
     ) {
         let mut expect = v.clone();
         expect.sort_unstable();
-        par_radix_sort_with(&mut v, &RadixSortConfig {
-            radix_bits: bits,
-            chunks: Some(chunks),
-            sequential_cutoff: 0,
-            ..Default::default()
-        });
+        par_radix_sort_with(&mut v, &build_config(bits, chunks));
         prop_assert_eq!(v, expect);
     }
 
@@ -193,15 +170,10 @@ proptest! {
         seed in any::<u64>(),
         bits in 4u32..=12,
         chunks in prop::sample::select(vec![1usize, 2, 3, 5, 7, 8, 13]),
-        coalesce_sel in 0usize..5,
-        ws in any::<bool>(),
-        gran in prop::sample::select(vec![1usize, 2, 8]),
-        fused in any::<bool>(),
     ) {
-        // The coalesced, work-stealing, and fused paths (and every
-        // combination, including sub-cache-line staging buffers and
-        // non-power-of-two worker counts) are bit-identical to std.
-        let cfg = build_config(bits, chunks, coalesce_sel, ws, gran, fused);
+        // Every digit width × worker count (non-powers of two, and more
+        // workers than keys when n is small) is bit-identical to std.
+        let cfg = build_config(bits, chunks);
         let mut v = build_input(shape, n, seed);
         let mut expect = v.clone();
         expect.sort_unstable();
@@ -216,15 +188,11 @@ proptest! {
         seed in any::<u64>(),
         bits in 4u32..=12,
         chunks in prop::sample::select(vec![1usize, 2, 3, 5, 7, 8, 13]),
-        coalesce_sel in 0usize..5,
-        ws in any::<bool>(),
-        gran in prop::sample::select(vec![1usize, 2, 8]),
-        fused in any::<bool>(),
     ) {
         // Payloads record original positions, so the unique stable order
         // doubles as the oracle: any scheduling- or buffering-induced
         // reordering of equal keys would diverge from the sequential sort.
-        let cfg = build_config(bits, chunks, coalesce_sel, ws, gran, fused);
+        let cfg = build_config(bits, chunks);
         let keys = build_input(shape, n, seed);
         let vals: Vec<u32> = (0..keys.len() as u32).collect();
         let (mut ks, mut vs) = (keys.clone(), vals.clone());
@@ -244,20 +212,14 @@ proptest! {
         key_bits in prop::sample::select(vec![8u32, 12, 16, 20, 30, 32]),
         cutoff_div in prop::sample::select(vec![2usize, 3, 4, 8]),
         chunks in prop::sample::select(vec![1usize, 2, 3, 5, 7, 8, 13]),
-        coalesce_sel in 0usize..5,
-        ws in any::<bool>(),
-        gran in prop::sample::select(vec![1usize, 2, 8]),
     ) {
         // A cutoff that is a fraction of n lets the data decide between the
         // MSD-first and the LSD schedule (narrow digits keep `bins² <= 2n`
         // reachable at these sizes; `key_bits` moves the top live digit).
         // Whatever it decides: pairs equal the stable `sort_by_key`, equal
-        // the per-pass-counting oracle bit for bit, and an MSD-first report
-        // is only ever made within the rule.
-        let cfg = RadixSortConfig {
-            sequential_cutoff: n / cutoff_div,
-            ..build_config(bits, chunks, coalesce_sel, ws, gran, true)
-        };
+        // the LSD-only `simple()` bit for bit, and an MSD-first report is
+        // only ever made within the rule.
+        let cfg = RadixSortConfig { sequential_cutoff: n / cutoff_div, ..build_config(bits, chunks) };
         let keys: Vec<u32> = build_input(shape, n, seed).iter().map(|k| k >> (32 - key_bits)).collect();
         let vals: Vec<u32> = (0..keys.len() as u32).collect();
         let mut expect: Vec<(u32, u32)> = keys.iter().copied().zip(vals.iter().copied()).collect();
@@ -272,32 +234,10 @@ proptest! {
             prop_assert!(live_passes >= 2 && largest_bucket <= cfg.sequential_cutoff);
         }
 
-        let oracle = RadixSortConfig {
-            radix_bits: bits,
-            chunks: Some(chunks),
-            sequential_cutoff: cfg.sequential_cutoff,
-            ..RadixSortConfig::simple()
-        };
         let (mut ks, mut vs) = (keys, vals);
-        par_radix_sort_pairs_with(&mut ks, &mut vs, &oracle);
+        par_radix_sort_pairs_with(&mut ks, &mut vs, &build_config(bits, chunks));
         prop_assert_eq!(kp, ks);
         prop_assert_eq!(vp, vs);
-    }
-
-    #[test]
-    fn simple_config_agrees_with_default(
-        shape in 0usize..4,
-        n in 0usize..4000,
-        seed in any::<u64>(),
-    ) {
-        let mut v = build_input(shape, n, seed);
-        let mut simple = v.clone();
-        par_radix_sort_with(
-            &mut simple,
-            &RadixSortConfig { sequential_cutoff: 0, ..RadixSortConfig::simple() },
-        );
-        par_radix_sort_with(&mut v, &RadixSortConfig { sequential_cutoff: 0, ..Default::default() });
-        prop_assert_eq!(v, simple);
     }
 
     #[test]
