@@ -37,17 +37,7 @@ use ccsort_parallel::{
     is_sorted, multiset_fingerprint, par_radix_sort_pairs_with_scratch,
     par_radix_sort_with_scratch, RadixSortConfig, Schedule, SortScratch,
 };
-
-/// Deterministic 64-bit generator (splitmix64) so every run of the bench
-/// sorts the same arrays.
-#[inline]
-pub fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
+use ccsort_rng::SplitMix64;
 
 /// Input distribution of the keys to sort.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -116,16 +106,16 @@ impl Zipf {
 }
 
 /// Generate `n` keys of `dist` as u64 ranks/values; kind-specific widths
-/// map these down.
+/// map these down. Seeded, so every run of the bench sorts the same arrays.
 fn gen_raw(n: usize, dist: Dist, seed: u64, zipf_cache: &mut BTreeMap<usize, Zipf>) -> Vec<u64> {
-    let mut s = seed;
+    let mut s = SplitMix64::seed_from_u64(seed);
     match dist {
-        Dist::Uniform => (0..n).map(|_| splitmix64(&mut s)).collect(),
+        Dist::Uniform => (0..n).map(|_| s.next_u64()).collect(),
         Dist::Zipf => {
             let z = zipf_cache.entry(n).or_insert_with(|| Zipf::new(n, 0.99));
             (0..n)
                 .map(|_| {
-                    let u = (splitmix64(&mut s) >> 11) as f64 / (1u64 << 53) as f64;
+                    let u = (s.next_u64() >> 11) as f64 / (1u64 << 53) as f64;
                     // Spread the rank over the key space with an odd
                     // multiplier: a bijection, so the popularity skew (and
                     // the huge radix buckets it creates) is preserved while
@@ -138,15 +128,15 @@ fn gen_raw(n: usize, dist: Dist, seed: u64, zipf_cache: &mut BTreeMap<usize, Zip
             let mut v: Vec<u64> = (0..n as u64).collect();
             let swaps = n / 100;
             for _ in 0..swaps {
-                let i = (splitmix64(&mut s) as usize) % n;
-                let j = (splitmix64(&mut s) as usize) % n;
+                let i = (s.next_u64() as usize) % n;
+                let j = (s.next_u64() as usize) % n;
                 v.swap(i, j);
             }
             v
         }
         Dist::DupHeavy => {
-            let pool: Vec<u64> = (0..16).map(|_| splitmix64(&mut s)).collect();
-            (0..n).map(|_| pool[(splitmix64(&mut s) & 15) as usize]).collect()
+            let pool: Vec<u64> = (0..16).map(|_| s.next_u64()).collect();
+            (0..n).map(|_| pool[(s.next_u64() & 15) as usize]).collect()
         }
     }
 }
@@ -626,10 +616,10 @@ mod tests {
     #[test]
     fn zipf_is_skewed_and_in_range() {
         let z = Zipf::new(1000, 0.99);
-        let mut s = 7u64;
+        let mut s = SplitMix64::seed_from_u64(7);
         let mut counts = vec![0usize; 1000];
         for _ in 0..20_000 {
-            let u = (splitmix64(&mut s) >> 11) as f64 / (1u64 << 53) as f64;
+            let u = (s.next_u64() >> 11) as f64 / (1u64 << 53) as f64;
             counts[z.sample(u)] += 1;
         }
         // Rank 0 must dominate any mid-popularity rank by a wide margin.
@@ -639,6 +629,11 @@ mod tests {
     #[test]
     fn distributions_have_the_claimed_shape() {
         let mut cache = BTreeMap::new();
+        // The inputs behind the committed BENCH_real_sorts.json rows.
+        assert_eq!(
+            gen_raw(4, Dist::Uniform, 1, &mut cache),
+            [10451216379200822465, 13757245211066428519, 17911839290282890590, 8196980753821780235]
+        );
         let dup = gen_raw(10_000, Dist::DupHeavy, 1, &mut cache);
         let distinct: std::collections::BTreeSet<u64> = dup.iter().copied().collect();
         assert!(distinct.len() <= 16);

@@ -30,9 +30,10 @@
 use std::time::{Duration, Instant};
 
 use ccsort_parallel::{par_radix_sort_pairs_with, par_radix_sort_with};
+use ccsort_rng::SplitMix64;
 use ccsort_service::{ServiceConfig, SortService, SubmitError, Ticket};
 
-use crate::realbench::{available_cores, splitmix64};
+use crate::realbench::available_cores;
 
 /// Key/payload shape of a mix.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -159,25 +160,26 @@ fn service_config(coalescing: bool, queue_limit: usize) -> ServiceConfig {
 /// Deterministic per-request spec: size and content seed.
 fn request_specs(mix: &Mix, scale: usize) -> Vec<(usize, u64)> {
     let count = (mix.requests / scale).max(8);
-    let mut s = 0x5EED_0000 ^ (mix.name.len() as u64) << 32 ^ mix.min_keys as u64;
+    let mut s =
+        SplitMix64::seed_from_u64(0x5EED_0000 ^ (mix.name.len() as u64) << 32 ^ mix.min_keys as u64);
     (0..count)
         .map(|_| {
             let span = (mix.max_keys - mix.min_keys + 1) as u64;
-            let n = mix.min_keys + (splitmix64(&mut s) % span) as usize;
-            (n, splitmix64(&mut s))
+            let n = mix.min_keys + (s.next_u64() % span) as usize;
+            (n, s.next_u64())
         })
         .collect()
 }
 
 fn gen_keys_u32(n: usize, seed: u64) -> Vec<u32> {
-    let mut s = seed;
-    (0..n).map(|_| splitmix64(&mut s) as u32).collect()
+    let mut s = SplitMix64::seed_from_u64(seed);
+    (0..n).map(|_| s.random()).collect()
 }
 
 fn gen_pairs_u64(n: usize, seed: u64) -> (Vec<u64>, Vec<u64>) {
-    let mut s = seed;
-    let keys: Vec<u64> = (0..n).map(|_| splitmix64(&mut s)).collect();
-    let vals: Vec<u64> = (0..n).map(|_| splitmix64(&mut s)).collect();
+    let mut s = SplitMix64::seed_from_u64(seed);
+    let keys: Vec<u64> = (0..n).map(|_| s.random()).collect();
+    let vals: Vec<u64> = (0..n).map(|_| s.random()).collect();
     (keys, vals)
 }
 

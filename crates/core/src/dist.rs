@@ -18,8 +18,7 @@
 //! keys initially assigned to process `i`. All generators are seeded and
 //! fully deterministic.
 
-use rand::rngs::StdRng;
-use rand::{RngExt, SeedableRng};
+use ccsort_rng::SplitMix64;
 use serde::{Deserialize, Serialize};
 
 use crate::common::part_range;
@@ -162,19 +161,19 @@ pub fn generate(dist: Dist, n: usize, p: usize, r: u32, seed: u64) -> Vec<u32> {
             }
         }
         Dist::Random => {
-            let mut rng = StdRng::seed_from_u64(seed);
+            let mut rng = SplitMix64::seed_from_u64(seed);
             for k in keys.iter_mut() {
                 *k = rng.random_range(0..MAX_KEY) as u32;
             }
         }
         Dist::Zero => {
-            let mut rng = StdRng::seed_from_u64(seed);
+            let mut rng = SplitMix64::seed_from_u64(seed);
             for (i, k) in keys.iter_mut().enumerate() {
                 *k = if i % 10 == 9 { 0 } else { rng.random_range(0..MAX_KEY) as u32 };
             }
         }
         Dist::Bucket => {
-            let mut rng = StdRng::seed_from_u64(seed);
+            let mut rng = SplitMix64::seed_from_u64(seed);
             for i in 0..p {
                 let range = part_range(n, p, i);
                 let block = range.len().div_ceil(p).max(1);
@@ -187,7 +186,7 @@ pub fn generate(dist: Dist, n: usize, p: usize, r: u32, seed: u64) -> Vec<u32> {
             }
         }
         Dist::Stagger => {
-            let mut rng = StdRng::seed_from_u64(seed);
+            let mut rng = SplitMix64::seed_from_u64(seed);
             for i in 0..p {
                 let w = stagger_window(p, i) as u64;
                 let lo = w * MAX_KEY / p as u64;
@@ -198,7 +197,7 @@ pub fn generate(dist: Dist, n: usize, p: usize, r: u32, seed: u64) -> Vec<u32> {
             }
         }
         Dist::Remote => {
-            let mut rng = StdRng::seed_from_u64(seed);
+            let mut rng = SplitMix64::seed_from_u64(seed);
             let radix = 1u64 << r;
             for i in 0..p {
                 let lo = (i as u64) * radix / p as u64;
@@ -236,7 +235,7 @@ pub fn generate(dist: Dist, n: usize, p: usize, r: u32, seed: u64) -> Vec<u32> {
             }
         }
         Dist::Local => {
-            let mut rng = StdRng::seed_from_u64(seed);
+            let mut rng = SplitMix64::seed_from_u64(seed);
             let radix = 1u64 << r;
             for i in 0..p {
                 let lo = (i as u64) * radix / p as u64;

@@ -100,12 +100,9 @@ impl SamplingStrategy {
         match *self {
             SamplingStrategy::Regular { .. } | SamplingStrategy::Oversample { .. } => k * len / s,
             SamplingStrategy::Random { seed, .. } => {
-                // splitmix-style hash of (seed, pe, k): deterministic
-                // pseudo-random positions.
-                let mut x = seed ^ ((pe as u64) << 32) ^ k as u64;
-                x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-                x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-                (x ^ (x >> 31)) as usize % len
+                // Hash of (seed, pe, k): deterministic pseudo-random
+                // positions.
+                ccsort_rng::mix64(seed ^ ((pe as u64) << 32) ^ k as u64) as usize % len
             }
         }
     }
@@ -442,6 +439,14 @@ mod strategy_tests {
             reg <= rnd * 1.05,
             "regular sampling ({reg:.3}) should balance no worse than random ({rnd:.3})"
         );
+    }
+
+    #[test]
+    fn random_sampling_positions_are_pinned() {
+        // Not a key stream: the position hash must not move with the PRNG.
+        let strategy = SamplingStrategy::Random { per_pe: 4, seed: 7 };
+        let idxs: Vec<usize> = (0..4).map(|k| strategy.index(3, k, 4, 1000)).collect();
+        assert_eq!(idxs, [799, 328, 120, 975]);
     }
 
     #[test]

@@ -283,12 +283,11 @@ pub fn counting_sort(keys: &mut [u32], max_value: u32) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::{RngExt, SeedableRng};
+    use ccsort_rng::SplitMix64;
 
     #[test]
     fn par_histogram_matches_serial() {
-        let mut rng = StdRng::seed_from_u64(1);
+        let mut rng = SplitMix64::seed_from_u64(1);
         let keys: Vec<u32> = (0..200_000).map(|_| rng.random()).collect();
         for (shift, bits) in [(0u32, 8u32), (8, 8), (24, 8), (0, 11)] {
             let par = par_digit_histogram(&keys, shift, bits);
@@ -304,7 +303,7 @@ mod tests {
 
     #[test]
     fn multi_digit_histogram_matches_per_pass() {
-        let mut rng = StdRng::seed_from_u64(7);
+        let mut rng = SplitMix64::seed_from_u64(7);
         let keys: Vec<u32> = (0..100_000).map(|_| rng.random()).collect();
         for bits in [8u32, 11] {
             let fused = par_multi_digit_histogram(&keys, bits);
@@ -374,7 +373,7 @@ mod tests {
 
     #[test]
     fn unrolled_counting_matches_naive() {
-        let mut rng = StdRng::seed_from_u64(3);
+        let mut rng = SplitMix64::seed_from_u64(3);
         for n in [0usize, 1, 3, 4, 5, 1023] {
             let keys: Vec<u32> = (0..n).map(|_| rng.random()).collect();
             let mut unrolled = vec![0usize; 256];
@@ -399,7 +398,7 @@ mod tests {
 
     #[test]
     fn counting_sort_sorts_small_ranges() {
-        let mut rng = StdRng::seed_from_u64(2);
+        let mut rng = SplitMix64::seed_from_u64(2);
         let mut v: Vec<u32> = (0..50_000).map(|_| rng.random_range(0..1000u32)).collect();
         let mut expect = v.clone();
         expect.sort_unstable();

@@ -125,8 +125,7 @@ unsafe fn par_merge_into<T: Ord + Copy + Send + Sync>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::{RngExt, SeedableRng};
+    use ccsort_rng::SplitMix64;
 
     fn check<T: Ord + Copy + Send + Sync + std::fmt::Debug>(mut v: Vec<T>) {
         let mut expect = v.clone();
@@ -137,7 +136,7 @@ mod tests {
 
     #[test]
     fn sorts_large_random() {
-        let mut rng = StdRng::seed_from_u64(1);
+        let mut rng = SplitMix64::seed_from_u64(1);
         check((0..300_000).map(|_| rng.random::<u64>()).collect::<Vec<_>>());
         check((0..300_000).map(|_| rng.random::<i32>()).collect::<Vec<_>>());
     }
@@ -147,7 +146,7 @@ mod tests {
         check((0..100_000u32).collect::<Vec<_>>());
         check((0..100_000u32).rev().collect::<Vec<_>>());
         check(vec![7u32; 100_000]);
-        let mut rng = StdRng::seed_from_u64(2);
+        let mut rng = SplitMix64::seed_from_u64(2);
         check((0..100_000).map(|_| rng.random_range(0..4u32)).collect::<Vec<_>>());
         check(Vec::<u32>::new());
         check(vec![1u32]);
@@ -187,7 +186,7 @@ mod tests {
 
     #[test]
     fn matches_radix_on_integers() {
-        let mut rng = StdRng::seed_from_u64(3);
+        let mut rng = SplitMix64::seed_from_u64(3);
         let v: Vec<u32> = (0..150_000).map(|_| rng.random()).collect();
         let mut a = v.clone();
         let mut b = v;

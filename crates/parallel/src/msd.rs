@@ -115,8 +115,7 @@ fn msd_recurse<K: RadixKey>(keys: &mut [K], shift: u32, parallel: bool) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::{RngExt, SeedableRng};
+    use ccsort_rng::SplitMix64;
 
     fn check<K: RadixKey + std::fmt::Debug>(mut v: Vec<K>, parallel: bool) {
         let mut expect = v.clone();
@@ -131,14 +130,14 @@ mod tests {
 
     #[test]
     fn msd_sorts_u32() {
-        let mut rng = StdRng::seed_from_u64(1);
+        let mut rng = SplitMix64::seed_from_u64(1);
         check((0..50_000).map(|_| rng.random::<u32>()).collect(), false);
         check((0..50_000).map(|_| rng.random::<u32>()).collect(), true);
     }
 
     #[test]
     fn msd_sorts_signed_and_wide() {
-        let mut rng = StdRng::seed_from_u64(2);
+        let mut rng = SplitMix64::seed_from_u64(2);
         check((0..30_000).map(|_| rng.random::<i64>()).collect(), true);
         check((0..30_000).map(|_| rng.random::<u64>()).collect(), true);
         check((0..30_000).map(|_| rng.random::<i8>()).collect(), true);
@@ -152,13 +151,13 @@ mod tests {
         check((0..10_000u32).collect(), true);
         check((0..10_000u32).rev().collect(), true);
         // Low cardinality (deep equal-prefix recursion).
-        let mut rng = StdRng::seed_from_u64(3);
+        let mut rng = SplitMix64::seed_from_u64(3);
         check((0..30_000).map(|_| rng.random_range(0..3u32)).collect(), true);
     }
 
     #[test]
     fn msd_matches_lsd() {
-        let mut rng = StdRng::seed_from_u64(4);
+        let mut rng = SplitMix64::seed_from_u64(4);
         let v: Vec<u32> = (0..40_000).map(|_| rng.random()).collect();
         let mut a = v.clone();
         let mut b = v;

@@ -282,8 +282,7 @@ pub fn radix_sort_msg<K: RadixKey + Default>(keys: &mut [K], p: usize, radix_bit
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::{RngExt, SeedableRng};
+    use ccsort_rng::SplitMix64;
 
     #[test]
     fn spmd_barrier_and_allgather() {
@@ -327,7 +326,7 @@ mod tests {
     }
 
     fn check_msg_sort(n: usize, p: usize, r: u32, seed: u64) {
-        let mut rng = StdRng::seed_from_u64(seed);
+        let mut rng = SplitMix64::seed_from_u64(seed);
         let mut v: Vec<u32> = (0..n).map(|_| rng.random()).collect();
         let mut expect = v.clone();
         expect.sort_unstable();
@@ -358,7 +357,7 @@ mod tests {
 
     #[test]
     fn msg_radix_sorts_signed() {
-        let mut rng = StdRng::seed_from_u64(7);
+        let mut rng = SplitMix64::seed_from_u64(7);
         let mut v: Vec<i32> = (0..20_000).map(|_| rng.random()).collect();
         let mut expect = v.clone();
         expect.sort_unstable();
@@ -481,11 +480,10 @@ pub fn sample_sort_msg<K: RadixKey + Default>(keys: &mut [K], p: usize, radix_bi
 #[cfg(test)]
 mod sample_tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::{RngExt, SeedableRng};
+    use ccsort_rng::SplitMix64;
 
     fn check(n: usize, p: usize, seed: u64) {
-        let mut rng = StdRng::seed_from_u64(seed);
+        let mut rng = SplitMix64::seed_from_u64(seed);
         let mut v: Vec<u32> = (0..n).map(|_| rng.random()).collect();
         let mut expect = v.clone();
         expect.sort_unstable();
@@ -502,7 +500,7 @@ mod sample_tests {
 
     #[test]
     fn sample_sort_msg_heavy_duplicates() {
-        let mut rng = StdRng::seed_from_u64(4);
+        let mut rng = SplitMix64::seed_from_u64(4);
         let mut v: Vec<u32> = (0..20_000).map(|_| if rng.random_range(0..10u32) < 3 { 0 } else { rng.random() }).collect();
         let mut expect = v.clone();
         expect.sort_unstable();
@@ -512,7 +510,7 @@ mod sample_tests {
 
     #[test]
     fn sample_sort_msg_matches_radix_msg() {
-        let mut rng = StdRng::seed_from_u64(5);
+        let mut rng = SplitMix64::seed_from_u64(5);
         let v: Vec<i32> = (0..30_000).map(|_| rng.random()).collect();
         let mut a = v.clone();
         let mut b = v;

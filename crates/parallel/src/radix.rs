@@ -945,8 +945,7 @@ fn flush_digit<K, V, const WITH_VALS: bool>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::{RngExt, SeedableRng};
+    use ccsort_rng::SplitMix64;
 
     fn check_sort<K: RadixKey + Default + std::fmt::Debug>(mut v: Vec<K>, cfg: &RadixSortConfig) {
         let mut expect = v.clone();
@@ -993,7 +992,7 @@ mod tests {
 
     #[test]
     fn sorts_large_u32() {
-        let mut rng = StdRng::seed_from_u64(1);
+        let mut rng = SplitMix64::seed_from_u64(1);
         let n = 2 * DEFAULT_SEQUENTIAL_CUTOFF; // the engine, by default
         let v: Vec<u32> = (0..n).map(|_| rng.random()).collect();
         check_sort(v, &RadixSortConfig::default());
@@ -1001,7 +1000,7 @@ mod tests {
 
     #[test]
     fn sorts_with_many_chunks() {
-        let mut rng = StdRng::seed_from_u64(2);
+        let mut rng = SplitMix64::seed_from_u64(2);
         let v: Vec<u32> = (0..50_000).map(|_| rng.random()).collect();
         check_sort(
             v,
@@ -1011,7 +1010,7 @@ mod tests {
 
     #[test]
     fn sorts_i64_and_u64() {
-        let mut rng = StdRng::seed_from_u64(3);
+        let mut rng = SplitMix64::seed_from_u64(3);
         let v: Vec<i64> = (0..60_000).map(|_| rng.random()).collect();
         check_sort(v, &RadixSortConfig { sequential_cutoff: 0, ..Default::default() });
         let w: Vec<u64> = (0..60_000).map(|_| rng.random()).collect();
@@ -1020,7 +1019,7 @@ mod tests {
 
     #[test]
     fn small_inputs_take_sequential_path() {
-        let mut rng = StdRng::seed_from_u64(4);
+        let mut rng = SplitMix64::seed_from_u64(4);
         let v: Vec<u32> = (0..100).map(|_| rng.random()).collect();
         check_sort(v, &RadixSortConfig::default());
         check_sort(Vec::<u32>::new(), &RadixSortConfig::default());
@@ -1035,14 +1034,14 @@ mod tests {
         check_sort((0..30_000u32).collect(), &RadixSortConfig { sequential_cutoff: 0, ..Default::default() });
         check_sort((0..30_000u32).rev().collect(), &RadixSortConfig { sequential_cutoff: 0, ..Default::default() });
         // Low cardinality.
-        let mut rng = StdRng::seed_from_u64(5);
+        let mut rng = SplitMix64::seed_from_u64(5);
         let v: Vec<u32> = (0..30_000).map(|_| rng.random_range(0..4u32)).collect();
         check_sort(v, &RadixSortConfig { sequential_cutoff: 0, ..Default::default() });
     }
 
     #[test]
     fn more_chunks_than_keys_is_fine() {
-        let mut rng = StdRng::seed_from_u64(6);
+        let mut rng = SplitMix64::seed_from_u64(6);
         let v: Vec<u32> = (0..64).map(|_| rng.random()).collect();
         check_sort(
             v,
@@ -1052,7 +1051,7 @@ mod tests {
 
     #[test]
     fn every_config_sorts_every_shape() {
-        let mut rng = StdRng::seed_from_u64(7);
+        let mut rng = SplitMix64::seed_from_u64(7);
         let shapes: Vec<Vec<u32>> = vec![
             (0..40_000).map(|_| rng.random()).collect(),
             (0..40_000).map(|_| rng.random_range(0..8u32)).collect(),
@@ -1073,7 +1072,7 @@ mod tests {
         // Eight distinct values in 40,000 keys: every chunk holds thousands
         // of each, so buckets fill (a flush of exactly ELEMS keys) many
         // times over and end each chunk part-full (a flush of fewer).
-        let mut rng = StdRng::seed_from_u64(8);
+        let mut rng = SplitMix64::seed_from_u64(8);
         let v: Vec<u32> = (0..40_000).map(|_| rng.random_range(0..8u32) * 0x0101).collect();
         for chunks in [1usize, 3] {
             let cfg = RadixSortConfig { chunks: Some(chunks), ..RadixSortConfig::simple() };
@@ -1099,7 +1098,7 @@ mod tests {
         // boundary between destination chunks 0 and 1. Byte 1 is live, so
         // that permute counts it for the next pass, per destination chunk;
         // a miscounted straddle would misplace pass 1.
-        let mut rng = StdRng::seed_from_u64(9);
+        let mut rng = SplitMix64::seed_from_u64(9);
         let n = 4096;
         let cfg = RadixSortConfig { chunks: Some(1), ..RadixSortConfig::simple() };
         let geom = ChunkGeom::new(n, CHUNKS_PER_WORKER);
@@ -1118,7 +1117,7 @@ mod tests {
         // 16-bit digits, two workers: 5 chunks × 65,536 counters per worker
         // is past MAX_FUSED_NH_WORDS, so no permute counts for the next
         // pass and each of the two live passes is counted by its own read.
-        let mut rng = StdRng::seed_from_u64(10);
+        let mut rng = SplitMix64::seed_from_u64(10);
         let n = 40_000;
         let cfg = RadixSortConfig { radix_bits: 16, chunks: Some(2), ..RadixSortConfig::simple() };
         let m = ChunkGeom::new(n, 2 * CHUNKS_PER_WORKER).chunks();
@@ -1154,7 +1153,7 @@ mod tests {
 
     #[test]
     fn scratch_path_matches_fresh_path() {
-        let mut rng = StdRng::seed_from_u64(31);
+        let mut rng = SplitMix64::seed_from_u64(31);
         let mut scratch: SortScratch<u64> = SortScratch::new();
         for cfg in all_configs() {
             for n in [0usize, 1, 7, 300, 40_000] {
@@ -1170,7 +1169,7 @@ mod tests {
 
     #[test]
     fn steady_state_reuses_scratch_without_reallocating() {
-        let mut rng = StdRng::seed_from_u64(32);
+        let mut rng = SplitMix64::seed_from_u64(32);
         let cfg = RadixSortConfig { sequential_cutoff: 0, ..Default::default() };
         let mut scratch: SortScratch<u32> = SortScratch::new();
         let n = 60_000;
@@ -1224,7 +1223,7 @@ mod tests {
         // cutoff - 1 and cutoff run the sequential kernel, cutoff + 1 the
         // engine; keys against sort_unstable, pairs against the stable
         // sort_by_key (duplicate-heavy keys, payload = input position).
-        let mut rng = StdRng::seed_from_u64(33);
+        let mut rng = SplitMix64::seed_from_u64(33);
         let cfg = RadixSortConfig::default();
         let mut scratch: SortScratch<u32, u32> = SortScratch::new();
         for n in [cfg.sequential_cutoff - 1, cfg.sequential_cutoff, cfg.sequential_cutoff + 1] {
@@ -1253,7 +1252,7 @@ mod tests {
         // The kernel's histogram is one bins-entry row per pass and lives in
         // the scratch: a same-shape resort grows nothing, and neither does a
         // smaller input.
-        let mut rng = StdRng::seed_from_u64(34);
+        let mut rng = SplitMix64::seed_from_u64(34);
         let cfg = RadixSortConfig::default();
         let mut scratch: SortScratch<u64> = SortScratch::new();
         let n = 16_384;
@@ -1298,7 +1297,7 @@ mod tests {
 
     #[test]
     fn msd_first_is_reached_at_every_worker_count_and_digit_width_the_rule_admits() {
-        let mut rng = StdRng::seed_from_u64(40);
+        let mut rng = SplitMix64::seed_from_u64(40);
         let input: Vec<u32> = (0..40_000).map(|_| rng.random()).collect();
         for cfg in all_configs().into_iter().map(small_cutoff) {
             let schedule = schedule_of(input.clone(), &cfg, u32::MAX);
@@ -1324,7 +1323,7 @@ mod tests {
 
     /// 40,000 `u32` keys whose top digit 0 holds exactly `largest` of them
     /// and whose other 255 top digits share the rest evenly.
-    fn keys_with_largest_bucket(largest: usize, rng: &mut StdRng) -> Vec<u32> {
+    fn keys_with_largest_bucket(largest: usize, rng: &mut SplitMix64) -> Vec<u32> {
         (0..40_000usize)
             .map(|i| {
                 let low = rng.random::<u32>() & 0x00FF_FFFF;
@@ -1335,7 +1334,7 @@ mod tests {
 
     #[test]
     fn schedule_flips_exactly_when_a_bucket_exceeds_the_cutoff() {
-        let mut rng = StdRng::seed_from_u64(41);
+        let mut rng = SplitMix64::seed_from_u64(41);
         let cfg = small_cutoff(RadixSortConfig { chunks: Some(3), ..Default::default() });
         for largest in [SMALL_CUTOFF - 1, SMALL_CUTOFF] {
             assert_eq!(
@@ -1371,7 +1370,7 @@ mod tests {
 
     #[test]
     fn adversarial_shapes_pick_the_schedule_the_rule_says() {
-        let mut rng = StdRng::seed_from_u64(42);
+        let mut rng = SplitMix64::seed_from_u64(42);
         let cfg = small_cutoff(RadixSortConfig { chunks: Some(4), ..Default::default() });
         let n = 40_000;
         // All equal: the fold finds no live pass; nothing is counted or moved.
@@ -1406,7 +1405,7 @@ mod tests {
         // bucket (0x7F) and a non-negative one (0x80) in the right order.
         // Inside either bucket pass 2 is trivial (0xFF or 0x00), which the
         // kernel discovers itself: two executed passes, an even count.
-        let mut rng = StdRng::seed_from_u64(43);
+        let mut rng = SplitMix64::seed_from_u64(43);
         let n = 40_000;
         let cfg = RadixSortConfig { sequential_cutoff: 30_000, chunks: Some(3), ..Default::default() };
         let v32: Vec<i32> = (0..n).map(|_| rng.random_range(-1000..1000i32)).collect();
@@ -1433,7 +1432,7 @@ mod tests {
         // and three live bytes below it. An odd count lands in the other
         // buffer by itself, an even one needs the kernel's closing copy; the
         // flip buffer is poisoned either way.
-        let mut rng = StdRng::seed_from_u64(44);
+        let mut rng = SplitMix64::seed_from_u64(44);
         let cfg = small_cutoff(RadixSortConfig { chunks: Some(2), ..Default::default() });
         for below in [&[1usize][..], &[0, 2], &[0, 1, 2]] {
             let mask = below.iter().fold(0xFF00_0000u32, |m, b| m | 0xFF << (8 * b));
@@ -1447,7 +1446,7 @@ mod tests {
 
     #[test]
     fn msd_first_with_more_workers_than_buckets_or_keys() {
-        let mut rng = StdRng::seed_from_u64(45);
+        let mut rng = SplitMix64::seed_from_u64(45);
         // 4-bit digits: 16 buckets. 40 workers > 16 buckets; 1000 workers > n.
         for (n, chunks) in [(3000usize, 40usize), (200, 1000)] {
             let cfg = RadixSortConfig { radix_bits: 4, chunks: Some(chunks), sequential_cutoff: n / 4 };
@@ -1495,7 +1494,7 @@ mod tests {
         // 1,000 distinct keys spread over bytes 0, 1 and 3, forty copies of
         // each, payload = input index: the stable order is the only right
         // answer, and it must survive partition ∘ per-bucket kernel.
-        let mut rng = StdRng::seed_from_u64(46);
+        let mut rng = SplitMix64::seed_from_u64(46);
         let n = 40_000u32;
         let keys_in: Vec<u32> = (0..n)
             .map(|_| (rng.random_range(0..50u32) << 24) | (rng.random_range(0..20u32) * 257))
@@ -1521,7 +1520,7 @@ mod tests {
 
     #[test]
     fn default_and_simple_agree_bit_for_bit_across_the_schedules() {
-        let mut rng = StdRng::seed_from_u64(47);
+        let mut rng = SplitMix64::seed_from_u64(47);
         let n = 2 * DEFAULT_SEQUENTIAL_CUTOFF;
         let input: Vec<u32> = (0..n).map(|_| rng.random()).collect();
         let mut scratch: SortScratch<u32> = SortScratch::new();
@@ -1537,7 +1536,7 @@ mod tests {
 
     #[test]
     fn msd_first_steady_state_reuses_scratch_without_reallocating() {
-        let mut rng = StdRng::seed_from_u64(48);
+        let mut rng = SplitMix64::seed_from_u64(48);
         let cfg = small_cutoff(RadixSortConfig { chunks: Some(3), ..Default::default() });
         let mut scratch: SortScratch<u64, u32> = SortScratch::new();
         let n = 40_000;

@@ -176,8 +176,7 @@ pub fn par_sample_sort_with<K: RadixKey + Default>(keys: &mut [K], cfg: &SampleS
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::{RngExt, SeedableRng};
+    use ccsort_rng::SplitMix64;
 
     fn check<K: RadixKey + Default + std::fmt::Debug>(mut v: Vec<K>, cfg: &SampleSortConfig) {
         let mut expect = v.clone();
@@ -188,14 +187,14 @@ mod tests {
 
     #[test]
     fn sorts_large_u32() {
-        let mut rng = StdRng::seed_from_u64(1);
+        let mut rng = SplitMix64::seed_from_u64(1);
         let v: Vec<u32> = (0..200_000).map(|_| rng.random()).collect();
         check(v, &SampleSortConfig::default());
     }
 
     #[test]
     fn sorts_with_explicit_parts() {
-        let mut rng = StdRng::seed_from_u64(2);
+        let mut rng = SplitMix64::seed_from_u64(2);
         for parts in [1usize, 2, 3, 7, 16] {
             let v: Vec<u32> = (0..40_000).map(|_| rng.random()).collect();
             check(
@@ -207,7 +206,7 @@ mod tests {
 
     #[test]
     fn heavy_duplicates_and_skew() {
-        let mut rng = StdRng::seed_from_u64(3);
+        let mut rng = SplitMix64::seed_from_u64(3);
         // 30% zeros (worse than the paper's zero distribution).
         let v: Vec<u32> = (0..60_000)
             .map(|_| if rng.random_range(0..10u32) < 3 { 0 } else { rng.random() })
@@ -221,7 +220,7 @@ mod tests {
 
     #[test]
     fn sorts_signed() {
-        let mut rng = StdRng::seed_from_u64(4);
+        let mut rng = SplitMix64::seed_from_u64(4);
         let v: Vec<i32> = (0..60_000).map(|_| rng.random()).collect();
         check(v, &SampleSortConfig { sequential_cutoff: 0, ..Default::default() });
     }
@@ -230,14 +229,14 @@ mod tests {
     fn small_inputs() {
         check(Vec::<u32>::new(), &SampleSortConfig::default());
         check(vec![3u32, 1, 2], &SampleSortConfig::default());
-        let mut rng = StdRng::seed_from_u64(5);
+        let mut rng = SplitMix64::seed_from_u64(5);
         let v: Vec<u32> = (0..257).map(|_| rng.random()).collect();
         check(v, &SampleSortConfig { parts: Some(4), sequential_cutoff: 0, ..Default::default() });
     }
 
     #[test]
     fn agrees_with_par_radix() {
-        let mut rng = StdRng::seed_from_u64(6);
+        let mut rng = SplitMix64::seed_from_u64(6);
         let v: Vec<u64> = (0..50_000).map(|_| rng.random()).collect();
         let mut a = v.clone();
         let mut b = v;

@@ -152,12 +152,11 @@ pub fn radix_sort<K: RadixKey + Default>(keys: &mut [K], radix_bits: u32) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::{RngExt, SeedableRng};
+    use ccsort_rng::SplitMix64;
 
     #[test]
     fn sorts_u32() {
-        let mut rng = StdRng::seed_from_u64(1);
+        let mut rng = SplitMix64::seed_from_u64(1);
         let mut v: Vec<u32> = (0..10_000).map(|_| rng.random()).collect();
         let mut expect = v.clone();
         expect.sort_unstable();
@@ -167,7 +166,7 @@ mod tests {
 
     #[test]
     fn sorts_with_odd_radix_widths() {
-        let mut rng = StdRng::seed_from_u64(2);
+        let mut rng = SplitMix64::seed_from_u64(2);
         for bits in [1u32, 3, 7, 11, 16] {
             let mut v: Vec<u32> = (0..5_000).map(|_| rng.random()).collect();
             let mut expect = v.clone();
@@ -179,7 +178,7 @@ mod tests {
 
     #[test]
     fn sorts_signed_keys() {
-        let mut rng = StdRng::seed_from_u64(3);
+        let mut rng = SplitMix64::seed_from_u64(3);
         let mut v: Vec<i64> = (0..10_000).map(|_| rng.random()).collect();
         let mut expect = v.clone();
         expect.sort_unstable();
@@ -189,7 +188,7 @@ mod tests {
 
     #[test]
     fn sorts_small_types() {
-        let mut rng = StdRng::seed_from_u64(4);
+        let mut rng = SplitMix64::seed_from_u64(4);
         let mut v: Vec<u8> = (0..4_000).map(|_| rng.random()).collect();
         let mut expect = v.clone();
         expect.sort_unstable();
@@ -243,7 +242,7 @@ mod tests {
 
     #[test]
     fn trivial_passes_are_skipped_and_data_ends_in_keys() {
-        let mut rng = StdRng::seed_from_u64(5);
+        let mut rng = SplitMix64::seed_from_u64(5);
         // No executed pass at all: every key equal.
         check_lands_in_keys(vec![0xDEAD_BEEFu32; 3000], 0);
         check_lands_in_keys(vec![-7i64; 3000], 0);
@@ -262,7 +261,7 @@ mod tests {
         // The bucket-phase contract: the caller names the live passes (a
         // superset of the non-trivial ones) and the buffer the result must
         // end in; payloads record input order, so the answer is unique.
-        let mut rng = StdRng::seed_from_u64(7);
+        let mut rng = SplitMix64::seed_from_u64(7);
         for (live_bytes, n) in [(&[0usize, 2][..], 3000usize), (&[1], 3000), (&[0, 1, 2], 3000), (&[0, 2], 1), (&[], 0)] {
             let mask = live_bytes.iter().fold(0u32, |m, b| m | 0xFF << (8 * b));
             let live = live_bytes.iter().fold(0u64, |l, b| l | 1 << b);
@@ -291,7 +290,7 @@ mod tests {
     fn skipped_passes_keep_pairs_stable() {
         // Keys use byte 1 only (one executed pass of four); payloads record
         // input order, so the stable order is the unique right answer.
-        let mut rng = StdRng::seed_from_u64(6);
+        let mut rng = SplitMix64::seed_from_u64(6);
         let keys_in: Vec<u32> = (0..5000).map(|_| (rng.random::<u32>() & 0x1F) << 8).collect();
         let mut expect: Vec<(u32, u32)> = keys_in.iter().copied().zip(0..).collect();
         expect.sort_by_key(|p| p.0);

@@ -392,8 +392,7 @@ pub fn radix_sort_shmem<K: RadixKey + Default + Send>(keys: &mut [K], p: usize, 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::{RngExt, SeedableRng};
+    use ccsort_rng::SplitMix64;
 
     #[test]
     fn put_get_roundtrip() {
@@ -435,7 +434,7 @@ mod tests {
     }
 
     fn check_shmem_sort(n: usize, p: usize, r: u32, seed: u64) {
-        let mut rng = StdRng::seed_from_u64(seed);
+        let mut rng = SplitMix64::seed_from_u64(seed);
         let mut v: Vec<u32> = (0..n).map(|_| rng.random()).collect();
         let mut expect = v.clone();
         expect.sort_unstable();
@@ -522,7 +521,7 @@ mod tests {
 
     #[test]
     fn shmem_matches_msg_sort() {
-        let mut rng = StdRng::seed_from_u64(9);
+        let mut rng = SplitMix64::seed_from_u64(9);
         let v: Vec<u32> = (0..30_000).map(|_| rng.random()).collect();
         let mut a = v.clone();
         let mut b = v;
@@ -668,11 +667,10 @@ pub fn sample_sort_shmem<K: RadixKey + Default + Send>(keys: &mut [K], p: usize,
 #[cfg(test)]
 mod sample_tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::{RngExt, SeedableRng};
+    use ccsort_rng::SplitMix64;
 
     fn check(n: usize, p: usize, seed: u64) {
-        let mut rng = StdRng::seed_from_u64(seed);
+        let mut rng = SplitMix64::seed_from_u64(seed);
         let mut v: Vec<u32> = (0..n).map(|_| rng.random()).collect();
         let mut expect = v.clone();
         expect.sort_unstable();
@@ -689,7 +687,7 @@ mod sample_tests {
 
     #[test]
     fn sample_sort_shmem_duplicates() {
-        let mut rng = StdRng::seed_from_u64(4);
+        let mut rng = SplitMix64::seed_from_u64(4);
         let mut v: Vec<u32> =
             (0..20_000).map(|_| if rng.random_range(0..10u32) < 3 { 7 } else { rng.random() }).collect();
         let mut expect = v.clone();
@@ -700,7 +698,7 @@ mod sample_tests {
 
     #[test]
     fn sample_sort_shmem_matches_msg_version() {
-        let mut rng = StdRng::seed_from_u64(5);
+        let mut rng = SplitMix64::seed_from_u64(5);
         let v: Vec<u32> = (0..30_000).map(|_| rng.random()).collect();
         let mut a = v.clone();
         let mut b = v;

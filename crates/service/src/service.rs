@@ -478,15 +478,8 @@ mod tests {
     use super::*;
 
     fn keys(n: usize, seed: u64) -> Vec<u32> {
-        // splitmix64-style mix: deterministic, well-shuffled.
-        (0..n as u64)
-            .map(|i| {
-                let mut z = seed.wrapping_add(i.wrapping_mul(0x9e3779b97f4a7c15));
-                z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
-                z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
-                (z ^ (z >> 31)) as u32
-            })
-            .collect()
+        let mut rng = ccsort_rng::SplitMix64::seed_from_u64(seed);
+        (0..n).map(|_| rng.random()).collect()
     }
 
     #[test]

@@ -16,15 +16,9 @@ use ccsort::parallel::{par_radix_sort, par_sample_sort, seq_radix_sort};
 fn main() {
     let n: usize = std::env::args().nth(1).and_then(|s| s.parse().ok()).unwrap_or(1 << 22);
 
-    // Deterministic pseudo-random input (splitmix-style).
-    let keys: Vec<u32> = (0..n as u64)
-        .map(|i| {
-            let mut x = i.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            (x >> 33) as u32
-        })
-        .collect();
+    // Deterministic pseudo-random input.
+    let mut rng = ccsort_rng::SplitMix64::seed_from_u64(1);
+    let keys: Vec<u32> = (0..n).map(|_| rng.random()).collect();
     println!("sorting {n} random u32 keys with {} thread(s)", rayon::current_num_threads());
 
     let mut reference = keys.clone();

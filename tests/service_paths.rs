@@ -13,16 +13,8 @@ use ccsort::service::{ServiceConfig, SortService, SubmitError, COALESCE_GATE_KEY
 
 /// Deterministic keys (splitmix64) — the same arrays on every run.
 fn keys(n: usize, seed: u64) -> Vec<u32> {
-    let mut s = seed;
-    (0..n)
-        .map(|_| {
-            s = s.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            let mut z = s;
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            (z ^ (z >> 31)) as u32
-        })
-        .collect()
+    let mut rng = ccsort_rng::SplitMix64::seed_from_u64(seed);
+    (0..n).map(|_| rng.random()).collect()
 }
 
 fn keys64(n: usize, seed: u64) -> Vec<u64> {
