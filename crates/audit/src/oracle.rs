@@ -281,7 +281,7 @@ mod tests {
 
     #[test]
     fn regression_points_pass_the_full_oracle() {
-        // The two checked-in proptest counterexamples, end to end.
+        // The two cases `tests/regression_seeds.rs` pins, end to end.
         for &(n, p) in &[(1usize << 10, 3usize), (64, 7)] {
             let pt = Point {
                 dist: Dist::Stagger,

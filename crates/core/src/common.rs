@@ -267,37 +267,55 @@ mod tests {
 }
 
 #[cfg(test)]
-mod proptests {
+mod properties {
     use super::*;
-    use proptest::prelude::*;
+    use ccsort_rng::check_cases;
 
-    proptest! {
-        #[test]
-        fn owner_of_inverts_part_range(n in 1usize..10_000, p in 1usize..64, idx in 0usize..10_000) {
-            prop_assume!(idx < n && p <= n);
-            let owner = owner_of(n, p, idx);
-            let range = part_range(n, p, owner);
-            prop_assert!(range.contains(&idx), "idx {idx} not in {range:?} of owner {owner}");
-        }
+    #[test]
+    fn owner_of_inverts_part_range() {
+        check_cases(
+            256,
+            |rng| {
+                let n = rng.random_range(1usize..10_000);
+                (n, rng.random_range(1..=n.min(63)), rng.random_range(0..n))
+            },
+            |&(n, p, idx)| {
+                let owner = owner_of(n, p, idx);
+                let range = part_range(n, p, owner);
+                assert!(range.contains(&idx), "idx {idx} not in {range:?} of owner {owner}");
+            },
+        );
+    }
 
-        #[test]
-        fn exclusive_scan_matches_definition(v in proptest::collection::vec(0u32..1000, 0..200)) {
-            let scan = exclusive_scan(&v);
-            let mut acc = 0u32;
-            for (i, &x) in v.iter().enumerate() {
-                prop_assert_eq!(scan[i], acc);
-                acc += x;
-            }
-        }
+    #[test]
+    fn exclusive_scan_matches_definition() {
+        check_cases(
+            256,
+            |rng| (0..rng.random_range(0..200)).map(|_| rng.random_range(0u32..1000)).collect::<Vec<_>>(),
+            |v| {
+                let scan = exclusive_scan(v);
+                let mut acc = 0u32;
+                for (i, &x) in v.iter().enumerate() {
+                    assert_eq!(scan[i], acc);
+                    acc += x;
+                }
+            },
+        );
+    }
 
-        #[test]
-        fn digits_reassemble_the_key(key in any::<u32>(), r in 1u32..=16) {
-            let passes = n_passes(32, r);
-            let mut rebuilt: u64 = 0;
-            for pass in 0..passes {
-                rebuilt |= (digit(key, pass, r) as u64) << (pass * r);
-            }
-            prop_assert_eq!(rebuilt as u32, key);
-        }
+    #[test]
+    fn digits_reassemble_the_key() {
+        check_cases(
+            256,
+            |rng| (rng.random::<u32>(), rng.random_range(1u32..=16)),
+            |&(key, r)| {
+                let passes = n_passes(32, r);
+                let mut rebuilt: u64 = 0;
+                for pass in 0..passes {
+                    rebuilt |= (digit(key, pass, r) as u64) << (pass * r);
+                }
+                assert_eq!(rebuilt as u32, key);
+            },
+        );
     }
 }

@@ -241,44 +241,47 @@ mod tests {
 }
 
 #[cfg(test)]
-mod proptests {
+mod properties {
     use super::*;
-    use proptest::prelude::*;
 
-    proptest! {
-        /// Any permutation written through disjoint SharedSlice writes in
-        /// parallel lands exactly.
-        #[test]
-        fn arbitrary_disjoint_permutation(n in 1usize..2000, seed in any::<u64>()) {
-            // Deterministic permutation from the seed.
-            let mut perm: Vec<usize> = (0..n).collect();
-            let mut state = seed | 1;
-            for i in (1..n).rev() {
-                state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-                let j = (state >> 33) as usize % (i + 1);
-                perm.swap(i, j);
-            }
-            let mut out = vec![u32::MAX; n];
-            let shared = SharedSlice::new(&mut out);
-            let threads = 4.min(n);
-            std::thread::scope(|s| {
-                for t in 0..threads {
-                    let shared = &shared;
-                    let perm = &perm;
-                    s.spawn(move || {
-                        let mut i = t;
-                        while i < n {
-                            // SAFETY: perm is a bijection and the strided
-                            // sources are disjoint, so targets are disjoint.
-                            unsafe { shared.write(perm[i], i as u32) };
-                            i += threads;
-                        }
-                    });
+    /// Any permutation written through disjoint SharedSlice writes in
+    /// parallel lands exactly.
+    #[test]
+    fn arbitrary_disjoint_permutation() {
+        ccsort_rng::check_cases(
+            256,
+            |rng| {
+                // Fisher–Yates from the case's generator.
+                let n = rng.random_range(1usize..2000);
+                let mut perm: Vec<usize> = (0..n).collect();
+                for i in (1..n).rev() {
+                    perm.swap(i, rng.random_range(0..=i));
                 }
-            });
-            for (i, &p) in perm.iter().enumerate() {
-                prop_assert_eq!(out[p], i as u32);
-            }
-        }
+                perm
+            },
+            |perm| {
+                let n = perm.len();
+                let mut out = vec![u32::MAX; n];
+                let shared = SharedSlice::new(&mut out);
+                let threads = 4.min(n);
+                std::thread::scope(|s| {
+                    for t in 0..threads {
+                        let shared = &shared;
+                        s.spawn(move || {
+                            let mut i = t;
+                            while i < n {
+                                // SAFETY: perm is a bijection and the strided
+                                // sources are disjoint, so targets are disjoint.
+                                unsafe { shared.write(perm[i], i as u32) };
+                                i += threads;
+                            }
+                        });
+                    }
+                });
+                for (i, &p) in perm.iter().enumerate() {
+                    assert_eq!(out[p], i as u32);
+                }
+            },
+        );
     }
 }

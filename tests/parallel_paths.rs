@@ -1,7 +1,7 @@
 //! Deterministic coverage of the parallel radix engine — write-coalescing
 //! staging, the work-stealing chunk queue, the fold and counting during
 //! the permute — sized for the gating ThreadSanitizer CI tier: real
-//! threads, real contention, no proptest shrinking loops. The engine's
+//! threads, real contention, no generate-and-check loops. The engine's
 //! whole configuration space is schedules × worker counts × digit widths,
 //! and this file crosses all of it.
 //!

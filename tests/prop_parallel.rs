@@ -1,6 +1,7 @@
-//! Property-based tests for the real threaded sorting library: for
-//! arbitrary inputs, every sort is a permutation-preserving ordering
-//! identical to the standard library's.
+//! Property tests for the real threaded sorting library: for seeded
+//! random inputs, every sort is a permutation-preserving ordering
+//! identical to the standard library's. A failing case names its seed;
+//! `ccsort_rng::check_case` replays it.
 
 use ccsort::parallel::msg::radix_sort_msg;
 use ccsort::parallel::pairs::{
@@ -8,10 +9,32 @@ use ccsort::parallel::pairs::{
 };
 use ccsort::parallel::sym::radix_sort_shmem;
 use ccsort::parallel::{
-    par_radix_sort_with, par_sample_sort_with, seq_radix_sort, RadixSortConfig, SampleSortConfig,
-    Schedule, SortScratch,
+    par_radix_sort_with, par_sample_sort_with, seq_radix_sort, RadixKey, RadixSortConfig,
+    SampleSortConfig, Schedule, SortScratch,
 };
-use proptest::prelude::*;
+use ccsort_rng::{check_cases, Random, SplitMix64};
+
+/// Cases per property.
+const CASES: u64 = 64;
+
+/// Worker counts: non-powers of two, and more workers than keys when n is
+/// small.
+const CHUNKS: [usize; 7] = [1, 2, 3, 5, 7, 8, 13];
+
+/// Uniform draws, as many as one draw from `len` says.
+fn vec_of<T: Random>(rng: &mut SplitMix64, len: std::ops::Range<usize>) -> Vec<T> {
+    (0..rng.random_range(len)).map(|_| rng.random()).collect()
+}
+
+fn pick<T: Copy>(rng: &mut SplitMix64, from: &[T]) -> T {
+    from[rng.random_range(0..from.len())]
+}
+
+fn sorted<T: Ord + Clone>(v: &[T]) -> Vec<T> {
+    let mut expect = v.to_vec();
+    expect.sort_unstable();
+    expect
+}
 
 /// The LSD-only engine (`simple()`) at a sampled digit width and worker
 /// count — with the cutoff, the whole of the engine's configuration space.
@@ -50,205 +73,222 @@ fn build_input(shape: usize, n: usize, seed: u64) -> Vec<u32> {
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
+#[test]
+fn seq_radix_matches_std() {
+    check_cases(
+        CASES,
+        |rng| (vec_of::<u32>(rng, 0..4000), rng.random_range(1u32..=16)),
+        |(v, bits)| {
+            let mut got = v.clone();
+            seq_radix_sort(&mut got, *bits);
+            assert_eq!(got, sorted(v));
+        },
+    );
+}
 
-    #[test]
-    fn seq_radix_matches_std(mut v in proptest::collection::vec(any::<u32>(), 0..4000), bits in 1u32..=16) {
-        let mut expect = v.clone();
-        expect.sort_unstable();
-        seq_radix_sort(&mut v, bits);
-        prop_assert_eq!(v, expect);
-    }
+#[test]
+fn seq_radix_matches_std_signed() {
+    check_cases(
+        CASES,
+        |rng| vec_of::<i64>(rng, 0..2000),
+        |v| {
+            let mut got = v.clone();
+            seq_radix_sort(&mut got, 11);
+            assert_eq!(got, sorted(v));
+        },
+    );
+}
 
-    #[test]
-    fn seq_radix_matches_std_signed(mut v in proptest::collection::vec(any::<i64>(), 0..2000)) {
-        let mut expect = v.clone();
-        expect.sort_unstable();
-        seq_radix_sort(&mut v, 11);
-        prop_assert_eq!(v, expect);
-    }
+#[test]
+fn par_radix_matches_std() {
+    check_cases(
+        CASES,
+        |rng| (vec_of::<u32>(rng, 0..6000), rng.random_range(1usize..12), rng.random_range(4u32..=12)),
+        |(v, chunks, bits)| {
+            let mut got = v.clone();
+            par_radix_sort_with(&mut got, &build_config(*bits, *chunks));
+            assert_eq!(got, sorted(v));
+        },
+    );
+}
 
-    #[test]
-    fn par_radix_matches_std(
-        mut v in proptest::collection::vec(any::<u32>(), 0..6000),
-        chunks in 1usize..12,
-        bits in 4u32..=12,
-    ) {
-        let mut expect = v.clone();
-        expect.sort_unstable();
-        par_radix_sort_with(&mut v, &build_config(bits, chunks));
-        prop_assert_eq!(v, expect);
-    }
+fn sample_sorted<K: RadixKey + Default>(v: &[K], parts: usize) -> Vec<K> {
+    let mut got = v.to_vec();
+    par_sample_sort_with(
+        &mut got,
+        &SampleSortConfig { parts: Some(parts), sequential_cutoff: 0, ..Default::default() },
+    );
+    got
+}
 
-    #[test]
-    fn par_sample_matches_std(
-        mut v in proptest::collection::vec(any::<u64>(), 0..6000),
-        parts in 1usize..10,
-    ) {
-        let mut expect = v.clone();
-        expect.sort_unstable();
-        par_sample_sort_with(&mut v, &SampleSortConfig {
-            parts: Some(parts),
-            sequential_cutoff: 0,
-            ..Default::default()
-        });
-        prop_assert_eq!(v, expect);
-    }
+#[test]
+fn par_sample_matches_std() {
+    check_cases(
+        CASES,
+        |rng| (vec_of::<u64>(rng, 0..6000), rng.random_range(1usize..10)),
+        |(v, parts)| assert_eq!(sample_sorted(v, *parts), sorted(v)),
+    );
+}
 
-    #[test]
-    fn par_sample_handles_low_cardinality(
-        mut v in proptest::collection::vec(0u32..8, 0..6000),
-        parts in 1usize..10,
-    ) {
-        // Massive duplication: exercises the tied-splitter spreading.
-        let mut expect = v.clone();
-        expect.sort_unstable();
-        par_sample_sort_with(&mut v, &SampleSortConfig {
-            parts: Some(parts),
-            sequential_cutoff: 0,
-            ..Default::default()
-        });
-        prop_assert_eq!(v, expect);
-    }
+/// Massive duplication: exercises the tied-splitter spreading.
+#[test]
+fn par_sample_handles_low_cardinality() {
+    check_cases(
+        CASES,
+        |rng| {
+            let n = rng.random_range(0..6000);
+            let v: Vec<u32> = (0..n).map(|_| rng.random_range(0..8)).collect();
+            (v, rng.random_range(1usize..10))
+        },
+        |(v, parts)| assert_eq!(sample_sorted(v, *parts), sorted(v)),
+    );
+}
 
-    #[test]
-    fn msg_radix_matches_std(
-        mut v in proptest::collection::vec(any::<u32>(), 0..3000),
-        p in 1usize..7,
-        bits in 6u32..=11,
-    ) {
-        let mut expect = v.clone();
-        expect.sort_unstable();
-        radix_sort_msg(&mut v, p, bits);
-        prop_assert_eq!(v, expect);
-    }
+/// One of the two runtime sorts (message passing, symmetric heap).
+type RuntimeSort = fn(&mut [u32], usize, u32);
 
-    #[test]
-    fn shmem_radix_matches_std(
-        mut v in proptest::collection::vec(any::<u32>(), 0..3000),
-        p in 1usize..7,
-        bits in 6u32..=11,
-    ) {
-        let mut expect = v.clone();
-        expect.sort_unstable();
-        radix_sort_shmem(&mut v, p, bits);
-        prop_assert_eq!(v, expect);
-    }
+fn runtime_matches_std(sort: RuntimeSort) {
+    check_cases(
+        CASES,
+        |rng| (vec_of::<u32>(rng, 0..3000), rng.random_range(1usize..7), rng.random_range(6u32..=11)),
+        |(v, p, bits)| {
+            let mut got = v.clone();
+            sort(&mut got, *p, *bits);
+            assert_eq!(got, sorted(v));
+        },
+    );
+}
 
-    #[test]
-    fn msg_radix_handles_non_power_of_two_p(
-        mut v in proptest::collection::vec(any::<u32>(), 64..2000),
-        p in prop::sample::select(vec![3usize, 5, 6, 7, 63]),
-        bits in prop::sample::select(vec![5u32, 7, 9, 11]),
-    ) {
-        // Both checked-in regression seeds sat at odd p; sweep the real
-        // threaded sorts across non-power-of-two process counts (and
-        // non-power-of-two digit widths, hence odd bin counts) too.
-        let mut expect = v.clone();
-        expect.sort_unstable();
-        radix_sort_msg(&mut v, p, bits);
-        prop_assert_eq!(v, expect);
-    }
+#[test]
+fn msg_radix_matches_std() {
+    runtime_matches_std(radix_sort_msg);
+}
 
-    #[test]
-    fn shmem_radix_handles_non_power_of_two_p(
-        mut v in proptest::collection::vec(any::<u32>(), 64..2000),
-        p in prop::sample::select(vec![3usize, 5, 6, 7, 63]),
-        bits in prop::sample::select(vec![5u32, 7, 9, 11]),
-    ) {
-        let mut expect = v.clone();
-        expect.sort_unstable();
-        radix_sort_shmem(&mut v, p, bits);
-        prop_assert_eq!(v, expect);
-    }
+#[test]
+fn shmem_radix_matches_std() {
+    runtime_matches_std(radix_sort_shmem);
+}
 
-    #[test]
-    fn par_radix_any_config_matches_std(
-        shape in 0usize..4,
-        n in 0usize..6000,
-        seed in any::<u64>(),
-        bits in 4u32..=12,
-        chunks in prop::sample::select(vec![1usize, 2, 3, 5, 7, 8, 13]),
-    ) {
-        // Every digit width × worker count (non-powers of two, and more
-        // workers than keys when n is small) is bit-identical to std.
-        let cfg = build_config(bits, chunks);
-        let mut v = build_input(shape, n, seed);
-        let mut expect = v.clone();
-        expect.sort_unstable();
-        par_radix_sort_with(&mut v, &cfg);
-        prop_assert_eq!(v, expect);
-    }
+/// Both cases pinned in `regression_seeds.rs` sat at odd p; sweep the real
+/// threaded sorts across non-power-of-two process counts (and
+/// non-power-of-two digit widths, hence odd bin counts) too.
+fn runtime_handles_non_power_of_two_p(sort: RuntimeSort) {
+    check_cases(
+        CASES,
+        |rng| (vec_of::<u32>(rng, 64..2000), pick(rng, &[3usize, 5, 6, 7, 63]), pick(rng, &[5u32, 7, 9, 11])),
+        |(v, p, bits)| {
+            let mut got = v.clone();
+            sort(&mut got, *p, *bits);
+            assert_eq!(got, sorted(v));
+        },
+    );
+}
 
-    #[test]
-    fn par_radix_pairs_any_config_stable(
-        shape in 0usize..4,
-        n in 0usize..4000,
-        seed in any::<u64>(),
-        bits in 4u32..=12,
-        chunks in prop::sample::select(vec![1usize, 2, 3, 5, 7, 8, 13]),
-    ) {
-        // Payloads record original positions, so the unique stable order
-        // doubles as the oracle: any scheduling- or buffering-induced
-        // reordering of equal keys would diverge from the sequential sort.
-        let cfg = build_config(bits, chunks);
-        let keys = build_input(shape, n, seed);
-        let vals: Vec<u32> = (0..keys.len() as u32).collect();
-        let (mut ks, mut vs) = (keys.clone(), vals.clone());
-        radix_sort_pairs(&mut ks, &mut vs, cfg.radix_bits);
-        let (mut kp, mut vp) = (keys, vals);
-        par_radix_sort_pairs_with(&mut kp, &mut vp, &cfg);
-        prop_assert_eq!(kp, ks);
-        prop_assert_eq!(vp, vs);
-    }
+#[test]
+fn msg_radix_handles_non_power_of_two_p() {
+    runtime_handles_non_power_of_two_p(radix_sort_msg);
+}
 
-    #[test]
-    fn either_schedule_is_stable_and_equals_the_simple_oracle(
-        shape in prop::sample::select(vec![0usize, 0, 0, 1, 2, 3]),
-        n in 0usize..6000,
-        seed in any::<u64>(),
-        bits in 3u32..=5,
-        key_bits in prop::sample::select(vec![8u32, 12, 16, 20, 30, 32]),
-        cutoff_div in prop::sample::select(vec![2usize, 3, 4, 8]),
-        chunks in prop::sample::select(vec![1usize, 2, 3, 5, 7, 8, 13]),
-    ) {
-        // A cutoff that is a fraction of n lets the data decide between the
-        // MSD-first and the LSD schedule (narrow digits keep `bins² <= 2n`
-        // reachable at these sizes; `key_bits` moves the top live digit).
-        // Whatever it decides: pairs equal the stable `sort_by_key`, equal
-        // the LSD-only `simple()` bit for bit, and an MSD-first report is
-        // only ever made within the rule.
-        let cfg = RadixSortConfig { sequential_cutoff: n / cutoff_div, ..build_config(bits, chunks) };
-        let keys: Vec<u32> = build_input(shape, n, seed).iter().map(|k| k >> (32 - key_bits)).collect();
-        let vals: Vec<u32> = (0..keys.len() as u32).collect();
-        let mut expect: Vec<(u32, u32)> = keys.iter().copied().zip(vals.iter().copied()).collect();
-        expect.sort_by_key(|p| p.0);
+#[test]
+fn shmem_radix_handles_non_power_of_two_p() {
+    runtime_handles_non_power_of_two_p(radix_sort_shmem);
+}
 
-        let mut scratch: SortScratch<u32, u32> = SortScratch::new();
-        let (mut kp, mut vp) = (keys.clone(), vals.clone());
-        par_radix_sort_pairs_with_scratch(&mut kp, &mut vp, &cfg, &mut scratch);
-        let got: Vec<(u32, u32)> = kp.iter().copied().zip(vp.iter().copied()).collect();
-        prop_assert_eq!(&got, &expect);
-        if let Some(Schedule::MsdFirst { live_passes, largest_bucket, .. }) = scratch.last_schedule() {
-            prop_assert!(live_passes >= 2 && largest_bucket <= cfg.sequential_cutoff);
-        }
+/// Every digit width × worker count is bit-identical to std.
+#[test]
+fn par_radix_any_config_matches_std() {
+    check_cases(
+        CASES,
+        |rng| {
+            let v = build_input(rng.random_range(0..4), rng.random_range(0..6000), rng.random());
+            (v, rng.random_range(4u32..=12), pick(rng, &CHUNKS))
+        },
+        |(v, bits, chunks)| {
+            let mut got = v.clone();
+            par_radix_sort_with(&mut got, &build_config(*bits, *chunks));
+            assert_eq!(got, sorted(v));
+        },
+    );
+}
 
-        let (mut ks, mut vs) = (keys, vals);
-        par_radix_sort_pairs_with(&mut ks, &mut vs, &build_config(bits, chunks));
-        prop_assert_eq!(kp, ks);
-        prop_assert_eq!(vp, vs);
-    }
+/// Payloads record original positions, so the unique stable order doubles
+/// as the oracle: any scheduling- or buffering-induced reordering of equal
+/// keys would diverge from the sequential sort.
+#[test]
+fn par_radix_pairs_any_config_stable() {
+    check_cases(
+        CASES,
+        |rng| {
+            let keys = build_input(rng.random_range(0..4), rng.random_range(0..4000), rng.random());
+            (keys, rng.random_range(4u32..=12), pick(rng, &CHUNKS))
+        },
+        |(keys, bits, chunks)| {
+            let cfg = build_config(*bits, *chunks);
+            let vals: Vec<u32> = (0..keys.len() as u32).collect();
+            let (mut ks, mut vs) = (keys.clone(), vals.clone());
+            radix_sort_pairs(&mut ks, &mut vs, cfg.radix_bits);
+            let (mut kp, mut vp) = (keys.clone(), vals);
+            par_radix_sort_pairs_with(&mut kp, &mut vp, &cfg);
+            assert_eq!(kp, ks);
+            assert_eq!(vp, vs);
+        },
+    );
+}
 
-    #[test]
-    fn all_sorts_agree_pairwise(v in proptest::collection::vec(any::<u32>(), 0..3000)) {
-        let mut a = v.clone();
-        let mut b = v.clone();
-        let mut c = v;
-        par_radix_sort_with(&mut a, &RadixSortConfig { sequential_cutoff: 0, ..Default::default() });
-        par_sample_sort_with(&mut b, &SampleSortConfig { sequential_cutoff: 0, ..Default::default() });
-        radix_sort_msg(&mut c, 3, 8);
-        prop_assert_eq!(&a, &b);
-        prop_assert_eq!(&b, &c);
-    }
+/// A cutoff that is a fraction of n lets the data decide between the
+/// MSD-first and the LSD schedule (narrow digits keep `bins² <= 2n`
+/// reachable at these sizes; `key_bits` moves the top live digit).
+/// Whatever it decides: pairs equal the stable `sort_by_key`, equal the
+/// LSD-only `simple()` bit for bit, and an MSD-first report is only ever
+/// made within the rule.
+#[test]
+fn either_schedule_is_stable_and_equals_the_simple_oracle() {
+    check_cases(
+        CASES,
+        |rng| {
+            let shape = pick(rng, &[0usize, 0, 0, 1, 2, 3]);
+            let (n, seed) = (rng.random_range(0..6000), rng.random());
+            let key_bits = pick(rng, &[8u32, 12, 16, 20, 30, 32]);
+            let keys: Vec<u32> =
+                build_input(shape, n, seed).iter().map(|k| k >> (32 - key_bits)).collect();
+            (keys, rng.random_range(3u32..=5), pick(rng, &[2usize, 3, 4, 8]), pick(rng, &CHUNKS))
+        },
+        |(keys, bits, cutoff_div, chunks)| {
+            let simple = build_config(*bits, *chunks);
+            let cfg = RadixSortConfig { sequential_cutoff: keys.len() / cutoff_div, ..simple.clone() };
+            let vals: Vec<u32> = (0..keys.len() as u32).collect();
+            let mut expect: Vec<(u32, u32)> = keys.iter().copied().zip(vals.iter().copied()).collect();
+            expect.sort_by_key(|p| p.0);
+
+            let mut scratch: SortScratch<u32, u32> = SortScratch::new();
+            let (mut kp, mut vp) = (keys.clone(), vals.clone());
+            par_radix_sort_pairs_with_scratch(&mut kp, &mut vp, &cfg, &mut scratch);
+            let got: Vec<(u32, u32)> = kp.iter().copied().zip(vp.iter().copied()).collect();
+            assert_eq!(got, expect);
+            if let Some(Schedule::MsdFirst { live_passes, largest_bucket, .. }) = scratch.last_schedule() {
+                assert!(live_passes >= 2 && largest_bucket <= cfg.sequential_cutoff);
+            }
+
+            let (mut ks, mut vs) = (keys.clone(), vals);
+            par_radix_sort_pairs_with(&mut ks, &mut vs, &simple);
+            assert_eq!(kp, ks);
+            assert_eq!(vp, vs);
+        },
+    );
+}
+
+#[test]
+fn all_sorts_agree_pairwise() {
+    check_cases(
+        CASES,
+        |rng| vec_of::<u32>(rng, 0..3000),
+        |v| {
+            let (mut a, mut b, mut c) = (v.clone(), v.clone(), v.clone());
+            par_radix_sort_with(&mut a, &RadixSortConfig { sequential_cutoff: 0, ..Default::default() });
+            par_sample_sort_with(&mut b, &SampleSortConfig { sequential_cutoff: 0, ..Default::default() });
+            radix_sort_msg(&mut c, 3, 8);
+            assert_eq!(a, b);
+            assert_eq!(b, c);
+        },
+    );
 }

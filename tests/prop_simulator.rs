@@ -1,184 +1,217 @@
-//! Property-based tests for the simulator stack: any (algorithm, size,
-//! processor count, radix, distribution) combination sorts correctly, time
+//! Property tests for the simulator stack: any (algorithm, size, processor
+//! count, radix, distribution) combination sorts correctly, time
 //! accounting is positive and consistent, and the machine's invariants
 //! hold. Every generated case runs through the audit layer — the machine
 //! invariant auditor (`Machine::audit`) and the distribution validator
-//! (`ccsort_audit::validate_dist`) — not just output verification.
+//! (`ccsort_audit::validate_dist`) — not just output verification. A
+//! failing case names its seed; `ccsort_rng::check_case` replays it.
 
 use ccsort::algos::dist::{generate, Dist, MAX_KEY};
 use ccsort::algos::{run_experiment_audited, Algorithm, ExpConfig};
 use ccsort::machine::{Machine, MachineConfig, Placement};
 use ccsort_audit::validate_dist;
-use proptest::prelude::*;
+use ccsort_rng::{check_cases, SplitMix64};
 
-fn arb_dist() -> impl Strategy<Value = Dist> {
-    prop::sample::select(Dist::ALL.to_vec())
+fn pick<T: Copy>(rng: &mut SplitMix64, from: &[T]) -> T {
+    from[rng.random_range(0..from.len())]
 }
 
-fn arb_alg() -> impl Strategy<Value = Algorithm> {
-    prop::sample::select(Algorithm::ALL.to_vec())
+/// `1..max_len` draws of `one`.
+fn ops_of<T>(rng: &mut SplitMix64, max_len: usize, one: impl Fn(&mut SplitMix64) -> T) -> Vec<T> {
+    (0..rng.random_range(1..max_len)).map(|_| one(rng)).collect()
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
-
-    #[test]
-    fn any_experiment_verifies_and_accounts_time(
-        alg in arb_alg(),
-        dist in arb_dist(),
-        n_shift in 10usize..13,
-        p in 1usize..10,
-        r in 6u32..=11,
-        seed in 0u64..1000,
-    ) {
-        let n = 1 << n_shift;
-        let cfg = ExpConfig::new(alg, n, p).radix_bits(r).dist(dist).seed(seed).scale(256);
-        let (res, violations) = run_experiment_audited(&cfg);
-        prop_assert!(violations.is_empty(), "{:?} machine audit: {:?}", cfg, violations);
-        prop_assert!(res.verified, "{:?} produced unsorted output", cfg);
-        prop_assert!(res.parallel_ns > 0.0);
-        prop_assert_eq!(res.per_pe.len(), p);
-        // Every processor's clock equals the sum of its buckets.
-        for b in &res.per_pe {
-            prop_assert!(b.busy >= 0.0 && b.lmem >= 0.0 && b.rmem >= 0.0 && b.sync >= 0.0);
-            prop_assert!(b.total() <= res.parallel_ns * (1.0 + 1e-9));
-        }
-    }
-
-    #[test]
-    fn distributions_stay_in_range_and_are_deterministic(
-        dist in arb_dist(),
-        n in 64usize..4096,
-        p in 1usize..16,
-        r in 6u32..=12,
-        seed in 0u64..1000,
-    ) {
-        let n = n.max(p);
-        let keys = generate(dist, n, p, r, seed);
-        prop_assert_eq!(keys.len(), n);
-        prop_assert!(keys.iter().all(|&k| (k as u64) < MAX_KEY));
-        prop_assert_eq!(generate(dist, n, p, r, seed), keys);
-        // Shape properties: window permutations, digit locality, coverage.
-        let errs = validate_dist(dist, n, p, r, seed);
-        prop_assert!(errs.is_empty(), "distribution validator: {:?}", errs);
-    }
-
-    #[test]
-    fn machine_reads_return_last_write(
-        writes in proptest::collection::vec((0usize..512, any::<u32>()), 1..200),
-        p in 1usize..5,
-    ) {
-        let mut m = Machine::new(MachineConfig::origin2000(p).scaled_down(256));
-        let arr = m.alloc(512, Placement::Partitioned { parts: p }, "a");
-        let mut shadow = vec![0u32; 512];
-        for (i, &(idx, v)) in writes.iter().enumerate() {
-            let pe = i % p;
-            m.write_at(pe, arr, idx, v);
-            shadow[idx] = v;
-        }
-        for (idx, &v) in shadow.iter().enumerate() {
-            let pe = idx % p;
-            prop_assert_eq!(m.read_at(pe, arr, idx), v);
-        }
-    }
-
-    #[test]
-    fn machine_time_is_monotone_per_processor(
-        ops in proptest::collection::vec((0usize..256, any::<bool>()), 1..300),
-    ) {
-        let mut m = Machine::new(MachineConfig::origin2000(4).scaled_down(256));
-        let arr = m.alloc(256, Placement::Interleaved, "a");
-        let mut last = [0.0f64; 4];
-        for (i, &(idx, write)) in ops.iter().enumerate() {
-            let pe = i % 4;
-            if write {
-                m.write_at(pe, arr, idx, i as u32);
-            } else {
-                m.read_at(pe, arr, idx);
+#[test]
+fn any_experiment_verifies_and_accounts_time() {
+    check_cases(
+        24,
+        |rng| {
+            let (alg, dist) = (pick(rng, &Algorithm::ALL), pick(rng, &Dist::ALL));
+            let n = 1 << rng.random_range(10usize..13);
+            ExpConfig::new(alg, n, rng.random_range(1usize..10))
+                .radix_bits(rng.random_range(6u32..=11))
+                .dist(dist)
+                .seed(rng.random_range(0u64..1000))
+                .scale(256)
+        },
+        |cfg| {
+            let (res, violations) = run_experiment_audited(cfg);
+            assert!(violations.is_empty(), "machine audit: {violations:?}");
+            assert!(res.verified, "unsorted output");
+            assert!(res.parallel_ns > 0.0);
+            assert_eq!(res.per_pe.len(), cfg.p);
+            // Every processor's clock equals the sum of its buckets.
+            for b in &res.per_pe {
+                assert!(b.busy >= 0.0 && b.lmem >= 0.0 && b.rmem >= 0.0 && b.sync >= 0.0);
+                assert!(b.total() <= res.parallel_ns * (1.0 + 1e-9));
             }
-            prop_assert!(m.now(pe) >= last[pe]);
-            last[pe] = m.now(pe);
-        }
-        m.barrier();
-        let t = m.now(0);
-        for pe in 0..4 {
-            prop_assert!((m.now(pe) - t).abs() < 1e-9, "barrier must align clocks");
-        }
-    }
+        },
+    );
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(16))]
+#[test]
+fn distributions_stay_in_range_and_are_deterministic() {
+    check_cases(
+        24,
+        |rng| {
+            let dist = pick(rng, &Dist::ALL);
+            let (n, p) = (rng.random_range(64usize..4096), rng.random_range(1usize..16));
+            (dist, n, p, rng.random_range(6u32..=12), rng.random_range(0u64..1000))
+        },
+        |&(dist, n, p, r, seed)| {
+            let keys = generate(dist, n, p, r, seed);
+            assert_eq!(keys.len(), n);
+            assert!(keys.iter().all(|&k| (k as u64) < MAX_KEY));
+            assert_eq!(generate(dist, n, p, r, seed), keys);
+            // Shape properties: window permutations, digit locality, coverage.
+            let errs = validate_dist(dist, n, p, r, seed);
+            assert!(errs.is_empty(), "distribution validator: {errs:?}");
+        },
+    );
+}
 
-    /// After any random access sequence, the caches and the directory must
-    /// agree on every line's ownership (the coherence invariants listed on
-    /// `Machine::check_coherence`).
-    #[test]
-    fn coherence_invariants_hold_after_random_accesses(
-        ops in proptest::collection::vec((0usize..4, 0usize..512, any::<bool>()), 1..400),
-    ) {
-        let mut m = Machine::new(MachineConfig::origin2000(4).scaled_down(256));
-        let arr = m.alloc(512, Placement::Partitioned { parts: 4 }, "a");
-        for &(pe, idx, write) in &ops {
-            if write {
-                m.write_at(pe, arr, idx, idx as u32);
-            } else {
-                m.read_at(pe, arr, idx);
+#[test]
+fn machine_reads_return_last_write() {
+    check_cases(
+        24,
+        |rng| {
+            let writes = ops_of(rng, 200, |rng| (rng.random_range(0usize..512), rng.random::<u32>()));
+            (writes, rng.random_range(1usize..5))
+        },
+        |(writes, p)| {
+            let p = *p;
+            let mut m = Machine::new(MachineConfig::origin2000(p).scaled_down(256));
+            let arr = m.alloc(512, Placement::Partitioned { parts: p }, "a");
+            let mut shadow = vec![0u32; 512];
+            for (i, &(idx, v)) in writes.iter().enumerate() {
+                m.write_at(i % p, arr, idx, v);
+                shadow[idx] = v;
             }
-        }
-        let errs = m.audit();
-        prop_assert!(errs.is_empty(), "audit violations: {:?}", &errs[..errs.len().min(5)]);
-    }
+            for (idx, &v) in shadow.iter().enumerate() {
+                assert_eq!(m.read_at(idx % p, arr, idx), v);
+            }
+        },
+    );
+}
 
-    /// DMA transfers must also leave the protocol state consistent.
-    #[test]
-    fn coherence_invariants_hold_after_dma(
-        ops in proptest::collection::vec((0usize..4, 0usize..448, 1usize..64, any::<bool>()), 1..60),
-    ) {
-        let mut m = Machine::new(MachineConfig::origin2000(4).scaled_down(256));
-        let a = m.alloc(512, Placement::Partitioned { parts: 4 }, "a");
-        let b = m.alloc(512, Placement::Partitioned { parts: 4 }, "b");
-        for &(pe, off, len, install) in &ops {
-            let len = len.min(512 - off);
-            m.dma_copy(pe, a, off, b, off, len, install);
-            m.read_at(pe, a, off); // interleave coherent traffic
-            m.write_at((pe + 1) % 4, b, off, 1);
-        }
-        let errs = m.audit();
-        prop_assert!(errs.is_empty(), "audit violations: {:?}", &errs[..errs.len().min(5)]);
-    }
+#[test]
+fn machine_time_is_monotone_per_processor() {
+    check_cases(
+        24,
+        |rng| ops_of(rng, 300, |rng| (rng.random_range(0usize..256), rng.random::<bool>())),
+        |ops| {
+            let mut m = Machine::new(MachineConfig::origin2000(4).scaled_down(256));
+            let arr = m.alloc(256, Placement::Interleaved, "a");
+            let mut last = [0.0f64; 4];
+            for (i, &(idx, write)) in ops.iter().enumerate() {
+                let pe = i % 4;
+                if write {
+                    m.write_at(pe, arr, idx, i as u32);
+                } else {
+                    m.read_at(pe, arr, idx);
+                }
+                assert!(m.now(pe) >= last[pe]);
+                last[pe] = m.now(pe);
+            }
+            m.barrier();
+            let t = m.now(0);
+            for pe in 0..4 {
+                assert!((m.now(pe) - t).abs() < 1e-9, "barrier must align clocks");
+            }
+        },
+    );
+}
 
-    /// A full simulated sort leaves a consistent machine behind.
-    #[test]
-    fn coherence_invariants_hold_after_sorts(
-        alg in arb_alg(),
-        seed in 0u64..100,
-    ) {
-        use ccsort::algos::dist::generate;
-        use ccsort::algos::KEY_BITS;
-        let n = 1 << 11;
-        let p = 4;
-        let mut m = Machine::new(MachineConfig::origin2000(p).scaled_down(256));
-        let a = m.alloc(n, Placement::Partitioned { parts: p }, "k0");
-        let b = m.alloc(n, Placement::Partitioned { parts: p }, "k1");
-        let input = generate(Dist::Gauss, n, p, 8, seed);
-        m.raw_mut(a).copy_from_slice(&input);
-        use ccsort::models::MpiMode;
-        use ccsort::algos::{radix, sample};
-        match alg {
-            Algorithm::RadixCcsas => { radix::ccsas::sort(&mut m, [a, b], n, 8, KEY_BITS); }
-            Algorithm::RadixCcsasNew => { radix::ccsas_new::sort(&mut m, [a, b], n, 8, KEY_BITS); }
-            Algorithm::RadixMpiStaged => { radix::mpi::sort(&mut m, MpiMode::Staged, [a, b], n, 8, KEY_BITS); }
-            Algorithm::RadixMpiDirect => { radix::mpi::sort(&mut m, MpiMode::Direct, [a, b], n, 8, KEY_BITS); }
-            Algorithm::RadixMpiCoalesced => { radix::mpi_coalesced::sort(&mut m, MpiMode::Direct, [a, b], n, 8, KEY_BITS); }
-            Algorithm::RadixShmem => { radix::shmem::sort(&mut m, [a, b], n, 8, KEY_BITS); }
-            Algorithm::RadixShmemPut => { radix::shmem_put::sort(&mut m, [a, b], n, 8, KEY_BITS); }
-            Algorithm::SampleCcsas => { sample::ccsas::sort(&mut m, [a, b], n, 8, KEY_BITS); }
-            Algorithm::SampleMpiStaged => { sample::mpi::sort(&mut m, MpiMode::Staged, [a, b], n, 8, KEY_BITS); }
-            Algorithm::SampleMpiDirect => { sample::mpi::sort(&mut m, MpiMode::Direct, [a, b], n, 8, KEY_BITS); }
-            Algorithm::SampleShmem => { sample::shmem::sort(&mut m, [a, b], n, 8, KEY_BITS); }
-        }
-        let errs = m.audit();
-        prop_assert!(errs.is_empty(), "audit violations after {alg:?}: {:?}", &errs[..errs.len().min(5)]);
-    }
+fn assert_audit_clean(m: &Machine) {
+    let errs = m.audit();
+    assert!(errs.is_empty(), "audit violations: {:?}", &errs[..errs.len().min(5)]);
+}
+
+/// After any random access sequence, the caches and the directory must
+/// agree on every line's ownership (the coherence invariants listed on
+/// `Machine::check_coherence`).
+#[test]
+fn coherence_invariants_hold_after_random_accesses() {
+    check_cases(
+        16,
+        |rng| {
+            ops_of(rng, 400, |rng| {
+                (rng.random_range(0usize..4), rng.random_range(0usize..512), rng.random::<bool>())
+            })
+        },
+        |ops| {
+            let mut m = Machine::new(MachineConfig::origin2000(4).scaled_down(256));
+            let arr = m.alloc(512, Placement::Partitioned { parts: 4 }, "a");
+            for &(pe, idx, write) in ops {
+                if write {
+                    m.write_at(pe, arr, idx, idx as u32);
+                } else {
+                    m.read_at(pe, arr, idx);
+                }
+            }
+            assert_audit_clean(&m);
+        },
+    );
+}
+
+/// DMA transfers must also leave the protocol state consistent.
+#[test]
+fn coherence_invariants_hold_after_dma() {
+    check_cases(
+        16,
+        |rng| {
+            ops_of(rng, 60, |rng| {
+                let (pe, off) = (rng.random_range(0usize..4), rng.random_range(0usize..448));
+                (pe, off, rng.random_range(1usize..64), rng.random::<bool>())
+            })
+        },
+        |ops| {
+            let mut m = Machine::new(MachineConfig::origin2000(4).scaled_down(256));
+            let a = m.alloc(512, Placement::Partitioned { parts: 4 }, "a");
+            let b = m.alloc(512, Placement::Partitioned { parts: 4 }, "b");
+            for &(pe, off, len, install) in ops {
+                let len = len.min(512 - off);
+                m.dma_copy(pe, a, off, b, off, len, install);
+                m.read_at(pe, a, off); // interleave coherent traffic
+                m.write_at((pe + 1) % 4, b, off, 1);
+            }
+            assert_audit_clean(&m);
+        },
+    );
+}
+
+/// A full simulated sort leaves a consistent machine behind.
+#[test]
+fn coherence_invariants_hold_after_sorts() {
+    check_cases(
+        16,
+        |rng| (pick(rng, &Algorithm::ALL), rng.random_range(0u64..100)),
+        |&(alg, seed)| {
+            use ccsort::algos::dist::generate;
+            use ccsort::algos::KEY_BITS;
+            let n = 1 << 11;
+            let p = 4;
+            let mut m = Machine::new(MachineConfig::origin2000(p).scaled_down(256));
+            let a = m.alloc(n, Placement::Partitioned { parts: p }, "k0");
+            let b = m.alloc(n, Placement::Partitioned { parts: p }, "k1");
+            let input = generate(Dist::Gauss, n, p, 8, seed);
+            m.raw_mut(a).copy_from_slice(&input);
+            use ccsort::models::MpiMode;
+            use ccsort::algos::{radix, sample};
+            match alg {
+                Algorithm::RadixCcsas => { radix::ccsas::sort(&mut m, [a, b], n, 8, KEY_BITS); }
+                Algorithm::RadixCcsasNew => { radix::ccsas_new::sort(&mut m, [a, b], n, 8, KEY_BITS); }
+                Algorithm::RadixMpiStaged => { radix::mpi::sort(&mut m, MpiMode::Staged, [a, b], n, 8, KEY_BITS); }
+                Algorithm::RadixMpiDirect => { radix::mpi::sort(&mut m, MpiMode::Direct, [a, b], n, 8, KEY_BITS); }
+                Algorithm::RadixMpiCoalesced => { radix::mpi_coalesced::sort(&mut m, MpiMode::Direct, [a, b], n, 8, KEY_BITS); }
+                Algorithm::RadixShmem => { radix::shmem::sort(&mut m, [a, b], n, 8, KEY_BITS); }
+                Algorithm::RadixShmemPut => { radix::shmem_put::sort(&mut m, [a, b], n, 8, KEY_BITS); }
+                Algorithm::SampleCcsas => { sample::ccsas::sort(&mut m, [a, b], n, 8, KEY_BITS); }
+                Algorithm::SampleMpiStaged => { sample::mpi::sort(&mut m, MpiMode::Staged, [a, b], n, 8, KEY_BITS); }
+                Algorithm::SampleMpiDirect => { sample::mpi::sort(&mut m, MpiMode::Direct, [a, b], n, 8, KEY_BITS); }
+                Algorithm::SampleShmem => { sample::shmem::sort(&mut m, [a, b], n, 8, KEY_BITS); }
+            }
+            assert_audit_clean(&m);
+        },
+    );
 }

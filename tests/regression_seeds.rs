@@ -1,14 +1,12 @@
-//! Deterministic re-runs of the shrunk proptest counterexamples checked in
-//! under `tests/prop_simulator.proptest-regressions`. The proptest harness
-//! replays those seeds too, but only when the installed proptest version
-//! reproduces the same case from the hash; these tests pin the exact
-//! configurations forever.
+//! The two shrunk counterexamples the simulator properties
+//! (`tests/prop_simulator.rs`) once found, pinned as explicit
+//! configurations.
 
 use ccsort::algos::dist::{generate, Dist, MAX_KEY};
 use ccsort::algos::{run_experiment, Algorithm, ExpConfig};
 
-/// `cc 85501424… shrinks to alg = RadixCcsas, dist = Stagger, n_shift = 10,
-/// p = 3, r = 6, seed = 0`
+/// `any_experiment_verifies_and_accounts_time` at alg = RadixCcsas, dist =
+/// Stagger, n = 2^10, p = 3, r = 6, seed = 0.
 #[test]
 fn regression_radix_ccsas_stagger_p3() {
     let cfg = ExpConfig::new(Algorithm::RadixCcsas, 1 << 10, 3)
@@ -31,7 +29,8 @@ fn regression_radix_ccsas_stagger_p3() {
     }
 }
 
-/// `cc ffee44e2… shrinks to dist = Stagger, n = 64, p = 7, r = 6, seed = 0`
+/// `distributions_stay_in_range_and_are_deterministic` at dist = Stagger,
+/// n = 64, p = 7, r = 6, seed = 0.
 #[test]
 fn regression_stagger_n64_p7() {
     let keys = generate(Dist::Stagger, 64, 7, 6, 0);

@@ -1,7 +1,7 @@
 //! Deterministic coverage of the sorting service — threaded executors,
 //! the coalescing batcher's split-back, backpressure, and steady-state
 //! scratch reuse — sized for the curated ThreadSanitizer CI tier: real
-//! threads, real condvar wake-ups and batch claims, no proptest loops.
+//! threads, real condvar wake-ups and batch claims, no generate-and-check loops.
 //!
 //! (The arbitrary-split / arbitrary-flush-timing equivalence properties
 //! live in `tests/prop_service.rs`; this file is the fixed-seed subset
