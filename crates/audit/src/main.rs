@@ -17,13 +17,13 @@
 
 use ccsort_audit::{audit_point, audit_simulated, validate_dist, Point};
 use ccsort_algos::{Algorithm, DirectoryMode, Dist, InterconnectKind, ProtocolMode};
-use rayon::prelude::*;
+use ccsort_parallel::{default_workers, par_map};
 
 /// Expand the (points × processor counts × distributions) grid in the
 /// canonical print order. Cells are independent — each audit builds its own
-/// seeded machine — so the sweeps evaluate them with rayon and print the
-/// collected results sequentially, keeping stdout byte-identical to the old
-/// sequential loop regardless of worker count.
+/// seeded machine — so the sweeps evaluate them on one thread per core and
+/// print the collected results sequentially, keeping stdout byte-identical
+/// to a sequential loop regardless of worker count.
 fn grid(points: &[(usize, u32, u64)], ps: &[usize]) -> Vec<Point> {
     let mut cells = Vec::new();
     for &(n, r, seed) in points {
@@ -118,7 +118,7 @@ fn run_grid<F>(cells: &[Point], audit: F) -> Vec<String>
 where
     F: Fn(&Point) -> Vec<String> + Sync,
 {
-    let results: Vec<Vec<String>> = cells.par_iter().map(&audit).collect();
+    let results = par_map(default_workers(), cells, &audit);
     let mut failures = Vec::new();
     for (pt, errs) in cells.iter().zip(&results) {
         let status = if errs.is_empty() { "ok" } else { "FAIL" };

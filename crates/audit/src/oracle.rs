@@ -204,7 +204,7 @@ pub fn audit_simulated(pt: &Point, algs: &[Algorithm]) -> Vec<String> {
     errs
 }
 
-/// The real-thread half of the oracle: the rayon, message-passing and
+/// The real-thread half of the oracle: the data-parallel, message-passing and
 /// symmetric-heap sorts all run on the same generated input; each output is
 /// checked against `sort_unstable` and all outputs are compared pairwise.
 pub fn audit_threaded(pt: &Point) -> Vec<String> {

@@ -19,7 +19,8 @@ use ccsort_algos::dist::{generate, Dist};
 use ccsort_parallel::msg::radix_sort_msg;
 use ccsort_parallel::sym::radix_sort_shmem;
 use ccsort_parallel::{
-    par_merge_sort, par_msd_radix_sort, par_radix_sort, par_sample_sort, seq_radix_sort,
+    default_workers, par_merge_sort, par_msd_radix_sort, par_radix_sort, par_sample_sort,
+    seq_radix_sort,
 };
 
 fn usage() -> ! {
@@ -82,8 +83,8 @@ fn main() {
                 "msd" => par_msd_radix_sort(&mut keys),
                 "merge" => par_merge_sort(&mut keys),
                 "seq-radix" => seq_radix_sort(&mut keys, 8),
-                "msg" => radix_sort_msg(&mut keys, rayon::current_num_threads().max(2), 8),
-                "shmem" => radix_sort_shmem(&mut keys, rayon::current_num_threads().max(2), 8),
+                "msg" => radix_sort_msg(&mut keys, default_workers().max(2), 8),
+                "shmem" => radix_sort_shmem(&mut keys, default_workers().max(2), 8),
                 "std" => keys.sort_unstable(),
                 other => {
                     eprintln!("unknown algorithm {other}");

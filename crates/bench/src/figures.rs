@@ -9,12 +9,12 @@
 
 //! Each grid's cells are mutually independent, so every generator first
 //! *prefetches* its full experiment grid through [`Runner::prefetch`] —
-//! filling the memo cache on a rayon pool — and then prints from the cache
-//! in the original sequential order. Output (stdout and recorded JSON
-//! points) is byte-identical to sequential execution.
+//! filling the memo cache on one thread per core — and then prints from
+//! the cache in the original sequential order. Output (stdout and recorded
+//! JSON points) is byte-identical to sequential execution.
 
 use ccsort_algos::{Algorithm, Dist};
-use rayon::prelude::*;
+use ccsort_parallel::{default_workers, par_map};
 
 use crate::runner::{ExpKey, Runner};
 
@@ -378,7 +378,7 @@ pub fn sampling(r: &mut Runner) {
             })
         })
         .collect();
-    let results: Vec<_> = cfgs.par_iter().map(run_experiment).collect();
+    let results = par_map(default_workers(), &cfgs, run_experiment);
     let mut cells = results.iter();
     for (name, _) in strategies {
         print!("{name:>24}");

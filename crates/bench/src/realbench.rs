@@ -2,7 +2,7 @@
 //! real-hardware counterpart of `BENCH_simulator.json`.
 //!
 //! The grid pits this library's parallel radix sorts against
-//! `slice::sort_unstable` and rayon's `par_sort_unstable` across input
+//! `slice::sort_unstable` and a parallel `sort_unstable` + merge across input
 //! distributions (uniform, zipf-skewed, nearly-sorted, duplicate-heavy),
 //! key kinds (u32, u64, key+payload pairs) and thread counts, with the
 //! best-of-N discipline of `simbench`: every cell is measured `reps`
@@ -146,8 +146,8 @@ fn gen_raw(n: usize, dist: Dist, seed: u64, zipf_cache: &mut BTreeMap<usize, Zip
 pub enum Algo {
     /// `slice::sort_unstable` — the single-threaded comparison baseline.
     Std,
-    /// `rayon::par_sort_unstable` — the parallel comparison baseline.
-    Rayon,
+    /// [`par_sort_unstable_baseline`] — the parallel comparison baseline.
+    ParMerge,
     /// [`RadixSortConfig::simple`]: the engine held to its LSD schedule.
     RadixLsd,
     /// The default configuration: the schedule chosen from the data.
@@ -158,7 +158,7 @@ impl Algo {
     pub fn name(self) -> &'static str {
         match self {
             Algo::Std => "std_sort_unstable",
-            Algo::Rayon => "rayon_par_sort_unstable",
+            Algo::ParMerge => "par_sort_unstable_baseline",
             Algo::RadixLsd => "radix_lsd",
             Algo::Radix => "radix",
         }
@@ -168,7 +168,7 @@ impl Algo {
     /// workers, or `None` for the comparison-sort baselines.
     fn radix_config(self, threads: usize) -> Option<RadixSortConfig> {
         let base = match self {
-            Algo::Std | Algo::Rayon => return None,
+            Algo::Std | Algo::ParMerge => return None,
             Algo::RadixLsd => RadixSortConfig::simple(),
             Algo::Radix => RadixSortConfig::default(),
         };
@@ -177,10 +177,8 @@ impl Algo {
 }
 
 /// The parallel comparison baseline: `threads` sorted runs built with
-/// `sort_unstable` in parallel, then pairwise parallel merges — the
-/// algorithm behind rayon's `par_sort_unstable`. Implemented directly on
-/// `std::thread` because the workspace's vendored rayon facade executes
-/// sequentially; the JSON's `grid_note` records this.
+/// `sort_unstable` in parallel, then pairwise parallel merges, on
+/// `std::thread`.
 pub fn par_sort_unstable_baseline<T: Copy + Ord + Default + Send + Sync>(
     v: &mut [T],
     threads: usize,
@@ -475,7 +473,7 @@ pub fn run_grid(opts: &RealBenchOpts, progress: bool) -> Vec<Row> {
     for &(kind, dist) in COMBOS {
         for &n in &opts.sizes {
             let raw = gen_raw(n, dist, 0xC0FF_EE00 ^ n as u64, &mut zipf_cache);
-            for algo in [Algo::Std, Algo::Rayon, Algo::RadixLsd, Algo::Radix] {
+            for algo in [Algo::Std, Algo::ParMerge, Algo::RadixLsd, Algo::Radix] {
                 // std is single-threaded: one row, at threads = 1.
                 let thread_list: &[usize] =
                     if algo == Algo::Std { &[1] } else { &opts.threads };
@@ -541,7 +539,7 @@ pub fn check_assertions(rows: &[Row], opts: &RealBenchOpts, tol: f64) -> Vec<Str
     require(
         "radix vs parallel merge (uniform u32)",
         find_row(rows, "u32", "radix", "uniform", n, t),
-        find_row(rows, "u32", "rayon_par_sort_unstable", "uniform", n, t),
+        find_row(rows, "u32", "par_sort_unstable_baseline", "uniform", n, t),
     );
     failures
 }
@@ -588,7 +586,7 @@ pub fn to_json(rows: &[Row], opts: &RealBenchOpts) -> String {
     }
     json.push_str("    \"os\": \"linux\"\n  },\n");
     json.push_str(
-        "  \"grid_note\": \"u32 runs all four distributions; u64 is pruned to uniform+zipf and pairs to uniform+dup_heavy (the shapes that add information); std_sort_unstable is single-threaded and reported once per combo; the rayon_par_sort_unstable row is implemented as rayon's algorithm (parallel sort_unstable runs + pairwise parallel merges) directly on std::thread because this build environment vendors a sequential rayon facade\",\n",
+        "  \"grid_note\": \"u32 runs all four distributions; u64 is pruned to uniform+zipf and pairs to uniform+dup_heavy (the shapes that add information); std_sort_unstable is single-threaded and reported once per combo; the par_sort_unstable_baseline row is parallel sort_unstable runs + pairwise parallel merges on std::thread\",\n",
     );
     json.push_str("  \"results\": [\n");
     for (i, r) in rows.iter().enumerate() {

@@ -12,7 +12,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use ccsort_algos::{run_experiment, run_sequential_baseline, Algorithm, Dist, ExpConfig, ExpResult};
-use rayon::prelude::*;
+use ccsort_parallel::{default_workers, par_map};
 use serde::Serialize;
 
 /// The paper's data-set labels (key counts at full scale).
@@ -181,7 +181,7 @@ impl Runner {
             return;
         }
         let opts = &self.opts;
-        let results: Vec<ExpResult> = todo.par_iter().map(|&key| run_cell(opts, key)).collect();
+        let results = par_map(default_workers(), &todo, |&key| run_cell(opts, key));
         for (key, res) in todo.into_iter().zip(results) {
             self.cache.insert(key, res);
         }
@@ -201,21 +201,18 @@ impl Runner {
             return;
         }
         let opts = &self.opts;
-        let times: Vec<f64> = todo
-            .par_iter()
-            .map(|&(si, dist)| {
-                let res = run_sequential_baseline(
-                    opts.n_for(si),
-                    r,
-                    dist,
-                    opts.seed,
-                    opts.scale_for(si),
-                    page_mult_for(si),
-                );
-                assert!(res.verified);
-                res.time_ns
-            })
-            .collect();
+        let times = par_map(default_workers(), &todo, |&(si, dist)| {
+            let res = run_sequential_baseline(
+                opts.n_for(si),
+                r,
+                dist,
+                opts.seed,
+                opts.scale_for(si),
+                page_mult_for(si),
+            );
+            assert!(res.verified);
+            res.time_ns
+        });
         for ((si, d), t) in todo.into_iter().zip(times) {
             self.seq_cache.insert((si, r, d), t);
         }

@@ -3,15 +3,17 @@
 //! time, per-PE breakdowns, event counters, per-phase sections — must be
 //! bit-identical however the cells are scheduled.
 //!
-//! Coverage: [`Runner::prefetch`] fills the memo cache on rayon's default
-//! worker pool (genuinely multi-threaded under real rayon; the offline
-//! stub executes sequentially), while plain `exp()` never touches rayon at
-//! all. Comparing the two run-to-run, against each other, and across
-//! submission orders pins the "worker count and scheduling change nothing"
-//! contract from every side we can observe in-process.
+//! Coverage: [`Runner::prefetch`] and [`Runner::prefetch_seq`] fill the
+//! memo caches on `default_workers()` real threads (one per core), while
+//! plain `exp()` / `seq_ns()` run on the test thread. Comparing the two
+//! run-to-run, against each other, and across submission orders pins the
+//! "worker count and scheduling change nothing" contract from every side
+//! we can observe in-process. On a one-core host the fill is inline and
+//! the comparison is vacuous; `prefetch_agrees_with_sequential_exp` says so.
 
 use ccsort_algos::{Algorithm, Dist};
 use ccsort_bench::runner::{ExpKey, Runner, RunnerOpts};
+use ccsort_parallel::default_workers;
 
 /// Exact fingerprint of one experiment: every f64 via `to_bits`, every
 /// counter verbatim, phase names included. Two results compare equal here
@@ -64,7 +66,7 @@ fn grid() -> Vec<ExpKey> {
     keys
 }
 
-/// Fill the memo cache through `Runner::prefetch` (default rayon pool)
+/// Fill the memo cache through `Runner::prefetch` (one worker per core)
 /// with the keys submitted in the given order, then fingerprint every cell
 /// in canonical grid order.
 fn run_prefetched(submit: &[ExpKey]) -> Vec<Vec<u64>> {
@@ -81,17 +83,36 @@ fn repeated_runs_are_bit_identical() {
     assert_eq!(a, b, "two identical prefetch runs disagreed");
 }
 
-/// The parallel fill must agree with the plain sequential `exp()` path (no
-/// rayon involvement at all) — this is the one-worker vs many-workers
-/// comparison: under real rayon, `prefetch` schedules cells across the
-/// default pool while `exp()` runs them one by one on the test thread.
+/// The parallel fill must agree with the plain one-by-one path — this is
+/// the one-worker vs many-workers comparison: `prefetch` / `prefetch_seq`
+/// hand the cells to `default_workers()` threads while `exp()` / `seq_ns()`
+/// run them on the test thread.
 #[test]
 fn prefetch_agrees_with_sequential_exp() {
+    // What `par_map` will use: a worker per core, never more than cells.
+    let workers = default_workers().min(grid().len());
+    if workers < 2 {
+        println!("skipped: one core, so prefetch runs inline and there is nothing to compare");
+        return;
+    }
+    println!("prefetch fills {} cells on {workers} threads", grid().len());
+
     let mut seq_runner = Runner::new(small_opts());
     let direct: Vec<Vec<u64>> =
         grid().iter().map(|&k| fingerprint(&mut seq_runner, k)).collect();
     let prefetched = run_prefetched(&grid());
     assert_eq!(direct, prefetched, "prefetch path disagreed with sequential exp()");
+
+    let seq_cells = [(0, Dist::Gauss), (0, Dist::Random)];
+    let mut par_runner = Runner::new(small_opts());
+    par_runner.prefetch_seq(&seq_cells);
+    for (si, dist) in seq_cells {
+        assert_eq!(
+            par_runner.seq_ns(si, dist).to_bits(),
+            seq_runner.seq_ns(si, dist).to_bits(),
+            "prefetch_seq disagreed with seq_ns() on {dist:?}"
+        );
+    }
 }
 
 /// Submission order (and duplicate submissions) must not matter: each cell

@@ -5,7 +5,7 @@
 //! tests, `BENCH_simulator.json` parity assertions) compare simulated
 //! times to the last bit. f64 addition is not associative, so *any*
 //! reduction whose order is implicit — `iter().sum()`, a seeded `fold` —
-//! is one refactor away from changing observables (a rayon `par_iter`
+//! is one refactor away from changing observables (a parallel-reduce
 //! drop-in, a chunked rewrite). In `crates/machine` and `crates/bench`
 //! accumulation order must be explicit: a plain indexed loop.
 //!

@@ -1,17 +1,16 @@
 //! Parallel histogram and counting-sort utilities.
 //!
 //! The building blocks of every sort in this workspace, exposed for
-//! standalone use: a rayon-parallel digit histogram whose per-thread count
+//! standalone use: a thread-parallel digit histogram whose per-thread count
 //! arrays are cache-line padded (no false sharing between accumulators), a
 //! fused multi-digit histogram that counts every pass's digits in one read,
 //! and a counting sort for small-range keys. [`PaddedCounts`] is the
 //! padded count-matrix storage the radix-sort engine builds its per-chunk
 //! histograms and offsets in.
 
-use rayon::prelude::*;
-
 use crate::key::RadixKey;
 use crate::seq::passes_for;
+use crate::steal::{default_workers, run_workers, ChunkQueue};
 
 /// Words per 64-byte cache line (`usize` is 8 bytes on every target this
 /// library supports).
@@ -187,30 +186,58 @@ pub(crate) fn count_digits_into<K: RadixKey>(keys: &[K], shift: u32, mask: u64, 
     }
 }
 
+/// Keys per claimed chunk of the standalone histograms.
+const HIST_CHUNK: usize = 64 * 1024;
+
+/// `count` of every [`HIST_CHUNK`]-key chunk of `keys`, accumulated into one
+/// `rows` × `bins` matrix: each of up to `workers` threads counts the
+/// chunks it claims into its own padded matrix, and the matrices are summed.
+fn count_chunks<K: RadixKey>(
+    workers: usize,
+    keys: &[K],
+    rows: usize,
+    bins: usize,
+    count: impl Fn(&[K], &mut PaddedCounts) + Sync,
+) -> PaddedCounts {
+    let chunks = keys.len().div_ceil(HIST_CHUNK);
+    let workers = workers.clamp(1, chunks.max(1));
+    let queue = ChunkQueue::new(workers, chunks, true);
+    let mut parts = run_workers(workers, |w| {
+        let mut h = PaddedCounts::new(rows, bins);
+        while let Some(c) = queue.claim(w) {
+            let end = ((c + 1) * HIST_CHUNK).min(keys.len());
+            count(&keys[c * HIST_CHUNK..end], &mut h);
+        }
+        h
+    })
+    .into_iter();
+    let mut total = parts.next().expect("at least one worker");
+    parts.for_each(|h| total.accumulate(&h));
+    total
+}
+
 /// Count the occurrences of the `radix_bits`-wide digit at `shift` across
 /// `keys`, in parallel. Per-thread accumulators are cache-line padded
 /// ([`PaddedCounts`]), so concurrent counting never false-shares.
 pub fn par_digit_histogram<K: RadixKey>(keys: &[K], shift: u32, radix_bits: u32) -> Vec<usize> {
+    digit_histogram_on(default_workers(), keys, shift, radix_bits)
+}
+
+/// [`par_digit_histogram`] on `workers` threads.
+fn digit_histogram_on<K: RadixKey>(
+    workers: usize,
+    keys: &[K],
+    shift: u32,
+    radix_bits: u32,
+) -> Vec<usize> {
     assert!((1..=16).contains(&radix_bits));
     let bins = 1usize << radix_bits;
     let mask = (bins - 1) as u64;
-    keys.par_chunks(64 * 1024)
-        .fold(
-            || PaddedCounts::new(1, bins),
-            |mut h, chunk| {
-                count_digits_into(chunk, shift, mask, h.row_mut(0));
-                h
-            },
-        )
-        .reduce(
-            || PaddedCounts::new(1, bins),
-            |mut a, b| {
-                a.accumulate(&b);
-                a
-            },
-        )
-        .row(0)
-        .to_vec()
+    count_chunks(workers, keys, 1, bins, |chunk, h| {
+        count_digits_into(chunk, shift, mask, h.row_mut(0))
+    })
+    .row(0)
+    .to_vec()
 }
 
 /// Fused multi-digit histogram: one parallel read of `keys` counting every
@@ -223,31 +250,27 @@ pub fn par_digit_histogram<K: RadixKey>(keys: &[K], shift: u32, radix_bits: u32)
 /// radix engine no longer needs them: it learns which passes are trivial
 /// from an OR/AND fold of the keys, one read and no counters.)
 pub fn par_multi_digit_histogram<K: RadixKey>(keys: &[K], radix_bits: u32) -> Vec<Vec<usize>> {
+    multi_digit_histogram_on(default_workers(), keys, radix_bits)
+}
+
+/// [`par_multi_digit_histogram`] on `workers` threads.
+fn multi_digit_histogram_on<K: RadixKey>(
+    workers: usize,
+    keys: &[K],
+    radix_bits: u32,
+) -> Vec<Vec<usize>> {
     assert!((1..=16).contains(&radix_bits));
     let bins = 1usize << radix_bits;
     let mask = (bins - 1) as u64;
     let passes = passes_for::<K>(radix_bits) as usize;
-    let counts = keys
-        .par_chunks(64 * 1024)
-        .fold(
-            || PaddedCounts::new(passes, bins),
-            |mut h, chunk| {
-                for k in chunk {
-                    let bits = k.to_bits();
-                    for p in 0..passes {
-                        h.row_mut(p)[((bits >> (p as u32 * radix_bits)) & mask) as usize] += 1;
-                    }
-                }
-                h
-            },
-        )
-        .reduce(
-            || PaddedCounts::new(passes, bins),
-            |mut a, b| {
-                a.accumulate(&b);
-                a
-            },
-        );
+    let counts = count_chunks(workers, keys, passes, bins, |chunk, h| {
+        for k in chunk {
+            let bits = k.to_bits();
+            for p in 0..passes {
+                h.row_mut(p)[((bits >> (p as u32 * radix_bits)) & mask) as usize] += 1;
+            }
+        }
+    });
     (0..passes).map(|p| counts.row(p).to_vec()).collect()
 }
 
@@ -322,6 +345,26 @@ mod tests {
         assert_eq!(fused.len(), 8);
         for (p, row) in fused.iter().enumerate() {
             assert_eq!(row, &par_digit_histogram(&wide, p as u32 * 8, 8));
+        }
+    }
+
+    #[test]
+    fn histograms_at_3_and_7_workers() {
+        let mut rng = SplitMix64::seed_from_u64(11);
+        // Eight chunks, the last one short; then fewer chunks than workers;
+        // then nothing.
+        for n in [7 * HIST_CHUNK + 12_345, HIST_CHUNK + 1, 0] {
+            let keys: Vec<u32> = (0..n).map(|_| rng.random()).collect();
+            let mut serial = vec![vec![0usize; 256]; 4];
+            for k in &keys {
+                for (p, row) in serial.iter_mut().enumerate() {
+                    row[(k >> (8 * p)) as usize & 0xFF] += 1;
+                }
+            }
+            for workers in [3, 7] {
+                assert_eq!(multi_digit_histogram_on(workers, &keys, 8), serial, "n={n}");
+                assert_eq!(digit_histogram_on(workers, &keys, 16, 8), serial[2], "n={n}");
+            }
         }
     }
 

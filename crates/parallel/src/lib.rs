@@ -7,13 +7,12 @@
 //!
 //! * **Shared address space** (the CC-SAS analogue): [`par_radix_sort`] and
 //!   [`par_sample_sort`] — data-parallel sorts whose permutation phase
-//!   writes directly into the shared output through disjoint ranks. The
-//!   radix engine forks one OS thread per worker under
-//!   `std::thread::scope` (`std::thread::available_parallelism` of them
-//!   by default) and hands inputs at or below
+//!   writes directly into the shared output through disjoint ranks. Both
+//!   fork one OS thread per worker under `std::thread::scope`
+//!   ([`steal::run_workers`]; `std::thread::available_parallelism` of
+//!   them by default), and the radix engine hands inputs at or below
 //!   [`RadixSortConfig::sequential_cutoff`] to the single sequential
-//!   kernel in [`seq`]; the sample sort runs on rayon. These are the fast
-//!   paths for `&mut [K]` sorting.
+//!   kernel in [`seq`]. These are the fast paths for `&mut [K]` sorting.
 //! * **Message passing** ([`msg`]): an in-process mini-MPI (per-pair
 //!   channels, barriers, allgather, alltoallv) plus [`msg::radix_sort_msg`],
 //!   the paper's MPI radix sort over it.
@@ -66,5 +65,5 @@ pub use radix::{
 pub use sample::{par_sample_sort, par_sample_sort_with, SampleSortConfig, SAMPLES_PER_PART};
 pub use seq::{radix_sort as seq_radix_sort, radix_sort_with_scratch, DEFAULT_RADIX_BITS};
 pub use shared::SharedSlice;
-pub use steal::ChunkQueue;
+pub use steal::{default_workers, par_map, ChunkQueue};
 pub use verify::{is_sorted, is_sorted_permutation_of, multiset_fingerprint};

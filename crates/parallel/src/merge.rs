@@ -4,9 +4,12 @@
 //! Classic structure: sort chunks in parallel, then merge pairs of sorted
 //! runs with parallel splitting (each merge recursively halves at the
 //! median of the larger run and binary-searches the partner, giving two
-//! independent sub-merges — Θ(log² n) span).
+//! independent sub-merges — Θ(log² n) span). A merge forks a thread per
+//! split only while its share of the workers lasts, and runs inline below
+//! that.
 
-use rayon::prelude::*;
+use crate::shared::SharedSlice;
+use crate::steal::{default_workers, par_for_each};
 
 /// Below this length a sub-merge runs sequentially.
 const SEQ_MERGE_CUTOFF: usize = 1 << 12;
@@ -15,12 +18,17 @@ const SEQ_SORT_CUTOFF: usize = 1 << 13;
 
 /// Sort `data` with a parallel stable merge sort.
 pub fn par_merge_sort<T: Ord + Copy + Send + Sync>(data: &mut [T]) {
+    merge_sort_on(default_workers(), data);
+}
+
+/// [`par_merge_sort`] on `workers` threads.
+fn merge_sort_on<T: Ord + Copy + Send + Sync>(workers: usize, data: &mut [T]) {
     let n = data.len();
     if n <= SEQ_SORT_CUTOFF {
         data.sort();
         return;
     }
-    let chunks = rayon::current_num_threads().max(2).next_power_of_two();
+    let chunks = workers.max(2).next_power_of_two();
     let bounds: Vec<usize> = (0..=chunks).map(|c| c * n / chunks).collect();
 
     // Phase 1: sort chunks in parallel (stable within each chunk).
@@ -32,7 +40,7 @@ pub fn par_merge_sort<T: Ord + Copy + Send + Sync>(data: &mut [T]) {
             parts.push(head);
             rest = tail;
         }
-        parts.into_par_iter().for_each(|p| p.sort());
+        par_for_each(workers, parts, |p| p.sort());
     }
 
     // Phase 2: log2(chunks) rounds of pairwise merges, ping-ponging with a
@@ -51,10 +59,13 @@ pub fn par_merge_sort<T: Ord + Copy + Send + Sync>(data: &mut [T]) {
             // Merge run pairs into dst, in parallel over pairs.
             let pairs: Vec<(usize, usize, usize)> =
                 runs.windows(3).step_by(2).map(|w| (w[0], w[1], w[2])).collect();
-            let dst_cell = crate::shared::SharedSlice::new(dst);
-            pairs.par_iter().for_each(|&(lo, mid, hi)| {
+            let dst_cell = SharedSlice::new(dst);
+            // Late rounds have fewer pairs than workers: each merge may
+            // fork until the pairs' forks together occupy the workers.
+            let forks = (workers / pairs.len()).next_power_of_two().trailing_zeros();
+            par_for_each(workers, pairs, |(lo, mid, hi)| {
                 // SAFETY: pair output ranges [lo, hi) are disjoint.
-                unsafe { par_merge_into(&src[lo..mid], &src[mid..hi], &dst_cell, lo) };
+                unsafe { par_merge_into(&src[lo..mid], &src[mid..hi], &dst_cell, lo, forks) };
             });
         }
         runs = merged_runs;
@@ -66,7 +77,8 @@ pub fn par_merge_sort<T: Ord + Copy + Send + Sync>(data: &mut [T]) {
 }
 
 /// Merge two sorted runs into `out[out_off..]`, splitting recursively for
-/// parallelism.
+/// parallelism: each of the first `forks` levels of splits runs its halves
+/// on two threads, the levels below run inline.
 ///
 /// # Safety
 ///
@@ -75,10 +87,11 @@ pub fn par_merge_sort<T: Ord + Copy + Send + Sync>(data: &mut [T]) {
 unsafe fn par_merge_into<T: Ord + Copy + Send + Sync>(
     a: &[T],
     b: &[T],
-    out: &crate::shared::SharedSlice<'_, T>,
+    out: &SharedSlice<'_, T>,
     out_off: usize,
+    forks: u32,
 ) {
-    if a.len() + b.len() <= SEQ_MERGE_CUTOFF {
+    if forks == 0 || a.len() + b.len() <= SEQ_MERGE_CUTOFF {
         let (mut i, mut j, mut k) = (0, 0, out_off);
         while i < a.len() && j < b.len() {
             // `<=` keeps the merge stable (a's elements first on ties).
@@ -105,21 +118,19 @@ unsafe fn par_merge_into<T: Ord + Copy + Send + Sync>(
     // Split at the median of the longer run; partition the other by binary
     // search. partition_point keeps stability: equal elements of `b` stay
     // after equal elements of `a`.
-    if a.len() >= b.len() {
+    let (am, bm) = if a.len() >= b.len() {
         let am = a.len() / 2;
-        let bm = b.partition_point(|x| *x < a[am]);
-        rayon::join(
-            || unsafe { par_merge_into(&a[..am], &b[..bm], out, out_off) },
-            || unsafe { par_merge_into(&a[am..], &b[bm..], out, out_off + am + bm) },
-        );
+        (am, b.partition_point(|x| *x < a[am]))
     } else {
         let bm = b.len() / 2;
-        let am = a.partition_point(|x| *x <= b[bm]);
-        rayon::join(
-            || unsafe { par_merge_into(&a[..am], &b[..bm], out, out_off) },
-            || unsafe { par_merge_into(&a[am..], &b[bm..], out, out_off + am + bm) },
-        );
-    }
+        (a.partition_point(|x| *x <= b[bm]), bm)
+    };
+    // SAFETY: the halves write `[out_off, out_off + am + bm)` and the rest of
+    // the caller's range, which do not overlap.
+    std::thread::scope(|s| {
+        s.spawn(|| unsafe { par_merge_into(&a[..am], &b[..bm], out, out_off, forks - 1) });
+        unsafe { par_merge_into(&a[am..], &b[bm..], out, out_off + am + bm, forks - 1) };
+    });
 }
 
 #[cfg(test)]
@@ -152,35 +163,60 @@ mod tests {
         check(vec![1u32]);
     }
 
+    /// A (key, original index) record ordered by key only — `Ord` on tuples
+    /// would use the index — so a sort's stability shows in the indices.
+    #[derive(Clone, Copy, Debug)]
+    struct Rec(u8, u32);
+    impl PartialEq for Rec {
+        fn eq(&self, o: &Self) -> bool {
+            self.0 == o.0 // key only, consistent with Ord
+        }
+    }
+    impl Eq for Rec {}
+    impl PartialOrd for Rec {
+        fn partial_cmp(&self, o: &Self) -> Option<std::cmp::Ordering> {
+            Some(self.cmp(o))
+        }
+    }
+    impl Ord for Rec {
+        fn cmp(&self, o: &Self) -> std::cmp::Ordering {
+            self.0.cmp(&o.0)
+        }
+    }
+
     #[test]
     fn stability_observed_through_pairs() {
-        // Sort (key, original_index) pairs by key only via Ord on tuples
-        // would use the index; instead check stability with a wrapper that
-        // compares only the key.
-        #[derive(Clone, Copy, Debug)]
-        struct Rec(u8, u32);
-        impl PartialEq for Rec {
-            fn eq(&self, o: &Self) -> bool {
-                self.0 == o.0 // key only, consistent with Ord
-            }
-        }
-        impl Eq for Rec {}
-        impl PartialOrd for Rec {
-            fn partial_cmp(&self, o: &Self) -> Option<std::cmp::Ordering> {
-                Some(self.cmp(o))
-            }
-        }
-        impl Ord for Rec {
-            fn cmp(&self, o: &Self) -> std::cmp::Ordering {
-                self.0.cmp(&o.0)
-            }
-        }
         let mut v: Vec<Rec> = (0..120_000u32).map(|i| Rec((i % 3) as u8, i)).collect();
         par_merge_sort(&mut v);
         for w in v.windows(2) {
             if w[0].0 == w[1].0 {
                 assert!(w[0].1 < w[1].1, "stability violated: {w:?}");
             }
+        }
+    }
+
+    /// Stable at worker counts that make the chunk count (4, 8) differ from
+    /// the workers and give the late merge rounds forks to spend.
+    #[test]
+    fn merge_sort_at_3_and_7_workers() {
+        let mut rng = SplitMix64::seed_from_u64(4);
+        for workers in [3, 7] {
+            let check = |v: Vec<(u8, u32)>| {
+                // Keys in .0, original positions in .1: the derived order is
+                // the one stable outcome.
+                let mut by_key: Vec<Rec> = v.iter().map(|&(k, i)| Rec(k, i)).collect();
+                merge_sort_on(workers, &mut by_key);
+                let got: Vec<(u8, u32)> = by_key.iter().map(|r| (r.0, r.1)).collect();
+                let mut expect = v;
+                expect.sort();
+                assert_eq!(got, expect, "workers={workers}");
+            };
+            // Four distinct keys, odd length.
+            check((0..70_001u32).map(|i| (rng.random_range(0..4u8), i)).collect());
+            // One key: stability is the whole answer.
+            check((0..50_003u32).map(|i| (7, i)).collect());
+            // Uniform keys, just above the sequential cutoff.
+            check((0..(SEQ_SORT_CUTOFF as u32 + 1)).map(|i| (rng.random(), i)).collect());
         }
     }
 

@@ -8,33 +8,33 @@
 //! users can pick per workload; the test suite cross-checks it against the
 //! LSD sorts.
 
-use rayon::prelude::*;
-
 use crate::key::RadixKey;
+use crate::steal::{default_workers, par_for_each};
 
 /// Buckets shorter than this use insertion sort (standard MSD cutoff).
 const INSERTION_CUTOFF: usize = 48;
-/// Buckets shorter than this sort sequentially rather than spawning.
+/// Slices shorter than this recurse sequentially rather than spawning.
 const PARALLEL_CUTOFF: usize = 1 << 13;
 /// Digit width (8 keeps the 256-counter histogram cheap per level).
 const MSD_BITS: u32 = 8;
 
 /// Sort `keys` in place with a parallel MSD radix sort.
 pub fn par_msd_radix_sort<K: RadixKey>(keys: &mut [K]) {
-    if keys.len() <= 1 {
-        return;
-    }
-    let top_shift = K::BITS.saturating_sub(MSD_BITS);
-    msd_recurse(keys, top_shift, true);
+    msd_sort_on(default_workers(), keys);
 }
 
 /// Sort `keys` in place with the sequential MSD radix sort.
 pub fn msd_radix_sort<K: RadixKey>(keys: &mut [K]) {
+    msd_sort_on(1, keys);
+}
+
+/// The MSD radix sort on `workers` threads.
+fn msd_sort_on<K: RadixKey>(workers: usize, keys: &mut [K]) {
     if keys.len() <= 1 {
         return;
     }
     let top_shift = K::BITS.saturating_sub(MSD_BITS);
-    msd_recurse(keys, top_shift, false);
+    msd_recurse(keys, top_shift, workers);
 }
 
 fn insertion_sort<K: RadixKey>(keys: &mut [K]) {
@@ -47,7 +47,7 @@ fn insertion_sort<K: RadixKey>(keys: &mut [K]) {
     }
 }
 
-fn msd_recurse<K: RadixKey>(keys: &mut [K], shift: u32, parallel: bool) {
+fn msd_recurse<K: RadixKey>(keys: &mut [K], shift: u32, workers: usize) {
     if keys.len() <= INSERTION_CUTOFF {
         insertion_sort(keys);
         return;
@@ -89,7 +89,10 @@ fn msd_recurse<K: RadixKey>(keys: &mut [K], shift: u32, parallel: bool) {
     let next_shift = shift.saturating_sub(MSD_BITS);
 
     // Recurse into buckets — disjoint slices, so this parallelizes with
-    // ordinary split borrows (no unsafe needed).
+    // ordinary split borrows (no unsafe needed). A bucket recurses on its
+    // share of the workers by its share of the keys, so one bucket holding
+    // nearly everything (keys with a common prefix) stays parallel below.
+    let n = keys.len();
     let mut rest: &mut [K] = keys;
     let mut buckets: Vec<&mut [K]> = Vec::new();
     for d in 0..bins {
@@ -97,19 +100,12 @@ fn msd_recurse<K: RadixKey>(keys: &mut [K], shift: u32, parallel: bool) {
         buckets.push(head);
         rest = tail;
     }
-    if parallel {
-        buckets.into_par_iter().for_each(|b| {
-            if b.len() > 1 {
-                msd_recurse(b, next_shift, b.len() >= PARALLEL_CUTOFF);
-            }
-        });
-    } else {
-        for b in buckets {
-            if b.len() > 1 {
-                msd_recurse(b, next_shift, false);
-            }
-        }
-    }
+    let workers = if n >= PARALLEL_CUTOFF { workers } else { 1 };
+    buckets.retain(|b| b.len() > 1);
+    par_for_each(workers, buckets, |b| {
+        let share = (workers * b.len() / n).max(1);
+        msd_recurse(b, next_shift, share);
+    });
 }
 
 #[cfg(test)]
@@ -153,6 +149,28 @@ mod tests {
         // Low cardinality (deep equal-prefix recursion).
         let mut rng = SplitMix64::seed_from_u64(3);
         check((0..30_000).map(|_| rng.random_range(0..3u32)).collect(), true);
+    }
+
+    #[test]
+    fn msd_sort_at_3_and_7_workers() {
+        let mut rng = SplitMix64::seed_from_u64(5);
+        for workers in [3, 7] {
+            let check = |v: Vec<u64>| {
+                let mut expect = v.clone();
+                expect.sort_unstable();
+                let mut got = v;
+                msd_sort_on(workers, &mut got);
+                assert_eq!(got, expect, "workers={workers}");
+            };
+            // Uniform: 256 top buckets shared out among the workers.
+            check((0..40_001).map(|_| rng.random()).collect());
+            // A common 5-byte prefix: one bucket holds everything for five
+            // levels and passes all its workers down.
+            check((0..30_003).map(|_| rng.random_range(0..1u64 << 24)).collect());
+            // Three distinct keys, and one.
+            check((0..20_001).map(|_| rng.random_range(0..3u64) << 40).collect());
+            check(vec![5; 10_001]);
+        }
     }
 
     #[test]

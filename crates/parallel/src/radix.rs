@@ -52,7 +52,7 @@ use crate::histogram::{count_digits_into, exclusive_prefix_sum, PaddedCounts};
 use crate::key::RadixKey;
 use crate::seq::{all_passes, hist_len, lsd_sort, passes_for, DEFAULT_RADIX_BITS};
 use crate::shared::SharedSlice;
-use crate::steal::ChunkQueue;
+use crate::steal::{default_workers, run_workers, ChunkQueue};
 
 /// Per-worker next-pass count matrices larger than this many counters fall
 /// back to one counting read per pass.
@@ -648,34 +648,6 @@ pub(crate) fn sort_engine<K, V, const WITH_VALS: bool>(
         }
     }
     *last_schedule = Some(Schedule::Lsd { executed_passes });
-}
-
-/// Worker count when the configuration leaves it to the machine.
-fn default_workers() -> usize {
-    std::thread::available_parallelism().map(|p| p.get()).unwrap_or(1)
-}
-
-/// Run `f(0..workers)` on real OS threads and collect the results in
-/// worker order. `workers == 1` runs inline — the single-threaded
-/// configurations pay no spawn cost. The scope join is the fork/join
-/// barrier the `ChunkQueue` memory-ordering argument relies on.
-fn run_workers<T, F>(workers: usize, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    if workers == 1 {
-        return vec![f(0)];
-    }
-    std::thread::scope(|s| {
-        let handles: Vec<_> = (0..workers)
-            .map(|w| {
-                let f = &f;
-                s.spawn(move || f(w))
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().expect("sort worker panicked")).collect()
-    })
 }
 
 /// Like [`run_workers`], but hands each worker exclusive `&mut` access to

@@ -7,11 +7,10 @@
 //! radix sort it does two local sorts but the data movement is one
 //! contiguous block per (source, destination) pair.
 
-use rayon::prelude::*;
-
 use crate::key::RadixKey;
 use crate::seq::radix_sort_with_scratch;
 use crate::shared::SharedSlice;
+use crate::steal::{default_workers, par_for_each, par_map};
 
 /// Samples taken per part (the paper's choice).
 pub const SAMPLES_PER_PART: usize = 128;
@@ -21,7 +20,8 @@ pub const SAMPLES_PER_PART: usize = 128;
 pub struct SampleSortConfig {
     /// Digit width for the local radix sorts.
     pub radix_bits: u32,
-    /// Number of parts; `None` = number of rayon threads.
+    /// Number of parts; `None` = one per worker thread
+    /// (`std::thread::available_parallelism`).
     pub parts: Option<usize>,
     /// Below this length, fall back to the sequential sort.
     pub sequential_cutoff: usize,
@@ -90,19 +90,24 @@ fn splitter_bounds<K: Ord>(part: &[K], splitters: &[K]) -> Vec<usize> {
 
 /// Sort `keys` in parallel with an explicit configuration.
 pub fn par_sample_sort_with<K: RadixKey + Default>(keys: &mut [K], cfg: &SampleSortConfig) {
+    sample_sort_on(default_workers(), keys, cfg);
+}
+
+/// [`par_sample_sort_with`] on `workers` threads.
+fn sample_sort_on<K: RadixKey + Default>(workers: usize, keys: &mut [K], cfg: &SampleSortConfig) {
     let n = keys.len();
     if n <= cfg.sequential_cutoff.max(1) {
         crate::seq::radix_sort(keys, cfg.radix_bits.min(K::BITS.max(1)).max(1));
         return;
     }
-    let p = cfg.parts.unwrap_or_else(rayon::current_num_threads).clamp(1, n);
+    let p = cfg.parts.unwrap_or(workers).clamp(1, n);
     let part_bounds: Vec<usize> = (0..=p).map(|i| i * n / p).collect();
     let s = SAMPLES_PER_PART.min(n / p).max(1);
 
     // Phase 1: parallel local sorts.
     {
         let parts = split_at_bounds(keys, &part_bounds);
-        parts.into_par_iter().for_each(|part| {
+        par_for_each(workers, parts, |part| {
             let mut scratch = vec![K::default(); part.len()];
             radix_sort_with_scratch(part, &mut scratch, cfg.radix_bits);
         });
@@ -123,13 +128,10 @@ pub fn par_sample_sort_with<K: RadixKey + Default>(keys: &mut [K], cfg: &SampleS
     // boundaries are binary searches), then the all-to-all scatter. Keys
     // equal to a run of tied splitters are spread over the tied buckets so
     // heavy duplication cannot overload one region.
-    let bounds: Vec<Vec<usize>> = (0..p)
-        .into_par_iter()
-        .map(|i| {
-            let part = &keys[part_bounds[i]..part_bounds[i + 1]];
-            splitter_bounds(part, &splitters)
-        })
-        .collect();
+    let bounds: Vec<Vec<usize>> = par_map(workers, 0..p, |i| {
+        let part = &keys[part_bounds[i]..part_bounds[i + 1]];
+        splitter_bounds(part, &splitters)
+    });
 
     // Destination layout: region j holds, in source order, every part's
     // bucket j.
@@ -146,7 +148,7 @@ pub fn par_sample_sort_with<K: RadixKey + Default>(keys: &mut [K], cfg: &SampleS
     let mut scratch = vec![K::default(); n];
     {
         let out = SharedSlice::new(&mut scratch);
-        (0..p).into_par_iter().for_each(|i| {
+        par_for_each(workers, 0..p, |i| {
             let part = &keys[part_bounds[i]..part_bounds[i + 1]];
             for j in 0..p {
                 let bucket = &part[bounds[i][j]..bounds[i][j + 1]];
@@ -163,14 +165,16 @@ pub fn par_sample_sort_with<K: RadixKey + Default>(keys: &mut [K], cfg: &SampleS
     // Phase 5: parallel local sorts of the received regions, then copy back.
     {
         let regions = split_at_bounds(&mut scratch, &region_bounds);
-        regions.into_par_iter().for_each(|region| {
+        par_for_each(workers, regions, |region| {
             let mut tmp = vec![K::default(); region.len()];
             radix_sort_with_scratch(region, &mut tmp, cfg.radix_bits);
         });
     }
-    keys.par_chunks_mut(64 * 1024)
-        .zip(scratch.par_chunks(64 * 1024))
-        .for_each(|(dst, src)| dst.copy_from_slice(src));
+    par_for_each(
+        workers,
+        keys.chunks_mut(64 * 1024).zip(scratch.chunks(64 * 1024)),
+        |(dst, src)| dst.copy_from_slice(src),
+    );
 }
 
 #[cfg(test)]
@@ -216,6 +220,32 @@ mod tests {
         check(vec![7u32; 30_000], &SampleSortConfig { sequential_cutoff: 0, ..Default::default() });
         // Sorted input: maximally imbalanced sampling is still correct.
         check((0..30_000u32).collect(), &SampleSortConfig { sequential_cutoff: 0, ..Default::default() });
+    }
+
+    /// The first worker counts this sort ever ran on in this repository:
+    /// odd, dividing nothing, and 7 above the cores of any CI machine.
+    #[test]
+    fn sample_sort_at_3_and_7_workers() {
+        let mut rng = SplitMix64::seed_from_u64(7);
+        for workers in [3, 7] {
+            let check = |v: Vec<u32>, parts: Option<usize>| {
+                let mut expect = v.clone();
+                expect.sort_unstable();
+                let mut got = v;
+                let cfg = SampleSortConfig { parts, sequential_cutoff: 0, ..Default::default() };
+                sample_sort_on(workers, &mut got, &cfg);
+                assert_eq!(got, expect, "workers={workers} parts={parts:?}");
+            };
+            // Four distinct values: runs of tied splitters, spread buckets.
+            check((0..30_001).map(|_| rng.random_range(0..4u32)).collect(), None);
+            check((0..30_001).map(|_| rng.random_range(0..4u32)).collect(), Some(16));
+            // One value: every splitter tied.
+            check(vec![9; 10_007], None);
+            // More parts than keys.
+            check((0..5).map(|_| rng.random()).collect(), Some(64));
+            // Odd length, parts not a multiple of the workers.
+            check((0..40_003).map(|_| rng.random()).collect(), Some(5));
+        }
     }
 
     #[test]

@@ -1,6 +1,14 @@
-//! [`ChunkQueue`]: a work-stealing chunk scheduler for the histogram and
-//! permute phases of the parallel radix sorts.
+//! Fork/join on scoped threads, and the work-stealing chunk scheduler the
+//! radix engine drains its phases through.
 //!
+//! [`run_workers`] is the one place this workspace spawns data-parallel
+//! threads: `f(0..workers)` under `std::thread::scope`, results in worker
+//! order, a worker's panic re-raised in the caller. [`par_map`] and
+//! [`par_for_each`] hand a list of independent items to those workers —
+//! the sample, merge and MSD sorts' "for each of k disjoint parts", and
+//! the experiment grids of `ccsort-bench` and `ccsort-audit`.
+//!
+//! [`ChunkQueue`] is the scheduler for the histogram and permute phases.
 //! The input is cut into `m` fixed-stride chunks (`m` ≥ the worker count).
 //! Each worker owns a contiguous region of chunk
 //! indices and drains it front-to-back with a single `fetch_add` per claim
@@ -29,6 +37,77 @@
 //! three-argument `new`, and for its own exactly-once test below.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
+
+/// Worker count when the caller leaves it to the machine.
+pub fn default_workers() -> usize {
+    std::thread::available_parallelism().map(|p| p.get()).unwrap_or(1)
+}
+
+/// Run `f(0..workers)` on real OS threads and collect the results in
+/// worker order. `workers == 1` runs inline — the single-threaded
+/// configurations pay no spawn cost. The scope join is the fork/join
+/// barrier the [`ChunkQueue`] memory-ordering argument relies on. If a
+/// worker panics, the others finish and the panic resumes in the caller.
+pub fn run_workers<T, F>(workers: usize, f: F) -> Vec<T>
+where
+    T: Send,
+    F: Fn(usize) -> T + Sync,
+{
+    if workers == 1 {
+        return vec![f(0)];
+    }
+    std::thread::scope(|s| {
+        let handles: Vec<_> = (0..workers)
+            .map(|w| {
+                let f = &f;
+                s.spawn(move || f(w))
+            })
+            .collect();
+        // The scope still joins the rest before a resumed panic leaves it.
+        handles.into_iter().map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p))).collect()
+    })
+}
+
+/// `f` of every item, in item order, computed on up to `workers` threads.
+/// Each item goes to exactly one worker — whichever asks next, so uneven
+/// items balance — and `f` runs outside the lock that hands them out.
+pub fn par_map<I, R, F>(workers: usize, items: I, f: F) -> Vec<R>
+where
+    I: IntoIterator,
+    I::IntoIter: ExactSizeIterator + Send,
+    R: Send,
+    F: Fn(I::Item) -> R + Sync,
+{
+    let items = items.into_iter();
+    let workers = workers.clamp(1, items.len().max(1));
+    let feed = Mutex::new(items.enumerate());
+    let mut done: Vec<(usize, R)> = run_workers(workers, |_| {
+        let mut mine = Vec::new();
+        loop {
+            // Poisoned only if the iterator itself panicked; pass that on.
+            let next = feed.lock().expect("item iterator panicked").next();
+            let Some((i, item)) = next else { break };
+            mine.push((i, f(item)));
+        }
+        mine
+    })
+    .into_iter()
+    .flatten()
+    .collect();
+    done.sort_unstable_by_key(|&(i, _)| i);
+    done.into_iter().map(|(_, r)| r).collect()
+}
+
+/// [`par_map`] for its effects: `f` on every item, each exactly once.
+pub fn par_for_each<I, F>(workers: usize, items: I, f: F)
+where
+    I: IntoIterator,
+    I::IntoIter: ExactSizeIterator + Send,
+    F: Fn(I::Item) + Sync,
+{
+    par_map(workers, items, f);
+}
 
 /// One worker's region of chunk indices: a cursor and a fixed end, padded
 /// to a cache line so neighbouring cursors never share one — they are the
@@ -194,5 +273,44 @@ mod tests {
     #[should_panic(expected = "at least one worker")]
     fn zero_workers_rejected() {
         let _ = ChunkQueue::new(0, 4, true);
+    }
+
+    #[test]
+    fn par_map_keeps_item_order_and_runs_each_item_once() {
+        for workers in [1, 3, 7] {
+            // 100 items (uneven cost), fewer items than workers, none.
+            for n in [100usize, 2, 0] {
+                let calls: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
+                let out = par_map(workers, 0..n, |i| {
+                    calls[i].fetch_add(1, Ordering::Relaxed);
+                    (0..i * 50).fold(i, |acc, x| acc ^ x) // later items cost more
+                });
+                let expect: Vec<usize> = (0..n).map(|i| (0..i * 50).fold(i, |acc, x| acc ^ x)).collect();
+                assert_eq!(out, expect, "workers={workers} n={n}");
+                assert!(calls.iter().all(|c| c.load(Ordering::Relaxed) == 1));
+            }
+        }
+    }
+
+    #[test]
+    fn par_for_each_hands_out_disjoint_mutable_items() {
+        let mut data = vec![0u32; 1000];
+        par_for_each(3, data.chunks_mut(7).enumerate(), |(c, chunk)| chunk.fill(c as u32 + 1));
+        assert!(data.iter().enumerate().all(|(i, &v)| v == (i / 7) as u32 + 1));
+    }
+
+    #[test]
+    #[should_panic(expected = "item 5 failed")]
+    fn par_map_propagates_an_item_panic_after_the_other_items_finish() {
+        let finished = AtomicUsize::new(0);
+        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            par_map(3, 0..40usize, |i| {
+                assert!(i != 5, "item {i} failed");
+                finished.fetch_add(1, Ordering::Relaxed);
+            })
+        }));
+        // No hang, no lost work: the surviving workers drained the rest.
+        assert_eq!(finished.load(Ordering::Relaxed), 39);
+        std::panic::resume_unwind(result.unwrap_err());
     }
 }

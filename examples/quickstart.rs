@@ -19,7 +19,7 @@ fn main() {
     // Deterministic pseudo-random input.
     let mut rng = ccsort_rng::SplitMix64::seed_from_u64(1);
     let keys: Vec<u32> = (0..n).map(|_| rng.random()).collect();
-    println!("sorting {n} random u32 keys with {} thread(s)", rayon::current_num_threads());
+    println!("sorting {n} random u32 keys with {} thread(s)", ccsort::parallel::default_workers());
 
     let mut reference = keys.clone();
     let t = Instant::now();

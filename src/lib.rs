@@ -15,11 +15,11 @@
 //!   with per-processor BUSY/LMEM/RMEM/SYNC time breakdowns. The `repro`
 //!   binary in `ccsort-bench` regenerates every table and figure.
 //! * **The library** ([`parallel`]): thread-parallel radix and sample
-//!   sorts for real workloads (rayon data-parallel, plus in-process
-//!   message-passing and symmetric-heap runtimes), and [`service`]: a
-//!   long-running sorting service that coalesces many small concurrent
-//!   requests into shared batches — the paper's message-coalescing lesson
-//!   applied at the request level.
+//!   sorts for real workloads (data-parallel on scoped threads, plus
+//!   in-process message-passing and symmetric-heap runtimes), and
+//!   [`service`]: a long-running sorting service that coalesces many small
+//!   concurrent requests into shared batches — the paper's
+//!   message-coalescing lesson applied at the request level.
 //!
 //! ## Quick start: sort data on this machine
 //!

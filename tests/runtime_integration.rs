@@ -9,7 +9,7 @@ use ccsort::parallel::sym::SymHeap;
 use ccsort::parallel::{exclusive_prefix_sum, par_digit_histogram};
 
 /// A distributed histogram over the message-passing runtime equals the
-/// rayon histogram.
+/// thread-parallel histogram.
 #[test]
 fn distributed_histogram_matches_parallel_histogram() {
     let n = 1 << 16;

@@ -59,7 +59,7 @@ fn real_parallel_sorts_match_std_on_paper_distributions() {
 #[test]
 fn simulated_and_real_sorts_agree_with_each_other() {
     let (input, _) = reference(Dist::Gauss, 99);
-    // Simulated SHMEM radix result equals the real rayon radix result.
+    // Simulated SHMEM radix result equals the real threaded radix result.
     let res = run_experiment(
         &ExpConfig::new(Algorithm::RadixShmem, N, P).radix_bits(R).dist(Dist::Gauss).seed(99).scale(64),
     );
