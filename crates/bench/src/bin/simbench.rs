@@ -5,8 +5,7 @@
 //! simbench [--out <path>] [--quick]
 //! ```
 //!
-//! The grid is the one behind the `machine_hotpath`/`machine_scattered`
-//! criterion benches: {streamed, scattered, permutation} × race detector
+//! The grid is {streamed, scattered, permutation} × race detector
 //! {off, on} × p ∈ {1, 16, 64, 128}, each measured twice — with the fast
 //! path on (current code: streamed runs plus the batched scattered walk)
 //! and off (the per-line reference walk, i.e. the pre-optimization cost

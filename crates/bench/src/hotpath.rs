@@ -6,11 +6,9 @@
 //! permutation (streamed reads of the local chunk, batched scattered
 //! writes across the whole output array) — parameterised by processor
 //! count, race detector on/off and fast path on/off. They are the workload
-//! behind both the `machine_hotpath`/`machine_scattered` criterion benches
-//! and the `simbench` binary that emits `BENCH_simulator.json`, so they
-//! always agree on what is being measured: *host* throughput of the
-//! simulator itself, reported as simulated key touches per wall-clock
-//! second.
+//! behind the `simbench` binary that emits `BENCH_simulator.json`: *host*
+//! throughput of the simulator itself, reported as simulated key touches
+//! per wall-clock second.
 //!
 //! Everything here is deterministic: the scattered index stream is a fixed
 //! LCG, the permutation's destination map is a fixed bijection, partitions

@@ -1,8 +1,9 @@
 //! # ccsort-bench
 //!
 //! The reproduction harness for every table and figure in the evaluation
-//! section of Shan & Singh (SC 1999), plus the criterion micro-benchmarks
-//! for the real threaded library.
+//! section of Shan & Singh (SC 1999), plus the measurement grids for the
+//! simulator, the real threaded library and the service (`simbench`,
+//! `realbench`, `svcbench`).
 //!
 //! The `repro` binary (`cargo run --release -p ccsort-bench --bin repro`)
 //! exposes one subcommand per paper artefact (`table1`–`table3`,
