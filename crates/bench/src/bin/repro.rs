@@ -24,8 +24,6 @@
 //! Default scale 16 simulates 64K–16M keys on a 1/16-capacity machine,
 //! preserving every dataset-to-capacity ratio of the full-size runs.
 
-use std::io::Write;
-
 use ccsort_bench::figures;
 use ccsort_bench::runner::{Runner, RunnerOpts, SIZE_LABELS};
 
@@ -152,9 +150,8 @@ fn main() {
     }
 
     if let Some(path) = json_path {
-        let mut f = std::fs::File::create(&path).expect("create json output");
-        serde_json::to_writer_pretty(&mut f, &r.points).expect("serialise points");
-        writeln!(f).ok();
+        let objects: Vec<String> = r.points.iter().map(|pt| pt.to_json()).collect();
+        std::fs::write(&path, format!("[\n{}\n]\n", objects.join(",\n"))).expect("write json output");
         println!("\n# wrote {} points to {path}", r.points.len());
     }
 }

@@ -25,8 +25,8 @@
 //! fields), tracking the host-side cost of the alternative hop
 //! computations and the update walk.
 //!
-//! The JSON is written by hand rather than through serde so the format is
-//! identical on every toolchain the repo builds against.
+//! The JSON is written by hand, so the format is identical on every
+//! toolchain the repo builds against.
 
 use std::io::Write;
 use std::time::Instant;

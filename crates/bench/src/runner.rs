@@ -13,7 +13,6 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use ccsort_algos::{run_experiment, run_sequential_baseline, Algorithm, Dist, ExpConfig, ExpResult};
 use ccsort_parallel::{default_workers, par_map};
-use serde::Serialize;
 
 /// The paper's data-set labels (key counts at full scale).
 pub const SIZE_LABELS: [(&str, usize); 5] =
@@ -86,8 +85,8 @@ impl RunnerOpts {
     }
 }
 
-/// One emitted data point (serialised into the JSON dump).
-#[derive(Debug, Clone, Serialize)]
+/// One emitted data point (written into the JSON dump by [`Point::to_json`]).
+#[derive(Debug, Clone)]
 pub struct Point {
     pub artefact: String,
     pub size_label: String,
@@ -108,6 +107,50 @@ pub struct Point {
     pub rmem_ns: f64,
     pub sync_ns: f64,
     pub verified: bool,
+}
+
+impl Point {
+    /// The point as a JSON object, one field per line in declaration order,
+    /// indented as an element of `repro --json`'s top-level array.
+    pub fn to_json(&self) -> String {
+        fn string(s: &str) -> String {
+            let mut out = String::from("\"");
+            for c in s.chars() {
+                match c {
+                    '"' => out.push_str("\\\""),
+                    '\\' => out.push_str("\\\\"),
+                    c if c < ' ' => out.push_str(&format!("\\u{:04x}", c as u32)),
+                    c => out.push(c),
+                }
+            }
+            out + "\""
+        }
+        // JSON has no NaN or infinity; like a missing value, they are null.
+        fn number(x: f64) -> String {
+            if x.is_finite() { format!("{x:?}") } else { "null".to_string() }
+        }
+        let optional = |x: Option<f64>| x.map_or("null".to_string(), number);
+        let fields = [
+            ("artefact", string(&self.artefact)),
+            ("size_label", string(&self.size_label)),
+            ("scale", self.scale.to_string()),
+            ("n", self.n.to_string()),
+            ("p", self.p.to_string()),
+            ("algorithm", string(&self.algorithm)),
+            ("radix_bits", self.radix_bits.to_string()),
+            ("dist", string(&self.dist)),
+            ("time_ns", number(self.time_ns)),
+            ("speedup", optional(self.speedup)),
+            ("relative", optional(self.relative)),
+            ("busy_ns", number(self.busy_ns)),
+            ("lmem_ns", number(self.lmem_ns)),
+            ("rmem_ns", number(self.rmem_ns)),
+            ("sync_ns", number(self.sync_ns)),
+            ("verified", self.verified.to_string()),
+        ];
+        let lines: Vec<String> = fields.iter().map(|(k, v)| format!("    \"{k}\": {v}")).collect();
+        format!("  {{\n{}\n  }}", lines.join(",\n"))
+    }
 }
 
 /// Memo key of one experiment cell: `(algorithm, size index, p, radix
@@ -388,9 +431,48 @@ mod tests {
         let res = r.exp(key.0, key.1, key.2, key.3, key.4).clone();
         r.record("a", key.1, &res, Some(1.0), None);
         r.record_key("a", key, Some(1.0), None);
-        let a = serde_json::to_string(&r.points[0]).unwrap();
-        let b = serde_json::to_string(&r.points[1]).unwrap();
-        assert_eq!(a, b);
+        assert_eq!(r.points[0].to_json(), r.points[1].to_json());
+    }
+
+    #[test]
+    fn point_json_is_pinned() {
+        let pt = Point {
+            artefact: "fig\"1\"".to_string(),
+            size_label: "1M\\\n".to_string(),
+            scale: 1,
+            n: 1048576,
+            p: 16,
+            algorithm: "radix-mpi-sgi".to_string(),
+            radix_bits: 8,
+            dist: "gauss".to_string(),
+            time_ns: 186241900.15618572,
+            speedup: Some(5.053557280108726),
+            relative: None,
+            busy_ns: 71343908.0,
+            lmem_ns: f64::NAN,
+            rmem_ns: f64::INFINITY,
+            sync_ns: 0.5,
+            verified: true,
+        };
+        let expect = r#"  {
+    "artefact": "fig\"1\"",
+    "size_label": "1M\\\u000a",
+    "scale": 1,
+    "n": 1048576,
+    "p": 16,
+    "algorithm": "radix-mpi-sgi",
+    "radix_bits": 8,
+    "dist": "gauss",
+    "time_ns": 186241900.15618572,
+    "speedup": 5.053557280108726,
+    "relative": null,
+    "busy_ns": 71343908.0,
+    "lmem_ns": null,
+    "rmem_ns": null,
+    "sync_ns": 0.5,
+    "verified": true
+  }"#;
+        assert_eq!(pt.to_json(), expect);
     }
 
     #[test]

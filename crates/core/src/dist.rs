@@ -19,8 +19,6 @@
 //! fully deterministic.
 
 use ccsort_rng::SplitMix64;
-use serde::{Deserialize, Serialize};
-
 use crate::common::part_range;
 
 /// Exclusive upper bound on key values: 2^31.
@@ -32,7 +30,7 @@ pub const KEY_BITS: u32 = 31;
 ///
 /// `Ord` so distributions can key deterministic `BTreeMap` memo caches
 /// (`nondeterministic_iteration` lint).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Dist {
     /// NAS-IS style: each key the average of four consecutive values of
     /// `x_{k+1} = 513 x_k mod 2^46`, `x_0 = 314159265`.

@@ -13,8 +13,6 @@ use ccsort_machine::{
 };
 use ccsort_models::comm::{CcsasComm, Communicator, MpiComm, Permute, ShmemComm};
 use ccsort_models::MpiMode;
-use serde::{Deserialize, Serialize};
-
 use crate::dist::{generate, Dist, KEY_BITS};
 use crate::sample::SamplingStrategy;
 use crate::{costs, radix, sample, seq};
@@ -23,7 +21,7 @@ use crate::{costs, radix, sample, seq};
 ///
 /// `Ord` so the variants can key deterministic `BTreeMap` memo caches
 /// (`nondeterministic_iteration` lint).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Algorithm {
     RadixCcsas,
     RadixCcsasNew,
@@ -121,7 +119,7 @@ impl Algorithm {
 }
 
 /// Full description of one experiment.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ExpConfig {
     pub algorithm: Algorithm,
     /// Number of keys actually simulated.
@@ -151,45 +149,35 @@ pub struct ExpConfig {
     /// — but the detector sees the missing edge, exactly as if the program
     /// had forgotten that barrier. Only honoured by
     /// [`run_experiment_audited`] (the plain path has no detector).
-    #[serde(default)]
     pub inject_missing_barrier: Option<usize>,
     /// The simulator's streamed-run fast path (`MachineConfig::fast_path`).
     /// On by default; turning it off forces the per-line reference walk —
     /// results are bit-identical either way (the equivalence tests assert
     /// it), only wall-clock differs.
-    #[serde(default = "default_true")]
     pub fast_path: bool,
     /// Run the happens-before race detector without the rest of the audit
     /// machinery (section-boundary audits). [`run_experiment_audited`]
     /// implies it; this flag exists so benchmarks can measure the
     /// detector's cost in isolation.
-    #[serde(default)]
     pub race_detector: bool,
     /// Sharer-set representation of the coherence directory
     /// ([`ccsort_machine::DirectoryMode`]). Full-map by default; the
     /// limited-pointer and coarse-vector modes exist for the directory
     /// scaling studies at large p. Sorted output is bit-identical across
     /// modes — only timing and protocol-event counts change.
-    #[serde(default)]
     pub directory_mode: DirectoryMode,
     /// Interconnect wiring between routers
     /// ([`ccsort_machine::InterconnectKind`]). Hypercube by default — the
     /// machine the paper measures; the mesh and fat-tree alternatives exist
     /// for the topology ablations. Sorted output is bit-identical across
     /// kinds — only hop counts, and hence timing, change.
-    #[serde(default)]
     pub interconnect: InterconnectKind,
     /// Coherence protocol for writes to shared lines
     /// ([`ccsort_machine::ProtocolMode`]). MESI-style invalidation by
     /// default; the Dragon-style update mode exists for the
     /// invalidate-vs-update ablation. Sorted output is bit-identical across
     /// modes — only protocol events and timing change.
-    #[serde(default)]
     pub protocol: ProtocolMode,
-}
-
-fn default_true() -> bool {
-    true
 }
 
 impl ExpConfig {
@@ -206,7 +194,7 @@ impl ExpConfig {
             sampling: SamplingStrategy::default(),
             warm_caches: false,
             inject_missing_barrier: None,
-            fast_path: default_true(),
+            fast_path: true,
             race_detector: false,
             directory_mode: DirectoryMode::FullMap,
             interconnect: InterconnectKind::Hypercube,
@@ -336,7 +324,7 @@ impl ExpConfig {
 }
 
 /// Everything measured in one experiment.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ExpResult {
     pub algorithm: Algorithm,
     pub n: usize,

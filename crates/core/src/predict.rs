@@ -16,14 +16,12 @@
 //! but the *model ordering* at a given size must match.
 
 use ccsort_machine::MachineConfig;
-use serde::{Deserialize, Serialize};
-
 use crate::common::n_passes;
 use crate::costs;
 use crate::dist::KEY_BITS;
 
 /// Programming model to predict.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PredictModel {
     Ccsas,
     CcsasNew,
@@ -47,7 +45,7 @@ impl PredictModel {
 
 /// Predicted per-processor time, decomposed like the paper's breakdowns
 /// (ns, for the whole sort).
-#[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct Prediction {
     pub busy: f64,
     pub local_mem: f64,

@@ -66,7 +66,7 @@ impl Model {
 /// complexity" (Section 3.2, citing Li et al.'s regular-sampling study).
 /// The paper chose 128 regularly-spaced samples per process
 /// ([`SamplingStrategy::default`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SamplingStrategy {
     /// `per_pe` regularly-spaced keys from each process's sorted partition
     /// (regular sampling; the paper's choice with `per_pe = 128`).

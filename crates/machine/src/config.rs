@@ -10,8 +10,6 @@
 //! local read latency, ~796 ns average remote latency, ~1010 ns worst case,
 //! and roughly +100 ns per router hop.
 
-use serde::{Deserialize, Serialize};
-
 /// Hard cap on the processor count. Far beyond the 64-processor Origin 2000
 /// of the paper; large enough for the p = 128/256 directory-scaling studies
 /// while keeping `u16` processor ids comfortable.
@@ -29,7 +27,7 @@ pub const MAX_PROCS: usize = 1024;
 /// invalidation traffic and controller occupancy — the classic
 /// directory-scaling trade-off this simulator charges through its existing
 /// contention model.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum DirectoryMode {
     /// One presence bit per processor; always precise.
     #[default]
@@ -62,7 +60,7 @@ impl std::fmt::Display for DirectoryMode {
 /// ancestor and back down, so the hop count is twice that level. All
 /// three expose the same `hops`-based latency interface; only the hop
 /// counts (and hence remote latencies and contention windows) differ.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum InterconnectKind {
     /// Router hops = Hamming distance of router ids (Origin 2000).
     #[default]
@@ -95,7 +93,7 @@ impl std::fmt::Display for InterconnectKind {
 /// but **every** write to a shared line pays an update multicast (charged
 /// through `ctrl_occ_ns` and the phase contention model). The classic
 /// trade: invalidation misses versus update traffic.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ProtocolMode {
     /// MESI-style write-invalidate (Origin 2000's protocol).
     #[default]
@@ -115,7 +113,7 @@ impl std::fmt::Display for ProtocolMode {
 }
 
 /// Geometry of a set-associative cache.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheGeom {
     /// Total capacity in bytes.
     pub size: usize,
@@ -146,7 +144,7 @@ impl CacheGeom {
 ///
 /// Time is measured in nanoseconds (`f64`). The simulation is deterministic:
 /// nothing in it consults the host clock or unseeded randomness.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct MachineConfig {
     /// Number of processors (PEs), up to [`MAX_PROCS`]. The directory's
     /// sharer-set representation ([`MachineConfig::directory_mode`]) decides
@@ -259,7 +257,6 @@ pub struct MachineConfig {
     /// happens-before order built from the program's barriers and message
     /// completions. Off by default — the audited paths (driver audits, the
     /// conformance oracle) turn it on; timing runs keep the hot path free.
-    #[serde(default)]
     pub race_detector: bool,
 
     /// Enable the streamed-run fast path in `touch_run` (per-page TLB
@@ -274,31 +271,23 @@ pub struct MachineConfig {
     /// assert the former on sampled runs; differential tests cover the
     /// latter); disable only to measure the optimizations themselves or
     /// to force the reference paths in equivalence tests.
-    #[serde(default = "default_true")]
     pub fast_path: bool,
 
     /// Sharer-set representation of the coherence directory. The default
     /// full-map is bit-exact with the pre-existing `u64` bitmask behaviour
     /// for p <= 64; limited-pointer and coarse-vector model the directory
     /// organisations machines use to scale past that.
-    #[serde(default)]
     pub directory_mode: DirectoryMode,
 
     /// Router interconnect wiring. The hypercube default is bit-exact with
     /// the pre-existing hardwired topology; mesh and fat-tree change only
     /// hop counts (and everything priced off them).
-    #[serde(default)]
     pub interconnect: InterconnectKind,
 
     /// Coherence protocol for writes to lines with other sharers. The
     /// invalidate default is bit-exact with the pre-existing MESI walk;
     /// Dragon-update trades invalidation misses for update traffic.
-    #[serde(default)]
     pub protocol: ProtocolMode,
-}
-
-fn default_true() -> bool {
-    true
 }
 
 impl MachineConfig {
@@ -340,7 +329,7 @@ impl MachineConfig {
             physical_cache_indexing: true,
             fixed_cost_div: 1.0,
             race_detector: false,
-            fast_path: default_true(),
+            fast_path: true,
             directory_mode: DirectoryMode::FullMap,
             interconnect: InterconnectKind::Hypercube,
             protocol: ProtocolMode::Invalidate,
@@ -631,15 +620,8 @@ mod tests {
         assert_eq!(InterconnectKind::FatTree(4).to_string(), "fat-tree(4)");
         assert_eq!(ProtocolMode::Invalidate.to_string(), "invalidate");
         assert_eq!(ProtocolMode::DragonUpdate.to_string(), "dragon-update");
-        // The enum `Default` impls back the `#[serde(default)]` attributes,
-        // so configs serialized before these fields existed deserialize to
-        // the bit-exact default machine.
         assert_eq!(InterconnectKind::default(), InterconnectKind::Hypercube);
         assert_eq!(ProtocolMode::default(), ProtocolMode::Invalidate);
-        // And the fields do appear when a config is serialized.
-        let json = serde_json::to_string(&c).unwrap();
-        assert!(json.contains("interconnect"), "{json}");
-        assert!(json.contains("protocol"), "{json}");
     }
 
     #[test]

@@ -7,10 +7,8 @@
 //! split exactly so the Figure 4 / Figure 8 breakdowns can be read straight
 //! out of the simulator.
 
-use serde::{Deserialize, Serialize};
-
 /// Which bucket a charge of simulated time falls into.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Bucket {
     /// CPU busy executing instructions.
     Busy,
@@ -23,7 +21,7 @@ pub enum Bucket {
 }
 
 /// Per-processor virtual time, split by bucket. All values in nanoseconds.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct TimeBreakdown {
     pub busy: f64,
     pub lmem: f64,
@@ -64,7 +62,7 @@ impl TimeBreakdown {
 }
 
 /// Counters for memory-system and coherence-protocol events, per processor.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EventCounters {
     /// Line touches that hit in the first-level cache (free).
     pub l1_hits: u64,
