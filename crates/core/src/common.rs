@@ -269,53 +269,45 @@ mod tests {
 #[cfg(test)]
 mod properties {
     use super::*;
-    use ccsort_rng::check_cases;
+    use ccsort_rng::{check_cases, SplitMix64};
 
     #[test]
     fn owner_of_inverts_part_range() {
-        check_cases(
-            256,
-            |rng| {
-                let n = rng.random_range(1usize..10_000);
-                (n, rng.random_range(1..=n.min(63)), rng.random_range(0..n))
-            },
-            |&(n, p, idx)| {
-                let owner = owner_of(n, p, idx);
-                let range = part_range(n, p, owner);
-                assert!(range.contains(&idx), "idx {idx} not in {range:?} of owner {owner}");
-            },
-        );
+        let case = |rng: &mut SplitMix64| {
+            let n = rng.random_range(1usize..10_000);
+            (n, rng.random_range(1..=n.min(63)), rng.random_range(0..n))
+        };
+        check_cases(256, case, |&(n, p, idx)| {
+            let owner = owner_of(n, p, idx);
+            let range = part_range(n, p, owner);
+            assert!(range.contains(&idx), "idx {idx} not in {range:?} of owner {owner}");
+        });
     }
 
     #[test]
     fn exclusive_scan_matches_definition() {
-        check_cases(
-            256,
-            |rng| (0..rng.random_range(0..200)).map(|_| rng.random_range(0u32..1000)).collect::<Vec<_>>(),
-            |v| {
-                let scan = exclusive_scan(v);
-                let mut acc = 0u32;
-                for (i, &x) in v.iter().enumerate() {
-                    assert_eq!(scan[i], acc);
-                    acc += x;
-                }
-            },
-        );
+        let case = |rng: &mut SplitMix64| -> Vec<u32> {
+            (0..rng.random_range(0..200)).map(|_| rng.random_range(0..1000)).collect()
+        };
+        check_cases(256, case, |v| {
+            let scan = exclusive_scan(v);
+            let mut acc = 0u32;
+            for (i, &x) in v.iter().enumerate() {
+                assert_eq!(scan[i], acc);
+                acc += x;
+            }
+        });
     }
 
     #[test]
     fn digits_reassemble_the_key() {
-        check_cases(
-            256,
-            |rng| (rng.random::<u32>(), rng.random_range(1u32..=16)),
-            |&(key, r)| {
-                let passes = n_passes(32, r);
-                let mut rebuilt: u64 = 0;
-                for pass in 0..passes {
-                    rebuilt |= (digit(key, pass, r) as u64) << (pass * r);
-                }
-                assert_eq!(rebuilt as u32, key);
-            },
-        );
+        check_cases(256, |rng| (rng.random::<u32>(), rng.random_range(1u32..=16)), |&(key, r)| {
+            let passes = n_passes(32, r);
+            let mut rebuilt: u64 = 0;
+            for pass in 0..passes {
+                rebuilt |= (digit(key, pass, r) as u64) << (pass * r);
+            }
+            assert_eq!(rebuilt as u32, key);
+        });
     }
 }

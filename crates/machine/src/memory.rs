@@ -291,50 +291,47 @@ mod tests {
 mod properties {
     use super::*;
     use crate::config::MachineConfig;
+    use ccsort_rng::{check_cases, SplitMix64};
 
     /// Every element of every allocation has a well-defined home node and
     /// a line/page consistent with its address.
     #[test]
     fn allocation_geometry_is_consistent() {
-        ccsort_rng::check_cases(
-            256,
-            |rng| {
-                let lens: Vec<usize> =
-                    (0..rng.random_range(1..6)).map(|_| rng.random_range(1usize..5000)).collect();
-                (lens, rng.random_range(1usize..16))
-            },
-            |(lens, parts)| {
-                let cfg = MachineConfig::origin2000(16);
-                let topo = Topology::new(&cfg);
-                let mut s = AddressSpace::new(&cfg);
-                let ids: Vec<ArrayId> = lens
-                    .iter()
-                    .enumerate()
-                    .map(|(i, &len)| {
-                        let placement = match i % 3 {
-                            0 => Placement::Node(i % topo.n_nodes()),
-                            1 => Placement::Interleaved,
-                            _ => Placement::Partitioned { parts: *parts },
-                        };
-                        s.alloc(len, placement, "arr", &topo)
-                    })
-                    .collect();
-                for (id, &len) in ids.iter().zip(lens) {
-                    for idx in [0, len / 2, len - 1] {
-                        let addr = s.addr_of(*id, idx);
-                        let line = s.line_of(addr);
-                        assert_eq!(s.home_of(addr), s.home_of_line(line));
-                        assert!(s.home_of(addr) < topo.n_nodes());
-                        assert!(line < s.total_lines());
-                        assert_eq!(s.page_of(addr), addr >> cfg.page_shift());
-                    }
+        let case = |rng: &mut SplitMix64| {
+            let lens: Vec<usize> = (0..rng.random_range(1..6)).map(|_| rng.random_range(1..5000)).collect();
+            (lens, rng.random_range(1usize..16))
+        };
+        check_cases(256, case, |(lens, parts)| {
+            let cfg = MachineConfig::origin2000(16);
+            let topo = Topology::new(&cfg);
+            let mut s = AddressSpace::new(&cfg);
+            let ids: Vec<ArrayId> = lens
+                .iter()
+                .enumerate()
+                .map(|(i, &len)| {
+                    let placement = match i % 3 {
+                        0 => Placement::Node(i % topo.n_nodes()),
+                        1 => Placement::Interleaved,
+                        _ => Placement::Partitioned { parts: *parts },
+                    };
+                    s.alloc(len, placement, "arr", &topo)
+                })
+                .collect();
+            for (id, &len) in ids.iter().zip(lens) {
+                for idx in [0, len / 2, len - 1] {
+                    let addr = s.addr_of(*id, idx);
+                    let line = s.line_of(addr);
+                    assert_eq!(s.home_of(addr), s.home_of_line(line));
+                    assert!(s.home_of(addr) < topo.n_nodes());
+                    assert!(line < s.total_lines());
+                    assert_eq!(s.page_of(addr), addr >> cfg.page_shift());
                 }
-                // Arrays never overlap: last address of one < first of the next.
-                for w in ids.windows(2) {
-                    let (a, b) = (w[0], w[1]);
-                    assert!(s.addr_of(a, s.len(a) - 1) < s.addr_of(b, 0));
-                }
-            },
-        );
+            }
+            // Arrays never overlap: last address of one < first of the next.
+            for w in ids.windows(2) {
+                let (a, b) = (w[0], w[1]);
+                assert!(s.addr_of(a, s.len(a) - 1) < s.addr_of(b, 0));
+            }
+        });
     }
 }

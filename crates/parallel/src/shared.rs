@@ -243,45 +243,42 @@ mod tests {
 #[cfg(test)]
 mod properties {
     use super::*;
+    use ccsort_rng::{check_cases, SplitMix64};
 
     /// Any permutation written through disjoint SharedSlice writes in
     /// parallel lands exactly.
     #[test]
     fn arbitrary_disjoint_permutation() {
-        ccsort_rng::check_cases(
-            256,
-            |rng| {
-                // Fisher–Yates from the case's generator.
-                let n = rng.random_range(1usize..2000);
-                let mut perm: Vec<usize> = (0..n).collect();
-                for i in (1..n).rev() {
-                    perm.swap(i, rng.random_range(0..=i));
+        // Fisher–Yates from the case's generator.
+        let case = |rng: &mut SplitMix64| {
+            let mut perm: Vec<usize> = (0..rng.random_range(1..2000)).collect();
+            for i in (1..perm.len()).rev() {
+                perm.swap(i, rng.random_range(0..=i));
+            }
+            perm
+        };
+        check_cases(256, case, |perm| {
+            let n = perm.len();
+            let mut out = vec![u32::MAX; n];
+            let shared = SharedSlice::new(&mut out);
+            let threads = 4.min(n);
+            std::thread::scope(|s| {
+                for t in 0..threads {
+                    let shared = &shared;
+                    s.spawn(move || {
+                        let mut i = t;
+                        while i < n {
+                            // SAFETY: perm is a bijection and the strided
+                            // sources are disjoint, so targets are disjoint.
+                            unsafe { shared.write(perm[i], i as u32) };
+                            i += threads;
+                        }
+                    });
                 }
-                perm
-            },
-            |perm| {
-                let n = perm.len();
-                let mut out = vec![u32::MAX; n];
-                let shared = SharedSlice::new(&mut out);
-                let threads = 4.min(n);
-                std::thread::scope(|s| {
-                    for t in 0..threads {
-                        let shared = &shared;
-                        s.spawn(move || {
-                            let mut i = t;
-                            while i < n {
-                                // SAFETY: perm is a bijection and the strided
-                                // sources are disjoint, so targets are disjoint.
-                                unsafe { shared.write(perm[i], i as u32) };
-                                i += threads;
-                            }
-                        });
-                    }
-                });
-                for (i, &p) in perm.iter().enumerate() {
-                    assert_eq!(out[p], i as u32);
-                }
-            },
-        );
+            });
+            for (i, &p) in perm.iter().enumerate() {
+                assert_eq!(out[p], i as u32);
+            }
+        });
     }
 }

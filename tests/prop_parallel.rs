@@ -75,140 +75,113 @@ fn build_input(shape: usize, n: usize, seed: u64) -> Vec<u32> {
 
 #[test]
 fn seq_radix_matches_std() {
-    check_cases(
-        CASES,
-        |rng| (vec_of::<u32>(rng, 0..4000), rng.random_range(1u32..=16)),
-        |(v, bits)| {
-            let mut got = v.clone();
-            seq_radix_sort(&mut got, *bits);
-            assert_eq!(got, sorted(v));
-        },
-    );
+    check_cases(CASES, |rng| (vec_of::<u32>(rng, 0..4000), rng.random_range(1u32..=16)), |(v, bits)| {
+        let mut got = v.clone();
+        seq_radix_sort(&mut got, *bits);
+        assert_eq!(got, sorted(v));
+    });
 }
 
 #[test]
 fn seq_radix_matches_std_signed() {
-    check_cases(
-        CASES,
-        |rng| vec_of::<i64>(rng, 0..2000),
-        |v| {
-            let mut got = v.clone();
-            seq_radix_sort(&mut got, 11);
-            assert_eq!(got, sorted(v));
-        },
-    );
+    check_cases(CASES, |rng| vec_of::<i64>(rng, 0..2000), |v| {
+        let mut got = v.clone();
+        seq_radix_sort(&mut got, 11);
+        assert_eq!(got, sorted(v));
+    });
+}
+
+/// The engine on (keys, digit width, worker count) is bit-identical to std.
+fn par_radix_sorts((v, bits, chunks): &(Vec<u32>, u32, usize)) {
+    let mut got = v.clone();
+    par_radix_sort_with(&mut got, &build_config(*bits, *chunks));
+    assert_eq!(got, sorted(v));
 }
 
 #[test]
 fn par_radix_matches_std() {
-    check_cases(
-        CASES,
-        |rng| (vec_of::<u32>(rng, 0..6000), rng.random_range(1usize..12), rng.random_range(4u32..=12)),
-        |(v, chunks, bits)| {
-            let mut got = v.clone();
-            par_radix_sort_with(&mut got, &build_config(*bits, *chunks));
-            assert_eq!(got, sorted(v));
-        },
-    );
+    let case = |rng: &mut SplitMix64| {
+        (vec_of::<u32>(rng, 0..6000), rng.random_range(4u32..=12), rng.random_range(1usize..12))
+    };
+    check_cases(CASES, case, par_radix_sorts);
 }
 
-fn sample_sorted<K: RadixKey + Default>(v: &[K], parts: usize) -> Vec<K> {
-    let mut got = v.to_vec();
-    par_sample_sort_with(
-        &mut got,
-        &SampleSortConfig { parts: Some(parts), sequential_cutoff: 0, ..Default::default() },
-    );
-    got
+/// Every digit width × worker count, on every input shape.
+#[test]
+fn par_radix_any_config_matches_std() {
+    check_cases(CASES, |rng| shaped_case(rng, 6000), par_radix_sorts);
+}
+
+/// A `build_input` shape below `max_n` keys, a digit width, a worker count.
+fn shaped_case(rng: &mut SplitMix64, max_n: usize) -> (Vec<u32>, u32, usize) {
+    let keys = build_input(rng.random_range(0..4), rng.random_range(0..max_n), rng.random());
+    (keys, rng.random_range(4u32..=12), pick(rng, &CHUNKS))
+}
+
+fn par_sample_sorts<K: RadixKey + Default + std::fmt::Debug>((v, parts): &(Vec<K>, usize)) {
+    let mut got = v.clone();
+    let cfg = SampleSortConfig { parts: Some(*parts), sequential_cutoff: 0, ..Default::default() };
+    par_sample_sort_with(&mut got, &cfg);
+    assert_eq!(got, sorted(v));
 }
 
 #[test]
 fn par_sample_matches_std() {
-    check_cases(
-        CASES,
-        |rng| (vec_of::<u64>(rng, 0..6000), rng.random_range(1usize..10)),
-        |(v, parts)| assert_eq!(sample_sorted(v, *parts), sorted(v)),
-    );
+    check_cases(CASES, |rng| (vec_of::<u64>(rng, 0..6000), rng.random_range(1usize..10)), par_sample_sorts);
 }
 
 /// Massive duplication: exercises the tied-splitter spreading.
 #[test]
 fn par_sample_handles_low_cardinality() {
-    check_cases(
-        CASES,
-        |rng| {
-            let n = rng.random_range(0..6000);
-            let v: Vec<u32> = (0..n).map(|_| rng.random_range(0..8)).collect();
-            (v, rng.random_range(1usize..10))
-        },
-        |(v, parts)| assert_eq!(sample_sorted(v, *parts), sorted(v)),
-    );
+    let case = |rng: &mut SplitMix64| {
+        let v: Vec<u32> = (0..rng.random_range(0..6000)).map(|_| rng.random_range(0..8)).collect();
+        (v, rng.random_range(1usize..10))
+    };
+    check_cases(CASES, case, par_sample_sorts);
 }
 
-/// One of the two runtime sorts (message passing, symmetric heap).
-type RuntimeSort = fn(&mut [u32], usize, u32);
-
-fn runtime_matches_std(sort: RuntimeSort) {
-    check_cases(
-        CASES,
-        |rng| (vec_of::<u32>(rng, 0..3000), rng.random_range(1usize..7), rng.random_range(6u32..=11)),
-        |(v, p, bits)| {
-            let mut got = v.clone();
-            sort(&mut got, *p, *bits);
-            assert_eq!(got, sorted(v));
-        },
-    );
+/// One of the two runtime sorts (message passing, symmetric heap) on
+/// (keys, process count, digit width) cases.
+fn runtime_sorts(
+    sort: fn(&mut [u32], usize, u32),
+    case: impl Fn(&mut SplitMix64) -> (Vec<u32>, usize, u32),
+) {
+    check_cases(CASES, case, |(v, p, bits)| {
+        let mut got = v.clone();
+        sort(&mut got, *p, *bits);
+        assert_eq!(got, sorted(v));
+    });
 }
 
-#[test]
-fn msg_radix_matches_std() {
-    runtime_matches_std(radix_sort_msg);
-}
-
-#[test]
-fn shmem_radix_matches_std() {
-    runtime_matches_std(radix_sort_shmem);
+fn any_p(rng: &mut SplitMix64) -> (Vec<u32>, usize, u32) {
+    (vec_of(rng, 0..3000), rng.random_range(1usize..7), rng.random_range(6u32..=11))
 }
 
 /// Both cases pinned in `regression_seeds.rs` sat at odd p; sweep the real
 /// threaded sorts across non-power-of-two process counts (and
 /// non-power-of-two digit widths, hence odd bin counts) too.
-fn runtime_handles_non_power_of_two_p(sort: RuntimeSort) {
-    check_cases(
-        CASES,
-        |rng| (vec_of::<u32>(rng, 64..2000), pick(rng, &[3usize, 5, 6, 7, 63]), pick(rng, &[5u32, 7, 9, 11])),
-        |(v, p, bits)| {
-            let mut got = v.clone();
-            sort(&mut got, *p, *bits);
-            assert_eq!(got, sorted(v));
-        },
-    );
+fn non_power_of_two_p(rng: &mut SplitMix64) -> (Vec<u32>, usize, u32) {
+    (vec_of(rng, 64..2000), pick(rng, &[3usize, 5, 6, 7, 63]), pick(rng, &[5u32, 7, 9, 11]))
+}
+
+#[test]
+fn msg_radix_matches_std() {
+    runtime_sorts(radix_sort_msg, any_p);
+}
+
+#[test]
+fn shmem_radix_matches_std() {
+    runtime_sorts(radix_sort_shmem, any_p);
 }
 
 #[test]
 fn msg_radix_handles_non_power_of_two_p() {
-    runtime_handles_non_power_of_two_p(radix_sort_msg);
+    runtime_sorts(radix_sort_msg, non_power_of_two_p);
 }
 
 #[test]
 fn shmem_radix_handles_non_power_of_two_p() {
-    runtime_handles_non_power_of_two_p(radix_sort_shmem);
-}
-
-/// Every digit width × worker count is bit-identical to std.
-#[test]
-fn par_radix_any_config_matches_std() {
-    check_cases(
-        CASES,
-        |rng| {
-            let v = build_input(rng.random_range(0..4), rng.random_range(0..6000), rng.random());
-            (v, rng.random_range(4u32..=12), pick(rng, &CHUNKS))
-        },
-        |(v, bits, chunks)| {
-            let mut got = v.clone();
-            par_radix_sort_with(&mut got, &build_config(*bits, *chunks));
-            assert_eq!(got, sorted(v));
-        },
-    );
+    runtime_sorts(radix_sort_shmem, non_power_of_two_p);
 }
 
 /// Payloads record original positions, so the unique stable order doubles
@@ -216,23 +189,16 @@ fn par_radix_any_config_matches_std() {
 /// keys would diverge from the sequential sort.
 #[test]
 fn par_radix_pairs_any_config_stable() {
-    check_cases(
-        CASES,
-        |rng| {
-            let keys = build_input(rng.random_range(0..4), rng.random_range(0..4000), rng.random());
-            (keys, rng.random_range(4u32..=12), pick(rng, &CHUNKS))
-        },
-        |(keys, bits, chunks)| {
-            let cfg = build_config(*bits, *chunks);
-            let vals: Vec<u32> = (0..keys.len() as u32).collect();
-            let (mut ks, mut vs) = (keys.clone(), vals.clone());
-            radix_sort_pairs(&mut ks, &mut vs, cfg.radix_bits);
-            let (mut kp, mut vp) = (keys.clone(), vals);
-            par_radix_sort_pairs_with(&mut kp, &mut vp, &cfg);
-            assert_eq!(kp, ks);
-            assert_eq!(vp, vs);
-        },
-    );
+    check_cases(CASES, |rng| shaped_case(rng, 4000), |(keys, bits, chunks)| {
+        let cfg = build_config(*bits, *chunks);
+        let vals: Vec<u32> = (0..keys.len() as u32).collect();
+        let (mut ks, mut vs) = (keys.clone(), vals.clone());
+        radix_sort_pairs(&mut ks, &mut vs, cfg.radix_bits);
+        let (mut kp, mut vp) = (keys.clone(), vals);
+        par_radix_sort_pairs_with(&mut kp, &mut vp, &cfg);
+        assert_eq!(kp, ks);
+        assert_eq!(vp, vs);
+    });
 }
 
 /// A cutoff that is a fraction of n lets the data decide between the
@@ -243,52 +209,44 @@ fn par_radix_pairs_any_config_stable() {
 /// made within the rule.
 #[test]
 fn either_schedule_is_stable_and_equals_the_simple_oracle() {
-    check_cases(
-        CASES,
-        |rng| {
-            let shape = pick(rng, &[0usize, 0, 0, 1, 2, 3]);
-            let (n, seed) = (rng.random_range(0..6000), rng.random());
-            let key_bits = pick(rng, &[8u32, 12, 16, 20, 30, 32]);
-            let keys: Vec<u32> =
-                build_input(shape, n, seed).iter().map(|k| k >> (32 - key_bits)).collect();
-            (keys, rng.random_range(3u32..=5), pick(rng, &[2usize, 3, 4, 8]), pick(rng, &CHUNKS))
-        },
-        |(keys, bits, cutoff_div, chunks)| {
-            let simple = build_config(*bits, *chunks);
-            let cfg = RadixSortConfig { sequential_cutoff: keys.len() / cutoff_div, ..simple.clone() };
-            let vals: Vec<u32> = (0..keys.len() as u32).collect();
-            let mut expect: Vec<(u32, u32)> = keys.iter().copied().zip(vals.iter().copied()).collect();
-            expect.sort_by_key(|p| p.0);
+    let case = |rng: &mut SplitMix64| {
+        let shape = pick(rng, &[0usize, 0, 0, 1, 2, 3]);
+        let (n, seed) = (rng.random_range(0..6000), rng.random());
+        let key_bits = pick(rng, &[8u32, 12, 16, 20, 30, 32]);
+        let keys: Vec<u32> = build_input(shape, n, seed).iter().map(|k| k >> (32 - key_bits)).collect();
+        (keys, rng.random_range(3u32..=5), pick(rng, &[2usize, 3, 4, 8]), pick(rng, &CHUNKS))
+    };
+    check_cases(CASES, case, |(keys, bits, cutoff_div, chunks)| {
+        let simple = build_config(*bits, *chunks);
+        let cfg = RadixSortConfig { sequential_cutoff: keys.len() / cutoff_div, ..simple.clone() };
+        let vals: Vec<u32> = (0..keys.len() as u32).collect();
+        let mut expect: Vec<(u32, u32)> = keys.iter().copied().zip(vals.iter().copied()).collect();
+        expect.sort_by_key(|p| p.0);
 
-            let mut scratch: SortScratch<u32, u32> = SortScratch::new();
-            let (mut kp, mut vp) = (keys.clone(), vals.clone());
-            par_radix_sort_pairs_with_scratch(&mut kp, &mut vp, &cfg, &mut scratch);
-            let got: Vec<(u32, u32)> = kp.iter().copied().zip(vp.iter().copied()).collect();
-            assert_eq!(got, expect);
-            if let Some(Schedule::MsdFirst { live_passes, largest_bucket, .. }) = scratch.last_schedule() {
-                assert!(live_passes >= 2 && largest_bucket <= cfg.sequential_cutoff);
-            }
+        let mut scratch: SortScratch<u32, u32> = SortScratch::new();
+        let (mut kp, mut vp) = (keys.clone(), vals.clone());
+        par_radix_sort_pairs_with_scratch(&mut kp, &mut vp, &cfg, &mut scratch);
+        let got: Vec<(u32, u32)> = kp.iter().copied().zip(vp.iter().copied()).collect();
+        assert_eq!(got, expect);
+        if let Some(Schedule::MsdFirst { live_passes, largest_bucket, .. }) = scratch.last_schedule() {
+            assert!(live_passes >= 2 && largest_bucket <= cfg.sequential_cutoff);
+        }
 
-            let (mut ks, mut vs) = (keys.clone(), vals);
-            par_radix_sort_pairs_with(&mut ks, &mut vs, &simple);
-            assert_eq!(kp, ks);
-            assert_eq!(vp, vs);
-        },
-    );
+        let (mut ks, mut vs) = (keys.clone(), vals);
+        par_radix_sort_pairs_with(&mut ks, &mut vs, &simple);
+        assert_eq!(kp, ks);
+        assert_eq!(vp, vs);
+    });
 }
 
 #[test]
 fn all_sorts_agree_pairwise() {
-    check_cases(
-        CASES,
-        |rng| vec_of::<u32>(rng, 0..3000),
-        |v| {
-            let (mut a, mut b, mut c) = (v.clone(), v.clone(), v.clone());
-            par_radix_sort_with(&mut a, &RadixSortConfig { sequential_cutoff: 0, ..Default::default() });
-            par_sample_sort_with(&mut b, &SampleSortConfig { sequential_cutoff: 0, ..Default::default() });
-            radix_sort_msg(&mut c, 3, 8);
-            assert_eq!(a, b);
-            assert_eq!(b, c);
-        },
-    );
+    check_cases(CASES, |rng| vec_of::<u32>(rng, 0..3000), |v| {
+        let (mut a, mut b, mut c) = (v.clone(), v.clone(), v.clone());
+        par_radix_sort_with(&mut a, &RadixSortConfig { sequential_cutoff: 0, ..Default::default() });
+        par_sample_sort_with(&mut b, &SampleSortConfig { sequential_cutoff: 0, ..Default::default() });
+        radix_sort_msg(&mut c, 3, 8);
+        assert_eq!(a, b);
+        assert_eq!(b, c);
+    });
 }

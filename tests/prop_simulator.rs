@@ -23,103 +23,90 @@ fn ops_of<T>(rng: &mut SplitMix64, max_len: usize, one: impl Fn(&mut SplitMix64)
 
 #[test]
 fn any_experiment_verifies_and_accounts_time() {
-    check_cases(
-        24,
-        |rng| {
-            let (alg, dist) = (pick(rng, &Algorithm::ALL), pick(rng, &Dist::ALL));
-            let n = 1 << rng.random_range(10usize..13);
-            ExpConfig::new(alg, n, rng.random_range(1usize..10))
-                .radix_bits(rng.random_range(6u32..=11))
-                .dist(dist)
-                .seed(rng.random_range(0u64..1000))
-                .scale(256)
-        },
-        |cfg| {
-            let (res, violations) = run_experiment_audited(cfg);
-            assert!(violations.is_empty(), "machine audit: {violations:?}");
-            assert!(res.verified, "unsorted output");
-            assert!(res.parallel_ns > 0.0);
-            assert_eq!(res.per_pe.len(), cfg.p);
-            // Every processor's clock equals the sum of its buckets.
-            for b in &res.per_pe {
-                assert!(b.busy >= 0.0 && b.lmem >= 0.0 && b.rmem >= 0.0 && b.sync >= 0.0);
-                assert!(b.total() <= res.parallel_ns * (1.0 + 1e-9));
-            }
-        },
-    );
+    let case = |rng: &mut SplitMix64| {
+        let (alg, dist) = (pick(rng, &Algorithm::ALL), pick(rng, &Dist::ALL));
+        let n = 1 << rng.random_range(10usize..13);
+        ExpConfig::new(alg, n, rng.random_range(1usize..10))
+            .radix_bits(rng.random_range(6u32..=11))
+            .dist(dist)
+            .seed(rng.random_range(0u64..1000))
+            .scale(256)
+    };
+    check_cases(24, case, |cfg| {
+        let (res, violations) = run_experiment_audited(cfg);
+        assert!(violations.is_empty(), "machine audit: {violations:?}");
+        assert!(res.verified, "unsorted output");
+        assert!(res.parallel_ns > 0.0);
+        assert_eq!(res.per_pe.len(), cfg.p);
+        // Every processor's clock equals the sum of its buckets.
+        for b in &res.per_pe {
+            assert!(b.busy >= 0.0 && b.lmem >= 0.0 && b.rmem >= 0.0 && b.sync >= 0.0);
+            assert!(b.total() <= res.parallel_ns * (1.0 + 1e-9));
+        }
+    });
 }
 
 #[test]
 fn distributions_stay_in_range_and_are_deterministic() {
-    check_cases(
-        24,
-        |rng| {
-            let dist = pick(rng, &Dist::ALL);
-            let (n, p) = (rng.random_range(64usize..4096), rng.random_range(1usize..16));
-            (dist, n, p, rng.random_range(6u32..=12), rng.random_range(0u64..1000))
-        },
-        |&(dist, n, p, r, seed)| {
-            let keys = generate(dist, n, p, r, seed);
-            assert_eq!(keys.len(), n);
-            assert!(keys.iter().all(|&k| (k as u64) < MAX_KEY));
-            assert_eq!(generate(dist, n, p, r, seed), keys);
-            // Shape properties: window permutations, digit locality, coverage.
-            let errs = validate_dist(dist, n, p, r, seed);
-            assert!(errs.is_empty(), "distribution validator: {errs:?}");
-        },
-    );
+    let case = |rng: &mut SplitMix64| {
+        let (dist, n, p) = (pick(rng, &Dist::ALL), rng.random_range(64usize..4096), rng.random_range(1usize..16));
+        (dist, n, p, rng.random_range(6u32..=12), rng.random_range(0u64..1000))
+    };
+    check_cases(24, case, |&(dist, n, p, r, seed)| {
+        let keys = generate(dist, n, p, r, seed);
+        assert_eq!(keys.len(), n);
+        assert!(keys.iter().all(|&k| (k as u64) < MAX_KEY));
+        assert_eq!(generate(dist, n, p, r, seed), keys);
+        // Shape properties: window permutations, digit locality, coverage.
+        let errs = validate_dist(dist, n, p, r, seed);
+        assert!(errs.is_empty(), "distribution validator: {errs:?}");
+    });
 }
 
 #[test]
 fn machine_reads_return_last_write() {
-    check_cases(
-        24,
-        |rng| {
-            let writes = ops_of(rng, 200, |rng| (rng.random_range(0usize..512), rng.random::<u32>()));
-            (writes, rng.random_range(1usize..5))
-        },
-        |(writes, p)| {
-            let p = *p;
-            let mut m = Machine::new(MachineConfig::origin2000(p).scaled_down(256));
-            let arr = m.alloc(512, Placement::Partitioned { parts: p }, "a");
-            let mut shadow = vec![0u32; 512];
-            for (i, &(idx, v)) in writes.iter().enumerate() {
-                m.write_at(i % p, arr, idx, v);
-                shadow[idx] = v;
-            }
-            for (idx, &v) in shadow.iter().enumerate() {
-                assert_eq!(m.read_at(idx % p, arr, idx), v);
-            }
-        },
-    );
+    let case = |rng: &mut SplitMix64| {
+        let writes = ops_of(rng, 200, |rng| (rng.random_range(0usize..512), rng.random::<u32>()));
+        (writes, rng.random_range(1usize..5))
+    };
+    check_cases(24, case, |(writes, p)| {
+        let p = *p;
+        let mut m = Machine::new(MachineConfig::origin2000(p).scaled_down(256));
+        let arr = m.alloc(512, Placement::Partitioned { parts: p }, "a");
+        let mut shadow = vec![0u32; 512];
+        for (i, &(idx, v)) in writes.iter().enumerate() {
+            m.write_at(i % p, arr, idx, v);
+            shadow[idx] = v;
+        }
+        for (idx, &v) in shadow.iter().enumerate() {
+            assert_eq!(m.read_at(idx % p, arr, idx), v);
+        }
+    });
 }
 
 #[test]
 fn machine_time_is_monotone_per_processor() {
-    check_cases(
-        24,
-        |rng| ops_of(rng, 300, |rng| (rng.random_range(0usize..256), rng.random::<bool>())),
-        |ops| {
-            let mut m = Machine::new(MachineConfig::origin2000(4).scaled_down(256));
-            let arr = m.alloc(256, Placement::Interleaved, "a");
-            let mut last = [0.0f64; 4];
-            for (i, &(idx, write)) in ops.iter().enumerate() {
-                let pe = i % 4;
-                if write {
-                    m.write_at(pe, arr, idx, i as u32);
-                } else {
-                    m.read_at(pe, arr, idx);
-                }
-                assert!(m.now(pe) >= last[pe]);
-                last[pe] = m.now(pe);
+    let case = |rng: &mut SplitMix64| ops_of(rng, 300, |rng| (rng.random_range(0usize..256), rng.random::<bool>()));
+    check_cases(24, case, |ops| {
+        let mut m = Machine::new(MachineConfig::origin2000(4).scaled_down(256));
+        let arr = m.alloc(256, Placement::Interleaved, "a");
+        let mut last = [0.0f64; 4];
+        for (i, &(idx, write)) in ops.iter().enumerate() {
+            let pe = i % 4;
+            if write {
+                m.write_at(pe, arr, idx, i as u32);
+            } else {
+                m.read_at(pe, arr, idx);
             }
-            m.barrier();
-            let t = m.now(0);
-            for pe in 0..4 {
-                assert!((m.now(pe) - t).abs() < 1e-9, "barrier must align clocks");
-            }
-        },
-    );
+            assert!(m.now(pe) >= last[pe]);
+            last[pe] = m.now(pe);
+        }
+        m.barrier();
+        let t = m.now(0);
+        for pe in 0..4 {
+            assert!((m.now(pe) - t).abs() < 1e-9, "barrier must align clocks");
+        }
+    });
 }
 
 fn assert_audit_clean(m: &Machine) {
@@ -132,86 +119,74 @@ fn assert_audit_clean(m: &Machine) {
 /// `Machine::check_coherence`).
 #[test]
 fn coherence_invariants_hold_after_random_accesses() {
-    check_cases(
-        16,
-        |rng| {
-            ops_of(rng, 400, |rng| {
-                (rng.random_range(0usize..4), rng.random_range(0usize..512), rng.random::<bool>())
-            })
-        },
-        |ops| {
-            let mut m = Machine::new(MachineConfig::origin2000(4).scaled_down(256));
-            let arr = m.alloc(512, Placement::Partitioned { parts: 4 }, "a");
-            for &(pe, idx, write) in ops {
-                if write {
-                    m.write_at(pe, arr, idx, idx as u32);
-                } else {
-                    m.read_at(pe, arr, idx);
-                }
+    let case = |rng: &mut SplitMix64| {
+        ops_of(rng, 400, |rng| (rng.random_range(0usize..4), rng.random_range(0usize..512), rng.random::<bool>()))
+    };
+    check_cases(16, case, |ops| {
+        let mut m = Machine::new(MachineConfig::origin2000(4).scaled_down(256));
+        let arr = m.alloc(512, Placement::Partitioned { parts: 4 }, "a");
+        for &(pe, idx, write) in ops {
+            if write {
+                m.write_at(pe, arr, idx, idx as u32);
+            } else {
+                m.read_at(pe, arr, idx);
             }
-            assert_audit_clean(&m);
-        },
-    );
+        }
+        assert_audit_clean(&m);
+    });
 }
 
 /// DMA transfers must also leave the protocol state consistent.
 #[test]
 fn coherence_invariants_hold_after_dma() {
-    check_cases(
-        16,
-        |rng| {
-            ops_of(rng, 60, |rng| {
-                let (pe, off) = (rng.random_range(0usize..4), rng.random_range(0usize..448));
-                (pe, off, rng.random_range(1usize..64), rng.random::<bool>())
-            })
-        },
-        |ops| {
-            let mut m = Machine::new(MachineConfig::origin2000(4).scaled_down(256));
-            let a = m.alloc(512, Placement::Partitioned { parts: 4 }, "a");
-            let b = m.alloc(512, Placement::Partitioned { parts: 4 }, "b");
-            for &(pe, off, len, install) in ops {
-                let len = len.min(512 - off);
-                m.dma_copy(pe, a, off, b, off, len, install);
-                m.read_at(pe, a, off); // interleave coherent traffic
-                m.write_at((pe + 1) % 4, b, off, 1);
-            }
-            assert_audit_clean(&m);
-        },
-    );
+    let case = |rng: &mut SplitMix64| {
+        ops_of(rng, 60, |rng| {
+            let (pe, off) = (rng.random_range(0usize..4), rng.random_range(0usize..448));
+            (pe, off, rng.random_range(1usize..64), rng.random::<bool>())
+        })
+    };
+    check_cases(16, case, |ops| {
+        let mut m = Machine::new(MachineConfig::origin2000(4).scaled_down(256));
+        let a = m.alloc(512, Placement::Partitioned { parts: 4 }, "a");
+        let b = m.alloc(512, Placement::Partitioned { parts: 4 }, "b");
+        for &(pe, off, len, install) in ops {
+            let len = len.min(512 - off);
+            m.dma_copy(pe, a, off, b, off, len, install);
+            m.read_at(pe, a, off); // interleave coherent traffic
+            m.write_at((pe + 1) % 4, b, off, 1);
+        }
+        assert_audit_clean(&m);
+    });
 }
 
 /// A full simulated sort leaves a consistent machine behind.
 #[test]
 fn coherence_invariants_hold_after_sorts() {
-    check_cases(
-        16,
-        |rng| (pick(rng, &Algorithm::ALL), rng.random_range(0u64..100)),
-        |&(alg, seed)| {
-            use ccsort::algos::dist::generate;
-            use ccsort::algos::KEY_BITS;
-            let n = 1 << 11;
-            let p = 4;
-            let mut m = Machine::new(MachineConfig::origin2000(p).scaled_down(256));
-            let a = m.alloc(n, Placement::Partitioned { parts: p }, "k0");
-            let b = m.alloc(n, Placement::Partitioned { parts: p }, "k1");
-            let input = generate(Dist::Gauss, n, p, 8, seed);
-            m.raw_mut(a).copy_from_slice(&input);
-            use ccsort::models::MpiMode;
-            use ccsort::algos::{radix, sample};
-            match alg {
-                Algorithm::RadixCcsas => { radix::ccsas::sort(&mut m, [a, b], n, 8, KEY_BITS); }
-                Algorithm::RadixCcsasNew => { radix::ccsas_new::sort(&mut m, [a, b], n, 8, KEY_BITS); }
-                Algorithm::RadixMpiStaged => { radix::mpi::sort(&mut m, MpiMode::Staged, [a, b], n, 8, KEY_BITS); }
-                Algorithm::RadixMpiDirect => { radix::mpi::sort(&mut m, MpiMode::Direct, [a, b], n, 8, KEY_BITS); }
-                Algorithm::RadixMpiCoalesced => { radix::mpi_coalesced::sort(&mut m, MpiMode::Direct, [a, b], n, 8, KEY_BITS); }
-                Algorithm::RadixShmem => { radix::shmem::sort(&mut m, [a, b], n, 8, KEY_BITS); }
-                Algorithm::RadixShmemPut => { radix::shmem_put::sort(&mut m, [a, b], n, 8, KEY_BITS); }
-                Algorithm::SampleCcsas => { sample::ccsas::sort(&mut m, [a, b], n, 8, KEY_BITS); }
-                Algorithm::SampleMpiStaged => { sample::mpi::sort(&mut m, MpiMode::Staged, [a, b], n, 8, KEY_BITS); }
-                Algorithm::SampleMpiDirect => { sample::mpi::sort(&mut m, MpiMode::Direct, [a, b], n, 8, KEY_BITS); }
-                Algorithm::SampleShmem => { sample::shmem::sort(&mut m, [a, b], n, 8, KEY_BITS); }
-            }
-            assert_audit_clean(&m);
-        },
-    );
+    check_cases(16, |rng| (pick(rng, &Algorithm::ALL), rng.random_range(0u64..100)), |&(alg, seed)| {
+        use ccsort::algos::dist::generate;
+        use ccsort::algos::KEY_BITS;
+        let n = 1 << 11;
+        let p = 4;
+        let mut m = Machine::new(MachineConfig::origin2000(p).scaled_down(256));
+        let a = m.alloc(n, Placement::Partitioned { parts: p }, "k0");
+        let b = m.alloc(n, Placement::Partitioned { parts: p }, "k1");
+        let input = generate(Dist::Gauss, n, p, 8, seed);
+        m.raw_mut(a).copy_from_slice(&input);
+        use ccsort::models::MpiMode;
+        use ccsort::algos::{radix, sample};
+        match alg {
+            Algorithm::RadixCcsas => { radix::ccsas::sort(&mut m, [a, b], n, 8, KEY_BITS); }
+            Algorithm::RadixCcsasNew => { radix::ccsas_new::sort(&mut m, [a, b], n, 8, KEY_BITS); }
+            Algorithm::RadixMpiStaged => { radix::mpi::sort(&mut m, MpiMode::Staged, [a, b], n, 8, KEY_BITS); }
+            Algorithm::RadixMpiDirect => { radix::mpi::sort(&mut m, MpiMode::Direct, [a, b], n, 8, KEY_BITS); }
+            Algorithm::RadixMpiCoalesced => { radix::mpi_coalesced::sort(&mut m, MpiMode::Direct, [a, b], n, 8, KEY_BITS); }
+            Algorithm::RadixShmem => { radix::shmem::sort(&mut m, [a, b], n, 8, KEY_BITS); }
+            Algorithm::RadixShmemPut => { radix::shmem_put::sort(&mut m, [a, b], n, 8, KEY_BITS); }
+            Algorithm::SampleCcsas => { sample::ccsas::sort(&mut m, [a, b], n, 8, KEY_BITS); }
+            Algorithm::SampleMpiStaged => { sample::mpi::sort(&mut m, MpiMode::Staged, [a, b], n, 8, KEY_BITS); }
+            Algorithm::SampleMpiDirect => { sample::mpi::sort(&mut m, MpiMode::Direct, [a, b], n, 8, KEY_BITS); }
+            Algorithm::SampleShmem => { sample::shmem::sort(&mut m, [a, b], n, 8, KEY_BITS); }
+        }
+        assert_audit_clean(&m);
+    });
 }
