@@ -163,50 +163,47 @@ mod tests {
         check(vec![1u32]);
     }
 
-    /// A (key, original index) record ordered by key only — `Ord` on tuples
-    /// would use the index — so a sort's stability shows in the indices.
-    #[derive(Clone, Copy, Debug)]
-    struct Rec(u8, u32);
-    impl PartialEq for Rec {
-        fn eq(&self, o: &Self) -> bool {
-            self.0 == o.0 // key only, consistent with Ord
-        }
-    }
-    impl Eq for Rec {}
-    impl PartialOrd for Rec {
-        fn partial_cmp(&self, o: &Self) -> Option<std::cmp::Ordering> {
-            Some(self.cmp(o))
-        }
-    }
-    impl Ord for Rec {
-        fn cmp(&self, o: &Self) -> std::cmp::Ordering {
-            self.0.cmp(&o.0)
-        }
-    }
-
     /// Stable at the machine's own worker count and at two that make the
     /// chunk count (4, 8) differ from the workers and give the late merge
     /// rounds forks to spend.
     #[test]
     fn merge_sort_is_stable_at_3_and_7_workers() {
+        // (key, original index) records ordered by key only — `Ord` on
+        // tuples would use the index — so stability shows in the indices.
+        #[derive(Clone, Copy, Debug)]
+        struct Rec(u8, u32);
+        impl PartialEq for Rec {
+            fn eq(&self, o: &Self) -> bool {
+                self.0 == o.0 // key only, consistent with Ord
+            }
+        }
+        impl Eq for Rec {}
+        impl PartialOrd for Rec {
+            fn partial_cmp(&self, o: &Self) -> Option<std::cmp::Ordering> {
+                Some(self.cmp(o))
+            }
+        }
+        impl Ord for Rec {
+            fn cmp(&self, o: &Self) -> std::cmp::Ordering {
+                self.0.cmp(&o.0)
+            }
+        }
         let mut rng = SplitMix64::seed_from_u64(4);
         for workers in [3, 7, default_workers()] {
-            let check = |v: Vec<(u8, u32)>| {
-                // Keys in .0, original positions in .1: the derived order is
-                // the one stable outcome.
-                let mut by_key: Vec<Rec> = v.iter().map(|&(k, i)| Rec(k, i)).collect();
-                merge_sort_on(workers, &mut by_key);
-                let got: Vec<(u8, u32)> = by_key.iter().map(|r| (r.0, r.1)).collect();
-                let mut expect = v;
+            let check = |keys: Vec<u8>| {
+                let mut v: Vec<Rec> = keys.iter().zip(0..).map(|(&k, i)| Rec(k, i)).collect();
+                merge_sort_on(workers, &mut v);
+                // The tuple order is the one stable outcome.
+                let mut expect: Vec<(u8, u32)> = keys.into_iter().zip(0..).collect();
                 expect.sort();
-                assert_eq!(got, expect, "workers={workers}");
+                assert!(v.iter().map(|r| (r.0, r.1)).eq(expect), "workers={workers}");
             };
             // Four distinct keys, odd length.
-            check((0..70_001u32).map(|i| (rng.random_range(0..4u8), i)).collect());
+            check((0..70_001).map(|_| rng.random_range(0..4u8)).collect());
             // One key: stability is the whole answer.
-            check((0..50_003u32).map(|i| (7, i)).collect());
+            check(vec![7; 50_003]);
             // Uniform keys, just above the sequential cutoff.
-            check((0..(SEQ_SORT_CUTOFF as u32 + 1)).map(|i| (rng.random(), i)).collect());
+            check((0..=SEQ_SORT_CUTOFF).map(|_| rng.random()).collect());
         }
     }
 

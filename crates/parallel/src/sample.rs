@@ -222,8 +222,8 @@ mod tests {
         check((0..30_000u32).collect(), &SampleSortConfig { sequential_cutoff: 0, ..Default::default() });
     }
 
-    /// The first worker counts this sort ever ran on in this repository:
-    /// odd, dividing nothing, and 7 above the cores of any CI machine.
+    /// Odd worker counts that divide nothing; 7 is above the cores of any CI
+    /// machine.
     #[test]
     fn sample_sort_at_3_and_7_workers() {
         let mut rng = SplitMix64::seed_from_u64(7);

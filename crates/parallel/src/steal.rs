@@ -1,9 +1,9 @@
 //! Fork/join on scoped threads, and the work-stealing chunk scheduler the
 //! radix engine drains its phases through.
 //!
-//! [`run_workers`] is the one place this workspace spawns data-parallel
-//! threads: `f(0..workers)` under `std::thread::scope`, results in worker
-//! order, a worker's panic re-raised in the caller. [`par_map`] and
+//! [`run_workers`] is the fork/join the data-parallel sorts share:
+//! `f(0..workers)` under `std::thread::scope`, results in worker order, a
+//! worker's panic re-raised in the caller. [`par_map`] and
 //! [`par_for_each`] hand a list of independent items to those workers —
 //! the sample, merge and MSD sorts' "for each of k disjoint parts", and
 //! the experiment grids of `ccsort-bench` and `ccsort-audit`.
