@@ -19,8 +19,8 @@
 //! * **no-tlb** — TLB refills free; expected: CC-SAS (whose permutation
 //!   walks 2^r scattered pages) speeds up most.
 //! * **virtual-cache** — disable physically-indexed set selection;
-//!   expected: staging-buffer cursors alias on scaled machines
-//!   (pathological slowdowns that a real OS's page scatter prevents).
+//!   expected: CC-SAS's page-strided write cursors alias (a slowdown a
+//!   real OS's page scatter prevents), bulk-transfer models barely move.
 //! * **free-messages** — software overheads of MPI/SHMEM set to zero;
 //!   expected: MPI/SHMEM gain, CC-SAS untouched, small sizes most of all.
 //!

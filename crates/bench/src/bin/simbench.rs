@@ -7,16 +7,20 @@
 //!
 //! The grid is {streamed, scattered, permutation} × race detector
 //! {off, on} × p ∈ {1, 16, 64, 128}, each measured twice — with the fast
-//! path on (current code: streamed runs plus the batched scattered walk)
-//! and off (the per-line reference walk, i.e. the pre-optimization cost
-//! model). The metric is simulated key touches per wall-clock second; the
-//! `speedup` field of each fast-path row is its throughput over the
-//! matching reference row, so the "≥ 2× on streamed-heavy programs" and
-//! "≥ 2× on the batched scattered walk" claims are directly readable from
-//! the file. A final pair of large-p rows re-runs the permutation program
-//! at p = 128 under the imprecise directory representations
-//! (limited-pointer and coarse-vector; see `DirectoryMode`). Their
-//! simulated time matches full-map — the program's writes are
+//! path on (the machine's one walk, fed contiguous runs by the streamed
+//! program and index batches by the other two) and off (the per-line
+//! reference walk, i.e. the pre-optimization cost model). The metric is
+//! simulated key touches per wall-clock second; the
+//! `speedup_vs_reference` field of each fast-path row is its throughput
+//! over the matching reference row, so the "≥ 2× on streamed-heavy
+//! programs" claim is directly readable from the file (the scattered and
+//! permutation rows run ~1.6–2.1×). The warm streamed cells with the
+//! detector off at p ≥ 16 are the one place a dedicated sweep loop was
+//! faster than the walk (DESIGN.md §10, corollary) — expected, not a
+//! regression to fix. A final pair of large-p rows re-runs the
+//! permutation program at p = 128 under the imprecise directory
+//! representations (limited-pointer and coarse-vector; see
+//! `DirectoryMode`). Their simulated time matches full-map — the program's writes are
 //! exclusive-owner handoffs, which every representation tracks precisely —
 //! so the rows isolate the host-side cost of the representation's
 //! bookkeeping in the hot loop. A final block of topology × protocol rows

@@ -1,21 +1,19 @@
 //! `fastpath_without_equiv`: use of a fast-path internal in a function
-//! that carries no sampled `equiv_reference*` replay.
+//! that carries no sampled `equiv_reference` replay.
 //!
-//! PRs 3–4 earned the simulator's speed by pairing every fast path with
-//! the frozen per-element reference walk: a debug-build sampled replay
-//! (`equiv_reference` / `equiv_reference_batch`) re-executes a slice of
-//! the access stream on a clone and asserts bit-identical state. That
-//! pairing is the entire licence for the fast code to exist. A future
-//! entry point that reaches `probe_fast_ext`/`batch_walk`/... without a
-//! replay quietly re-opens the gap between the fast and reference cost
-//! models.
+//! The simulator's speed is licensed by pairing its one fast walk with
+//! the frozen per-line reference: a debug-build sampled replay
+//! (`equiv_reference`, inside `Machine::walk`) re-executes the walk's
+//! lines on a clone and asserts bit-identical state. A future entry
+//! point that reaches `probe_fast_ext`/`install_fast` without going
+//! through `walk` — a second loop — quietly re-opens the gap between the
+//! fast and reference cost models.
 
 use crate::lints::{is_production_src, Finding, Lint, WorkspaceCtx};
 use crate::source::SourceFile;
 
 /// The fast-path internals whose use demands an equivalence replay.
-const TRIGGERS: &[&str] =
-    &["probe_fast_ext", "probe_fast", "install_fast", "sweep_hits", "sweep_l2_refill", "batch_walk"];
+const TRIGGERS: &[&str] = &["probe_fast_ext", "install_fast", "walk"];
 
 pub struct FastpathWithoutEquiv;
 
@@ -44,8 +42,8 @@ impl Lint for FastpathWithoutEquiv {
             }
             let Some(enclosing) = file.enclosing_fn(t.line) else { continue };
             // Below the equivalence boundary: the internals may compose
-            // each other (`batch_walk` calls `probe_fast_ext`); the replay
-            // lives at the boundary function.
+            // each other (`walk` calls `probe_fast_ext`); the replay lives
+            // at the boundary function.
             if TRIGGERS.contains(&enclosing.name.as_str())
                 || enclosing.name.starts_with("equiv_reference")
             {
@@ -59,9 +57,8 @@ impl Lint for FastpathWithoutEquiv {
             if has_replay {
                 continue;
             }
-            // Calling a function that *contains* the replay (e.g.
-            // `batch_walk`) is safe: the discipline travels with the
-            // callee.
+            // Calling a function that *contains* the replay (`walk`) is
+            // safe: the discipline travels with the callee.
             if ctx.equiv_checked_fns.iter().any(|f| f == name) {
                 continue;
             }
@@ -76,8 +73,8 @@ impl Lint for FastpathWithoutEquiv {
                     enclosing.name
                 ),
                 note: "every fast path must be bit-exact against the frozen reference walk; \
-                       add a debug-sampled equiv_reference/equiv_reference_batch replay to \
-                       this function, or route through an entry point that has one \
+                       feed the lines to Machine::walk, which carries the debug-sampled \
+                       equiv_reference replay, instead of writing a second loop \
                        (DESIGN.md §10, §13)",
             });
         }

@@ -77,15 +77,33 @@ impl SourceFile {
             .min_by_key(|f| f.end_line - f.start_line)
     }
 
-    /// Token-index → is this identifier a *call* (followed by `(` and not
-    /// preceded by `fn`, i.e. not a definition)?
+    /// Token-index → is this identifier a *call* (followed by `(`, through
+    /// a turbofish `::<…>` if there is one, and not preceded by `fn`, i.e.
+    /// not a definition)?
     pub fn is_call(&self, idx: usize) -> bool {
         if self.tokens[idx].ident().is_none() {
             return false;
         }
-        let next_is_paren = self.tokens.get(idx + 1).is_some_and(|t| t.is_punct('('));
+        let punct = |i: usize, c: char| self.tokens.get(i).is_some_and(|t| t.is_punct(c));
+        let mut next = idx + 1;
+        if punct(next, ':') && punct(next + 1, ':') && punct(next + 2, '<') {
+            // Skip to the token after the `>` that closes the turbofish.
+            next += 2;
+            let mut depth = 0usize;
+            while let Some(t) = self.tokens.get(next) {
+                next += 1;
+                if t.is_punct('<') {
+                    depth += 1;
+                } else if t.is_punct('>') {
+                    depth -= 1;
+                    if depth == 0 {
+                        break;
+                    }
+                }
+            }
+        }
         let prev_is_fn = idx > 0 && self.tokens[idx - 1].is_ident("fn");
-        next_is_paren && !prev_is_fn
+        punct(next, '(') && !prev_is_fn
     }
 }
 
@@ -443,6 +461,22 @@ mod tests {
         assert!(!f.is_call(idxs[0]), "definition is not a call");
         assert!(f.is_call(idxs[1]), "method call is a call");
         assert!(!f.is_call(idxs[2]), "bare path is not a call");
+    }
+
+    #[test]
+    fn turbofish_call_is_a_call() {
+        let f = SourceFile::parse(
+            "x.rs",
+            "fn f() { self.walk::<true>(a); walk::<Vec<u8>, _>(b); walk::<true>; }\n",
+        );
+        let calls: Vec<bool> = f
+            .tokens
+            .iter()
+            .enumerate()
+            .filter(|(_, t)| t.is_ident("walk"))
+            .map(|(i, _)| f.is_call(i))
+            .collect();
+        assert_eq!(calls, [true, true, false], "method, nested generics, bare path");
     }
 
     #[test]

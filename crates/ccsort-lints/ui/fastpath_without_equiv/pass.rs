@@ -1,40 +1,33 @@
-// Compile-pass fixture for `fastpath_without_equiv`: the three sanctioned
-// shapes — a replay in the same function, composition below the
-// equivalence boundary, and calls routed through a replay-carrying entry
-// point.
+// Compile-pass fixture for `fastpath_without_equiv`: the sanctioned shape —
+// one walk that holds the replay and composes the cache-level internals
+// beneath it, and entry points that feed it lines.
 
 struct Cache;
 impl Cache {
     fn probe_fast_ext(&mut self) {}
-    fn sweep_hits(&mut self) -> u64 {
-        0
-    }
+    fn install_fast(&mut self) {}
 }
 
 fn equiv_reference(_c: &Cache) -> u32 {
     0
 }
-fn equiv_reference_batch(_c: &Cache) -> u32 {
-    0
-}
 
-// The streamed entry point carries its own sampled replay.
-fn touch_run(c: &mut Cache) {
+// The walk is the equivalence boundary: it carries the sampled replay.
+fn walk<const WRITE: bool>(c: &mut Cache, lines: impl Iterator<Item = u64>) {
     let reference = equiv_reference(c);
-    c.sweep_hits();
+    for _ in lines {
+        c.probe_fast_ext();
+        c.install_fast();
+    }
     assert_eq!(reference, 0);
 }
 
-// The batched walk is the equivalence boundary: it holds the replay and
-// composes the cache-level internals beneath it.
-fn batch_walk(c: &mut Cache) {
-    let reference = equiv_reference_batch(c);
-    c.probe_fast_ext();
-    assert_eq!(reference, 0);
+// A new access shape is a new line iterator handed to the walk: the
+// discipline travels with the callee, turbofish or not.
+fn touch_run(c: &mut Cache) {
+    walk::<true>(c, 0..4);
 }
 
-// Entry points that route through the replay-carrying walk are safe: the
-// discipline travels with the callee.
-fn gather_run(c: &mut Cache) {
-    batch_walk(c);
+fn gather_run(c: &mut Cache, idxs: &[u64]) {
+    walk::<false>(c, idxs.iter().map(|&i| i / 32));
 }

@@ -150,7 +150,7 @@ pub struct ExpConfig {
     /// had forgotten that barrier. Only honoured by
     /// [`run_experiment_audited`] (the plain path has no detector).
     pub inject_missing_barrier: Option<usize>,
-    /// The simulator's streamed-run fast path (`MachineConfig::fast_path`).
+    /// The simulator's fast coherence walk (`MachineConfig::fast_path`).
     /// On by default; turning it off forces the per-line reference walk —
     /// results are bit-identical either way (the equivalence tests assert
     /// it), only wall-clock differs.

@@ -200,43 +200,41 @@ impl Cache {
 
     /// The page-frame component of [`Cache::set_of`] for a physically
     /// indexed cache: every cache sharing the same `lines_per_page` maps
-    /// `line` through the same frame hash, so the batched walk computes it
-    /// once per element and feeds both the L1 and L2 probes.
+    /// `line` through the same frame hash, so the walk computes it once per
+    /// page change and feeds both the L1 and L2 probes.
     #[inline(always)]
     pub(crate) fn frame_of(page: u64) -> u64 {
         let frame = page.wrapping_mul(PAGE_HASH_MULT);
         frame ^ (frame >> 32)
     }
 
-    /// Value-identical twin of [`Cache::probe`] for the batched scattered
-    /// walk: the same algorithm and state evolution, but force-inlined,
-    /// with the caller-precomputed page frame (see [`Cache::frame_of`])
-    /// replacing the per-probe `set_of` hash, and with the two-way shape —
-    /// both simulated levels are 2-way — laid out branch-minimally. A tag
-    /// can match at most one way (installs only happen after a miss
-    /// reported the line absent), so evaluating both ways and selecting is
-    /// identical to the reference's first-match scan. `probe` itself is
-    /// deliberately left semantically untouched — it is the per-element
-    /// reference walk's cost model, frozen by the fast-path equivalence
-    /// discipline — and the `probe_fast_matches_probe` differential test
-    /// drives both through a randomized probe/install stream asserting
-    /// identical results and identical final state.
-    /// Test-only convenience wrapper over [`Cache::probe_fast_ext`] (the
-    /// walk itself owns the clock for a whole batch; the differential tests
-    /// drive single probes).
-    #[cfg(test)]
-    pub(crate) fn probe_fast(&mut self, line: u64, frame: u64, write: bool) -> Probe {
-        let mut clock = self.clock;
-        let r = self.probe_fast_ext(line, frame, write, &mut clock);
-        self.clock = clock;
-        r
+    /// Whether this cache has the fast twins below: they exist for the
+    /// 2-way, physically indexed shape only (every preset's). The walk
+    /// checks this once per call and runs the reference per line otherwise.
+    #[inline]
+    pub(crate) fn has_fast_twins(&self) -> bool {
+        self.assoc == 2 && self.page_lines_shift != u32::MAX
     }
 
-    /// [`Cache::probe_fast`] with the LRU clock held in a caller-owned
-    /// local: the batched walk's data-move closure carries raw pointers, so
-    /// a clock living inside `self` would be spilled and reloaded every
-    /// element; a stack local the walk writes back once per batch stays in
-    /// a register. `*clock` sees exactly the same increment sequence.
+    /// Value-identical twin of [`Cache::probe`] for the machine's one fast
+    /// walk: the same algorithm and state evolution, but force-inlined,
+    /// with the caller-precomputed page frame (see [`Cache::frame_of`])
+    /// replacing the per-probe `set_of` hash, and the two ways laid out
+    /// branch-minimally. A tag can match at most one way (installs only
+    /// happen after a miss reported the line absent), so evaluating both
+    /// ways and selecting is identical to the reference's first-match scan.
+    /// `probe` itself is deliberately left semantically untouched — it is
+    /// the per-line reference walk's cost model, frozen by the fast-path
+    /// equivalence discipline — and the `probe_fast_ext_matches_probe`
+    /// differential test drives both through a randomized
+    /// probe/install/invalidate stream asserting identical results and
+    /// identical final state.
+    ///
+    /// The LRU clock is held in a caller-owned local: the walk's line
+    /// iterator may carry raw pointers (the data move), so a clock living
+    /// inside `self` would be spilled and reloaded every line; a stack
+    /// local the walk writes back once per tight loop stays in a register.
+    /// `*clock` sees exactly the same increment sequence.
     #[inline(always)]
     pub(crate) fn probe_fast_ext(
         &mut self,
@@ -245,66 +243,39 @@ impl Cache {
         write: bool,
         clock: &mut u64,
     ) -> Probe {
-        debug_assert_ne!(self.page_lines_shift, u32::MAX, "probe_fast needs physical indexing");
+        debug_assert!(self.has_fast_twins(), "probe_fast_ext needs a 2-way physically indexed cache");
         debug_assert_eq!(frame, Self::frame_of(line >> self.page_lines_shift));
-        let set = ((line ^ frame) & self.set_mask) as usize;
-        let base = set * self.assoc;
+        let base = ((line ^ frame) & self.set_mask) as usize * 2;
         *clock += 1;
         let clock = *clock;
         let tag = line + 1;
-        if self.assoc == 2 {
-            // SAFETY: `set <= set_mask = sets - 1` by the mask above, so
-            // `base + 2 = set * assoc + assoc <= sets * assoc = ways.len()`.
-            let ways: &mut [Way] = unsafe { self.ways.get_unchecked_mut(base..base + 2) };
-            let hit0 = ways[0].tag == tag && ways[0].valid();
-            let hit1 = ways[1].tag == tag && ways[1].valid();
-            if hit0 | hit1 {
-                let w = &mut ways[usize::from(hit1)];
-                if write {
-                    return match w.meta & 3 {
-                        ST_SHARED => {
-                            w.meta = (clock << 2) | ST_SHARED;
-                            Probe::UpgradeNeeded
-                        }
-                        _ => {
-                            w.meta = (clock << 2) | ST_MODIFIED;
-                            Probe::Hit(LineState::Modified)
-                        }
-                    };
-                }
-                w.meta = (clock << 2) | (w.meta & 3);
-                return Probe::Hit(w.state());
+        let ways = &mut self.ways[base..base + 2];
+        let hit0 = ways[0].tag == tag && ways[0].valid();
+        let hit1 = ways[1].tag == tag && ways[1].valid();
+        if hit0 | hit1 {
+            let w = &mut ways[usize::from(hit1)];
+            if write {
+                return match w.meta & 3 {
+                    ST_SHARED => {
+                        w.meta = (clock << 2) | ST_SHARED;
+                        Probe::UpgradeNeeded
+                    }
+                    _ => {
+                        w.meta = (clock << 2) | ST_MODIFIED;
+                        Probe::Hit(LineState::Modified)
+                    }
+                };
             }
-            // Miss: prefer an invalid way (reference scan order: way 0
-            // first), else evict the way with the older stamp.
-            if !ways[0].valid() || !ways[1].valid() {
-                return Probe::Miss { victim: None };
-            }
-            let v = &ways[usize::from(ways[1].meta < ways[0].meta)];
-            return Probe::Miss { victim: Some(Victim { line: v.tag - 1, dirty: v.dirty() }) };
+            w.meta = (clock << 2) | (w.meta & 3);
+            return Probe::Hit(w.state());
         }
-        let ways = &mut self.ways[base..base + self.assoc];
-        for w in ways.iter_mut() {
-            if w.tag == tag && w.valid() {
-                if write {
-                    return match w.meta & 3 {
-                        ST_SHARED => {
-                            w.meta = (clock << 2) | ST_SHARED;
-                            Probe::UpgradeNeeded
-                        }
-                        _ => {
-                            w.meta = (clock << 2) | ST_MODIFIED;
-                            Probe::Hit(LineState::Modified)
-                        }
-                    };
-                }
-                w.meta = (clock << 2) | (w.meta & 3);
-                return Probe::Hit(w.state());
-            }
+        // Miss: prefer an invalid way (reference scan order: way 0 first),
+        // else evict the way with the older stamp.
+        if !ways[0].valid() || !ways[1].valid() {
+            return Probe::Miss { victim: None };
         }
-        // Miss: choose a victim way (prefer an invalid one).
-        let victim = self.pick_victim(set);
-        Probe::Miss { victim }
+        let v = &ways[usize::from(ways[1].meta < ways[0].meta)];
+        Probe::Miss { victim: Some(Victim { line: v.tag - 1, dirty: v.dirty() }) }
     }
 
     fn pick_victim(&self, set: usize) -> Option<Victim> {
@@ -361,13 +332,12 @@ impl Cache {
         victim
     }
 
-    /// Value-identical twin of [`Cache::install`] for the batched walk:
+    /// Value-identical twin of [`Cache::install`] for the fast walk:
     /// caller-precomputed page frame, caller-owned LRU clock (see
-    /// [`Cache::probe_fast_ext`]) and the two-way shape laid out directly.
-    /// The reference scan prefers the first invalid way and way 0 is
-    /// checked first, which the specialized arm reproduces. Kept in lock
-    /// step with `install` by the `install_fast_matches_install`
-    /// differential test.
+    /// [`Cache::probe_fast_ext`]) and the two ways laid out directly. The
+    /// reference scan prefers the first invalid way and way 0 is checked
+    /// first, which this reproduces. Kept in lock step with `install` by
+    /// the `install_fast_matches_install` differential test.
     #[inline(always)]
     pub(crate) fn install_fast(
         &mut self,
@@ -377,57 +347,27 @@ impl Cache {
         clock: &mut u64,
     ) -> Option<Victim> {
         debug_assert!(state != LineState::Invalid);
-        debug_assert_ne!(self.page_lines_shift, u32::MAX, "install_fast needs physical indexing");
+        debug_assert!(self.has_fast_twins(), "install_fast needs a 2-way physically indexed cache");
         debug_assert_eq!(frame, Self::frame_of(line >> self.page_lines_shift));
-        let set = ((line ^ frame) & self.set_mask) as usize;
-        let base = set * self.assoc;
+        let base = ((line ^ frame) & self.set_mask) as usize * 2;
         *clock += 1;
         let clock = *clock;
-        if self.assoc == 2 {
-            // SAFETY: `set <= set_mask = sets - 1` by the mask above, so
-            // `base + 2 = set * assoc + assoc <= sets * assoc = ways.len()`.
-            let ways: &mut [Way] = unsafe { self.ways.get_unchecked_mut(base..base + 2) };
-            let (way, evict) = if !ways[0].valid() {
-                (0, false)
-            } else if !ways[1].valid() {
-                (1, false)
-            } else {
-                (usize::from(ways[1].meta < ways[0].meta), true)
-            };
-            let w = &mut ways[way];
-            let victim =
-                if evict { Some(Victim { line: w.tag - 1, dirty: w.dirty() }) } else { None };
-            w.tag = line + 1;
-            w.meta = (clock << 2) | state_code(state);
-            return victim;
-        }
-        let mut target = None;
-        let mut lru_way = 0;
-        let mut lru_meta = u64::MAX;
-        for way in 0..self.assoc {
-            let w = &self.ways[base + way];
-            if !w.valid() {
-                target = Some(way);
-                break;
-            }
-            if w.meta < lru_meta {
-                lru_meta = w.meta;
-                lru_way = way;
-            }
-        }
-        let way = target.unwrap_or(lru_way);
-        let w = &mut self.ways[base + way];
-        let victim = if target.is_none() {
-            Some(Victim { line: w.tag - 1, dirty: w.dirty() })
+        let ways = &mut self.ways[base..base + 2];
+        let (way, evict) = if !ways[0].valid() {
+            (0, false)
+        } else if !ways[1].valid() {
+            (1, false)
         } else {
-            None
+            (usize::from(ways[1].meta < ways[0].meta), true)
         };
+        let w = &mut ways[way];
+        let victim = if evict { Some(Victim { line: w.tag - 1, dirty: w.dirty() }) } else { None };
         w.tag = line + 1;
         w.meta = (clock << 2) | state_code(state);
         victim
     }
 
-    /// Read/write the LRU clock around a batched walk that runs it in a
+    /// Read/write the LRU clock around a walk that runs it in a
     /// caller-owned local (see [`Cache::probe_fast_ext`]).
     #[inline(always)]
     pub(crate) fn walk_clock(&self) -> u64 {
@@ -438,76 +378,6 @@ impl Cache {
     pub(crate) fn set_walk_clock(&mut self, clock: u64) {
         debug_assert!(clock >= self.clock, "walk clock must not run backwards");
         self.clock = clock;
-    }
-
-    /// Bulk warm-sweep over the consecutive lines `[first, last]`: process
-    /// the longest prefix whose lines all hit without leaving this cache
-    /// level — exactly as the equivalent sequence of [`Cache::probe`] calls
-    /// would (one clock tick and stamp refresh per hit line; write hits on
-    /// Exclusive promote to Modified) — and return its length. Stops
-    /// *before* the first line that would miss (or, for a write, sits in
-    /// `Shared` and needs an upgrade), leaving that line and the clock
-    /// untouched for the caller's full per-line path. This is the
-    /// simulator's hottest loop: a streamed re-sweep of L1-resident data
-    /// runs entirely inside this one function.
-    pub fn sweep_hits(&mut self, first: u64, last: u64, write: bool) -> u64 {
-        let mut line = first;
-        'lines: while line <= last {
-            let set = self.set_of(line);
-            let base = set * self.assoc;
-            let tag = line + 1;
-            for way in 0..self.assoc {
-                let w = &mut self.ways[base + way];
-                if w.tag == tag && w.valid() {
-                    let state = if write {
-                        if w.meta & 3 == ST_SHARED {
-                            break 'lines;
-                        }
-                        ST_MODIFIED
-                    } else {
-                        w.meta & 3
-                    };
-                    self.clock += 1;
-                    w.meta = (self.clock << 2) | state;
-                    line += 1;
-                    continue 'lines;
-                }
-            }
-            break;
-        }
-        line - first
-    }
-
-    /// Mirror of the per-line "keep L2 in step" write probes issued for an
-    /// L1 write-hit sweep: one clock tick per line; present lines are
-    /// re-stamped and Exclusive ones promoted to Modified. A Shared line
-    /// merely re-stamps — the per-line path ignores the `UpgradeNeeded`
-    /// such a probe reports — and a missing line ticks the clock only,
-    /// exactly like the discarded `Miss` probe (L1 inclusion makes that
-    /// case unreachable in practice).
-    pub fn sweep_keep_in_step(&mut self, first: u64, last: u64) {
-        for line in first..=last {
-            self.clock += 1;
-            let set = self.set_of(line);
-            let base = set * self.assoc;
-            let tag = line + 1;
-            for way in 0..self.assoc {
-                let w = &mut self.ways[base + way];
-                if w.tag == tag && w.valid() {
-                    let state = if w.meta & 3 == ST_EXCLUSIVE { ST_MODIFIED } else { w.meta & 3 };
-                    w.meta = (self.clock << 2) | state;
-                    break;
-                }
-            }
-        }
-    }
-
-    /// Whether `line` is present in any valid state (pure; no stamp
-    /// refresh). Used by the bulk sweeps to detect their stopping lines
-    /// without perturbing LRU state.
-    #[inline]
-    pub fn contains(&self, line: u64) -> bool {
-        self.find(line).is_some()
     }
 
     /// Promote a Shared line to Modified after an upgrade transaction.
@@ -559,73 +429,6 @@ impl Cache {
     pub fn resident(&self) -> usize {
         self.ways.iter().filter(|w| w.valid()).count()
     }
-}
-
-/// Bulk streamed L2→L1 refill: process the longest prefix of consecutive
-/// lines `[first, last]` that are absent from `l1` and hit in `l2` with a
-/// state sufficient for the access, mirroring — clock tick for clock tick —
-/// what the per-line walk does for each such line (L1 probe miss, L2 probe
-/// hit with stamp refresh and write promotion, L1 install of the refilled
-/// line, silently dropping any L1 victim under inclusion). Returns how many
-/// lines were refilled; stops untouched *before* the first line that is L1
-/// resident, misses L2, or needs an ownership upgrade (write on Shared) —
-/// those belong to the caller's other paths. Together with
-/// [`Cache::sweep_hits`] this keeps a warm streamed sweep of L2-resident
-/// data out of the per-line protocol machinery entirely.
-pub fn sweep_l2_refill(l1: &mut Cache, l2: &mut Cache, first: u64, last: u64, write: bool) -> u64 {
-    let mut line = first;
-    'lines: while line <= last {
-        let tag = line + 1;
-        // One L1 scan doubles as the presence check (all ways) and the
-        // victim pick [`Cache::install`] would redo: first invalid way,
-        // else the LRU way.
-        let base1 = l1.set_of(line) * l1.assoc;
-        let mut invalid_way = usize::MAX;
-        let mut lru_way = base1;
-        let mut lru_meta = u64::MAX;
-        for way in 0..l1.assoc {
-            let i = base1 + way;
-            let w = &l1.ways[i];
-            if w.tag == tag && w.valid() {
-                break 'lines; // L1-resident: the hit sweep owns it
-            }
-            if !w.valid() {
-                if invalid_way == usize::MAX {
-                    invalid_way = i;
-                }
-            } else if w.meta < lru_meta {
-                lru_meta = w.meta;
-                lru_way = i;
-            }
-        }
-        // Peek L2 without mutating: the stopping line must be left exactly
-        // as the per-line path expects to find it.
-        let base2 = l2.set_of(line) * l2.assoc;
-        let mut found = usize::MAX;
-        for way in 0..l2.assoc {
-            let i = base2 + way;
-            if l2.ways[i].tag == tag && l2.ways[i].valid() {
-                found = i;
-                break;
-            }
-        }
-        if found == usize::MAX || (write && l2.ways[found].meta & 3 == ST_SHARED) {
-            break;
-        }
-        // Commit in the per-line order: L1 probe tick, L2 probe tick +
-        // stamp + promotion, L1 install tick + victim overwrite (the
-        // victim is dropped silently, exactly as the per-line walk does
-        // under inclusion).
-        l1.clock += 1;
-        l2.clock += 1;
-        let state = if write { ST_MODIFIED } else { l2.ways[found].meta & 3 };
-        l2.ways[found].meta = (l2.clock << 2) | state;
-        let w = if invalid_way != usize::MAX { invalid_way } else { lru_way };
-        l1.clock += 1;
-        l1.ways[w] = Way { tag, meta: (l1.clock << 2) | state };
-        line += 1;
-    }
-    line - first
 }
 
 #[cfg(test)]
@@ -758,69 +561,81 @@ mod physical_index_tests {
         }
     }
 
-    /// `probe_fast` is the batched walk's force-inlined twin of `probe`:
-    /// drive both through the same randomized probe/install/invalidate
-    /// stream and assert identical results and identical final state.
-    /// Covered at both assoc = 2 (the specialized two-way shape the
-    /// simulated caches actually use) and assoc = 4 (the generic fallback).
-    #[test]
-    fn probe_fast_matches_probe() {
-        for assoc in [2, 4] {
-            let mut a = Cache::physically_indexed(64, assoc, 16);
-            let mut b = Cache::physically_indexed(64, assoc, 16);
-            let mut x = 0x0DDB_1A5E_5BAD_5EEDu64;
-            for step in 0..50_000 {
-                x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-                let line = (x >> 33) % 200; // working set > capacity: misses churn
-                let write = x & 1 == 1;
-                let frame = Cache::frame_of(line >> b.page_lines_shift);
-                let pa = a.probe(line, write);
-                let pb = b.probe_fast(line, frame, write);
-                assert_eq!(pa, pb, "step {step}: probe result diverged on line {line}");
-                if let Probe::Miss { .. } = pa {
-                    let state = if write { LineState::Modified } else { LineState::Shared };
-                    assert_eq!(a.install(line, state), b.install(line, state), "step {step}");
-                }
-                if x & 0xF0 == 0 {
-                    assert_eq!(a.invalidate(line), b.invalidate(line), "step {step}");
-                }
-            }
-            assert_eq!(a.ways, b.ways, "assoc {assoc}");
-            assert_eq!(a.clock, b.clock, "assoc {assoc}");
-        }
+    /// Twin and reference side by side, 2-way (the only shape with twins).
+    fn twin_pair() -> (Cache, Cache) {
+        let c = Cache::physically_indexed(64, 2, 16);
+        assert!(c.has_fast_twins());
+        (c.clone(), c)
     }
 
-    /// Same discipline for `install_fast`: drive `install` and the batched
-    /// walk's twin (external clock, precomputed frame) through the same
-    /// randomized miss/install stream; results and final state must match.
+    /// `b.probe_fast_ext` with the clock read from and written back to `b`,
+    /// the way the walk brackets a tight loop.
+    fn probe_twin(b: &mut Cache, line: u64, write: bool) -> Probe {
+        let frame = Cache::frame_of(line >> b.page_lines_shift);
+        let mut clock = b.walk_clock();
+        let r = b.probe_fast_ext(line, frame, write, &mut clock);
+        b.set_walk_clock(clock);
+        r
+    }
+
+    #[test]
+    fn twins_exist_for_two_way_physically_indexed_caches_only() {
+        assert!(Cache::physically_indexed(64, 2, 16).has_fast_twins());
+        assert!(!Cache::physically_indexed(64, 4, 16).has_fast_twins());
+        assert!(!Cache::new(64, 2).has_fast_twins());
+    }
+
+    /// `probe_fast_ext` is the walk's force-inlined twin of `probe`: drive
+    /// both through the same randomized probe/install/invalidate stream and
+    /// assert identical results and identical final state.
+    #[test]
+    fn probe_fast_ext_matches_probe() {
+        let (mut a, mut b) = twin_pair();
+        let mut x = 0x0DDB_1A5E_5BAD_5EEDu64;
+        for step in 0..50_000 {
+            x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            let line = (x >> 33) % 200; // working set > capacity: misses churn
+            let write = x & 1 == 1;
+            let pa = a.probe(line, write);
+            let pb = probe_twin(&mut b, line, write);
+            assert_eq!(pa, pb, "step {step}: probe result diverged on line {line}");
+            if let Probe::Miss { .. } = pa {
+                let state = if write { LineState::Modified } else { LineState::Shared };
+                assert_eq!(a.install(line, state), b.install(line, state), "step {step}");
+            }
+            if x & 0xF0 == 0 {
+                assert_eq!(a.invalidate(line), b.invalidate(line), "step {step}");
+            }
+        }
+        assert_eq!(a.ways, b.ways);
+        assert_eq!(a.clock, b.clock);
+    }
+
+    /// Same discipline for `install_fast`: drive `install` and its twin
+    /// (external clock, precomputed frame) through the same randomized
+    /// miss/install stream; results and final state must match.
     #[test]
     fn install_fast_matches_install() {
-        for assoc in [2, 4] {
-            let mut a = Cache::physically_indexed(64, assoc, 16);
-            let mut b = Cache::physically_indexed(64, assoc, 16);
-            let mut x = 0x1234_5678_9ABC_DEF0u64;
-            for step in 0..50_000 {
-                x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-                let line = (x >> 33) % 300;
-                let write = x & 1 == 1;
+        let (mut a, mut b) = twin_pair();
+        let mut x = 0x1234_5678_9ABC_DEF0u64;
+        for step in 0..50_000 {
+            x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            let line = (x >> 33) % 300;
+            let write = x & 1 == 1;
+            let missed = matches!(a.probe(line, write), Probe::Miss { .. });
+            // Keep b's clock in step with a's probe tick too.
+            probe_twin(&mut b, line, write);
+            if missed {
+                let state = if write { LineState::Modified } else { LineState::Exclusive };
+                let va = a.install(line, state);
                 let frame = Cache::frame_of(line >> b.page_lines_shift);
-                if let Probe::Miss { .. } = a.probe(line, write) {
-                    let state = if write { LineState::Modified } else { LineState::Exclusive };
-                    let va = a.install(line, state);
-                    let mut clock = b.walk_clock();
-                    // Keep b's clock in step with a's probe tick too.
-                    b.probe_fast_ext(line, frame, write, &mut clock);
-                    let vb = b.install_fast(line, frame, state, &mut clock);
-                    b.set_walk_clock(clock);
-                    assert_eq!(va, vb, "step {step}: victim diverged on line {line}");
-                } else {
-                    let mut clock = b.walk_clock();
-                    b.probe_fast_ext(line, frame, write, &mut clock);
-                    b.set_walk_clock(clock);
-                }
+                let mut clock = b.walk_clock();
+                let vb = b.install_fast(line, frame, state, &mut clock);
+                b.set_walk_clock(clock);
+                assert_eq!(va, vb, "step {step}: victim diverged on line {line}");
             }
-            assert_eq!(a.ways, b.ways, "assoc {assoc}");
-            assert_eq!(a.clock, b.clock, "assoc {assoc}");
         }
+        assert_eq!(a.ways, b.ways);
+        assert_eq!(a.clock, b.clock);
     }
 }

@@ -259,18 +259,18 @@ pub struct MachineConfig {
     /// conformance oracle) turn it on; timing runs keep the hot path free.
     pub race_detector: bool,
 
-    /// Enable the streamed-run fast path in `touch_run` (per-page TLB
-    /// batching plus a per-PE last-line hint that short-circuits repeated
-    /// touches) and the scattered batch walk in `touch_batch` /
-    /// `scatter_run` / `gather_run` (one base/detector resolution per batch,
-    /// same-page TLB skip, flattened single-pass L1→L2 probing with the hit
-    /// arms inlined). Also selects the race detector's bulk range *and*
-    /// scattered-index processing (group-at-a-time happens-before checks
-    /// with lazy state allocation). Provably bit-identical to the per-line
-    /// protocol walk and the scalar per-element detector (debug builds
-    /// assert the former on sampled runs; differential tests cover the
-    /// latter); disable only to measure the optimizations themselves or
-    /// to force the reference paths in equivalence tests.
+    /// Enable the machine's one fast walk behind `touch_run` /
+    /// `scatter_run` / `gather_run` (a per-PE last-line hint that
+    /// short-circuits repeated touches, same-page TLB skip, flattened
+    /// single-pass L1→L2 probing with the hit arms inlined; it applies to
+    /// 2-way physically indexed caches, any other geometry runs the
+    /// reference per line). Also selects the race detector's bulk range
+    /// *and* scattered-index processing (group-at-a-time happens-before
+    /// checks with lazy state allocation). Provably bit-identical to the
+    /// per-line protocol walk and the scalar per-element detector (debug
+    /// builds assert the former on sampled walks; differential tests cover
+    /// the latter); disable only to measure the optimizations themselves
+    /// or to force the reference paths in equivalence tests.
     pub fast_path: bool,
 
     /// Sharer-set representation of the coherence directory. The default

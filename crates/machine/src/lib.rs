@@ -51,7 +51,7 @@ pub mod topology;
 
 pub use config::{CacheGeom, DirectoryMode, InterconnectKind, MachineConfig, ProtocolMode, MAX_PROCS};
 pub use directory::{DirState, Directory};
-pub use machine::{Machine, Pattern};
+pub use machine::Machine;
 pub use memory::{ArrayId, Placement};
 pub use race::{MsgToken, RaceDetector, RaceKind, RaceReport};
 pub use stats::{Bucket, EventCounters, TimeBreakdown};

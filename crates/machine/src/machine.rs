@@ -22,7 +22,7 @@ use crate::topology::Topology;
 /// Spatial/temporal character of an access stream; selects how much of a
 /// miss round-trip stalls the processor (see `MachineConfig`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Pattern {
+pub(crate) enum Pattern {
     /// Contiguous sweep: hardware prefetching and the write buffer pipeline
     /// back-to-back line misses.
     Streamed,
@@ -105,15 +105,15 @@ pub struct Machine {
     resolve_elapsed: Vec<f64>,
     resolve_delays: Vec<Delay>,
     /// Debug-build sampling counter for the fast-path equivalence check:
-    /// every `EQUIV_SAMPLE_PERIOD`-th `touch_run` replays the legacy
-    /// per-line path on a clone of the machine and asserts identical
-    /// times, breakdowns, counters and phase traffic.
+    /// every `EQUIV_SAMPLE_PERIOD`-th fast `walk` replays its lines through
+    /// the per-line reference on a clone of the machine and asserts
+    /// identical times, breakdowns, counters and phase traffic.
     #[cfg(debug_assertions)]
     equiv_tick: u64,
 }
 
 /// Sampling period of the debug fast-path equivalence check (one full
-/// machine clone per sampled run, so keep it sparse).
+/// machine clone per sampled walk, so keep it sparse).
 #[cfg(debug_assertions)]
 const EQUIV_SAMPLE_PERIOD: u64 = 256;
 
@@ -449,24 +449,6 @@ impl Machine {
         self.mem.set(arr, idx, v);
     }
 
-    /// Timed read with an explicit access pattern.
-    #[inline]
-    pub fn read_pat(&mut self, pe: usize, arr: ArrayId, idx: usize, pat: Pattern) -> u32 {
-        self.race_access(pe, arr, idx, 1, false);
-        let addr = self.mem.addr_of(arr, idx);
-        self.touch_line(pe, addr >> self.line_shift, false, pat);
-        self.mem.get(arr, idx)
-    }
-
-    /// Timed write with an explicit access pattern.
-    #[inline]
-    pub fn write_pat(&mut self, pe: usize, arr: ArrayId, idx: usize, v: u32, pat: Pattern) {
-        self.race_access(pe, arr, idx, 1, true);
-        let addr = self.mem.addr_of(arr, idx);
-        self.touch_line(pe, addr >> self.line_shift, true, pat);
-        self.mem.set(arr, idx, v);
-    }
-
     /// Timed sequential read of `out.len()` elements starting at `off` into
     /// `out`. Each line is touched once with the streamed pattern; per-
     /// element CPU work is the caller's to charge via `busy_cycles`.
@@ -487,42 +469,59 @@ impl Machine {
         self.mem.slice_mut(arr, off..off + src.len()).copy_from_slice(src);
     }
 
+    /// Touch every line of `[off, off+len)` once, in address order, with
+    /// the streamed pattern, without moving data (used when the data is
+    /// staged separately). Observationally identical to one reference
+    /// line touch per line; see `Machine::walk`.
+    pub fn touch_run(&mut self, pe: usize, arr: ArrayId, off: usize, len: usize, write: bool) {
+        if len == 0 {
+            return;
+        }
+        self.race_access(pe, arr, off, len, write);
+        // Element addresses are linear (`base + 4*idx`), so one `addr_of`
+        // resolution pins the whole run.
+        let first_addr = self.mem.addr_of(arr, off);
+        let first = first_addr >> self.line_shift;
+        let last = (first_addr + 4 * (len as u64 - 1)) >> self.line_shift;
+        debug_assert_eq!(last, self.mem.addr_of(arr, off + len - 1) >> self.line_shift);
+        if write {
+            self.walk::<true>(pe, Pattern::Streamed, first..last + 1);
+        } else {
+            self.walk::<false>(pe, Pattern::Streamed, first..last + 1);
+        }
+    }
+
     /// Timed scattered gather: read the elements `arr[idxs[k]]` in
     /// submission order into `out`. Observationally identical to one
     /// [`Machine::read_at`] per index, but batched end-to-end: one `addr_of`
     /// base resolution and one race-detector array/section lookup for the
-    /// whole slice, and a flattened per-element walk (see
-    /// [`Machine::touch_batch`]).
+    /// whole slice, and the index slice is traversed once — the data move
+    /// rides in the line iterator handed to `Machine::walk`.
     pub fn gather_run(&mut self, pe: usize, arr: ArrayId, idxs: &[usize], out: &mut [u32]) {
         assert_eq!(idxs.len(), out.len(), "gather_run: index/output length mismatch");
         if idxs.is_empty() {
             return;
         }
-        if !self.cfg.fast_path {
-            // Reference: literally one `read_at` per element — per-element
-            // detector call, address resolution, walk and data move, exactly
-            // the sequence the call sites ran before the batched engine.
-            for (v, &idx) in out.iter_mut().zip(idxs) {
-                *v = self.read_at(pe, arr, idx);
-            }
-            return;
-        }
         let len = self.mem.len(arr);
         assert!(idxs.iter().all(|&idx| idx < len), "gather_run: index out of bounds");
-        // The walk is throughput-bound on the host, so the data move is
-        // fused into it (one traversal of `idxs`, no per-element bounds
-        // checks — every index was validated above). The walk never touches
-        // backing stores, so reading the array data from inside it is
-        // sound; raw pointers sidestep the borrow of `self` the walk holds.
+        // Detector state is disjoint from timing state, so feeding the whole
+        // batch first is observationally identical to interleaving.
+        self.race_access_indices(pe, arr, idxs, false);
+        // Element addresses are linear (`base + 4*idx`), so one `addr_of`
+        // resolution pins the whole batch.
+        let (base, line_shift) = (self.mem.addr_of(arr, 0), self.line_shift);
+        // The walk never touches backing stores, so reading the array data
+        // from inside it is sound; a raw pointer sidesteps the borrow of
+        // `self` the walk holds.
         let data = self.mem.slice(arr, 0..len).as_ptr();
-        let out_ptr = out.as_mut_ptr();
-        self.batch_walk::<false, _>(pe, arr, idxs, Pattern::Scattered, |k, idx| {
-            // SAFETY: `idx < len` was asserted for the whole batch above;
-            // `k < idxs.len() == out.len()`; `out` is exclusively borrowed
-            // and disjoint from the machine; the walk does not mutate the
-            // backing store `data` points into.
-            unsafe { *out_ptr.add(k) = *data.add(idx) };
+        let lines = idxs.iter().zip(out).map(|(&idx, v)| {
+            // SAFETY: `idx < len` was asserted for the whole batch above,
+            // and the walk does not mutate the backing store `data` points
+            // into.
+            *v = unsafe { *data.add(idx) };
+            (base + 4 * idx as u64) >> line_shift
         });
+        self.walk::<false>(pe, Pattern::Scattered, lines);
     }
 
     /// Timed scattered scatter: write `vals[k]` to `arr[idxs[k]]` in
@@ -534,134 +533,108 @@ impl Machine {
         if idxs.is_empty() {
             return;
         }
-        if !self.cfg.fast_path {
-            // Reference: literally one `write_at` per element (see
-            // `gather_run`). Duplicate indices keep last-write-wins order.
-            for (&idx, &v) in idxs.iter().zip(vals) {
-                self.write_at(pe, arr, idx, v);
-            }
-            return;
-        }
         let len = self.mem.len(arr);
         assert!(idxs.iter().all(|&idx| idx < len), "scatter_run: index out of bounds");
-        // Fused walk + data move; see `gather_run`.
+        self.race_access_indices(pe, arr, idxs, true);
+        let (base, line_shift) = (self.mem.addr_of(arr, 0), self.line_shift);
+        // Data move fused into the walk's line iterator; see `gather_run`.
         let data = self.mem.slice_mut(arr, 0..len).as_mut_ptr();
-        let vals_ptr = vals.as_ptr();
-        self.batch_walk::<true, _>(pe, arr, idxs, Pattern::Scattered, |k, idx| {
+        let lines = idxs.iter().zip(vals).map(|(&idx, &v)| {
             // SAFETY: `idx < len` was asserted for the whole batch above;
-            // `k < idxs.len() == vals.len()`; the walk neither reads nor
-            // writes the backing store `data` points into, so the store
-            // cannot alias any state the walk holds borrowed.
-            unsafe { *data.add(idx) = *vals_ptr.add(k) };
+            // the walk neither reads nor writes the backing store `data`
+            // points into, so the store cannot alias any state it holds
+            // borrowed.
+            unsafe { *data.add(idx) = v };
+            (base + 4 * idx as u64) >> line_shift
         });
+        self.walk::<true>(pe, Pattern::Scattered, lines);
     }
 
-    /// Touch the lines of `arr[idxs[k]]` in submission order with pattern
-    /// `pat`, without moving data.
+    /// The one coherence walk: touch `lines` in iteration order with
+    /// pattern `pat`. Every timed run and batch ends here; a new access
+    /// shape is a new line iterator, not a new loop. An iterator may move
+    /// data as it is pulled (it is pulled exactly once per line, in order)
+    /// but must not touch simulator state.
     ///
-    /// With `MachineConfig::fast_path` on (the default) the batch runs a
-    /// flattened single-pass walk: the race detector gets the whole index
-    /// slice in one call, the array base is resolved once, repeats of the
-    /// hinted line skip the walk, same-page neighbours skip the TLB access
-    /// (a `last`-page hit is pure in the reference walk), and each element
+    /// With `MachineConfig::fast_path` off — or on a cache geometry the
+    /// fast twins do not cover (see `Cache::has_fast_twins`) — this is
+    /// literally one [`Machine::touch_line_ref`] per line. Otherwise the
+    /// lines run a flattened single-pass loop: repeats of the hinted line
+    /// skip the walk, a line on the page of its predecessor skips the TLB
+    /// access (a `last`-page hit is pure in the reference walk — for a
+    /// contiguous run that is one TLB access per page), and each line
     /// performs exactly one L1 and at most one L2 tag probe with the common
     /// hit arms inlined; only upgrades and misses take the heavyweight
-    /// directory path. Everything observable — f64 time in accumulation
-    /// order, breakdowns, sections, event counters, phase traffic, race
-    /// verdicts — is bit-identical to the per-element reference sequence,
-    /// which `fast_path = false` still runs literally (interleaved
-    /// per-element detector calls and `touch_line_ref` walks). Debug builds
-    /// replay sampled batches through the reference walk on a clone and
-    /// assert equivalence, mirroring `touch_run`.
-    pub fn touch_batch(&mut self, pe: usize, arr: ArrayId, idxs: &[usize], write: bool, pat: Pattern) {
-        if write {
-            self.batch_walk::<true, _>(pe, arr, idxs, pat, |_, _| {});
-        } else {
-            self.batch_walk::<false, _>(pe, arr, idxs, pat, |_, _| {});
-        }
-    }
-
-    /// The engine behind [`Machine::touch_batch`], [`Machine::gather_run`]
-    /// and [`Machine::scatter_run`]: the batched walk with a caller-supplied
-    /// per-element data move `mv(k, idxs[k])`, invoked exactly once per
-    /// element in submission order (fused into the walk loop so a batch
-    /// traverses `idxs` once). The move must not touch simulator state.
-    fn batch_walk<const WRITE: bool, F: FnMut(usize, usize)>(
+    /// directory path, entered in place. Everything observable — f64 time
+    /// in accumulation order, breakdowns, sections, event counters, phase
+    /// traffic — is bit-identical to the reference sequence (DESIGN.md
+    /// §10). Debug builds replay every `EQUIV_SAMPLE_PERIOD`-th fast walk
+    /// through the reference on a clone and assert equivalence, so no
+    /// entry point reaches the fast loop unchecked.
+    fn walk<const WRITE: bool>(
         &mut self,
         pe: usize,
-        arr: ArrayId,
-        idxs: &[usize],
         pat: Pattern,
-        mut mv: F,
+        lines: impl Iterator<Item = u64>,
     ) {
-        if idxs.is_empty() {
-            return;
-        }
         #[cfg(debug_assertions)]
-        self.debug_assert_hint(pe, "touch_batch entry");
-        debug_assert!(
-            idxs.iter().all(|&idx| idx < self.mem.len(arr)),
-            "touch_batch: index out of bounds"
-        );
-        // Element addresses are linear (`base + 4*idx`), so one `addr_of`
-        // resolution pins the whole batch.
-        let base = self.mem.addr_of(arr, 0);
-
-        if !self.cfg.fast_path {
-            // Reference path: literally the per-element `read_at`/`write_at`
-            // sequence (detector call interleaved with each walk and move).
-            for (k, &idx) in idxs.iter().enumerate() {
-                self.race_access(pe, arr, idx, 1, WRITE);
-                self.touch_line_ref(pe, (base + 4 * idx as u64) >> self.line_shift, WRITE, pat);
-                mv(k, idx);
+        self.debug_assert_hint(pe, "walk entry");
+        let s = &self.pes[pe];
+        if !(self.cfg.fast_path && s.l1.has_fast_twins() && s.cache.has_fast_twins()) {
+            for line in lines {
+                self.touch_line_ref(pe, line, WRITE, pat);
             }
+            #[cfg(debug_assertions)]
+            self.debug_assert_hint(pe, "walk reference exit");
             return;
         }
 
-        // Detector state is disjoint from timing state, so feeding the whole
-        // batch first is observationally identical to interleaving.
-        self.race_access_indices(pe, arr, idxs, WRITE);
-
+        // The sampled reference sees each line as the fast loop pulls it: a
+        // stream with a data move can be pulled only once.
         #[cfg(debug_assertions)]
-        let reference = self.equiv_reference_batch(pe, base, idxs, WRITE, pat);
+        let mut reference = self.equiv_reference();
+        #[cfg(debug_assertions)]
+        let lines = lines.inspect(|&line| {
+            if let Some(reference) = reference.as_mut() {
+                reference.touch_line_ref(pe, line, WRITE, pat);
+            }
+        });
+        let mut lines = lines;
 
         let page_lines_shift = self.page_shift - self.line_shift;
-        let line_shift = self.line_shift;
         let l2_hit_ns = self.cfg.l2_hit_ns;
         let tlb_miss_ns = self.cfg.tlb_miss_ns;
         let cur_section = self.cur_section;
-        // Last page this batch ran a TLB access for: a repeat would hit the
+        // Last page this walk ran a TLB access for: a repeat would hit the
         // TLB's pure `last`-page check, so skipping it is exact. (Hint hits
-        // skip the TLB in the reference walk too, so they don't update it.)
+        // skip the TLB in `touch_line` too, so they don't update it.)
         let mut prev_page = u64::MAX;
         // Set-index frame hash of `prev_page` (see `Cache::frame_of`);
-        // initialized on the first element, which always misses `prev_page`.
+        // initialized on the first line, which always misses `prev_page`.
         let mut prev_frame = 0u64;
-        // Batch-local table of pages verified TLB-resident since the last
-        // in-batch TLB miss (direct-mapped, generation-stamped so a miss
-        // invalidates it in O(1)). Skipping the TLB access for such a page
-        // is exact: a hit would only set the referenced bit — already set
-        // by the access that put the page in this table, and only misses
-        // clear referenced bits (no other PE runs mid-batch) — and refresh
-        // `last`, whose value is unobservable whenever the invariant
-        // "page == last implies its referenced bit is set" holds, which
-        // every reachable TLB state satisfies. This removes the per-element
-        // page-table lookup that dominates the warm scattered walk.
+        // Walk-local table of pages verified TLB-resident since the last
+        // in-walk TLB miss (direct-mapped; a miss clears it). Skipping the
+        // TLB access for such a page is exact: a hit would only set the
+        // referenced bit — already set by the access that put the page in
+        // this table, and only misses clear referenced bits (no other PE
+        // runs mid-walk) — and refresh `last`, whose value is unobservable
+        // whenever the invariant "page == last implies its referenced bit
+        // is set" holds, which every reachable TLB state satisfies. This
+        // removes the per-line page-table lookup that dominates the warm
+        // scattered walk.
         const SEEN_PAGES: usize = 64;
         let mut seen_pages = [0u64; SEEN_PAGES]; // page + 1; 0 = empty
-        let mut i = 0;
-        while i < idxs.len() {
-            // Tight loop over the remaining indices with the borrows
-            // hoisted; falls out only for the heavyweight upgrade/miss
-            // protocol path.
-            let mut slow: Option<(usize, u64, Probe)> = None;
+        loop {
+            // Tight loop over the remaining lines with the borrows hoisted;
+            // falls out only for the heavyweight upgrade/miss protocol path.
+            let mut slow: Option<(u64, Probe)> = None;
             {
                 let s = &mut self.pes[pe];
                 let sec = &mut self.sections[cur_section].1[pe];
                 // Hoist every loop-carried scalar into a stack local and
-                // write it back once per tight loop: the data-move closure
-                // carries raw pointers, so state living behind `s` would
-                // otherwise be spilled and reloaded every element. The
+                // write it back once per tight loop: the line iterator may
+                // carry raw pointers, so state living behind `s` would
+                // otherwise be spilled and reloaded every line. The
                 // operation *sequence* on each value is unchanged (the f64
                 // accumulations in particular run in the same order on the
                 // same values), so this is bit-exact; only the residency
@@ -676,13 +649,7 @@ impl Machine {
                 let mut sec_lmem = sec.lmem;
                 let mut l1_clock = s.l1.walk_clock();
                 let mut l2_clock = s.cache.walk_clock();
-                let rest = &idxs[i..];
-                for (j, &idx) in rest.iter().enumerate() {
-                    // Data move first: every element moves data exactly once
-                    // regardless of which walk arm it takes (including the
-                    // element that breaks to the protocol path below).
-                    mv(i + j, idx);
-                    let line = (base + 4 * idx as u64) >> line_shift;
+                for line in lines.by_ref() {
                     // Repeat of the hinted line: the whole walk is a no-op
                     // apart from the counter (see `touch_line`).
                     if hint_line == line && (!WRITE || hint_write) {
@@ -701,7 +668,7 @@ impl Machine {
                             if s.tlb.access(page) {
                                 seen_pages[slot] = page + 1;
                             } else {
-                                // In-batch miss: the clock hand may have
+                                // In-walk miss: the clock hand may have
                                 // cleared referenced bits — drop the table
                                 // (misses are rare; the clear is 512 B).
                                 seen_pages = [0u64; SEEN_PAGES];
@@ -715,8 +682,8 @@ impl Machine {
                             }
                         }
                     }
-                    // L1 filter (identical to `touch_line_post_tlb`, with
-                    // the probe force-inlined; see `Cache::probe_fast_ext`).
+                    // L1 filter (the reference's, with the probe
+                    // force-inlined; see `Cache::probe_fast_ext`).
                     if let Probe::Hit(_) = s.l1.probe_fast_ext(line, prev_frame, WRITE, &mut l1_clock) {
                         if WRITE {
                             s.cache.probe_fast_ext(line, prev_frame, true, &mut l2_clock);
@@ -739,7 +706,7 @@ impl Machine {
                             hint_write = WRITE;
                         }
                         probe => {
-                            slow = Some((j, line, probe));
+                            slow = Some((line, probe));
                             break;
                         }
                     }
@@ -758,186 +725,28 @@ impl Machine {
                 s.cache.set_walk_clock(l2_clock);
             }
             match slow {
-                Some((j, line, probe)) => {
-                    i += j + 1;
-                    self.touch_line_post_l2(pe, line, WRITE, pat, probe);
-                }
-                None => i = idxs.len(),
+                Some((line, probe)) => self.touch_line_post_l2(pe, line, WRITE, pat, probe),
+                None => break,
             }
         }
 
         #[cfg(debug_assertions)]
-        if let Some(reference) = reference {
-            self.assert_equiv(pe, &reference);
-        }
-        #[cfg(debug_assertions)]
-        self.debug_assert_hint(pe, "touch_batch exit");
-    }
-
-    /// Touch every line of `[off, off+len)` with the streamed pattern
-    /// without moving data (used when the data is staged separately).
-    ///
-    /// With `MachineConfig::fast_path` on (the default), the run is walked
-    /// page-by-page: one TLB access per page instead of one per line
-    /// (within-page repeats are `last`-page no-ops in the per-line walk),
-    /// the last/first line addresses are derived arithmetically from a
-    /// single `addr_of` resolution, and repeat touches of the PE's hinted
-    /// line skip the protocol walk entirely. Debug builds assert on sampled
-    /// runs that this is bit-identical to the per-line reference path.
-    pub fn touch_run(&mut self, pe: usize, arr: ArrayId, off: usize, len: usize, write: bool) {
-        if len == 0 {
-            return;
-        }
-        #[cfg(debug_assertions)]
-        self.debug_assert_hint(pe, "touch_run entry");
-        self.race_access(pe, arr, off, len, write);
-        // Element addresses are linear (`base + 4*idx`), so one `addr_of`
-        // resolution pins the whole run.
-        let first_addr = self.mem.addr_of(arr, off);
-        let first = first_addr >> self.line_shift;
-        let last = (first_addr + 4 * (len as u64 - 1)) >> self.line_shift;
-        debug_assert_eq!(last, self.mem.addr_of(arr, off + len - 1) >> self.line_shift);
-
-        if !self.cfg.fast_path {
-            for line in first..=last {
-                self.touch_line_ref(pe, line, write, Pattern::Streamed);
+        {
+            drop(lines); // ends the sampler closure's borrow of `reference`
+            if let Some(reference) = reference {
+                self.assert_equiv(pe, &reference);
             }
-            #[cfg(debug_assertions)]
-            self.debug_assert_hint(pe, "touch_run slow exit");
-            return;
+            self.debug_assert_hint(pe, "walk exit");
         }
-
-        #[cfg(debug_assertions)]
-        let reference = self.equiv_reference(pe, first, last, write);
-
-        let page_lines_shift = self.page_shift - self.line_shift;
-        let mut line = first;
-        // Sweep-attempt backoff. The bulk sweeps below are bitwise
-        // identical to the per-line walk *whenever* they are attempted, so
-        // the attempt policy is purely a host-time concern: on a cold
-        // stream (every line missing both caches) each attempt is two
-        // wasted tag scans per line. After `COLD_BACKOFF` consecutive
-        // fall-throughs to the heavyweight path we stop probing and only
-        // re-probe on every 16th line to detect a warm suffix.
-        const COLD_BACKOFF: u32 = 2;
-        let mut cold_streak: u32 = 0;
-        while line <= last {
-            let page = line >> page_lines_shift;
-            let end = (((page + 1) << page_lines_shift) - 1).min(last);
-            // One TLB access covers every line of this page: in the per-line
-            // reference walk, all touches after the first hit the TLB's
-            // `last`-page check and change nothing.
-            if !self.pes[pe].tlb.access(page) {
-                self.pes[pe].ev.tlb_misses += 1;
-                self.charge(pe, self.cfg.tlb_miss_ns, Bucket::Lmem);
-            }
-            while line <= end {
-                if cold_streak < COLD_BACKOFF || line & 15 == 0 {
-                    // Bulk warm-sweep: the longest prefix of consecutive L1
-                    // hits is processed inside one tight cache loop, with
-                    // state, stamp and clock effects bitwise identical to the
-                    // per-line walk (see `Cache::sweep_hits`). Warm streamed
-                    // re-reads never leave this branch.
-                    let s = &mut self.pes[pe];
-                    let swept = s.l1.sweep_hits(line, end, write);
-                    if swept > 0 {
-                        cold_streak = 0;
-                        let last_hit = line + swept - 1;
-                        if write {
-                            s.cache.sweep_keep_in_step(line, last_hit);
-                        }
-                        s.ev.l1_hits += swept;
-                        s.hint_line = last_hit;
-                        s.hint_write = write;
-                        line += swept;
-                        if line > end {
-                            break;
-                        }
-                    }
-                    // Next line misses L1: bulk-refill consecutive L2 hits
-                    // (again bitwise identical to the per-line walk; see
-                    // `cache::sweep_l2_refill`), charging per line to keep the
-                    // f64 accumulation order of the reference path.
-                    let s = &mut self.pes[pe];
-                    let refilled =
-                        crate::cache::sweep_l2_refill(&mut s.l1, &mut s.cache, line, end, write);
-                    if refilled > 0 {
-                        cold_streak = 0;
-                        s.ev.cache_hits += refilled;
-                        let last_hit = line + refilled - 1;
-                        s.hint_line = last_hit;
-                        s.hint_write = write;
-                        // Inlined per-line `charge` with the borrows hoisted:
-                        // same f64 accumulation sequence as the per-line walk.
-                        let l2_hit_ns = self.cfg.l2_hit_ns;
-                        let sec = &mut self.sections[self.cur_section].1[pe];
-                        for _ in 0..refilled {
-                            s.time += l2_hit_ns;
-                            s.brk.charge(Bucket::Lmem, l2_hit_ns);
-                            sec.charge(Bucket::Lmem, l2_hit_ns);
-                        }
-                        line += refilled;
-                        if line > end {
-                            break;
-                        }
-                        // The stopping line may itself be L1-resident (lines
-                        // already cached from earlier activity): let the hit
-                        // sweep reconsider it before the heavyweight path.
-                        continue;
-                    }
-                }
-                // Stopping line: the full L2/directory walk.
-                self.touch_line_post_tlb(pe, line, write, Pattern::Streamed);
-                cold_streak = cold_streak.saturating_add(1);
-                line += 1;
-            }
-        }
-
-        #[cfg(debug_assertions)]
-        if let Some(reference) = reference {
-            self.assert_equiv(pe, &reference);
-        }
-        #[cfg(debug_assertions)]
-        self.debug_assert_hint(pe, "touch_run exit");
     }
 
     /// Debug-build sampling for the fast-path equivalence assertion: every
-    /// `EQUIV_SAMPLE_PERIOD`-th streamed run, clone the machine and replay
-    /// the run through the legacy per-line path on the clone.
+    /// `EQUIV_SAMPLE_PERIOD`-th fast walk gets a clone of the machine to
+    /// replay its lines on through the per-line reference.
     #[cfg(debug_assertions)]
-    fn equiv_reference(&mut self, pe: usize, first: u64, last: u64, write: bool) -> Option<Machine> {
+    fn equiv_reference(&mut self) -> Option<Machine> {
         self.equiv_tick = self.equiv_tick.wrapping_add(1);
-        if !self.equiv_tick.is_multiple_of(EQUIV_SAMPLE_PERIOD) {
-            return None;
-        }
-        let mut reference = self.clone();
-        for line in first..=last {
-            reference.touch_line_ref(pe, line, write, Pattern::Streamed);
-        }
-        Some(reference)
-    }
-
-    /// Sampled debug equivalence for `touch_batch`: replay the index batch
-    /// through the per-element reference walk on a clone (taken after the
-    /// detector call, which both sides share) and compare observables.
-    #[cfg(debug_assertions)]
-    fn equiv_reference_batch(
-        &mut self,
-        pe: usize,
-        base: u64,
-        idxs: &[usize],
-        write: bool,
-        pat: Pattern,
-    ) -> Option<Machine> {
-        self.equiv_tick = self.equiv_tick.wrapping_add(1);
-        if !self.equiv_tick.is_multiple_of(EQUIV_SAMPLE_PERIOD) {
-            return None;
-        }
-        let mut reference = self.clone();
-        for &idx in idxs {
-            reference.touch_line_ref(pe, (base + 4 * idx as u64) >> self.line_shift, write, pat);
-        }
-        Some(reference)
+        self.equiv_tick.is_multiple_of(EQUIV_SAMPLE_PERIOD).then(|| self.clone())
     }
 
     /// Assert that the fast path left `pe` with exactly the observable state
@@ -966,16 +775,33 @@ impl Machine {
         );
     }
 
-    /// The per-line reference path: exactly the pre-fast-path `touch_line`.
-    /// Used when `MachineConfig::fast_path` is off and by the debug
-    /// equivalence sampler; never consults the hint.
+    /// The frozen per-line reference: TLB, L1 filter, one L2 tag probe,
+    /// then the protocol tail both paths share. Runs every line when
+    /// `MachineConfig::fast_path` is off or the cache geometry has no fast
+    /// twins, and replays the debug equivalence sample; never consults the
+    /// hint, leaves it pointing at `line`.
     fn touch_line_ref(&mut self, pe: usize, line: u64, write: bool, pat: Pattern) {
         let page = (line << self.line_shift) >> self.page_shift;
         if !self.pes[pe].tlb.access(page) {
             self.pes[pe].ev.tlb_misses += 1;
             self.charge(pe, self.cfg.tlb_miss_ns, Bucket::Lmem);
         }
-        self.touch_line_post_tlb(pe, line, write, pat);
+        // L1 filter: a hit here is free (folded into BUSY); an upgrade or
+        // miss falls through to the L2/directory path below, which keeps
+        // the two levels' states consistent.
+        if let Probe::Hit(_) = self.pes[pe].l1.probe(line, write) {
+            if write {
+                // Keep the L2 state in step with the silently-promoted L1.
+                self.pes[pe].cache.probe(line, true);
+            }
+            self.pes[pe].ev.l1_hits += 1;
+            let s = &mut self.pes[pe];
+            s.hint_line = line;
+            s.hint_write = write;
+            return;
+        }
+        let probe = self.pes[pe].cache.probe(line, write);
+        self.touch_line_post_l2(pe, line, write, pat, probe);
     }
 
     /// The full coherence path for one line touch.
@@ -1007,35 +833,9 @@ impl Machine {
         self.debug_assert_hint(pe, "touch_line exit");
     }
 
-    /// Everything after the TLB: L1 filter, L2 probe, directory protocol.
-    /// Leaves the hint pointing at `line`.
-    fn touch_line_post_tlb(&mut self, pe: usize, line: u64, write: bool, pat: Pattern) {
-        // L1 filter: a hit here is free (folded into BUSY); an upgrade or
-        // miss falls through to the L2/directory path below, which keeps
-        // the two levels' states consistent.
-        if let Probe::Hit(_) = self.pes[pe].l1.probe(line, write) {
-            if write {
-                // Keep the L2 state in step with the silently-promoted L1.
-                self.pes[pe].cache.probe(line, true);
-            }
-            self.pes[pe].ev.l1_hits += 1;
-            let s = &mut self.pes[pe];
-            s.hint_line = line;
-            s.hint_write = write;
-            return;
-        }
-        self.touch_line_post_l1(pe, line, write, pat);
-    }
-
-    /// The walk below the L1: one L2 tag probe, then the directory protocol.
-    fn touch_line_post_l1(&mut self, pe: usize, line: u64, write: bool, pat: Pattern) {
-        let probe = self.pes[pe].cache.probe(line, write);
-        self.touch_line_post_l2(pe, line, write, pat, probe);
-    }
-
     /// The walk below the L2 tag probe: protocol action, traffic, stall
     /// charge, refill and hint update for an already-performed `probe`.
-    /// Split out so `touch_batch` can run the probe inside its tight loop
+    /// Split out so `walk` can run the probe inside its tight loop
     /// (inlining the common Hit arm) and hand only upgrades/misses here —
     /// every line still gets exactly one L2 tag walk.
     ///
@@ -1698,54 +1498,195 @@ mod tests {
         assert!(after > before.iter().cloned().fold(0.0, f64::max));
     }
 
-    /// The streamed fast path (hint + per-page TLB batching) must be
-    /// observationally identical to the per-line reference walk. Drive the
-    /// same pseudo-random schedule — scattered reads/writes, streamed runs,
-    /// DMA, barriers, so every hint-invalidation path fires — through a
-    /// fast-path machine and a reference machine and require bit-identical
-    /// clocks, breakdowns and event counters on every PE.
-    #[test]
-    fn fast_path_matches_reference_on_mixed_schedule() {
+    /// Geometry for the differential tests: a 16-line L1 under a 128-line
+    /// L2 (so L2-only lines exist), 32-line pages, `assoc` ways at both
+    /// levels.
+    fn diff_cfg(assoc: usize, protocol: ProtocolMode) -> MachineConfig {
+        let mut cfg = MachineConfig::origin2000(4);
+        cfg.l1 = crate::config::CacheGeom { size: 2 * 1024, assoc, line: 128 };
+        cfg.l2 = crate::config::CacheGeom { size: 16 * 1024, assoc, line: 128 };
+        cfg.page_size = 4096;
+        cfg.tlb_entries = 16;
+        cfg.protocol = protocol;
+        cfg
+    }
+
+    /// Run `program` on a fast-path machine and on a reference machine and
+    /// require the same full observable state: clocks, breakdowns, events,
+    /// section profile, the program's own outputs, array contents, the
+    /// coherence audit (clean), and which lines each PE's L1 and L2 hold in
+    /// which state (stamps excluded — the fast walk may skip re-stamping an
+    /// MRU line). `a` is one page per PE, `b` one page on node 1.
+    fn assert_fast_matches_reference(
+        cfg: &MachineConfig,
+        program: impl Fn(&mut Machine, ArrayId, ArrayId) -> Vec<u32>,
+    ) {
         let run = |fast: bool| {
-            let mut cfg = MachineConfig::origin2000(4);
-            cfg.l2 = crate::config::CacheGeom { size: 16 * 1024, assoc: 2, line: 128 };
-            cfg.page_size = 4096;
-            cfg.tlb_entries = 16;
+            let mut cfg = cfg.clone();
             cfg.fast_path = fast;
             let mut m = Machine::new(cfg);
             let a = m.alloc(4096, Placement::Partitioned { parts: 4 }, "a");
             let b = m.alloc(1024, Placement::Node(1), "b");
-            let mut x = 0x5EEDu64;
-            let mut rng = |md: usize| {
-                x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-                (x >> 33) as usize % md
-            };
-            for _ in 0..400 {
-                let pe = rng(4);
-                match rng(10) {
-                    0 => m.barrier(),
-                    1 => {
-                        let t = m.dma_copy(pe, a, rng(3072), b, rng(500), 1 + rng(500), rng(2) == 0);
-                        m.charge(pe, t, Bucket::Rmem);
-                    }
-                    2 | 3 => m.write_at(pe, a, rng(4096), 1),
-                    4 | 5 => {
-                        let _ = m.read_at(pe, a, rng(4096));
-                    }
-                    6 | 7 => {
-                        let off = rng(3000);
-                        m.touch_run(pe, a, off, 1 + rng(1000), true);
-                    }
-                    _ => {
-                        let off = rng(3000);
-                        m.touch_run(pe, a, off, 1 + rng(1000), false);
-                    }
-                }
-            }
+            let out = program(&mut m, a, b);
             m.barrier();
-            (0..4).map(|pe| (m.now(pe), m.breakdown(pe), m.events(pe))).collect::<Vec<_>>()
+            assert_eq!(m.check_coherence(), Vec::<String>::new(), "fast_path={fast}");
+            let pes: Vec<_> = (0..4).map(|pe| (m.now(pe), m.breakdown(pe), m.events(pe))).collect();
+            let resident: Vec<_> = (0..m.mem.total_lines())
+                .flat_map(|line| m.pes.iter().map(move |s| (s.l1.state(line), s.cache.state(line))))
+                .collect();
+            (pes, m.section_profile(), out, m.raw(a).to_vec(), m.raw(b).to_vec(), resident)
         };
         assert_eq!(run(true), run(false));
+    }
+
+    /// One pseudo-random schedule — scattered reads/writes, streamed runs
+    /// with and without data, index batches, DMA, barriers and section
+    /// switches, so every hint-invalidation path fires — per protocol and
+    /// associativity. 4-way has no fast twins: there the walk is the
+    /// per-line fallback, which must agree with the reference all the same.
+    #[test]
+    fn fast_path_matches_reference_on_mixed_schedule() {
+        for (assoc, protocol) in [
+            (2, ProtocolMode::Invalidate),
+            (2, ProtocolMode::DragonUpdate),
+            (4, ProtocolMode::Invalidate),
+        ] {
+            assert_fast_matches_reference(&diff_cfg(assoc, protocol), |m, a, b| {
+                let mut x = 0x5EEDu64;
+                let mut rng = |md: usize| {
+                    x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                    (x >> 33) as usize % md
+                };
+                let mut out = Vec::new();
+                for step in 0..600u32 {
+                    if step % 64 == 0 {
+                        m.section(if step % 128 == 0 { "even" } else { "odd" });
+                    }
+                    let pe = rng(4);
+                    match rng(12) {
+                        0 => m.barrier(),
+                        1 => {
+                            let t = m.dma_copy(pe, a, rng(3072), b, rng(500), 1 + rng(500), rng(2) == 0);
+                            m.charge(pe, t, Bucket::Rmem);
+                        }
+                        2 | 3 => m.write_at(pe, a, rng(4096), step),
+                        4 | 5 => out.push(m.read_at(pe, a, rng(4096))),
+                        6 => m.touch_run(pe, a, rng(3000), 1 + rng(1000), true),
+                        7 => m.touch_run(pe, a, rng(3000), 1 + rng(1000), false),
+                        8 => {
+                            let src: Vec<u32> = (0..1 + rng(600) as u32).map(|i| step ^ i).collect();
+                            m.write_run(pe, a, rng(3000), &src);
+                        }
+                        9 => {
+                            let mut buf = vec![0; 1 + rng(600)];
+                            m.read_run(pe, b, rng(400), &mut buf);
+                            out.extend(buf);
+                        }
+                        10 => {
+                            let idxs: Vec<usize> = (0..1 + rng(200)).map(|_| rng(4096)).collect();
+                            let vals: Vec<u32> = idxs.iter().map(|&i| step + i as u32).collect();
+                            m.scatter_run(pe, a, &idxs, &vals);
+                        }
+                        _ => {
+                            let idxs: Vec<usize> = (0..1 + rng(200)).map(|_| rng(4096)).collect();
+                            let mut buf = vec![0; idxs.len()];
+                            m.gather_run(pe, a, &idxs, &mut buf);
+                            out.extend(buf);
+                        }
+                    }
+                }
+                out
+            });
+        }
+    }
+
+    /// Lines 4..8 of a 12-line write run are Shared with two other PEs: the
+    /// fast loop must leave for the upgrade path and resume four times in
+    /// the middle of the run.
+    #[test]
+    fn write_run_upgrades_mid_run_across_shared_lines() {
+        assert_fast_matches_reference(&diff_cfg(2, ProtocolMode::Invalidate), |m, a, _| {
+            m.touch_run(0, a, 0, 12 * 32, false);
+            for pe in [1, 2] {
+                m.touch_run(pe, a, 4 * 32, 4 * 32, false);
+            }
+            let before = m.events(0);
+            m.touch_run(0, a, 0, 12 * 32, true);
+            let ev = m.events(0);
+            assert_eq!(ev.upgrades - before.upgrades, 4);
+            assert_eq!(ev.invalidations - before.invalidations, 8, "two sharers per line");
+            assert_eq!(ev.l1_hits - before.l1_hits, 8, "the lines around the shared ones hit");
+            assert_eq!(ev.misses(), before.misses());
+            Vec::new()
+        });
+    }
+
+    /// One read run crosses all three residency classes: lines still in the
+    /// L1, lines only the L2 kept, and lines never touched.
+    #[test]
+    fn run_over_l1_resident_l2_only_and_absent_lines() {
+        assert_fast_matches_reference(&diff_cfg(2, ProtocolMode::Invalidate), |m, a, _| {
+            // 20 lines through a 16-line L1: some are pushed out to the L2.
+            m.touch_run(0, a, 0, 20 * 32, false);
+            let before = m.events(0);
+            assert_eq!((before.misses(), before.l1_hits, before.cache_hits), (20, 0, 0));
+            m.touch_run(0, a, 0, 24 * 32, false);
+            let ev = m.events(0);
+            let (l1, l2) = (ev.l1_hits, ev.cache_hits);
+            assert!(l1 > 0 && l2 > 0, "want both hit classes, got l1 {l1} l2 {l2}");
+            assert_eq!(l1 + l2, 20);
+            assert_eq!(ev.misses(), 24, "lines 20..24 were absent");
+            Vec::new()
+        });
+    }
+
+    #[test]
+    fn page_crossing_run_takes_exactly_one_tlb_miss() {
+        assert_fast_matches_reference(&diff_cfg(2, ProtocolMode::Invalidate), |m, a, _| {
+            m.touch_run(0, a, 0, 32, false); // maps page 0
+            let before = m.events(0).tlb_misses;
+            // Two lines either side of the page 0 | page 1 boundary.
+            m.touch_run(0, a, 1024 - 64, 128, true);
+            assert_eq!(m.events(0).tlb_misses - before, 1);
+            assert_eq!(m.events(0).misses(), 5);
+            Vec::new()
+        });
+    }
+
+    /// The hint one entry point leaves is the hint the next one finds: a
+    /// run starting on a batch's last line, a write batch starting on a
+    /// read run's last line (the read hint must not license the write), a
+    /// read batch starting on a write run's last line (it may).
+    #[test]
+    fn hint_hands_off_between_runs_and_batches() {
+        assert_fast_matches_reference(&diff_cfg(2, ProtocolMode::Invalidate), |m, a, _| {
+            m.scatter_run(0, a, &[5, 70, 40], &[1, 2, 3]); // ends on line 1
+            m.touch_run(0, a, 40, 100, true); // lines 1..=4, ends on line 4
+            m.touch_run(0, a, 0, 6 * 32, false); // read hint on line 5, new so Exclusive
+            let before = m.events(0);
+            m.scatter_run(0, a, &[5 * 32, 5 * 32 + 1, 33], &[7, 8, 9]);
+            m.touch_run(0, a, 0, 64, true); // ends on line 1, write hint
+            let mut out = vec![0; 3];
+            m.gather_run(0, a, &[63, 33, 0], &mut out);
+            let ev = m.events(0);
+            assert_eq!(ev.misses(), before.misses(), "every line was resident");
+            assert_eq!(ev.l1_hits - before.l1_hits, 3 + 2 + 3);
+            assert_eq!(out, [0, 9, 0]);
+            out
+        });
+    }
+
+    #[test]
+    fn sub_line_and_unaligned_runs_touch_the_lines_they_overlap() {
+        assert_fast_matches_reference(&diff_cfg(2, ProtocolMode::Invalidate), |m, a, _| {
+            m.touch_run(0, a, 3, 5, true); // inside line 0
+            assert_eq!((m.events(0).misses(), m.events(0).l1_hits), (1, 0));
+            m.touch_run(0, a, 30, 4, false); // elements 30..34 straddle lines 0 | 1
+            assert_eq!((m.events(0).misses(), m.events(0).l1_hits), (2, 1));
+            m.touch_run(0, a, 33, 64, true); // elements 33..97: lines 1, 2, 3
+            assert_eq!((m.events(0).misses(), m.events(0).l1_hits), (4, 2));
+            Vec::new()
+        });
     }
 
     #[test]

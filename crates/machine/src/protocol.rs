@@ -29,11 +29,11 @@
 //!
 //! Because a written-shared line stays Shared in the writer's caches, every
 //! subsequent write re-enters this slow path (the L1/L2 write probes return
-//! `UpgradeNeeded` on Shared lines and the fast-path sweeps stop there —
-//! see `Cache::probe`/`sweep_hits`), which is exactly Dragon's cost shape:
-//! one update transaction per write to actively-shared data. The fast paths
-//! therefore need no Dragon-specific logic to stay exact, and the debug
-//! `equiv_reference` sampler covers the mode unchanged.
+//! `UpgradeNeeded` on Shared lines and the fast walk hands those here —
+//! see `Cache::probe`/`probe_fast_ext`), which is exactly Dragon's cost
+//! shape: one update transaction per write to actively-shared data. The
+//! fast walk therefore needs no Dragon-specific logic to stay exact, and
+//! the debug `equiv_reference` sampler covers the mode unchanged.
 //!
 //! Latency and occupancy use the same knobs as invalidation (an update
 //! message occupies the home controller for `ctrl_occ_ns` like an

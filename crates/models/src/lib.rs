@@ -29,7 +29,7 @@ pub mod mpi;
 pub mod prefix;
 pub mod shmem;
 
-use ccsort_machine::{ArrayId, Bucket, Machine, Pattern};
+use ccsort_machine::{ArrayId, Bucket, Machine};
 
 pub use comm::{CcsasComm, Communicator, CostModel, ExchangePlan, MpiComm, Permute, ShmemComm};
 pub use mpi::{Mpi, MpiMode};
@@ -87,15 +87,9 @@ pub fn cpu_copy(
     m.copy_untimed(pe, src, src_off, dst, dst_off, len);
 }
 
-/// Timed scattered read helper used where a program reads a handful of
-/// shared values (splitters, flags).
-pub fn read_scattered(m: &mut Machine, pe: usize, arr: ArrayId, idx: usize) -> u32 {
-    m.read_pat(pe, arr, idx, Pattern::Scattered)
-}
-
-/// Batched counterpart of [`read_scattered`]: gather `idxs.len()` shared
-/// values in one submission through the machine's batched scattered walk
-/// (one detector dispatch and base resolution for the whole set).
+/// Timed scattered read of a handful of shared values (splitters, flags):
+/// gather `idxs.len()` of them in one submission through the machine's
+/// walk (one detector dispatch and base resolution for the whole set).
 pub fn gather_scattered(m: &mut Machine, pe: usize, arr: ArrayId, idxs: &[usize], out: &mut [u32]) {
     m.gather_run(pe, arr, idxs, out);
 }

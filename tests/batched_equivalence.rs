@@ -43,11 +43,14 @@ const BATCH: usize = 512;
 /// indices inside the PE's own partition (race-free), plus overlapping
 /// batches on a small shared array that produce genuine cross-PE races —
 /// so the race-verdict comparison covers both the all-clean bulk path and
-/// the report/suppression path.
-fn run_schedule(batched: bool, fast: bool, race: bool) -> Snapshot {
+/// the report/suppression path. `physical = false` is the ablation's
+/// virtually indexed cache, which has no fast twins: the walk must fall
+/// back to the reference per line rather than index the wrong set.
+fn run_schedule(batched: bool, fast: bool, race: bool, physical: bool) -> Snapshot {
     let mut cfg = MachineConfig::origin2000(P);
     cfg.fast_path = fast;
     cfg.race_detector = race;
+    cfg.physical_cache_indexing = physical;
     let mut m = Machine::new(cfg);
     let arr = m.alloc(N, Placement::Partitioned { parts: P }, "data");
     let shared = m.alloc(SHARED_N, Placement::Node(0), "shared");
@@ -125,19 +128,19 @@ fn run_schedule(batched: bool, fast: bool, race: bool) -> Snapshot {
 
 /// The 4-way comparison: {batched, per-element} × {fast path, reference}
 /// must all produce the identical machine state, with the race detector
-/// both off and on.
+/// both off and on, on physically and on virtually indexed caches.
 #[test]
 fn batched_schedule_matches_per_element_full_state() {
-    for race in [false, true] {
-        let reference = run_schedule(false, false, race);
+    for (race, physical) in [(false, true), (true, true), (false, false), (true, false)] {
+        let reference = run_schedule(false, false, race, physical);
         if race {
             assert!(!reference.races.is_empty(), "schedule must provoke races");
         }
         for (batched, fast) in [(false, true), (true, false), (true, true)] {
-            let got = run_schedule(batched, fast, race);
+            let got = run_schedule(batched, fast, race, physical);
             assert_eq!(
                 got, reference,
-                "state diverged: batched={batched} fast={fast} race={race}"
+                "state diverged: batched={batched} fast={fast} race={race} physical={physical}"
             );
         }
     }
