@@ -8,9 +8,11 @@
 //!
 //! `--quick` runs the pruned CI grid (16M keys, {1, max} threads);
 //! `--assert` exits non-zero if the engine's internal performance
-//! relations do not hold on uniform u32 (the default is no slower than the
-//! LSD-only schedule, and beats the parallel merge sort); `--tol` loosens
-//! those comparisons by a multiplicative factor for noisy CI runners.
+//! relations do not hold (on every cell of the grid the default is no
+//! slower than the LSD-only schedule; on uniform and duplicate-heavy u32
+//! and on duplicate-heavy pairs it beats the parallel merge sort); `--tol`
+//! loosens those comparisons by a multiplicative factor for noisy CI
+//! runners.
 
 use std::io::Write;
 use std::time::Instant;

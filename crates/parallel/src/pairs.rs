@@ -48,9 +48,10 @@ where
 /// pairs sort gets write coalescing, work stealing, the fold and both
 /// pass schedules too. Stable on either schedule: within a chunk, records
 /// are staged and flushed in input order to consecutive ranks; across
-/// chunks, lower chunk ids rank first for equal digits; and the MSD-first
-/// bucket phase is the stable sequential kernel on keys that already agree
-/// on the top digit.
+/// chunks, lower chunk ids rank first for equal digits; and what finishes
+/// an MSD-first bucket — the sequential kernel, or the engine again when
+/// the bucket is heavy — is a stable sort of keys that already agree on
+/// the top digit.
 pub fn par_radix_sort_pairs_with<K, V>(keys: &mut [K], values: &mut [V], cfg: &RadixSortConfig)
 where
     K: RadixKey + Default,

@@ -22,23 +22,30 @@
 //!   passes costs one cheap read and no counting. Per-chunk histograms are
 //!   then counted for one digit at a time, and each permute counts the
 //!   *next* live pass's per-chunk digits while the keys are already in
-//!   registers, eliminating the per-pass re-read of the whole array.
+//!   registers, eliminating the per-pass re-read of the whole array. A
+//!   permute that splits a range into buckets folds each bucket's keys the
+//!   same way, block by flushed block, so what is live inside a bucket is
+//!   known without reading it again.
 //!
 //! On top of those parts the engine picks one of two pass **schedules**
 //! per sort, from the data ([`Schedule`], [`SortScratch::last_schedule`]):
 //!
 //! * **MSD-first** — the paper's sample-sort shape for integers: move every
 //!   key across the machine once, then sort locally. The top live digit is
-//!   counted; when every bucket of its global histogram is at most
-//!   [`RadixSortConfig::sequential_cutoff`] keys, one coalesced permute on
-//!   that digit splits the array into `bins` buckets and the workers drain
-//!   the buckets through a [`ChunkQueue`], finishing each with the
-//!   cache-resident sequential kernel ([`crate::seq`]) on the live passes
-//!   below the top digit, landing the result straight in `keys`.
+//!   counted and one coalesced permute on it splits the array into `bins`
+//!   buckets. The workers drain the buckets of at most
+//!   [`RadixSortConfig::sequential_cutoff`] keys through a [`ChunkQueue`],
+//!   finishing each with the cache-resident sequential kernel
+//!   ([`crate::seq`]) on the passes live inside that bucket. A *heavy*
+//!   bucket — one above the cutoff: a Zipf head, everything but one outlier
+//!   — goes back through the engine instead, all workers on it: its own
+//!   live passes (at least one fewer: not the digit it was split on), its
+//!   own top digit, its own buckets, the two buffers' roles swapped. No
+//!   worker's share of a sort depends on the input.
 //! * **LSD** — one out-of-cache permute per live pass, least significant
-//!   first: what runs when a bucket is too big for the kernel (skew) or
-//!   when only one pass is live. [`RadixSortConfig::simple`] asks for it
-//!   outright.
+//!   first: what runs on a range with a single live pass, or too few keys
+//!   for a histogram per bucket to pay, and what
+//!   [`RadixSortConfig::simple`] asks for outright.
 //!
 //! All count matrices are cache-line padded ([`PaddedCounts`]), so no two
 //! workers' counters ever share a line. Both schedules produce
@@ -73,7 +80,14 @@ const CHUNKS_PER_WORKER: usize = 4;
 /// `(u64, u64)` pairs near 2^18, and with one worker the engine never wins
 /// below 2^19. 2^18 is the minimax choice — on either side of it the lane
 /// that would have preferred the other path loses at most a seventh,
-/// where the old 2^13 lost 4× on a 16,384-key sort.
+/// where the old 2^13 lost 4× on a 16,384-key sort. The same length is
+/// the line between a light and a heavy bucket, and the table for that
+/// job (a bucket of `(u64, u64)` pairs as the input, n = 2^16…2^20: the
+/// kernel on one worker while the other sorts a bucket of its own, vs the
+/// engine on both) crosses at 2^17: level there, the kernel a third
+/// ahead at 2^16, the engine 5–20 % ahead at 2^18 and more above. 2^18
+/// is the upper edge of that band; it stands until a measured change
+/// moves both jobs together.
 const DEFAULT_SEQUENTIAL_CUTOFF: usize = 1 << 18;
 
 /// Configuration for [`par_radix_sort_with`] and
@@ -90,11 +104,12 @@ pub struct RadixSortConfig {
     /// every engine phase is a fork/join over `chunks` threads and every
     /// chunk flushes `bins` partial staging buffers per pass, fixed costs
     /// a cache-resident input cannot repay. Above it, the same length
-    /// decides the engine's schedule: when every bucket of the top live
-    /// digit is at or below it, the engine partitions once on that digit
-    /// and finishes each bucket with the kernel ([`Schedule::MsdFirst`]).
-    /// The default is the measured crossover (DESIGN.md §14); `0` keeps
-    /// every sort on the [`Schedule::Lsd`] engine.
+    /// decides what finishes a bucket once the engine has partitioned on
+    /// the top live digit ([`Schedule::MsdFirst`]): the kernel on one
+    /// worker when the bucket is at or below it, the engine again, on all
+    /// workers, when the bucket is heavier. The default is the measured
+    /// crossover of both decisions (DESIGN.md §14); `0` keeps every sort
+    /// on the [`Schedule::Lsd`] engine.
     pub sequential_cutoff: usize,
 }
 
@@ -147,11 +162,14 @@ impl RadixSortConfig {
 pub enum Schedule {
     /// At or below `sequential_cutoff`: the sequential kernel, no threads.
     Sequential,
-    /// One permute on pass `top_pass`, then every bucket finished in cache
-    /// by the sequential kernel. `live_passes` counts the non-trivial
-    /// passes including the top one; `largest_bucket` is the most keys any
-    /// top digit holds (at most `sequential_cutoff`).
-    MsdFirst { top_pass: u32, live_passes: u32, largest_bucket: usize },
+    /// One permute on pass `top_pass`, then every bucket of at most
+    /// `sequential_cutoff` keys finished in cache by the sequential kernel
+    /// and every larger one sorted by the engine again, as a range of its
+    /// own. `live_passes` counts the non-trivial passes including the top
+    /// one; `largest_bucket` is the most keys any top digit holds and
+    /// `heavy_buckets` how many top digits hold more than the cutoff (what
+    /// the deeper levels did with them is not reported).
+    MsdFirst { top_pass: u32, live_passes: u32, largest_bucket: usize, heavy_buckets: u32 },
     /// One permute per non-trivial pass, least significant digit first.
     Lsd { executed_passes: u32 },
 }
@@ -245,6 +263,13 @@ struct Exec {
 }
 
 impl Exec {
+    /// `workers` workers (at most one per key) on `n` keys cut into
+    /// `CHUNKS_PER_WORKER` chunks each.
+    fn new(n: usize, workers: usize) -> Self {
+        let workers = workers.min(n);
+        Exec { geom: ChunkGeom::new(n, workers.saturating_mul(CHUNKS_PER_WORKER)), workers }
+    }
+
     /// The stealing queue one phase drains its `items` (chunks or buckets)
     /// through.
     fn queue(&self, items: usize) -> ChunkQueue {
@@ -265,6 +290,23 @@ struct PermuteCtx<'a, K, V> {
     /// Shift of the next executed pass whose per-chunk histograms this
     /// permute computes on the fly; `None` = don't count during permute.
     next_shift: Option<u32>,
+    /// Whether to fold the OR and the AND of every bucket's keys as they
+    /// are flushed (`Stage::fold`).
+    fold_buckets: bool,
+}
+
+/// The fold of no keys: the identity of (OR, AND).
+const NO_KEYS: (u64, u64) = (0, u64::MAX);
+
+/// The fold of two sets of keys together, from the fold of each.
+fn join_folds(a: (u64, u64), b: (u64, u64)) -> (u64, u64) {
+    (a.0 | b.0, a.1 & b.1)
+}
+
+/// Whether a bucket of `len` keys goes back through the engine instead of
+/// to the sequential kernel.
+fn is_heavy(len: usize, cfg: &RadixSortConfig) -> bool {
+    len > cfg.sequential_cutoff
 }
 
 /// Per-worker write-coalescing staging: `ELEMS` keys (and payloads) per
@@ -273,6 +315,9 @@ struct Stage<K, V> {
     kbuf: Vec<K>,
     vbuf: Vec<V>,
     fill: Vec<u32>,
+    /// Per bucket, the OR and the AND of the `to_bits()` of every key
+    /// flushed in the current permute, when the permute asks for it.
+    fold: Vec<(u64, u64)>,
 }
 
 impl<K, V> Stage<K, V> {
@@ -286,7 +331,7 @@ impl<K, V> Stage<K, V> {
 
 impl<K: Copy + Default, V: Copy + Default> Stage<K, V> {
     fn empty() -> Self {
-        Stage { kbuf: Vec::new(), vbuf: Vec::new(), fill: Vec::new() }
+        Stage { kbuf: Vec::new(), vbuf: Vec::new(), fill: Vec::new(), fold: Vec::new() }
     }
 
     /// Shape the buffers for `bins` buckets, reusing the existing
@@ -311,6 +356,8 @@ impl<K: Copy + Default, V: Copy + Default> Stage<K, V> {
         self.vbuf.resize(vn, V::default());
         self.fill.clear();
         self.fill.resize(bins, 0);
+        self.fold.clear();
+        self.fold.resize(bins, NO_KEYS);
         grew
     }
 }
@@ -352,7 +399,8 @@ fn reshape(v: &mut Vec<usize>, len: usize) -> bool {
 /// Caller-owned reusable buffers for [`par_radix_sort_with_scratch`] and
 /// [`crate::pairs::par_radix_sort_pairs_with_scratch`]: the flip buffers,
 /// the per-chunk count matrices, the sequential-fallback histogram, the
-/// top digit's bucket bounds, and one `WorkerScratch` per worker.
+/// bucket bounds of every MSD-first level, and one `WorkerScratch` per
+/// worker.
 /// Everything is reshaped (never shrunk) on each call, so a steady stream
 /// of same-shaped sorts touches only buffers allocated by the first call.
 ///
@@ -363,9 +411,15 @@ pub struct SortScratch<K, V = ()> {
     keys: Vec<K>,
     vals: Vec<V>,
     hist: Vec<usize>,
-    /// The top digit's global histogram, then (MSD-first) its exclusive
-    /// prefix sum: bucket `d` is `bucket_starts[d]..bucket_starts[d + 1]`.
+    /// `bins + 1` counters per MSD-first level, outermost first: the
+    /// level's top-digit histogram, then its exclusive prefix sum — bucket
+    /// `d` is `starts[d]..starts[d + 1]` of the level's range. A level
+    /// needs its bounds again after each heavy bucket it hands back to the
+    /// engine, so the levels do not share one row.
     bucket_starts: Vec<usize>,
+    /// `bins` (OR, AND) pairs per MSD-first level, beside `bucket_starts`:
+    /// the fold of each bucket's keys, taken as the permute flushed them.
+    bucket_folds: Vec<(u64, u64)>,
     chunk_hists: PaddedCounts,
     offsets: PaddedCounts,
     workers: Vec<WorkerScratch<K, V>>,
@@ -387,6 +441,7 @@ impl<K: Copy + Default, V: Copy + Default> SortScratch<K, V> {
             vals: Vec::new(),
             hist: Vec::new(),
             bucket_starts: Vec::new(),
+            bucket_folds: Vec::new(),
             chunk_hists: PaddedCounts::new(0, 0),
             offsets: PaddedCounts::new(0, 0),
             workers: Vec::new(),
@@ -413,12 +468,12 @@ impl<K: Copy + Default, V: Copy + Default> SortScratch<K, V> {
         total
     }
 
-    /// Shape every engine buffer for one sort. Counts growths in
-    /// `reallocations`; reuse is the common case.
-    fn ensure(&mut self, n: usize, with_vals: bool, m: usize, bins: usize, workers: usize) {
+    /// Shape the buffers one sort sizes once — the flip buffers and each
+    /// worker's stage; the count matrices follow each range's own chunk
+    /// geometry (`Engine::sort_range`). Counts growths in `reallocations`;
+    /// reuse is the common case.
+    fn ensure(&mut self, n: usize, with_vals: bool, bins: usize, workers: usize) {
         let mut grew = self.ensure_flip(n, with_vals);
-        grew |= self.chunk_hists.reset(m, bins);
-        grew |= self.offsets.reset(m, bins);
         if workers > self.workers.len() {
             grew = true;
             self.workers.resize_with(workers, WorkerScratch::new);
@@ -482,23 +537,40 @@ impl<K: Copy + Default, V: Copy + Default> SortScratch<K, V> {
     }
 }
 
-/// Whether the MSD-first schedule can be chosen at all for `n` keys. Some
-/// bucket holds at least the mean, so a mean above the cutoff rules it out
-/// before anything is counted. And the bucket phase pays `bins` counters of
-/// zeroing and prefix sum per pass per bucket whatever the bucket holds,
-/// which the per-key work covers only when the mean bucket is at least half
-/// a histogram long (`bins² <= 2n`; with 16-bit digits that is never).
-fn msd_first_possible(n: usize, bins: usize, cutoff: usize) -> bool {
-    n.div_ceil(bins) <= cutoff && bins <= 2 * n / bins
+/// Whether splitting `n` keys on one digit can pay at all: the bucket phase
+/// pays `bins` counters of zeroing and prefix sum per pass per bucket
+/// whatever the bucket holds, which the per-key work covers only when the
+/// mean bucket is at least half a histogram long (`bins² <= 2n`; with
+/// 16-bit digits that is never).
+fn msd_first_possible(n: usize, bins: usize) -> bool {
+    bins <= 2 * n / bins
+}
+
+/// Give `v` at least `len` counters, keeping the ones it holds; `true` when
+/// it had to grow.
+fn at_least<T: Copy>(v: &mut Vec<T>, len: usize, fill: T) -> bool {
+    let grew = len > v.capacity();
+    if v.len() < len {
+        v.resize(len, fill);
+    }
+    grew
+}
+
+/// The live passes of keys whose OR and AND are `fold` (bit p = pass p). A
+/// pass is an identity permutation exactly when every key has the same
+/// digit there, i.e. when the OR and the AND of all keys agree on every bit
+/// of the digit; such passes are never counted or run.
+fn live_passes<K: RadixKey>((or, and): (u64, u64), radix_bits: u32) -> u64 {
+    let mask = (1u64 << radix_bits) - 1;
+    (0..passes_for::<K>(radix_bits))
+        .filter(|&p| ((or ^ and) >> (p * radix_bits)) & mask != 0)
+        .fold(0u64, |live, p| live | 1 << p)
 }
 
 /// The shared engine behind [`par_radix_sort_with`] (V = `()`, no payload
-/// lane) and `par_radix_sort_pairs_with` (`WITH_VALS = true`). Stable on
-/// either schedule: within a chunk, keys are staged and flushed in input
-/// order to consecutive positions; across chunks, the digit-major rank
-/// construction orders lower chunk ids first; and the bucket phase of the
-/// MSD-first schedule is the stable sequential kernel on the lower digits
-/// of keys that already agree on the top one.
+/// lane) and `par_radix_sort_pairs_with` (`WITH_VALS = true`): size what a
+/// sort sizes once, then sort the whole of both lanes as the outermost
+/// range ([`Engine::sort_range`]).
 pub(crate) fn sort_engine<K, V, const WITH_VALS: bool>(
     keys: &mut [K],
     vals: &mut [V],
@@ -510,23 +582,13 @@ pub(crate) fn sort_engine<K, V, const WITH_VALS: bool>(
 {
     let n = keys.len();
     debug_assert!(n > 1, "engine callers handle the trivial sizes");
-    let bins = 1usize << cfg.radix_bits;
-    let mask = (bins - 1) as u64;
-    let total_passes = passes_for::<K>(cfg.radix_bits) as usize;
     let workers = cfg.chunks.unwrap_or_else(default_workers).clamp(1, n);
-    let geom = ChunkGeom::new(n, workers.saturating_mul(CHUNKS_PER_WORKER));
-    let exec = Exec { geom, workers };
-    let m = exec.geom.chunks();
-
-    // Counting the next pass during a permute needs one m × bins matrix per
-    // worker; past the cache budget the re-read is cheaper than the misses.
-    let count_during_permute = m * bins <= MAX_FUSED_NH_WORDS;
-
-    scratch.ensure(n, WITH_VALS, m, bins, workers);
+    scratch.ensure(n, WITH_VALS, 1 << cfg.radix_bits, workers);
     let SortScratch {
         keys: key_scratch,
         vals: val_scratch,
         bucket_starts,
+        bucket_folds,
         chunk_hists,
         offsets,
         workers: ws,
@@ -534,120 +596,232 @@ pub(crate) fn sort_engine<K, V, const WITH_VALS: bool>(
         last_schedule,
         ..
     } = scratch;
-    let (key_scratch, val_scratch) = (&mut key_scratch[..], &mut val_scratch[..]);
-    let ws = &mut ws[..workers];
+    let fold = run_fold(keys, Exec::new(n, workers));
+    let mut engine = Engine {
+        cfg,
+        bucket_starts,
+        bucket_folds,
+        chunk_hists,
+        offsets,
+        ws: &mut ws[..workers],
+        reallocations,
+    };
+    let lanes = Lanes { cur_k: keys, cur_v: vals, alt_k: key_scratch, alt_v: val_scratch };
+    *last_schedule = Some(engine.sort_range::<WITH_VALS>(lanes, fold, false, 0));
+}
 
-    // Live passes (bit p = pass p). A pass is an identity permutation
-    // exactly when every key has the same digit there, i.e. when the OR and
-    // the AND of all keys agree on every bit of the digit; such passes are
-    // never counted or run.
-    let (or, and) = run_fold(keys, exec);
-    let live = (0..total_passes)
-        .filter(|&p| ((or ^ and) >> (p as u32 * cfg.radix_bits)) & mask != 0)
-        .fold(0u64, |live, p| live | 1 << p);
+/// One range of both lanes on both sides — the caller's arrays and the
+/// flip buffers. The range's data is in `cur`; `alt` is the same range of
+/// the other side.
+struct Lanes<'a, K, V> {
+    cur_k: &'a mut [K],
+    cur_v: &'a mut [V],
+    alt_k: &'a mut [K],
+    alt_v: &'a mut [V],
+}
 
-    // Which per-chunk histograms `chunk_hists` currently holds, if any.
-    let mut have_hists: Option<usize> = None;
+impl<K: Copy, V: Copy> Lanes<'_, K, V> {
+    /// Copy the range to the other side (the payload lane is empty when
+    /// there is none).
+    fn copy_to_alt(&mut self) {
+        self.alt_k.copy_from_slice(self.cur_k);
+        self.alt_v.copy_from_slice(self.cur_v);
+    }
 
-    // Schedule. Count the top live digit; if the sequential kernel would
-    // take every one of its buckets, partition on it once and finish each
-    // bucket in cache. Otherwise fall through to one permute per live pass.
-    if live.count_ones() >= 2 && msd_first_possible(n, bins, cfg.sequential_cutoff) {
-        let top = 63 - live.leading_zeros() as usize;
-        let top_shift = top as u32 * cfg.radix_bits;
-        run_count(keys, exec, top_shift, mask, chunk_hists);
-        have_hists = Some(top);
-        *reallocations += reshape(bucket_starts, bins + 1) as u64;
-        let (top_hist, total) = bucket_starts.split_at_mut(bins);
-        top_hist.fill(0);
-        for c in 0..m {
-            for (g, h) in top_hist.iter_mut().zip(chunk_hists.row(c)) {
-                *g += h;
+    /// The data has moved: what was `alt` is `cur` now.
+    fn swap_sides(&mut self) {
+        std::mem::swap(&mut self.cur_k, &mut self.alt_k);
+        std::mem::swap(&mut self.cur_v, &mut self.alt_v);
+    }
+}
+
+/// What the levels of one sort share: the configuration, the workers and
+/// every scratch buffer but the flip buffers, which are the ranges
+/// themselves.
+struct Engine<'a, K, V> {
+    cfg: &'a RadixSortConfig,
+    bucket_starts: &'a mut Vec<usize>,
+    bucket_folds: &'a mut Vec<(u64, u64)>,
+    chunk_hists: &'a mut PaddedCounts,
+    offsets: &'a mut PaddedCounts,
+    ws: &'a mut [WorkerScratch<K, V>],
+    reallocations: &'a mut u64,
+}
+
+impl<K, V> Engine<'_, K, V>
+where
+    K: RadixKey + Default,
+    V: Copy + Send + Sync + Default,
+{
+    /// Sort one range with every worker on it and leave the result in
+    /// `lanes.alt` when `land_in_alt`, in `lanes.cur` otherwise; returns
+    /// how. `fold` is the OR and the AND of the range's keys. The whole
+    /// sort is the range at `depth` 0; a range at `depth` d + 1 is a heavy
+    /// bucket of a range at depth d, with the two sides' roles swapped, so
+    /// its keys agree on every digit from its parent's top live one up.
+    /// It therefore has at least one live pass fewer: the depth is bounded
+    /// by the passes of `K`, whatever the keys.
+    ///
+    /// Stable at every step: within a chunk, keys are staged and flushed in
+    /// input order to consecutive positions; across chunks, the digit-major
+    /// rank construction orders lower chunk ids first; a bucket is a
+    /// consecutive range whose keys already agree on the digit it was split
+    /// on and everything above; and what finishes a bucket is the stable
+    /// sequential kernel or this function again.
+    fn sort_range<const WITH_VALS: bool>(
+        &mut self,
+        mut lanes: Lanes<'_, K, V>,
+        fold: (u64, u64),
+        land_in_alt: bool,
+        depth: usize,
+    ) -> Schedule {
+        let cfg = self.cfg;
+        let n = lanes.cur_k.len();
+        let bins = 1usize << cfg.radix_bits;
+        let mask = (bins - 1) as u64;
+        let total_passes = passes_for::<K>(cfg.radix_bits) as usize;
+        let exec = Exec::new(n, self.ws.len());
+        let m = exec.geom.chunks();
+
+        let live = live_passes::<K>(fold, cfg.radix_bits);
+        if live == 0 {
+            // All equal: sorted where it lies.
+            if land_in_alt {
+                lanes.copy_to_alt();
             }
+            return Schedule::Lsd { executed_passes: 0 };
         }
-        let largest_bucket = top_hist.iter().copied().max().unwrap_or(0);
-        if largest_bucket <= cfg.sequential_cutoff {
-            build_offsets(chunk_hists, offsets, n);
+
+        let grew = self.chunk_hists.reset(m, bins) | self.offsets.reset(m, bins);
+        *self.reallocations += grew as u64;
+        let ws = &mut self.ws[..exec.workers];
+
+        // Schedule. Below two live passes there is nothing to finish in
+        // cache; a cutoff of 0 (`simple()`) asks for LSD outright.
+        if cfg.sequential_cutoff > 0 && live.count_ones() >= 2 && msd_first_possible(n, bins) {
+            let Lanes { cur_k, cur_v, alt_k, alt_v } = lanes;
+            let top = 63 - live.leading_zeros() as usize;
+            let top_shift = top as u32 * cfg.radix_bits;
+            run_count(cur_k, exec, top_shift, mask, self.chunk_hists);
+            let level = depth * (bins + 1)..(depth + 1) * (bins + 1);
+            let folds = depth * bins..(depth + 1) * bins;
+            let grew = at_least(self.bucket_starts, level.end, 0)
+                | at_least(self.bucket_folds, folds.end, NO_KEYS);
+            *self.reallocations += grew as u64;
+            let starts = &mut self.bucket_starts[level.clone()];
+            let (top_hist, total) = starts.split_at_mut(bins);
+            top_hist.fill(0);
+            for c in 0..m {
+                for (g, h) in top_hist.iter_mut().zip(self.chunk_hists.row(c)) {
+                    *g += h;
+                }
+            }
+            let largest_bucket = top_hist.iter().copied().max().unwrap_or(0);
+
+            build_offsets(self.chunk_hists, self.offsets, n);
             let ctx = PermuteCtx {
-                src_k: &*keys,
-                src_v: &*vals,
-                out_k: SharedSlice::new(key_scratch),
-                out_v: SharedSlice::new(val_scratch),
+                src_k: &*cur_k,
+                src_v: &*cur_v,
+                out_k: SharedSlice::new(alt_k),
+                out_v: SharedSlice::new(alt_v),
                 geom: exec.geom,
                 shift: top_shift,
                 mask,
                 bins,
                 next_shift: None,
+                fold_buckets: true,
             };
-            run_permute::<K, V, WITH_VALS>(&ctx, exec, offsets, chunk_hists, ws);
+            run_permute::<K, V, WITH_VALS>(&ctx, exec, self.offsets, self.chunk_hists, ws);
+            for (b, fold) in self.bucket_folds[folds.clone()].iter_mut().enumerate() {
+                *fold = ws.iter().map(|w| w.stage.fold[b]).fold(NO_KEYS, join_folds);
+            }
 
+            // The keys are on the `alt` side now, bucket by bucket. Light
+            // buckets first, one worker each, through the kernel ...
             total[0] = exclusive_prefix_sum(top_hist);
             for w in ws.iter_mut() {
                 w.reallocations += reshape(&mut w.bucket_hist, hist_len::<K>(cfg.radix_bits)) as u64;
             }
-            let lanes = BucketLanes {
-                src_k: SharedSlice::new(key_scratch),
-                src_v: SharedSlice::new(val_scratch),
-                dst_k: SharedSlice::new(keys),
-                dst_v: SharedSlice::new(vals),
+            let bucket_lanes = BucketLanes {
+                src_k: SharedSlice::new(alt_k),
+                src_v: SharedSlice::new(alt_v),
+                dst_k: SharedSlice::new(cur_k),
+                dst_v: SharedSlice::new(cur_v),
+                land_in_dst: !land_in_alt,
             };
-            let below = live & ((1u64 << top) - 1);
-            run_buckets::<K, V, WITH_VALS>(&lanes, exec, cfg.radix_bits, below, bucket_starts, ws);
-            *last_schedule = Some(Schedule::MsdFirst {
+            let bucket_folds = &self.bucket_folds[folds.clone()];
+            run_buckets::<K, V, WITH_VALS>(&bucket_lanes, exec, cfg, bucket_folds, starts, ws);
+
+            // ... then each heavy one with every worker on it, as a range
+            // of its own whose data lies on the other side.
+            let mut heavy_buckets = 0;
+            for b in 0..bins {
+                let at = level.start + b;
+                let range = self.bucket_starts[at]..self.bucket_starts[at + 1];
+                if is_heavy(range.len(), cfg) {
+                    heavy_buckets += 1;
+                    let vrange = if WITH_VALS { range.clone() } else { 0..0 };
+                    let bucket = Lanes {
+                        cur_k: &mut alt_k[range.clone()],
+                        cur_v: &mut alt_v[vrange.clone()],
+                        alt_k: &mut cur_k[range],
+                        alt_v: &mut cur_v[vrange],
+                    };
+                    let fold = self.bucket_folds[folds.start + b];
+                    self.sort_range::<WITH_VALS>(bucket, fold, !land_in_alt, depth + 1);
+                }
+            }
+            return Schedule::MsdFirst {
                 top_pass: top as u32,
                 live_passes: live.count_ones(),
                 largest_bucket,
-            });
-            return;
+                heavy_buckets,
+            };
         }
+
+        // Counting the next pass during a permute needs one m × bins matrix
+        // per worker; past the cache budget the re-read is cheaper than the
+        // misses.
+        let count_during_permute = m * bins <= MAX_FUSED_NH_WORDS;
+        // Whether `chunk_hists` holds the coming pass's per-chunk counts.
+        let mut counted = false;
+        let mut executed_passes = 0;
+        let mut land_in_alt = land_in_alt;
+        for pass in (0..total_passes).filter(|&p| live >> p & 1 == 1) {
+            let shift = pass as u32 * cfg.radix_bits;
+            if !counted {
+                run_count(lanes.cur_k, exec, shift, mask, self.chunk_hists);
+            }
+            build_offsets(self.chunk_hists, self.offsets, n);
+
+            let next_exec = if count_during_permute {
+                ((pass + 1)..total_passes).find(|&p| live >> p & 1 == 1)
+            } else {
+                None
+            };
+            let ctx = PermuteCtx {
+                src_k: &*lanes.cur_k,
+                src_v: &*lanes.cur_v,
+                out_k: SharedSlice::new(lanes.alt_k),
+                out_v: SharedSlice::new(lanes.alt_v),
+                geom: exec.geom,
+                shift,
+                mask,
+                bins,
+                next_shift: next_exec.map(|p| p as u32 * cfg.radix_bits),
+                fold_buckets: false,
+            };
+            run_permute::<K, V, WITH_VALS>(&ctx, exec, self.offsets, self.chunk_hists, ws);
+            counted = next_exec.is_some();
+            executed_passes += 1;
+            lanes.swap_sides();
+            land_in_alt = !land_in_alt;
+        }
+        if land_in_alt {
+            lanes.copy_to_alt();
+        }
+        Schedule::Lsd { executed_passes }
     }
-
-    let mut executed_passes = 0;
-    let mut flipped = false;
-    for pass in (0..total_passes).filter(|&p| live >> p & 1 == 1) {
-        let shift = pass as u32 * cfg.radix_bits;
-        let (src_k, dst_k): (&[K], &mut [K]) =
-            if flipped { (&*key_scratch, &mut *keys) } else { (&*keys, &mut *key_scratch) };
-        let (src_v, dst_v): (&[V], &mut [V]) =
-            if flipped { (&*val_scratch, &mut *vals) } else { (&*vals, &mut *val_scratch) };
-
-        if have_hists != Some(pass) {
-            run_count(src_k, exec, shift, mask, chunk_hists);
-            have_hists = Some(pass);
-        }
-        build_offsets(chunk_hists, offsets, n);
-
-        let next_exec = if count_during_permute {
-            ((pass + 1)..total_passes).find(|&p| live >> p & 1 == 1)
-        } else {
-            None
-        };
-        let ctx = PermuteCtx {
-            src_k,
-            src_v,
-            out_k: SharedSlice::new(dst_k),
-            out_v: SharedSlice::new(dst_v),
-            geom: exec.geom,
-            shift,
-            mask,
-            bins,
-            next_shift: next_exec.map(|p| p as u32 * cfg.radix_bits),
-        };
-        run_permute::<K, V, WITH_VALS>(&ctx, exec, offsets, chunk_hists, ws);
-        if let Some(np) = next_exec {
-            have_hists = Some(np);
-        }
-        executed_passes += 1;
-        flipped = !flipped;
-    }
-
-    if flipped {
-        keys.copy_from_slice(&key_scratch[..n]);
-        if WITH_VALS {
-            vals.copy_from_slice(&val_scratch[..n]);
-        }
-    }
-    *last_schedule = Some(Schedule::Lsd { executed_passes });
 }
 
 /// Like [`run_workers`], but hands each worker exclusive `&mut` access to
@@ -700,7 +874,7 @@ fn run_count<K: RadixKey>(
 fn run_fold<K: RadixKey>(src: &[K], exec: Exec) -> (u64, u64) {
     let queue = exec.queue(exec.geom.chunks());
     let parts = run_workers(exec.workers, |w| {
-        let (mut or, mut and) = (0u64, u64::MAX);
+        let (mut or, mut and) = NO_KEYS;
         while let Some(c) = queue.claim(w) {
             for k in &src[exec.geom.range(c)] {
                 let bits = k.to_bits();
@@ -710,29 +884,33 @@ fn run_fold<K: RadixKey>(src: &[K], exec: Exec) -> (u64, u64) {
         }
         (or, and)
     });
-    parts.into_iter().fold((0, u64::MAX), |a, b| (a.0 | b.0, a.1 & b.1))
+    parts.into_iter().fold(NO_KEYS, join_folds)
 }
 
-/// Both buffers of the bucket phase, keys and payloads: after the top-digit
-/// permute the data sits in `src`, and each bucket's sorted result must
-/// land in the same range of `dst` (the caller's arrays).
+/// Both sides of the bucket phase, keys and payloads: after the top-digit
+/// permute a bucket's keys sit in a range of `src`, and its sorted result
+/// must end in the same range of `dst` when `land_in_dst`, of `src`
+/// otherwise.
 struct BucketLanes<'a, K, V> {
     src_k: SharedSlice<'a, K>,
     src_v: SharedSlice<'a, V>,
     dst_k: SharedSlice<'a, K>,
     dst_v: SharedSlice<'a, V>,
+    land_in_dst: bool,
 }
 
 /// The bucket phase of the MSD-first schedule: workers drain the `bins`
-/// buckets of the top digit through the chunk queue and finish each with
-/// the sequential kernel on the live passes `below` the top digit, which
-/// lands it in `dst` whatever the parity of the passes it ran. Bucket `b`
-/// is `starts[b]..starts[b + 1]` of both buffers.
+/// buckets of the top digit through the chunk queue and finish each one of
+/// at most `cfg.sequential_cutoff` keys with the sequential kernel on the
+/// passes live inside it, which lands it on the side asked for whatever
+/// the parity of the passes it ran. Heavier buckets are left as the
+/// permute wrote them. Bucket `b` is `starts[b]..starts[b + 1]` of both
+/// sides and `folds[b]` the OR and the AND of its keys.
 fn run_buckets<K, V, const WITH_VALS: bool>(
     lanes: &BucketLanes<'_, K, V>,
     exec: Exec,
-    radix_bits: u32,
-    below: u64,
+    cfg: &RadixSortConfig,
+    folds: &[(u64, u64)],
     starts: &[usize],
     ws: &mut [WorkerScratch<K, V>],
 ) where
@@ -743,9 +921,12 @@ fn run_buckets<K, V, const WITH_VALS: bool>(
     run_workers_scratch(exec.workers, ws, |w, wsc| {
         while let Some(b) = queue.claim(w) {
             let range = starts[b]..starts[b + 1];
+            if is_heavy(range.len(), cfg) {
+                continue;
+            }
             let vrange = if WITH_VALS { range.clone() } else { 0..0 };
             // SAFETY: `starts` is one exclusive prefix sum ending in n, so
-            // the bucket ranges are consecutive sub-ranges of both buffers,
+            // the bucket ranges are consecutive sub-ranges of both sides,
             // pairwise disjoint; bucket ids are claimed exactly once per
             // phase, so this worker is the only one touching range `b` of
             // any lane, and nothing else accesses the lanes in this phase.
@@ -763,9 +944,9 @@ fn run_buckets<K, V, const WITH_VALS: bool>(
                 dk,
                 dv,
                 &mut wsc.bucket_hist,
-                radix_bits,
-                below,
-                true,
+                cfg.radix_bits,
+                live_passes::<K>(folds[b], cfg.radix_bits),
+                lanes.land_in_dst,
             );
         }
     });
@@ -813,6 +994,9 @@ fn run_permute<K, V, const WITH_VALS: bool>(
         // here replaces the per-pass allocation the first version paid.
         if ctx.next_shift.is_some() {
             wsc.reallocations += wsc.nh.reset(m, ctx.bins) as u64;
+        }
+        if ctx.fold_buckets {
+            wsc.stage.fold.fill(NO_KEYS);
         }
         let nh = &mut wsc.nh;
         while let Some(c) = queue.claim(w) {
@@ -898,6 +1082,15 @@ fn flush_digit<K, V, const WITH_VALS: bool>(
     unsafe { ctx.out_k.write_slice(base, kseg) };
     if WITH_VALS {
         unsafe { ctx.out_v.write_slice(base, &stage.vbuf[d * e..d * e + len]) };
+    }
+    if ctx.fold_buckets {
+        let (mut or, mut and) = stage.fold[d];
+        for k in kseg {
+            let bits = k.to_bits();
+            or |= bits;
+            and &= bits;
+        }
+        stage.fold[d] = (or, and);
     }
     if let Some(next_shift) = ctx.next_shift {
         // A flushed block spans at most a few destination chunks; count
@@ -1247,12 +1440,12 @@ mod tests {
 
     /// Sort `input` through a scratch whose flip buffer is pre-filled with
     /// `poison`, check the result against `sort_unstable`, and return the
-    /// schedule the engine reports.
-    fn schedule_of<K: RadixKey + Default + std::fmt::Debug>(
+    /// scratch as the sort left it.
+    fn sorted_scratch<K: RadixKey + Default + std::fmt::Debug>(
         input: Vec<K>,
         cfg: &RadixSortConfig,
         poison: K,
-    ) -> Schedule {
+    ) -> SortScratch<K> {
         let mut expect = input.clone();
         expect.sort_unstable();
         let mut scratch: SortScratch<K> = SortScratch::new();
@@ -1260,6 +1453,28 @@ mod tests {
         let mut v = input;
         par_radix_sort_with_scratch(&mut v, cfg, &mut scratch);
         assert_eq!(v, expect, "diverged under {cfg:?}");
+        scratch
+    }
+
+    /// The schedule the engine reports for [`sorted_scratch`]'s sort.
+    fn schedule_of<K: RadixKey + Default + std::fmt::Debug>(
+        input: Vec<K>,
+        cfg: &RadixSortConfig,
+        poison: K,
+    ) -> Schedule {
+        sorted_scratch(input, cfg, poison).last_schedule().expect("a sort ran")
+    }
+
+    /// Sort `keys_in` as pairs with payload = input position and check the
+    /// exact stable order against `sort_by_key`; returns the schedule.
+    fn stable_pairs_schedule(keys_in: &[u32], cfg: &RadixSortConfig) -> Schedule {
+        let mut expect: Vec<(u32, u32)> = keys_in.iter().copied().zip(0..).collect();
+        expect.sort_by_key(|p| p.0);
+        let (mut keys, mut vals) = (keys_in.to_vec(), (0..keys_in.len() as u32).collect::<Vec<_>>());
+        let mut scratch: SortScratch<u32, u32> = SortScratch::new();
+        crate::pairs::par_radix_sort_pairs_with_scratch(&mut keys, &mut vals, cfg, &mut scratch);
+        let got: Vec<(u32, u32)> = keys.into_iter().zip(vals).collect();
+        assert_eq!(got, expect, "stable order diverges under {cfg:?}");
         scratch.last_schedule().expect("a sort ran")
     }
 
@@ -1281,7 +1496,7 @@ mod tests {
                 assert!(
                     matches!(
                         schedule,
-                        Schedule::MsdFirst { top_pass, live_passes, largest_bucket }
+                        Schedule::MsdFirst { top_pass, live_passes, largest_bucket, heavy_buckets: 0 }
                             if top_pass == passes - 1 && live_passes == passes && largest_bucket <= SMALL_CUTOFF
                     ),
                     "{schedule:?} under {cfg:?}"
@@ -1305,38 +1520,30 @@ mod tests {
     }
 
     #[test]
-    fn schedule_flips_exactly_when_a_bucket_exceeds_the_cutoff() {
+    fn heavy_bucket_starts_exactly_at_cutoff_plus_one() {
         let mut rng = SplitMix64::seed_from_u64(41);
         let cfg = small_cutoff(RadixSortConfig { chunks: Some(3), ..Default::default() });
-        for largest in [SMALL_CUTOFF - 1, SMALL_CUTOFF] {
-            assert_eq!(
-                schedule_of(keys_with_largest_bucket(largest, &mut rng), &cfg, u32::MAX),
-                Schedule::MsdFirst { top_pass: 3, live_passes: 4, largest_bucket: largest }
-            );
-        }
-        assert_eq!(
-            schedule_of(keys_with_largest_bucket(SMALL_CUTOFF + 1, &mut rng), &cfg, u32::MAX),
-            Schedule::Lsd { executed_passes: 4 }
-        );
         // `simple()` asks for the engine's LSD loop outright.
         let lsd_only = RadixSortConfig { chunks: Some(3), ..RadixSortConfig::simple() };
-        assert_eq!(
-            schedule_of(keys_with_largest_bucket(100, &mut rng), &lsd_only, u32::MAX),
-            Schedule::Lsd { executed_passes: 4 }
-        );
-        // Across the boundary the two schedules agree bit for bit on pairs
-        // too, and with the stable `sort_by_key`.
-        for largest in [SMALL_CUTOFF - 1, SMALL_CUTOFF, SMALL_CUTOFF + 1] {
-            let keys_in: Vec<u32> =
-                keys_with_largest_bucket(largest, &mut rng).iter().map(|k| k & 0xFF00_00FF).collect();
-            let mut expect: Vec<(u32, u32)> = keys_in.iter().copied().zip(0..).collect();
-            expect.sort_by_key(|p| p.0);
-            for c in [&cfg, &lsd_only] {
-                let (mut keys, mut vals) = (keys_in.clone(), (0..40_000u32).collect::<Vec<_>>());
-                crate::pairs::par_radix_sort_pairs_with(&mut keys, &mut vals, c);
-                let got: Vec<(u32, u32)> = keys.into_iter().zip(vals).collect();
-                assert_eq!(got, expect, "largest bucket {largest} under {c:?}");
-            }
+        let cases = [(SMALL_CUTOFF - 1, 0), (SMALL_CUTOFF, 0), (SMALL_CUTOFF + 1, 1)];
+        for (largest, heavy_buckets) in cases {
+            let input = keys_with_largest_bucket(largest, &mut rng);
+            assert_eq!(
+                schedule_of(input.clone(), &cfg, u32::MAX),
+                Schedule::MsdFirst { top_pass: 3, live_passes: 4, largest_bucket: largest, heavy_buckets }
+            );
+            let lsd = schedule_of(input.clone(), &lsd_only, u32::MAX);
+            assert_eq!(lsd, Schedule::Lsd { executed_passes: 4 });
+            // Across the boundary the two schedules agree bit for bit on
+            // pairs too, and with the stable `sort_by_key`.
+            let dup_heavy: Vec<u32> = input.iter().map(|k| k & 0xFF00_00FF).collect();
+            assert!(matches!(
+                stable_pairs_schedule(&dup_heavy, &cfg),
+                Schedule::MsdFirst { top_pass: 3, live_passes: 2, heavy_buckets: h, .. }
+                    if h == heavy_buckets
+            ));
+            let lsd = stable_pairs_schedule(&dup_heavy, &lsd_only);
+            assert_eq!(lsd, Schedule::Lsd { executed_passes: 2 });
         }
     }
 
@@ -1348,11 +1555,15 @@ mod tests {
         // All equal: the fold finds no live pass; nothing is counted or moved.
         assert_eq!(schedule_of(vec![7u32; n], &cfg, 0), Schedule::Lsd { executed_passes: 0 });
         assert_eq!(schedule_of(vec![-7i64; n], &cfg, 0), Schedule::Lsd { executed_passes: 0 });
-        // One outlier with the high bit set: the top digit is live but its
-        // bucket 0 holds n - 1 keys, so the LSD loop runs passes 0, 1 and 7.
+        // One outlier with the high bit set: the top digit is live and its
+        // bucket 0 holds n - 1 keys, which go back through the engine and
+        // split on pass 1 into buckets the kernel takes.
         let mut outlier: Vec<u64> = (0..n).map(|_| rng.random::<u64>() & 0xFFFF).collect();
         outlier[n / 3] |= 1 << 63;
-        assert_eq!(schedule_of(outlier, &cfg, u64::MAX), Schedule::Lsd { executed_passes: 3 });
+        assert_eq!(
+            schedule_of(outlier, &cfg, u64::MAX),
+            Schedule::MsdFirst { top_pass: 7, live_passes: 3, largest_bucket: n - 1, heavy_buckets: 1 }
+        );
         // One live pass: nothing below the top digit to finish in cache.
         let one_pass: Vec<u32> = (0..n).map(|_| (rng.random::<u32>() & 0xFF) << 8).collect();
         assert_eq!(schedule_of(one_pass, &cfg, u32::MAX), Schedule::Lsd { executed_passes: 1 });
@@ -1361,12 +1572,12 @@ mod tests {
         let below_2_16: Vec<u64> = (0..n).map(|_| rng.random::<u64>() & 0xFFFF).collect();
         assert!(matches!(
             schedule_of(below_2_16, &cfg, u64::MAX),
-            Schedule::MsdFirst { top_pass: 1, live_passes: 2, .. }
+            Schedule::MsdFirst { top_pass: 1, live_passes: 2, heavy_buckets: 0, .. }
         ));
         let below_2_24: Vec<u64> = (0..n).map(|_| rng.random::<u64>() & 0xFF_FFFF).collect();
         assert!(matches!(
             schedule_of(below_2_24, &cfg, u64::MAX),
-            Schedule::MsdFirst { top_pass: 2, live_passes: 3, .. }
+            Schedule::MsdFirst { top_pass: 2, live_passes: 3, heavy_buckets: 0, .. }
         ));
     }
 
@@ -1383,7 +1594,8 @@ mod tests {
         let v32: Vec<i32> = (0..n).map(|_| rng.random_range(-1000..1000i32)).collect();
         assert!(matches!(
             schedule_of(v32, &cfg, i32::MIN),
-            Schedule::MsdFirst { top_pass: 3, live_passes: 4, largest_bucket } if largest_bucket > n / 3
+            Schedule::MsdFirst { top_pass: 3, live_passes: 4, largest_bucket, heavy_buckets: 0 }
+                if largest_bucket > n / 3
         ));
         let v64: Vec<i64> = (0..n).map(|_| rng.random_range(-1000..1000i64)).collect();
         assert!(matches!(
@@ -1457,8 +1669,48 @@ mod tests {
         assert_eq!(keys.into_iter().zip(vals).collect::<Vec<_>>(), expect);
         assert_eq!(
             scratch.last_schedule(),
-            Some(Schedule::MsdFirst { top_pass: 1, live_passes: 2, largest_bucket: 200 })
+            Some(Schedule::MsdFirst {
+                top_pass: 1,
+                live_passes: 2,
+                largest_bucket: 200,
+                heavy_buckets: 0
+            })
         );
+    }
+
+    /// The sibling of `msd_first_small_n_under_miri` for the heavy-bucket
+    /// path, sized for the same gating Miri step: 1,600 of 2,000 pairs share
+    /// top digit 5, six times the cutoff, so that bucket goes back through
+    /// the engine with the two sides swapped — its own fold, count, permute
+    /// and 16 light buckets — on three threads. Light buckets land on the
+    /// far side of the kernel at depth 0 and on its near side at depth 1.
+    #[test]
+    fn heavy_bucket_small_n_under_miri() {
+        let n = 2000u32;
+        let cfg = RadixSortConfig { radix_bits: 4, chunks: Some(3), sequential_cutoff: 256 };
+        let keys_in: Vec<u64> = (0..n)
+            .map(|i| {
+                let low = u64::from(i.wrapping_mul(2_654_435_761) >> 24);
+                let top = if i < 1600 { 5 } else { u64::from(i % 15) + u64::from(i % 15 >= 5) };
+                top << 8 | low
+            })
+            .collect();
+        let mut expect: Vec<(u64, u32)> = keys_in.iter().copied().zip(0..).collect();
+        expect.sort_by_key(|p| p.0);
+        let (mut keys, mut vals) = (keys_in, (0..n).collect::<Vec<_>>());
+        let mut scratch: SortScratch<u64, u32> = SortScratch::new();
+        crate::pairs::par_radix_sort_pairs_with_scratch(&mut keys, &mut vals, &cfg, &mut scratch);
+        assert_eq!(keys.into_iter().zip(vals).collect::<Vec<_>>(), expect);
+        assert_eq!(
+            scratch.last_schedule(),
+            Some(Schedule::MsdFirst {
+                top_pass: 2,
+                live_passes: 3,
+                largest_bucket: 1600,
+                heavy_buckets: 1
+            })
+        );
+        assert_eq!(msd_levels(&scratch, &cfg), 2);
     }
 
     #[test]
@@ -1467,26 +1719,26 @@ mod tests {
         // each, payload = input index: the stable order is the only right
         // answer, and it must survive partition ∘ per-bucket kernel.
         let mut rng = SplitMix64::seed_from_u64(46);
-        let n = 40_000u32;
-        let keys_in: Vec<u32> = (0..n)
+        let keys_in: Vec<u32> = (0..40_000)
             .map(|_| (rng.random_range(0..50u32) << 24) | (rng.random_range(0..20u32) * 257))
             .collect();
-        let mut expect: Vec<(u32, u32)> = keys_in.iter().copied().zip(0..).collect();
-        expect.sort_by_key(|p| p.0);
         for cfg in all_configs().into_iter().map(small_cutoff) {
-            let (mut keys, mut vals) = (keys_in.clone(), (0..n).collect::<Vec<_>>());
-            let mut scratch: SortScratch<u32, u32> = SortScratch::new();
-            crate::pairs::par_radix_sort_pairs_with_scratch(&mut keys, &mut vals, &cfg, &mut scratch);
-            let got: Vec<(u32, u32)> = keys.into_iter().zip(vals).collect();
-            assert_eq!(got, expect, "stable order diverges under {cfg:?}");
-            // Bytes 0, 1 and 3 are live: three 8-bit passes. The top 4-bit
-            // digit has four values (a bucket of 12,800), and 2,048 bins are
-            // too many for 40,000 keys: both stay LSD.
-            let msd = matches!(
-                scratch.last_schedule(),
-                Some(Schedule::MsdFirst { top_pass: 3, live_passes: 3, .. })
-            );
-            assert_eq!(msd, cfg.radix_bits == 8, "{:?} under {cfg:?}", scratch.last_schedule());
+            let schedule = stable_pairs_schedule(&keys_in, &cfg);
+            match cfg.radix_bits {
+                // Bytes 0, 1 and 3 are live: three 8-bit passes, 50 buckets.
+                8 => assert!(matches!(
+                    schedule,
+                    Schedule::MsdFirst { top_pass: 3, live_passes: 3, heavy_buckets: 0, .. }
+                )),
+                // The top 4-bit digit has four values, three of them with
+                // 12,800 keys each, which go back through the engine.
+                4 => assert!(matches!(
+                    schedule,
+                    Schedule::MsdFirst { top_pass: 7, live_passes: 6, heavy_buckets: 3, .. }
+                )),
+                // 2,048 bins are too many for 40,000 keys.
+                _ => assert_eq!(schedule, Schedule::Lsd { executed_passes: 3 }),
+            }
         }
     }
 
@@ -1523,6 +1775,228 @@ mod tests {
                 warm = scratch.reallocations();
             } else {
                 assert_eq!(scratch.reallocations(), warm, "MSD-first resort reallocated");
+            }
+        }
+    }
+
+    /// How many nested ranges of the last sort through `scratch` split on a
+    /// top digit: each keeps a row of bucket bounds.
+    fn msd_levels<K, V>(scratch: &SortScratch<K, V>, cfg: &RadixSortConfig) -> usize {
+        scratch.bucket_starts.len() / ((1 << cfg.radix_bits) + 1)
+    }
+
+    /// `n` shuffled `u32` keys nested `levels` heavy buckets deep at
+    /// `bits`-bit digits: at each of the top `levels` digits, `leave` keys
+    /// take a non-zero value (and random digits below it) and everything
+    /// still in the chain takes 0. The keys left at the end are random
+    /// under `low_mask` below the chain. For a cutoff between `leave` and
+    /// what is left, bucket 0 is the one heavy bucket of every chain level.
+    fn chain_keys(
+        n: usize,
+        bits: u32,
+        levels: u32,
+        leave: usize,
+        low_mask: u32,
+        rng: &mut SplitMix64,
+    ) -> Vec<u32> {
+        let passes = passes_for::<u32>(bits);
+        assert!(levels < passes, "the last digit is never split on");
+        let shift_of = |level: u32| (passes - 1 - level) * bits;
+        let below_chain = (1u32 << shift_of(levels - 1)) - 1;
+        let mut keys: Vec<u32> = (0..n)
+            .map(|i| {
+                let left_at = (i / leave) as u32;
+                if left_at >= levels {
+                    return rng.random::<u32>() & low_mask & below_chain;
+                }
+                let shift = shift_of(left_at);
+                let digit = rng.random_range(1..1u32 << bits.min(32 - shift));
+                digit << shift | rng.random::<u32>() & ((1 << shift) - 1)
+            })
+            .collect();
+        for i in (1..n).rev() {
+            keys.swap(i, rng.random_range(0..=i));
+        }
+        keys
+    }
+
+    #[test]
+    fn heavy_bucket_chain_reaches_the_last_live_digit() {
+        // One heavy bucket per level, down to the level whose range has a
+        // single live pass left: depth = live passes - 1, then one LSD pass.
+        let mut rng = SplitMix64::seed_from_u64(50);
+        let (n, leave) = (40_000, 500);
+        for (bits, chunks) in [(8u32, 3usize), (4, 5)] {
+            let cfg = RadixSortConfig { radix_bits: bits, chunks: Some(chunks), sequential_cutoff: 2048 };
+            let passes = passes_for::<u32>(bits);
+            let input = chain_keys(n, bits, passes - 1, leave, u32::MAX, &mut rng);
+            let scratch = sorted_scratch(input, &cfg, u32::MAX);
+            assert_eq!(
+                scratch.last_schedule(),
+                Some(Schedule::MsdFirst {
+                    top_pass: passes - 1,
+                    live_passes: passes,
+                    largest_bucket: n - leave,
+                    heavy_buckets: 1
+                })
+            );
+            assert_eq!(msd_levels(&scratch, &cfg), passes as usize - 1, "at {bits}-bit digits");
+        }
+    }
+
+    #[test]
+    fn heavy_bucket_lands_in_keys_for_odd_and_even_pass_counts_at_depths_1_and_2() {
+        // 4-bit digits. `depth` chain levels, then a uniform digit whose 16
+        // buckets the kernel takes with one, two or three live passes below.
+        // At depth 1 the permute leaves a bucket in the caller's array, so an
+        // even count lands by itself; at depth 2 in the flip buffer, so an
+        // odd one does. Both buffers start poisoned where they can.
+        let mut rng = SplitMix64::seed_from_u64(51);
+        let cfg = small_cutoff(RadixSortConfig { radix_bits: 4, chunks: Some(2), ..Default::default() });
+        for depth in [1u32, 2] {
+            for below in [1u32, 2, 3] {
+                let low_mask = 0xF << ((7 - depth) * 4) | ((1 << (4 * below)) - 1);
+                let input = chain_keys(40_000, 4, depth, 4000, low_mask, &mut rng);
+                let scratch = sorted_scratch(input, &cfg, u32::MAX);
+                assert_eq!(
+                    scratch.last_schedule(),
+                    Some(Schedule::MsdFirst {
+                        top_pass: 7,
+                        live_passes: 8,
+                        largest_bucket: 36_000,
+                        heavy_buckets: 1
+                    }),
+                    "at depth {depth}, {below} below"
+                );
+                assert_eq!(msd_levels(&scratch, &cfg), depth as usize + 1);
+            }
+        }
+    }
+
+    #[test]
+    fn heavy_bucket_of_equal_keys_is_copied_not_sorted() {
+        // 16 distinct values with 16 distinct top digits, 2,500 copies of
+        // each: every non-empty bucket is heavy and its fold has no live
+        // bit, so no range below the outermost splits again.
+        let mut rng = SplitMix64::seed_from_u64(52);
+        let pool: Vec<u32> = (0..16).map(|j| j << 28 | rng.random::<u32>() >> 4).collect();
+        let input: Vec<u32> = (0..40_000).map(|_| pool[rng.random_range(0..16usize)]).collect();
+        for bits in [4u32, 8] {
+            let cfg = RadixSortConfig { radix_bits: bits, chunks: Some(3), sequential_cutoff: 1024 };
+            let scratch = sorted_scratch(input.clone(), &cfg, u32::MAX);
+            assert!(matches!(
+                scratch.last_schedule(),
+                Some(Schedule::MsdFirst { heavy_buckets: 16, largest_bucket, .. }) if largest_bucket > 1024
+            ));
+            assert_eq!(msd_levels(&scratch, &cfg), 1);
+            assert!(matches!(
+                stable_pairs_schedule(&input, &cfg),
+                Schedule::MsdFirst { heavy_buckets: 16, .. }
+            ));
+        }
+    }
+
+    #[test]
+    fn heavy_bucket_with_one_live_pass_below_runs_one_lsd_pass() {
+        // 10,000 keys below one digit's width share top digit 0; the other
+        // top digits hold uniform keys, a few hundred or thousand each.
+        let mut rng = SplitMix64::seed_from_u64(53);
+        for bits in [4u32, 8] {
+            let cfg = RadixSortConfig { radix_bits: bits, chunks: Some(3), ..Default::default() };
+            let cfg = small_cutoff(cfg);
+            let (bins, top_shift) = (1u32 << bits, 32 - bits);
+            let input: Vec<u32> = (0..40_000u32)
+                .map(|i| {
+                    let low = rng.random::<u32>();
+                    if i % 4 == 0 { low % bins } else { (1 + i % (bins - 1)) << top_shift | low >> bits }
+                })
+                .collect();
+            let passes = passes_for::<u32>(bits);
+            let scratch = sorted_scratch(input, &cfg, u32::MAX);
+            assert_eq!(
+                scratch.last_schedule(),
+                Some(Schedule::MsdFirst {
+                    top_pass: passes - 1,
+                    live_passes: passes,
+                    largest_bucket: 10_000,
+                    heavy_buckets: 1
+                })
+            );
+            assert_eq!(msd_levels(&scratch, &cfg), 1, "one live pass is never split on");
+        }
+    }
+
+    #[test]
+    fn heavy_bucket_shorter_than_the_chunk_count() {
+        // 100 one-byte keys at 2-bit digits and 13 workers: top digit 0
+        // holds 40 keys, more than the cutoff and fewer than the 52 chunks
+        // the workers ask for; its four buckets of ten fit the kernel.
+        let mut rng = SplitMix64::seed_from_u64(54);
+        let cfg = RadixSortConfig { radix_bits: 2, chunks: Some(13), sequential_cutoff: 32 };
+        let input: Vec<u8> = (0..100u8)
+            .map(|i| (if i < 40 { 0 } else { 1 + i % 3 }) << 6 | rng.random::<u8>() >> 2)
+            .collect();
+        let scratch = sorted_scratch(input, &cfg, u8::MAX);
+        let heavy = 40;
+        let expect = Schedule::MsdFirst { top_pass: 3, live_passes: 4, largest_bucket: heavy, heavy_buckets: 1 };
+        assert_eq!(scratch.last_schedule(), Some(expect));
+        assert!(cfg.sequential_cutoff < heavy && heavy < cfg.chunks.expect("pinned") * CHUNKS_PER_WORKER);
+        assert_eq!(msd_levels(&scratch, &cfg), 2);
+    }
+
+    #[test]
+    fn heavy_bucket_pairs_with_zipf_like_heads_stay_stable() {
+        // Ranks drawn log-uniformly (rank 1 about one key in fifteen, rank 2
+        // one in twenty-six, ...) and scattered over the key space by an odd
+        // multiplier: the hot keys' top-digit buckets are heavy and almost
+        // all duplicates, payload = input position.
+        let mut rng = SplitMix64::seed_from_u64(55);
+        let n = 40_000;
+        let keys_in: Vec<u32> = (0..n)
+            .map(|_| {
+                let u = (rng.random::<u64>() >> 11) as f64 / (1u64 << 53) as f64;
+                ((n as f64).powf(u) as u32).wrapping_mul(0x9E37_79B1)
+            })
+            .collect();
+        for cfg in all_configs() {
+            let cfg = RadixSortConfig { sequential_cutoff: 1024, ..cfg };
+            let schedule = stable_pairs_schedule(&keys_in, &cfg);
+            if cfg.radix_bits == 11 {
+                assert_eq!(schedule, Schedule::Lsd { executed_passes: 3 }, "under {cfg:?}");
+            } else {
+                assert!(
+                    matches!(schedule, Schedule::MsdFirst { heavy_buckets, .. } if heavy_buckets >= 2),
+                    "{schedule:?} under {cfg:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn heavy_bucket_steady_state_reuses_scratch_without_reallocating() {
+        // Two heavy levels above a uniform one: the second of two identical
+        // sorts grows nothing, keys alone or pairs.
+        let mut rng = SplitMix64::seed_from_u64(56);
+        let cfg = RadixSortConfig { chunks: Some(3), sequential_cutoff: 2048, ..Default::default() };
+        let input = chain_keys(40_000, 8, 2, 500, u32::MAX, &mut rng);
+        let mut scratch: SortScratch<u32, u32> = SortScratch::new();
+        for with_vals in [false, true] {
+            let mut warm = 0;
+            for round in 0..3 {
+                let (mut keys, mut vals) = (input.clone(), (0..40_000u32).collect::<Vec<_>>());
+                if with_vals {
+                    crate::pairs::par_radix_sort_pairs_with_scratch(&mut keys, &mut vals, &cfg, &mut scratch);
+                } else {
+                    par_radix_sort_with_scratch(&mut keys, &cfg, &mut scratch);
+                }
+                assert!(keys.windows(2).all(|w| w[0] <= w[1]));
+                assert!(matches!(scratch.last_schedule(), Some(Schedule::MsdFirst { heavy_buckets: 1, .. })));
+                assert_eq!(msd_levels(&scratch, &cfg), 3);
+                if round == 0 {
+                    warm = scratch.reallocations();
+                } else {
+                    assert_eq!(scratch.reallocations(), warm, "heavy-bucket resort reallocated");
+                }
             }
         }
     }

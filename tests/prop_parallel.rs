@@ -202,15 +202,17 @@ fn par_radix_pairs_any_config_stable() {
 }
 
 /// A cutoff that is a fraction of n lets the data decide between the
-/// MSD-first and the LSD schedule (narrow digits keep `bins² <= 2n`
-/// reachable at these sizes; `key_bits` moves the top live digit).
-/// Whatever it decides: pairs equal the stable `sort_by_key`, equal the
-/// LSD-only `simple()` bit for bit, and an MSD-first report is only ever
-/// made within the rule.
+/// MSD-first and the LSD schedule, and which buckets go back through the
+/// engine (narrow digits keep `bins² <= 2n` reachable at these sizes;
+/// `key_bits` moves the top live digit; the skewed and the duplicate-heavy
+/// shapes make heavy buckets at any of these cutoffs). Whatever it
+/// decides: pairs equal the stable `sort_by_key`, equal the LSD-only
+/// `simple()` bit for bit, and an MSD-first report is only ever made
+/// within the rule.
 #[test]
 fn either_schedule_is_stable_and_equals_the_simple_oracle() {
     let case = |rng: &mut SplitMix64| {
-        let shape = pick(rng, &[0usize, 0, 0, 1, 2, 3]);
+        let shape = pick(rng, &[0usize, 0, 1, 1, 2, 3]);
         let (n, seed) = (rng.random_range(0..6000), rng.random());
         let key_bits = pick(rng, &[8u32, 12, 16, 20, 30, 32]);
         let keys: Vec<u32> = build_input(shape, n, seed).iter().map(|k| k >> (32 - key_bits)).collect();
@@ -228,8 +230,11 @@ fn either_schedule_is_stable_and_equals_the_simple_oracle() {
         par_radix_sort_pairs_with_scratch(&mut kp, &mut vp, &cfg, &mut scratch);
         let got: Vec<(u32, u32)> = kp.iter().copied().zip(vp.iter().copied()).collect();
         assert_eq!(got, expect);
-        if let Some(Schedule::MsdFirst { live_passes, largest_bucket, .. }) = scratch.last_schedule() {
-            assert!(live_passes >= 2 && largest_bucket <= cfg.sequential_cutoff);
+        if let Some(Schedule::MsdFirst { live_passes, largest_bucket, heavy_buckets, .. }) =
+            scratch.last_schedule()
+        {
+            assert!(live_passes >= 2 && cfg.sequential_cutoff > 0);
+            assert_eq!(heavy_buckets > 0, largest_bucket > cfg.sequential_cutoff);
         }
 
         let (mut ks, mut vs) = (keys.clone(), vals);
