@@ -17,11 +17,8 @@ use ccsort_algos::{
     run_experiment_audited, Algorithm, Dist, DirectoryMode, ExpConfig, InterconnectKind,
     ProtocolMode,
 };
-use ccsort_parallel::msg::{radix_sort_msg, sample_sort_msg};
-use ccsort_parallel::sym::radix_sort_shmem;
-use ccsort_parallel::{
-    par_radix_sort_with, par_sample_sort_with, RadixSortConfig, SampleSortConfig,
-};
+use ccsort_parallel::spmd::{programs, Sort};
+use ccsort_parallel::{par_radix_sort_with, RadixSortConfig};
 
 /// One parameter point of the differential oracle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -204,8 +201,8 @@ pub fn audit_simulated(pt: &Point, algs: &[Algorithm]) -> Vec<String> {
     errs
 }
 
-/// The real-thread half of the oracle: the data-parallel, message-passing and
-/// symmetric-heap sorts all run on the same generated input; each output is
+/// The real-thread half of the oracle: the engine and both SPMD sorts over
+/// all three transports run on the same generated input; each output is
 /// checked against `sort_unstable` and all outputs are compared pairwise.
 pub fn audit_threaded(pt: &Point) -> Vec<String> {
     let mut errs = Vec::new();
@@ -213,42 +210,17 @@ pub fn audit_threaded(pt: &Point) -> Vec<String> {
     let mut expect = input.clone();
     expect.sort_unstable();
 
-    let p = pt.p;
-    let r = pt.r;
-    type NamedSort = (&'static str, Box<dyn Fn(&mut Vec<u32>) + Send>);
-    let runs: Vec<NamedSort> = vec![
-        (
-            "par-radix",
-            Box::new(move |v: &mut Vec<u32>| {
-                par_radix_sort_with(
-                    v,
-                    &RadixSortConfig { radix_bits: r, chunks: Some(p), sequential_cutoff: 0 },
-                )
-            }),
-        ),
-        (
-            "par-sample",
-            Box::new(move |v: &mut Vec<u32>| {
-                par_sample_sort_with(
-                    v,
-                    &SampleSortConfig {
-                        parts: Some(p),
-                        sequential_cutoff: 0,
-                        ..Default::default()
-                    },
-                )
-            }),
-        ),
-        ("msg-radix", Box::new(move |v: &mut Vec<u32>| radix_sort_msg(v, p, r))),
-        ("msg-sample", Box::new(move |v: &mut Vec<u32>| sample_sort_msg(v, p, r))),
-        ("shmem-radix", Box::new(move |v: &mut Vec<u32>| radix_sort_shmem(v, p, r))),
-    ];
+    let (p, r) = (pt.p, pt.r);
+    let engine: Sort<u32> = |v, p, r| {
+        par_radix_sort_with(v, &RadixSortConfig { radix_bits: r, chunks: Some(p), sequential_cutoff: 0 })
+    };
+    let runs = [("par-radix", engine)].into_iter().chain(programs());
 
     let mut outputs: Vec<(&str, Vec<u32>)> = Vec::new();
-    for (name, sort) in &runs {
+    for (name, sort) in runs {
         let mut v = input.clone();
         match catch_unwind(AssertUnwindSafe(|| {
-            sort(&mut v);
+            sort(&mut v, p, r);
             v
         })) {
             Ok(out) => {

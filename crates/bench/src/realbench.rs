@@ -17,6 +17,10 @@
 //!   live digit, finishes the buckets in cache (MSD-first) and sends a
 //!   bucket too big for that back through the engine.
 //!
+//! The `u32` combos also carry the `spmd` block ([`SPMD`]): the paper's
+//! radix and sample sorts, each over the direct, message and symmetric
+//! transports — the comparison the paper makes, next to the engine.
+//!
 //! Which pass schedule the engine chose for a radix row ([`Schedule`],
 //! with the number of heavy top-level buckets) is printed at the end of its
 //! progress line, so `radix` vs `radix_lsd` measures exactly the schedule
@@ -33,9 +37,10 @@
 use std::collections::BTreeMap;
 use std::time::Instant;
 
+use ccsort_parallel::spmd::programs;
 use ccsort_parallel::{
     is_sorted, multiset_fingerprint, par_radix_sort_pairs_with_scratch,
-    par_radix_sort_with_scratch, RadixSortConfig, Schedule, SortScratch,
+    par_radix_sort_with_scratch, RadixKey, RadixSortConfig, Schedule, SortScratch,
 };
 use ccsort_rng::SplitMix64;
 
@@ -161,7 +166,22 @@ pub enum Algo {
     RadixLsd,
     /// The default configuration: the schedule chosen from the data.
     Radix,
+    /// One of [`SPMD`]: a paper program over a transport.
+    Spmd(usize),
 }
+
+/// The `spmd` block, the paper's Fig 3 / Fig 7 axis on real threads: its
+/// two programs × the three transports, in the order of
+/// [`ccsort_parallel::spmd::programs`], each with the digit width the paper
+/// settles on — 8 bits for radix sort, 11 for sample sort's local sorts.
+pub const SPMD: [(&str, u32); 6] = [
+    ("spmd_radix_direct", 8),
+    ("spmd_radix_message", 8),
+    ("spmd_radix_symmetric", 8),
+    ("spmd_sample_direct", 11),
+    ("spmd_sample_message", 11),
+    ("spmd_sample_symmetric", 11),
+];
 
 impl Algo {
     pub fn name(self) -> &'static str {
@@ -170,6 +190,7 @@ impl Algo {
             Algo::ParMerge => "par_sort_unstable_baseline",
             Algo::RadixLsd => "radix_lsd",
             Algo::Radix => "radix",
+            Algo::Spmd(i) => SPMD[i].0,
         }
     }
 
@@ -177,7 +198,7 @@ impl Algo {
     /// workers, or `None` for the comparison-sort baselines.
     fn radix_config(self, threads: usize) -> Option<RadixSortConfig> {
         let base = match self {
-            Algo::Std | Algo::ParMerge => return None,
+            Algo::Std | Algo::ParMerge | Algo::Spmd(_) => return None,
             Algo::RadixLsd => RadixSortConfig::simple(),
             Algo::Radix => RadixSortConfig::default(),
         };
@@ -336,6 +357,42 @@ fn best_of<T: Clone, F: FnMut(&mut T)>(input: &T, reps: usize, mut sort: F, veri
     best
 }
 
+/// Measure one keys-only cell: `input` sorted by `algo` on `threads`.
+fn run_keys<K: RadixKey + Default + Send>(
+    input: Vec<K>,
+    algo: Algo,
+    threads: usize,
+    reps: usize,
+    schedule: &mut Option<Schedule>,
+) -> f64 {
+    let fp = multiset_fingerprint(&input);
+    let verify = |v: &Vec<K>| {
+        assert!(is_sorted(v), "{} produced unsorted output", algo.name());
+        assert_eq!(fp, multiset_fingerprint(v), "{} lost keys", algo.name());
+    };
+    match algo {
+        Algo::Std => best_of(&input, reps, |v| v.sort_unstable(), verify),
+        Algo::ParMerge => best_of(&input, reps, |v| par_sort_unstable_baseline(v, threads), verify),
+        Algo::Spmd(i) => {
+            let (sort, radix_bits) = (programs()[i].1, SPMD[i].1);
+            best_of(&input, reps, |v| sort(v, threads, radix_bits), verify)
+        }
+        Algo::RadixLsd | Algo::Radix => {
+            let cfg = algo.radix_config(threads).expect("a radix row");
+            best_of(
+                &input,
+                reps,
+                |v| {
+                    let mut scratch = SortScratch::<_, ()>::new();
+                    par_radix_sort_with_scratch(v, &cfg, &mut scratch);
+                    *schedule = scratch.last_schedule();
+                },
+                verify,
+            )
+        }
+    }
+}
+
 /// Measure one `(kind, algo, dist, n, threads)` cell. `raw` is the
 /// distribution sample as u64. The radix rows sort through a fresh
 /// [`SortScratch`] inside the timed region — what `par_radix_sort_with`
@@ -351,63 +408,9 @@ fn run_cell(
     let mut schedule = None;
     let best = match kind {
         Kind::U32 => {
-            let input: Vec<u32> = raw.iter().map(|&x| x as u32).collect();
-            let fp = multiset_fingerprint(&input);
-            let verify = |v: &Vec<u32>| {
-                assert!(is_sorted(v), "{} produced unsorted output", algo.name());
-                assert_eq!(fp, multiset_fingerprint(v), "{} lost keys", algo.name());
-            };
-            match algo.radix_config(threads) {
-                None => match algo {
-                    Algo::Std => best_of(&input, reps, |v| v.sort_unstable(), verify),
-                    _ => best_of(
-                        &input,
-                        reps,
-                        |v| par_sort_unstable_baseline(v, threads),
-                        verify,
-                    ),
-                },
-                Some(cfg) => best_of(
-                    &input,
-                    reps,
-                    |v| {
-                        let mut scratch = SortScratch::<_, ()>::new();
-                        par_radix_sort_with_scratch(v, &cfg, &mut scratch);
-                        schedule = scratch.last_schedule();
-                    },
-                    verify,
-                ),
-            }
+            run_keys(raw.iter().map(|&x| x as u32).collect(), algo, threads, reps, &mut schedule)
         }
-        Kind::U64 => {
-            let input: Vec<u64> = raw.to_vec();
-            let fp = multiset_fingerprint(&input);
-            let verify = |v: &Vec<u64>| {
-                assert!(is_sorted(v), "{} produced unsorted output", algo.name());
-                assert_eq!(fp, multiset_fingerprint(v), "{} lost keys", algo.name());
-            };
-            match algo.radix_config(threads) {
-                None => match algo {
-                    Algo::Std => best_of(&input, reps, |v| v.sort_unstable(), verify),
-                    _ => best_of(
-                        &input,
-                        reps,
-                        |v| par_sort_unstable_baseline(v, threads),
-                        verify,
-                    ),
-                },
-                Some(cfg) => best_of(
-                    &input,
-                    reps,
-                    |v| {
-                        let mut scratch = SortScratch::<_, ()>::new();
-                        par_radix_sort_with_scratch(v, &cfg, &mut scratch);
-                        schedule = scratch.last_schedule();
-                    },
-                    verify,
-                ),
-            }
-        }
+        Kind::U64 => run_keys(raw.to_vec(), algo, threads, reps, &mut schedule),
         Kind::PairsU32 => {
             let keys: Vec<u32> = raw.iter().map(|&x| x as u32).collect();
             // Payload = original index, so the stable order is unique and
@@ -422,12 +425,10 @@ fn run_cell(
                     };
                     match algo {
                         Algo::Std => best_of(&tuples, reps, |v| v.sort_unstable(), verify),
-                        _ => best_of(
-                            &tuples,
-                            reps,
-                            |v| par_sort_unstable_baseline(v, threads),
-                            verify,
-                        ),
+                        Algo::ParMerge => {
+                            best_of(&tuples, reps, |v| par_sort_unstable_baseline(v, threads), verify)
+                        }
+                        _ => unreachable!("the spmd block is keys-only"),
                     }
                 }
                 Some(cfg) => {
@@ -485,11 +486,21 @@ pub fn run_grid(opts: &RealBenchOpts, progress: bool) -> Vec<Row> {
     for &(kind, dist) in COMBOS {
         for &n in &opts.sizes {
             let raw = gen_raw(n, dist, 0xC0FF_EE00 ^ n as u64, &mut zipf_cache);
-            for algo in [Algo::Std, Algo::ParMerge, Algo::RadixLsd, Algo::Radix] {
-                // std is single-threaded: one row, at threads = 1.
-                let thread_list: &[usize] =
-                    if algo == Algo::Std { &[1] } else { &opts.threads };
-                for &t in thread_list {
+            let mut algos = vec![Algo::Std, Algo::ParMerge, Algo::RadixLsd, Algo::Radix];
+            if kind == Kind::U32 {
+                algos.extend((0..SPMD.len()).map(Algo::Spmd));
+            }
+            for algo in algos {
+                // std is single-threaded: one row, at threads = 1. A rank
+                // of an SPMD program spins in no barrier, but p ranks on
+                // fewer cores measure the scheduler: those rows stop at the
+                // host's cores.
+                let thread_list: Vec<usize> = match algo {
+                    Algo::Std => vec![1],
+                    Algo::Spmd(_) => opts.threads.iter().copied().filter(|&t| t <= available_cores()).collect(),
+                    _ => opts.threads.clone(),
+                };
+                for t in thread_list {
                     let (best, schedule) = run_cell(kind, algo, &raw, t, opts.reps);
                     let row = Row {
                         kind: kind.name(),
@@ -528,7 +539,7 @@ fn find_row<'a>(rows: &'a [Row], kind: &str, algo: &str, dist: &str, n: usize, t
 /// merge sort. Zipf `u64` is reported, not asserted: eight live digits
 /// leave seven in-cache LSD passes per bucket where two more splits would
 /// do, and the merge sort wins that row until the bucket kernel for wide
-/// keys exists (ROADMAP item 4).
+/// keys exists (ROADMAP item 3a).
 const BEATS_MERGE: &[(Kind, Dist)] =
     &[(Kind::U32, Dist::Uniform), (Kind::U32, Dist::DupHeavy), (Kind::PairsU32, Dist::DupHeavy)];
 
@@ -612,7 +623,7 @@ pub fn to_json(rows: &[Row], opts: &RealBenchOpts) -> String {
     }
     json.push_str("    \"os\": \"linux\"\n  },\n");
     json.push_str(
-        "  \"grid_note\": \"u32 runs all five distributions (one_outlier: uniform below 2^24 plus one key with bit 31 set); u64 is pruned to uniform+zipf and pairs to uniform+dup_heavy (the shapes that add information); std_sort_unstable is single-threaded and reported once per combo; the par_sort_unstable_baseline row is parallel sort_unstable runs + pairwise parallel merges on std::thread\",\n",
+        "  \"grid_note\": \"u32 runs all five distributions (one_outlier: uniform below 2^24 plus one key with bit 31 set) and carries the spmd block: the paper's radix sort (8-bit digits) and sample sort (128 regular samples per rank, 11-bit local sorts) of ccsort_parallel::spmd, each over the direct, message and symmetric transports, at the thread counts the host has cores for; u64 is pruned to uniform+zipf and pairs to uniform+dup_heavy (the shapes that add information); std_sort_unstable is single-threaded and reported once per combo; the par_sort_unstable_baseline row is parallel sort_unstable runs + pairwise parallel merges on std::thread\",\n",
     );
     json.push_str("  \"results\": [\n");
     for (i, r) in rows.iter().enumerate() {
@@ -673,8 +684,10 @@ mod tests {
     fn tiny_grid_produces_verified_rows_and_assertions_resolve() {
         let opts = RealBenchOpts { sizes: vec![1 << 14], threads: vec![1, 2], reps: 1 };
         let rows = run_grid(&opts, false);
-        // std once + 3 parallel algos × 2 thread counts, per combo.
-        assert_eq!(rows.len(), COMBOS.len() * (1 + 3 * 2));
+        // std once + 3 parallel algos × 2 thread counts, per combo; the
+        // spmd block on the five u32 combos, at the threads that have cores.
+        let spmd_threads = [1, 2].iter().filter(|&&t| t <= available_cores()).count();
+        assert_eq!(rows.len(), COMBOS.len() * (1 + 3 * 2) + 5 * SPMD.len() * spmd_threads);
         assert!(rows.iter().all(|r| r.best_wall_s > 0.0));
         // The relations must at least be *resolvable* (rows present); at
         // this toy size the timings themselves are noise, so use a huge
@@ -684,5 +697,6 @@ mod tests {
         let json = to_json(&rows, &opts);
         assert!(json.contains("\"bench\": \"real_sorts\""));
         assert!(json.contains("\"radix_lsd\"") && json.contains("\"radix\""));
+        assert!(SPMD.iter().all(|(name, _)| json.contains(name)));
     }
 }

@@ -1,18 +1,19 @@
-//! In-process message-passing runtime and a radix sort written against it.
+//! In-process message-passing runtime, and the message transport of the
+//! SPMD sorts.
 //!
 //! A small "mini-MPI" over OS threads: ranks communicate through per-pair
 //! channels (send/recv, allgather, alltoallv) and synchronize with
 //! barriers. This is the message-passing programming model of the paper on
 //! a shared-memory host — useful both as a runtime for SPMD-style code and
-//! as the substrate for [`radix_sort_msg`], which follows the paper's MPI
-//! radix sort: Allgather the histograms, permute locally into contiguous
-//! chunks, send every contiguously-destined chunk to its owner.
+//! as the substrate of [`Message`], through which [`crate::spmd`]'s radix
+//! and sample sorts run as the paper's MPI programs.
 
+use std::ops::Range;
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Barrier};
 
 use crate::key::RadixKey;
-use crate::seq::passes_for;
+use crate::spmd::{concat_into, Piece, Transport};
 
 /// A rank's endpoint in an SPMD communicator of `size` ranks.
 pub struct Comm<M: Send> {
@@ -134,155 +135,80 @@ where
     })
 }
 
-/// A chunk of keys with its destination offset in the receiver's partition
-/// coordinate space.
-#[derive(Debug, Clone)]
-pub struct PlacedChunk<K> {
-    /// Global element offset of this chunk in the (conceptual) output array.
-    pub global_off: usize,
-    pub keys: Vec<K>,
+/// What ranks send each other in a sort: header words and keys. The
+/// all-gather sends words only; an exchange sends one packet per
+/// destination, `(dst_at, len)` per piece and the pieces' keys in order.
+#[derive(Clone, Default)]
+pub struct Packet<K> {
+    words: Vec<u64>,
+    keys: Vec<K>,
 }
 
-/// Message type of the message-passing radix sort: one bundle of placed
-/// chunks per (source, destination) pair per pass.
-type RadixMsg<K> = Vec<PlacedChunk<K>>;
-
-/// Internal: messages exchanged by `radix_sort_msg` — either a histogram
-/// (phase 2) or a chunk bundle (phase 3).
-#[derive(Clone)]
-enum MsgKind<K: Clone> {
-    Hist(Vec<usize>),
-    Chunks(RadixMsg<K>),
+/// The message-passing transport of [`crate::spmd`]: each rank owns its
+/// keys, and an exchange is the paper's staged message — pack the pieces
+/// per destination, one [`Comm::alltoallv`], unpack into place.
+pub struct Message<K: Send> {
+    comm: Comm<Packet<K>>,
+    keys: Vec<K>,
+    stage: Vec<K>,
 }
 
-/// Sort `keys` with the paper's MPI radix-sort algorithm over `p` in-process
-/// ranks. Intended as a faithful message-passing implementation rather than
-/// the fastest shared-memory sort (use [`crate::par_radix_sort`] for that).
-pub fn radix_sort_msg<K: RadixKey + Default>(keys: &mut [K], p: usize, radix_bits: u32) {
-    let n = keys.len();
-    if n == 0 || p <= 1 {
-        crate::seq::radix_sort(keys, radix_bits.clamp(1, 16));
-        return;
+impl<K: RadixKey + Default> Transport<K> for Message<K> {
+    fn rank(&self) -> usize {
+        self.comm.rank()
     }
-    let p = p.min(n);
-    assert!((1..=16).contains(&radix_bits));
-    let bins = 1usize << radix_bits;
-    let mask = (bins - 1) as u64;
-    let passes = passes_for::<K>(radix_bits);
-    let part_start = |i: usize| i * n / p;
 
-    // Each rank starts with its partition.
-    let parts: Vec<Vec<K>> = (0..p).map(|i| keys[part_start(i)..part_start(i + 1)].to_vec()).collect();
-    let parts = std::sync::Mutex::new(parts.into_iter().map(Some).collect::<Vec<_>>());
+    fn size(&self) -> usize {
+        self.comm.size()
+    }
 
-    let results: Vec<(usize, Vec<K>)> = spawn_spmd::<MsgKind<K>, _, _>(p, |comm| {
-        let me = comm.rank();
-        let my_base = part_start(me);
-        let mut mine: Vec<K> = parts.lock().unwrap()[me].take().expect("partition taken once");
+    fn allgather(&mut self, mine: &[u64]) -> Vec<Vec<u64>> {
+        let all = self.comm.allgather(Packet { words: mine.to_vec(), keys: Vec::new() });
+        all.into_iter().map(|packet| packet.words).collect()
+    }
 
-        for pass in 0..passes {
-            let shift = pass * radix_bits;
-            // Phase 1: local histogram.
-            let mut hist = vec![0usize; bins];
-            for k in &mine {
-                hist[k.digit(shift, mask)] += 1;
-            }
-            // Phase 2: allgather histograms; compute global ranks locally.
-            let all_hists: Vec<Vec<usize>> = comm
-                .allgather(MsgKind::Hist(hist.clone()))
-                .into_iter()
-                .map(|m| match m {
-                    MsgKind::Hist(h) => h,
-                    _ => unreachable!("protocol: histogram phase"),
-                })
-                .collect();
-            let mut offsets = vec![vec![0usize; bins]; p];
-            {
-                let mut acc = 0usize;
-                for d in 0..bins {
-                    for (i, h) in all_hists.iter().enumerate() {
-                        offsets[i][d] = acc;
-                        acc += h[d];
-                    }
-                }
-            }
+    fn local(&mut self) -> (&mut [K], &mut [K]) {
+        let len = self.keys.len();
+        (&mut self.keys, &mut self.stage[..len])
+    }
 
-            // Phase 3: local permutation into digit-contiguous chunks.
-            let mut staged = vec![K::default(); mine.len()];
-            let mut cursors = {
-                let mut scan = vec![0usize; bins];
-                let mut acc = 0;
-                for d in 0..bins {
-                    scan[d] = acc;
-                    acc += all_hists[me][d];
-                }
-                scan
-            };
-            let lscan = cursors.clone();
-            for &k in &mine {
-                let d = k.digit(shift, mask);
-                staged[cursors[d]] = k;
-                cursors[d] += 1;
-            }
-
-            // One bundle of contiguously-destined chunk pieces per owner.
-            let mut bundles: Vec<RadixMsg<K>> = (0..p).map(|_| Vec::new()).collect();
-            for d in 0..bins {
-                let len = all_hists[me][d];
-                if len == 0 {
-                    continue;
-                }
-                let goff = offsets[me][d];
-                let chunk = &staged[lscan[d]..lscan[d] + len];
-                let mut start = goff;
-                while start < goff + len {
-                    // Owner of global index `start` under i*n/p partitioning.
-                    let mut owner = (start * p) / n;
-                    while owner + 1 < p && part_start(owner + 1) <= start {
-                        owner += 1;
-                    }
-                    while part_start(owner) > start {
-                        owner -= 1;
-                    }
-                    let end = (goff + len).min(part_start(owner + 1));
-                    bundles[owner].push(PlacedChunk {
-                        global_off: start,
-                        keys: chunk[start - goff..end - goff].to_vec(),
-                    });
-                    start = end;
-                }
-            }
-            let inbound = comm.alltoallv(bundles.into_iter().map(MsgKind::Chunks).collect());
-
-            // Place received chunks into the partition for the next pass.
-            let my_len = part_start(me + 1) - my_base;
-            let mut next = vec![K::default(); my_len];
-            for msg in inbound {
-                let chunks = match msg {
-                    MsgKind::Chunks(c) => c,
-                    _ => unreachable!("protocol: chunk phase"),
-                };
-                for c in chunks {
-                    let off = c.global_off - my_base;
-                    next[off..off + c.keys.len()].copy_from_slice(&c.keys);
-                }
-            }
-            mine = next;
+    unsafe fn exchange(&mut self, staged: bool, region: Range<usize>, plan: &dyn Fn(usize) -> Vec<Piece>) {
+        let src = if staged { &self.stage } else { &self.keys };
+        let mut outbound = vec![Packet::default(); self.size()];
+        for piece in plan(self.rank()) {
+            let packet = &mut outbound[piece.dst];
+            packet.words.extend([piece.dst_at as u64, piece.len as u64]);
+            packet.keys.extend_from_slice(&src[piece.src_off..piece.src_off + piece.len]);
         }
-        (me, mine)
-    });
+        let inbound = self.comm.alltoallv(outbound);
+        self.keys.clear();
+        self.keys.resize(region.len(), K::default());
+        for packet in inbound {
+            let mut taken = 0;
+            for piece in packet.words.chunks_exact(2) {
+                let (at, len) = (piece[0] as usize - region.start, piece[1] as usize);
+                self.keys[at..at + len].copy_from_slice(&packet.keys[taken..taken + len]);
+                taken += len;
+            }
+        }
+    }
 
-    // Reassemble in rank order.
-    for (rank, part) in results {
-        let base = part_start(rank);
-        keys[base..base + part.len()].copy_from_slice(&part);
+    fn launch(keys: &mut [K], p: usize, cap: usize, program: impl Fn(&mut Self) + Sync) {
+        let n = keys.len();
+        let input = &*keys;
+        let regions = spawn_spmd(p, |comm| {
+            let part = comm.rank() * n / p..(comm.rank() + 1) * n / p;
+            let mut t = Message { comm, keys: input[part].to_vec(), stage: vec![K::default(); cap] };
+            program(&mut t);
+            t.keys
+        });
+        concat_into(keys, regions);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ccsort_rng::SplitMix64;
 
     #[test]
     fn spmd_barrier_and_allgather() {
@@ -323,209 +249,6 @@ mod tests {
             }
         });
         assert_eq!(results[1], (0..100).collect::<Vec<u32>>());
-    }
-
-    fn check_msg_sort(n: usize, p: usize, r: u32, seed: u64) {
-        let mut rng = SplitMix64::seed_from_u64(seed);
-        let mut v: Vec<u32> = (0..n).map(|_| rng.random()).collect();
-        let mut expect = v.clone();
-        expect.sort_unstable();
-        radix_sort_msg(&mut v, p, r);
-        assert_eq!(v, expect, "n={n} p={p} r={r}");
-    }
-
-    #[test]
-    fn msg_radix_sorts() {
-        check_msg_sort(50_000, 4, 8, 1);
-        check_msg_sort(10_000, 7, 8, 2);
-        check_msg_sort(10_000, 3, 11, 3);
-        check_msg_sort(100, 4, 8, 4);
-        check_msg_sort(8, 8, 8, 5);
-    }
-
-    #[test]
-    fn msg_radix_handles_degenerate() {
-        let mut empty: Vec<u32> = vec![];
-        radix_sort_msg(&mut empty, 4, 8);
-        let mut one = vec![1u32];
-        radix_sort_msg(&mut one, 4, 8);
-        assert_eq!(one, vec![1]);
-        let mut same = vec![9u32; 5000];
-        radix_sort_msg(&mut same, 4, 8);
-        assert!(same.iter().all(|&x| x == 9));
-    }
-
-    #[test]
-    fn msg_radix_sorts_signed() {
-        let mut rng = SplitMix64::seed_from_u64(7);
-        let mut v: Vec<i32> = (0..20_000).map(|_| rng.random()).collect();
-        let mut expect = v.clone();
-        expect.sort_unstable();
-        radix_sort_msg(&mut v, 5, 8);
-        assert_eq!(v, expect);
-    }
-}
-
-/// Internal message type of [`sample_sort_msg`].
-#[derive(Clone)]
-enum SampleMsg<K: Clone> {
-    Samples(Vec<K>),
-    Counts(Vec<usize>),
-    Keys(Vec<K>),
-}
-
-/// Sort `keys` with the paper's MPI sample-sort algorithm over `p`
-/// in-process ranks: local radix sort, allgather of 128 regular samples per
-/// rank, redundant splitter selection, a one-message-per-pair all-to-all of
-/// splitter buckets, and a final local sort of the received keys.
-pub fn sample_sort_msg<K: RadixKey + Default>(keys: &mut [K], p: usize, radix_bits: u32) {
-    let n = keys.len();
-    if n == 0 || p <= 1 {
-        crate::seq::radix_sort(keys, radix_bits.clamp(1, 16));
-        return;
-    }
-    let p = p.min(n);
-    let s = 128usize.min(n / p).max(1);
-    let part_start = |i: usize| i * n / p;
-
-    let parts: Vec<Vec<K>> = (0..p).map(|i| keys[part_start(i)..part_start(i + 1)].to_vec()).collect();
-    let parts = std::sync::Mutex::new(parts.into_iter().map(Some).collect::<Vec<_>>());
-
-    let mut results: Vec<(usize, Vec<K>)> = spawn_spmd::<SampleMsg<K>, _, _>(p, |comm| {
-        let me = comm.rank();
-        let mut mine: Vec<K> = parts.lock().unwrap()[me].take().expect("partition taken once");
-        // Phase 1: local sort.
-        crate::seq::radix_sort(&mut mine, radix_bits);
-        // Phase 2+3: allgather regular samples; everyone picks splitters.
-        let samples: Vec<K> = (0..s).map(|k| mine[k * mine.len() / s]).collect();
-        let mut all: Vec<K> = comm
-            .allgather(SampleMsg::Samples(samples))
-            .into_iter()
-            .flat_map(|m| match m {
-                SampleMsg::Samples(v) => v,
-                _ => unreachable!("protocol: sample phase"),
-            })
-            .collect();
-        all.sort_unstable();
-        let splitters: Vec<K> = (1..p).map(|k| all[k * all.len() / p]).collect();
-
-        // Phase 4: bucket boundaries (ties spread across tied buckets) and
-        // the two all-to-alls: counts, then keys.
-        let mut bounds = vec![0usize; p + 1];
-        bounds[p] = mine.len();
-        let mut j = 0usize;
-        while j < splitters.len() {
-            let v = &splitters[j];
-            let mut jl = j;
-            while jl + 1 < splitters.len() && splitters[jl + 1] == *v {
-                jl += 1;
-            }
-            if jl == j {
-                bounds[j + 1] = mine.partition_point(|x| x < v);
-                j += 1;
-                continue;
-            }
-            let lower = mine.partition_point(|x| x < v);
-            let upper = mine.partition_point(|x| x <= v);
-            let run = upper - lower;
-            let slots = jl - j + 2;
-            for (k, cut) in (j + 1..=jl + 1).enumerate() {
-                bounds[cut] = lower + (k + 1) * run / slots;
-            }
-            j = jl + 1;
-        }
-        let counts: Vec<usize> = (0..p).map(|b| bounds[b + 1] - bounds[b]).collect();
-        let all_counts = comm.alltoallv(
-            (0..p).map(|_| SampleMsg::Counts(counts.clone())).collect::<Vec<_>>(),
-        );
-        let expected: Vec<usize> = all_counts
-            .into_iter()
-            .map(|m| match m {
-                SampleMsg::Counts(c) => c[me],
-                _ => unreachable!("protocol: count phase"),
-            })
-            .collect();
-        let inbound = comm.alltoallv(
-            (0..p)
-                .map(|b| SampleMsg::Keys(mine[bounds[b]..bounds[b + 1]].to_vec()))
-                .collect::<Vec<_>>(),
-        );
-        // Phase 5: local sort of the received region (the count exchange
-        // cross-checks the key exchange, as the real program's receive
-        // sizes would).
-        let mut region: Vec<K> = Vec::with_capacity(expected.iter().sum());
-        for (src, m) in inbound.into_iter().enumerate() {
-            match m {
-                SampleMsg::Keys(v) => {
-                    assert_eq!(v.len(), expected[src], "count/key exchange mismatch from rank {src}");
-                    region.extend(v);
-                }
-                _ => unreachable!("protocol: key phase"),
-            }
-        }
-        crate::seq::radix_sort(&mut region, radix_bits);
-        (me, region)
-    });
-
-    // Regions concatenated in rank order are the sorted output.
-    results.sort_by_key(|(rank, _)| *rank);
-    let mut off = 0;
-    for (_, region) in results {
-        keys[off..off + region.len()].copy_from_slice(&region);
-        off += region.len();
-    }
-    assert_eq!(off, n);
-}
-
-#[cfg(test)]
-mod sample_tests {
-    use super::*;
-    use ccsort_rng::SplitMix64;
-
-    fn check(n: usize, p: usize, seed: u64) {
-        let mut rng = SplitMix64::seed_from_u64(seed);
-        let mut v: Vec<u32> = (0..n).map(|_| rng.random()).collect();
-        let mut expect = v.clone();
-        expect.sort_unstable();
-        sample_sort_msg(&mut v, p, 11);
-        assert_eq!(v, expect, "n={n} p={p}");
-    }
-
-    #[test]
-    fn sample_sort_msg_sorts() {
-        check(50_000, 4, 1);
-        check(10_000, 7, 2);
-        check(999, 3, 3);
-    }
-
-    #[test]
-    fn sample_sort_msg_heavy_duplicates() {
-        let mut rng = SplitMix64::seed_from_u64(4);
-        let mut v: Vec<u32> = (0..20_000).map(|_| if rng.random_range(0..10u32) < 3 { 0 } else { rng.random() }).collect();
-        let mut expect = v.clone();
-        expect.sort_unstable();
-        sample_sort_msg(&mut v, 6, 8);
-        assert_eq!(v, expect);
-    }
-
-    #[test]
-    fn sample_sort_msg_matches_radix_msg() {
-        let mut rng = SplitMix64::seed_from_u64(5);
-        let v: Vec<i32> = (0..30_000).map(|_| rng.random()).collect();
-        let mut a = v.clone();
-        let mut b = v;
-        sample_sort_msg(&mut a, 5, 8);
-        radix_sort_msg(&mut b, 5, 8);
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    fn sample_sort_msg_degenerate() {
-        let mut empty: Vec<u32> = vec![];
-        sample_sort_msg(&mut empty, 4, 8);
-        let mut tiny = vec![2u32, 1];
-        sample_sort_msg(&mut tiny, 8, 8);
-        assert_eq!(tiny, vec![1, 2]);
     }
 }
 

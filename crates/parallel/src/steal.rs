@@ -3,10 +3,9 @@
 //!
 //! [`run_workers`] is the fork/join the data-parallel sorts share:
 //! `f(0..workers)` under `std::thread::scope`, results in worker order, a
-//! worker's panic re-raised in the caller. [`par_map`] and
-//! [`par_for_each`] hand a list of independent items to those workers —
-//! the sample, merge and MSD sorts' "for each of k disjoint parts", and
-//! the experiment grids of `ccsort-bench` and `ccsort-audit`.
+//! worker's panic re-raised in the caller. [`par_map`] hands a list of
+//! independent items to those workers — the experiment grids of
+//! `ccsort-bench` and `ccsort-audit`.
 //!
 //! [`ChunkQueue`] is the scheduler for the histogram and permute phases.
 //! The input is cut into `m` fixed-stride chunks (`m` ≥ the worker count).
@@ -97,16 +96,6 @@ where
     .collect();
     done.sort_unstable_by_key(|&(i, _)| i);
     done.into_iter().map(|(_, r)| r).collect()
-}
-
-/// [`par_map`] for its effects: `f` on every item, each exactly once.
-pub fn par_for_each<I, F>(workers: usize, items: I, f: F)
-where
-    I: IntoIterator,
-    I::IntoIter: ExactSizeIterator + Send,
-    F: Fn(I::Item) + Sync,
-{
-    par_map(workers, items, f);
 }
 
 /// One worker's region of chunk indices: a cursor and a fixed end, padded
@@ -293,9 +282,9 @@ mod tests {
     }
 
     #[test]
-    fn par_for_each_hands_out_disjoint_mutable_items() {
+    fn par_map_hands_out_disjoint_mutable_items() {
         let mut data = vec![0u32; 1000];
-        par_for_each(3, data.chunks_mut(7).enumerate(), |(c, chunk)| chunk.fill(c as u32 + 1));
+        par_map(3, data.chunks_mut(7).enumerate(), |(c, chunk)| chunk.fill(c as u32 + 1));
         assert!(data.iter().enumerate().all(|(i, &v)| v == (i / 7) as u32 + 1));
     }
 

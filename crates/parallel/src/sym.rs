@@ -1,5 +1,5 @@
-//! In-process symmetric-heap (SHMEM-style) runtime and a radix sort written
-//! against it.
+//! In-process symmetric-heap (SHMEM-style) runtime, and the symmetric
+//! transport of the SPMD sorts.
 //!
 //! SHMEM's defining features, reproduced over threads: every PE owns a
 //! same-sized segment of a *symmetric heap*, and one-sided `put`/`get`
@@ -7,9 +7,9 @@
 //! Synchronization is by barrier epochs, exactly as on the SGI library: a
 //! PE may `get` a remote region only after the barrier that follows the
 //! writes to it, and no PE may write a region another PE reads in the same
-//! epoch. The radix sort here is the paper's SHMEM program: publish
-//! histograms, collect them, permute locally into a staged region, then
-//! *receiver-initiated* `get`s pull each chunk into place.
+//! epoch. [`Symmetric`] runs [`crate::spmd`]'s sorts as the paper's SHMEM
+//! programs: keys are staged in the owner's segment, then
+//! *receiver-initiated* `get`s pull each piece into place.
 //!
 //! ## Debug-build epoch-protocol checker
 //!
@@ -29,12 +29,11 @@
 //! epoch, so this check is exhaustive for the property it states.)
 
 use std::cell::UnsafeCell;
-use std::sync::{Arc, Barrier};
-#[cfg(debug_assertions)]
-use std::sync::Mutex;
+use std::ops::Range;
+use std::sync::{Arc, Barrier, Mutex};
 
 use crate::key::RadixKey;
-use crate::seq::passes_for;
+use crate::spmd::{concat_into, Board, Piece, Transport};
 
 struct Segment<K> {
     data: UnsafeCell<Vec<K>>,
@@ -254,145 +253,79 @@ impl<K: RadixKey + Default> Pe<K> {
     }
 }
 
-/// Sort `keys` with the paper's SHMEM radix-sort algorithm over `p`
-/// in-process PEs (receiver-initiated `get`s for the key exchange).
-pub fn radix_sort_shmem<K: RadixKey + Default + Send>(keys: &mut [K], p: usize, radix_bits: u32) {
-    let n = keys.len();
-    if n == 0 || p <= 1 {
-        crate::seq::radix_sort(keys, radix_bits.clamp(1, 16));
-        return;
+/// The symmetric-heap transport of [`crate::spmd`]: a PE's staging buffer
+/// is its heap segment, and an exchange is the paper's receiver-initiated
+/// SHMEM program — seal the staged segments with a barrier, `get` every
+/// piece that lands here, and a second barrier before anyone restages.
+/// Keys that were not staged (sample sort's) are published into the
+/// segment first.
+pub struct Symmetric<K: RadixKey + Default> {
+    pe: Pe<K>,
+    board: Arc<Board>,
+    keys: Vec<K>,
+}
+
+impl<K: RadixKey + Default> Transport<K> for Symmetric<K> {
+    fn rank(&self) -> usize {
+        self.pe.pe()
     }
-    let p = p.min(n);
-    assert!((1..=16).contains(&radix_bits));
-    let bins = 1usize << radix_bits;
-    let mask = (bins - 1) as u64;
-    let passes = passes_for::<K>(radix_bits);
-    let part_start = |i: usize| i * n / p;
-    let max_part = (0..p).map(|i| part_start(i + 1) - part_start(i)).max().unwrap();
 
-    // Segment layout: [0, max_part) current keys; [max_part, 2*max_part)
-    // staged chunks. Histograms travel through a separate symmetric array,
-    // here simply a second heap region: [2*max_part, 2*max_part + bins).
-    let seg_len = 2 * max_part + bins;
-    let heap: Arc<SymHeap<K>> = Arc::new(SymHeap::new(p, seg_len));
-    // K may be narrower than the counts need; publish counts via a shared
-    // side table instead of squeezing them into K. (A real SHMEM program
-    // would use a symmetric integer array; this plays that role.)
-    let hist_table: Vec<UnsafeCell<Vec<usize>>> =
-        (0..p).map(|_| UnsafeCell::new(vec![0usize; bins])).collect();
-    struct Table<'a>(&'a [UnsafeCell<Vec<usize>>]);
-    unsafe impl Sync for Table<'_> {}
-    let hist_table_ref = Table(&hist_table);
+    fn size(&self) -> usize {
+        self.pe.n_pes()
+    }
 
-    let input = &*keys;
-    heap.run(|ctx: Pe<K>| {
-        let me = ctx.pe();
-        let base = part_start(me);
-        let len = part_start(me + 1) - base;
-        // SAFETY: each PE writes only its own segment before the barrier.
-        let local = unsafe { ctx.local_mut() };
-        local[..len].copy_from_slice(&input[base..base + len]);
-        ctx.barrier();
+    fn allgather(&mut self, mine: &[u64]) -> Vec<Vec<u64>> {
+        self.board.allgather(self.pe.pe(), mine, || self.pe.barrier())
+    }
 
-        let table = &hist_table_ref;
-        for pass in 0..passes {
-            let shift = pass * radix_bits;
-            // Phase 1: local histogram, published to the table.
-            let mut hist = vec![0usize; bins];
-            // SAFETY: reading our own keys region; nobody writes it this epoch.
-            let local = unsafe { ctx.local() };
-            for k in &local[..len] {
-                hist[k.digit(shift, mask)] += 1;
-            }
-            // SAFETY: slot `me` written only by this PE this epoch.
-            unsafe { (*table.0[me].get()).copy_from_slice(&hist) };
-            ctx.barrier();
+    fn local(&mut self) -> (&mut [K], &mut [K]) {
+        let len = self.keys.len();
+        // SAFETY: other PEs reach this segment only through the `get`s of
+        // an exchange, which sit between its two barriers; this borrow ends
+        // before the first of them.
+        (&mut self.keys, &mut unsafe { self.pe.local_mut() }[..len])
+    }
 
-            // Phase 2: collect everyone's histogram; compute ranks.
-            // SAFETY: all slots were published before the barrier; this
-            // epoch only reads them.
-            let all_hists: Vec<Vec<usize>> =
-                (0..ctx.n_pes()).map(|j| unsafe { (*table.0[j].get()).clone() }).collect();
-            let mut offsets = vec![vec![0usize; bins]; ctx.n_pes()];
-            let mut acc = 0usize;
-            for d in 0..bins {
-                for (j, h) in all_hists.iter().enumerate() {
-                    offsets[j][d] = acc;
-                    acc += h[d];
-                }
-            }
-            let lscans: Vec<Vec<usize>> = all_hists
-                .iter()
-                .map(|h| {
-                    let mut scan = Vec::with_capacity(bins);
-                    let mut a = 0;
-                    for &c in h {
-                        scan.push(a);
-                        a += c;
-                    }
-                    scan
-                })
-                .collect();
-
-            // Phase 3: permute own keys into the staged region.
-            let mut cursors = lscans[me].clone();
-            // SAFETY: writing only our own staged region this epoch.
-            let local = unsafe { ctx.local_mut() };
-            for i in 0..len {
-                let k = local[i];
-                let d = k.digit(shift, mask);
-                local[max_part + cursors[d]] = k;
-                cursors[d] += 1;
-            }
-            ctx.barrier();
-
-            // Phase 4: receiver-initiated gets — pull every chunk piece
-            // that lands in our partition.
-            let my_lo = base;
-            let my_hi = base + len;
-            let mut incoming: Vec<K> = vec![K::default(); len];
-            for j in 0..ctx.n_pes() {
-                for d in 0..bins {
-                    let clen = all_hists[j][d];
-                    if clen == 0 {
-                        continue;
-                    }
-                    let goff = offsets[j][d];
-                    let s = goff.max(my_lo);
-                    let e = (goff + clen).min(my_hi);
-                    if s >= e {
-                        continue;
-                    }
-                    let src_off = max_part + lscans[j][d] + (s - goff);
-                    // SAFETY: staged regions were sealed by the barrier
-                    // above and are read-only this epoch.
-                    unsafe { ctx.get(&mut incoming[s - my_lo..e - my_lo], j, src_off) };
-                }
-            }
-            ctx.barrier();
-            // SAFETY: writing only our own keys region; the epoch that read
-            // the *staged* region is over, and nobody reads keys regions
-            // until after the next barrier.
-            let local = unsafe { ctx.local_mut() };
-            local[..len].copy_from_slice(&incoming);
-            ctx.barrier();
+    unsafe fn exchange(&mut self, staged: bool, region: Range<usize>, plan: &dyn Fn(usize) -> Vec<Piece>) {
+        if !staged {
+            let (keys, stage) = self.local();
+            stage.copy_from_slice(keys);
         }
-    });
+        self.pe.barrier();
+        self.keys.clear();
+        self.keys.resize(region.len(), K::default());
+        let me = self.rank();
+        for src in 0..self.size() {
+            for piece in plan(src).into_iter().filter(|piece| piece.dst == me) {
+                let at = piece.dst_at - region.start;
+                // SAFETY: staged segments were sealed by the barrier above
+                // and are read-only until the one below.
+                unsafe { self.pe.get(&mut self.keys[at..at + piece.len], src, piece.src_off) };
+            }
+        }
+        self.pe.barrier();
+    }
 
-    // Collect the sorted partitions.
-    let mut heap = Arc::try_unwrap(heap).unwrap_or_else(|_| panic!("heap still shared"));
-    for i in 0..p {
-        let base = part_start(i);
-        let len = part_start(i + 1) - base;
-        let seg = heap.segment_mut(i);
-        keys[base..base + len].copy_from_slice(&seg[..len]);
+    fn launch(keys: &mut [K], p: usize, cap: usize, program: impl Fn(&mut Self) + Sync) {
+        let n = keys.len();
+        let input = &*keys;
+        let heap: Arc<SymHeap<K>> = Arc::new(SymHeap::new(p, cap));
+        let board = Arc::new(Board::new(p));
+        let regions = Mutex::new(vec![Vec::new(); p]);
+        heap.run(|pe| {
+            let me = pe.pe();
+            let part = me * n / p..(me + 1) * n / p;
+            let mut t = Symmetric { pe, board: Arc::clone(&board), keys: input[part].to_vec() };
+            program(&mut t);
+            regions.lock().expect("a PE panicked")[me] = t.keys;
+        });
+        concat_into(keys, regions.into_inner().expect("a PE panicked"));
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ccsort_rng::SplitMix64;
 
     #[test]
     fn put_get_roundtrip() {
@@ -431,32 +364,6 @@ mod tests {
                 assert_eq!(buf, vec![100, 101, 102]);
             }
         });
-    }
-
-    fn check_shmem_sort(n: usize, p: usize, r: u32, seed: u64) {
-        let mut rng = SplitMix64::seed_from_u64(seed);
-        let mut v: Vec<u32> = (0..n).map(|_| rng.random()).collect();
-        let mut expect = v.clone();
-        expect.sort_unstable();
-        radix_sort_shmem(&mut v, p, r);
-        assert_eq!(v, expect, "n={n} p={p} r={r}");
-    }
-
-    #[test]
-    fn shmem_radix_sorts() {
-        check_shmem_sort(50_000, 4, 8, 1);
-        check_shmem_sort(10_000, 7, 8, 2);
-        check_shmem_sort(10_000, 3, 11, 3);
-        check_shmem_sort(64, 8, 8, 4);
-    }
-
-    #[test]
-    fn shmem_radix_degenerate() {
-        let mut empty: Vec<u32> = vec![];
-        radix_sort_shmem(&mut empty, 4, 8);
-        let mut same = vec![5u32; 3000];
-        radix_sort_shmem(&mut same, 4, 8);
-        assert!(same.iter().all(|&x| x == 5));
     }
 
     // The epoch-protocol checker's own acceptance tests: the aliasing
@@ -517,193 +424,5 @@ mod tests {
                 unsafe { ctx.local_mut()[0] = 9 };
             });
         }
-    }
-
-    #[test]
-    fn shmem_matches_msg_sort() {
-        let mut rng = SplitMix64::seed_from_u64(9);
-        let v: Vec<u32> = (0..30_000).map(|_| rng.random()).collect();
-        let mut a = v.clone();
-        let mut b = v;
-        radix_sort_shmem(&mut a, 6, 8);
-        crate::msg::radix_sort_msg(&mut b, 6, 8);
-        assert_eq!(a, b);
-    }
-}
-
-/// Sort `keys` with the paper's SHMEM **sample sort** over `p` in-process
-/// PEs: local radix sort, samples published to a symmetric region and
-/// collected one-sidedly, redundant splitter selection, counts published
-/// symmetrically, then each PE `get`s its splitter bucket from every
-/// other PE's sorted segment and sorts it locally.
-pub fn sample_sort_shmem<K: RadixKey + Default + Send>(keys: &mut [K], p: usize, radix_bits: u32) {
-    let n = keys.len();
-    if n == 0 || p <= 1 {
-        crate::seq::radix_sort(keys, radix_bits.clamp(1, 16));
-        return;
-    }
-    let p = p.min(n);
-    let s = 128usize.min(n / p).max(1);
-    let part_start = |i: usize| i * n / p;
-    let max_part = (0..p).map(|i| part_start(i + 1) - part_start(i)).max().unwrap();
-
-    // Segment layout: [0, max_part) sorted keys; [max_part, max_part + s)
-    // samples. Counts travel through a side table (a symmetric integer
-    // array in a real SHMEM program).
-    let seg_len = max_part + s;
-    let heap: Arc<SymHeap<K>> = Arc::new(SymHeap::new(p, seg_len));
-    let counts_table: Vec<UnsafeCell<Vec<usize>>> =
-        (0..p).map(|_| UnsafeCell::new(vec![0usize; p])).collect();
-    struct Table<'a>(&'a [UnsafeCell<Vec<usize>>]);
-    unsafe impl Sync for Table<'_> {}
-    let table = Table(&counts_table);
-    let out = std::sync::Mutex::new(vec![Vec::<K>::new(); p]);
-
-    let input = &*keys;
-    heap.run(|ctx: Pe<K>| {
-        // Capture the Sync wrapper whole (edition-2021 disjoint capture
-        // would otherwise capture the raw `.0` field, which isn't Sync).
-        let table = &table;
-        let me = ctx.pe();
-        let base = part_start(me);
-        let len = part_start(me + 1) - base;
-
-        // Phase 1: local sort of own segment.
-        // SAFETY: each PE touches only its own segment before the barrier.
-        let local = unsafe { ctx.local_mut() };
-        local[..len].copy_from_slice(&input[base..base + len]);
-        crate::seq::radix_sort(&mut local[..len], radix_bits);
-        // Phase 2: publish regular samples.
-        for k in 0..s {
-            local[max_part + k] = local[k * len / s];
-        }
-        ctx.barrier();
-
-        // Phase 3: collect all samples one-sidedly; redundant splitters.
-        let mut all = vec![K::default(); p * s];
-        for j in 0..ctx.n_pes() {
-            // SAFETY: sample regions were sealed by the barrier above.
-            unsafe { ctx.get(&mut all[j * s..(j + 1) * s], j, max_part) };
-        }
-        all.sort_unstable();
-        let splitters: Vec<K> = (1..p).map(|k| all[k * all.len() / p]).collect();
-
-        // Phase 4: bucket boundaries (ties spread) + publish counts. In
-        // this epoch other PEs `get` our sample region, so the read-only
-        // view matters: a `local_mut` claim here would (rightly) trip the
-        // debug checker.
-        // SAFETY: reading only our own sorted keys region.
-        let local = unsafe { ctx.local() };
-        let sorted = &local[..len];
-        let mut bounds = vec![0usize; p + 1];
-        bounds[p] = len;
-        let mut j = 0usize;
-        while j < splitters.len() {
-            let v = &splitters[j];
-            let mut jl = j;
-            while jl + 1 < splitters.len() && splitters[jl + 1] == *v {
-                jl += 1;
-            }
-            if jl == j {
-                bounds[j + 1] = sorted.partition_point(|x| x < v);
-                j += 1;
-                continue;
-            }
-            let lower = sorted.partition_point(|x| x < v);
-            let upper = sorted.partition_point(|x| x <= v);
-            let run = upper - lower;
-            let slots = jl - j + 2;
-            for (k, cut) in (j + 1..=jl + 1).enumerate() {
-                bounds[cut] = lower + (k + 1) * run / slots;
-            }
-            j = jl + 1;
-        }
-        // SAFETY: slot `me` written only by this PE this epoch.
-        unsafe {
-            (*table.0[me].get()).copy_from_slice(
-                &(0..p).map(|b| bounds[b + 1] - bounds[b]).collect::<Vec<_>>(),
-            );
-        }
-        ctx.barrier();
-
-        // Phase 5: get our bucket from every PE, sort, stash.
-        // SAFETY: counts were all published before the barrier.
-        let all_counts: Vec<Vec<usize>> =
-            (0..p).map(|i| unsafe { (*table.0[i].get()).clone() }).collect();
-        let all_bounds: Vec<Vec<usize>> = all_counts
-            .iter()
-            .map(|c| {
-                let mut b = vec![0usize; p + 1];
-                for (k, &cnt) in c.iter().enumerate() {
-                    b[k + 1] = b[k] + cnt;
-                }
-                b
-            })
-            .collect();
-        let inbound: usize = (0..p).map(|i| all_counts[i][me]).sum();
-        let mut region = vec![K::default(); inbound];
-        let mut off = 0;
-        for i in 0..p {
-            let cnt = all_counts[i][me];
-            if cnt > 0 {
-                // SAFETY: sorted key regions are read-only this epoch.
-                unsafe { ctx.get(&mut region[off..off + cnt], i, all_bounds[i][me]) };
-                off += cnt;
-            }
-        }
-        crate::seq::radix_sort(&mut region, radix_bits);
-        out.lock().unwrap()[me] = region;
-    });
-
-    let regions = out.into_inner().unwrap();
-    let mut off = 0;
-    for region in regions {
-        keys[off..off + region.len()].copy_from_slice(&region);
-        off += region.len();
-    }
-    assert_eq!(off, n);
-}
-
-#[cfg(test)]
-mod sample_tests {
-    use super::*;
-    use ccsort_rng::SplitMix64;
-
-    fn check(n: usize, p: usize, seed: u64) {
-        let mut rng = SplitMix64::seed_from_u64(seed);
-        let mut v: Vec<u32> = (0..n).map(|_| rng.random()).collect();
-        let mut expect = v.clone();
-        expect.sort_unstable();
-        sample_sort_shmem(&mut v, p, 11);
-        assert_eq!(v, expect, "n={n} p={p}");
-    }
-
-    #[test]
-    fn sample_sort_shmem_sorts() {
-        check(50_000, 4, 1);
-        check(10_000, 7, 2);
-        check(1000, 3, 3);
-    }
-
-    #[test]
-    fn sample_sort_shmem_duplicates() {
-        let mut rng = SplitMix64::seed_from_u64(4);
-        let mut v: Vec<u32> =
-            (0..20_000).map(|_| if rng.random_range(0..10u32) < 3 { 7 } else { rng.random() }).collect();
-        let mut expect = v.clone();
-        expect.sort_unstable();
-        sample_sort_shmem(&mut v, 6, 8);
-        assert_eq!(v, expect);
-    }
-
-    #[test]
-    fn sample_sort_shmem_matches_msg_version() {
-        let mut rng = SplitMix64::seed_from_u64(5);
-        let v: Vec<u32> = (0..30_000).map(|_| rng.random()).collect();
-        let mut a = v.clone();
-        let mut b = v;
-        sample_sort_shmem(&mut a, 5, 8);
-        crate::msg::sample_sort_msg(&mut b, 5, 8);
-        assert_eq!(a, b);
     }
 }

@@ -2,7 +2,7 @@
 //!
 //! Every claim this workspace makes rests on outputs being *sorted
 //! permutations* of inputs; these helpers make that check cheap and
-//! reusable (`sortbench check`, tests, downstream users). The permutation
+//! reusable (`realbench` rows, tests, downstream users). The permutation
 //! check is O(n) with an order-independent multiset fingerprint plus exact
 //! per-byte counting — no sorting of the reference copy required.
 

@@ -3,14 +3,14 @@
 //! identical to the standard library's. A failing case names its seed;
 //! `ccsort_rng::check_case` replays it.
 
-use ccsort::parallel::msg::radix_sort_msg;
+use ccsort::parallel::msg::Message;
 use ccsort::parallel::pairs::{
     par_radix_sort_pairs_with, par_radix_sort_pairs_with_scratch, radix_sort_pairs,
 };
-use ccsort::parallel::sym::radix_sort_shmem;
+use ccsort::parallel::spmd::{programs, radix_sort, sample_sort, Direct};
+use ccsort::parallel::sym::Symmetric;
 use ccsort::parallel::{
-    par_radix_sort_with, par_sample_sort_with, seq_radix_sort, RadixKey, RadixSortConfig,
-    SampleSortConfig, Schedule, SortScratch,
+    par_radix_sort_with, seq_radix_sort, RadixKey, RadixSortConfig, Schedule, SortScratch,
 };
 use ccsort_rng::{check_cases, Random, SplitMix64};
 
@@ -118,11 +118,13 @@ fn shaped_case(rng: &mut SplitMix64, max_n: usize) -> (Vec<u32>, u32, usize) {
     (keys, rng.random_range(4u32..=12), pick(rng, &CHUNKS))
 }
 
+/// The sample sort over all three transports on (keys, ranks).
 fn par_sample_sorts<K: RadixKey + Default + std::fmt::Debug>((v, parts): &(Vec<K>, usize)) {
-    let mut got = v.clone();
-    let cfg = SampleSortConfig { parts: Some(*parts), sequential_cutoff: 0, ..Default::default() };
-    par_sample_sort_with(&mut got, &cfg);
-    assert_eq!(got, sorted(v));
+    for (name, sort) in &programs::<K>()[3..] {
+        let mut got = v.clone();
+        sort(&mut got, *parts, 11);
+        assert_eq!(got, sorted(v), "{name}");
+    }
 }
 
 #[test]
@@ -130,7 +132,8 @@ fn par_sample_matches_std() {
     check_cases(CASES, |rng| (vec_of::<u64>(rng, 0..6000), rng.random_range(1usize..10)), par_sample_sorts);
 }
 
-/// Massive duplication: exercises the tied-splitter spreading.
+/// Massive duplication: ties split by position, or a rank overflows its
+/// region bound.
 #[test]
 fn par_sample_handles_low_cardinality() {
     let case = |rng: &mut SplitMix64| {
@@ -140,8 +143,8 @@ fn par_sample_handles_low_cardinality() {
     check_cases(CASES, case, par_sample_sorts);
 }
 
-/// One of the two runtime sorts (message passing, symmetric heap) on
-/// (keys, process count, digit width) cases.
+/// The radix sort over one of the runtime transports (message passing,
+/// symmetric heap) on (keys, process count, digit width) cases.
 fn runtime_sorts(
     sort: fn(&mut [u32], usize, u32),
     case: impl Fn(&mut SplitMix64) -> (Vec<u32>, usize, u32),
@@ -166,22 +169,22 @@ fn non_power_of_two_p(rng: &mut SplitMix64) -> (Vec<u32>, usize, u32) {
 
 #[test]
 fn msg_radix_matches_std() {
-    runtime_sorts(radix_sort_msg, any_p);
+    runtime_sorts(radix_sort::<Message<u32>, u32>, any_p);
 }
 
 #[test]
 fn shmem_radix_matches_std() {
-    runtime_sorts(radix_sort_shmem, any_p);
+    runtime_sorts(radix_sort::<Symmetric<u32>, u32>, any_p);
 }
 
 #[test]
 fn msg_radix_handles_non_power_of_two_p() {
-    runtime_sorts(radix_sort_msg, non_power_of_two_p);
+    runtime_sorts(radix_sort::<Message<u32>, u32>, non_power_of_two_p);
 }
 
 #[test]
 fn shmem_radix_handles_non_power_of_two_p() {
-    runtime_sorts(radix_sort_shmem, non_power_of_two_p);
+    runtime_sorts(radix_sort::<Symmetric<u32>, u32>, non_power_of_two_p);
 }
 
 /// Payloads record original positions, so the unique stable order doubles
@@ -247,11 +250,13 @@ fn either_schedule_is_stable_and_equals_the_simple_oracle() {
 #[test]
 fn all_sorts_agree_pairwise() {
     check_cases(CASES, |rng| vec_of::<u32>(rng, 0..3000), |v| {
-        let (mut a, mut b, mut c) = (v.clone(), v.clone(), v.clone());
+        let (mut a, mut b, mut c, mut d) = (v.clone(), v.clone(), v.clone(), v.clone());
         par_radix_sort_with(&mut a, &RadixSortConfig { sequential_cutoff: 0, ..Default::default() });
-        par_sample_sort_with(&mut b, &SampleSortConfig { sequential_cutoff: 0, ..Default::default() });
-        radix_sort_msg(&mut c, 3, 8);
+        sample_sort::<Symmetric<u32>, u32>(&mut b, 2, 11);
+        radix_sort::<Message<u32>, u32>(&mut c, 3, 8);
+        radix_sort::<Direct<u32>, u32>(&mut d, 5, 8);
         assert_eq!(a, b);
         assert_eq!(b, c);
+        assert_eq!(c, d);
     });
 }

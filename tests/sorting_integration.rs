@@ -4,9 +4,8 @@
 
 use ccsort::algos::dist::{generate, Dist};
 use ccsort::algos::{run_experiment, Algorithm, ExpConfig};
-use ccsort::parallel::msg::radix_sort_msg;
-use ccsort::parallel::sym::radix_sort_shmem;
-use ccsort::parallel::{par_radix_sort_with, par_sample_sort_with, RadixSortConfig, SampleSortConfig};
+use ccsort::parallel::spmd::programs;
+use ccsort::parallel::{par_radix_sort_with, RadixSortConfig};
 
 const N: usize = 1 << 14;
 const P: usize = 8;
@@ -42,17 +41,11 @@ fn real_parallel_sorts_match_std_on_paper_distributions() {
         par_radix_sort_with(&mut a, &RadixSortConfig { sequential_cutoff: 0, ..Default::default() });
         assert_eq!(a, expect, "par_radix_sort on {dist:?}");
 
-        let mut b = input.clone();
-        par_sample_sort_with(&mut b, &SampleSortConfig { sequential_cutoff: 0, ..Default::default() });
-        assert_eq!(b, expect, "par_sample_sort on {dist:?}");
-
-        let mut c = input.clone();
-        radix_sort_msg(&mut c, 4, R);
-        assert_eq!(c, expect, "radix_sort_msg on {dist:?}");
-
-        let mut d = input;
-        radix_sort_shmem(&mut d, 4, R);
-        assert_eq!(d, expect, "radix_sort_shmem on {dist:?}");
+        for (name, sort) in programs() {
+            let mut b = input.clone();
+            sort(&mut b, 4, R);
+            assert_eq!(b, expect, "{name} on {dist:?}");
+        }
     }
 }
 
