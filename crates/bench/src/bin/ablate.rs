@@ -31,41 +31,23 @@
 //! the invalidate-vs-update row pair put both headline comparisons side by
 //! side in one artefact.
 
-use ccsort_algos::dist::{generate, Dist, KEY_BITS};
-use ccsort_algos::radix;
-use ccsort_machine::{InterconnectKind, Machine, MachineConfig, Placement, ProtocolMode};
-use ccsort_models::MpiMode;
+use ccsort_algos::dist::{generate, Dist};
+use ccsort_algos::{load_keys, Algorithm, ExpConfig, SamplingStrategy};
+use ccsort_machine::{InterconnectKind, Machine, MachineConfig, ProtocolMode};
 
-#[derive(Clone, Copy)]
-enum Variant {
-    Ccsas,
-    CcsasNew,
-    Mpi,
-    Shmem,
-    ShmemPut,
-}
-
-const VARIANTS: [(Variant, &str); 5] = [
-    (Variant::Ccsas, "CC-SAS"),
-    (Variant::CcsasNew, "CC-SAS-NEW"),
-    (Variant::Mpi, "MPI(NEW)"),
-    (Variant::Shmem, "SHMEM"),
-    (Variant::ShmemPut, "SHMEM(PUT)"),
+const VARIANTS: [(Algorithm, &str); 5] = [
+    (Algorithm::RadixCcsas, "CC-SAS"),
+    (Algorithm::RadixCcsasNew, "CC-SAS-NEW"),
+    (Algorithm::RadixMpiDirect, "MPI(NEW)"),
+    (Algorithm::RadixShmem, "SHMEM"),
+    (Algorithm::RadixShmemPut, "SHMEM(PUT)"),
 ];
 
-fn run(cfg: MachineConfig, variant: Variant, n: usize, p: usize, r: u32) -> f64 {
+fn run(cfg: MachineConfig, variant: Algorithm, n: usize, p: usize, r: u32) -> f64 {
     let mut m = Machine::new(cfg);
-    let a = m.alloc(n, Placement::Partitioned { parts: p }, "k0");
-    let b = m.alloc(n, Placement::Partitioned { parts: p }, "k1");
     let input = generate(Dist::Gauss, n, p, r, 271828);
-    m.raw_mut(a).copy_from_slice(&input);
-    let out = match variant {
-        Variant::Ccsas => radix::ccsas::sort(&mut m, [a, b], n, r, KEY_BITS),
-        Variant::CcsasNew => radix::ccsas_new::sort(&mut m, [a, b], n, r, KEY_BITS),
-        Variant::Mpi => radix::mpi::sort(&mut m, MpiMode::Direct, [a, b], n, r, KEY_BITS),
-        Variant::Shmem => radix::shmem::sort(&mut m, [a, b], n, r, KEY_BITS),
-        Variant::ShmemPut => radix::shmem_put::sort(&mut m, [a, b], n, r, KEY_BITS),
-    };
+    let keys = load_keys(&mut m, &input);
+    let out = variant.sort(&mut m, keys, n, r, SamplingStrategy::default());
     let mut expect = input;
     expect.sort_unstable();
     assert_eq!(m.raw(out), &expect[..], "ablated run must still sort");
@@ -78,6 +60,12 @@ fn main() {
     let p: usize = args.next().and_then(|s| s.parse().ok()).unwrap_or(32);
     let scale: usize = args.next().and_then(|s| s.parse().ok()).unwrap_or(4);
     let r = 8;
+    // The ablated machines are built by hand below, so check what the
+    // experiment driver would have checked.
+    if let Err(e) = ExpConfig::new(VARIANTS[0].0, n, p).validate() {
+        eprintln!("invalid configuration: {e}");
+        std::process::exit(2);
+    }
 
     let base_cfg = || MachineConfig::origin2000(p).scaled_down(scale);
 

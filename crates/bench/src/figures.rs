@@ -493,18 +493,12 @@ pub fn predict(r: &mut Runner) {
         print!(" {:>22}", m.name());
     }
     println!();
-    let alg_of = |model: PredictModel| match model {
-        PredictModel::Ccsas => Algorithm::RadixCcsas,
-        PredictModel::CcsasNew => Algorithm::RadixCcsasNew,
-        PredictModel::Mpi => Algorithm::RadixMpiDirect,
-        PredictModel::Shmem => Algorithm::RadixShmem,
-    };
     let keys: Vec<ExpKey> = r
         .opts
         .sizes
         .iter()
         .flat_map(|&si| {
-            PredictModel::ALL.iter().map(move |&m| (alg_of(m), si, p, RADIX_R, Dist::Gauss))
+            PredictModel::ALL.iter().map(move |m| (m.algorithm(), si, p, RADIX_R, Dist::Gauss))
         })
         .collect();
     r.prefetch(&keys);
@@ -514,10 +508,9 @@ pub fn predict(r: &mut Runner) {
         let label = r.opts.label_for(si);
         print!("{label:>6}");
         for model in PredictModel::ALL {
-            let alg = alg_of(model);
             let cfg = MachineConfig::origin2000(p).scaled_down(scale);
             let predicted = predict_radix(&cfg, model, n, p, RADIX_R).total();
-            let simulated = r.exp(alg, si, p, RADIX_R, Dist::Gauss).parallel_ns;
+            let simulated = r.exp(model.algorithm(), si, p, RADIX_R, Dist::Gauss).parallel_ns;
             print!(" {:>10.1} /{:>9.1}", predicted / 1e6, simulated / 1e6);
         }
         println!();

@@ -4,6 +4,7 @@
 //! sequential baseline.
 
 use ccsort_machine::{ArrayId, Machine};
+pub use ccsort_models::comm::exclusive_scan;
 
 use crate::costs;
 use crate::dist::KEY_BITS;
@@ -58,17 +59,6 @@ pub fn owner_of(n: usize, p: usize, idx: usize) -> usize {
         i -= 1;
     }
     i
-}
-
-/// Exclusive prefix scan.
-pub fn exclusive_scan(v: &[u32]) -> Vec<u32> {
-    let mut out = Vec::with_capacity(v.len());
-    let mut acc = 0u32;
-    for &x in v {
-        out.push(acc);
-        acc = acc.wrapping_add(x);
-    }
-    out
 }
 
 /// Timed histogram of the `pass`-th digit over `arr[range]`, executed by
@@ -190,12 +180,6 @@ mod tests {
             }
             assert_eq!(total, n);
         }
-    }
-
-    #[test]
-    fn scan_is_exclusive() {
-        assert_eq!(exclusive_scan(&[3, 0, 2, 5]), vec![0, 3, 3, 5]);
-        assert_eq!(exclusive_scan(&[]), Vec::<u32>::new());
     }
 
     #[test]

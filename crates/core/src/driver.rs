@@ -8,7 +8,7 @@
 //! the harness refuses to use it.
 
 use ccsort_machine::{
-    DirectoryMode, EventCounters, InterconnectKind, Machine, MachineConfig, Placement,
+    ArrayId, DirectoryMode, EventCounters, InterconnectKind, Machine, MachineConfig, Placement,
     ProtocolMode, TimeBreakdown, MAX_PROCS,
 };
 use ccsort_models::comm::{CcsasComm, Communicator, MpiComm, Permute, ShmemComm};
@@ -90,32 +90,62 @@ impl Algorithm {
     }
 
     /// The transport this algorithm instantiates its skeleton with — the
-    /// (skeleton, communicator) pair IS the algorithm. Radix and sample
-    /// skeletons each accept any of these; the table in
-    /// [`crate::radix`] documents which pairing reproduces which program
-    /// of the paper.
+    /// (skeleton, communicator) pair IS the algorithm, and this match is
+    /// the only place the pairing is written down; [`crate::radix`] says
+    /// which program of the paper each row reproduces. (Sample sort moves
+    /// contiguous per-pair blocks whatever the [`Permute`] style, which
+    /// only selects the radix permutation arm.)
     pub fn communicator(&self) -> Box<dyn Communicator> {
+        use Algorithm::*;
         let costs = costs::comm_costs();
         match self {
-            Algorithm::RadixCcsas => Box::new(CcsasComm::new(Permute::DirectScatter, costs)),
-            Algorithm::RadixCcsasNew => Box::new(CcsasComm::new(Permute::ContiguousCopy, costs)),
-            Algorithm::RadixMpiStaged => {
+            RadixCcsas | SampleCcsas => Box::new(CcsasComm::new(Permute::DirectScatter, costs)),
+            RadixCcsasNew => Box::new(CcsasComm::new(Permute::ContiguousCopy, costs)),
+            RadixMpiStaged | SampleMpiStaged => {
                 Box::new(MpiComm::new(MpiMode::Staged, Permute::ChunkMessages, costs))
             }
-            Algorithm::RadixMpiDirect => {
+            RadixMpiDirect | SampleMpiDirect => {
                 Box::new(MpiComm::new(MpiMode::Direct, Permute::ChunkMessages, costs))
             }
-            Algorithm::RadixMpiCoalesced => {
+            RadixMpiCoalesced => {
                 Box::new(MpiComm::new(MpiMode::Direct, Permute::CoalescedMessages, costs))
             }
-            Algorithm::RadixShmem => Box::new(ShmemComm::new(Permute::ReceiverGet, costs)),
-            Algorithm::RadixShmemPut => Box::new(ShmemComm::new(Permute::SenderPut, costs)),
-            Algorithm::SampleCcsas => sample::Model::Ccsas.communicator(),
-            Algorithm::SampleMpiStaged => sample::Model::Mpi(MpiMode::Staged).communicator(),
-            Algorithm::SampleMpiDirect => sample::Model::Mpi(MpiMode::Direct).communicator(),
-            Algorithm::SampleShmem => sample::Model::Shmem.communicator(),
+            RadixShmem | SampleShmem => Box::new(ShmemComm::new(Permute::ReceiverGet, costs)),
+            RadixShmemPut => Box::new(ShmemComm::new(Permute::SenderPut, costs)),
         }
     }
+
+    /// Run this algorithm's program on `m`: sort the `n` keys in `keys[0]`
+    /// (see [`load_keys`]) with `r`-bit digits and return the array holding
+    /// the sorted result. `sampling` is ignored by the radix sorts. This is
+    /// the entry for callers that bring their own [`MachineConfig`];
+    /// [`run_experiment`] builds the machine too, and verifies.
+    pub fn sort(
+        self,
+        m: &mut Machine,
+        keys: [ArrayId; 2],
+        n: usize,
+        r: u32,
+        sampling: SamplingStrategy,
+    ) -> ArrayId {
+        let mut comm = self.communicator();
+        if self.is_radix() {
+            radix::sort(m, comm.as_mut(), keys, n, r, KEY_BITS)
+        } else {
+            sample::sort_with_comm(m, comm.as_mut(), keys, n, r, KEY_BITS, sampling)
+        }
+    }
+}
+
+/// Allocate the two key arrays every program toggles between, partitioned
+/// over all of `m`'s processors, and put `input` in the first. `input` needs
+/// at least one key per processor ([`ExpConfig::validate`] says so by name).
+pub fn load_keys(m: &mut Machine, input: &[u32]) -> [ArrayId; 2] {
+    let parts = m.n_procs();
+    let a = m.alloc(input.len(), Placement::Partitioned { parts }, "keys0");
+    let b = m.alloc(input.len(), Placement::Partitioned { parts }, "keys1");
+    m.raw_mut(a).copy_from_slice(input);
+    [a, b]
 }
 
 /// Full description of one experiment.
@@ -283,6 +313,12 @@ impl ExpConfig {
                 self.p
             ));
         }
+        if self.n < self.p {
+            return Err(format!(
+                "n = {} < p = {}: every process needs at least one key",
+                self.n, self.p
+            ));
+        }
         // Delegate the per-mode directory, interconnect and protocol
         // constraints (pointer width, group size vs p, fat-tree arity) to
         // the machine config's own validation.
@@ -415,10 +451,8 @@ fn execute(cfg: &ExpConfig, audit: bool) -> (ExpResult, Vec<String>) {
     let n = cfg.n;
     let p = cfg.p;
     let r = cfg.radix_bits;
-    let a = m.alloc(n, Placement::Partitioned { parts: p }, "keys0");
-    let b = m.alloc(n, Placement::Partitioned { parts: p }, "keys1");
     let input = generate(cfg.dist, n, p, r, cfg.seed);
-    m.raw_mut(a).copy_from_slice(&input);
+    let keys = load_keys(&mut m, &input);
 
     if cfg.warm_caches {
         // Each process streams over its own partition (the state
@@ -430,21 +464,13 @@ fn execute(cfg: &ExpConfig, audit: bool) -> (ExpResult, Vec<String>) {
         for pe in 0..p {
             let range = crate::common::part_range(n, p, pe);
             let mut buf = vec![0u32; range.len()];
-            m.read_run(pe, a, range.start, &mut buf);
+            m.read_run(pe, keys[0], range.start, &mut buf);
         }
         m.barrier();
         m.reset_stats();
     }
 
-    // Every algorithm is one of two skeletons instantiated with one
-    // transport; the (skeleton, communicator) pairing replaces the old
-    // one-match-arm-per-program dispatch.
-    let mut comm = cfg.algorithm.communicator();
-    let out = if cfg.algorithm.is_radix() {
-        radix::sort(&mut m, comm.as_mut(), [a, b], n, r, KEY_BITS)
-    } else {
-        sample::sort_with_comm(&mut m, comm.as_mut(), [a, b], n, r, KEY_BITS, cfg.sampling)
-    };
+    let out = cfg.algorithm.sort(&mut m, keys, n, r, cfg.sampling);
 
     let mut expect = input;
     expect.sort_unstable();
@@ -504,14 +530,41 @@ mod tests {
         }
     }
 
+    /// Every program × p (one, powers of two, 6, 7) × digit width (6, 5, 4
+    /// and 3 passes over the 31-bit keys, so the result lands in either
+    /// array) × every distribution, through the entry a caller with its own
+    /// machine uses. Each output equals `sort_unstable` of the input, hence
+    /// every other program's on that input.
+    #[test]
+    fn conformance_table() {
+        for p in [1usize, 4, 6, 7, 8] {
+            let n = 2048 + 37 * p; // p divides n only at p = 1
+            for r in [6u32, 7, 8, 11] {
+                for dist in Dist::ALL {
+                    let input = generate(dist, n, p, r, 4242);
+                    let mut expect = input.clone();
+                    expect.sort_unstable();
+                    for alg in Algorithm::ALL {
+                        let mut m = Machine::new(MachineConfig::origin2000(p).scaled_down(64));
+                        let keys = load_keys(&mut m, &input);
+                        let out = alg.sort(&mut m, keys, n, r, SamplingStrategy::default());
+                        assert!(m.raw(out) == &expect[..], "{alg:?} p={p} r={r} {dist:?}");
+                    }
+                }
+            }
+        }
+    }
+
     #[test]
     fn results_are_deterministic() {
-        let cfg = ExpConfig::new(Algorithm::RadixShmem, 2048, 4).scale(64);
-        let r1 = run_experiment(&cfg);
-        let r2 = run_experiment(&cfg);
-        assert_eq!(r1.parallel_ns, r2.parallel_ns);
-        assert_eq!(r1.per_pe, r2.per_pe);
-        assert_eq!(r1.events, r2.events);
+        for alg in [Algorithm::RadixShmem, Algorithm::SampleCcsas] {
+            let cfg = ExpConfig::new(alg, 2048, 4).scale(64);
+            let r1 = run_experiment(&cfg);
+            let r2 = run_experiment(&cfg);
+            assert_eq!(r1.parallel_ns, r2.parallel_ns);
+            assert_eq!(r1.per_pe, r2.per_pe);
+            assert_eq!(r1.events, r2.events);
+        }
     }
 
     #[test]
@@ -532,6 +585,17 @@ mod tests {
         let cfg = ExpConfig::new(Algorithm::RadixShmem, 1024, 0);
         let err = cfg.validate().unwrap_err();
         assert!(err.contains("p = 0"), "{err}");
+    }
+
+    #[test]
+    fn validate_rejects_fewer_keys_than_processors() {
+        for alg in Algorithm::ALL {
+            for (n, p) in [(0, 4), (3, 8), (7, 8)] {
+                let err = ExpConfig::new(alg, n, p).validate().unwrap_err();
+                assert!(err.contains(&format!("n = {n}")) && err.contains(&format!("p = {p}")), "{err}");
+            }
+            assert_eq!(ExpConfig::new(alg, 8, 8).validate(), Ok(()));
+        }
     }
 
     #[test]

@@ -5,19 +5,18 @@
 //! simulated Origin 2000 (`ccsort-machine`) through the three programming
 //! model runtimes (`ccsort-models`):
 //!
-//! * [`radix`] — parallel radix sort in five flavours: original CC-SAS
-//!   (scattered remote writes), restructured CC-SAS-NEW (local buffering),
-//!   MPI (staged or direct, chunk-per-message or coalesced) and SHMEM
-//!   (receiver-initiated `get`s).
-//! * [`sample`] — parallel sample sort in three flavours (CC-SAS, MPI,
-//!   SHMEM), with configurable sampling strategies (the paper's 128
-//!   regular samples per process by default) and two local radix sorts.
+//! * [`radix`] — the parallel radix sort, written once; seven
+//!   [`Algorithm`] rows pair it with a communicator.
+//! * [`sample`] — the parallel sample sort, written once; four rows, with
+//!   configurable sampling strategies (the paper's 128 regular samples per
+//!   process by default) and two local radix sorts.
 //! * [`seq`] — the uniprocessor radix sort used as the speedup baseline for
 //!   *both* algorithms (Table 1).
 //! * [`dist`] — the eight key distributions of Section 3.3.
-//! * [`driver`] — one-call experiment runner producing verified, fully
-//!   deterministic results with per-processor BUSY/LMEM/RMEM/SYNC
-//!   breakdowns.
+//! * [`driver`] — [`Algorithm`], the one table of which skeleton runs over
+//!   which communicator, and the one-call experiment runner producing
+//!   verified, fully deterministic results with per-processor
+//!   BUSY/LMEM/RMEM/SYNC breakdowns.
 //! * [`predict`] — the closed-form performance-prediction formula the
 //!   paper names as future work, checked against the simulator.
 //!
@@ -41,7 +40,7 @@ pub mod seq;
 pub use ccsort_machine::{DirectoryMode, InterconnectKind, ProtocolMode};
 pub use dist::{stagger_window, Dist, KEY_BITS, MAX_KEY};
 pub use driver::{
-    run_experiment, run_experiment_audited, run_sequential_baseline, Algorithm, ExpConfig,
-    ExpResult,
+    load_keys, run_experiment, run_experiment_audited, run_sequential_baseline, Algorithm,
+    ExpConfig, ExpResult,
 };
 pub use sample::SamplingStrategy;

@@ -19,6 +19,7 @@ use ccsort_machine::MachineConfig;
 use crate::common::n_passes;
 use crate::costs;
 use crate::dist::KEY_BITS;
+use crate::driver::Algorithm;
 
 /// Programming model to predict.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -39,6 +40,16 @@ impl PredictModel {
             PredictModel::CcsasNew => "ccsas-new",
             PredictModel::Mpi => "mpi",
             PredictModel::Shmem => "shmem",
+        }
+    }
+
+    /// The simulated program this formula predicts.
+    pub fn algorithm(&self) -> Algorithm {
+        match self {
+            PredictModel::Ccsas => Algorithm::RadixCcsas,
+            PredictModel::CcsasNew => Algorithm::RadixCcsasNew,
+            PredictModel::Mpi => Algorithm::RadixMpiDirect,
+            PredictModel::Shmem => Algorithm::RadixShmem,
         }
     }
 }

@@ -5,28 +5,21 @@
 //! combined into global ranks, (3) every process permutes its keys into the
 //! output array — an all-to-all personalized communication — and the arrays
 //! swap roles. Everything the programming models do differently lives
-//! behind [`ccsort_models::comm::Communicator`]; the per-model modules
-//! below are one-line instantiations of the skeleton:
+//! behind [`ccsort_models::comm::Communicator`]; the seven `Radix*` rows of
+//! [`crate::Algorithm`] pair the skeleton with a communicator:
 //!
-//! | variant | communicator | histogram combine | permutation ([`Permute`]) |
+//! | algorithm | communicator | histogram combine | permutation ([`Permute`]) |
 //! |---|---|---|---|
-//! | [`ccsas`] | `CcsasComm` | shared binary prefix tree | `DirectScatter`: fine-grained scattered remote writes |
-//! | [`ccsas_new`] | `CcsasComm` | shared binary prefix tree | `ContiguousCopy`: local buffering + contiguous remote copies |
-//! | [`mpi`] | `MpiComm` | `MPI_Allgather` + redundant local combine | `ChunkMessages`: one message per contiguously-destined chunk |
-//! | [`mpi_coalesced`] | `MpiComm` | `MPI_Allgather` + redundant local combine | `CoalescedMessages`: one message per destination (IS-style), receiver reorganizes |
-//! | [`shmem`] | `ShmemComm` | `shmem_fcollect` + redundant local combine | `ReceiverGet`: receiver-initiated `get` per chunk |
-//! | [`shmem_put`] | `ShmemComm` | `shmem_fcollect` + redundant local combine | `SenderPut`: sender-initiated `put` per chunk |
+//! | `RadixCcsas` | `CcsasComm` | shared binary prefix tree | `DirectScatter`: fine-grained scattered remote writes, up to `2^r` destination segments interleaved — the read-exclusive + invalidation + writeback sequence per line whose controller contention collapses this program at large sizes (Figure 4a) |
+//! | `RadixCcsasNew` | `CcsasComm` | shared binary prefix tree | `ContiguousCopy` (§4.2.1): permute into a local buffer, then one contiguous streamed copy per digit chunk — extra BUSY time for far less protocol contention; worse than the original only at the smallest (1M-key) sets |
+//! | `RadixMpiStaged`, `RadixMpiDirect` | `MpiComm` (vendor-style bounce buffers / the authors' modified MPICH) | `MPI_Allgather` + redundant local combine (the fine-grained tree would be "very expensive" in MPI) | `ChunkMessages`: one message per contiguously-destined chunk — the variant the authors measured faster on this machine |
+//! | `RadixMpiCoalesced` | `MpiComm` | as above | `CoalescedMessages`: one message per destination as in NAS IS, the receiver reorganizes (an extra copy per key) — §3.1's other strategy, rerun by `repro tradeoff` |
+//! | `RadixShmem` | `ShmemComm` | `shmem_fcollect` + redundant local combine | `ReceiverGet`: every process has the full histogram, so the *receiver* pulls each chunk with a `get`, which deposits the keys in its cache; no per-pair mailbox to stall on |
+//! | `RadixShmemPut` | `ShmemComm` | as above | `SenderPut` (§2's road not taken): the sender scans only its own `2^r` row and `put`s, but the keys land in the owner's *memory*, so the next pass's histogram sweep pays the misses `get` would have prepaid |
 //!
 //! Each skeleton arm reproduces the machine-call sequence of the
 //! hand-written program it replaced, so times, breakdowns and event counts
 //! are bit-identical to the pre-refactor variants.
-
-pub mod ccsas;
-pub mod ccsas_new;
-pub mod mpi;
-pub mod mpi_coalesced;
-pub mod shmem;
-pub mod shmem_put;
 
 use ccsort_machine::{ArrayId, Machine};
 use ccsort_models::comm::{Communicator, Permute};
@@ -462,6 +455,106 @@ pub fn sort(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dist::{Dist, KEY_BITS};
+    use crate::driver::{run_experiment, Algorithm, ExpConfig, ExpResult};
+
+    /// One experiment on the 1/64-scale machine the unit tests share.
+    fn run(alg: Algorithm, n: usize, p: usize, dist: Dist) -> ExpResult {
+        let res = run_experiment(&ExpConfig::new(alg, n, p).dist(dist).seed(55).scale(64));
+        assert!(res.verified, "{alg:?} n={n} p={p} {dist:?}");
+        res
+    }
+
+    #[test]
+    fn agrees_with_original_ccsas_output() {
+        // Both verify against the same sorted input, so they agree.
+        run(Algorithm::RadixCcsasNew, 3072, 8, Dist::Random);
+        run(Algorithm::RadixCcsas, 3072, 8, Dist::Random);
+    }
+
+    #[test]
+    fn staged_slower_than_direct() {
+        let time = |alg| run(alg, 8192, 8, Dist::Gauss).parallel_ns;
+        assert!(time(Algorithm::RadixMpiStaged) > time(Algorithm::RadixMpiDirect));
+    }
+
+    #[test]
+    fn coalesced_pays_the_reorganization_copy() {
+        // The paper found chunk-per-message faster on the Origin 2000 — in
+        // the regime it measured, with a lot of data per processor, where
+        // the receiver-side reorganization copy dwarfs the per-message
+        // overheads. (With little data per processor the tradeoff genuinely
+        // flips: overheads dominate and coalescing wins.)
+        let time = |alg| {
+            let res = run_experiment(&ExpConfig::new(alg, 1 << 20, 16));
+            assert!(res.verified);
+            res.parallel_ns
+        };
+        let t_coalesced = time(Algorithm::RadixMpiCoalesced);
+        let t_chunked = time(Algorithm::RadixMpiDirect);
+        assert!(
+            t_coalesced > t_chunked,
+            "coalesced ({t_coalesced}) must lose to chunk-per-message ({t_chunked}) as in the paper"
+        );
+    }
+
+    #[test]
+    fn local_distribution_sends_no_messages() {
+        // Only the fcollect messages remain (p-1 per rank per pass, plus
+        // nothing from the key exchange).
+        let p = 8;
+        let passes = n_passes(KEY_BITS, 8) as u64;
+        for (pe, e) in run(Algorithm::RadixShmem, 4096, p, Dist::Local).events.iter().enumerate() {
+            assert_eq!(
+                e.messages,
+                (p as u64 - 1) * passes,
+                "pe {pe}: local distribution must move no keys between processes"
+            );
+        }
+    }
+
+    #[test]
+    fn remote_distribution_moves_everything() {
+        let n = 2048;
+        let bytes_for = |dist| {
+            run(Algorithm::RadixShmem, n, 4, dist).events.iter().map(|e| e.message_bytes).sum::<u64>()
+        };
+        // Local moves no keys (its messages are the fcollect only); remote
+        // moves every key in every pass, so the difference must be at least
+        // the full data volume.
+        let remote = bytes_for(Dist::Remote);
+        let local = bytes_for(Dist::Local);
+        assert!(
+            remote >= local + (n * 4) as u64,
+            "remote ({remote}) must move far more bytes than local ({local})"
+        );
+    }
+
+    #[test]
+    fn put_shifts_remote_time_to_local_misses() {
+        // The paper's reason to prefer get (Section 2): a get installs the
+        // exchanged keys in the destination cache, a put installs them
+        // nowhere. Under put the exchange itself charges less remote time,
+        // but the next pass's histogram sweep has to fetch its own
+        // partition from memory — time the get variant never pays.
+        let phases = |alg| {
+            let res = run(alg, 1 << 16, 8, Dist::Gauss);
+            let phase = |name: &str| res.sections.iter().find(|(s, _)| s == name).expect(name).1;
+            (phase("exchange").rmem, phase("histogram").lmem)
+        };
+        let (exch_rmem_put, hist_lmem_put) = phases(Algorithm::RadixShmemPut);
+        let (exch_rmem_get, hist_lmem_get) = phases(Algorithm::RadixShmem);
+        assert!(
+            exch_rmem_put < exch_rmem_get,
+            "put must charge the exchange less remote time than get \
+             (put {exch_rmem_put}, get {exch_rmem_get})"
+        );
+        assert!(
+            hist_lmem_put > hist_lmem_get,
+            "put must leave the destination cold, so the next histogram sweep \
+             pays local-memory misses (put {hist_lmem_put}, get {hist_lmem_get})"
+        );
+    }
 
     #[test]
     fn offsets_are_ranked_by_digit_then_process() {

@@ -441,6 +441,113 @@ impl Communicator for CcsasComm {
 }
 
 // ---------------------------------------------------------------------------
+// The replicating models' shared half (MPI, SHMEM)
+// ---------------------------------------------------------------------------
+
+/// `Mpi::allgather` or `Shmem::fcollect`: rank `pe` gathers `len` elements
+/// from every rank's `(array, offset)` contribution into its own replica.
+type Collective<R> = fn(&R, &mut Machine, usize, &[(ArrayId, usize)], usize, ArrayId);
+
+/// What MPI and SHMEM do alike but for the collective's name: histograms go
+/// into one symmetric array, the collective copies all `p` into every rank's
+/// replica, every rank combines redundantly. Samples and counts likewise.
+struct Replicated {
+    costs: CostModel,
+    bins: usize,
+    hist_arr: ArrayId,
+    replicas: Vec<ArrayId>,
+}
+
+/// One `len`-element replica per rank, each on its rank's node.
+fn alloc_replicas(m: &mut Machine, len: usize, name: &'static str) -> Vec<ArrayId> {
+    (0..m.n_procs()).map(|pe| m.alloc(len, Placement::Node(m.topo().node_of(pe)), name)).collect()
+}
+
+impl Replicated {
+    /// Allocate the symmetric histogram array, then every rank's replica.
+    fn new(m: &mut Machine, bins: usize, costs: CostModel) -> Self {
+        let p = m.n_procs();
+        let hist_arr = m.alloc(p * bins, Placement::Partitioned { parts: p }, "hists");
+        let replicas = alloc_replicas(m, p * bins, "hist-replica");
+        Replicated { costs, bins, hist_arr, replicas }
+    }
+
+    fn publish_hist(&self, m: &mut Machine, pe: usize, hist: &[u32]) {
+        m.busy_cycles_fixed(pe, self.bins as f64);
+        write_fixed(m, pe, self.hist_arr, pe * self.bins, hist);
+    }
+
+    fn combine<R>(&self, m: &mut Machine, runtime: &R, gather: Collective<R>) {
+        let p = m.n_procs();
+        let contribs: Vec<(ArrayId, usize)> = (0..p).map(|j| (self.hist_arr, j * self.bins)).collect();
+        for pe in 0..p {
+            gather(runtime, m, pe, &contribs, self.bins, self.replicas[pe]);
+        }
+        m.barrier();
+    }
+
+    /// Redundant local combine of all `p` histograms; the ranks themselves
+    /// are the precomputed `offsets[pe]`.
+    fn read_ranks(&self, m: &mut Machine, pe: usize, offsets: &[Vec<u32>]) -> Vec<u32> {
+        let entries = m.n_procs() * self.bins;
+        let mut replica = vec![0u32; entries];
+        read_fixed(m, pe, self.replicas[pe], 0, &mut replica);
+        m.busy_cycles_fixed(pe, self.costs.offset_cyc_per_entry * entries as f64);
+        offsets[pe].clone()
+    }
+}
+
+/// Every rank gathers all `p * s` samples, sorts them redundantly and picks
+/// the same splitters. `runtime` is built after the replicas are allocated
+/// (MPI's bounce buffers follow them in memory).
+fn replicated_splitters<R>(
+    m: &mut Machine,
+    costs: &CostModel,
+    samples: ArrayId,
+    s: usize,
+    runtime: impl FnOnce(&mut Machine) -> R,
+    gather: Collective<R>,
+) -> Vec<u32> {
+    let p = m.n_procs();
+    let total = p * s;
+    let mut all: Vec<u32> = Vec::new();
+    let replicas = alloc_replicas(m, total, "sample-replica");
+    let contribs: Vec<(ArrayId, usize)> = (0..p).map(|j| (samples, j * s)).collect();
+    let runtime = runtime(m);
+    for pe in 0..p {
+        gather(&runtime, m, pe, &contribs, s, replicas[pe]);
+        let mut buf = vec![0u32; total];
+        read_fixed(m, pe, replicas[pe], 0, &mut buf);
+        m.busy_cycles_fixed(pe, costs.sort_cyc_per_cmp * total as f64 * (total.max(2) as f64).log2());
+        buf.sort_unstable();
+        if pe == 0 {
+            all = buf;
+        }
+    }
+    m.barrier();
+    (1..p).map(|k| all[k * total / p]).collect()
+}
+
+/// Every rank gathers the whole `p × p` count matrix into a fresh replica;
+/// `runtime` is built first.
+fn replicated_counts<R>(
+    m: &mut Machine,
+    costs: &CostModel,
+    flat_counts: ArrayId,
+    runtime: impl FnOnce(&mut Machine) -> R,
+    gather: Collective<R>,
+) {
+    let p = m.n_procs();
+    let runtime = runtime(m);
+    let contribs: Vec<(ArrayId, usize)> = (0..p).map(|j| (flat_counts, j * p)).collect();
+    for pe in 0..p {
+        let replica = m.alloc(p * p, Placement::Node(m.topo().node_of(pe)), "count-replica");
+        gather(&runtime, m, pe, &contribs, p, replica);
+        m.busy_cycles_fixed(pe, costs.offset_cyc_per_entry * (p * p) as f64);
+    }
+}
+
+// ---------------------------------------------------------------------------
 // MPI
 // ---------------------------------------------------------------------------
 
@@ -449,8 +556,7 @@ impl Communicator for CcsasComm {
 struct MpiRadixState {
     stage: ArrayId,
     recv_buf: Option<ArrayId>,
-    hist_arr: ArrayId,
-    replicas: Vec<ArrayId>,
+    hists: Replicated,
     mpi: Mpi,
 }
 
@@ -460,11 +566,12 @@ pub struct MpiComm {
     mode: MpiMode,
     style: Permute,
     costs: CostModel,
-    bins: usize,
     state: Option<MpiRadixState>,
 }
 
 impl MpiComm {
+    const COLLECTIVE: Collective<Mpi> = Mpi::allgather;
+
     /// `style` must be [`Permute::ChunkMessages`] or
     /// [`Permute::CoalescedMessages`].
     pub fn new(mode: MpiMode, style: Permute, costs: CostModel) -> Self {
@@ -472,7 +579,7 @@ impl MpiComm {
             matches!(style, Permute::ChunkMessages | Permute::CoalescedMessages),
             "MPI permutes by per-chunk or coalesced messages, not {style:?}"
         );
-        MpiComm { mode, style, costs, bins: 0, state: None }
+        MpiComm { mode, style, costs, state: None }
     }
 
     fn state(&mut self) -> &mut MpiRadixState {
@@ -502,7 +609,6 @@ impl Communicator for MpiComm {
 
     fn setup_radix(&mut self, m: &mut Machine, n: usize, bins: usize) {
         let p = m.n_procs();
-        self.bins = bins;
         // Per-rank staging buffer for the local permutation.
         let stage = m.alloc(n, Placement::Partitioned { parts: p }, "stage");
         // Receive buffer: coalesced messages land here before the receiver
@@ -512,21 +618,12 @@ impl Communicator for MpiComm {
         } else {
             None
         };
-        // Local histograms live in the symmetric histogram array so the
-        // collective can fetch them.
-        let hist_arr = m.alloc(p * bins, Placement::Partitioned { parts: p }, "hists");
-        // Every rank's local replica of all histograms.
-        let replicas: Vec<ArrayId> = (0..p)
-            .map(|pe| {
-                let home = m.topo().node_of(pe);
-                m.alloc(p * bins, Placement::Node(home), "hist-replica")
-            })
-            .collect();
+        let hists = Replicated::new(m, bins, self.costs);
         // Worst-case inbound data per rank per pass: its own partition plus
         // chunk-boundary slack.
         let bounce_cap = n.div_ceil(p) + 2 * bins + 64;
         let mpi = Mpi::new(m, self.mode, bounce_cap);
-        self.state = Some(MpiRadixState { stage, recv_buf, hist_arr, replicas, mpi });
+        self.state = Some(MpiRadixState { stage, recv_buf, hists, mpi });
     }
 
     fn stage(&self) -> ArrayId {
@@ -542,10 +639,7 @@ impl Communicator for MpiComm {
     }
 
     fn publish_hist(&mut self, m: &mut Machine, pe: usize, hist: &[u32]) {
-        let bins = self.bins;
-        let hist_arr = self.state().hist_arr;
-        m.busy_cycles_fixed(pe, bins as f64);
-        write_fixed(m, pe, hist_arr, pe * bins, hist);
+        self.state().hists.publish_hist(m, pe, hist);
     }
 
     fn publish_done(&mut self, m: &mut Machine) {
@@ -553,15 +647,8 @@ impl Communicator for MpiComm {
     }
 
     fn combine(&mut self, m: &mut Machine, _hists: &[Vec<u32>]) {
-        let p = m.n_procs();
-        let bins = self.bins;
-        let hist_arr = self.state().hist_arr;
-        let contribs: Vec<(ArrayId, usize)> = (0..p).map(|j| (hist_arr, j * bins)).collect();
-        for pe in 0..p {
-            let replica = self.state().replicas[pe];
-            self.state().mpi.allgather(m, pe, &contribs, bins, replica);
-        }
-        m.barrier();
+        let st = self.state();
+        st.hists.combine(m, &st.mpi, Self::COLLECTIVE);
     }
 
     fn read_ranks(
@@ -571,14 +658,7 @@ impl Communicator for MpiComm {
         _hists: &[Vec<u32>],
         offsets: &[Vec<u32>],
     ) -> Vec<u32> {
-        let p = m.n_procs();
-        let bins = self.bins;
-        // Redundant local combine of all p histograms.
-        let mut replica = vec![0u32; p * bins];
-        let rep = self.state().replicas[pe];
-        read_fixed(m, pe, rep, 0, &mut replica);
-        m.busy_cycles_fixed(pe, self.costs.offset_cyc_per_entry * (p * bins) as f64);
-        offsets[pe].clone()
+        self.state().hists.read_ranks(m, pe, offsets)
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -601,41 +681,11 @@ impl Communicator for MpiComm {
     }
 
     fn select_splitters(&mut self, m: &mut Machine, samples: ArrayId, s: usize) -> Vec<u32> {
-        let p = m.n_procs();
-        let total = p * s;
-        let mut all: Vec<u32> = Vec::new();
-        let replicas: Vec<ArrayId> = (0..p)
-            .map(|pe| m.alloc(total, Placement::Node(m.topo().node_of(pe)), "sample-replica"))
-            .collect();
-        let contribs: Vec<(ArrayId, usize)> = (0..p).map(|j| (samples, j * s)).collect();
-        let mut mpi = Mpi::new(m, self.mode, 1);
-        for pe in 0..p {
-            mpi.allgather(m, pe, &contribs, s, replicas[pe]);
-            // Redundant local sort + selection on every rank.
-            let mut buf = vec![0u32; total];
-            read_fixed(m, pe, replicas[pe], 0, &mut buf);
-            m.busy_cycles_fixed(
-                pe,
-                self.costs.sort_cyc_per_cmp * total as f64 * (total.max(2) as f64).log2(),
-            );
-            buf.sort_unstable();
-            if pe == 0 {
-                all = buf;
-            }
-        }
-        m.barrier();
-        (1..p).map(|k| all[k * total / p]).collect()
+        replicated_splitters(m, &self.costs, samples, s, |m| Mpi::new(m, self.mode, 1), Self::COLLECTIVE)
     }
 
     fn replicate_counts(&mut self, m: &mut Machine, flat_counts: ArrayId) {
-        let p = m.n_procs();
-        let mut mpi = Mpi::new(m, self.mode, 1);
-        let contribs: Vec<(ArrayId, usize)> = (0..p).map(|j| (flat_counts, j * p)).collect();
-        for pe in 0..p {
-            let replica = m.alloc(p * p, Placement::Node(m.topo().node_of(pe)), "count-replica");
-            mpi.allgather(m, pe, &contribs, p, replica);
-            m.busy_cycles_fixed(pe, self.costs.offset_cyc_per_entry * (p * p) as f64);
-        }
+        replicated_counts(m, &self.costs, flat_counts, |m| Mpi::new(m, self.mode, 1), Self::COLLECTIVE);
     }
 
     fn exchange_keys(&mut self, m: &mut Machine, sorted: ArrayId, recv: ArrayId, plan: &ExchangePlan) {
@@ -662,8 +712,7 @@ impl Communicator for MpiComm {
 /// Everything a radix pass needs under SHMEM.
 struct ShmemRadixState {
     stage: ArrayId,
-    hist_arr: ArrayId,
-    replicas: Vec<ArrayId>,
+    hists: Replicated,
     shmem: Shmem,
 }
 
@@ -672,11 +721,12 @@ struct ShmemRadixState {
 pub struct ShmemComm {
     style: Permute,
     costs: CostModel,
-    bins: usize,
     state: Option<ShmemRadixState>,
 }
 
 impl ShmemComm {
+    const COLLECTIVE: Collective<Shmem> = Shmem::fcollect;
+
     /// `style` must be [`Permute::ReceiverGet`] (the paper's program) or
     /// [`Permute::SenderPut`].
     pub fn new(style: Permute, costs: CostModel) -> Self {
@@ -684,7 +734,7 @@ impl ShmemComm {
             matches!(style, Permute::ReceiverGet | Permute::SenderPut),
             "SHMEM permutes by one-sided get or put, not {style:?}"
         );
-        ShmemComm { style, costs, bins: 0, state: None }
+        ShmemComm { style, costs, state: None }
     }
 
     fn state(&self) -> &ShmemRadixState {
@@ -703,17 +753,9 @@ impl Communicator for ShmemComm {
 
     fn setup_radix(&mut self, m: &mut Machine, n: usize, bins: usize) {
         let p = m.n_procs();
-        self.bins = bins;
         let stage = m.alloc(n, Placement::Partitioned { parts: p }, "stage");
-        let hist_arr = m.alloc(p * bins, Placement::Partitioned { parts: p }, "hists");
-        let replicas: Vec<ArrayId> = (0..p)
-            .map(|pe| {
-                let home = m.topo().node_of(pe);
-                m.alloc(p * bins, Placement::Node(home), "hist-replica")
-            })
-            .collect();
-        let shmem = Shmem::new(m);
-        self.state = Some(ShmemRadixState { stage, hist_arr, replicas, shmem });
+        let hists = Replicated::new(m, bins, self.costs);
+        self.state = Some(ShmemRadixState { stage, hists, shmem: Shmem::new(m) });
     }
 
     fn stage(&self) -> ArrayId {
@@ -721,10 +763,7 @@ impl Communicator for ShmemComm {
     }
 
     fn publish_hist(&mut self, m: &mut Machine, pe: usize, hist: &[u32]) {
-        let bins = self.bins;
-        let hist_arr = self.state().hist_arr;
-        m.busy_cycles_fixed(pe, bins as f64);
-        write_fixed(m, pe, hist_arr, pe * bins, hist);
+        self.state().hists.publish_hist(m, pe, hist);
     }
 
     fn publish_done(&mut self, m: &mut Machine) {
@@ -732,15 +771,8 @@ impl Communicator for ShmemComm {
     }
 
     fn combine(&mut self, m: &mut Machine, _hists: &[Vec<u32>]) {
-        let p = m.n_procs();
-        let bins = self.bins;
-        let hist_arr = self.state().hist_arr;
-        let contribs: Vec<(ArrayId, usize)> = (0..p).map(|j| (hist_arr, j * bins)).collect();
-        for pe in 0..p {
-            let st = self.state();
-            st.shmem.fcollect(m, pe, &contribs, bins, st.replicas[pe]);
-        }
-        m.barrier();
+        let st = self.state();
+        st.hists.combine(m, &st.shmem, Self::COLLECTIVE);
     }
 
     fn read_ranks(
@@ -750,12 +782,7 @@ impl Communicator for ShmemComm {
         _hists: &[Vec<u32>],
         offsets: &[Vec<u32>],
     ) -> Vec<u32> {
-        let p = m.n_procs();
-        let bins = self.bins;
-        let mut replica = vec![0u32; p * bins];
-        read_fixed(m, pe, self.state().replicas[pe], 0, &mut replica);
-        m.busy_cycles_fixed(pe, self.costs.offset_cyc_per_entry * (p * bins) as f64);
-        offsets[pe].clone()
+        self.state().hists.read_ranks(m, pe, offsets)
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -801,40 +828,11 @@ impl Communicator for ShmemComm {
     }
 
     fn select_splitters(&mut self, m: &mut Machine, samples: ArrayId, s: usize) -> Vec<u32> {
-        let p = m.n_procs();
-        let total = p * s;
-        let mut all: Vec<u32> = Vec::new();
-        let replicas: Vec<ArrayId> = (0..p)
-            .map(|pe| m.alloc(total, Placement::Node(m.topo().node_of(pe)), "sample-replica"))
-            .collect();
-        let contribs: Vec<(ArrayId, usize)> = (0..p).map(|j| (samples, j * s)).collect();
-        let shmem = Shmem::new(m);
-        for pe in 0..p {
-            shmem.fcollect(m, pe, &contribs, s, replicas[pe]);
-            let mut buf = vec![0u32; total];
-            read_fixed(m, pe, replicas[pe], 0, &mut buf);
-            m.busy_cycles_fixed(
-                pe,
-                self.costs.sort_cyc_per_cmp * total as f64 * (total.max(2) as f64).log2(),
-            );
-            buf.sort_unstable();
-            if pe == 0 {
-                all = buf;
-            }
-        }
-        m.barrier();
-        (1..p).map(|k| all[k * total / p]).collect()
+        replicated_splitters(m, &self.costs, samples, s, |m| Shmem::new(m), Self::COLLECTIVE)
     }
 
     fn replicate_counts(&mut self, m: &mut Machine, flat_counts: ArrayId) {
-        let p = m.n_procs();
-        let shmem = Shmem::new(m);
-        let contribs: Vec<(ArrayId, usize)> = (0..p).map(|j| (flat_counts, j * p)).collect();
-        for pe in 0..p {
-            let replica = m.alloc(p * p, Placement::Node(m.topo().node_of(pe)), "count-replica");
-            shmem.fcollect(m, pe, &contribs, p, replica);
-            m.busy_cycles_fixed(pe, self.costs.offset_cyc_per_entry * (p * p) as f64);
-        }
+        replicated_counts(m, &self.costs, flat_counts, |m| Shmem::new(m), Self::COLLECTIVE);
     }
 
     fn exchange_keys(&mut self, m: &mut Machine, sorted: ArrayId, recv: ArrayId, plan: &ExchangePlan) {
@@ -881,6 +879,7 @@ mod tests {
     #[test]
     fn exclusive_scan_shifts_by_one() {
         assert_eq!(exclusive_scan(&[3, 1, 4, 1]), vec![0, 3, 4, 8]);
+        assert_eq!(exclusive_scan(&[3, 0, 2, 5]), vec![0, 3, 3, 5]);
         assert!(exclusive_scan(&[]).is_empty());
     }
 

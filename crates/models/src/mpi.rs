@@ -225,7 +225,7 @@ impl Mpi {
     /// with the data set size" the paper blames for MPI's poor small-set
     /// performance.
     pub fn allgather(
-        &mut self,
+        &self,
         m: &mut Machine,
         pe: usize,
         contribs: &[(ArrayId, usize)],
@@ -380,7 +380,7 @@ mod tests {
         let dsts: Vec<ArrayId> = (0..p)
             .map(|pe| m.alloc(p * 8, Placement::Node(m.topo().node_of(pe)), "replica"))
             .collect();
-        let mut mpi = Mpi::new(&mut m, MpiMode::Direct, 0);
+        let mpi = Mpi::new(&mut m, MpiMode::Direct, 0);
         let contribs: Vec<(ArrayId, usize)> = (0..p).map(|j| (src, j * 8)).collect();
         for pe in 0..p {
             mpi.allgather(&mut m, pe, &contribs, 8, dsts[pe]);

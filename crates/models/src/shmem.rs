@@ -251,7 +251,7 @@ mod tests {
             let dsts: Vec<_> = (0..p)
                 .map(|pe| m.alloc(p * len, Placement::Node(m.topo().node_of(pe)), "r"))
                 .collect();
-            let mut mpi = Mpi::new(&mut m, MpiMode::Direct, 0);
+            let mpi = Mpi::new(&mut m, MpiMode::Direct, 0);
             let contribs: Vec<_> = (0..p).map(|j| (src, j * len)).collect();
             for pe in 0..p {
                 mpi.allgather(&mut m, pe, &contribs, len, dsts[pe]);

@@ -7,87 +7,53 @@
 //! The paper's comparison is *the same radix sort* written under CC-SAS,
 //! MPI and SHMEM. After the communicator refactor that sentence is literal
 //! code: [`ccsort::algos::radix::sort`] is the single skeleton
-//! (histogram → combine → permute/exchange per pass), and each programming
-//! model is a [`ccsort::models::Communicator`] implementation handed to it.
-//! This example builds one communicator per model, runs the *identical*
-//! skeleton through each on the simulated Origin 2000, and prints the
-//! BUSY/LMEM/RMEM/SYNC breakdowns the paper compares — plus the two SHMEM
-//! exchange directions (`get` vs `put`, §2) that the trait made nearly
-//! free to add.
+//! (histogram → combine → permute/exchange per pass), each programming
+//! model is a [`ccsort::models::Communicator`] implementation handed to it,
+//! and [`ccsort::algos::Algorithm`] is the table of pairings. This example
+//! runs the table's seven radix rows — the *identical* skeleton over seven
+//! transports — on the simulated Origin 2000 and prints the
+//! BUSY/LMEM/RMEM/SYNC breakdowns the paper compares, including the two
+//! SHMEM exchange directions (`get` vs `put`, §2) that the trait made
+//! nearly free to add.
 
-use ccsort::algos::costs;
-use ccsort::algos::dist::{generate, Dist, KEY_BITS};
-use ccsort::algos::radix;
-use ccsort::machine::{Machine, MachineConfig, Placement};
-use ccsort::models::{CcsasComm, Communicator, MpiComm, MpiMode, Permute, ShmemComm};
+use ccsort::algos::{run_experiment, Algorithm, ExpConfig};
 
 fn main() {
     let mut args = std::env::args().skip(1);
     let n: usize = args.next().and_then(|s| s.parse().ok()).unwrap_or(1 << 18);
     let p: usize = args.next().and_then(|s| s.parse().ok()).unwrap_or(16);
-    let r = 8;
 
-    // Every entry is the same algorithm; only the transport differs.
-    let variants: Vec<(&str, Box<dyn Communicator>)> = vec![
-        ("CC-SAS (direct scatter)", Box::new(CcsasComm::new(Permute::DirectScatter, costs::comm_costs()))),
-        ("CC-SAS-NEW (local buffer)", Box::new(CcsasComm::new(Permute::ContiguousCopy, costs::comm_costs()))),
-        ("MPI (chunk messages)", Box::new(MpiComm::new(MpiMode::Direct, Permute::ChunkMessages, costs::comm_costs()))),
-        ("MPI (coalesced, IS-style)", Box::new(MpiComm::new(MpiMode::Direct, Permute::CoalescedMessages, costs::comm_costs()))),
-        ("SHMEM (receiver get)", Box::new(ShmemComm::new(Permute::ReceiverGet, costs::comm_costs()))),
-        ("SHMEM (sender put)", Box::new(ShmemComm::new(Permute::SenderPut, costs::comm_costs()))),
-    ];
+    // Every row is the same algorithm; only the transport differs.
+    let variants = Algorithm::ALL.into_iter().filter(Algorithm::is_radix);
+    if let Err(e) = ExpConfig::new(Algorithm::RadixCcsas, n, p).validate() {
+        eprintln!("invalid configuration: {e}");
+        std::process::exit(2);
+    }
 
-    println!("one radix-sort skeleton x {} communicators", variants.len());
+    println!("one radix-sort skeleton x {} communicators", variants.clone().count());
     println!("n = {n} Gauss keys, p = {p} simulated processors (machine scale 1/16)\n");
     println!(
         "{:>28} {:>10} {:>10} {:>10} {:>10} {:>10}",
         "variant", "BUSY us", "LMEM us", "RMEM us", "SYNC us", "total ms"
     );
 
-    let mut reference: Option<Vec<u32>> = None;
-    for (name, mut comm) in variants {
-        let mut m = Machine::new(MachineConfig::origin2000(p).scaled_down(16));
-        let a = m.alloc(n, Placement::Partitioned { parts: p }, "keys0");
-        let b = m.alloc(n, Placement::Partitioned { parts: p }, "keys1");
-        let input = generate(Dist::Gauss, n, p, r, 271828);
-        m.raw_mut(a).copy_from_slice(&input);
-
-        let out = radix::sort(&mut m, comm.as_mut(), [a, b], n, r, KEY_BITS);
-
-        // Bit-identical output across models: the skeleton owns the
+    for alg in variants {
+        // Verified against `sort_unstable` of the one shared input, so the
+        // output is bit-identical across models: the skeleton owns the
         // algorithm, the communicator only moves bytes.
-        let sorted = m.raw(out).to_vec();
-        match &reference {
-            None => {
-                let mut expect = input;
-                expect.sort_unstable();
-                assert_eq!(sorted, expect, "{name} must sort");
-                reference = Some(sorted);
-            }
-            Some(expect) => assert_eq!(&sorted, expect, "{name} diverged from the other models"),
-        }
-
-        let mean = {
-            let mut t = ccsort::machine::TimeBreakdown::default();
-            for pe in 0..p {
-                t.add(&m.breakdown(pe));
-            }
-            t.busy /= p as f64;
-            t.lmem /= p as f64;
-            t.rmem /= p as f64;
-            t.sync /= p as f64;
-            t
-        };
+        let res = run_experiment(&ExpConfig::new(alg, n, p));
+        assert!(res.verified, "{} must sort", alg.name());
+        let mean = res.mean_breakdown();
         println!(
             "{:>28} {:>10.0} {:>10.0} {:>10.0} {:>10.0} {:>10.2}",
-            name,
+            alg.name(),
             mean.busy / 1e3,
             mean.lmem / 1e3,
             mean.rmem / 1e3,
             mean.sync / 1e3,
-            m.parallel_time() / 1e6
+            res.parallel_ns / 1e6
         );
     }
 
-    println!("\nall six instantiations produced bit-identical sorted output");
+    println!("\nall seven instantiations produced bit-identical sorted output");
 }

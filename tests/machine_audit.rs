@@ -6,7 +6,7 @@
 //! must flag it.
 
 use ccsort::algos::dist::{generate, Dist};
-use ccsort::algos::{radix, KEY_BITS};
+use ccsort::algos::{load_keys, Algorithm, SamplingStrategy};
 use ccsort::machine::{DirectoryMode, Machine, MachineConfig, Placement};
 
 #[test]
@@ -23,11 +23,8 @@ fn audit_is_clean_after_a_real_sort() {
         let p = 4;
         let cfg = MachineConfig::origin2000(p).scaled_down(256).with_directory_mode(mode);
         let mut m = Machine::new(cfg);
-        let a = m.alloc(n, Placement::Partitioned { parts: p }, "k0");
-        let b = m.alloc(n, Placement::Partitioned { parts: p }, "k1");
-        let input = generate(Dist::Stagger, n, p, 8, 0);
-        m.raw_mut(a).copy_from_slice(&input);
-        radix::ccsas::sort(&mut m, [a, b], n, 8, KEY_BITS);
+        let keys = load_keys(&mut m, &generate(Dist::Stagger, n, p, 8, 0));
+        Algorithm::RadixCcsas.sort(&mut m, keys, n, 8, SamplingStrategy::default());
         assert_eq!(m.audit(), Vec::<String>::new(), "dir={mode}");
     }
 }

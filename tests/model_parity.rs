@@ -8,83 +8,42 @@
 //!
 //! The grid deliberately includes a non-power-of-two processor count: the
 //! uneven partition boundaries (`n mod p != 0`) are where an off-by-one in
-//! a transport's offset arithmetic would first diverge.
+//! a transport's offset arithmetic would first diverge. This is the slice
+//! of `ccsort-algos`' `driver::tests::conformance_table` that tier-1 runs
+//! through the facade.
 
-use ccsort::algos::dist::{generate, Dist, KEY_BITS};
-use ccsort::algos::sample::{self, SamplingStrategy};
-use ccsort::algos::radix;
-use ccsort::machine::{ArrayId, Machine, MachineConfig, Placement};
-use ccsort::models::MpiMode;
+use ccsort::algos::dist::{generate, Dist};
+use ccsort::algos::{load_keys, Algorithm, SamplingStrategy};
+use ccsort::machine::{Machine, MachineConfig};
 
 const N: usize = 2048;
 const R: u32 = 8;
 const SEED: u64 = 4242;
 
-/// Run one sort function on a fresh machine and return its output.
-fn run(p: usize, dist: Dist, sort: impl FnOnce(&mut Machine, [ArrayId; 2]) -> ArrayId) -> Vec<u32> {
-    let mut m = Machine::new(MachineConfig::origin2000(p).scaled_down(64));
-    let a = m.alloc(N, Placement::Partitioned { parts: p }, "keys0");
-    let b = m.alloc(N, Placement::Partitioned { parts: p }, "keys1");
-    let input = generate(dist, N, p, R, SEED);
-    m.raw_mut(a).copy_from_slice(&input);
-    let out = sort(&mut m, [a, b]);
-    m.raw(out).to_vec()
-}
-
-fn grid() -> Vec<(usize, Dist)> {
-    let mut cells = Vec::new();
+/// Every algorithm of one skeleton, on a fresh machine per (p, dist) cell,
+/// against the sorted input — and so against each other.
+fn all_agree(is_radix: bool) {
     for p in [4usize, 7] {
         for dist in [Dist::Gauss, Dist::Zero, Dist::Local] {
-            cells.push((p, dist));
+            let input = generate(dist, N, p, R, SEED);
+            let mut expect = input.clone();
+            expect.sort_unstable();
+            for alg in Algorithm::ALL.into_iter().filter(|a| a.is_radix() == is_radix) {
+                let mut m = Machine::new(MachineConfig::origin2000(p).scaled_down(64));
+                let keys = load_keys(&mut m, &input);
+                let out = alg.sort(&mut m, keys, N, R, SamplingStrategy::default());
+                assert_eq!(m.raw(out), &expect[..], "{} diverged at p={p}, {dist:?}", alg.name());
+            }
         }
     }
-    cells
-}
-
-fn reference(p: usize, dist: Dist) -> Vec<u32> {
-    let mut keys = generate(dist, N, p, R, SEED);
-    keys.sort_unstable();
-    keys
 }
 
 #[test]
 fn all_radix_variants_agree_bit_for_bit() {
-    type RadixSort = fn(&mut Machine, [ArrayId; 2], usize, u32, u32) -> ArrayId;
-    let variants: [(&str, RadixSort); 7] = [
-        ("radix-ccsas", radix::ccsas::sort),
-        ("radix-ccsas-new", radix::ccsas_new::sort),
-        ("radix-mpi-sgi", |m, k, n, r, kb| radix::mpi::sort(m, MpiMode::Staged, k, n, r, kb)),
-        ("radix-mpi-new", |m, k, n, r, kb| radix::mpi::sort(m, MpiMode::Direct, k, n, r, kb)),
-        ("radix-mpi-coalesced", |m, k, n, r, kb| {
-            radix::mpi_coalesced::sort(m, MpiMode::Direct, k, n, r, kb)
-        }),
-        ("radix-shmem", radix::shmem::sort),
-        ("radix-shmem-put", radix::shmem_put::sort),
-    ];
-    for (p, dist) in grid() {
-        let expect = reference(p, dist);
-        for (name, sort) in variants {
-            let out = run(p, dist, |m, keys| sort(m, keys, N, R, KEY_BITS));
-            assert_eq!(out, expect, "{name} diverged at p={p}, {dist:?}");
-        }
-    }
+    all_agree(true);
 }
 
 #[test]
 fn all_sample_models_agree_bit_for_bit() {
-    let models = [
-        ("sample-ccsas", sample::Model::Ccsas),
-        ("sample-mpi-sgi", sample::Model::Mpi(MpiMode::Staged)),
-        ("sample-mpi-new", sample::Model::Mpi(MpiMode::Direct)),
-        ("sample-shmem", sample::Model::Shmem),
-    ];
-    for (p, dist) in grid() {
-        let expect = reference(p, dist);
-        for (name, model) in models {
-            let out = run(p, dist, |m, keys| {
-                sample::sort_with(m, model, keys, N, R, KEY_BITS, SamplingStrategy::default())
-            });
-            assert_eq!(out, expect, "{name} diverged at p={p}, {dist:?}");
-        }
-    }
+    all_agree(false);
 }

@@ -4,17 +4,11 @@
 //! follows from the machine parameters.
 
 use ccsort::algos::predict::{predict_radix, PredictModel};
-use ccsort::algos::{run_experiment, Algorithm, ExpConfig};
+use ccsort::algos::{run_experiment, ExpConfig};
 use ccsort::machine::MachineConfig;
 
 fn simulate(model: PredictModel, n: usize, p: usize, scale: usize) -> f64 {
-    let alg = match model {
-        PredictModel::Ccsas => Algorithm::RadixCcsas,
-        PredictModel::CcsasNew => Algorithm::RadixCcsasNew,
-        PredictModel::Mpi => Algorithm::RadixMpiDirect,
-        PredictModel::Shmem => Algorithm::RadixShmem,
-    };
-    let res = run_experiment(&ExpConfig::new(alg, n, p).radix_bits(8).scale(scale));
+    let res = run_experiment(&ExpConfig::new(model.algorithm(), n, p).radix_bits(8).scale(scale));
     assert!(res.verified);
     res.parallel_ns
 }

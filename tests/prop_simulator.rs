@@ -7,7 +7,7 @@
 //! failing case names its seed; `ccsort_rng::check_case` replays it.
 
 use ccsort::algos::dist::{generate, Dist, MAX_KEY};
-use ccsort::algos::{run_experiment_audited, Algorithm, ExpConfig};
+use ccsort::algos::{load_keys, run_experiment_audited, Algorithm, ExpConfig, SamplingStrategy};
 use ccsort::machine::{Machine, MachineConfig, Placement};
 use ccsort_audit::validate_dist;
 use ccsort_rng::{check_cases, SplitMix64};
@@ -163,30 +163,11 @@ fn coherence_invariants_hold_after_dma() {
 #[test]
 fn coherence_invariants_hold_after_sorts() {
     check_cases(16, |rng| (pick(rng, &Algorithm::ALL), rng.random_range(0u64..100)), |&(alg, seed)| {
-        use ccsort::algos::dist::generate;
-        use ccsort::algos::KEY_BITS;
         let n = 1 << 11;
         let p = 4;
         let mut m = Machine::new(MachineConfig::origin2000(p).scaled_down(256));
-        let a = m.alloc(n, Placement::Partitioned { parts: p }, "k0");
-        let b = m.alloc(n, Placement::Partitioned { parts: p }, "k1");
-        let input = generate(Dist::Gauss, n, p, 8, seed);
-        m.raw_mut(a).copy_from_slice(&input);
-        use ccsort::models::MpiMode;
-        use ccsort::algos::{radix, sample};
-        match alg {
-            Algorithm::RadixCcsas => { radix::ccsas::sort(&mut m, [a, b], n, 8, KEY_BITS); }
-            Algorithm::RadixCcsasNew => { radix::ccsas_new::sort(&mut m, [a, b], n, 8, KEY_BITS); }
-            Algorithm::RadixMpiStaged => { radix::mpi::sort(&mut m, MpiMode::Staged, [a, b], n, 8, KEY_BITS); }
-            Algorithm::RadixMpiDirect => { radix::mpi::sort(&mut m, MpiMode::Direct, [a, b], n, 8, KEY_BITS); }
-            Algorithm::RadixMpiCoalesced => { radix::mpi_coalesced::sort(&mut m, MpiMode::Direct, [a, b], n, 8, KEY_BITS); }
-            Algorithm::RadixShmem => { radix::shmem::sort(&mut m, [a, b], n, 8, KEY_BITS); }
-            Algorithm::RadixShmemPut => { radix::shmem_put::sort(&mut m, [a, b], n, 8, KEY_BITS); }
-            Algorithm::SampleCcsas => { sample::ccsas::sort(&mut m, [a, b], n, 8, KEY_BITS); }
-            Algorithm::SampleMpiStaged => { sample::mpi::sort(&mut m, MpiMode::Staged, [a, b], n, 8, KEY_BITS); }
-            Algorithm::SampleMpiDirect => { sample::mpi::sort(&mut m, MpiMode::Direct, [a, b], n, 8, KEY_BITS); }
-            Algorithm::SampleShmem => { sample::shmem::sort(&mut m, [a, b], n, 8, KEY_BITS); }
-        }
+        let keys = load_keys(&mut m, &generate(Dist::Gauss, n, p, 8, seed));
+        alg.sort(&mut m, keys, n, 8, SamplingStrategy::default());
         assert_audit_clean(&m);
     });
 }
