@@ -446,6 +446,10 @@ impl MachineConfig {
         check(self.page_size.is_power_of_two(), || {
             format!("page_size: {} must be a power of two", self.page_size)
         })?;
+        // The TLB indexes its slots with `u16`, `u16::MAX` meaning unmapped.
+        check((1..u16::MAX as usize).contains(&self.tlb_entries), || {
+            format!("tlb_entries: {} outside 1..{}", self.tlb_entries, u16::MAX)
+        })?;
         check(self.l2.line.is_power_of_two(), || {
             format!("l2.line: {} must be a power of two", self.l2.line)
         })?;

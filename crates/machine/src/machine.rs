@@ -561,8 +561,9 @@ impl Machine {
     /// literally one [`Machine::touch_line_ref`] per line. Otherwise the
     /// lines run a flattened single-pass loop: repeats of the hinted line
     /// skip the walk, a line on the page of its predecessor skips the TLB
-    /// access (a `last`-page hit is pure in the reference walk — for a
-    /// contiguous run that is one TLB access per page), and each line
+    /// access (a `last`-page hit is pure in the reference walk), every
+    /// page change is one O(1) [`Tlb::access`] — the reference's own — so
+    /// a contiguous run costs one TLB access per page, and each line
     /// performs exactly one L1 and at most one L2 tag probe with the common
     /// hit arms inlined; only upgrades and misses take the heavyweight
     /// directory path, entered in place. Everything observable — f64 time
@@ -612,18 +613,6 @@ impl Machine {
         // Set-index frame hash of `prev_page` (see `Cache::frame_of`);
         // initialized on the first line, which always misses `prev_page`.
         let mut prev_frame = 0u64;
-        // Walk-local table of pages verified TLB-resident since the last
-        // in-walk TLB miss (direct-mapped; a miss clears it). Skipping the
-        // TLB access for such a page is exact: a hit would only set the
-        // referenced bit — already set by the access that put the page in
-        // this table, and only misses clear referenced bits (no other PE
-        // runs mid-walk) — and refresh `last`, whose value is unobservable
-        // whenever the invariant "page == last implies its referenced bit
-        // is set" holds, which every reachable TLB state satisfies. This
-        // removes the per-line page-table lookup that dominates the warm
-        // scattered walk.
-        const SEEN_PAGES: usize = 64;
-        let mut seen_pages = [0u64; SEEN_PAGES]; // page + 1; 0 = empty
         loop {
             // Tight loop over the remaining lines with the borrows hoisted;
             // falls out only for the heavyweight upgrade/miss protocol path.
@@ -663,23 +652,13 @@ impl Machine {
                         // page geometry, so one frame hash serves both
                         // probes for every line on this page.
                         prev_frame = Cache::frame_of(page);
-                        let slot = (page as usize) & (SEEN_PAGES - 1);
-                        if seen_pages[slot] != page + 1 {
-                            if s.tlb.access(page) {
-                                seen_pages[slot] = page + 1;
-                            } else {
-                                // In-walk miss: the clock hand may have
-                                // cleared referenced bits — drop the table
-                                // (misses are rare; the clear is 512 B).
-                                seen_pages = [0u64; SEEN_PAGES];
-                                seen_pages[slot] = page + 1;
-                                tlb_misses += 1;
-                                // Inlined `charge`: same f64 accumulation
-                                // order (all walk charges are Lmem).
-                                time += tlb_miss_ns;
-                                brk_lmem += tlb_miss_ns;
-                                sec_lmem += tlb_miss_ns;
-                            }
+                        if !s.tlb.access(page) {
+                            tlb_misses += 1;
+                            // Inlined `charge`: same f64 accumulation
+                            // order (all walk charges are Lmem).
+                            time += tlb_miss_ns;
+                            brk_lmem += tlb_miss_ns;
+                            sec_lmem += tlb_miss_ns;
                         }
                     }
                     // L1 filter (the reference's, with the probe
@@ -1321,6 +1300,16 @@ mod tests {
         cfg.page_size = 4096;
         cfg.tlb_entries = 16;
         Machine::new(cfg)
+    }
+
+    #[test]
+    fn validate_rejects_zero_tlb_entries() {
+        for entries in [0, u16::MAX as usize] {
+            let mut cfg = MachineConfig::origin2000(2);
+            cfg.tlb_entries = entries;
+            let err = Machine::try_new(cfg).expect_err("try_new must reject the config");
+            assert!(err.contains("tlb_entries"), "error must name the field: {err}");
+        }
     }
 
     #[test]

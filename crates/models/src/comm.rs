@@ -510,20 +510,19 @@ fn replicated_splitters<R>(
 ) -> Vec<u32> {
     let p = m.n_procs();
     let total = p * s;
-    let mut all: Vec<u32> = Vec::new();
+    let mut all = vec![0u32; total];
+    let mut other = vec![0u32; total];
     let replicas = alloc_replicas(m, total, "sample-replica");
     let contribs: Vec<(ArrayId, usize)> = (0..p).map(|j| (samples, j * s)).collect();
     let runtime = runtime(m);
     for pe in 0..p {
         gather(&runtime, m, pe, &contribs, s, replicas[pe]);
-        let mut buf = vec![0u32; total];
-        read_fixed(m, pe, replicas[pe], 0, &mut buf);
+        // Every rank's replica holds the same samples: only rank 0's copy
+        // is sorted on the host; every rank is charged for its own sort.
+        read_fixed(m, pe, replicas[pe], 0, if pe == 0 { &mut all } else { &mut other });
         m.busy_cycles_fixed(pe, costs.sort_cyc_per_cmp * total as f64 * (total.max(2) as f64).log2());
-        buf.sort_unstable();
-        if pe == 0 {
-            all = buf;
-        }
     }
+    all.sort_unstable();
     m.barrier();
     (1..p).map(|k| all[k * total / p]).collect()
 }
