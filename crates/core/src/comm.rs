@@ -1,16 +1,19 @@
-//! The [`Communicator`] transport layer: one trait per programming model,
-//! one sorting skeleton per algorithm.
+//! The [`Communicator`] trait: everything the three programming models do
+//! differently inside the two sorting skeletons, `radix::sort` and
+//! `sample::sort_with_comm`.
 //!
 //! The paper's whole argument is that the *same* radix/sample algorithm
 //! behaves differently under CC-SAS, MPI, and SHMEM. This module factors
 //! that comparison the way BSP sorting studies do (Gerbessiotis &
-//! Siniolakis): the algorithm skeleton is written once in `ccsort-algos`,
-//! and everything the models do differently — histogram publication and
-//! combination (prefix tree vs `MPI_Allgather` vs `shmem_fcollect`),
-//! exclusive-scan-to-offsets, the key-exchange transport ([`Permute`]) and
-//! the sample-sort collectives — sits behind [`Communicator`].
+//! Siniolakis): each skeleton is written once, and each superstep whose
+//! data movement differs by model is one method, owned whole by the model —
+//! histogram publication and combination (prefix tree vs `MPI_Allgather` vs
+//! `shmem_fcollect`), the radix permutation of each pass, and the
+//! sample-sort splitter, count and key exchanges. The runtimes underneath
+//! ([`Mpi`], [`Shmem`], [`PrefixTree`]) live in `ccsort-models`.
 //!
-//! Three implementations cover the paper's models:
+//! Three implementations cover the paper's models, each with two radix
+//! permutation styles ([`Permute`]):
 //!
 //! * [`CcsasComm`] — load/store shared memory with the SPLASH-2 binary
 //!   [`PrefixTree`]; permutes with [`Permute::DirectScatter`] (the original
@@ -27,25 +30,24 @@
 //!
 //! Every method reproduces, call for call, the `Machine` access sequence of
 //! the hand-written variant it replaced — allocation order, timed reads,
-//! busy charges, barriers — so the refactor is observable-preserving: phase
-//! sections, BUSY/LMEM/RMEM/SYNC breakdowns, event counters and
-//! race-detector verdicts are bit-identical to the pre-trait programs.
+//! busy charges, barriers — so phase sections, BUSY/LMEM/RMEM/SYNC
+//! breakdowns, event counters and race-detector verdicts are bit-identical
+//! to the pre-trait programs.
 
 use ccsort_machine::{ArrayId, Machine, Placement};
+use ccsort_models::{cpu_copy, read_fixed, write_fixed, Mpi, MpiMode, PrefixTree, Shmem};
 
-use crate::mpi::{Mpi, MpiMode};
-use crate::prefix::PrefixTree;
-use crate::shmem::Shmem;
-use crate::{cpu_copy, read_fixed, write_fixed};
+use crate::common::{exclusive_scan, part_range};
+use crate::costs;
+use crate::radix::{blocked_permute, split_by_owner, ChunkPiece};
 
 /// Processes per sample-collection group in the CC-SAS sample sort.
-pub const GROUP: usize = 32;
+const GROUP: usize = 32;
 
-/// The four data-movement styles of the radix-sort permutation phase, plus
-/// the two one-sided directions. Which style a [`Communicator`] reports
-/// decides which permutation skeleton arm runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Permute {
+/// The six data-movement styles of the radix-sort permutation phase, two
+/// per model; the constructors take theirs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Permute {
     /// Fine-grained scattered writes straight into the (mostly remote)
     /// output array — the original CC-SAS program.
     DirectScatter,
@@ -66,39 +68,11 @@ pub enum Permute {
     SenderPut,
 }
 
-/// Instruction-cost knobs the communicators charge for the work embedded in
-/// their collectives (scans, redundant combines, splitter sorts, copies).
-/// The algorithm crate owns the calibrated constants and passes them in, so
-/// this crate needs no dependency on it.
-#[derive(Debug, Clone, Copy)]
-pub struct CostModel {
-    /// Cycles per histogram bin for a sequential exclusive scan.
-    pub scan_cyc_per_bin: f64,
-    /// Cycles per entry to turn replicated histograms into offsets.
-    pub offset_cyc_per_entry: f64,
-    /// Cycles per element·log2(element) for a comparison sort.
-    pub sort_cyc_per_cmp: f64,
-    /// Extra cycles per key for a tight copy loop.
-    pub copy_cyc_per_key: f64,
-}
-
-/// Exclusive prefix sum (the scan every model runs over its histograms).
-pub fn exclusive_scan(v: &[u32]) -> Vec<u32> {
-    let mut out = vec![0u32; v.len()];
-    let mut acc = 0u32;
-    for (o, &x) in out.iter_mut().zip(v) {
-        *o = acc;
-        acc += x;
-    }
-    out
-}
-
 /// Global destination offsets for every (process, digit) chunk, given all
 /// local histograms: `offsets[pe][d]` is where process `pe`'s keys with
-/// digit `d` start in the output array. This is the scan-to-offsets step
-/// every model performs — redundantly per rank under MPI/SHMEM, through the
-/// shared tree under CC-SAS.
-pub fn global_offsets(hists: &[Vec<u32>]) -> Vec<Vec<u32>> {
+/// digit `d` start in the output array. The replicating models compute it
+/// redundantly on every rank; CC-SAS reads it from the shared tree.
+fn global_offsets(hists: &[Vec<u32>]) -> Vec<Vec<u32>> {
     let p = hists.len();
     let bins = hists[0].len();
     let mut totals = vec![0u32; bins];
@@ -123,7 +97,7 @@ pub fn global_offsets(hists: &[Vec<u32>]) -> Vec<Vec<u32>> {
 /// the skeleton (host math; the binary-search work is charged separately):
 /// process `i` sends `counts[i][j]` keys from `src_off[i][j]` to
 /// `dst_off[i][j]` in the receive array.
-pub struct ExchangePlan {
+pub(crate) struct ExchangePlan {
     pub counts: Vec<Vec<u32>>,
     pub src_off: Vec<Vec<usize>>,
     pub dst_off: Vec<Vec<usize>>,
@@ -131,39 +105,19 @@ pub struct ExchangePlan {
     pub max_region: usize,
 }
 
-/// One programming model's transport operations, as used by the radix- and
-/// sample-sort skeletons in `ccsort-algos`. Methods a model does not
-/// support (two-sided sends on CC-SAS, one-sided gets on MPI, ...) keep
-/// their panicking defaults; the skeleton only calls the operations that
-/// belong to the communicator's [`Permute`] style.
-pub trait Communicator {
-    /// Which permutation skeleton arm this communicator drives.
-    fn style(&self) -> Permute;
-
-    /// Human name, for panics and reports.
-    fn name(&self) -> &'static str;
-
-    /// Open a program phase. Default: a machine section boundary. The
-    /// coalesced-MPI instantiation overrides this to a no-op (the historical
-    /// program kept no sections and the tradeoff harness depends on that).
-    fn section(&self, m: &mut Machine, name: &'static str) {
-        m.section(name);
-    }
+/// One programming model's supersteps, as the radix- and sample-sort
+/// skeletons call them. Each method is a whole superstep of one model;
+/// none is shared between models by default.
+pub(crate) trait Communicator {
+    /// Open a program phase: a machine section boundary, except under the
+    /// coalesced-MPI program, which historically kept no sections (the
+    /// tradeoff harness depends on that).
+    fn section(&self, m: &mut Machine, name: &'static str);
 
     /// Allocate whatever the model needs for a radix sort of `n` keys with
     /// `bins`-way histograms, in the model's historical allocation order
     /// (allocation order decides page layout and therefore timing).
     fn setup_radix(&mut self, m: &mut Machine, n: usize, bins: usize);
-
-    /// The local staging buffer (every style except [`Permute::DirectScatter`]).
-    fn stage(&self) -> ArrayId {
-        panic!("{}: no staging buffer in this permute style", self.name());
-    }
-
-    /// The coalesced-message landing buffer ([`Permute::CoalescedMessages`] only).
-    fn recv_buf(&self) -> ArrayId {
-        panic!("{}: no receive buffer in this permute style", self.name());
-    }
 
     /// Publish `pe`'s local histogram (tree leaves under CC-SAS, the
     /// symmetric histogram array under MPI/SHMEM).
@@ -176,87 +130,20 @@ pub trait Communicator {
 
     /// Combine the published histograms so every process can obtain global
     /// ranks: tree accumulation, `MPI_Allgather`, or `shmem_fcollect`.
-    fn combine(&mut self, m: &mut Machine, hists: &[Vec<u32>]);
+    fn combine(&mut self, m: &mut Machine);
 
-    /// Perform `pe`'s timed read of the combined histogram data and return
-    /// its global rank row (`ranks[d]` = where `pe`'s digit-`d` keys start
-    /// in the output). Under CC-SAS this reads the tree and scans; under
-    /// MPI/SHMEM it reads the local replica and charges the redundant
-    /// combine, returning the precomputed `offsets[pe]`.
-    fn read_ranks(
+    /// Radix phase 3 (and 4, where the style has one) of digit `pass`: move
+    /// every key of `src` to its rank in `dst`, given every process's local
+    /// histogram. The skeleton supplies the closing barrier.
+    fn permute(
         &mut self,
         m: &mut Machine,
-        pe: usize,
+        keys: [ArrayId; 2],
+        n: usize,
+        pass: u32,
+        r: u32,
         hists: &[Vec<u32>],
-        offsets: &[Vec<u32>],
-    ) -> Vec<u32>;
-
-    /// Two-sided send (message-passing models).
-    #[allow(clippy::too_many_arguments)]
-    fn send(
-        &mut self,
-        _m: &mut Machine,
-        _src_pe: usize,
-        _src_arr: ArrayId,
-        _src_off: usize,
-        _dst_pe: usize,
-        _dst_arr: ArrayId,
-        _dst_off: usize,
-        _len: usize,
-    ) {
-        panic!("{}: two-sided messages are not part of this model", self.name());
-    }
-
-    /// Complete all inbound messages at `pe` (message-passing models).
-    fn drain(&mut self, _m: &mut Machine, _pe: usize) {
-        panic!("{}: two-sided messages are not part of this model", self.name());
-    }
-
-    /// One-sided `get` into `pe`'s partition (SHMEM).
-    #[allow(clippy::too_many_arguments)]
-    fn get(
-        &mut self,
-        _m: &mut Machine,
-        _pe: usize,
-        _dst_arr: ArrayId,
-        _dst_off: usize,
-        _src_arr: ArrayId,
-        _src_off: usize,
-        _len: usize,
-    ) {
-        panic!("{}: one-sided transfers are not part of this model", self.name());
-    }
-
-    /// Same-PE block transfer (SHMEM).
-    #[allow(clippy::too_many_arguments)]
-    fn get_local(
-        &mut self,
-        _m: &mut Machine,
-        _pe: usize,
-        _dst_arr: ArrayId,
-        _dst_off: usize,
-        _src_arr: ArrayId,
-        _src_off: usize,
-        _len: usize,
-    ) {
-        panic!("{}: one-sided transfers are not part of this model", self.name());
-    }
-
-    /// One-sided `put` from `pe`'s staging area into a remote partition
-    /// (SHMEM; installs in no cache).
-    #[allow(clippy::too_many_arguments)]
-    fn put(
-        &mut self,
-        _m: &mut Machine,
-        _pe: usize,
-        _src_arr: ArrayId,
-        _src_off: usize,
-        _dst_arr: ArrayId,
-        _dst_off: usize,
-        _len: usize,
-    ) {
-        panic!("{}: one-sided transfers are not part of this model", self.name());
-    }
+    );
 
     /// Sample-sort phase 3: combine the `p * s` published samples and
     /// return the `p - 1` splitters (every model computes the same values;
@@ -279,9 +166,8 @@ pub trait Communicator {
 
 /// Load/store shared memory: histogram combination through the shared
 /// binary [`PrefixTree`], splitters through delegated group collectors.
-pub struct CcsasComm {
+pub(crate) struct CcsasComm {
     style: Permute,
-    costs: CostModel,
     bins: usize,
     tree: Option<PrefixTree>,
     stage: Option<ArrayId>,
@@ -290,26 +176,36 @@ pub struct CcsasComm {
 impl CcsasComm {
     /// `style` must be [`Permute::DirectScatter`] (the original program) or
     /// [`Permute::ContiguousCopy`] (CC-SAS-NEW).
-    pub fn new(style: Permute, costs: CostModel) -> Self {
+    pub(crate) fn new(style: Permute) -> Self {
         assert!(
             matches!(style, Permute::DirectScatter | Permute::ContiguousCopy),
             "CC-SAS permutes by direct scatter or buffered contiguous copy, not {style:?}"
         );
-        CcsasComm { style, costs, bins: 0, tree: None, stage: None }
+        CcsasComm { style, bins: 0, tree: None, stage: None }
     }
 
     fn tree(&self) -> &PrefixTree {
         self.tree.as_ref().expect("setup_radix not called")
     }
+
+    /// `pe`'s timed read of the accumulated tree and its scan: `ranks[d]` is
+    /// where `pe`'s digit-`d` keys start in the output.
+    fn read_ranks(&self, m: &mut Machine, pe: usize) -> Vec<u32> {
+        let bins = self.bins;
+        let mut pref = vec![0u32; bins];
+        let mut tot = vec![0u32; bins];
+        let tree = self.tree();
+        tree.read_prefix(m, pe, &mut pref);
+        tree.read_totals(m, pe, &mut tot);
+        m.busy_cycles_fixed(pe, costs::SCAN_CYC_PER_BIN * bins as f64);
+        let scan = exclusive_scan(&tot);
+        (0..bins).map(|d| scan[d] + pref[d]).collect()
+    }
 }
 
 impl Communicator for CcsasComm {
-    fn style(&self) -> Permute {
-        self.style
-    }
-
-    fn name(&self) -> &'static str {
-        "CC-SAS"
+    fn section(&self, m: &mut Machine, name: &'static str) {
+        m.section(name);
     }
 
     fn setup_radix(&mut self, m: &mut Machine, n: usize, bins: usize) {
@@ -323,10 +219,6 @@ impl Communicator for CcsasComm {
         }
     }
 
-    fn stage(&self) -> ArrayId {
-        self.stage.expect("DirectScatter CC-SAS has no staging buffer")
-    }
-
     fn publish_hist(&mut self, m: &mut Machine, pe: usize, hist: &[u32]) {
         self.tree().set_local(m, pe, hist);
     }
@@ -335,26 +227,70 @@ impl Communicator for CcsasComm {
         // The tree accumulation opens with its own barrier.
     }
 
-    fn combine(&mut self, m: &mut Machine, _hists: &[Vec<u32>]) {
+    fn combine(&mut self, m: &mut Machine) {
         self.tree().accumulate(m);
     }
 
-    fn read_ranks(
+    fn permute(
         &mut self,
         m: &mut Machine,
-        pe: usize,
-        _hists: &[Vec<u32>],
-        _offsets: &[Vec<u32>],
-    ) -> Vec<u32> {
-        let bins = self.bins;
-        let mut pref = vec![0u32; bins];
-        let mut tot = vec![0u32; bins];
-        let tree = self.tree.as_ref().expect("setup_radix not called");
-        tree.read_prefix(m, pe, &mut pref);
-        tree.read_totals(m, pe, &mut tot);
-        m.busy_cycles_fixed(pe, self.costs.scan_cyc_per_bin * bins as f64);
-        let scan = exclusive_scan(&tot);
-        (0..bins).map(|d| scan[d] + pref[d]).collect()
+        [src, dst]: [ArrayId; 2],
+        n: usize,
+        pass: u32,
+        r: u32,
+        hists: &[Vec<u32>],
+    ) {
+        let p = m.n_procs();
+        let bins = 1usize << r;
+        if self.style == Permute::DirectScatter {
+            self.section(m, "permute");
+            for pe in 0..p {
+                let mut cursors = self.read_ranks(m, pe);
+                // The defining access of the original CC-SAS program:
+                // fine-grained writes straight into other processes'
+                // partitions.
+                blocked_permute(m, pe, src, dst, n, p, &mut cursors, 0, costs::PERMUTE_CYC_PER_KEY, pass, r);
+            }
+            return;
+        }
+
+        // Permute into the local staging buffer (scattered but *local*:
+        // cheap misses, no remote protocol storm)...
+        self.section(m, "permute");
+        let stage = self.stage.expect("setup_radix not called");
+        for pe in 0..p {
+            let base = part_range(n, p, pe).start;
+            let mut cursors = exclusive_scan(&hists[pe]);
+            blocked_permute(
+                m,
+                pe,
+                src,
+                stage,
+                n,
+                p,
+                &mut cursors,
+                base,
+                costs::PERMUTE_CYC_PER_KEY + costs::BUFFER_EXTRA_CYC_PER_KEY,
+                pass,
+                r,
+            );
+        }
+        m.barrier();
+        // ...then copy each digit chunk to its (remote) destination as one
+        // contiguous streamed transfer.
+        self.section(m, "exchange");
+        for pe in 0..p {
+            let ranks = self.read_ranks(m, pe);
+            let base = part_range(n, p, pe).start;
+            let lscan = exclusive_scan(&hists[pe]);
+            for d in 0..bins {
+                let len = hists[pe][d] as usize;
+                if len == 0 {
+                    continue;
+                }
+                cpu_copy(m, pe, stage, base + lscan[d] as usize, dst, ranks[d] as usize, len, costs::COPY_CYC_PER_KEY);
+            }
+        }
     }
 
     fn select_splitters(&mut self, m: &mut Machine, samples: ArrayId, s: usize) -> Vec<u32> {
@@ -370,10 +306,7 @@ impl Communicator for CcsasComm {
             let cnt = gsize * s;
             let mut buf = vec![0u32; cnt];
             read_fixed(m, leader, samples, leader * s, &mut buf);
-            m.busy_cycles_fixed(
-                leader,
-                self.costs.sort_cyc_per_cmp * cnt as f64 * (cnt.max(2) as f64).log2(),
-            );
+            m.busy_cycles_fixed(leader, costs::SORT_CYC_PER_CMP * cnt as f64 * (cnt.max(2) as f64).log2());
             buf.sort_unstable();
             write_fixed(m, leader, collected, leader * s, &buf);
         }
@@ -384,10 +317,7 @@ impl Communicator for CcsasComm {
         let all = {
             let mut buf = vec![0u32; total];
             read_fixed(m, 0, collected, 0, &mut buf);
-            m.busy_cycles_fixed(
-                0,
-                self.costs.sort_cyc_per_cmp * total as f64 * (n_groups.max(2) as f64).log2(),
-            );
+            m.busy_cycles_fixed(0, costs::SORT_CYC_PER_CMP * total as f64 * (n_groups.max(2) as f64).log2());
             buf.sort_unstable();
             let spl: Vec<u32> = (1..p).map(|k| buf[k * total / p]).collect();
             if !spl.is_empty() {
@@ -413,7 +343,7 @@ impl Communicator for CcsasComm {
         for pe in 0..p {
             let mut buf = vec![0u32; p * p];
             read_fixed(m, pe, flat_counts, 0, &mut buf);
-            m.busy_cycles_fixed(pe, self.costs.offset_cyc_per_entry * (p * p) as f64);
+            m.busy_cycles_fixed(pe, costs::OFFSET_CYC_PER_ENTRY * (p * p) as f64);
         }
     }
 
@@ -424,16 +354,7 @@ impl Communicator for CcsasComm {
             for i in 0..p {
                 let len = plan.counts[i][j] as usize;
                 if len > 0 {
-                    cpu_copy(
-                        m,
-                        j,
-                        sorted,
-                        plan.src_off[i][j],
-                        recv,
-                        plan.dst_off[i][j],
-                        len,
-                        self.costs.copy_cyc_per_key,
-                    );
+                    cpu_copy(m, j, sorted, plan.src_off[i][j], recv, plan.dst_off[i][j], len, costs::COPY_CYC_PER_KEY);
                 }
             }
         }
@@ -452,7 +373,6 @@ type Collective<R> = fn(&R, &mut Machine, usize, &[(ArrayId, usize)], usize, Arr
 /// into one symmetric array, the collective copies all `p` into every rank's
 /// replica, every rank combines redundantly. Samples and counts likewise.
 struct Replicated {
-    costs: CostModel,
     bins: usize,
     hist_arr: ArrayId,
     replicas: Vec<ArrayId>,
@@ -465,11 +385,11 @@ fn alloc_replicas(m: &mut Machine, len: usize, name: &'static str) -> Vec<ArrayI
 
 impl Replicated {
     /// Allocate the symmetric histogram array, then every rank's replica.
-    fn new(m: &mut Machine, bins: usize, costs: CostModel) -> Self {
+    fn new(m: &mut Machine, bins: usize) -> Self {
         let p = m.n_procs();
         let hist_arr = m.alloc(p * bins, Placement::Partitioned { parts: p }, "hists");
         let replicas = alloc_replicas(m, p * bins, "hist-replica");
-        Replicated { costs, bins, hist_arr, replicas }
+        Replicated { bins, hist_arr, replicas }
     }
 
     fn publish_hist(&self, m: &mut Machine, pe: usize, hist: &[u32]) {
@@ -492,7 +412,7 @@ impl Replicated {
         let entries = m.n_procs() * self.bins;
         let mut replica = vec![0u32; entries];
         read_fixed(m, pe, self.replicas[pe], 0, &mut replica);
-        m.busy_cycles_fixed(pe, self.costs.offset_cyc_per_entry * entries as f64);
+        m.busy_cycles_fixed(pe, costs::OFFSET_CYC_PER_ENTRY * entries as f64);
         offsets[pe].clone()
     }
 }
@@ -502,7 +422,6 @@ impl Replicated {
 /// (MPI's bounce buffers follow them in memory).
 fn replicated_splitters<R>(
     m: &mut Machine,
-    costs: &CostModel,
     samples: ArrayId,
     s: usize,
     runtime: impl FnOnce(&mut Machine) -> R,
@@ -520,7 +439,7 @@ fn replicated_splitters<R>(
         // Every rank's replica holds the same samples: only rank 0's copy
         // is sorted on the host; every rank is charged for its own sort.
         read_fixed(m, pe, replicas[pe], 0, if pe == 0 { &mut all } else { &mut other });
-        m.busy_cycles_fixed(pe, costs.sort_cyc_per_cmp * total as f64 * (total.max(2) as f64).log2());
+        m.busy_cycles_fixed(pe, costs::SORT_CYC_PER_CMP * total as f64 * (total.max(2) as f64).log2());
     }
     all.sort_unstable();
     m.barrier();
@@ -531,7 +450,6 @@ fn replicated_splitters<R>(
 /// `runtime` is built first.
 fn replicated_counts<R>(
     m: &mut Machine,
-    costs: &CostModel,
     flat_counts: ArrayId,
     runtime: impl FnOnce(&mut Machine) -> R,
     gather: Collective<R>,
@@ -542,7 +460,7 @@ fn replicated_counts<R>(
     for pe in 0..p {
         let replica = m.alloc(p * p, Placement::Node(m.topo().node_of(pe)), "count-replica");
         gather(&runtime, m, pe, &contribs, p, replica);
-        m.busy_cycles_fixed(pe, costs.offset_cyc_per_entry * (p * p) as f64);
+        m.busy_cycles_fixed(pe, costs::OFFSET_CYC_PER_ENTRY * (p * p) as f64);
     }
 }
 
@@ -561,10 +479,9 @@ struct MpiRadixState {
 
 /// Two-sided message passing: allgathered histogram replicas, redundant
 /// local combines, and per-chunk or coalesced messages.
-pub struct MpiComm {
+pub(crate) struct MpiComm {
     mode: MpiMode,
     style: Permute,
-    costs: CostModel,
     state: Option<MpiRadixState>,
 }
 
@@ -573,12 +490,12 @@ impl MpiComm {
 
     /// `style` must be [`Permute::ChunkMessages`] or
     /// [`Permute::CoalescedMessages`].
-    pub fn new(mode: MpiMode, style: Permute, costs: CostModel) -> Self {
+    pub(crate) fn new(mode: MpiMode, style: Permute) -> Self {
         assert!(
             matches!(style, Permute::ChunkMessages | Permute::CoalescedMessages),
             "MPI permutes by per-chunk or coalesced messages, not {style:?}"
         );
-        MpiComm { mode, style, costs, state: None }
+        MpiComm { mode, style, state: None }
     }
 
     fn state(&mut self) -> &mut MpiRadixState {
@@ -587,20 +504,7 @@ impl MpiComm {
 }
 
 impl Communicator for MpiComm {
-    fn style(&self) -> Permute {
-        self.style
-    }
-
-    fn name(&self) -> &'static str {
-        match self.mode {
-            MpiMode::Staged => "MPI (staged)",
-            MpiMode::Direct => "MPI (direct)",
-        }
-    }
-
     fn section(&self, m: &mut Machine, name: &'static str) {
-        // The coalesced program historically kept no sections (the §3.1
-        // tradeoff harness reads whole-run times only).
         if self.style != Permute::CoalescedMessages {
             m.section(name);
         }
@@ -617,24 +521,12 @@ impl Communicator for MpiComm {
         } else {
             None
         };
-        let hists = Replicated::new(m, bins, self.costs);
+        let hists = Replicated::new(m, bins);
         // Worst-case inbound data per rank per pass: its own partition plus
         // chunk-boundary slack.
         let bounce_cap = n.div_ceil(p) + 2 * bins + 64;
         let mpi = Mpi::new(m, self.mode, bounce_cap);
         self.state = Some(MpiRadixState { stage, recv_buf, hists, mpi });
-    }
-
-    fn stage(&self) -> ArrayId {
-        self.state.as_ref().expect("setup_radix not called").stage
-    }
-
-    fn recv_buf(&self) -> ArrayId {
-        self.state
-            .as_ref()
-            .expect("setup_radix not called")
-            .recv_buf
-            .expect("per-chunk MPI has no coalescing receive buffer")
     }
 
     fn publish_hist(&mut self, m: &mut Machine, pe: usize, hist: &[u32]) {
@@ -645,46 +537,170 @@ impl Communicator for MpiComm {
         m.barrier();
     }
 
-    fn combine(&mut self, m: &mut Machine, _hists: &[Vec<u32>]) {
+    fn combine(&mut self, m: &mut Machine) {
         let st = self.state();
         st.hists.combine(m, &st.mpi, Self::COLLECTIVE);
     }
 
-    fn read_ranks(
+    fn permute(
         &mut self,
         m: &mut Machine,
-        pe: usize,
-        _hists: &[Vec<u32>],
-        offsets: &[Vec<u32>],
-    ) -> Vec<u32> {
-        self.state().hists.read_ranks(m, pe, offsets)
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn send(
-        &mut self,
-        m: &mut Machine,
-        src_pe: usize,
-        src_arr: ArrayId,
-        src_off: usize,
-        dst_pe: usize,
-        dst_arr: ArrayId,
-        dst_off: usize,
-        len: usize,
+        [src, dst]: [ArrayId; 2],
+        n: usize,
+        pass: u32,
+        r: u32,
+        hists: &[Vec<u32>],
     ) {
-        self.state().mpi.send(m, src_pe, src_arr, src_off, dst_pe, dst_arr, dst_off, len);
-    }
+        let p = m.n_procs();
+        let bins = 1usize << r;
+        let offsets = global_offsets(hists);
+        let coalesced = self.style == Permute::CoalescedMessages;
+        let st = self.state();
+        let stage = st.stage;
+        if !coalesced {
+            m.section("permute");
+            for pe in 0..p {
+                st.hists.read_ranks(m, pe, &offsets);
+                let base = part_range(n, p, pe).start;
+                let lscan = exclusive_scan(&hists[pe]);
+                let mut cursors = lscan.clone();
+                blocked_permute(
+                    m,
+                    pe,
+                    src,
+                    stage,
+                    n,
+                    p,
+                    &mut cursors,
+                    base,
+                    costs::PERMUTE_CYC_PER_KEY + costs::BUFFER_EXTRA_CYC_PER_KEY,
+                    pass,
+                    r,
+                );
+                // Send each contiguously-destined chunk piece.
+                for d in 0..bins {
+                    let len = hists[pe][d] as usize;
+                    if len == 0 {
+                        continue;
+                    }
+                    let goff = offsets[pe][d] as usize;
+                    for piece in split_by_owner(n, p, goff, len) {
+                        st.mpi.send(
+                            m,
+                            pe,
+                            stage,
+                            base + lscan[d] as usize + piece.src_delta,
+                            piece.owner,
+                            dst,
+                            piece.dst_off,
+                            piece.len,
+                        );
+                    }
+                }
+            }
+            // Receivers complete all inbound messages.
+            m.section("exchange");
+            for pe in 0..p {
+                st.mpi.drain(m, pe);
+            }
+            return;
+        }
 
-    fn drain(&mut self, m: &mut Machine, pe: usize) {
-        self.state().mpi.drain(m, pe);
+        // Local permutation (as per chunk), but record every piece instead
+        // of sending it: all_pieces[src_pe][dst_pe] = pieces bound for dst_pe.
+        let recv_buf = st.recv_buf.expect("setup_radix not called");
+        let mut all_pieces: Vec<Vec<Vec<ChunkPiece>>> = vec![vec![Vec::new(); p]; p];
+        for pe in 0..p {
+            st.hists.read_ranks(m, pe, &offsets);
+            let base = part_range(n, p, pe).start;
+            let lscan = exclusive_scan(&hists[pe]);
+            let mut cursors = lscan.clone();
+            blocked_permute(
+                m,
+                pe,
+                src,
+                stage,
+                n,
+                p,
+                &mut cursors,
+                base,
+                costs::PERMUTE_CYC_PER_KEY + costs::BUFFER_EXTRA_CYC_PER_KEY,
+                pass,
+                r,
+            );
+            for d in 0..bins {
+                let len = hists[pe][d] as usize;
+                if len == 0 {
+                    continue;
+                }
+                let goff = offsets[pe][d] as usize;
+                for mut piece in split_by_owner(n, p, goff, len) {
+                    // Remember where in the stage this piece starts.
+                    piece.src_delta += base + lscan[d] as usize;
+                    all_pieces[pe][piece.owner].push(piece);
+                }
+            }
+        }
+
+        // One coalesced message per (src, dst) pair. Because the global
+        // offsets grow monotonically with the digit, a sender's chunks for a
+        // given destination sit *contiguously* in its digit-ordered stage,
+        // so the whole bundle ships as a single transfer — exactly the
+        // IS-style scheme.
+        let mut recv_cursor: Vec<usize> = (0..p).map(|j| part_range(n, p, j).start).collect();
+        let mut landing: Vec<Vec<(usize, usize, usize)>> = vec![Vec::new(); p]; // (buf_off, dst_off, len)
+        for pe in 0..p {
+            for j in 0..p {
+                let pieces = &all_pieces[pe][j];
+                let total: usize = pieces.iter().map(|c| c.len).sum();
+                if total == 0 {
+                    continue;
+                }
+                let stage_start = pieces[0].src_delta;
+                debug_assert!(
+                    pieces.windows(2).all(|w| w[0].src_delta + w[0].len <= w[1].src_delta),
+                    "pieces must be in increasing stage order"
+                );
+                st.mpi.send(m, pe, stage, stage_start, j, recv_buf, recv_cursor[j], total);
+                // Record where each chunk landed so the receiver can place it.
+                let mut buf_off = recv_cursor[j];
+                for piece in pieces {
+                    // Account for any gap between pieces in the stage (keys
+                    // of interleaved digits destined elsewhere) — the send
+                    // shipped a contiguous run, so re-place per piece from
+                    // its true stage position.
+                    // ccsort-lints: allow(untimed_outside_setup) --
+                    // the st.mpi.send() above shipped and charged the
+                    // whole contiguous run; this re-places pieces
+                    // of already-paid-for data at their true
+                    // receiver offsets.
+                    m.copy_untimed(pe, stage, piece.src_delta, recv_buf, buf_off, piece.len);
+                    landing[j].push((buf_off, piece.dst_off, piece.len));
+                    buf_off += piece.len;
+                }
+                recv_cursor[j] = buf_off;
+            }
+        }
+        for pe in 0..p {
+            st.mpi.drain(m, pe);
+        }
+        m.barrier();
+
+        // The cost of coalescing: the receiver reorganizes the chunks from
+        // its recv buffer into their true positions.
+        for pe in 0..p {
+            for &(buf_off, dst_off, len) in &landing[pe] {
+                cpu_copy(m, pe, recv_buf, buf_off, dst, dst_off, len, costs::COPY_CYC_PER_KEY);
+            }
+        }
     }
 
     fn select_splitters(&mut self, m: &mut Machine, samples: ArrayId, s: usize) -> Vec<u32> {
-        replicated_splitters(m, &self.costs, samples, s, |m| Mpi::new(m, self.mode, 1), Self::COLLECTIVE)
+        replicated_splitters(m, samples, s, |m| Mpi::new(m, self.mode, 1), Self::COLLECTIVE)
     }
 
     fn replicate_counts(&mut self, m: &mut Machine, flat_counts: ArrayId) {
-        replicated_counts(m, &self.costs, flat_counts, |m| Mpi::new(m, self.mode, 1), Self::COLLECTIVE);
+        replicated_counts(m, flat_counts, |m| Mpi::new(m, self.mode, 1), Self::COLLECTIVE);
     }
 
     fn exchange_keys(&mut self, m: &mut Machine, sorted: ArrayId, recv: ArrayId, plan: &ExchangePlan) {
@@ -717,9 +733,8 @@ struct ShmemRadixState {
 
 /// One-sided communication on a symmetric address space: fcollected
 /// histogram replicas and `get`/`put` block transfers.
-pub struct ShmemComm {
+pub(crate) struct ShmemComm {
     style: Permute,
-    costs: CostModel,
     state: Option<ShmemRadixState>,
 }
 
@@ -728,12 +743,12 @@ impl ShmemComm {
 
     /// `style` must be [`Permute::ReceiverGet`] (the paper's program) or
     /// [`Permute::SenderPut`].
-    pub fn new(style: Permute, costs: CostModel) -> Self {
+    pub(crate) fn new(style: Permute) -> Self {
         assert!(
             matches!(style, Permute::ReceiverGet | Permute::SenderPut),
             "SHMEM permutes by one-sided get or put, not {style:?}"
         );
-        ShmemComm { style, costs, state: None }
+        ShmemComm { style, state: None }
     }
 
     fn state(&self) -> &ShmemRadixState {
@@ -742,23 +757,15 @@ impl ShmemComm {
 }
 
 impl Communicator for ShmemComm {
-    fn style(&self) -> Permute {
-        self.style
-    }
-
-    fn name(&self) -> &'static str {
-        "SHMEM"
+    fn section(&self, m: &mut Machine, name: &'static str) {
+        m.section(name);
     }
 
     fn setup_radix(&mut self, m: &mut Machine, n: usize, bins: usize) {
         let p = m.n_procs();
         let stage = m.alloc(n, Placement::Partitioned { parts: p }, "stage");
-        let hists = Replicated::new(m, bins, self.costs);
+        let hists = Replicated::new(m, bins);
         self.state = Some(ShmemRadixState { stage, hists, shmem: Shmem::new(m) });
-    }
-
-    fn stage(&self) -> ArrayId {
-        self.state().stage
     }
 
     fn publish_hist(&mut self, m: &mut Machine, pe: usize, hist: &[u32]) {
@@ -769,69 +776,113 @@ impl Communicator for ShmemComm {
         m.barrier();
     }
 
-    fn combine(&mut self, m: &mut Machine, _hists: &[Vec<u32>]) {
+    fn combine(&mut self, m: &mut Machine) {
         let st = self.state();
         st.hists.combine(m, &st.shmem, Self::COLLECTIVE);
     }
 
-    fn read_ranks(
+    fn permute(
         &mut self,
         m: &mut Machine,
-        pe: usize,
-        _hists: &[Vec<u32>],
-        offsets: &[Vec<u32>],
-    ) -> Vec<u32> {
-        self.state().hists.read_ranks(m, pe, offsets)
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn get(
-        &mut self,
-        m: &mut Machine,
-        pe: usize,
-        dst_arr: ArrayId,
-        dst_off: usize,
-        src_arr: ArrayId,
-        src_off: usize,
-        len: usize,
+        [src, dst]: [ArrayId; 2],
+        n: usize,
+        pass: u32,
+        r: u32,
+        hists: &[Vec<u32>],
     ) {
-        self.state().shmem.get(m, pe, dst_arr, dst_off, src_arr, src_off, len);
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn get_local(
-        &mut self,
-        m: &mut Machine,
-        pe: usize,
-        dst_arr: ArrayId,
-        dst_off: usize,
-        src_arr: ArrayId,
-        src_off: usize,
-        len: usize,
-    ) {
-        self.state().shmem.get_local(m, pe, dst_arr, dst_off, src_arr, src_off, len);
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn put(
-        &mut self,
-        m: &mut Machine,
-        pe: usize,
-        src_arr: ArrayId,
-        src_off: usize,
-        dst_arr: ArrayId,
-        dst_off: usize,
-        len: usize,
-    ) {
-        self.state().shmem.put(m, pe, src_arr, src_off, dst_arr, dst_off, len);
+        let p = m.n_procs();
+        let bins = 1usize << r;
+        let offsets = global_offsets(hists);
+        let st = self.state();
+        let stage = st.stage;
+        let lscans: Vec<Vec<u32>> = hists.iter().map(|h| exclusive_scan(h)).collect();
+        // Local permutation into contiguous staged chunks.
+        self.section(m, "permute");
+        for pe in 0..p {
+            st.hists.read_ranks(m, pe, &offsets);
+            let base = part_range(n, p, pe).start;
+            let mut cursors = lscans[pe].clone();
+            blocked_permute(
+                m,
+                pe,
+                src,
+                stage,
+                n,
+                p,
+                &mut cursors,
+                base,
+                costs::PERMUTE_CYC_PER_KEY + costs::BUFFER_EXTRA_CYC_PER_KEY,
+                pass,
+                r,
+            );
+        }
+        m.barrier();
+        self.section(m, "exchange");
+        if self.style == Permute::ReceiverGet {
+            // Receiver-initiated: each process walks the (replicated)
+            // histogram table and `get`s every chunk piece that lands in its
+            // own partition of the output.
+            for pe in 0..p {
+                let my = part_range(n, p, pe);
+                // Scanning the p*2^r table is real (cheap) work.
+                m.busy_cycles_fixed(pe, 0.5 * (p * bins) as f64);
+                for j in 0..p {
+                    let src_base = part_range(n, p, j).start;
+                    for d in 0..bins {
+                        let len = hists[j][d] as usize;
+                        if len == 0 {
+                            continue;
+                        }
+                        let goff = offsets[j][d] as usize;
+                        let s = goff.max(my.start);
+                        let e = (goff + len).min(my.end);
+                        if s >= e {
+                            continue;
+                        }
+                        let src_off = src_base + lscans[j][d] as usize + (s - goff);
+                        if j == pe {
+                            // Self-chunks move with a local block transfer.
+                            st.shmem.get_local(m, pe, dst, s, stage, src_off, e - s);
+                        } else {
+                            st.shmem.get(m, pe, dst, s, stage, src_off, e - s);
+                        }
+                    }
+                }
+            }
+        } else {
+            // Sender-initiated: each process walks only its own histogram
+            // row and `put`s each chunk piece into the owner's partition.
+            // Half the table scan of the get version — but `put` installs
+            // the keys in *no* cache, so the owner pays the misses in the
+            // next pass.
+            for pe in 0..p {
+                m.busy_cycles_fixed(pe, 0.5 * bins as f64);
+                let base = part_range(n, p, pe).start;
+                for d in 0..bins {
+                    let len = hists[pe][d] as usize;
+                    if len == 0 {
+                        continue;
+                    }
+                    let goff = offsets[pe][d] as usize;
+                    for piece in split_by_owner(n, p, goff, len) {
+                        let src_off = base + lscans[pe][d] as usize + piece.src_delta;
+                        if piece.owner == pe {
+                            st.shmem.get_local(m, pe, dst, piece.dst_off, stage, src_off, piece.len);
+                        } else {
+                            st.shmem.put(m, pe, stage, src_off, dst, piece.dst_off, piece.len);
+                        }
+                    }
+                }
+            }
+        }
     }
 
     fn select_splitters(&mut self, m: &mut Machine, samples: ArrayId, s: usize) -> Vec<u32> {
-        replicated_splitters(m, &self.costs, samples, s, |m| Shmem::new(m), Self::COLLECTIVE)
+        replicated_splitters(m, samples, s, |m| Shmem::new(m), Self::COLLECTIVE)
     }
 
     fn replicate_counts(&mut self, m: &mut Machine, flat_counts: ArrayId) {
-        replicated_counts(m, &self.costs, flat_counts, |m| Shmem::new(m), Self::COLLECTIVE);
+        replicated_counts(m, flat_counts, |m| Shmem::new(m), Self::COLLECTIVE);
     }
 
     fn exchange_keys(&mut self, m: &mut Machine, sorted: ArrayId, recv: ArrayId, plan: &ExchangePlan) {
@@ -844,16 +895,7 @@ impl Communicator for ShmemComm {
                     continue;
                 }
                 if i == j {
-                    cpu_copy(
-                        m,
-                        j,
-                        sorted,
-                        plan.src_off[i][j],
-                        recv,
-                        plan.dst_off[i][j],
-                        len,
-                        self.costs.copy_cyc_per_key,
-                    );
+                    cpu_copy(m, j, sorted, plan.src_off[i][j], recv, plan.dst_off[i][j], len, costs::COPY_CYC_PER_KEY);
                 } else {
                     shmem.get(m, j, recv, plan.dst_off[i][j], sorted, plan.src_off[i][j], len);
                 }
@@ -866,22 +908,6 @@ impl Communicator for ShmemComm {
 mod tests {
     use super::*;
 
-    fn costs() -> CostModel {
-        CostModel {
-            scan_cyc_per_bin: 3.0,
-            offset_cyc_per_entry: 3.0,
-            sort_cyc_per_cmp: 12.0,
-            copy_cyc_per_key: 1.0,
-        }
-    }
-
-    #[test]
-    fn exclusive_scan_shifts_by_one() {
-        assert_eq!(exclusive_scan(&[3, 1, 4, 1]), vec![0, 3, 4, 8]);
-        assert_eq!(exclusive_scan(&[3, 0, 2, 5]), vec![0, 3, 3, 5]);
-        assert!(exclusive_scan(&[]).is_empty());
-    }
-
     #[test]
     fn global_offsets_rank_by_digit_then_process() {
         let hists = vec![vec![2, 0, 1, 3], vec![1, 2, 0, 1]];
@@ -891,28 +917,8 @@ mod tests {
     }
 
     #[test]
-    fn communicators_report_their_style() {
-        assert_eq!(CcsasComm::new(Permute::DirectScatter, costs()).style(), Permute::DirectScatter);
-        assert_eq!(
-            MpiComm::new(MpiMode::Direct, Permute::CoalescedMessages, costs()).style(),
-            Permute::CoalescedMessages
-        );
-        assert_eq!(ShmemComm::new(Permute::SenderPut, costs()).style(), Permute::SenderPut);
-    }
-
-    #[test]
     #[should_panic(expected = "CC-SAS permutes by")]
     fn ccsas_rejects_message_styles() {
-        let _ = CcsasComm::new(Permute::ChunkMessages, costs());
-    }
-
-    #[test]
-    #[should_panic(expected = "not part of this model")]
-    fn ccsas_has_no_two_sided_send() {
-        use ccsort_machine::{MachineConfig, Placement};
-        let mut m = Machine::new(MachineConfig::origin2000(2).scaled_down(16));
-        let a = m.alloc(16, Placement::Node(0), "a");
-        let mut c = CcsasComm::new(Permute::DirectScatter, costs());
-        c.send(&mut m, 0, a, 0, 1, a, 8, 4);
+        let _ = CcsasComm::new(Permute::ChunkMessages);
     }
 }

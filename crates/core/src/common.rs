@@ -4,7 +4,6 @@
 //! sequential baseline.
 
 use ccsort_machine::{ArrayId, Machine};
-pub use ccsort_models::comm::exclusive_scan;
 
 use crate::costs;
 use crate::dist::KEY_BITS;
@@ -30,6 +29,17 @@ pub fn default_passes(r: u32) -> u32 {
 #[inline]
 pub fn digit(key: u32, pass: u32, r: u32) -> usize {
     ((key >> (pass * r)) & ((1u32 << r) - 1)) as usize
+}
+
+/// Exclusive prefix sum (the scan every model runs over its histograms).
+pub fn exclusive_scan(v: &[u32]) -> Vec<u32> {
+    let mut out = vec![0u32; v.len()];
+    let mut acc = 0u32;
+    for (o, &x) in out.iter_mut().zip(v) {
+        *o = acc;
+        acc += x;
+    }
+    out
 }
 
 /// Number of significant bits in the largest of `keys` (0 for all-zero
@@ -180,6 +190,13 @@ mod tests {
             }
             assert_eq!(total, n);
         }
+    }
+
+    #[test]
+    fn exclusive_scan_shifts_by_one() {
+        assert_eq!(exclusive_scan(&[3, 1, 4, 1]), vec![0, 3, 4, 8]);
+        assert_eq!(exclusive_scan(&[3, 0, 2, 5]), vec![0, 3, 3, 5]);
+        assert!(exclusive_scan(&[]).is_empty());
     }
 
     #[test]

@@ -7,6 +7,10 @@
 //! regime of the paper's Table 1 (~1.6 s for 1M keys at full scale, i.e.
 //! on the order of 400 ns/key/pass including memory time on a 195 MHz
 //! R10000 running unoptimised SPLASH-2-style code).
+//!
+//! The skeletons and the communicators charge them alike: the scan, offset,
+//! splitter-sort and copy work inside a model's collectives reads the same
+//! constants as the loops the skeletons run.
 
 /// Histogram loop: load key, shift/mask, load count, add, store.
 pub const HIST_CYC_PER_KEY: f64 = 14.0;
@@ -44,14 +48,3 @@ pub const BSEARCH_CYC_PER_STEP: f64 = 8.0;
 /// Per-sample selection cost (strided read bookkeeping).
 pub const SELECT_CYC_PER_SAMPLE: f64 = 6.0;
 
-/// The calibrated constants above, packaged for the model-independent
-/// [`ccsort_models::comm::Communicator`] layer (which charges scan, offset,
-/// splitter-sort and copy work inside its collectives).
-pub fn comm_costs() -> ccsort_models::comm::CostModel {
-    ccsort_models::comm::CostModel {
-        scan_cyc_per_bin: SCAN_CYC_PER_BIN,
-        offset_cyc_per_entry: OFFSET_CYC_PER_ENTRY,
-        sort_cyc_per_cmp: SORT_CYC_PER_CMP,
-        copy_cyc_per_key: COPY_CYC_PER_KEY,
-    }
-}

@@ -11,11 +11,11 @@ use ccsort_machine::{
     ArrayId, DirectoryMode, EventCounters, InterconnectKind, Machine, MachineConfig, Placement,
     ProtocolMode, TimeBreakdown, MAX_PROCS,
 };
-use ccsort_models::comm::{CcsasComm, Communicator, MpiComm, Permute, ShmemComm};
 use ccsort_models::MpiMode;
+use crate::comm::{CcsasComm, Communicator, MpiComm, Permute, ShmemComm};
 use crate::dist::{generate, Dist, KEY_BITS};
 use crate::sample::SamplingStrategy;
-use crate::{costs, radix, sample, seq};
+use crate::{radix, sample, seq};
 
 /// Algorithm × programming-model combinations under study.
 ///
@@ -93,25 +93,18 @@ impl Algorithm {
     /// (skeleton, communicator) pair IS the algorithm, and this match is
     /// the only place the pairing is written down; [`crate::radix`] says
     /// which program of the paper each row reproduces. (Sample sort moves
-    /// contiguous per-pair blocks whatever the [`Permute`] style, which
-    /// only selects the radix permutation arm.)
-    pub fn communicator(&self) -> Box<dyn Communicator> {
+    /// contiguous per-pair blocks whatever the `Permute` style, which only
+    /// selects the radix permutation.)
+    pub(crate) fn communicator(&self) -> Box<dyn Communicator> {
         use Algorithm::*;
-        let costs = costs::comm_costs();
         match self {
-            RadixCcsas | SampleCcsas => Box::new(CcsasComm::new(Permute::DirectScatter, costs)),
-            RadixCcsasNew => Box::new(CcsasComm::new(Permute::ContiguousCopy, costs)),
-            RadixMpiStaged | SampleMpiStaged => {
-                Box::new(MpiComm::new(MpiMode::Staged, Permute::ChunkMessages, costs))
-            }
-            RadixMpiDirect | SampleMpiDirect => {
-                Box::new(MpiComm::new(MpiMode::Direct, Permute::ChunkMessages, costs))
-            }
-            RadixMpiCoalesced => {
-                Box::new(MpiComm::new(MpiMode::Direct, Permute::CoalescedMessages, costs))
-            }
-            RadixShmem | SampleShmem => Box::new(ShmemComm::new(Permute::ReceiverGet, costs)),
-            RadixShmemPut => Box::new(ShmemComm::new(Permute::SenderPut, costs)),
+            RadixCcsas | SampleCcsas => Box::new(CcsasComm::new(Permute::DirectScatter)),
+            RadixCcsasNew => Box::new(CcsasComm::new(Permute::ContiguousCopy)),
+            RadixMpiStaged | SampleMpiStaged => Box::new(MpiComm::new(MpiMode::Staged, Permute::ChunkMessages)),
+            RadixMpiDirect | SampleMpiDirect => Box::new(MpiComm::new(MpiMode::Direct, Permute::ChunkMessages)),
+            RadixMpiCoalesced => Box::new(MpiComm::new(MpiMode::Direct, Permute::CoalescedMessages)),
+            RadixShmem | SampleShmem => Box::new(ShmemComm::new(Permute::ReceiverGet)),
+            RadixShmemPut => Box::new(ShmemComm::new(Permute::SenderPut)),
         }
     }
 

@@ -28,6 +28,7 @@
 //! assert!(res.parallel_ns > 0.0);
 //! ```
 
+mod comm;
 pub mod common;
 pub mod costs;
 pub mod dist;

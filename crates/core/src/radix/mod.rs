@@ -1,14 +1,15 @@
 //! Parallel radix sort under the three programming models (Section 3.1).
 //!
-//! The algorithm is written **once**, in [`sort`]: for each `r`-bit digit,
+//! The algorithm is written **once**, in `sort`: for each `r`-bit digit,
 //! (1) every process histograms its assigned keys, (2) local histograms are
 //! combined into global ranks, (3) every process permutes its keys into the
 //! output array — an all-to-all personalized communication — and the arrays
-//! swap roles. Everything the programming models do differently lives
-//! behind [`ccsort_models::comm::Communicator`]; the seven `Radix*` rows of
-//! [`crate::Algorithm`] pair the skeleton with a communicator:
+//! swap roles. Each phase is one call on the crate's private `Communicator`
+//! trait, and the permutation is the model's own `permute` body; the seven
+//! `Radix*` rows of [`crate::Algorithm`] pair the skeleton with a
+//! communicator and its permutation style:
 //!
-//! | algorithm | communicator | histogram combine | permutation ([`Permute`]) |
+//! | algorithm | communicator | histogram combine | permutation |
 //! |---|---|---|---|
 //! | `RadixCcsas` | `CcsasComm` | shared binary prefix tree | `DirectScatter`: fine-grained scattered remote writes, up to `2^r` destination segments interleaved — the read-exclusive + invalidation + writeback sequence per line whose controller contention collapses this program at large sizes (Figure 4a) |
 //! | `RadixCcsasNew` | `CcsasComm` | shared binary prefix tree | `ContiguousCopy` (§4.2.1): permute into a local buffer, then one contiguous streamed copy per digit chunk — extra BUSY time for far less protocol contention; worse than the original only at the smallest (1M-key) sets |
@@ -17,18 +18,16 @@
 //! | `RadixShmem` | `ShmemComm` | `shmem_fcollect` + redundant local combine | `ReceiverGet`: every process has the full histogram, so the *receiver* pulls each chunk with a `get`, which deposits the keys in its cache; no per-pair mailbox to stall on |
 //! | `RadixShmemPut` | `ShmemComm` | as above | `SenderPut` (§2's road not taken): the sender scans only its own `2^r` row and `put`s, but the keys land in the owner's *memory*, so the next pass's histogram sweep pays the misses `get` would have prepaid |
 //!
-//! Each skeleton arm reproduces the machine-call sequence of the
-//! hand-written program it replaced, so times, breakdowns and event counts
-//! are bit-identical to the pre-refactor variants.
+//! This module keeps what every permutation shares: [`split_by_owner`] and
+//! the blocked scatter loop. Each `permute` body reproduces the
+//! machine-call sequence of the hand-written program it replaced, so times,
+//! breakdowns and event counts are bit-identical to the pre-refactor
+//! variants.
 
 use ccsort_machine::{ArrayId, Machine};
-use ccsort_models::comm::{Communicator, Permute};
-use ccsort_models::cpu_copy;
 
-use crate::common::{digit, exclusive_scan, local_histogram, n_passes, owner_of, part_range, BLOCK};
-use crate::costs;
-
-pub use ccsort_models::comm::global_offsets;
+use crate::comm::Communicator;
+use crate::common::{digit, local_histogram, n_passes, owner_of, part_range, BLOCK};
 
 /// A contiguous piece of one process's digit chunk, destined for a single
 /// owner's partition of the output array.
@@ -69,7 +68,7 @@ pub fn split_by_owner(n: usize, p: usize, goff: usize, len: usize) -> Vec<ChunkP
 /// This inner loop is shared by every permutation style; they differ in the
 /// target array, the cursor origin and the per-key instruction cost.
 #[allow(clippy::too_many_arguments)]
-fn blocked_permute(
+pub(crate) fn blocked_permute(
     m: &mut Machine,
     pe: usize,
     src: ArrayId,
@@ -105,8 +104,8 @@ fn blocked_permute(
 /// Sorts the keys in `keys[0]` (partitioned over all processors), using
 /// `keys[1]` as the toggle array. Returns the array holding the sorted
 /// result. The communicator decides how histograms are published and
-/// combined and which [`Permute`] arm moves the keys.
-pub fn sort(
+/// combined and how each pass moves the keys.
+pub(crate) fn sort(
     m: &mut Machine,
     comm: &mut dyn Communicator,
     keys: [ArrayId; 2],
@@ -135,317 +134,10 @@ pub fn sort(
         // Phase 2: combine into global ranks (tree accumulation, Allgather
         // or fcollect — with the model's own synchronization).
         comm.section(m, "combine");
-        comm.combine(m, &hists);
-        // The replicating models compute every rank's offsets redundantly;
-        // the tree models read ranks from the tree instead.
-        let offsets = match comm.style() {
-            Permute::DirectScatter | Permute::ContiguousCopy => Vec::new(),
-            _ => global_offsets(&hists),
-        };
+        comm.combine(m);
 
-        // Phase 3 (and 4, where the style has one): move the keys.
-        match comm.style() {
-            Permute::DirectScatter => {
-                comm.section(m, "permute");
-                for pe in 0..p {
-                    let mut cursors = comm.read_ranks(m, pe, &hists, &offsets);
-                    // The defining access of the original CC-SAS program:
-                    // fine-grained writes straight into other processes'
-                    // partitions.
-                    blocked_permute(
-                        m,
-                        pe,
-                        src,
-                        dst,
-                        n,
-                        p,
-                        &mut cursors,
-                        0,
-                        costs::PERMUTE_CYC_PER_KEY,
-                        pass,
-                        r,
-                    );
-                }
-            }
-
-            Permute::ContiguousCopy => {
-                // Permute into the local staging buffer (scattered but
-                // *local*: cheap misses, no remote protocol storm)...
-                comm.section(m, "permute");
-                let stage = comm.stage();
-                for pe in 0..p {
-                    let base = part_range(n, p, pe).start;
-                    let mut cursors = exclusive_scan(&hists[pe]);
-                    blocked_permute(
-                        m,
-                        pe,
-                        src,
-                        stage,
-                        n,
-                        p,
-                        &mut cursors,
-                        base,
-                        costs::PERMUTE_CYC_PER_KEY + costs::BUFFER_EXTRA_CYC_PER_KEY,
-                        pass,
-                        r,
-                    );
-                }
-                m.barrier();
-                // ...then copy each digit chunk to its (remote) destination
-                // as one contiguous streamed transfer.
-                comm.section(m, "exchange");
-                for pe in 0..p {
-                    let ranks = comm.read_ranks(m, pe, &hists, &offsets);
-                    let base = part_range(n, p, pe).start;
-                    let lscan = exclusive_scan(&hists[pe]);
-                    for d in 0..bins {
-                        let len = hists[pe][d] as usize;
-                        if len == 0 {
-                            continue;
-                        }
-                        cpu_copy(
-                            m,
-                            pe,
-                            stage,
-                            base + lscan[d] as usize,
-                            dst,
-                            ranks[d] as usize,
-                            len,
-                            costs::COPY_CYC_PER_KEY,
-                        );
-                    }
-                }
-            }
-
-            Permute::ChunkMessages => {
-                comm.section(m, "permute");
-                let stage = comm.stage();
-                for pe in 0..p {
-                    comm.read_ranks(m, pe, &hists, &offsets);
-                    let base = part_range(n, p, pe).start;
-                    let lscan = exclusive_scan(&hists[pe]);
-                    let mut cursors = lscan.clone();
-                    blocked_permute(
-                        m,
-                        pe,
-                        src,
-                        stage,
-                        n,
-                        p,
-                        &mut cursors,
-                        base,
-                        costs::PERMUTE_CYC_PER_KEY + costs::BUFFER_EXTRA_CYC_PER_KEY,
-                        pass,
-                        r,
-                    );
-                    // Send each contiguously-destined chunk piece.
-                    for d in 0..bins {
-                        let len = hists[pe][d] as usize;
-                        if len == 0 {
-                            continue;
-                        }
-                        let goff = offsets[pe][d] as usize;
-                        for piece in split_by_owner(n, p, goff, len) {
-                            comm.send(
-                                m,
-                                pe,
-                                stage,
-                                base + lscan[d] as usize + piece.src_delta,
-                                piece.owner,
-                                dst,
-                                piece.dst_off,
-                                piece.len,
-                            );
-                        }
-                    }
-                }
-                // Receivers complete all inbound messages.
-                comm.section(m, "exchange");
-                for pe in 0..p {
-                    comm.drain(m, pe);
-                }
-            }
-
-            Permute::CoalescedMessages => {
-                // Local permutation (as in ChunkMessages), but record every
-                // piece instead of sending it:
-                // all_pieces[src_pe][dst_pe] = pieces bound for dst_pe.
-                let stage = comm.stage();
-                let recv_buf = comm.recv_buf();
-                let mut all_pieces: Vec<Vec<Vec<ChunkPiece>>> = vec![vec![Vec::new(); p]; p];
-                for pe in 0..p {
-                    comm.read_ranks(m, pe, &hists, &offsets);
-                    let base = part_range(n, p, pe).start;
-                    let lscan = exclusive_scan(&hists[pe]);
-                    let mut cursors = lscan.clone();
-                    blocked_permute(
-                        m,
-                        pe,
-                        src,
-                        stage,
-                        n,
-                        p,
-                        &mut cursors,
-                        base,
-                        costs::PERMUTE_CYC_PER_KEY + costs::BUFFER_EXTRA_CYC_PER_KEY,
-                        pass,
-                        r,
-                    );
-                    for d in 0..bins {
-                        let len = hists[pe][d] as usize;
-                        if len == 0 {
-                            continue;
-                        }
-                        let goff = offsets[pe][d] as usize;
-                        for mut piece in split_by_owner(n, p, goff, len) {
-                            // Remember where in the stage this piece starts.
-                            piece.src_delta += base + lscan[d] as usize;
-                            all_pieces[pe][piece.owner].push(piece);
-                        }
-                    }
-                }
-
-                // One coalesced message per (src, dst) pair. Because the
-                // global offsets grow monotonically with the digit, a
-                // sender's chunks for a given destination sit *contiguously*
-                // in its digit-ordered stage, so the whole bundle ships as a
-                // single transfer — exactly the IS-style scheme.
-                let mut recv_cursor: Vec<usize> =
-                    (0..p).map(|j| part_range(n, p, j).start).collect();
-                let mut landing: Vec<Vec<(usize, usize, usize)>> = vec![Vec::new(); p]; // (buf_off, dst_off, len)
-                for pe in 0..p {
-                    for j in 0..p {
-                        let pieces = &all_pieces[pe][j];
-                        let total: usize = pieces.iter().map(|c| c.len).sum();
-                        if total == 0 {
-                            continue;
-                        }
-                        let stage_start = pieces[0].src_delta;
-                        debug_assert!(
-                            pieces.windows(2).all(|w| w[0].src_delta + w[0].len <= w[1].src_delta),
-                            "pieces must be in increasing stage order"
-                        );
-                        comm.send(m, pe, stage, stage_start, j, recv_buf, recv_cursor[j], total);
-                        // Record where each chunk landed so the receiver can
-                        // place it.
-                        let mut buf_off = recv_cursor[j];
-                        for piece in pieces {
-                            // Account for any gap between pieces in the
-                            // stage (keys of interleaved digits destined
-                            // elsewhere) — the send shipped a contiguous
-                            // run, so re-place per piece from its true stage
-                            // position.
-                            // ccsort-lints: allow(untimed_outside_setup) --
-                            // the comm.send() above shipped and charged the
-                            // whole contiguous run; this re-places pieces
-                            // of already-paid-for data at their true
-                            // receiver offsets.
-                            m.copy_untimed(pe, stage, piece.src_delta, recv_buf, buf_off, piece.len);
-                            landing[j].push((buf_off, piece.dst_off, piece.len));
-                            buf_off += piece.len;
-                        }
-                        recv_cursor[j] = buf_off;
-                    }
-                }
-                for pe in 0..p {
-                    comm.drain(m, pe);
-                }
-                m.barrier();
-
-                // The cost of coalescing: the receiver reorganizes the
-                // chunks from its recv buffer into their true positions.
-                for pe in 0..p {
-                    for &(buf_off, dst_off, len) in &landing[pe] {
-                        cpu_copy(m, pe, recv_buf, buf_off, dst, dst_off, len, costs::COPY_CYC_PER_KEY);
-                    }
-                }
-            }
-
-            Permute::ReceiverGet | Permute::SenderPut => {
-                let stage = comm.stage();
-                let lscans: Vec<Vec<u32>> = hists.iter().map(|h| exclusive_scan(h)).collect();
-                // Local permutation into contiguous staged chunks.
-                comm.section(m, "permute");
-                for pe in 0..p {
-                    comm.read_ranks(m, pe, &hists, &offsets);
-                    let base = part_range(n, p, pe).start;
-                    let mut cursors = lscans[pe].clone();
-                    blocked_permute(
-                        m,
-                        pe,
-                        src,
-                        stage,
-                        n,
-                        p,
-                        &mut cursors,
-                        base,
-                        costs::PERMUTE_CYC_PER_KEY + costs::BUFFER_EXTRA_CYC_PER_KEY,
-                        pass,
-                        r,
-                    );
-                }
-                m.barrier();
-                comm.section(m, "exchange");
-                if comm.style() == Permute::ReceiverGet {
-                    // Receiver-initiated: each process walks the
-                    // (replicated) histogram table and `get`s every chunk
-                    // piece that lands in its own partition of the output.
-                    for pe in 0..p {
-                        let my = part_range(n, p, pe);
-                        // Scanning the p*2^r table is real (cheap) work.
-                        m.busy_cycles_fixed(pe, 0.5 * (p * bins) as f64);
-                        for j in 0..p {
-                            let src_base = part_range(n, p, j).start;
-                            for d in 0..bins {
-                                let len = hists[j][d] as usize;
-                                if len == 0 {
-                                    continue;
-                                }
-                                let goff = offsets[j][d] as usize;
-                                let s = goff.max(my.start);
-                                let e = (goff + len).min(my.end);
-                                if s >= e {
-                                    continue;
-                                }
-                                let src_off = src_base + lscans[j][d] as usize + (s - goff);
-                                if j == pe {
-                                    // Self-chunks move with a local block
-                                    // transfer.
-                                    comm.get_local(m, pe, dst, s, stage, src_off, e - s);
-                                } else {
-                                    comm.get(m, pe, dst, s, stage, src_off, e - s);
-                                }
-                            }
-                        }
-                    }
-                } else {
-                    // Sender-initiated: each process walks only its own
-                    // histogram row and `put`s each chunk piece into the
-                    // owner's partition. Half the table scan of the get
-                    // version — but `put` installs the keys in *no* cache,
-                    // so the owner pays the misses in the next pass.
-                    for pe in 0..p {
-                        m.busy_cycles_fixed(pe, 0.5 * bins as f64);
-                        let base = part_range(n, p, pe).start;
-                        for d in 0..bins {
-                            let len = hists[pe][d] as usize;
-                            if len == 0 {
-                                continue;
-                            }
-                            let goff = offsets[pe][d] as usize;
-                            for piece in split_by_owner(n, p, goff, len) {
-                                let src_off = base + lscans[pe][d] as usize + piece.src_delta;
-                                if piece.owner == pe {
-                                    comm.get_local(m, pe, dst, piece.dst_off, stage, src_off, piece.len);
-                                } else {
-                                    comm.put(m, pe, stage, src_off, dst, piece.dst_off, piece.len);
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-        }
+        // Phase 3 (and 4, where the model has one): move the keys.
+        comm.permute(m, [src, dst], n, pass, r, &hists);
         m.barrier();
         std::mem::swap(&mut src, &mut dst);
     }
@@ -554,25 +246,6 @@ mod tests {
             "put must leave the destination cold, so the next histogram sweep \
              pays local-memory misses (put {hist_lmem_put}, get {hist_lmem_get})"
         );
-    }
-
-    #[test]
-    fn offsets_are_ranked_by_digit_then_process() {
-        // p=2, bins=4
-        let hists = vec![vec![2, 0, 1, 3], vec![1, 2, 0, 1]];
-        let off = global_offsets(&hists);
-        // digit 0: total 3 -> starts at 0; pe0 at 0, pe1 at 2.
-        assert_eq!(off[0][0], 0);
-        assert_eq!(off[1][0], 2);
-        // digit 1: starts at 3; pe0 has none -> both at 3, pe1 at 3.
-        assert_eq!(off[0][1], 3);
-        assert_eq!(off[1][1], 3);
-        // digit 2: starts at 5.
-        assert_eq!(off[0][2], 5);
-        assert_eq!(off[1][2], 6);
-        // digit 3: starts at 6.
-        assert_eq!(off[0][3], 6);
-        assert_eq!(off[1][3], 9);
     }
 
     #[test]

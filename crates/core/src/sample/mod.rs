@@ -18,12 +18,12 @@
 //! sort but has far better-behaved communication — the crossover the
 //! paper's Table 3 maps out.
 //!
-//! Like radix sort, the algorithm is written once ([`sort_with_comm`])
-//! against [`ccsort_models::comm::Communicator`]; the model decides how
-//! splitters are selected (group collectors vs redundant allgathered
-//! sorts), how counts are replicated, and what transport moves the buckets.
-//! The four `Sample*` rows of [`crate::Algorithm`] pair it with a
-//! communicator:
+//! Like radix sort, the algorithm is written once (`sort_with_comm`)
+//! against the crate's private `Communicator` trait, the same one the
+//! radix skeleton uses; the model decides how splitters are selected (group
+//! collectors vs redundant allgathered sorts), how counts are replicated,
+//! and what transport moves the buckets. The four `Sample*` rows of
+//! [`crate::Algorithm`] pair it with a communicator:
 //!
 //! | algorithm | splitters and counts | key exchange |
 //! |---|---|---|
@@ -32,16 +32,14 @@
 //! | `SampleShmem` | `shmem_fcollect`, otherwise as MPI | the send/receive pair becomes a one-sided `get` |
 
 use ccsort_machine::{ArrayId, Machine, Placement};
-use ccsort_models::comm::{Communicator, ExchangePlan};
 use ccsort_models::{gather_scattered, write_fixed};
 
+use crate::comm::{Communicator, ExchangePlan};
 use crate::common::{local_radix_sort, n_passes, part_range};
 use crate::costs;
 
 /// Samples taken per process (the paper's choice).
 pub const SAMPLES_PER_PE: usize = 128;
-/// Processes per sample-collection group in the CC-SAS program.
-pub use ccsort_models::comm::GROUP;
 
 /// How sample keys are chosen in phase 2 — "there are many ways to decide
 /// how to sample the keys ... these affect load balance and program
@@ -96,7 +94,7 @@ impl SamplingStrategy {
 /// two freshly allocated arrays as scratch. Returns the array holding the
 /// fully sorted result (process regions concatenated in rank order).
 #[allow(clippy::too_many_arguments)]
-pub fn sort_with_comm(
+pub(crate) fn sort_with_comm(
     m: &mut Machine,
     comm: &mut dyn Communicator,
     keys: [ArrayId; 2],

@@ -17,6 +17,10 @@
 //! * **SHMEM** ([`shmem::Shmem`]) — one-sided `put`/`get` on a symmetric
 //!   address space, with `get` installing data in the destination cache.
 //!
+//! The crate holds runtimes only: which runtime call a sort makes in which
+//! phase — the `Communicator` of each model — is written beside the two
+//! sorting skeletons in `ccsort-algos`.
+//!
 //! Execution model: programs are bulk-synchronous. A *phase* is a closure
 //! run once per processor ([`spmd`]); [`ccsort_machine::Machine::barrier`]
 //! separates phases. This sequential-per-phase schedule is semantically
@@ -24,14 +28,12 @@
 //! intra-phase writes are to disjoint locations, and it makes the whole
 //! simulation deterministic.
 
-pub mod comm;
 pub mod mpi;
 pub mod prefix;
 pub mod shmem;
 
 use ccsort_machine::{ArrayId, Bucket, Machine};
 
-pub use comm::{CcsasComm, Communicator, CostModel, ExchangePlan, MpiComm, Permute, ShmemComm};
 pub use mpi::{Mpi, MpiMode};
 pub use prefix::PrefixTree;
 pub use shmem::Shmem;

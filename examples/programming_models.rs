@@ -6,15 +6,15 @@
 //!
 //! The paper's comparison is *the same radix sort* written under CC-SAS,
 //! MPI and SHMEM. After the communicator refactor that sentence is literal
-//! code: [`ccsort::algos::radix::sort`] is the single skeleton
-//! (histogram → combine → permute/exchange per pass), each programming
-//! model is a [`ccsort::models::Communicator`] implementation handed to it,
-//! and [`ccsort::algos::Algorithm`] is the table of pairings. This example
+//! code: one radix skeleton ([`ccsort::algos::radix`]: histogram → combine
+//! → permute per pass) runs over each programming model's `Communicator`,
+//! whose `permute` is that model's own data movement, and
+//! [`ccsort::algos::Algorithm`] is the table of pairings. This example
 //! runs the table's seven radix rows — the *identical* skeleton over seven
 //! transports — on the simulated Origin 2000 and prints the
 //! BUSY/LMEM/RMEM/SYNC breakdowns the paper compares, including the two
-//! SHMEM exchange directions (`get` vs `put`, §2) that the trait made
-//! nearly free to add.
+//! SHMEM exchange directions (`get` vs `put`, §2), each one `permute` body
+//! over the runtimes in [`ccsort::models`].
 
 use ccsort::algos::{run_experiment, Algorithm, ExpConfig};
 
