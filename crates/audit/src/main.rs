@@ -343,13 +343,10 @@ fn replay(args: &[String]) -> i32 {
         eprintln!("need --p >= 1 and --n >= --p (got n={} p={})", pt.n, pt.p);
         return 2;
     }
-    if pt.r < 1 || pt.r > 31 {
-        eprintln!("need --r in 1..=31 (got {})", pt.r);
-        return 2;
-    }
-    // Route the full config validation (machine caps, per-mode directory
-    // constraints) through the Result path so a bad replay invocation is a
-    // usage error (exit 2) with the offending field named, not a panic.
+    // Route the full config validation (machine caps, radix width, per-mode
+    // directory constraints) through the Result path so a bad replay
+    // invocation is a usage error (exit 2) with the offending field named,
+    // not a panic.
     if let Err(e) = ccsort_algos::ExpConfig::new(algs[0], pt.n, pt.p)
         .radix_bits(pt.r)
         .directory_mode(pt.dir)

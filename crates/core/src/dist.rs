@@ -25,6 +25,10 @@ use crate::common::part_range;
 pub const MAX_KEY: u64 = 1 << 31;
 /// Number of significant key bits.
 pub const KEY_BITS: u32 = 31;
+/// Widest radix digit any program or generator takes, in bits: `2^16`
+/// histogram bins per process already dwarf the keys of every experiment.
+/// [`generate`] asserts it and `ExpConfig::validate` rejects wider digits.
+pub const MAX_RADIX_BITS: u32 = 16;
 
 /// Key distribution, Section 3.3 of the paper.
 ///
@@ -143,7 +147,7 @@ pub fn stagger_window(p: usize, i: usize) -> usize {
 /// tail).
 pub fn generate(dist: Dist, n: usize, p: usize, r: u32, seed: u64) -> Vec<u32> {
     assert!(p >= 1 && n >= p, "need at least one key per process");
-    assert!((1..=16).contains(&r), "radix size out of range");
+    assert!((1..=MAX_RADIX_BITS).contains(&r), "radix size out of range");
     let mut keys = vec![0u32; n];
     match dist {
         Dist::Gauss => {

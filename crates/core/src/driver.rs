@@ -13,7 +13,7 @@ use ccsort_machine::{
 };
 use ccsort_models::MpiMode;
 use crate::comm::{CcsasComm, Communicator, MpiComm, Permute, ShmemComm};
-use crate::dist::{generate, Dist, KEY_BITS};
+use crate::dist::{generate, Dist, KEY_BITS, MAX_RADIX_BITS};
 use crate::sample::SamplingStrategy;
 use crate::{radix, sample, seq};
 
@@ -323,17 +323,10 @@ impl ExpConfig {
         if self.radix_bits == 0 {
             return Err("radix_bits = 0: each pass must consume at least one bit".to_string());
         }
-        if self.radix_bits > KEY_BITS {
-            return Err(format!(
-                "radix_bits = {} exceeds the {KEY_BITS}-bit keys; one pass \
-                 would index a histogram larger than the key space",
-                self.radix_bits
-            ));
-        }
-        if self.radix_bits > 24 {
+        if self.radix_bits > MAX_RADIX_BITS {
             return Err(format!(
                 "radix_bits = {}: 2^{} histogram bins per processor would \
-                 dwarf the keys being sorted; the harness caps r at 24",
+                 dwarf the keys being sorted; r is at most {MAX_RADIX_BITS}",
                 self.radix_bits, self.radix_bits
             ));
         }
@@ -641,9 +634,13 @@ mod tests {
         let cfg = ExpConfig::new(Algorithm::RadixCcsas, 1024, 4).radix_bits(33);
         let err = cfg.validate().unwrap_err();
         assert!(err.contains("33"), "{err}");
-        // ... and r over the harness cap, even though it fits in the key.
-        let cfg = ExpConfig::new(Algorithm::RadixCcsas, 1024, 4).radix_bits(25);
-        assert!(cfg.validate().is_err());
+        // The bound `generate` asserts is the bound `validate` states: the
+        // widest digit runs end to end, one bit wider is refused by name.
+        let widest = ExpConfig::new(Algorithm::RadixShmem, 4096, 4).radix_bits(MAX_RADIX_BITS).scale(64);
+        assert_eq!(widest.validate(), Ok(()));
+        assert!(run_experiment(&widest).verified);
+        let err = widest.radix_bits(MAX_RADIX_BITS + 1).validate().unwrap_err();
+        assert!(err.contains(&format!("radix_bits = {}", MAX_RADIX_BITS + 1)), "{err}");
     }
 
     #[test]
