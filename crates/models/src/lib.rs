@@ -32,7 +32,7 @@ pub mod mpi;
 pub mod prefix;
 pub mod shmem;
 
-use ccsort_machine::{ArrayId, Bucket, Machine};
+use ccsort_machine::{ArrayId, Machine};
 
 pub use mpi::{Mpi, MpiMode};
 pub use prefix::PrefixTree;
@@ -53,14 +53,6 @@ pub fn spmd<F: FnMut(&mut Machine, usize)>(m: &mut Machine, mut body: F) {
         body(m, pe);
     }
     m.barrier();
-}
-
-/// Run `body` once per processor without a trailing barrier (for phases
-/// that end in a collective with its own synchronization).
-pub fn spmd_nobarrier<F: FnMut(&mut Machine, usize)>(m: &mut Machine, mut body: F) {
-    for pe in 0..m.n_procs() {
-        body(m, pe);
-    }
 }
 
 /// Timed CPU copy of `len` elements between simulated arrays, performed by
@@ -151,11 +143,6 @@ pub fn cpu_copy_fixed(
     }
 }
 
-/// Charge pure waiting time (modelled library-internal spinning).
-pub fn spin(m: &mut Machine, pe: usize, ns: f64) {
-    m.charge(pe, ns, Bucket::Sync);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -183,13 +170,6 @@ mod tests {
         let mut order = Vec::new();
         spmd(&mut m, |_, pe| order.push(pe));
         assert_eq!(order, (0..8).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn spin_charges_sync() {
-        let mut m = Machine::new(MachineConfig::origin2000(2));
-        spin(&mut m, 0, 123.0);
-        assert_eq!(m.breakdown(0).sync, 123.0);
     }
 }
 

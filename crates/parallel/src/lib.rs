@@ -14,9 +14,9 @@
 //!   [`spmd::radix_sort`] and [`spmd::sample_sort`], each written once; the
 //!   paper's three programming models are three [`spmd::Transport`]s —
 //!   [`spmd::Direct`] (shared address space: the sender copies straight
-//!   into the destination array), [`msg::Message`] (staged messages over
-//!   [`msg`]'s in-process mini-MPI) and [`sym::Symmetric`]
-//!   (receiver-initiated `get`s over [`sym`]'s mini-SHMEM with its debug
+//!   into the destination array), [`spmd::Message`] (staged messages over a
+//!   private in-process mini-MPI) and [`spmd::Symmetric`]
+//!   (receiver-initiated `get`s over a private mini-SHMEM with its debug
 //!   epoch checker). [`par_sample_sort`] is the sample sort over `Direct`.
 //!
 //! ```
@@ -33,14 +33,14 @@
 
 pub mod histogram;
 pub mod key;
-pub mod msg;
+mod msg;
 pub mod pairs;
 pub mod radix;
 pub mod seq;
 pub mod shared;
 pub mod spmd;
 pub mod steal;
-pub mod sym;
+mod sym;
 pub mod verify;
 
 pub use histogram::{

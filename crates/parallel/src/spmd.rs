@@ -13,8 +13,8 @@
 //! | transport | exchange | copies of a key per exchange |
 //! |---|---|---|
 //! | [`Direct`] | the sender copies each piece straight into the destination array; one barrier | 1 |
-//! | [`crate::msg::Message`] | pack per destination → `alltoallv` → unpack | 2 |
-//! | [`crate::sym::Symmetric`] | receiver-initiated `get` from the sealed staged region, between two barrier epochs | 1 (+ 1 to publish keys that were not staged) |
+//! | [`Message`] | pack per destination → `alltoallv` → unpack | 2 |
+//! | [`Symmetric`] | receiver-initiated `get` from the sealed staged region, between two barrier epochs | 1 (+ 1 to publish keys that were not staged) |
 //!
 //! The radix sort adds its local permute into the staging buffer to each
 //! of these, once per pass. The model is the type parameter:
@@ -24,6 +24,7 @@ use std::ops::Range;
 use std::sync::{Arc, Barrier, Mutex};
 
 use crate::key::RadixKey;
+pub use crate::{msg::Message, sym::Symmetric};
 use crate::seq::{passes_for, radix_sort_with_scratch};
 use crate::steal::{default_workers, run_workers};
 
@@ -277,7 +278,6 @@ pub type Sort<K> = fn(&mut [K], usize, u32);
 /// Every (program, transport) pair, radix sorts first: what the
 /// conformance tests, the audit oracle and `realbench` iterate over.
 pub fn programs<K: RadixKey + Default>() -> [(&'static str, Sort<K>); 6] {
-    use crate::{msg::Message, sym::Symmetric};
     [
         ("radix/direct", radix_sort::<Direct<K>, K>),
         ("radix/message", radix_sort::<Message<K>, K>),

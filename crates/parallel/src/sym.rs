@@ -1,9 +1,9 @@
-//! In-process symmetric-heap (SHMEM-style) runtime, and the symmetric
-//! transport of the SPMD sorts.
+//! The symmetric transport of the SPMD sorts, over an in-process
+//! symmetric-heap (SHMEM-style) runtime.
 //!
 //! SHMEM's defining features, reproduced over threads: every PE owns a
-//! same-sized segment of a *symmetric heap*, and one-sided `put`/`get`
-//! operations name remote data by (PE, offset) — no receiver involvement.
+//! same-sized segment of a *symmetric heap*, and the one-sided `get` names
+//! remote data by (PE, offset) — no involvement of the PE that owns it.
 //! Synchronization is by barrier epochs, exactly as on the SGI library: a
 //! PE may `get` a remote region only after the barrier that follows the
 //! writes to it, and no PE may write a region another PE reads in the same
@@ -15,8 +15,8 @@
 //!
 //! The aliasing contract above is exactly what each `unsafe` block's
 //! SAFETY comment argues — and comments don't fail tests. In debug builds
-//! the heap therefore *checks* the contract: every `local`/`local_mut`/
-//! `get`/`put` records an access claim `(pe, segment, range, read|write)`
+//! the heap therefore *checks* the contract: every `local_mut`/`get`
+//! records an access claim `(pe, segment, range, read|write)`
 //! in a shared log, each new claim is checked for an overlap with another
 //! PE's claim on the same segment where either side writes, and
 //! [`Pe::barrier`] clears the log (the epoch boundary). A violation —
@@ -40,7 +40,7 @@ struct Segment<K> {
 }
 
 // SAFETY: cross-segment access is coordinated by barrier epochs; the unsafe
-// `put`/`get`/`local_mut` APIs carry the aliasing contract.
+// `get`/`local_mut` APIs carry the aliasing contract.
 unsafe impl<K: Send> Sync for Segment<K> {}
 
 /// One access claim of the debug-build epoch checker: `pe` accessed
@@ -57,9 +57,8 @@ struct Claim {
 }
 
 /// The symmetric heap: one equally-sized segment per PE.
-pub struct SymHeap<K> {
+struct SymHeap<K> {
     segs: Vec<Segment<K>>,
-    seg_len: usize,
     barrier: Barrier,
     /// Per-epoch access claims (debug builds only; see the module docs).
     #[cfg(debug_assertions)]
@@ -68,11 +67,10 @@ pub struct SymHeap<K> {
 
 impl<K: RadixKey + Default> SymHeap<K> {
     /// Create a heap of `npes` segments of `seg_len` elements each.
-    pub fn new(npes: usize, seg_len: usize) -> Self {
+    fn new(npes: usize, seg_len: usize) -> Self {
         assert!(npes >= 1);
         SymHeap {
             segs: (0..npes).map(|_| Segment { data: UnsafeCell::new(vec![K::default(); seg_len]) }).collect(),
-            seg_len,
             barrier: Barrier::new(npes),
             #[cfg(debug_assertions)]
             claims: Mutex::new(Vec::new()),
@@ -103,17 +101,12 @@ impl<K: RadixKey + Default> SymHeap<K> {
     }
 
     /// Number of PEs.
-    pub fn n_pes(&self) -> usize {
+    fn n_pes(&self) -> usize {
         self.segs.len()
     }
 
-    /// Segment length (elements).
-    pub fn seg_len(&self) -> usize {
-        self.seg_len
-    }
-
     /// Run `f` as an SPMD program, one thread per PE.
-    pub fn run<F>(self: &Arc<Self>, f: F)
+    fn run<F>(self: &Arc<Self>, f: F)
     where
         F: Fn(Pe<K>) + Sync,
         K: Send,
@@ -126,33 +119,27 @@ impl<K: RadixKey + Default> SymHeap<K> {
             }
         });
     }
-
-    /// Read a segment after all threads have finished (safe: exclusive
-    /// access through `&mut self`).
-    pub fn segment_mut(&mut self, pe: usize) -> &mut Vec<K> {
-        self.segs[pe].data.get_mut()
-    }
 }
 
 /// A PE's handle onto the symmetric heap.
-pub struct Pe<K: RadixKey + Default> {
+struct Pe<K: RadixKey + Default> {
     pe: usize,
     heap: Arc<SymHeap<K>>,
 }
 
 impl<K: RadixKey + Default> Pe<K> {
     /// This PE's id.
-    pub fn pe(&self) -> usize {
+    fn pe(&self) -> usize {
         self.pe
     }
 
     /// Number of PEs.
-    pub fn n_pes(&self) -> usize {
+    fn n_pes(&self) -> usize {
         self.heap.n_pes()
     }
 
     /// Barrier across all PEs (the epoch boundary of the aliasing rules).
-    pub fn barrier(&self) {
+    fn barrier(&self) {
         #[cfg(debug_assertions)]
         {
             // Two waits so the leader can clear the claim log while every
@@ -171,42 +158,23 @@ impl<K: RadixKey + Default> Pe<K> {
     ///
     /// # Safety
     ///
-    /// Within the current barrier epoch, no other PE may `get` from or
-    /// `put` into any part of this segment that is accessed through the
-    /// returned slice. (Debug builds check the stronger whole-segment
-    /// claim: use [`Pe::local`] in epochs that only read.)
+    /// Within the current barrier epoch, no other PE may `get` from any
+    /// part of this segment that is accessed through the returned slice.
+    /// (Debug builds check the stronger whole-segment claim.)
     #[allow(clippy::mut_from_ref)]
-    pub unsafe fn local_mut(&self) -> &mut [K] {
+    unsafe fn local_mut(&self) -> &mut [K] {
+        let seg = self.heap.segs[self.pe].data.get();
         #[cfg(debug_assertions)]
         self.heap.record_claim(Claim {
             pe: self.pe,
             seg: self.pe,
             lo: 0,
-            hi: self.heap.seg_len,
+            // SAFETY: only the length is read, and no segment is resized.
+            hi: unsafe { (*seg).len() },
             write: true,
             op: "local_mut",
         });
-        unsafe { &mut *self.heap.segs[self.pe].data.get() }
-    }
-
-    /// Shared view of this PE's own segment, for epochs that only read it
-    /// (remote PEs may concurrently `get` from it).
-    ///
-    /// # Safety
-    ///
-    /// Within the current barrier epoch, no PE may `put` into this
-    /// segment, and this PE must not hold a live [`Pe::local_mut`] borrow.
-    pub unsafe fn local(&self) -> &[K] {
-        #[cfg(debug_assertions)]
-        self.heap.record_claim(Claim {
-            pe: self.pe,
-            seg: self.pe,
-            lo: 0,
-            hi: self.heap.seg_len,
-            write: false,
-            op: "local",
-        });
-        unsafe { &*self.heap.segs[self.pe].data.get() }
+        unsafe { &mut *seg }
     }
 
     /// One-sided `get`: copy `dst.len()` elements from `(src_pe, src_off)`
@@ -217,7 +185,7 @@ impl<K: RadixKey + Default> Pe<K> {
     /// No PE (including `src_pe` itself) may write
     /// `[src_off, src_off + dst.len())` of `src_pe`'s segment in the
     /// current barrier epoch.
-    pub unsafe fn get(&self, dst: &mut [K], src_pe: usize, src_off: usize) {
+    unsafe fn get(&self, dst: &mut [K], src_pe: usize, src_off: usize) {
         #[cfg(debug_assertions)]
         self.heap.record_claim(Claim {
             pe: self.pe,
@@ -229,27 +197,6 @@ impl<K: RadixKey + Default> Pe<K> {
         });
         let src = unsafe { &*self.heap.segs[src_pe].data.get() };
         dst.copy_from_slice(&src[src_off..src_off + dst.len()]);
-    }
-
-    /// One-sided `put`: copy `src` into `(dst_pe, dst_off)`.
-    ///
-    /// # Safety
-    ///
-    /// No PE may read or write `[dst_off, dst_off + src.len())` of
-    /// `dst_pe`'s segment in the current barrier epoch, other than through
-    /// this call.
-    pub unsafe fn put(&self, src: &[K], dst_pe: usize, dst_off: usize) {
-        #[cfg(debug_assertions)]
-        self.heap.record_claim(Claim {
-            pe: self.pe,
-            seg: dst_pe,
-            lo: dst_off,
-            hi: dst_off + src.len(),
-            write: true,
-            op: "put",
-        });
-        let dst = unsafe { &mut *self.heap.segs[dst_pe].data.get() };
-        dst[dst_off..dst_off + src.len()].copy_from_slice(src);
     }
 }
 
@@ -350,22 +297,6 @@ mod tests {
         });
     }
 
-    #[test]
-    fn put_writes_remote() {
-        let heap: Arc<SymHeap<u32>> = Arc::new(SymHeap::new(3, 16));
-        heap.run(|ctx| {
-            // Each PE puts its id into a distinct slot of PE 0's segment.
-            let me = ctx.pe();
-            unsafe { ctx.put(&[me as u32 + 100], 0, me) };
-            ctx.barrier();
-            if me == 0 {
-                let mut buf = vec![0u32; 3];
-                unsafe { ctx.get(&mut buf, 0, 0) };
-                assert_eq!(buf, vec![100, 101, 102]);
-            }
-        });
-    }
-
     // The epoch-protocol checker's own acceptance tests: the aliasing
     // contract the unsafe API documents must be enforced, not just argued,
     // in debug builds. (The checker compiles away in release, so these
@@ -394,31 +325,18 @@ mod tests {
         }
 
         #[test]
-        fn catches_overlapping_puts() {
-            let result = catch_unwind(AssertUnwindSafe(|| {
-                let heap: Arc<SymHeap<u32>> = Arc::new(SymHeap::new(3, 16));
-                heap.run(|ctx| {
-                    if ctx.pe() > 0 {
-                        // Both writers target element 0 of PE 0's segment.
-                        unsafe { ctx.put(&[ctx.pe() as u32], 0, 0) };
-                    }
-                });
-            }));
-            assert!(result.is_err(), "overlapping same-epoch puts must panic");
-        }
-
-        #[test]
         fn allows_barrier_separated_reuse_and_concurrent_reads() {
             let heap: Arc<SymHeap<u32>> = Arc::new(SymHeap::new(2, 64));
             heap.run(|ctx| {
                 unsafe { ctx.local_mut()[0] = ctx.pe() as u32 };
                 ctx.barrier();
-                // Everyone reads everyone (including the owner's own
-                // read-only view) in one epoch: all claims are reads.
-                let _own = unsafe { ctx.local()[0] };
-                let mut buf = [0u32; 1];
-                unsafe { ctx.get(&mut buf, 1 - ctx.pe(), 0) };
-                assert_eq!(buf[0], (1 - ctx.pe()) as u32);
+                // Everyone reads everyone, its own segment included, in one
+                // epoch: all claims are reads.
+                for src in 0..2 {
+                    let mut buf = [0u32; 1];
+                    unsafe { ctx.get(&mut buf, src, 0) };
+                    assert_eq!(buf[0], src as u32);
+                }
                 ctx.barrier();
                 // Fresh epoch: owners may mutate again.
                 unsafe { ctx.local_mut()[0] = 9 };

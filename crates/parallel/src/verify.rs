@@ -1,10 +1,10 @@
 //! Output-verification utilities: sortedness and permutation checks.
 //!
 //! Every claim this workspace makes rests on outputs being *sorted
-//! permutations* of inputs; these helpers make that check cheap and
-//! reusable (`realbench` rows, tests, downstream users). The permutation
-//! check is O(n) with an order-independent multiset fingerprint plus exact
-//! per-byte counting — no sorting of the reference copy required.
+//! permutations* of inputs (`realbench` rows, tests). The O(n) permutation
+//! check is probabilistic, with no exact count: [`multiset_fingerprint`] is
+//! a sum and a rotated xor of one SplitMix64 draw per key, plus the length;
+//! accidental corruption collides about once in 2^64, a crafted input can.
 
 use ccsort_rng::SplitMix64;
 

@@ -3,12 +3,10 @@
 //! identical to the standard library's. A failing case names its seed;
 //! `ccsort_rng::check_case` replays it.
 
-use ccsort::parallel::msg::Message;
 use ccsort::parallel::pairs::{
     par_radix_sort_pairs_with, par_radix_sort_pairs_with_scratch, radix_sort_pairs,
 };
-use ccsort::parallel::spmd::{programs, radix_sort, sample_sort, Direct};
-use ccsort::parallel::sym::Symmetric;
+use ccsort::parallel::spmd::{programs, radix_sort, sample_sort, Direct, Message, Symmetric};
 use ccsort::parallel::{
     par_radix_sort_with, seq_radix_sort, RadixKey, RadixSortConfig, Schedule, SortScratch,
 };
