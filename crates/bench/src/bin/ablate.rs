@@ -54,11 +54,20 @@ fn run(cfg: MachineConfig, variant: Algorithm, n: usize, p: usize, r: u32) -> f6
     m.parallel_time()
 }
 
+/// Positional argument `i` as a count, `default` when absent. A value that
+/// does not parse is a usage error: exit 2 naming `name`.
+fn count_arg(i: usize, name: &str, default: usize) -> usize {
+    let Some(s) = std::env::args().nth(i) else { return default };
+    s.parse().unwrap_or_else(|_| {
+        eprintln!("invalid {name}: {s:?} is not a non-negative integer");
+        std::process::exit(2)
+    })
+}
+
 fn main() {
-    let mut args = std::env::args().skip(1);
-    let n: usize = args.next().and_then(|s| s.parse().ok()).unwrap_or(1 << 19);
-    let p: usize = args.next().and_then(|s| s.parse().ok()).unwrap_or(32);
-    let scale: usize = args.next().and_then(|s| s.parse().ok()).unwrap_or(4);
+    let n = count_arg(1, "n", 1 << 19);
+    let p = count_arg(2, "p", 32);
+    let scale = count_arg(3, "scale", 4);
     let r = 8;
     // The ablated machines are built by hand below, so check what the
     // experiment driver would have checked.

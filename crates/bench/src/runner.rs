@@ -4,11 +4,9 @@
 //! the runner can fill its memo cache in parallel ([`Runner::prefetch`])
 //! with results bit-identical to sequential execution.
 
-// BTree collections, not Hash: these caches are lookup-only today, but the
-// runner's whole contract is bit-identical output regardless of fill order
-// (`crates/bench/tests/determinism.rs`), and a future iteration over a hash
-// map would break that silently on another machine. Deterministic-by-type
-// costs nothing at this size (`nondeterministic_iteration` lint).
+// BTree collections, not Hash (`clippy.toml`): the runner's contract is
+// bit-identical output regardless of fill order
+// (`crates/bench/tests/determinism.rs`).
 use std::collections::{BTreeMap, BTreeSet};
 
 use ccsort_algos::{run_experiment, run_sequential_baseline, Algorithm, Dist, ExpConfig, ExpResult};

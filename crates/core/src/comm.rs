@@ -715,11 +715,9 @@ impl Communicator for MpiComm {
                     // of interleaved digits destined elsewhere) — the send
                     // shipped a contiguous run, so re-place per piece from
                     // its true stage position.
-                    // ccsort-lints: allow(untimed_outside_setup) --
-                    // the st.mpi.send() above shipped and charged the
-                    // whole contiguous run; this re-places pieces
-                    // of already-paid-for data at their true
-                    // receiver offsets.
+                    #[expect(clippy::disallowed_methods, reason = "the st.mpi.send() above shipped and \
+                        charged the whole contiguous run; this re-places pieces of already-paid-for \
+                        data at their true receiver offsets")]
                     m.copy_untimed(pe, stage, piece.src_delta, recv_buf, buf_off, piece.len);
                     landing[j].push((buf_off, piece.dst_off, piece.len));
                     buf_off += piece.len;

@@ -32,8 +32,7 @@ pub const MAX_RADIX_BITS: u32 = 16;
 
 /// Key distribution, Section 3.3 of the paper.
 ///
-/// `Ord` so distributions can key deterministic `BTreeMap` memo caches
-/// (`nondeterministic_iteration` lint).
+/// `Ord` so distributions can key deterministic `BTreeMap` memo caches.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Dist {
     /// NAS-IS style: each key the average of four consecutive values of

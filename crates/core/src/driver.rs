@@ -19,8 +19,7 @@ use crate::{radix, sample, seq};
 
 /// Algorithm × programming-model combinations under study.
 ///
-/// `Ord` so the variants can key deterministic `BTreeMap` memo caches
-/// (`nondeterministic_iteration` lint).
+/// `Ord` so the variants can key deterministic `BTreeMap` memo caches.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Algorithm {
     RadixCcsas,

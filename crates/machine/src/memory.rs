@@ -249,7 +249,7 @@ mod tests {
         let (mut s, t) = space();
         let elems_per_page = 65536 / 4;
         let a = s.alloc(elems_per_page * 8, Placement::Interleaved, "x", &t);
-        let mut homes = std::collections::HashSet::new();
+        let mut homes = std::collections::BTreeSet::new();
         for p in 0..8 {
             homes.insert(s.home_of(s.addr_of(a, p * elems_per_page)));
         }

@@ -34,10 +34,8 @@
 //! detector exists to catch. The message-completion edge the MPI runtime
 //! really does provide is modelled explicitly with release/acquire tokens.
 
-// BTreeSet, not HashSet: the report-dedup key set is insert-only today,
-// but everything the detector touches feeds deterministic, replayable
-// artefacts; deterministic-by-type removes the footgun outright
-// (`nondeterministic_iteration` lint).
+// BTreeSet, not HashSet (`clippy.toml`): everything the detector touches
+// feeds deterministic, replayable artefacts.
 use std::collections::BTreeSet;
 use std::fmt;
 
@@ -46,8 +44,7 @@ pub const MAX_REPORTS: usize = 64;
 
 /// How two unordered accesses conflicted.
 ///
-/// `Ord` so report-class keys live in a deterministic `BTreeSet`
-/// (`nondeterministic_iteration` lint).
+/// `Ord` so report-class keys live in a deterministic `BTreeSet`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum RaceKind {
     /// Two writes with no happens-before edge between them.

@@ -176,9 +176,8 @@ impl Topology {
 
     /// The on-demand O(nodes) average the table replaces: explicit
     /// left-to-right accumulation, because f64 addition is not associative
-    /// and the lint suite (`float_reassociation`) requires time sums in
-    /// this crate to pin their order syntactically rather than through
-    /// `Iterator::sum`'s implementation detail. `node` is the *node* id
+    /// and any reordering of a time sum moves the bits `golden_quick` pins.
+    /// `node` is the *node* id
     /// (averages are per-node; every PE of a node shares one).
     fn avg_latency_uncached(&self, node: usize) -> f64 {
         let pe = node * self.procs_per_node;

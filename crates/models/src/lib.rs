@@ -75,9 +75,9 @@ pub fn cpu_copy(
     m.touch_run(pe, src, src_off, len, false);
     m.touch_run(pe, dst, dst_off, len, true);
     m.busy_cycles(pe, cyc_per_elem * len as f64);
-    // ccsort-lints: allow(untimed_outside_setup) -- the two touch_run
-    // calls above charge this transfer's full memory-system cost; the
-    // untimed call is only the backing-store data motion of the same copy.
+    #[expect(clippy::disallowed_methods, reason = "the two touch_run calls above charge this \
+        transfer's full memory-system cost; the untimed call is only the backing-store data \
+        motion of the same copy")]
     m.copy_untimed(pe, src, src_off, dst, dst_off, len);
 }
 
@@ -135,10 +135,9 @@ pub fn cpu_copy_fixed(
     let k = m.fixed_prefix(len);
     cpu_copy(m, pe, src, src_off, dst, dst_off, k, cyc_per_elem);
     if len > k {
-        // ccsort-lints: allow(untimed_outside_setup) -- fixed-size
-        // structure: the representative prefix above carries the scaled
-        // cost (MachineConfig::scaled_down); the remainder moves untimed
-        // by design.
+        #[expect(clippy::disallowed_methods, reason = "fixed-size structure: the representative \
+            prefix above carries the scaled cost (MachineConfig::scaled_down); the remainder \
+            moves untimed by design")]
         m.copy_untimed(pe, src, src_off + k, dst, dst_off + k, len - k);
     }
 }

@@ -249,10 +249,9 @@ impl Mpi {
                 let t = m.dma_copy(pe, src_arr, src_off, dst, j * len, k, true);
                 m.charge(pe, t, Bucket::Rmem);
                 if len > k {
-                    // ccsort-lints: allow(untimed_outside_setup) -- the
-                    // dma_copy above charges the scaled cost of this
-                    // fixed-size transfer; the remainder moves untimed by
-                    // the fixed-structure discipline.
+                    #[expect(clippy::disallowed_methods, reason = "the dma_copy above charges the \
+                        scaled cost of this fixed-size transfer; the remainder moves untimed by \
+                        the fixed-structure discipline")]
                     m.copy_untimed(pe, src_arr, src_off + k, dst, j * len + k, len - k);
                 }
                 m.count_message(pe, len * 4);

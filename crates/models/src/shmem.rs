@@ -129,10 +129,9 @@ impl Shmem {
                 let k = m.fixed_prefix(len);
                 self.get(m, pe, dst, j * len, src_arr, src_off, k);
                 if len > k {
-                    // ccsort-lints: allow(untimed_outside_setup) -- the
-                    // get() above charges the scaled cost of this
-                    // fixed-size transfer; the remainder moves untimed by
-                    // the fixed-structure discipline.
+                    #[expect(clippy::disallowed_methods, reason = "the get() above charges the \
+                        scaled cost of this fixed-size transfer; the remainder moves untimed by \
+                        the fixed-structure discipline")]
                     m.copy_untimed(pe, src_arr, src_off + k, dst, j * len + k, len - k);
                 }
             }

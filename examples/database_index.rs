@@ -30,13 +30,15 @@ use std::time::Instant;
 use ccsort::parallel::{par_radix_sort_pairs_with, RadixSortConfig};
 use ccsort::service::{ServiceConfig, SortService};
 
+mod support;
+
 /// Pack (customer, timestamp) into one sortable key.
 fn key(customer: u32, ts: u32) -> u64 {
     ((customer as u64) << 32) | ts as u64
 }
 
 fn main() {
-    let rows: usize = std::env::args().nth(1).and_then(|s| s.parse().ok()).unwrap_or(1 << 21);
+    let rows = support::count_arg(1, "rows", 1 << 21);
     // Many customers → small per-customer requests (~128 keys at the
     // default row count): the many-small-concurrent-requests regime the
     // coalescing batcher exists for.

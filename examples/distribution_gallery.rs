@@ -10,12 +10,14 @@
 
 use ccsort::algos::dist::{generate, Dist, MAX_KEY};
 
+mod support;
+
 const BUCKETS: usize = 32;
 const P: usize = 16;
 const R: u32 = 8;
 
 fn main() {
-    let n: usize = std::env::args().nth(1).and_then(|s| s.parse().ok()).unwrap_or(1 << 18);
+    let n = support::count_arg(1, "n", 1 << 18);
 
     for dist in Dist::ALL {
         let keys = generate(dist, n, P, R, 42);

@@ -14,10 +14,11 @@
 
 use ccsort::algos::{run_experiment, run_sequential_baseline, Algorithm, Dist, ExpConfig};
 
+mod support;
+
 fn main() {
-    let mut args = std::env::args().skip(1);
-    let p: usize = args.next().and_then(|s| s.parse().ok()).unwrap_or(16);
-    let scale: usize = args.next().and_then(|s| s.parse().ok()).unwrap_or(64);
+    let p = support::count_arg(1, "p", 16);
+    let scale = support::count_arg(2, "scale", 64);
 
     let combos: &[(Algorithm, u32)] = &[
         (Algorithm::RadixCcsas, 8),

@@ -12,10 +12,11 @@
 
 use ccsort::algos::{run_experiment, Algorithm, ExpConfig};
 
+mod support;
+
 fn main() {
-    let mut args = std::env::args().skip(1);
-    let n: usize = args.next().and_then(|s| s.parse().ok()).unwrap_or(1 << 19);
-    let p: usize = args.next().and_then(|s| s.parse().ok()).unwrap_or(32);
+    let n = support::count_arg(1, "n", 1 << 19);
+    let p = support::count_arg(2, "p", 32);
 
     println!("per-phase profiles, n = {n} Gauss keys, {p} simulated processors\n");
     for (alg, r) in [

@@ -18,10 +18,11 @@
 
 use ccsort::algos::{run_experiment, Algorithm, ExpConfig};
 
+mod support;
+
 fn main() {
-    let mut args = std::env::args().skip(1);
-    let n: usize = args.next().and_then(|s| s.parse().ok()).unwrap_or(1 << 18);
-    let p: usize = args.next().and_then(|s| s.parse().ok()).unwrap_or(16);
+    let n = support::count_arg(1, "n", 1 << 18);
+    let p = support::count_arg(2, "p", 16);
 
     // Every row is the same algorithm; only the transport differs.
     let variants = Algorithm::ALL.into_iter().filter(Algorithm::is_radix);

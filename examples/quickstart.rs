@@ -13,8 +13,10 @@ use std::time::Instant;
 
 use ccsort::parallel::{par_radix_sort, par_sample_sort, seq_radix_sort};
 
+mod support;
+
 fn main() {
-    let n: usize = std::env::args().nth(1).and_then(|s| s.parse().ok()).unwrap_or(1 << 22);
+    let n = support::count_arg(1, "n", 1 << 22);
 
     // Deterministic pseudo-random input.
     let mut rng = ccsort_rng::SplitMix64::seed_from_u64(1);

@@ -13,17 +13,18 @@
 
 use ccsort::algos::{run_experiment, run_sequential_baseline, Algorithm, Dist, ExpConfig};
 
+mod support;
+
 fn main() {
-    let mut args = std::env::args().skip(1);
-    let alg = args
-        .next()
+    let alg = std::env::args()
+        .nth(1)
         .map(|s| Algorithm::parse(&s).unwrap_or_else(|e| {
             eprintln!("{e}");
             std::process::exit(2);
         }))
         .unwrap_or(Algorithm::RadixShmem);
-    let n: usize = args.next().and_then(|s| s.parse().ok()).unwrap_or(1 << 18);
-    let p: usize = args.next().and_then(|s| s.parse().ok()).unwrap_or(16);
+    let n = support::count_arg(2, "n", 1 << 18);
+    let p = support::count_arg(3, "p", 16);
 
     // Validate user-supplied parameters up front: a bad p or n is a usage
     // error with the offending field named, not a panic mid-simulation.

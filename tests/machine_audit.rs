@@ -66,6 +66,7 @@ fn copy_untimed_invalidates_other_pes_stale_destination_copies() {
     m.write_at(0, dst, 0, 1); // initiator holds the dst line Modified
     m.read_at(1, dst, 4); // PE 1 caches the same dst line (Shared)
     m.section("copy");
+    #[expect(clippy::disallowed_methods, reason = "the call under test")]
     m.copy_untimed(0, src, 0, dst, 0, 32);
     assert_eq!(m.raw(dst)[0], 99);
     // PE 1's stale copy must be gone: its re-read misses.
