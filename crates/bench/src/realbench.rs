@@ -24,7 +24,8 @@
 //! Which pass schedule the engine chose for a radix row ([`Schedule`],
 //! with the number of heavy top-level buckets) is printed at the end of its
 //! progress line, so `radix` vs `radix_lsd` measures exactly the schedule
-//! choice.
+//! choice, and under it the fastest repetition's wall time phase by phase
+//! ([`Phases`]): where the row's time went, not just how much of it.
 //! Every timed sort is verified (untimed) to be a sorted permutation of
 //! its input — and bit-identical, stable order for pairs — before its time
 //! is accepted.
@@ -37,6 +38,7 @@
 use std::collections::BTreeMap;
 use std::time::Instant;
 
+use ccsort_parallel::radix::Phases;
 use ccsort_parallel::spmd::programs;
 use ccsort_parallel::{
     is_sorted, multiset_fingerprint, par_radix_sort_pairs_with_scratch,
@@ -305,6 +307,43 @@ pub struct Row {
     /// How the radix engine ran the sort (`None` for every other algorithm):
     /// which schedule a row measured is printed, not inferred.
     pub schedule: Option<Schedule>,
+    /// The engine's phase breakdown of the fastest repetition (`None` for
+    /// every other algorithm).
+    pub phases: Option<Phases>,
+}
+
+/// What the radix engine reports about a cell's sorts: the schedule, and
+/// the phases of the fastest one.
+#[derive(Default)]
+struct EngineReport {
+    schedule: Option<Schedule>,
+    phases: Option<Phases>,
+}
+
+impl EngineReport {
+    fn record<K: Copy + Default, V: Copy + Default>(&mut self, scratch: &SortScratch<K, V>) {
+        self.schedule = scratch.last_schedule();
+        match (self.phases, scratch.last_phases()) {
+            (Some(best), Some(p)) if best.total <= p.total => {}
+            (_, p) => self.phases = p,
+        }
+    }
+}
+
+/// One line per phase of an engine sort, in ms, with the serial glue the
+/// parts leave out.
+fn phase_line(p: &Phases) -> String {
+    let ms = |d: std::time::Duration| d.as_secs_f64() * 1e3;
+    let count = p.first_count.map_or("fused".to_string(), |d| format!("{:.1}", ms(d)));
+    format!(
+        "fold {:.1} · first count {count} · permute {:.1} · buckets {:.1} · deeper {:.1} · glue {:.1} = {:.1} ms",
+        ms(p.fold),
+        ms(p.permute),
+        ms(p.buckets),
+        ms(p.deeper),
+        ms(p.total - p.parts()),
+        ms(p.total)
+    )
 }
 
 /// Bench options: the grid and the measurement discipline.
@@ -363,7 +402,7 @@ fn run_keys<K: RadixKey + Default + Send>(
     algo: Algo,
     threads: usize,
     reps: usize,
-    schedule: &mut Option<Schedule>,
+    report: &mut EngineReport,
 ) -> f64 {
     let fp = multiset_fingerprint(&input);
     let verify = |v: &Vec<K>| {
@@ -385,7 +424,7 @@ fn run_keys<K: RadixKey + Default + Send>(
                 |v| {
                     let mut scratch = SortScratch::<_, ()>::new();
                     par_radix_sort_with_scratch(v, &cfg, &mut scratch);
-                    *schedule = scratch.last_schedule();
+                    report.record(&scratch);
                 },
                 verify,
             )
@@ -396,21 +435,21 @@ fn run_keys<K: RadixKey + Default + Send>(
 /// Measure one `(kind, algo, dist, n, threads)` cell. `raw` is the
 /// distribution sample as u64. The radix rows sort through a fresh
 /// [`SortScratch`] inside the timed region — what `par_radix_sort_with`
-/// does internally — so the engine's schedule can be read back.
+/// does internally — so the engine's schedule and phases can be read back.
 fn run_cell(
     kind: Kind,
     algo: Algo,
     raw: &[u64],
     threads: usize,
     reps: usize,
-) -> (f64, Option<Schedule>) {
+) -> (f64, EngineReport) {
     let n = raw.len();
-    let mut schedule = None;
+    let mut report = EngineReport::default();
     let best = match kind {
         Kind::U32 => {
-            run_keys(raw.iter().map(|&x| x as u32).collect(), algo, threads, reps, &mut schedule)
+            run_keys(raw.iter().map(|&x| x as u32).collect(), algo, threads, reps, &mut report)
         }
-        Kind::U64 => run_keys(raw.to_vec(), algo, threads, reps, &mut schedule),
+        Kind::U64 => run_keys(raw.to_vec(), algo, threads, reps, &mut report),
         Kind::PairsU32 => {
             let keys: Vec<u32> = raw.iter().map(|&x| x as u32).collect();
             // Payload = original index, so the stable order is unique and
@@ -450,7 +489,7 @@ fn run_cell(
                                 &cfg,
                                 &mut scratch,
                             );
-                            schedule = scratch.last_schedule();
+                            report.record(&scratch);
                         },
                         verify,
                     )
@@ -458,7 +497,7 @@ fn run_cell(
             }
         }
     };
-    (best, schedule)
+    (best, report)
 }
 
 /// Which (kind, dist) combos the grid covers. u32 takes the full
@@ -501,7 +540,7 @@ pub fn run_grid(opts: &RealBenchOpts, progress: bool) -> Vec<Row> {
                     _ => opts.threads.clone(),
                 };
                 for t in thread_list {
-                    let (best, schedule) = run_cell(kind, algo, &raw, t, opts.reps);
+                    let (best, report) = run_cell(kind, algo, &raw, t, opts.reps);
                     let row = Row {
                         kind: kind.name(),
                         algo: algo.name(),
@@ -511,7 +550,8 @@ pub fn run_grid(opts: &RealBenchOpts, progress: bool) -> Vec<Row> {
                         reps: opts.reps,
                         best_wall_s: best,
                         mkeys_per_sec: n as f64 / best / 1e6,
-                        schedule,
+                        schedule: report.schedule,
+                        phases: report.phases,
                     };
                     if progress {
                         println!(
@@ -520,6 +560,9 @@ pub fn run_grid(opts: &RealBenchOpts, progress: bool) -> Vec<Row> {
                             row.best_wall_s, row.mkeys_per_sec,
                             row.schedule.map_or(String::new(), |s| format!("{s:?}"))
                         );
+                        if let Some(p) = &row.phases {
+                            println!("{:>9} {}", "", phase_line(p));
+                        }
                     }
                     rows.push(row);
                 }

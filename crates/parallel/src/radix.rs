@@ -54,6 +54,7 @@
 //! stable `sort_by_key`.
 
 use std::ops::Range;
+use std::time::{Duration, Instant};
 
 use crate::histogram::{count_digits_into, exclusive_prefix_sum, PaddedCounts};
 use crate::key::RadixKey;
@@ -172,6 +173,37 @@ pub enum Schedule {
     MsdFirst { top_pass: u32, live_passes: u32, largest_bucket: usize, heavy_buckets: u32 },
     /// One permute per non-trivial pass, least significant digit first.
     Lsd { executed_passes: u32 },
+}
+
+/// Wall time of each phase of one engine sort
+/// ([`SortScratch::last_phases`]). The parts cover everything but sizing
+/// the scratch and the serial glue between phases (rank prefix sums,
+/// summing rows), so they add up to `total` less a residual of a few
+/// percent (`phases_sum_to_the_sort_wall_time`).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct Phases {
+    /// The read that folds the OR and the AND of every key.
+    pub fold: Duration,
+    /// The outermost range's count of the first digit it permutes on;
+    /// `None` when none ran on its own (no live pass).
+    pub first_count: Option<Duration>,
+    /// The outermost range's permutes: the one top-digit permute under
+    /// MSD-first; under LSD every pass, with the counts taken between them
+    /// and any closing copy.
+    pub permute: Duration,
+    /// The light buckets finished by the sequential kernel (MSD-first).
+    pub buckets: Duration,
+    /// Every heavy bucket, all the levels below the outermost together.
+    pub deeper: Duration,
+    /// The whole engine sort, entry to return.
+    pub total: Duration,
+}
+
+impl Phases {
+    /// The sum of the parts; `total` less this is the serial glue.
+    pub fn parts(&self) -> Duration {
+        self.fold + self.first_count.unwrap_or_default() + self.permute + self.buckets + self.deeper
+    }
 }
 
 /// Sort `keys` in parallel with the default configuration.
@@ -425,6 +457,7 @@ pub struct SortScratch<K, V = ()> {
     workers: Vec<WorkerScratch<K, V>>,
     reallocations: u64,
     last_schedule: Option<Schedule>,
+    last_phases: Option<Phases>,
 }
 
 impl<K: Copy + Default, V: Copy + Default> Default for SortScratch<K, V> {
@@ -447,6 +480,7 @@ impl<K: Copy + Default, V: Copy + Default> SortScratch<K, V> {
             workers: Vec::new(),
             reallocations: 0,
             last_schedule: None,
+            last_phases: None,
         }
     }
 
@@ -454,6 +488,13 @@ impl<K: Copy + Default, V: Copy + Default> SortScratch<K, V> {
     /// (`None` before the first). Written once per sort.
     pub fn last_schedule(&self) -> Option<Schedule> {
         self.last_schedule
+    }
+
+    /// Where the wall time of the most recent sort through this scratch
+    /// went, phase by phase; `None` before the first sort and after one
+    /// that never entered the engine ([`Schedule::Sequential`]).
+    pub fn last_phases(&self) -> Option<Phases> {
+        self.last_phases
     }
 
     /// How many times any backing buffer has grown since construction.
@@ -517,6 +558,7 @@ impl<K: Copy + Default, V: Copy + Default> SortScratch<K, V> {
         K: RadixKey,
     {
         self.last_schedule = Some(Schedule::Sequential);
+        self.last_phases = None;
         let n = keys.len();
         if n <= 1 {
             return;
@@ -580,6 +622,7 @@ pub(crate) fn sort_engine<K, V, const WITH_VALS: bool>(
     K: RadixKey + Default,
     V: Copy + Send + Sync + Default,
 {
+    let entry = Instant::now();
     let n = keys.len();
     debug_assert!(n > 1, "engine callers handle the trivial sizes");
     let workers = cfg.chunks.unwrap_or_else(default_workers).clamp(1, n);
@@ -594,9 +637,12 @@ pub(crate) fn sort_engine<K, V, const WITH_VALS: bool>(
         workers: ws,
         reallocations,
         last_schedule,
+        last_phases,
         ..
     } = scratch;
+    let t = Instant::now();
     let fold = run_fold(keys, Exec::new(n, workers));
+    let fold_time = t.elapsed();
     let mut engine = Engine {
         cfg,
         bucket_starts,
@@ -607,7 +653,9 @@ pub(crate) fn sort_engine<K, V, const WITH_VALS: bool>(
         reallocations,
     };
     let lanes = Lanes { cur_k: keys, cur_v: vals, alt_k: key_scratch, alt_v: val_scratch };
-    *last_schedule = Some(engine.sort_range::<WITH_VALS>(lanes, fold, false, 0));
+    let (schedule, phases) = engine.sort_range::<WITH_VALS>(lanes, fold, false, 0);
+    *last_schedule = Some(schedule);
+    *last_phases = Some(Phases { fold: fold_time, total: entry.elapsed(), ..phases });
 }
 
 /// One range of both lanes on both sides — the caller's arrays and the
@@ -655,7 +703,8 @@ where
 {
     /// Sort one range with every worker on it and leave the result in
     /// `lanes.alt` when `land_in_alt`, in `lanes.cur` otherwise; returns
-    /// how. `fold` is the OR and the AND of the range's keys. The whole
+    /// how, and where the range's time went (`fold` and `total` left to
+    /// the caller). `fold` is the OR and the AND of the range's keys. The whole
     /// sort is the range at `depth` 0; a range at `depth` d + 1 is a heavy
     /// bucket of a range at depth d, with the two sides' roles swapped, so
     /// its keys agree on every digit from its parent's top live one up.
@@ -674,7 +723,7 @@ where
         fold: (u64, u64),
         land_in_alt: bool,
         depth: usize,
-    ) -> Schedule {
+    ) -> (Schedule, Phases) {
         let cfg = self.cfg;
         let n = lanes.cur_k.len();
         let bins = 1usize << cfg.radix_bits;
@@ -689,7 +738,7 @@ where
             if land_in_alt {
                 lanes.copy_to_alt();
             }
-            return Schedule::Lsd { executed_passes: 0 };
+            return (Schedule::Lsd { executed_passes: 0 }, Phases::default());
         }
 
         let grew = self.chunk_hists.reset(m, bins) | self.offsets.reset(m, bins);
@@ -702,7 +751,9 @@ where
             let Lanes { cur_k, cur_v, alt_k, alt_v } = lanes;
             let top = 63 - live.leading_zeros() as usize;
             let top_shift = top as u32 * cfg.radix_bits;
+            let t = Instant::now();
             run_count(cur_k, exec, top_shift, mask, self.chunk_hists);
+            let first_count = Some(t.elapsed());
             let level = depth * (bins + 1)..(depth + 1) * (bins + 1);
             let folds = depth * bins..(depth + 1) * bins;
             let grew = at_least(self.bucket_starts, level.end, 0)
@@ -731,13 +782,16 @@ where
                 next_shift: None,
                 fold_buckets: true,
             };
+            let t = Instant::now();
             run_permute::<K, V, WITH_VALS>(&ctx, exec, self.offsets, self.chunk_hists, ws);
+            let permute = t.elapsed();
             for (b, fold) in self.bucket_folds[folds.clone()].iter_mut().enumerate() {
                 *fold = ws.iter().map(|w| w.stage.fold[b]).fold(NO_KEYS, join_folds);
             }
 
             // The keys are on the `alt` side now, bucket by bucket. Light
             // buckets first, one worker each, through the kernel ...
+            let t = Instant::now();
             total[0] = exclusive_prefix_sum(top_hist);
             for w in ws.iter_mut() {
                 w.reallocations += reshape(&mut w.bucket_hist, hist_len::<K>(cfg.radix_bits)) as u64;
@@ -751,9 +805,11 @@ where
             };
             let bucket_folds = &self.bucket_folds[folds.clone()];
             run_buckets::<K, V, WITH_VALS>(&bucket_lanes, exec, cfg, bucket_folds, starts, ws);
+            let buckets = t.elapsed();
 
             // ... then each heavy one with every worker on it, as a range
             // of its own whose data lies on the other side.
+            let t = Instant::now();
             let mut heavy_buckets = 0;
             for b in 0..bins {
                 let at = level.start + b;
@@ -771,12 +827,14 @@ where
                     self.sort_range::<WITH_VALS>(bucket, fold, !land_in_alt, depth + 1);
                 }
             }
-            return Schedule::MsdFirst {
+            let schedule = Schedule::MsdFirst {
                 top_pass: top as u32,
                 live_passes: live.count_ones(),
                 largest_bucket,
                 heavy_buckets,
             };
+            let phases = Phases { first_count, permute, buckets, deeper: t.elapsed(), ..Phases::default() };
+            return (schedule, phases);
         }
 
         // Counting the next pass during a permute needs one m × bins matrix
@@ -787,10 +845,14 @@ where
         let mut counted = false;
         let mut executed_passes = 0;
         let mut land_in_alt = land_in_alt;
+        let mut first_count = None;
+        let t = Instant::now();
         for pass in (0..total_passes).filter(|&p| live >> p & 1 == 1) {
             let shift = pass as u32 * cfg.radix_bits;
             if !counted {
+                let t = Instant::now();
                 run_count(lanes.cur_k, exec, shift, mask, self.chunk_hists);
+                first_count = first_count.or(Some(t.elapsed()));
             }
             build_offsets(self.chunk_hists, self.offsets, n);
 
@@ -820,7 +882,8 @@ where
         if land_in_alt {
             lanes.copy_to_alt();
         }
-        Schedule::Lsd { executed_passes }
+        let permute = t.elapsed() - first_count.unwrap_or_default();
+        (Schedule::Lsd { executed_passes }, Phases { first_count, permute, ..Phases::default() })
     }
 }
 
@@ -1999,6 +2062,47 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn phases_sum_to_the_sort_wall_time() {
+        // Every part of the breakdown on all three paths: MSD-first with a
+        // heavy bucket (a quarter of the keys share one value), and LSD.
+        // The parts miss only the serial glue between phases, so on a warm
+        // scratch they cover all but 5 % of the wall time measured around
+        // the call — on the best of five sorts, since a preemption in the
+        // glue lands in the residual.
+        let mut rng = SplitMix64::seed_from_u64(90);
+        let n = 1 << 17;
+        let input: Vec<u32> =
+            (0..n).map(|i| if i % 4 == 0 { 7 } else { rng.random::<u32>() }).collect();
+        let msd = RadixSortConfig { chunks: Some(3), sequential_cutoff: 8192, ..Default::default() };
+        let lsd = RadixSortConfig { chunks: Some(3), ..RadixSortConfig::simple() };
+        for cfg in [msd, lsd] {
+            let mut scratch: SortScratch<u32> = SortScratch::new();
+            let mut best = f64::INFINITY;
+            for _ in 0..6 {
+                let mut v = input.clone();
+                let t = Instant::now();
+                par_radix_sort_with_scratch(&mut v, &cfg, &mut scratch);
+                let wall = t.elapsed();
+                let p = scratch.last_phases().expect("an engine sort");
+                assert!(p.parts() <= p.total && p.total <= wall, "{p:?} vs {wall:?}");
+                assert!(p.first_count.is_some(), "{p:?}");
+                match scratch.last_schedule() {
+                    Some(Schedule::MsdFirst { heavy_buckets, .. }) => {
+                        assert!(heavy_buckets >= 1 && p.buckets > Duration::ZERO && p.deeper > Duration::ZERO);
+                    }
+                    s => assert_eq!((s, p.buckets, p.deeper), (Some(Schedule::Lsd { executed_passes: 4 }), Duration::ZERO, Duration::ZERO)),
+                }
+                best = best.min((wall - p.parts()).as_secs_f64() / wall.as_secs_f64());
+            }
+            assert!(best <= 0.05, "the parts leave {:.1} % of the wall time out under {cfg:?}", best * 100.0);
+        }
+        let mut small = vec![3u32, 1, 2];
+        let mut scratch: SortScratch<u32> = SortScratch::new();
+        par_radix_sort_with_scratch(&mut small, &RadixSortConfig::default(), &mut scratch);
+        assert_eq!(scratch.last_phases(), None, "the kernel is not the engine");
     }
 
     #[test]
