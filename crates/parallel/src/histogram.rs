@@ -186,6 +186,47 @@ pub(crate) fn count_digits_into<K: RadixKey>(keys: &[K], shift: u32, mask: u64, 
     }
 }
 
+/// Overwrite `row` with the counts of `keys`' digits at `shift` and return
+/// the OR and the AND of their `to_bits()`, in one read. Keys alternate
+/// between `row` and `spare` (zeroed here, added into `row` at the end),
+/// so a run of equal digits — sorted input, a Zipf head — is two
+/// store-to-load chains on two counters instead of one on one.
+#[inline]
+pub(crate) fn fold_and_count<K: RadixKey>(
+    keys: &[K],
+    shift: u32,
+    mask: u64,
+    row: &mut [usize],
+    spare: &mut [usize],
+) -> (u64, u64) {
+    // Rows exactly `mask + 1` long, so no digit needs a bounds check.
+    let (row, spare) = (&mut row[..=mask as usize], &mut spare[..=mask as usize]);
+    row.fill(0);
+    spare.fill(0);
+    let (mut or, mut and) = (0u64, u64::MAX);
+    let digit = |bits: u64| ((bits >> shift) & mask) as usize;
+    let mut quads = keys.chunks_exact(4);
+    for q in quads.by_ref() {
+        let (b0, b1, b2, b3) = (q[0].to_bits(), q[1].to_bits(), q[2].to_bits(), q[3].to_bits());
+        or |= b0 | b1 | b2 | b3;
+        and &= b0 & b1 & b2 & b3;
+        row[digit(b0)] += 1;
+        spare[digit(b1)] += 1;
+        row[digit(b2)] += 1;
+        spare[digit(b3)] += 1;
+    }
+    for k in quads.remainder() {
+        let bits = k.to_bits();
+        or |= bits;
+        and &= bits;
+        row[digit(bits)] += 1;
+    }
+    for (r, s) in row.iter_mut().zip(spare.iter()) {
+        *r += s;
+    }
+    (or, and)
+}
+
 /// Keys per claimed chunk of the standalone histograms.
 const HIST_CHUNK: usize = 64 * 1024;
 
@@ -426,6 +467,27 @@ mod tests {
                 naive[k.digit(8, 0xFF)] += 1;
             }
             assert_eq!(unrolled, naive, "n={n}");
+        }
+    }
+
+    #[test]
+    fn fold_and_count_matches_a_naive_fold_and_count() {
+        // Lengths around the four-key unroll, a run of one digit (both rows
+        // on the same counter), and a spare row left dirty by a last call.
+        let mut rng = SplitMix64::seed_from_u64(4);
+        let mut spare = vec![99usize; 256];
+        for n in [0usize, 1, 3, 4, 5, 1023] {
+            for keys in [(0..n).map(|_| rng.random()).collect::<Vec<u32>>(), vec![0x1234_5678; n]] {
+                let mut row = vec![7usize; 256];
+                let fold = fold_and_count(&keys, 8, 0xFF, &mut row, &mut spare);
+                let mut naive = vec![0usize; 256];
+                for k in &keys {
+                    naive[k.digit(8, 0xFF)] += 1;
+                }
+                let or = keys.iter().fold(0u64, |a, &k| a | u64::from(k));
+                let and = keys.iter().fold(u64::MAX, |a, &k| a & u64::from(k));
+                assert_eq!((row, fold), (naive, (or, and)), "n={n}");
+            }
         }
     }
 

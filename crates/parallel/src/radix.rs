@@ -16,16 +16,19 @@
 //!   worker (or a skew-slowed chunk) never serializes a phase. Output is
 //!   independent of the steal schedule: every element's destination is
 //!   fixed by the rank arithmetic before the phase starts.
-//! * **Fold, then count only what runs**: one parallel read folds the OR
-//!   and the AND of every key's `to_bits()`; a pass is trivial exactly
-//!   when no bit of its digit differs between the two, so the set of live
-//!   passes costs one cheap read and no counting. Per-chunk histograms are
-//!   then counted for one digit at a time, and each permute counts the
-//!   *next* live pass's per-chunk digits while the keys are already in
-//!   registers, eliminating the per-pass re-read of the whole array. A
-//!   permute that splits a range into buckets folds each bucket's keys the
-//!   same way, block by flushed block, so what is live inside a bucket is
-//!   known without reading it again.
+//! * **Fold and first count in one read, then count only what runs**: one
+//!   parallel read folds the OR and the AND of every key's `to_bits()`; a
+//!   pass is trivial exactly when no bit of its digit differs between the
+//!   two, so the set of live passes needs no counting. The same read
+//!   counts, per chunk, the digit the sort will permute on first, as
+//!   predicted from the fold of a small sample (the head of every chunk);
+//!   the rare wrong guess costs one separate counting read, never a
+//!   different output. Each permute then counts the *next* live pass's
+//!   per-chunk digits while the keys are already in registers, so no pass
+//!   re-reads the whole array to count. A permute that splits a range into
+//!   buckets folds each bucket's keys the same way, block by flushed
+//!   block, so what is live inside a bucket is known without reading it
+//!   again.
 //!
 //! On top of those parts the engine picks one of two pass **schedules**
 //! per sort, from the data ([`Schedule`], [`SortScratch::last_schedule`]):
@@ -56,11 +59,11 @@
 use std::ops::Range;
 use std::time::{Duration, Instant};
 
-use crate::histogram::{count_digits_into, exclusive_prefix_sum, PaddedCounts};
+use crate::histogram::{count_digits_into, exclusive_prefix_sum, fold_and_count, PaddedCounts};
 use crate::key::RadixKey;
 use crate::seq::{all_passes, hist_len, lsd_sort, passes_for, DEFAULT_RADIX_BITS};
 use crate::shared::SharedSlice;
-use crate::steal::{default_workers, run_workers, ChunkQueue};
+use crate::steal::{default_workers, ChunkQueue};
 
 /// Per-worker next-pass count matrices larger than this many counters fall
 /// back to one counting read per pass.
@@ -74,6 +77,11 @@ const STAGE_BYTES: usize = 1024;
 /// Chunks cut per worker, so that a worker that runs dry can take a
 /// quarter of a straggler's region at a time (DESIGN.md §14).
 const CHUNKS_PER_WORKER: usize = 4;
+
+/// Keys at the head of every chunk whose fold predicts the digit the sort
+/// will count first (`predict_first_pass`). Every chunk, so that the high
+/// keys of a sorted input are seen.
+const SAMPLE_KEYS: usize = 64;
 
 /// Default [`RadixSortConfig::sequential_cutoff`], from the n × chunks
 /// table in DESIGN.md §14 (n = 2^13…2^20, `chunks` 1 and 2, sequential
@@ -330,6 +338,11 @@ struct PermuteCtx<'a, K, V> {
 /// The fold of no keys: the identity of (OR, AND).
 const NO_KEYS: (u64, u64) = (0, u64::MAX);
 
+/// The fold of `keys`: the OR and the AND of their order-preserving images.
+fn fold_of<'a, K: RadixKey + 'a>(keys: impl IntoIterator<Item = &'a K>) -> (u64, u64) {
+    keys.into_iter().fold(NO_KEYS, |(or, and), k| (or | k.to_bits(), and & k.to_bits()))
+}
+
 /// The fold of two sets of keys together, from the fold of each.
 fn join_folds(a: (u64, u64), b: (u64, u64)) -> (u64, u64) {
     (a.0 | b.0, a.1 & b.1)
@@ -395,13 +408,15 @@ impl<K: Copy + Default, V: Copy + Default> Stage<K, V> {
 }
 
 /// One worker's private reusable buffers: the coalescing stage, the
-/// next-pass count matrix a permute fills, and the `passes × bins`
-/// histogram the sequential kernel needs in the bucket phase. Handed to
+/// next-pass count matrix a permute fills, the second counter row of a
+/// counting read (`fold_and_count`), and the `passes × bins` histogram the
+/// sequential kernel needs in the bucket phase. Handed to
 /// exactly one worker thread per phase (disjoint `&mut` via `iter_mut`),
 /// so no synchronization is needed.
 struct WorkerScratch<K, V> {
     stage: Stage<K, V>,
     nh: PaddedCounts,
+    spare: Vec<usize>,
     bucket_hist: Vec<usize>,
     reallocations: u64,
 }
@@ -411,6 +426,7 @@ impl<K: Copy + Default, V: Copy + Default> WorkerScratch<K, V> {
         WorkerScratch {
             stage: Stage::empty(),
             nh: PaddedCounts::new(0, 0),
+            spare: Vec::new(),
             bucket_hist: Vec::new(),
             reallocations: 0,
         }
@@ -520,7 +536,7 @@ impl<K: Copy + Default, V: Copy + Default> SortScratch<K, V> {
             self.workers.resize_with(workers, WorkerScratch::new);
         }
         for w in &mut self.workers[..workers] {
-            w.reallocations += w.stage.reset(bins, with_vals) as u64;
+            w.reallocations += (w.stage.reset(bins, with_vals) | reshape(&mut w.spare, bins)) as u64;
         }
         self.reallocations += grew as u64;
     }
@@ -588,6 +604,36 @@ fn msd_first_possible(n: usize, bins: usize) -> bool {
     bins <= 2 * n / bins
 }
 
+/// The schedule rule: a range of `n` keys with live passes `live` is split
+/// on its top live digit (MSD-first) when the cutoff asks for the kernel
+/// at all, at least two passes are live and a histogram per bucket pays.
+fn splits_msd_first(live: u64, n: usize, cfg: &RadixSortConfig) -> bool {
+    cfg.sequential_cutoff > 0 && live.count_ones() >= 2 && msd_first_possible(n, 1 << cfg.radix_bits)
+}
+
+/// The pass a range counts first: its top live pass when it splits
+/// MSD-first, its lowest live pass otherwise. `live` is not empty.
+fn first_pass(live: u64, n: usize, cfg: &RadixSortConfig) -> u32 {
+    if splits_msd_first(live, n, cfg) {
+        63 - live.leading_zeros()
+    } else {
+        live.trailing_zeros()
+    }
+}
+
+/// The pass the whole sort will count first, guessed from the fold of the
+/// first [`SAMPLE_KEYS`] keys of every chunk; `None` when those keys are
+/// all equal. The sampled live passes are a subset of the true ones, so a
+/// guess is wrong only when a digit the sample never varies on is live.
+fn predict_first_pass<K: RadixKey>(keys: &[K], geom: ChunkGeom, cfg: &RadixSortConfig) -> Option<u32> {
+    let sample = (0..geom.chunks()).flat_map(|c| {
+        let range = geom.range(c);
+        &keys[range.start..range.end.min(range.start + SAMPLE_KEYS)]
+    });
+    let live = live_passes::<K>(fold_of(sample), cfg.radix_bits);
+    (live != 0).then(|| first_pass(live, keys.len(), cfg))
+}
+
 /// Give `v` at least `len` counters, keeping the ones it holds; `true` when
 /// it had to grow.
 fn at_least<T: Copy>(v: &mut Vec<T>, len: usize, fill: T) -> bool {
@@ -611,8 +657,10 @@ fn live_passes<K: RadixKey>((or, and): (u64, u64), radix_bits: u32) -> u64 {
 
 /// The shared engine behind [`par_radix_sort_with`] (V = `()`, no payload
 /// lane) and `par_radix_sort_pairs_with` (`WITH_VALS = true`): size what a
-/// sort sizes once, then sort the whole of both lanes as the outermost
-/// range ([`Engine::sort_range`]).
+/// sort sizes once, fold the input while counting the digit a sample says
+/// the sort will count first, then sort the whole of both lanes as the
+/// outermost range ([`Engine::sort_range`]), which counts again only if
+/// the sample was wrong.
 pub(crate) fn sort_engine<K, V, const WITH_VALS: bool>(
     keys: &mut [K],
     vals: &mut [V],
@@ -641,7 +689,14 @@ pub(crate) fn sort_engine<K, V, const WITH_VALS: bool>(
         ..
     } = scratch;
     let t = Instant::now();
-    let fold = run_fold(keys, Exec::new(n, workers));
+    let exec = Exec::new(n, workers);
+    let bins = 1usize << cfg.radix_bits;
+    let predicted = predict_first_pass(keys, exec.geom, cfg);
+    if predicted.is_some() {
+        *reallocations += chunk_hists.reset(exec.geom.chunks(), bins) as u64;
+    }
+    let count = predicted.map(|p| p * cfg.radix_bits);
+    let fold = run_fold(keys, exec, count, (bins - 1) as u64, chunk_hists, &mut ws[..workers]);
     let fold_time = t.elapsed();
     let mut engine = Engine {
         cfg,
@@ -653,7 +708,7 @@ pub(crate) fn sort_engine<K, V, const WITH_VALS: bool>(
         reallocations,
     };
     let lanes = Lanes { cur_k: keys, cur_v: vals, alt_k: key_scratch, alt_v: val_scratch };
-    let (schedule, phases) = engine.sort_range::<WITH_VALS>(lanes, fold, false, 0);
+    let (schedule, phases) = engine.sort_range::<WITH_VALS>(lanes, fold, predicted, false, 0);
     *last_schedule = Some(schedule);
     *last_phases = Some(Phases { fold: fold_time, total: entry.elapsed(), ..phases });
 }
@@ -704,7 +759,10 @@ where
     /// Sort one range with every worker on it and leave the result in
     /// `lanes.alt` when `land_in_alt`, in `lanes.cur` otherwise; returns
     /// how, and where the range's time went (`fold` and `total` left to
-    /// the caller). `fold` is the OR and the AND of the range's keys. The whole
+    /// the caller). `fold` is the OR and the AND of the range's keys, and
+    /// `counted` the pass whose per-chunk counts `chunk_hists` already holds
+    /// in this range's chunk geometry, if any: when that is the pass the
+    /// range counts first, it is not counted again. The whole
     /// sort is the range at `depth` 0; a range at `depth` d + 1 is a heavy
     /// bucket of a range at depth d, with the two sides' roles swapped, so
     /// its keys agree on every digit from its parent's top live one up.
@@ -721,6 +779,7 @@ where
         &mut self,
         mut lanes: Lanes<'_, K, V>,
         fold: (u64, u64),
+        counted: Option<u32>,
         land_in_alt: bool,
         depth: usize,
     ) -> (Schedule, Phases) {
@@ -741,19 +800,29 @@ where
             return (Schedule::Lsd { executed_passes: 0 }, Phases::default());
         }
 
-        let grew = self.chunk_hists.reset(m, bins) | self.offsets.reset(m, bins);
+        let mut grew = self.offsets.reset(m, bins);
+        if counted.is_none() {
+            grew |= self.chunk_hists.reset(m, bins);
+        }
         *self.reallocations += grew as u64;
         let ws = &mut self.ws[..exec.workers];
+        // The first count, unless the caller's read already took it.
+        let first = first_pass(live, n, cfg);
+        let mut count_first = |src: &[K], ws: &mut [WorkerScratch<K, V>]| {
+            (counted != Some(first)).then(|| {
+                let t = Instant::now();
+                run_count(src, exec, first * cfg.radix_bits, mask, self.chunk_hists, ws);
+                t.elapsed()
+            })
+        };
 
         // Schedule. Below two live passes there is nothing to finish in
         // cache; a cutoff of 0 (`simple()`) asks for LSD outright.
-        if cfg.sequential_cutoff > 0 && live.count_ones() >= 2 && msd_first_possible(n, bins) {
+        if splits_msd_first(live, n, cfg) {
             let Lanes { cur_k, cur_v, alt_k, alt_v } = lanes;
-            let top = 63 - live.leading_zeros() as usize;
-            let top_shift = top as u32 * cfg.radix_bits;
-            let t = Instant::now();
-            run_count(cur_k, exec, top_shift, mask, self.chunk_hists);
-            let first_count = Some(t.elapsed());
+            let top = first as usize;
+            let top_shift = first * cfg.radix_bits;
+            let first_count = count_first(cur_k, ws);
             let level = depth * (bins + 1)..(depth + 1) * (bins + 1);
             let folds = depth * bins..(depth + 1) * bins;
             let grew = at_least(self.bucket_starts, level.end, 0)
@@ -824,7 +893,7 @@ where
                         alt_v: &mut cur_v[vrange],
                     };
                     let fold = self.bucket_folds[folds.start + b];
-                    self.sort_range::<WITH_VALS>(bucket, fold, !land_in_alt, depth + 1);
+                    self.sort_range::<WITH_VALS>(bucket, fold, None, !land_in_alt, depth + 1);
                 }
             }
             let schedule = Schedule::MsdFirst {
@@ -841,18 +910,16 @@ where
         // per worker; past the cache budget the re-read is cheaper than the
         // misses.
         let count_during_permute = m * bins <= MAX_FUSED_NH_WORDS;
+        let t = Instant::now();
+        let first_count = count_first(lanes.cur_k, ws);
         // Whether `chunk_hists` holds the coming pass's per-chunk counts.
-        let mut counted = false;
+        let mut counted = true;
         let mut executed_passes = 0;
         let mut land_in_alt = land_in_alt;
-        let mut first_count = None;
-        let t = Instant::now();
         for pass in (0..total_passes).filter(|&p| live >> p & 1 == 1) {
             let shift = pass as u32 * cfg.radix_bits;
             if !counted {
-                let t = Instant::now();
-                run_count(lanes.cur_k, exec, shift, mask, self.chunk_hists);
-                first_count = first_count.or(Some(t.elapsed()));
+                run_count(lanes.cur_k, exec, shift, mask, self.chunk_hists, ws);
             }
             build_offsets(self.chunk_hists, self.offsets, n);
 
@@ -887,65 +954,77 @@ where
     }
 }
 
-/// Like [`run_workers`], but hands each worker exclusive `&mut` access to
-/// its own [`WorkerScratch`] (disjoint by `iter_mut`) so per-worker staging
-/// and count buffers survive across phases and across sorts instead of
-/// being allocated per pass.
-fn run_workers_scratch<K, V, F>(workers: usize, ws: &mut [WorkerScratch<K, V>], f: F)
+/// Like [`crate::steal::run_workers`], but hands each worker exclusive
+/// `&mut` access to its own [`WorkerScratch`] (disjoint by `iter_mut`) so
+/// per-worker staging and count buffers survive across phases and across
+/// sorts instead of being allocated per pass.
+fn run_workers_scratch<K, V, R, F>(workers: usize, ws: &mut [WorkerScratch<K, V>], f: F) -> Vec<R>
 where
     K: Send,
     V: Send,
-    F: Fn(usize, &mut WorkerScratch<K, V>) + Sync,
+    R: Send,
+    F: Fn(usize, &mut WorkerScratch<K, V>) -> R + Sync,
 {
     debug_assert_eq!(ws.len(), workers);
     if workers == 1 {
-        f(0, &mut ws[0]);
-        return;
+        return vec![f(0, &mut ws[0])];
     }
     std::thread::scope(|s| {
-        for (w, slot) in ws.iter_mut().enumerate() {
-            let f = &f;
-            s.spawn(move || f(w, slot));
-        }
-    });
+        let handles: Vec<_> = ws
+            .iter_mut()
+            .enumerate()
+            .map(|(w, slot)| {
+                let f = &f;
+                s.spawn(move || f(w, slot))
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p))).collect()
+    })
 }
 
 /// Per-chunk digit counts for one pass, in parallel over the chunk queue.
-fn run_count<K: RadixKey>(
+fn run_count<K: RadixKey, V: Send>(
     src: &[K],
     exec: Exec,
     shift: u32,
     mask: u64,
     chunk_hists: &mut PaddedCounts,
+    ws: &mut [WorkerScratch<K, V>],
 ) {
-    let shared = chunk_hists.shared();
-    let queue = exec.queue(exec.geom.chunks());
-    run_workers(exec.workers, |w| {
-        while let Some(c) = queue.claim(w) {
-            // SAFETY: chunk ids are claimed exactly once per phase, so row
-            // `c` is touched by this worker only.
-            let row = unsafe { shared.row_mut(c) };
-            row.fill(0);
-            count_digits_into(&src[exec.geom.range(c)], shift, mask, row);
-        }
-    });
+    run_fold(src, exec, Some(shift), mask, chunk_hists, ws);
 }
 
 /// The OR and the AND of every key's order-preserving image, in parallel
 /// over the chunk queue: the one read that tells the engine which digits
-/// differ anywhere in the input.
-fn run_fold<K: RadixKey>(src: &[K], exec: Exec) -> (u64, u64) {
+/// differ anywhere in the input. With `count` set, the same read counts
+/// the digit at that shift into each chunk's row of `chunk_hists` (shaped
+/// to `exec`'s chunks by the caller), two counter rows per chunk.
+fn run_fold<K: RadixKey, V: Send>(
+    src: &[K],
+    exec: Exec,
+    count: Option<u32>,
+    mask: u64,
+    chunk_hists: &mut PaddedCounts,
+    ws: &mut [WorkerScratch<K, V>],
+) -> (u64, u64) {
+    let shared = chunk_hists.shared();
     let queue = exec.queue(exec.geom.chunks());
-    let parts = run_workers(exec.workers, |w| {
-        let (mut or, mut and) = NO_KEYS;
+    let parts = run_workers_scratch(exec.workers, ws, |w, wsc| {
+        let mut fold = NO_KEYS;
         while let Some(c) = queue.claim(w) {
-            for k in &src[exec.geom.range(c)] {
-                let bits = k.to_bits();
-                or |= bits;
-                and &= bits;
-            }
+            let keys = &src[exec.geom.range(c)];
+            let chunk = match count {
+                Some(shift) => {
+                    // SAFETY: chunk ids are claimed exactly once per phase,
+                    // so row `c` is touched by this worker only.
+                    let row = unsafe { shared.row_mut(c) };
+                    fold_and_count(keys, shift, mask, row, &mut wsc.spare)
+                }
+                None => fold_of(keys),
+            };
+            fold = join_folds(fold, chunk);
         }
-        (or, and)
+        fold
     });
     parts.into_iter().fold(NO_KEYS, join_folds)
 }
@@ -2064,6 +2143,90 @@ mod tests {
         }
     }
 
+    /// The first pass [`predict_first_pass`] guesses for `keys` in the
+    /// engine's geometry for `cfg`, and the one the whole input's fold makes
+    /// the outermost range count first.
+    fn predicted_and_true_first<K: RadixKey>(keys: &[K], cfg: &RadixSortConfig) -> (Option<u32>, u32) {
+        let workers = cfg.chunks.expect("tests pin the worker count").clamp(1, keys.len());
+        let live = live_passes::<K>(fold_of(keys), cfg.radix_bits);
+        (predict_first_pass(keys, Exec::new(keys.len(), workers).geom, cfg), first_pass(live, keys.len(), cfg))
+    }
+
+    /// Sized for the gating Miri and TSan steps: 2,000 `u32` keys below
+    /// 2^12 (top byte clear) and one, at position 100 — past the sample of
+    /// every chunk at 1, 3 and 7 workers — with the top byte set. The
+    /// sample predicts pass 2, the fold finds pass 7 live, so the outermost
+    /// range counts its top digit on its own and the fold's count is wasted.
+    #[test]
+    fn fold_miss_on_an_unsampled_top_digit_counts_again() {
+        let mut rng = SplitMix64::seed_from_u64(91);
+        let mut keys: Vec<u32> = (0..2000).map(|_| rng.random_range(0..1 << 12)).collect();
+        keys[100] = 0xF000_0005;
+        for chunks in [1, 3, 7] {
+            let cfg = RadixSortConfig { radix_bits: 4, chunks: Some(chunks), sequential_cutoff: 256 };
+            assert_eq!(predicted_and_true_first(&keys, &cfg), (Some(2), 7), "under {cfg:?}");
+            let scratch = sorted_scratch(keys.clone(), &cfg, u32::MAX);
+            assert!(
+                matches!(scratch.last_schedule(), Some(Schedule::MsdFirst { top_pass: 7, heavy_buckets: 1, .. })),
+                "{:?}",
+                scratch.last_schedule()
+            );
+            let phases = scratch.last_phases().expect("an engine sort");
+            assert!(phases.first_count.is_some(), "a miss must count again: {phases:?}");
+        }
+    }
+
+    /// An already-sorted input: a prefix of 4,096 keys sees passes 0 and 1
+    /// only and would guess pass 1, but the chunks that start above 2^16
+    /// show pass 2, so the fold's count is the one the top permute uses.
+    #[test]
+    fn sorted_input_is_sampled_in_every_chunk_so_the_fold_carries_the_count() {
+        let keys: Vec<u32> = (0..70_000).collect();
+        for chunks in [1, 3, 7] {
+            let cfg = small_cutoff(RadixSortConfig { chunks: Some(chunks), ..Default::default() });
+            let prefix = live_passes::<u32>(fold_of(&keys[..4096]), cfg.radix_bits);
+            assert_eq!(first_pass(prefix, keys.len(), &cfg), 1, "a prefix sample would miss");
+            assert_eq!(predicted_and_true_first(&keys, &cfg), (Some(2), 2), "under {cfg:?}");
+            let scratch = sorted_scratch(keys.clone(), &cfg, u32::MAX);
+            assert!(
+                matches!(scratch.last_schedule(), Some(Schedule::MsdFirst { top_pass: 2, .. })),
+                "{:?}",
+                scratch.last_schedule()
+            );
+            let phases = scratch.last_phases().expect("an engine sort");
+            assert_eq!(phases.first_count, None, "the fold carried the count: {phases:?}");
+        }
+    }
+
+    /// Sized for the gating Miri and TSan steps: 2,000 `(u64, u64)` pairs,
+    /// keys below 64 (two live passes at 4-bit digits, ~31 copies of each
+    /// key) and one key at position 70, past every sample, with digit 15
+    /// set. The sample predicts pass 1, the sort counts pass 15 on its own,
+    /// and equal keys still leave in input order.
+    #[test]
+    fn fold_miss_keeps_pairs_stable() {
+        let mut rng = SplitMix64::seed_from_u64(92);
+        let mut keys_in: Vec<u64> = (0..2000).map(|_| rng.random_range(0..64)).collect();
+        keys_in[70] = 3 << 60 | 9;
+        let mut expect: Vec<(u64, u64)> = keys_in.iter().copied().zip(0..).collect();
+        expect.sort_by_key(|p| p.0);
+        for chunks in [1, 3, 7] {
+            let cfg = RadixSortConfig { radix_bits: 4, chunks: Some(chunks), sequential_cutoff: 256 };
+            assert_eq!(predicted_and_true_first(&keys_in, &cfg), (Some(1), 15), "under {cfg:?}");
+            let (mut keys, mut vals) = (keys_in.clone(), (0..2000).collect::<Vec<u64>>());
+            let mut scratch: SortScratch<u64, u64> = SortScratch::new();
+            crate::pairs::par_radix_sort_pairs_with_scratch(&mut keys, &mut vals, &cfg, &mut scratch);
+            assert_eq!(keys.into_iter().zip(vals).collect::<Vec<_>>(), expect, "under {cfg:?}");
+            assert!(
+                matches!(scratch.last_schedule(), Some(Schedule::MsdFirst { top_pass: 15, .. })),
+                "{:?}",
+                scratch.last_schedule()
+            );
+            let phases = scratch.last_phases().expect("an engine sort");
+            assert!(phases.first_count.is_some(), "a miss must count again: {phases:?}");
+        }
+    }
+
     #[test]
     fn phases_sum_to_the_sort_wall_time() {
         // Every part of the breakdown on all three paths: MSD-first with a
@@ -2088,7 +2251,7 @@ mod tests {
                 let wall = t.elapsed();
                 let p = scratch.last_phases().expect("an engine sort");
                 assert!(p.parts() <= p.total && p.total <= wall, "{p:?} vs {wall:?}");
-                assert!(p.first_count.is_some(), "{p:?}");
+                assert_eq!(p.first_count, None, "the fold carried the first count: {p:?}");
                 match scratch.last_schedule() {
                     Some(Schedule::MsdFirst { heavy_buckets, .. }) => {
                         assert!(heavy_buckets >= 1 && p.buckets > Duration::ZERO && p.deeper > Duration::ZERO);
