@@ -186,8 +186,9 @@ pub enum Schedule {
 /// Wall time of each phase of one engine sort
 /// ([`SortScratch::last_phases`]). The parts cover everything but sizing
 /// the scratch and the serial glue between phases (rank prefix sums,
-/// summing rows), so they add up to `total` less a residual of a few
-/// percent (`phases_sum_to_the_sort_wall_time`).
+/// summing rows): through a warm scratch they add up to `total` less a
+/// few percent (`phases_sum_to_the_sort_wall_time`); a scratch that has
+/// to grow adds its allocation to that residual.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct Phases {
     /// The read that folds the OR and the AND of every key.
@@ -595,20 +596,16 @@ impl<K: Copy + Default, V: Copy + Default> SortScratch<K, V> {
     }
 }
 
-/// Whether splitting `n` keys on one digit can pay at all: the bucket phase
-/// pays `bins` counters of zeroing and prefix sum per pass per bucket
-/// whatever the bucket holds, which the per-key work covers only when the
-/// mean bucket is at least half a histogram long (`bins² <= 2n`; with
-/// 16-bit digits that is never).
-fn msd_first_possible(n: usize, bins: usize) -> bool {
-    bins <= 2 * n / bins
-}
-
 /// The schedule rule: a range of `n` keys with live passes `live` is split
 /// on its top live digit (MSD-first) when the cutoff asks for the kernel
-/// at all, at least two passes are live and a histogram per bucket pays.
+/// at all, at least two passes are live, and splitting can pay: the bucket
+/// phase pays `bins` counters of zeroing and prefix sum per pass per
+/// bucket whatever the bucket holds, which the per-key work covers only
+/// when the mean bucket is at least half a histogram long (`bins² <= 2n`;
+/// with 16-bit digits that is never).
 fn splits_msd_first(live: u64, n: usize, cfg: &RadixSortConfig) -> bool {
-    cfg.sequential_cutoff > 0 && live.count_ones() >= 2 && msd_first_possible(n, 1 << cfg.radix_bits)
+    let bins = 1usize << cfg.radix_bits;
+    cfg.sequential_cutoff > 0 && live.count_ones() >= 2 && bins <= 2 * n / bins
 }
 
 /// The pass a range counts first: its top live pass when it splits
