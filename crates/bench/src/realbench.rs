@@ -330,8 +330,8 @@ impl EngineReport {
     }
 }
 
-/// One line per phase of an engine sort, in ms, with the serial glue the
-/// parts leave out.
+/// The phases of an engine sort on one line, in ms, with the serial glue
+/// the parts leave out.
 fn phase_line(p: &Phases) -> String {
     let ms = |d: std::time::Duration| d.as_secs_f64() * 1e3;
     let count = p.first_count.map_or("fused".to_string(), |d| format!("{:.1}", ms(d)));
