@@ -336,7 +336,8 @@ fn phase_line(p: &Phases) -> String {
     let ms = |d: std::time::Duration| d.as_secs_f64() * 1e3;
     let count = p.first_count.map_or("fused".to_string(), |d| format!("{:.1}", ms(d)));
     format!(
-        "fold {:.1} · first count {count} · permute {:.1} · buckets {:.1} · deeper {:.1} · glue {:.1} = {:.1} ms",
+        "scratch {:.1} · fold {:.1} · first count {count} · permute {:.1} · buckets {:.1} · deeper {:.1} · glue {:.1} = {:.1} ms",
+        ms(p.scratch),
         ms(p.fold),
         ms(p.permute),
         ms(p.buckets),
@@ -582,7 +583,7 @@ fn find_row<'a>(rows: &'a [Row], kind: &str, algo: &str, dist: &str, n: usize, t
 /// merge sort. Zipf `u64` is reported, not asserted: eight live digits
 /// leave seven in-cache LSD passes per bucket where two more splits would
 /// do, and the merge sort wins that row until the bucket kernel for wide
-/// keys exists (ROADMAP item 3a).
+/// keys exists (ROADMAP item 5(a)).
 const BEATS_MERGE: &[(Kind, Dist)] =
     &[(Kind::U32, Dist::Uniform), (Kind::U32, Dist::DupHeavy), (Kind::PairsU32, Dist::DupHeavy)];
 

@@ -195,7 +195,7 @@ const PREFETCH_BYTES: usize = 2048;
 
 /// Ask for the cache line at `p` ahead of its use.
 #[inline(always)]
-fn prefetch<T>(p: *const T) {
+pub(crate) fn prefetch<T>(p: *const T) {
     // SAFETY: a prefetch is a hint: it reads nothing the program sees and
     // never faults, whatever the address.
     #[cfg(all(target_arch = "x86_64", not(miri)))]

@@ -184,13 +184,15 @@ pub enum Schedule {
 }
 
 /// Wall time of each phase of one engine sort
-/// ([`SortScratch::last_phases`]). The parts cover everything but sizing
-/// the scratch and the serial glue between phases (rank prefix sums,
-/// summing rows): through a warm scratch they add up to `total` less a
-/// few percent (`phases_sum_to_the_sort_wall_time`); a scratch that has
-/// to grow adds its allocation to that residual.
+/// ([`SortScratch::last_phases`]). The parts cover everything but the
+/// serial glue between phases (rank prefix sums, summing rows): they add
+/// up to `total` less a few percent, through a warm scratch or a fresh one
+/// (`phases_sum_to_the_sort_wall_time`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct Phases {
+    /// Sizing the scratch: near zero when it is warm; for a fresh one the
+    /// flip buffers' allocation and first touch.
+    pub scratch: Duration,
     /// The read that folds the OR and the AND of every key.
     pub fold: Duration,
     /// The outermost range's count of the first digit it permutes on;
@@ -211,7 +213,12 @@ pub struct Phases {
 impl Phases {
     /// The sum of the parts; `total` less this is the serial glue.
     pub fn parts(&self) -> Duration {
-        self.fold + self.first_count.unwrap_or_default() + self.permute + self.buckets + self.deeper
+        self.scratch
+            + self.fold
+            + self.first_count.unwrap_or_default()
+            + self.permute
+            + self.buckets
+            + self.deeper
     }
 }
 
@@ -672,6 +679,7 @@ pub(crate) fn sort_engine<K, V, const WITH_VALS: bool>(
     debug_assert!(n > 1, "engine callers handle the trivial sizes");
     let workers = cfg.chunks.unwrap_or_else(default_workers).clamp(1, n);
     scratch.ensure(n, WITH_VALS, 1 << cfg.radix_bits, workers);
+    let scratch_time = entry.elapsed();
     let SortScratch {
         keys: key_scratch,
         vals: val_scratch,
@@ -707,7 +715,7 @@ pub(crate) fn sort_engine<K, V, const WITH_VALS: bool>(
     let lanes = Lanes { cur_k: keys, cur_v: vals, alt_k: key_scratch, alt_v: val_scratch };
     let (schedule, phases) = engine.sort_range::<WITH_VALS>(lanes, fold, predicted, false, 0);
     *last_schedule = Some(schedule);
-    *last_phases = Some(Phases { fold: fold_time, total: entry.elapsed(), ..phases });
+    *last_phases = Some(Phases { scratch: scratch_time, fold: fold_time, total: entry.elapsed(), ..phases });
 }
 
 /// One range of both lanes on both sides — the caller's arrays and the
@@ -2228,9 +2236,10 @@ mod tests {
     fn phases_sum_to_the_sort_wall_time() {
         // Every part of the breakdown on all three paths: MSD-first with a
         // heavy bucket (a quarter of the keys share one value), and LSD.
-        // The parts miss only the serial glue between phases, so on a warm
-        // scratch they cover all but 5 % of the wall time measured around
-        // the call — on the best of five sorts, since a preemption in the
+        // The parts miss only the serial glue between phases, so through a
+        // warm scratch and through a fresh one (whose sizing is a part of
+        // its own) they cover all but 5 % of the wall time measured around
+        // the call — on the best of six sorts, since a preemption in the
         // glue lands in the residual.
         let mut rng = SplitMix64::seed_from_u64(90);
         let n = 1 << 17;
@@ -2238,16 +2247,20 @@ mod tests {
             (0..n).map(|i| if i % 4 == 0 { 7 } else { rng.random::<u32>() }).collect();
         let msd = RadixSortConfig { chunks: Some(3), sequential_cutoff: 8192, ..Default::default() };
         let lsd = RadixSortConfig { chunks: Some(3), ..RadixSortConfig::simple() };
-        for cfg in [msd, lsd] {
+        for (cfg, fresh) in [(&msd, false), (&lsd, false), (&msd, true), (&lsd, true)] {
             let mut scratch: SortScratch<u32> = SortScratch::new();
             let mut best = f64::INFINITY;
             for _ in 0..6 {
+                if fresh {
+                    scratch = SortScratch::new();
+                }
                 let mut v = input.clone();
                 let t = Instant::now();
-                par_radix_sort_with_scratch(&mut v, &cfg, &mut scratch);
+                par_radix_sort_with_scratch(&mut v, cfg, &mut scratch);
                 let wall = t.elapsed();
                 let p = scratch.last_phases().expect("an engine sort");
                 assert!(p.parts() <= p.total && p.total <= wall, "{p:?} vs {wall:?}");
+                assert!(!fresh || p.scratch > Duration::ZERO, "a fresh scratch is sized: {p:?}");
                 assert_eq!(p.first_count, None, "the fold carried the first count: {p:?}");
                 match scratch.last_schedule() {
                     Some(Schedule::MsdFirst { heavy_buckets, .. }) => {
@@ -2257,7 +2270,11 @@ mod tests {
                 }
                 best = best.min((wall - p.parts()).as_secs_f64() / wall.as_secs_f64());
             }
-            assert!(best <= 0.05, "the parts leave {:.1} % of the wall time out under {cfg:?}", best * 100.0);
+            assert!(
+                best <= 0.05,
+                "the parts leave {:.1} % of the wall time out under {cfg:?} (fresh scratch: {fresh})",
+                best * 100.0
+            );
         }
         let mut small = vec![3u32, 1, 2];
         let mut scratch: SortScratch<u32> = SortScratch::new();
