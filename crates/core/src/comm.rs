@@ -10,7 +10,8 @@
 //! histogram publication and combination (prefix tree vs `MPI_Allgather` vs
 //! `shmem_fcollect`), the radix permutation of each pass, and the
 //! sample-sort splitter, count and key exchanges. The runtimes underneath
-//! ([`Mpi`], [`Shmem`], [`PrefixTree`]) live in `ccsort-models`.
+//! ([`Mpi`], [`Shmem`], [`PrefixTree`]) live in [`crate::runtime`], private
+//! to this crate like the communicators.
 //!
 //! Three implementations cover the paper's models, each with two radix
 //! permutation styles ([`Permute`]):
@@ -35,11 +36,11 @@
 //! to the pre-trait programs.
 
 use ccsort_machine::{ArrayId, Machine, Placement};
-use ccsort_models::{cpu_copy, read_fixed, write_fixed, Mpi, MpiMode, PrefixTree, Shmem};
 
 use crate::common::{exclusive_scan, part_range};
 use crate::costs;
 use crate::radix::{blocked_permute, split_by_owner, ChunkPiece};
+use crate::runtime::{cpu_copy, read_fixed, write_fixed, Mpi, MpiMode, PrefixTree, Shmem};
 
 /// Processes per sample-collection group in the CC-SAS sample sort.
 const GROUP: usize = 32;

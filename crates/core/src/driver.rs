@@ -11,9 +11,9 @@ use ccsort_machine::{
     ArrayId, DirectoryMode, EventCounters, InterconnectKind, Machine, MachineConfig, Placement,
     ProtocolMode, TimeBreakdown, MAX_PROCS,
 };
-use ccsort_models::MpiMode;
 use crate::comm::{CcsasComm, Communicator, MpiComm, Permute, ShmemComm};
 use crate::dist::{generate, Dist, KEY_BITS, MAX_RADIX_BITS};
+use crate::runtime::MpiMode;
 use crate::sample::SamplingStrategy;
 use crate::{radix, sample, seq};
 

@@ -3,7 +3,7 @@
 //! The sorting programs of Shan & Singh, *Parallel Sorting on
 //! Cache-coherent DSM Multiprocessors* (SC 1999), implemented against the
 //! simulated Origin 2000 (`ccsort-machine`) through the three programming
-//! model runtimes (`ccsort-models`):
+//! model runtimes (a private `runtime` module beside the communicators):
 //!
 //! * [`radix`] — the parallel radix sort, written once; seven
 //!   [`Algorithm`] rows pair it with a communicator.
@@ -35,6 +35,7 @@ pub mod dist;
 pub mod driver;
 pub mod predict;
 pub mod radix;
+mod runtime;
 pub mod sample;
 pub mod seq;
 

@@ -21,7 +21,7 @@
 
 use ccsort_machine::{ArrayId, Bucket, Machine, MsgToken, Placement};
 
-use crate::cpu_copy;
+use super::cpu_copy;
 
 /// Which MPI implementation to model.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -109,11 +109,6 @@ impl Mpi {
             staged_copy_cyc: 3.0,
             consume_service_mult: if mode == MpiMode::Staged { 6.0 } else { 3.0 },
         }
-    }
-
-    /// Which implementation this runtime models.
-    pub fn mode(&self) -> MpiMode {
-        self.mode
     }
 
     /// Send `len` elements from `src_arr[src_off..]` (owned by rank
@@ -210,7 +205,8 @@ impl Mpi {
         self.bounce_used[pe] = 0;
     }
 
-    /// Number of messages currently queued for `pe` (tests/diagnostics).
+    /// Number of messages currently queued for `pe`.
+    #[cfg(test)]
     pub fn pending_for(&self, pe: usize) -> usize {
         self.pending[pe].len()
     }
@@ -236,7 +232,7 @@ impl Mpi {
         for j in 0..self.p {
             let (src_arr, src_off) = contribs[j];
             if j == pe {
-                crate::cpu_copy_fixed(m, pe, src_arr, src_off, dst, j * len, len, 1.0);
+                super::cpu_copy_fixed(m, pe, src_arr, src_off, dst, j * len, len, 1.0);
             } else {
                 let cfg = m.cfg();
                 let ov = cfg.mpi_send_overhead_ns

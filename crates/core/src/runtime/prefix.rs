@@ -13,7 +13,7 @@
 
 use ccsort_machine::{ArrayId, Machine, Placement};
 
-use crate::{read_fixed, write_fixed};
+use super::{read_fixed, write_fixed};
 
 /// Cycles of instruction work per element for a merge/add step.
 const MERGE_CYC_PER_ELEM: f64 = 2.0;

@@ -31,11 +31,6 @@ impl Shmem {
         Shmem { p: m.n_procs(), put_stall_frac: 0.7 }
     }
 
-    /// Number of PEs.
-    pub fn n_pes(&self) -> usize {
-        self.p
-    }
-
     /// Blocking one-sided `get`, initiated by `pe`: fetch `len` elements
     /// from `src_arr[src_off..]` (typically a remote partition) into
     /// `dst_arr[dst_off..]` (typically `pe`'s own partition). The initiator
@@ -122,7 +117,7 @@ impl Shmem {
         for j in 0..self.p {
             let (src_arr, src_off) = contribs[j];
             if j == pe {
-                crate::cpu_copy_fixed(m, pe, src_arr, src_off, dst, j * len, len, 1.0);
+                super::cpu_copy_fixed(m, pe, src_arr, src_off, dst, j * len, len, 1.0);
             } else {
                 // Histograms/samples are fixed-size structures: time a
                 // representative prefix, move the rest untimed.
@@ -228,7 +223,7 @@ mod tests {
 
     #[test]
     fn shmem_collective_cheaper_than_mpi() {
-        use crate::mpi::{Mpi, MpiMode};
+        use crate::runtime::{Mpi, MpiMode};
         let p = 8;
         let len = 256;
         let shmem_time = {

@@ -32,11 +32,11 @@
 //! | `SampleShmem` | `shmem_fcollect`, otherwise as MPI | the send/receive pair becomes a one-sided `get` |
 
 use ccsort_machine::{ArrayId, Machine, Placement};
-use ccsort_models::{gather_scattered, write_fixed};
 
 use crate::comm::{Communicator, ExchangePlan};
 use crate::common::{local_radix_sort, n_passes, part_range};
 use crate::costs;
+use crate::runtime::write_fixed;
 
 /// Samples taken per process (the paper's choice).
 pub const SAMPLES_PER_PE: usize = 128;
@@ -138,7 +138,7 @@ pub(crate) fn sort_with_comm(
         let idxs: Vec<usize> = (0..s).map(|k| range.start + strategy.index(pe, k, s, len)).collect();
         // Sampling is fixed-size work: time a representative prefix as one
         // batched gather; the remainder is read untimed.
-        gather_scattered(m, pe, sorted, &idxs[..timed], &mut local_samples[..timed]);
+        m.gather_run(pe, sorted, &idxs[..timed], &mut local_samples[..timed]);
         for k in timed..s {
             local_samples[k] = m.raw(sorted)[idxs[k]];
         }

@@ -1,13 +1,13 @@
 //! The simulated machine: processors with caches and TLBs, a directory
 //! protocol over a shared address space, and per-processor virtual time.
 //!
-//! The machine is driven by the programming-model runtimes (crate
-//! `ccsort-models`): they translate loads/stores/messages into line touches,
-//! DMA transfers and explicit time charges. Execution is bulk-synchronous —
-//! processors run one at a time between barriers, which is semantically
-//! equivalent to parallel execution for the sorting programs because all
-//! their intra-phase writes target disjoint locations — and completely
-//! deterministic.
+//! The machine is driven by the programming-model runtimes (the private
+//! `runtime` module of `ccsort-algos`): they translate loads/stores/messages
+//! into line touches, DMA transfers and explicit time charges. Execution is
+//! bulk-synchronous — processors run one at a time between barriers, which
+//! is semantically equivalent to parallel execution for the sorting programs
+//! because all their intra-phase writes target disjoint locations — and
+//! completely deterministic.
 
 use crate::cache::{Cache, LineState, Probe};
 use crate::config::{MachineConfig, ProtocolMode};
@@ -231,7 +231,7 @@ impl Machine {
     /// internals that charge the time of the copy separately (e.g. a staged
     /// MPI receive charges `touch_run` + busy cycles and then moves the
     /// bytes with this) and for the un-timed tails of fixed-cost-scaled
-    /// structure traversals (`*_fixed` in `ccsort-models`).
+    /// structure traversals (`*_fixed` in `ccsort-algos`'s `runtime`).
     ///
     /// Although no time is charged, the copy does mutate the backing store,
     /// so any *other* processor's cached copy of a destination line becomes

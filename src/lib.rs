@@ -6,7 +6,7 @@
 //!
 //! The workspace has two halves:
 //!
-//! * **The study** ([`machine`], [`models`], [`algos`]): a deterministic
+//! * **The study** ([`machine`], [`algos`]): a deterministic
 //!   execution-driven simulator of the paper's 64-processor SGI Origin
 //!   2000 (caches, TLB, directory coherence protocol, hypercube
 //!   interconnect, controller contention), the three programming-model
@@ -45,7 +45,6 @@
 
 pub use ccsort_algos as algos;
 pub use ccsort_machine as machine;
-pub use ccsort_models as models;
 pub use ccsort_parallel as parallel;
 pub use ccsort_service as service;
 
