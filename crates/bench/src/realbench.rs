@@ -36,7 +36,7 @@
 //! not parallel speedup, and the file says so.
 
 use std::collections::BTreeMap;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use ccsort_parallel::radix::Phases;
 use ccsort_parallel::spmd::programs;
@@ -330,13 +330,28 @@ impl EngineReport {
     }
 }
 
-/// The phases of an engine sort on one line, in ms, with the serial glue
-/// the parts leave out.
-fn phase_line(p: &Phases) -> String {
-    let ms = |d: std::time::Duration| d.as_secs_f64() * 1e3;
-    let count = p.first_count.map_or("fused".to_string(), |d| format!("{:.1}", ms(d)));
+/// The phases of an engine sort of `n` keys on one line, in ms, with the
+/// serial glue the parts leave out. The first count reads "fused" when the
+/// fold's read took it and "—" when the sort ran no pass. Under MSD-first
+/// the line ends with the top permute's wall ns per key and the light
+/// buckets' wall ns per key per pass below the top, `live_passes − 1`.
+fn phase_line(p: &Phases, schedule: Schedule, n: usize) -> String {
+    let ms = |d: Duration| d.as_secs_f64() * 1e3;
+    let count = match (p.first_count, schedule) {
+        (Some(d), _) => format!("{:.1}", ms(d)),
+        (None, Schedule::Lsd { executed_passes: 0 }) => "—".to_string(),
+        (None, _) => "fused".to_string(),
+    };
+    let per_key = match schedule {
+        Schedule::MsdFirst { live_passes, .. } => {
+            let ns = |d: Duration| d.as_secs_f64() * 1e9 / n as f64;
+            let below = f64::from(live_passes - 1);
+            format!(" · top permute {:.2} ns/key · buckets {:.2} ns/key/pass", ns(p.permute), ns(p.buckets) / below)
+        }
+        _ => String::new(),
+    };
     format!(
-        "scratch {:.1} · fold {:.1} · first count {count} · permute {:.1} · buckets {:.1} · deeper {:.1} · glue {:.1} = {:.1} ms",
+        "scratch {:.1} · fold {:.1} · first count {count} · permute {:.1} · buckets {:.1} · deeper {:.1} · glue {:.1} = {:.1} ms{per_key}",
         ms(p.scratch),
         ms(p.fold),
         ms(p.permute),
@@ -561,8 +576,8 @@ pub fn run_grid(opts: &RealBenchOpts, progress: bool) -> Vec<Row> {
                             row.best_wall_s, row.mkeys_per_sec,
                             row.schedule.map_or(String::new(), |s| format!("{s:?}"))
                         );
-                        if let Some(p) = &row.phases {
-                            println!("{:>9} {}", "", phase_line(p));
+                        if let (Some(p), Some(schedule)) = (&row.phases, row.schedule) {
+                            println!("{:>9} {}", "", phase_line(p, schedule, row.n));
                         }
                     }
                     rows.push(row);
@@ -691,6 +706,21 @@ pub fn to_json(rows: &[Row], opts: &RealBenchOpts) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn phase_line_tells_a_fused_count_from_no_pass() {
+        let ms = Duration::from_millis;
+        let p = Phases { permute: ms(20), buckets: ms(60), total: ms(80), ..Phases::default() };
+        let msd = Schedule::MsdFirst { top_pass: 3, live_passes: 4, largest_bucket: 1, heavy_buckets: 0 };
+        let line = phase_line(&p, msd, 10_000_000);
+        assert!(line.contains("first count fused"), "{line}");
+        assert!(line.ends_with("top permute 2.00 ns/key · buckets 2.00 ns/key/pass"), "{line}");
+        let none = phase_line(&Phases::default(), Schedule::Lsd { executed_passes: 0 }, 8);
+        assert!(none.contains("first count —") && !none.contains("ns/key"), "{none}");
+        let counted = Phases { first_count: Some(ms(3)), total: ms(90), ..p };
+        let lsd = phase_line(&counted, Schedule::Lsd { executed_passes: 2 }, 8);
+        assert!(lsd.contains("first count 3.0"), "{lsd}");
+    }
 
     #[test]
     fn zipf_is_skewed_and_in_range() {

@@ -8,6 +8,8 @@
 //! padded count-matrix storage the radix-sort engine builds its per-chunk
 //! histograms and offsets in.
 
+use std::ops::Range;
+
 use crate::key::RadixKey;
 use crate::seq::passes_for;
 use crate::steal::{default_workers, run_workers, ChunkQueue};
@@ -192,6 +194,22 @@ pub(crate) fn count_digits_into<K: RadixKey>(keys: &[K], shift: u32, mask: u64, 
 /// counting read of 2^22 `u64` keys near a bare fold's speed
 /// (DESIGN.md §14).
 const PREFETCH_BYTES: usize = 2048;
+
+/// Keys per sub-block of the sequential kernel's counting read, which asks
+/// for the first scatter's lines one sub-block ahead of the keys it counts.
+/// A few lines per step overlap the count; hundreds asked for at once stall
+/// it. 64 to 256 all gain on the reference host; at 512 the bucket phase's
+/// gain is gone (DESIGN.md §14).
+pub(crate) const COUNT_SUB: usize = 128;
+
+/// Ask for the cache lines of `base[range]`, one hint per 64 bytes. `base`
+/// is only offset, never read.
+pub(crate) fn prefetch_lines<T>(base: *const T, range: Range<usize>) {
+    let step = (64 / std::mem::size_of::<T>().max(1)).max(1);
+    for i in range.step_by(step) {
+        prefetch(base.wrapping_add(i));
+    }
+}
 
 /// Ask for the cache line at `p` ahead of its use.
 #[inline(always)]

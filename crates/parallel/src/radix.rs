@@ -59,7 +59,9 @@
 use std::ops::Range;
 use std::time::{Duration, Instant};
 
-use crate::histogram::{count_digits_into, exclusive_prefix_sum, fold_and_count, PaddedCounts};
+use crate::histogram::{
+    count_digits_into, exclusive_prefix_sum, fold_and_count, prefetch_lines, PaddedCounts,
+};
 use crate::key::RadixKey;
 use crate::seq::{all_passes, hist_len, lsd_sort, passes_for, DEFAULT_RADIX_BITS};
 use crate::shared::SharedSlice;
@@ -195,8 +197,11 @@ pub struct Phases {
     pub scratch: Duration,
     /// The read that folds the OR and the AND of every key.
     pub fold: Duration,
-    /// The outermost range's count of the first digit it permutes on;
-    /// `None` when none ran on its own (no live pass).
+    /// The outermost range's count of the first digit it permutes on, when
+    /// it ran on its own. `None` in two cases: usually because the fold's
+    /// read took the count (its guess of the first digit held), and when no
+    /// pass ran at all (every key equal, `Schedule::Lsd { executed_passes:
+    /// 0 }`).
     pub first_count: Option<Duration>,
     /// The outermost range's permutes: the one top-digit permute under
     /// MSD-first; under LSD every pass, with the counts taken between them
@@ -1192,6 +1197,13 @@ fn permute_chunk<K, V, const WITH_VALS: bool>(
         };
         if f + 1 == e {
             flush_digit::<K, V, WITH_VALS>(ctx, stage, d, off, nh);
+            // Digit `d`'s next flush lands right after this one: ask for its
+            // lines now, while the bucket refills, not at the store.
+            let next = off[d]..(off[d] + e).min(ctx.out_k.len());
+            prefetch_lines(ctx.out_k.as_ptr(), next.clone());
+            if WITH_VALS {
+                prefetch_lines(ctx.out_v.as_ptr(), next);
+            }
         }
     }
     // Chunk boundary: later chunks' digit ranks follow this chunk's, so
@@ -1858,6 +1870,24 @@ mod tests {
             })
         );
         assert_eq!(msd_levels(&scratch, &cfg), 2);
+    }
+
+    /// A digit's last full-buffer flush ends exactly at `n`, so the hint
+    /// for its next flush aims past the output, on both lanes. One worker,
+    /// four chunks of 256; byte 0 is the only live digit and the last chunk
+    /// is all digit 255, one full buffer. Sized for the gating Miri step,
+    /// where the hint compiles out but the arithmetic that aims it does not.
+    #[test]
+    fn flush_hint_past_the_end_small_n_under_miri() {
+        let n = 1024;
+        let cfg = RadixSortConfig { chunks: Some(1), ..RadixSortConfig::simple() };
+        assert_eq!(ChunkGeom::new(n, CHUNKS_PER_WORKER).range(3), 768..n);
+        let keys: Vec<u32> =
+            (0..n).map(|i| 0xAB00 | if i < 768 { (i * 37 % 255) as u32 } else { 255 }).collect();
+        assert_eq!(flush_profile(&keys, &cfg, 0).0, Stage::<u32, u32>::ELEMS);
+        let lsd = Schedule::Lsd { executed_passes: 1 };
+        assert_eq!(stable_pairs_schedule(&keys, &cfg), lsd);
+        assert_eq!(schedule_of(keys, &cfg, u32::MAX), lsd);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Sequential LSD radix sort — the building block for the parallel sorts
 //! and the single-thread baseline for speedup measurements.
 
-use crate::histogram::{count_digits_into, prefetch};
+use crate::histogram::{count_digits_into, prefetch_lines, COUNT_SUB};
 use crate::key::RadixKey;
 
 /// Default digit width in bits. 8 keeps the histogram (256 counters) in L1
@@ -14,11 +14,6 @@ pub fn passes_for<K: RadixKey>(radix_bits: u32) -> u32 {
     K::BITS.div_ceil(radix_bits)
 }
 
-/// Keys per block of the kernel's counting read: 16 KiB of `u64`s, small
-/// enough that a block stays in L1 while every pass's digits are counted
-/// from it.
-const COUNT_BLOCK: usize = 2048;
-
 /// Counters the kernel needs for `K` at a digit width: one `bins`-entry
 /// histogram per pass.
 pub(crate) fn hist_len<K: RadixKey>(radix_bits: u32) -> usize {
@@ -30,14 +25,6 @@ pub(crate) fn all_passes<K: RadixKey>(radix_bits: u32) -> u64 {
     u64::MAX >> (64 - passes_for::<K>(radix_bits))
 }
 
-/// Ask for the cache lines of `s[at..at + len]`, one hint per 64 bytes.
-fn prefetch_lines<T>(s: &[T], at: usize, len: usize) {
-    let step = (64 / std::mem::size_of::<T>().max(1)).max(1);
-    for i in (at..at + len).step_by(step) {
-        prefetch(s.as_ptr().wrapping_add(i));
-    }
-}
-
 /// The one sequential LSD kernel behind [`radix_sort_with_scratch`],
 /// [`crate::pairs::radix_sort_pairs`], the sub-cutoff path of the
 /// `par_radix_sort_*` entry points and the bucket phase of the engine's
@@ -46,13 +33,14 @@ fn prefetch_lines<T>(s: &[T], at: usize, len: usize) {
 ///
 /// Only the passes in `live` are counted and run; the caller vouches that
 /// every other pass is trivial for these keys ([`all_passes`] when it knows
-/// nothing). One blocked read counts the live passes' digits (the counts
-/// are permutation-invariant, so they stay valid while the passes move the
-/// keys) and, block by block, asks for the same positions' lines of
-/// `kbuf` (and of `vals` and `vbuf` with payloads). The first scatter
-/// writes `kbuf` on 2^radix_bits lines at once and would stall on every
-/// miss; asked for under the compute-bound count, the lines are cached by
-/// then (DESIGN.md §14). A pass whose
+/// nothing). One read counts the live passes' digits (the counts are
+/// permutation-invariant, so they stay valid while the passes move the
+/// keys) in sub-blocks of [`COUNT_SUB`] keys, each small enough to stay in
+/// L1 while every live pass counts it, and before counting one it asks for
+/// the next one's lines of `kbuf` (and of `vals` and `vbuf` with payloads).
+/// The first scatter writes `kbuf` on 2^radix_bits lines at once and would
+/// stall on every miss; asked for a few at a time under the compute-bound
+/// count, the lines are cached by then (DESIGN.md §14). A pass whose
 /// histogram holds all `n` keys in one bin is the identity permutation
 /// and is skipped without touching the data again.
 /// Each executed pass is a stable scatter between `keys` and the flip
@@ -88,18 +76,23 @@ pub(crate) fn lsd_sort<K, V, const WITH_VALS: bool>(
                 row.fill(0);
             }
         }
-        for (at, block) in (0..).step_by(COUNT_BLOCK).zip(keys.chunks(COUNT_BLOCK)) {
-            // The lines the first scatter touches; none runs unless a pass is live.
+        // The lines the first scatter touches; none runs unless a pass is live.
+        let ask = |at: usize| {
+            let lines = at.min(n)..(at + COUNT_SUB).min(n);
             if live != 0 {
-                prefetch_lines(kbuf, at, block.len());
+                prefetch_lines(kbuf.as_ptr(), lines.clone());
                 if WITH_VALS {
-                    prefetch_lines(vals, at, block.len());
-                    prefetch_lines(vbuf, at, block.len());
+                    prefetch_lines(vals.as_ptr(), lines.clone());
+                    prefetch_lines(vbuf.as_ptr(), lines);
                 }
             }
+        };
+        ask(0);
+        for (at, sub) in (0..).step_by(COUNT_SUB).zip(keys.chunks(COUNT_SUB)) {
+            ask(at + COUNT_SUB);
             for (pass, row) in hist.chunks_exact_mut(bins).enumerate() {
                 if is_live(pass) {
-                    count_digits_into(block, pass as u32 * radix_bits, mask, row);
+                    count_digits_into(sub, pass as u32 * radix_bits, mask, row);
                 }
             }
         }
@@ -309,12 +302,13 @@ mod tests {
 
     #[test]
     fn prefetched_count_edges_match_sort_by_key() {
-        // The counting read asks for the lines the first scatter touches,
-        // block by block: sizes around a cache line (16 `u32`s) and a count
-        // block (2048 keys), no / one / every live pass, both landing sides
-        // and both lanes, on poisoned flip buffers.
+        // The counting read asks for the lines the first scatter touches one
+        // sub-block ahead: sizes around a cache line (16 `u32`s), one and
+        // two sub-blocks, and a few thousand keys; no / one / every live
+        // pass, both landing sides and both lanes, on poisoned flip buffers.
         let mut rng = SplitMix64::seed_from_u64(8);
-        for n in [1usize, 15, 16, 17, 2047, 2048, 2049, 4097] {
+        let sub = COUNT_SUB;
+        for n in [1usize, 15, 16, 17, sub - 1, sub, sub + 1, 2 * sub + 1, 2047, 2048, 2049, 4097] {
             for (live, mask) in [(0u64, 0u32), (0b10, 0xFF00), (all_passes::<u32>(8), u32::MAX)] {
                 let base = rng.random::<u32>() & !mask;
                 let keys_in: Vec<u32> = (0..n).map(|_| base | rng.random::<u32>() & mask).collect();

@@ -56,6 +56,14 @@ impl<'a, T> SharedSlice<'a, T> {
         self.len == 0
     }
 
+    /// The start of the underlying slice, for cache hints
+    /// ([`crate::histogram::prefetch_lines`]) that only offset it. Nothing
+    /// may read or write through it.
+    #[inline]
+    pub(crate) fn as_ptr(&self) -> *const T {
+        self.ptr
+    }
+
     /// Write `value` at `index`.
     ///
     /// # Safety
