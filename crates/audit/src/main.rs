@@ -4,8 +4,7 @@
 //! cargo run -p ccsort-audit -- sweep [--quick] [--seed S] [--races]
 //! cargo run -p ccsort-audit -- races [--quick] [--seed S]
 //! cargo run -p ccsort-audit -- replay --alg NAME|all --dist NAME \
-//!     --n N --p P --r R --seed S [--scale K] [--dir full-map|lp:N|cv:N] \
-//!     [--topo hypercube|mesh|fat-tree:K] [--proto inv|upd]
+//!     --n N --p P --r R --seed S [--scale K] [--proto inv|upd]
 //! ```
 //!
 //! `sweep` exits non-zero if any point fails; every failure line embeds the
@@ -13,10 +12,11 @@
 //! `sweep --races`) restricts the grid to the eleven simulator programs and
 //! runs them with the happens-before race detector on, asserting every
 //! point is race-free — the simulator-only half of the sweep, so it skips
-//! the threaded sorts and the distribution validator.
+//! the threaded sorts and the distribution validator. A flag a subcommand
+//! does not take is a usage error (exit 2), never silently ignored.
 
 use ccsort_audit::{audit_point, audit_simulated, validate_dist, Point};
-use ccsort_algos::{Algorithm, DirectoryMode, Dist, InterconnectKind, ProtocolMode};
+use ccsort_algos::{Algorithm, Dist, ProtocolMode};
 use ccsort_parallel::{default_workers, par_map};
 
 /// Expand the (points × processor counts × distributions) grid in the
@@ -36,8 +36,8 @@ fn grid(points: &[(usize, u32, u64)], ps: &[usize]) -> Vec<Point> {
     cells
 }
 
-/// The all-defaults point the grids specialise: full-map directory on the
-/// hypercube with the invalidate protocol, at the sweeps' standard scale.
+/// The all-defaults point the grids specialise: the invalidate protocol
+/// at the sweeps' standard scale.
 fn default_point() -> Point {
     Point {
         dist: Dist::Random,
@@ -46,68 +46,32 @@ fn default_point() -> Point {
         r: 6,
         seed: 0,
         scale: 256,
-        dir: DirectoryMode::FullMap,
-        topo: InterconnectKind::Hypercube,
         proto: ProtocolMode::Invalidate,
     }
 }
 
-/// Directory-scaling cells past the real machine's 64 processors: the three
-/// sharer-set representations at large p, one distribution each (the audit
-/// checks invariants and output, not statistics, so one dist suffices per
-/// mode). `--quick` keeps only the p = 128 limited-pointer cell CI runs.
+/// Cells past the real machine's 64 processors, where the full-map
+/// directory spans more than one word, one distribution each (the audit
+/// checks invariants and output, not statistics). `--quick` keeps only the
+/// p = 128 cell CI runs.
 fn large_p_cells(quick: bool, seed: u64) -> Vec<Point> {
     let base = Point { seed, ..default_point() };
-    let mut cells =
-        vec![Point { p: 128, dir: DirectoryMode::LimitedPointer(8), ..base }];
+    let mut cells = vec![Point { p: 128, ..base }];
     if !quick {
-        cells.push(Point { p: 128, ..base });
-        cells.push(Point {
-            dist: Dist::Stagger,
-            p: 256,
-            dir: DirectoryMode::CoarseVector(8),
-            ..base
-        });
         cells.push(Point { dist: Dist::Stagger, p: 256, ..base });
     }
     cells
 }
 
-/// Topology × protocol cells: the non-default interconnects and the Dragon
-/// update mode, through the same oracle as everything else. `--quick` keeps
-/// one cell per new axis value (mesh, fat-tree, Dragon — and one combined
-/// cell, since the layers must compose); the full sweep adds odd processor
-/// counts, a second arity, an imprecise-directory combination and the
-/// machine-sized p = 64 cells.
+/// Dragon update cells, through the same oracle as everything else.
+/// `--quick` keeps one; the full sweep adds an odd processor count and
+/// the machine-sized p = 64.
 fn mode_cells(quick: bool, seed: u64) -> Vec<Point> {
-    let base = Point { seed, ..default_point() };
-    let mut cells = vec![
-        Point { topo: InterconnectKind::Mesh2D, ..base },
-        Point { topo: InterconnectKind::FatTree(4), ..base },
-        Point { proto: ProtocolMode::DragonUpdate, ..base },
-        Point {
-            topo: InterconnectKind::Mesh2D,
-            proto: ProtocolMode::DragonUpdate,
-            ..base
-        },
-    ];
+    let base = Point { seed, proto: ProtocolMode::DragonUpdate, ..default_point() };
+    let mut cells = vec![base];
     if !quick {
-        cells.push(Point { dist: Dist::Stagger, p: 7, topo: InterconnectKind::FatTree(2), ..base });
-        cells.push(Point {
-            dist: Dist::Stagger,
-            p: 7,
-            proto: ProtocolMode::DragonUpdate,
-            ..base
-        });
-        cells.push(Point {
-            p: 16,
-            topo: InterconnectKind::FatTree(4),
-            proto: ProtocolMode::DragonUpdate,
-            dir: DirectoryMode::LimitedPointer(8),
-            ..base
-        });
-        cells.push(Point { p: 64, topo: InterconnectKind::Mesh2D, ..base });
-        cells.push(Point { p: 64, proto: ProtocolMode::DragonUpdate, ..base });
+        cells.push(Point { dist: Dist::Stagger, p: 7, ..base });
+        cells.push(Point { p: 64, ..base });
     }
     cells
 }
@@ -123,12 +87,6 @@ where
     for (pt, errs) in cells.iter().zip(&results) {
         let status = if errs.is_empty() { "ok" } else { "FAIL" };
         let mut modes = String::new();
-        if pt.dir != DirectoryMode::FullMap {
-            modes.push_str(&format!(" dir={}", Point::dir_flag(pt.dir)));
-        }
-        if pt.topo != InterconnectKind::Hypercube {
-            modes.push_str(&format!(" topo={}", Point::topo_flag(pt.topo)));
-        }
         if pt.proto != ProtocolMode::Invalidate {
             modes.push_str(&format!(" proto={}", Point::proto_flag(pt.proto)));
         }
@@ -157,13 +115,31 @@ fn main() {
                 "usage:\n  ccsort-audit sweep [--quick] [--seed S] [--races]\n  \
                  ccsort-audit races [--quick] [--seed S]\n  \
                  ccsort-audit replay --alg NAME|all --dist NAME --n N --p P --r R --seed S \
-                 [--scale K] [--dir full-map|lp:N|cv:N] \
-                 [--topo hypercube|mesh|fat-tree:K] [--proto inv|upd]"
+                 [--scale K] [--proto inv|upd]"
             );
             2
         }
     };
     std::process::exit(code);
+}
+
+/// Check `args` against the flags a subcommand knows: `valued` flags take
+/// the next argument, `bare` ones stand alone. Anything else — a misspelt
+/// flag, one a subcommand does not take, a stray value, a valued flag with
+/// no value — exits 2 naming it.
+fn check_flags(args: &[String], valued: &[&str], bare: &[&str]) {
+    let mut it = args.iter();
+    while let Some(a) = it.next() {
+        let takes_value = valued.contains(&a.as_str());
+        if !takes_value && !bare.contains(&a.as_str()) {
+            eprintln!("unknown flag {a}");
+            std::process::exit(2);
+        }
+        if takes_value && it.next().is_none() {
+            eprintln!("missing value for flag {a}");
+            std::process::exit(2);
+        }
+    }
 }
 
 fn flag_value<'a>(args: &'a [String], name: &str) -> Option<&'a str> {
@@ -187,6 +163,7 @@ fn parse_or_exit<T: std::str::FromStr>(args: &[String], name: &str, default: Opt
 /// and odd processor counts. `--quick` keeps one (n, r) point per cell;
 /// the full sweep adds a larger n, a wider radix and a second seed.
 fn sweep(args: &[String]) -> i32 {
+    check_flags(args, &["--seed"], &["--quick", "--races"]);
     let quick = args.iter().any(|a| a == "--quick");
     let seed: u64 = parse_or_exit(args, "--seed", Some(0));
     let ps = [1usize, 3, 4, 7, 8, 16];
@@ -209,19 +186,18 @@ fn sweep(args: &[String]) -> i32 {
         errs
     });
 
-    // Directory-scaling cells (p > 64): simulator-only — the threaded sorts
-    // have no directory, and one radix + one sample program exercise every
-    // sharer-set path the full program matrix would.
+    // Large-p cells (p > 64): simulator-only — the threaded sorts have no
+    // directory, and one radix + one sample program exercise every
+    // multi-word sharer-set path the full program matrix would.
     let large = large_p_cells(quick, seed);
     checked += large.len();
     failures.extend(run_grid(&large, |pt| {
         audit_simulated(pt, &[Algorithm::RadixCcsas, Algorithm::SampleCcsas])
     }));
 
-    // Topology × protocol cells: all eleven programs under the non-default
-    // interconnects and the Dragon update mode (the threaded sorts ride
-    // along — they ignore the machine axes, but their outputs still
-    // cross-check the simulated ones).
+    // Dragon cells: all eleven programs under the update protocol (the
+    // threaded sorts ride along — they ignore the protocol, but their
+    // outputs still cross-check the simulated ones).
     let modes = mode_cells(quick, seed);
     checked += modes.len();
     failures.extend(run_grid(&modes, |pt| audit_point(pt, &Algorithm::ALL)));
@@ -246,6 +222,7 @@ fn sweep(args: &[String]) -> i32 {
 /// still sort correctly under the deterministic interleaving, but its
 /// phase times would be fiction.
 fn races(args: &[String]) -> i32 {
+    check_flags(args, &["--seed"], &["--quick", "--races"]);
     let quick = args.iter().any(|a| a == "--quick");
     let seed: u64 = parse_or_exit(args, "--seed", Some(0));
     let ps = [1usize, 3, 4, 7, 8, 16];
@@ -259,16 +236,15 @@ fn races(args: &[String]) -> i32 {
     let mut checked = cells.len();
     let mut failures = run_grid(&cells, |pt| audit_simulated(pt, &Algorithm::ALL));
 
-    // The race matrix also covers the imprecise directory modes at large p:
-    // over-targeted invalidations must not introduce (or mask) races.
+    // The race matrix also covers the multi-word directory at large p.
     let large = large_p_cells(quick, seed);
     checked += large.len();
     failures.extend(run_grid(&large, |pt| {
         audit_simulated(pt, &[Algorithm::RadixCcsas, Algorithm::SampleCcsas])
     }));
 
-    // ... and the topology × protocol cells: Dragon's update multicasts and
-    // the new hop patterns must neither introduce nor mask races.
+    // ... and the Dragon cells: update multicasts must neither introduce
+    // nor mask races.
     let modes = mode_cells(quick, seed);
     checked += modes.len();
     failures.extend(run_grid(&modes, |pt| audit_simulated(pt, &Algorithm::ALL)));
@@ -287,6 +263,7 @@ fn races(args: &[String]) -> i32 {
 
 /// Re-run one point from a failure artifact.
 fn replay(args: &[String]) -> i32 {
+    check_flags(args, &["--alg", "--dist", "--n", "--p", "--r", "--seed", "--scale", "--proto"], &[]);
     let alg_name = flag_value(args, "--alg").unwrap_or("all");
     let dist_name = flag_value(args, "--dist").unwrap_or_else(|| {
         eprintln!("missing required flag --dist");
@@ -307,20 +284,6 @@ fn replay(args: &[String]) -> i32 {
             }
         }
     };
-    let dir = match flag_value(args, "--dir").map(Point::parse_dir_flag).transpose() {
-        Ok(d) => d.unwrap_or_default(),
-        Err(e) => {
-            eprintln!("{e}");
-            return 2;
-        }
-    };
-    let topo = match flag_value(args, "--topo").map(Point::parse_topo_flag).transpose() {
-        Ok(t) => t.unwrap_or_default(),
-        Err(e) => {
-            eprintln!("{e}");
-            return 2;
-        }
-    };
     let proto = match flag_value(args, "--proto").map(Point::parse_proto_flag).transpose() {
         Ok(pr) => pr.unwrap_or_default(),
         Err(e) => {
@@ -335,22 +298,18 @@ fn replay(args: &[String]) -> i32 {
         r: parse_or_exit(args, "--r", None),
         seed: parse_or_exit(args, "--seed", None),
         scale: parse_or_exit(args, "--scale", Some(256)),
-        dir,
-        topo,
         proto,
     };
     if pt.p < 1 || pt.n < pt.p {
         eprintln!("need --p >= 1 and --n >= --p (got n={} p={})", pt.n, pt.p);
         return 2;
     }
-    // Route the full config validation (machine caps, radix width, per-mode
-    // directory constraints) through the Result path so a bad replay
-    // invocation is a usage error (exit 2) with the offending field named,
-    // not a panic.
+    // Route the full config validation (machine caps, radix width, the
+    // scaled machine) through the Result path so a bad replay invocation is
+    // a usage error (exit 2) with the offending field named, not a panic.
     if let Err(e) = ccsort_algos::ExpConfig::new(algs[0], pt.n, pt.p)
         .radix_bits(pt.r)
-        .directory_mode(pt.dir)
-        .interconnect(pt.topo)
+        .scale(pt.scale)
         .protocol(pt.proto)
         .validate()
     {

@@ -13,10 +13,7 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use ccsort_algos::dist::generate;
-use ccsort_algos::{
-    run_experiment_audited, Algorithm, Dist, DirectoryMode, ExpConfig, InterconnectKind,
-    ProtocolMode,
-};
+use ccsort_algos::{run_experiment_audited, Algorithm, Dist, ExpConfig, ProtocolMode};
 use ccsort_parallel::spmd::{programs, Sort};
 use ccsort_parallel::{par_radix_sort_with, RadixSortConfig};
 
@@ -30,72 +27,12 @@ pub struct Point {
     pub seed: u64,
     /// Machine scale denominator for the simulator runs.
     pub scale: usize,
-    /// Directory sharer-set representation for the simulator runs
-    /// (the threaded sorts have no directory; they ignore it).
-    pub dir: DirectoryMode,
-    /// Interconnect wiring for the simulator runs (ignored by the threaded
-    /// sorts, like `dir`).
-    pub topo: InterconnectKind,
-    /// Coherence protocol for the simulator runs (ignored by the threaded
-    /// sorts, like `dir`).
+    /// Coherence protocol for the simulator runs (the threaded sorts have
+    /// no directory; they ignore it).
     pub proto: ProtocolMode,
 }
 
 impl Point {
-    /// Spell a [`DirectoryMode`] as a `--dir` flag value.
-    pub fn dir_flag(mode: DirectoryMode) -> String {
-        match mode {
-            DirectoryMode::FullMap => "full-map".to_string(),
-            DirectoryMode::LimitedPointer(i) => format!("lp:{i}"),
-            DirectoryMode::CoarseVector(k) => format!("cv:{k}"),
-        }
-    }
-
-    /// Parse a `--dir` flag value (`full-map`, `lp:N`, `cv:N`).
-    pub fn parse_dir_flag(s: &str) -> Result<DirectoryMode, String> {
-        if s == "full-map" {
-            return Ok(DirectoryMode::FullMap);
-        }
-        let parse_n = |rest: &str| {
-            rest.parse::<usize>().map_err(|_| format!("bad --dir parameter in {s:?}"))
-        };
-        if let Some(rest) = s.strip_prefix("lp:") {
-            return Ok(DirectoryMode::LimitedPointer(parse_n(rest)?));
-        }
-        if let Some(rest) = s.strip_prefix("cv:") {
-            return Ok(DirectoryMode::CoarseVector(parse_n(rest)?));
-        }
-        Err(format!("unknown directory mode {s:?}; expected full-map, lp:N or cv:N"))
-    }
-
-    /// Spell an [`InterconnectKind`] as a `--topo` flag value.
-    pub fn topo_flag(kind: InterconnectKind) -> String {
-        match kind {
-            InterconnectKind::Hypercube => "hypercube".to_string(),
-            InterconnectKind::Mesh2D => "mesh".to_string(),
-            InterconnectKind::FatTree(k) => format!("fat-tree:{k}"),
-        }
-    }
-
-    /// Parse a `--topo` flag value (`hypercube`, `mesh`, `fat-tree:K`).
-    pub fn parse_topo_flag(s: &str) -> Result<InterconnectKind, String> {
-        match s {
-            "hypercube" => Ok(InterconnectKind::Hypercube),
-            "mesh" => Ok(InterconnectKind::Mesh2D),
-            _ => {
-                if let Some(rest) = s.strip_prefix("fat-tree:") {
-                    let k = rest
-                        .parse::<usize>()
-                        .map_err(|_| format!("bad --topo fat-tree arity in {s:?}"))?;
-                    return Ok(InterconnectKind::FatTree(k));
-                }
-                Err(format!(
-                    "unknown interconnect {s:?}; expected hypercube, mesh or fat-tree:K"
-                ))
-            }
-        }
-    }
-
     /// Spell a [`ProtocolMode`] as a `--proto` flag value.
     pub fn proto_flag(proto: ProtocolMode) -> String {
         match proto {
@@ -126,12 +63,6 @@ impl Point {
             self.seed,
             self.scale
         );
-        if self.dir != DirectoryMode::FullMap {
-            cmd.push_str(&format!(" --dir {}", Point::dir_flag(self.dir)));
-        }
-        if self.topo != InterconnectKind::Hypercube {
-            cmd.push_str(&format!(" --topo {}", Point::topo_flag(self.topo)));
-        }
         if self.proto != ProtocolMode::Invalidate {
             cmd.push_str(&format!(" --proto {}", Point::proto_flag(self.proto)));
         }
@@ -148,8 +79,6 @@ impl Point {
             .dist(self.dist)
             .seed(self.seed)
             .scale(self.scale)
-            .directory_mode(self.dir)
-            .interconnect(self.topo)
             .protocol(self.proto)
     }
 }
@@ -262,8 +191,6 @@ mod tests {
                 r: 6,
                 seed: 0,
                 scale: 256,
-                dir: DirectoryMode::FullMap,
-                topo: InterconnectKind::Hypercube,
                 proto: ProtocolMode::Invalidate,
             };
             let errs = audit_point(&pt, &Algorithm::ALL);
@@ -280,8 +207,6 @@ mod tests {
             r: 6,
             seed: 0,
             scale: 256,
-            dir: DirectoryMode::FullMap,
-            topo: InterconnectKind::Hypercube,
             proto: ProtocolMode::Invalidate,
         };
         let cmd = pt.replay_command(Some(Algorithm::RadixCcsas));
@@ -289,61 +214,28 @@ mod tests {
         assert!(cmd.contains("--dist stagger"));
         assert!(cmd.contains("--n 1024"));
         assert!(cmd.contains("--p 3"));
-        // Full-map is the default and stays implicit; other modes round-trip
-        // through the --dir flag.
-        assert!(!cmd.contains("--dir"));
-        pt.dir = DirectoryMode::LimitedPointer(8);
-        let cmd = pt.replay_command(None);
-        assert!(cmd.contains("--dir lp:8"), "{cmd}");
-        assert_eq!(Point::parse_dir_flag("lp:8"), Ok(DirectoryMode::LimitedPointer(8)));
-        assert_eq!(Point::parse_dir_flag("cv:4"), Ok(DirectoryMode::CoarseVector(4)));
-        assert_eq!(Point::parse_dir_flag("full-map"), Ok(DirectoryMode::FullMap));
-        assert!(Point::parse_dir_flag("bogus").is_err());
-        // Hypercube + invalidate are the defaults and stay implicit; other
-        // modes round-trip through --topo/--proto.
-        assert!(!cmd.contains("--topo") && !cmd.contains("--proto"), "{cmd}");
-        pt.topo = InterconnectKind::FatTree(4);
+        // Invalidate is the default and stays implicit; Dragon round-trips
+        // through --proto.
+        assert!(!cmd.contains("--proto"), "{cmd}");
         pt.proto = ProtocolMode::DragonUpdate;
         let cmd = pt.replay_command(None);
-        assert!(cmd.contains("--topo fat-tree:4"), "{cmd}");
         assert!(cmd.contains("--proto upd"), "{cmd}");
     }
 
     #[test]
-    fn topo_and_proto_flags_round_trip() {
-        for kind in
-            [InterconnectKind::Hypercube, InterconnectKind::Mesh2D, InterconnectKind::FatTree(7)]
-        {
-            assert_eq!(Point::parse_topo_flag(&Point::topo_flag(kind)), Ok(kind));
-        }
+    fn proto_flags_round_trip() {
         for proto in [ProtocolMode::Invalidate, ProtocolMode::DragonUpdate] {
             assert_eq!(Point::parse_proto_flag(&Point::proto_flag(proto)), Ok(proto));
         }
     }
 
     /// Every malformed spelling is rejected with a message naming what was
-    /// expected (the satellite requirement: the CLI names the offending
-    /// field on error).
+    /// expected: the CLI names the offending field on error.
     #[test]
-    fn malformed_topo_and_proto_flags_are_rejected() {
-        for bad in ["cube", "Mesh", "fat-tree", "fat-tree:", "fat-tree:x", "fat-tree:-1", ""] {
-            let err = Point::parse_topo_flag(bad).unwrap_err();
-            assert!(
-                err.contains("--topo") || err.contains("interconnect"),
-                "{bad:?} -> {err}"
-            );
-        }
+    fn malformed_proto_flags_are_rejected() {
         for bad in ["invalidate", "dragon", "update", "INV", ""] {
             let err = Point::parse_proto_flag(bad).unwrap_err();
             assert!(err.contains("protocol"), "{bad:?} -> {err}");
         }
-        // A well-formed but out-of-range arity is caught by config
-        // validation, which names the field.
-        let kind = Point::parse_topo_flag("fat-tree:1").unwrap();
-        let err = ccsort_algos::ExpConfig::new(Algorithm::RadixCcsas, 1024, 64)
-            .interconnect(kind)
-            .validate()
-            .unwrap_err();
-        assert!(err.contains("interconnect"), "{err}");
     }
 }

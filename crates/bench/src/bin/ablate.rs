@@ -24,16 +24,12 @@
 //! * **free-messages** — software overheads of MPI/SHMEM set to zero;
 //!   expected: MPI/SHMEM gain, CC-SAS untouched, small sizes most of all.
 //!
-//! A second table swaps the machine's *mode* axes instead of zeroing a
-//! mechanism: interconnect topology (hypercube → 2-D mesh → fat-tree) and
-//! coherence protocol (invalidate → Dragon update), against the same
-//! (hypercube, invalidate) baseline. The hypercube-vs-mesh column pair and
-//! the invalidate-vs-update row pair put both headline comparisons side by
-//! side in one artefact.
+//! A second table swaps the coherence protocol (invalidate → Dragon
+//! update) instead of zeroing a mechanism, against the same baseline.
 
 use ccsort_algos::dist::{generate, Dist};
 use ccsort_algos::{load_keys, Algorithm, ExpConfig, SamplingStrategy};
-use ccsort_machine::{InterconnectKind, Machine, MachineConfig, ProtocolMode};
+use ccsort_machine::{Machine, MachineConfig, ProtocolMode};
 
 const VARIANTS: [(Algorithm, &str); 5] = [
     (Algorithm::RadixCcsas, "CC-SAS"),
@@ -135,16 +131,12 @@ fn main() {
         println!("{name:>12}: {:>10.2}", baselines[k] / 1e6);
     }
 
-    // Mode ablations: swap the interconnect / coherence-protocol layer
-    // instead of zeroing a cost. Baseline row is (hypercube, invalidate) —
-    // the default machine above — so every cell reads as "time under this
-    // mode relative to the paper machine".
-    let modes: [(&str, InterconnectKind, ProtocolMode); 5] = [
-        ("hypercube+inv", InterconnectKind::Hypercube, ProtocolMode::Invalidate),
-        ("mesh+inv", InterconnectKind::Mesh2D, ProtocolMode::Invalidate),
-        ("fat-tree:4+inv", InterconnectKind::FatTree(4), ProtocolMode::Invalidate),
-        ("hypercube+upd", InterconnectKind::Hypercube, ProtocolMode::DragonUpdate),
-        ("mesh+upd", InterconnectKind::Mesh2D, ProtocolMode::DragonUpdate),
+    // Protocol ablation: swap the coherence protocol instead of zeroing a
+    // cost. The invalidate row is the default machine above, so every cell
+    // reads as "time under this protocol relative to the paper machine".
+    let modes = [
+        ("hypercube+inv", ProtocolMode::Invalidate),
+        ("hypercube+upd", ProtocolMode::DragonUpdate),
     ];
     println!("\ntopology x protocol modes (same relative-to-baseline cells):");
     print!("{:>16}", "mode");
@@ -152,8 +144,8 @@ fn main() {
         print!(" {name:>12}");
     }
     println!();
-    for (label, topo, proto) in modes {
-        let cfg = base_cfg().with_interconnect(topo).with_protocol(proto);
+    for (label, proto) in modes {
+        let cfg = base_cfg().with_protocol(proto);
         print!("{label:>16}");
         for (k, &(v, _)) in VARIANTS.iter().enumerate() {
             let t = run(cfg.clone(), v, n, p, r);

@@ -17,17 +17,9 @@
 //! permutation rows run ~1.6–2.1×). The warm streamed cells with the
 //! detector off at p ≥ 16 are the one place a dedicated sweep loop was
 //! faster than the walk (DESIGN.md §10, corollary) — expected, not a
-//! regression to fix. A final pair of large-p rows re-runs the
-//! permutation program at p = 128 under the imprecise directory
-//! representations (limited-pointer and coarse-vector; see
-//! `DirectoryMode`). Their simulated time matches full-map — the program's writes are
-//! exclusive-owner handoffs, which every representation tracks precisely —
-//! so the rows isolate the host-side cost of the representation's
-//! bookkeeping in the hot loop. A final block of topology × protocol rows
-//! re-runs the permutation program at p = 64 under the mesh and fat-tree
-//! interconnects and the Dragon update protocol (`topology`/`protocol`
-//! fields), tracking the host-side cost of the alternative hop
-//! computations and the update walk.
+//! regression to fix. A final row re-runs the permutation program at
+//! p = 64 under the Dragon update protocol (`protocol` field), tracking the
+//! host-side cost of the update walk.
 //!
 //! The JSON is written by hand, so the format is identical on every
 //! toolchain the repo builds against.
@@ -35,8 +27,8 @@
 use std::io::Write;
 use std::time::Instant;
 
-use ccsort_bench::hotpath::{run_cell_modes, HotpathResult, Program, GRID_PROCS};
-use ccsort_machine::{DirectoryMode, InterconnectKind, ProtocolMode};
+use ccsort_bench::hotpath::{run_cell, HotpathResult, Program, GRID_PROCS};
+use ccsort_machine::ProtocolMode;
 
 fn usage() -> ! {
     eprintln!("usage: simbench [--out <path>] [--quick]");
@@ -90,18 +82,12 @@ fn main() {
 
     let t0 = Instant::now();
     let mut rows: Vec<(HotpathResult, f64)> = Vec::new();
-    // Measure one (program, p, race, dir) cell both ways and keep each
+    // Measure one (program, p, race, proto) cell both ways and keep each
     // variant's best of three interleaved reps: single-core turbo/thermal
     // drift otherwise biases whichever variant happens to run later.
-    let mut measure = |program: Program,
-                       p: usize,
-                       race: bool,
-                       dir: DirectoryMode,
-                       topo: InterconnectKind,
-                       proto: ProtocolMode| {
+    let mut measure = |program: Program, p: usize, race: bool, proto: ProtocolMode| {
         let passes = passes_for(program);
-        let run =
-            |fast: bool| run_cell_modes(program, p, race, fast, n, passes, dir, topo, proto);
+        let run = |fast: bool| run_cell(program, p, race, fast, n, passes, proto);
         let mut slow = run(false);
         let mut fast = run(true);
         for _ in 0..2 {
@@ -116,17 +102,15 @@ fn main() {
         }
         assert_eq!(
             fast.simulated_ns, slow.simulated_ns,
-            "fast path must be exact: {} race={race} p={p} dir={dir} topo={topo} proto={proto}",
+            "fast path must be exact: {} race={race} p={p} proto={proto}",
             program.name()
         );
         let speedup = fast.keys_per_sec / slow.keys_per_sec.max(1e-9);
         println!(
-            "{:9}  race={:5}  p={:3}  dir={:20}  topo={:12}  proto={:13}  ref {:>10.0} keys/s  fast {:>10.0} keys/s  speedup {:>5.2}x",
+            "{:9}  race={:5}  p={:3}  proto={:13}  ref {:>10.0} keys/s  fast {:>10.0} keys/s  speedup {:>5.2}x",
             program.name(),
             race,
             p,
-            dir.to_string(),
-            topo.to_string(),
             proto.to_string(),
             slow.keys_per_sec,
             fast.keys_per_sec,
@@ -136,32 +120,18 @@ fn main() {
         rows.push((fast, speedup));
     };
 
-    let (cube, inv) = (InterconnectKind::Hypercube, ProtocolMode::Invalidate);
     for program in [Program::Streamed, Program::Scattered, Program::Permutation] {
         for race in [false, true] {
             for p in GRID_PROCS {
-                measure(program, p, race, DirectoryMode::FullMap, cube, inv);
+                measure(program, p, race, ProtocolMode::Invalidate);
             }
         }
     }
-    // Large-p directory rows: the scattered-write-heavy program under the
-    // imprecise sharer-set representations.
-    for dir in [DirectoryMode::LimitedPointer(8), DirectoryMode::CoarseVector(8)] {
-        measure(Program::Permutation, 128, false, dir, cube, inv);
-    }
-    // Topology × protocol rows: the same scattered-write-heavy program at
-    // the paper machine's p = 64 under the alternative interconnects and
-    // the Dragon update protocol. Simulated time differs from the default
-    // rows here (that is the point); the fast/reference exactness assert
-    // still holds within each row pair.
-    for (topo, proto) in [
-        (InterconnectKind::Mesh2D, ProtocolMode::Invalidate),
-        (InterconnectKind::FatTree(4), ProtocolMode::Invalidate),
-        (InterconnectKind::Hypercube, ProtocolMode::DragonUpdate),
-        (InterconnectKind::Mesh2D, ProtocolMode::DragonUpdate),
-    ] {
-        measure(Program::Permutation, 64, false, DirectoryMode::FullMap, topo, proto);
-    }
+    // The same scattered-write-heavy program at the paper machine's p = 64
+    // under the Dragon update protocol. Simulated time differs from the
+    // default rows here (that is the point); the fast/reference exactness
+    // assert still holds within the row pair.
+    measure(Program::Permutation, 64, false, ProtocolMode::DragonUpdate);
 
     let mut json = String::new();
     json.push_str("{\n");
@@ -171,12 +141,10 @@ fn main() {
     json.push_str("  \"results\": [\n");
     for (i, (r, speedup)) in rows.iter().enumerate() {
         json.push_str(&format!(
-            "    {{\"program\": \"{}\", \"race_detector\": {}, \"p\": {}, \"directory\": \"{}\", \"topology\": \"{}\", \"protocol\": \"{}\", \"fast_path\": {}, \"keys\": {}, \"wall_s\": {}, \"keys_per_sec\": {}, \"simulated_ns\": {}{}}}{}\n",
+            "    {{\"program\": \"{}\", \"race_detector\": {}, \"p\": {}, \"protocol\": \"{}\", \"fast_path\": {}, \"keys\": {}, \"wall_s\": {}, \"keys_per_sec\": {}, \"simulated_ns\": {}{}}}{}\n",
             r.program.name(),
             r.race_detector,
             r.p,
-            r.dir,
-            r.topo,
             r.proto,
             r.fast_path,
             r.keys,

@@ -199,8 +199,7 @@ fn breakdown_size(r: &Runner) -> usize {
 }
 
 /// The paper's breakdown figures are drawn at 64 processors; with the
-/// default grid now extending past the real machine (128, 256 for the
-/// directory-scaling runs), pick the largest configured count that is
+/// default grid now extending past the real machine (128, 256), pick the largest configured count that is
 /// still within the paper's machine, falling back to the last entry when
 /// the user configured only larger counts.
 fn breakdown_procs(r: &Runner) -> usize {

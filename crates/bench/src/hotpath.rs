@@ -5,10 +5,10 @@
 //! pseudo-random indices inside each PE's partition) and a radix-style
 //! permutation (streamed reads of the local chunk, batched scattered
 //! writes across the whole output array) — parameterised by processor
-//! count, race detector on/off and fast path on/off. They are the workload
-//! behind the `simbench` binary that emits `BENCH_simulator.json`: *host*
-//! throughput of the simulator itself, reported as simulated key touches
-//! per wall-clock second.
+//! count, race detector on/off, fast path on/off and protocol. They are
+//! the workload behind the `simbench` binary that emits
+//! `BENCH_simulator.json`: *host* throughput of the simulator itself,
+//! reported as simulated key touches per wall-clock second.
 //!
 //! Everything here is deterministic: the scattered index stream is a fixed
 //! LCG, the permutation's destination map is a fixed bijection, partitions
@@ -20,7 +20,7 @@
 
 use std::time::Instant;
 
-use ccsort_machine::{DirectoryMode, InterconnectKind, Machine, MachineConfig, Placement, ProtocolMode};
+use ccsort_machine::{Machine, MachineConfig, Placement, ProtocolMode};
 
 /// Which access pattern a microprogram exercises.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -54,10 +54,6 @@ pub struct HotpathResult {
     pub p: usize,
     pub race_detector: bool,
     pub fast_path: bool,
-    /// Directory sharer-set representation the machine ran with.
-    pub dir: DirectoryMode,
-    /// Interconnect the machine ran with.
-    pub topo: InterconnectKind,
     /// Coherence protocol the machine ran with.
     pub proto: ProtocolMode,
     /// Simulated element touches performed.
@@ -76,25 +72,9 @@ pub struct HotpathResult {
 /// (and the large-p coherence walk generally) shows up in the trajectory.
 pub const GRID_PROCS: [usize; 4] = [1, 16, 64, 128];
 
-fn build(
-    p: usize,
-    race: bool,
-    fast: bool,
-    dir: DirectoryMode,
-    topo: InterconnectKind,
-    proto: ProtocolMode,
-) -> Machine {
-    let mut cfg = MachineConfig::origin2000(p)
-        .with_directory_mode(dir)
-        .with_interconnect(topo)
-        .with_protocol(proto);
-    cfg.race_detector = race;
-    cfg.fast_path = fast;
-    Machine::new(cfg)
-}
-
 /// Run one microprogram cell: `n` total elements across `p` partitions,
-/// swept `passes` times. Returns the measured throughput.
+/// swept `passes` times, under coherence protocol `proto`. Returns the
+/// measured throughput.
 pub fn run_cell(
     program: Program,
     p: usize,
@@ -102,54 +82,12 @@ pub fn run_cell(
     fast: bool,
     n: usize,
     passes: usize,
-) -> HotpathResult {
-    run_cell_dir(program, p, race, fast, n, passes, DirectoryMode::FullMap)
-}
-
-/// [`run_cell`] with an explicit directory sharer-set representation — the
-/// large-p `simbench` rows run the permutation program under the imprecise
-/// modes too, tracking the host-side cost of their entry bookkeeping in
-/// the coherence walk (simulated time is unchanged there: the program's
-/// writes hand off exclusive lines, which every mode targets precisely).
-pub fn run_cell_dir(
-    program: Program,
-    p: usize,
-    race: bool,
-    fast: bool,
-    n: usize,
-    passes: usize,
-    dir: DirectoryMode,
-) -> HotpathResult {
-    run_cell_modes(
-        program,
-        p,
-        race,
-        fast,
-        n,
-        passes,
-        dir,
-        InterconnectKind::Hypercube,
-        ProtocolMode::Invalidate,
-    )
-}
-
-/// [`run_cell_dir`] with the interconnect and coherence protocol explicit —
-/// the topology × protocol `simbench` rows measure the host-side cost of
-/// the alternative hop computations and the Dragon update walk on the same
-/// microprograms.
-#[allow(clippy::too_many_arguments)]
-pub fn run_cell_modes(
-    program: Program,
-    p: usize,
-    race: bool,
-    fast: bool,
-    n: usize,
-    passes: usize,
-    dir: DirectoryMode,
-    topo: InterconnectKind,
     proto: ProtocolMode,
 ) -> HotpathResult {
-    let mut m = build(p, race, fast, dir, topo, proto);
+    let mut cfg = MachineConfig::origin2000(p).with_protocol(proto);
+    cfg.race_detector = race;
+    cfg.fast_path = fast;
+    let mut m = Machine::new(cfg);
     let arr = m.alloc(n, Placement::Partitioned { parts: p }, "hotpath");
     let chunk = n / p;
     assert!(chunk > 0, "n must be >= p");
@@ -282,8 +220,6 @@ pub fn run_cell_modes(
         p,
         race_detector: race,
         fast_path: fast,
-        dir,
-        topo,
         proto,
         keys,
         wall_s,
@@ -303,8 +239,8 @@ mod tests {
     fn cells_are_fast_path_exact() {
         for program in [Program::Streamed, Program::Scattered, Program::Permutation] {
             for race in [false, true] {
-                let fast = run_cell(program, 4, race, true, 1 << 12, 3);
-                let slow = run_cell(program, 4, race, false, 1 << 12, 3);
+                let fast = run_cell(program, 4, race, true, 1 << 12, 3, ProtocolMode::Invalidate);
+                let slow = run_cell(program, 4, race, false, 1 << 12, 3, ProtocolMode::Invalidate);
                 assert_eq!(
                     fast.simulated_ns, slow.simulated_ns,
                     "{program:?} race={race} diverged"
@@ -314,55 +250,18 @@ mod tests {
         }
     }
 
-    /// Fast-path exactness must also hold under the imprecise directory
-    /// representations: limited-pointer overflow broadcasts and coarse
-    /// group invalidations charge identical time on both walks.
+    /// ... and under the Dragon update protocol: the fast path carries no
+    /// protocol-specific logic (Dragon's written-shared lines re-enter the
+    /// slow path by construction), so simulated time must stay
+    /// bit-identical between the batched and reference walks.
     #[test]
-    fn cells_are_fast_path_exact_in_imprecise_modes() {
-        for dir in [DirectoryMode::LimitedPointer(2), DirectoryMode::CoarseVector(2)] {
-            let fast = run_cell_dir(Program::Permutation, 4, false, true, 1 << 12, 2, dir);
-            let slow = run_cell_dir(Program::Permutation, 4, false, false, 1 << 12, 2, dir);
-            assert_eq!(fast.simulated_ns, slow.simulated_ns, "{dir} diverged");
+    fn cells_are_fast_path_exact_under_dragon_update() {
+        for program in [Program::Streamed, Program::Scattered, Program::Permutation] {
+            let run = |fast| run_cell(program, 4, false, fast, 1 << 12, 2, ProtocolMode::DragonUpdate);
+            let fast = run(true);
+            let slow = run(false);
+            assert_eq!(fast.simulated_ns, slow.simulated_ns, "{program:?} diverged");
             assert_eq!(fast.keys, slow.keys);
-        }
-    }
-
-    /// ... and under the non-default topologies and the Dragon update
-    /// protocol: the fast path carries no protocol- or topology-specific
-    /// logic (Dragon's written-shared lines re-enter the slow path by
-    /// construction), so simulated time must stay bit-identical between
-    /// the batched and reference walks in every mode.
-    #[test]
-    fn cells_are_fast_path_exact_in_new_modes() {
-        let combos = [
-            (InterconnectKind::Mesh2D, ProtocolMode::Invalidate),
-            (InterconnectKind::FatTree(4), ProtocolMode::Invalidate),
-            (InterconnectKind::Hypercube, ProtocolMode::DragonUpdate),
-            (InterconnectKind::Mesh2D, ProtocolMode::DragonUpdate),
-        ];
-        for (topo, proto) in combos {
-            for program in [Program::Streamed, Program::Scattered, Program::Permutation] {
-                let run = |fast| {
-                    run_cell_modes(
-                        program,
-                        4,
-                        false,
-                        fast,
-                        1 << 12,
-                        2,
-                        DirectoryMode::FullMap,
-                        topo,
-                        proto,
-                    )
-                };
-                let fast = run(true);
-                let slow = run(false);
-                assert_eq!(
-                    fast.simulated_ns, slow.simulated_ns,
-                    "{program:?} {topo}/{proto} diverged"
-                );
-                assert_eq!(fast.keys, slow.keys);
-            }
         }
     }
 
@@ -371,8 +270,8 @@ mod tests {
     #[test]
     fn race_detector_does_not_change_simulated_time() {
         for program in [Program::Streamed, Program::Scattered, Program::Permutation] {
-            let off = run_cell(program, 4, false, true, 1 << 12, 2);
-            let on = run_cell(program, 4, true, true, 1 << 12, 2);
+            let off = run_cell(program, 4, false, true, 1 << 12, 2, ProtocolMode::Invalidate);
+            let on = run_cell(program, 4, true, true, 1 << 12, 2, ProtocolMode::Invalidate);
             assert_eq!(off.simulated_ns, on.simulated_ns, "{program:?} diverged");
         }
     }

@@ -17,8 +17,7 @@ pub const SIZE_LABELS: [(&str, usize); 5] =
     [("1M", 1 << 20), ("4M", 1 << 22), ("16M", 1 << 24), ("64M", 1 << 26), ("256M", 1 << 28)];
 
 /// Processor counts of the speedup figures. The paper's machine stops at
-/// p = 64; 128 and 256 extrapolate past it to exercise the directory's
-/// sharer-set representations at scale (see `DirectoryMode`).
+/// p = 64; 128 and 256 extrapolate past it (a multi-word full map).
 pub const PROCS: [usize; 5] = [16, 32, 64, 128, 256];
 
 /// Options shared by all figure generators.

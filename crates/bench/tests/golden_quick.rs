@@ -6,9 +6,8 @@
 //! digit, so the committed transcript (`results/golden_quick.txt`) is the
 //! regression oracle: this test reruns `repro quick` and byte-compares
 //! stdout against it. `ablate` is held to `results/ablate_modes.txt` the
-//! same way — it is the one artefact that runs the non-default machine
-//! modes (virtually indexed caches, Dragon, mesh / fat-tree), and a wrong
-//! row sat in the committed file for as long as nothing compared the two.
+//! same way — the one artefact that runs the non-default machine modes
+//! (virtual caches, Dragon); a wrong row sat in it while nothing compared.
 //! A legitimate model change must regenerate the golden file in the same
 //! commit — the diff then documents exactly which numbers moved.
 //!

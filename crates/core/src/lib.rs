@@ -39,7 +39,7 @@ mod runtime;
 pub mod sample;
 pub mod seq;
 
-pub use ccsort_machine::{DirectoryMode, InterconnectKind, ProtocolMode};
+pub use ccsort_machine::ProtocolMode;
 pub use dist::{stagger_window, Dist, KEY_BITS, MAX_KEY};
 pub use driver::{
     load_keys, run_experiment, run_experiment_audited, run_sequential_baseline, Algorithm,

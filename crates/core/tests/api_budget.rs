@@ -11,8 +11,6 @@ const MODULES: &[&str] =
     &["common", "costs", "dist", "driver", "predict", "radix", "sample", "seq"];
 
 const REEXPORTS: &[&str] = &[
-    "DirectoryMode",
-    "InterconnectKind",
     "ProtocolMode",
     "stagger_window",
     "Dist",

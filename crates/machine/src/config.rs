@@ -11,76 +11,9 @@
 //! and roughly +100 ns per router hop.
 
 /// Hard cap on the processor count. Far beyond the 64-processor Origin 2000
-/// of the paper; large enough for the p = 128/256 directory-scaling studies
-/// while keeping `u16` processor ids comfortable.
+/// of the paper; large enough for p = 128/256 runs while keeping `u16`
+/// processor ids comfortable.
 pub const MAX_PROCS: usize = 1024;
-
-/// Sharer-set representation of the coherence directory
-/// (see [`crate::Directory`]).
-///
-/// `FullMap` is the bit-exact default — one presence bit per processor, the
-/// Origin 2000's own format. `LimitedPointer(i)` is Dir-i-B: `i` processor
-/// pointers per entry; an overflowing entry degrades to broadcast
-/// invalidation (every processor charged). `CoarseVector(k)` keeps one bit
-/// per group of `k` consecutive processors; invalidations over-target the
-/// whole group. The imprecise modes trade directory memory for extra
-/// invalidation traffic and controller occupancy — the classic
-/// directory-scaling trade-off this simulator charges through its existing
-/// contention model.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum DirectoryMode {
-    /// One presence bit per processor; always precise.
-    #[default]
-    FullMap,
-    /// Dir-i-B: `i` pointers, broadcast on overflow.
-    LimitedPointer(usize),
-    /// One presence bit per group of `k` consecutive processors.
-    CoarseVector(usize),
-}
-
-impl std::fmt::Display for DirectoryMode {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            DirectoryMode::FullMap => write!(f, "full-map"),
-            DirectoryMode::LimitedPointer(i) => write!(f, "limited-pointer({i})"),
-            DirectoryMode::CoarseVector(k) => write!(f, "coarse-vector({k})"),
-        }
-    }
-}
-
-/// Interconnect wiring of the routers (see [`crate::Topology`]).
-///
-/// `Hypercube` is the bit-exact default — the Origin 2000's own fabric,
-/// where the hop count between two routers is the Hamming distance of
-/// their ids. `Mesh2D` arranges the routers row-major on a
-/// `ceil(sqrt(R))`-wide 2-D grid with dimension-ordered (XY) routing, the
-/// AP1000/torus-style fabric of the Weaver & Lynes sorting study.
-/// `FatTree(k)` hangs the routers off a complete `k`-ary switch tree
-/// (leaves only; CM-5 style) — a message climbs to the lowest common
-/// ancestor and back down, so the hop count is twice that level. All
-/// three expose the same `hops`-based latency interface; only the hop
-/// counts (and hence remote latencies and contention windows) differ.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum InterconnectKind {
-    /// Router hops = Hamming distance of router ids (Origin 2000).
-    #[default]
-    Hypercube,
-    /// Row-major 2-D mesh, XY routing: hops = Manhattan distance.
-    Mesh2D,
-    /// Complete `k`-ary fat tree over the routers: hops = 2 × levels to
-    /// the lowest common ancestor.
-    FatTree(usize),
-}
-
-impl std::fmt::Display for InterconnectKind {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            InterconnectKind::Hypercube => write!(f, "hypercube"),
-            InterconnectKind::Mesh2D => write!(f, "mesh"),
-            InterconnectKind::FatTree(k) => write!(f, "fat-tree({k})"),
-        }
-    }
-}
 
 /// Coherence protocol the directory runs on a remote write (see
 /// `crates/machine/src/protocol.rs`).
@@ -146,10 +79,8 @@ impl CacheGeom {
 /// nothing in it consults the host clock or unseeded randomness.
 #[derive(Debug, Clone)]
 pub struct MachineConfig {
-    /// Number of processors (PEs), up to [`MAX_PROCS`]. The directory's
-    /// sharer-set representation ([`MachineConfig::directory_mode`]) decides
-    /// how such a machine tracks sharers; the full-map default simply grows
-    /// its bit-vector past one 64-bit word.
+    /// Number of processors (PEs), up to [`MAX_PROCS`]. Past 64 the
+    /// directory's full-map bit-vector grows past one 64-bit word.
     pub n_procs: usize,
     /// Processors per node (Origin 2000: 2).
     pub procs_per_node: usize,
@@ -273,17 +204,6 @@ pub struct MachineConfig {
     /// or to force the reference paths in equivalence tests.
     pub fast_path: bool,
 
-    /// Sharer-set representation of the coherence directory. The default
-    /// full-map is bit-exact with the pre-existing `u64` bitmask behaviour
-    /// for p <= 64; limited-pointer and coarse-vector model the directory
-    /// organisations machines use to scale past that.
-    pub directory_mode: DirectoryMode,
-
-    /// Router interconnect wiring. The hypercube default is bit-exact with
-    /// the pre-existing hardwired topology; mesh and fat-tree change only
-    /// hop counts (and everything priced off them).
-    pub interconnect: InterconnectKind,
-
     /// Coherence protocol for writes to lines with other sharers. The
     /// invalidate default is bit-exact with the pre-existing MESI walk;
     /// Dragon-update trades invalidation misses for update traffic.
@@ -293,7 +213,7 @@ pub struct MachineConfig {
 impl MachineConfig {
     /// The SGI Origin 2000 used in the paper, at full scale. Processor
     /// counts past the real machine's 64 extrapolate the same node/router
-    /// structure (useful for the directory-scaling studies); counts beyond
+    /// structure; counts beyond
     /// [`MAX_PROCS`] are rejected by [`MachineConfig::validate`].
     pub fn origin2000(n_procs: usize) -> Self {
         MachineConfig {
@@ -330,22 +250,8 @@ impl MachineConfig {
             fixed_cost_div: 1.0,
             race_detector: false,
             fast_path: true,
-            directory_mode: DirectoryMode::FullMap,
-            interconnect: InterconnectKind::Hypercube,
             protocol: ProtocolMode::Invalidate,
         }
-    }
-
-    /// Builder-style selection of the directory's sharer-set representation.
-    pub fn with_directory_mode(mut self, mode: DirectoryMode) -> Self {
-        self.directory_mode = mode;
-        self
-    }
-
-    /// Builder-style selection of the router interconnect.
-    pub fn with_interconnect(mut self, kind: InterconnectKind) -> Self {
-        self.interconnect = kind;
-        self
     }
 
     /// Builder-style selection of the coherence protocol.
@@ -477,35 +383,6 @@ impl MachineConfig {
         check(self.fixed_cost_div >= 1.0, || {
             format!("fixed_cost_div: {} must be >= 1", self.fixed_cost_div)
         })?;
-        match self.directory_mode {
-            DirectoryMode::FullMap => {}
-            DirectoryMode::LimitedPointer(i) => {
-                check((1..=64).contains(&i), || {
-                    format!("directory_mode: limited-pointer width {i} outside 1..=64")
-                })?;
-            }
-            DirectoryMode::CoarseVector(k) => {
-                check((1..=self.n_procs).contains(&k), || {
-                    format!(
-                        "directory_mode: coarse-vector group size {k} outside 1..={}",
-                        self.n_procs
-                    )
-                })?;
-            }
-        }
-        if let InterconnectKind::FatTree(k) = self.interconnect {
-            // Arity 1 would make every "tree" level a chain of unary
-            // switches with no common-ancestor structure, and an arity past
-            // the largest possible router count (MAX_PROCS processors, two
-            // per node, two nodes per router) is a typo. The range is a
-            // constant on purpose: an arity wider than the machine's actual
-            // router count is a valid (flat, single-switch) tree, so small
-            // test machines accept the same arities the big ones do.
-            const MAX_ARITY: usize = MAX_PROCS / 4;
-            check((2..=MAX_ARITY).contains(&k), || {
-                format!("interconnect: fat-tree arity {k} outside 2..={MAX_ARITY}")
-            })?;
-        }
         Ok(())
     }
 }
@@ -556,8 +433,8 @@ mod tests {
 
     #[test]
     fn too_many_procs_rejected_with_field_name() {
-        // p = 65 used to be the hard u64-bitmask wall; now any mode scales
-        // past it and only the MAX_PROCS cap rejects, naming the field.
+        // p = 65 used to be the hard u64-bitmask wall; now the full map
+        // scales past it and only the MAX_PROCS cap rejects, naming the field.
         MachineConfig::origin2000(65).validate().unwrap();
         let err = MachineConfig::origin2000(MAX_PROCS + 1).validate().unwrap_err();
         assert!(err.contains("n_procs"), "error must name the field: {err}");
@@ -573,58 +450,21 @@ mod tests {
         let mut c = MachineConfig::origin2000(8);
         c.page_size = 100;
         assert!(c.validate().unwrap_err().contains("page_size"));
-
-        let mut c = MachineConfig::origin2000(8);
-        c.directory_mode = DirectoryMode::LimitedPointer(0);
-        assert!(c.validate().unwrap_err().contains("limited-pointer"));
-
-        let mut c = MachineConfig::origin2000(8);
-        c.directory_mode = DirectoryMode::CoarseVector(9);
-        assert!(c.validate().unwrap_err().contains("coarse-vector"));
-        c.directory_mode = DirectoryMode::CoarseVector(8);
-        c.validate().unwrap();
     }
 
     #[test]
-    fn large_machines_validate_in_all_modes() {
-        for mode in [
-            DirectoryMode::FullMap,
-            DirectoryMode::LimitedPointer(8),
-            DirectoryMode::CoarseVector(4),
-        ] {
-            let c = MachineConfig::origin2000(256).with_directory_mode(mode);
-            c.validate().unwrap_or_else(|e| panic!("{mode}: {e}"));
-            assert_eq!(c.n_nodes(), 128);
-            assert_eq!(c.n_routers(), 64);
-        }
+    fn large_machines_validate() {
+        let c = MachineConfig::origin2000(256);
+        c.validate().unwrap();
+        assert_eq!(c.n_nodes(), 128);
+        assert_eq!(c.n_routers(), 64);
     }
 
     #[test]
-    fn fat_tree_arity_validated_with_field_name() {
-        let mut c = MachineConfig::origin2000(64);
-        c.interconnect = InterconnectKind::FatTree(1);
-        let err = c.validate().unwrap_err();
-        assert!(err.contains("interconnect"), "error must name the field: {err}");
-        assert!(err.contains("fat-tree"), "{err}");
-        c.interconnect = InterconnectKind::FatTree(999);
-        assert!(c.validate().unwrap_err().contains("fat-tree"));
-        c.interconnect = InterconnectKind::FatTree(4);
-        c.validate().unwrap();
-        c.interconnect = InterconnectKind::Mesh2D;
-        c.validate().unwrap();
-    }
-
-    #[test]
-    fn interconnect_and_protocol_default_and_display() {
-        let c = MachineConfig::origin2000(8);
-        assert_eq!(c.interconnect, InterconnectKind::Hypercube);
-        assert_eq!(c.protocol, ProtocolMode::Invalidate);
-        assert_eq!(InterconnectKind::Hypercube.to_string(), "hypercube");
-        assert_eq!(InterconnectKind::Mesh2D.to_string(), "mesh");
-        assert_eq!(InterconnectKind::FatTree(4).to_string(), "fat-tree(4)");
+    fn protocol_default_and_display() {
+        assert_eq!(MachineConfig::origin2000(8).protocol, ProtocolMode::Invalidate);
         assert_eq!(ProtocolMode::Invalidate.to_string(), "invalidate");
         assert_eq!(ProtocolMode::DragonUpdate.to_string(), "dragon-update");
-        assert_eq!(InterconnectKind::default(), InterconnectKind::Hypercube);
         assert_eq!(ProtocolMode::default(), ProtocolMode::Invalidate);
     }
 

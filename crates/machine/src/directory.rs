@@ -1,34 +1,16 @@
-//! Directory for the invalidation-based coherence protocol, with pluggable
-//! sharer-set representations.
+//! Full-map directory for the invalidation-based coherence protocol.
 //!
-//! One entry per cache line in the simulated address space. The
-//! representation of an entry's sharer set is selected by
-//! [`DirectoryMode`]:
+//! One entry per cache line in the simulated address space, each holding a
+//! bit-vector with one presence bit per processor — the Origin 2000's own
+//! directory format. Up to 64 processors it fits in a single `u64` word;
+//! larger machines use as many 64-bit words as needed.
 //!
-//! * [`DirectoryMode::FullMap`] — a full bit-vector with one bit per
-//!   processor, exactly the Origin 2000's own directory format for machines
-//!   up to 64 processors (where it fits in a single `u64` word) and the
-//!   bit-exact default. Larger machines use as many 64-bit words as needed.
-//! * [`DirectoryMode::LimitedPointer`] — Dir-i-B: `i` processor pointers
-//!   per entry. When an `(i+1)`-th sharer arrives the entry *overflows* and
-//!   degrades to broadcast: a later write must invalidate every processor
-//!   (except the writer), because the directory no longer knows who holds
-//!   the line. The entry reverts to a precise state when the line returns
-//!   to a single owner (`set_exclusive`) or leaves all caches
-//!   (`set_unowned`).
-//! * [`DirectoryMode::CoarseVector`] — one bit per group of `k`
-//!   consecutive processors (Dir-k-CV). Invalidations over-target the whole
-//!   group of any marked bit.
-//!
-//! Whatever the representation, the invariant the rest of the machine (and
-//! [`crate::Machine::audit`]) relies on is **conservative superset**: the
-//! set of processors the directory would target with invalidations always
-//! includes every processor actually caching the line. Imprecise
-//! representations (and silent evictions, in every mode) may over-target —
-//! that is the modelled cost, charged through the controller-occupancy
-//! path — but they never under-target.
-
-use crate::config::DirectoryMode;
+//! The invariant the rest of the machine (and [`crate::Machine::audit`])
+//! relies on is **conservative superset**: the set of processors the
+//! directory would target with invalidations always includes every
+//! processor actually caching the line. Silent evictions may leave it
+//! over-targeting — charged through the controller-occupancy path — but it
+//! never under-targets.
 
 /// Directory state of a line.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -45,29 +27,14 @@ const UNOWNED: u8 = 0;
 const SHARED: u8 = 1;
 const EXCLUSIVE: u8 = 2;
 
-/// Sentinel in the limited-pointer `count` array: the entry has overflowed
-/// and the sharer set is "potentially everyone" (broadcast on invalidate).
-const OVERFLOW: u8 = u8::MAX;
-
-/// Per-mode storage for the sharer sets, flattened into contiguous arrays
-/// (no per-entry allocation).
-#[derive(Debug, Clone)]
-enum Repr {
-    /// Full-map or coarse-vector bits, `words_per_line` words per entry.
-    /// For `FullMap` a bit is a processor; for `CoarseVector(k)` a bit is a
-    /// group of `k` consecutive processors.
-    Bits { words_per_line: usize, bits: Vec<u64> },
-    /// Limited-pointer slots: `slots` pointers per entry, kept sorted
-    /// ascending; `count[line]` is the number in use, or [`OVERFLOW`].
-    Ptrs { slots: usize, ptrs: Vec<u16>, count: Vec<u8> },
-}
-
 /// The directory: line index -> coherence metadata.
 #[derive(Debug, Clone)]
 pub struct Directory {
-    mode: DirectoryMode,
     n_procs: usize,
-    repr: Repr,
+    /// Presence bits, `words_per_line` words per entry, flattened into one
+    /// contiguous array (no per-entry allocation).
+    words_per_line: usize,
+    bits: Vec<u64>,
     state: Vec<u8>,
     owner: Vec<u16>,
     /// Count of lines not in Unowned state, maintained incrementally by the
@@ -78,42 +45,17 @@ pub struct Directory {
 }
 
 impl Directory {
-    pub fn new(mode: DirectoryMode, n_procs: usize, total_lines: u64) -> Self {
+    pub fn new(n_procs: usize, total_lines: u64) -> Self {
         let n = total_lines as usize;
-        let repr = match mode {
-            DirectoryMode::FullMap => {
-                let words_per_line = n_procs.div_ceil(64).max(1);
-                Repr::Bits { words_per_line, bits: vec![0; n * words_per_line] }
-            }
-            DirectoryMode::CoarseVector(k) => {
-                assert!(k >= 1, "coarse-vector group size must be >= 1");
-                let groups = n_procs.div_ceil(k).max(1);
-                let words_per_line = groups.div_ceil(64);
-                Repr::Bits { words_per_line, bits: vec![0; n * words_per_line] }
-            }
-            DirectoryMode::LimitedPointer(i) => {
-                assert!((1..=64).contains(&i), "limited-pointer width must be in 1..=64");
-                Repr::Ptrs { slots: i, ptrs: vec![0; n * i], count: vec![0; n] }
-            }
-        };
+        let words_per_line = n_procs.div_ceil(64).max(1);
         Directory {
-            mode,
             n_procs,
-            repr,
+            words_per_line,
+            bits: vec![0; n * words_per_line],
             state: vec![UNOWNED; n],
             owner: vec![0; n],
             owned: 0,
         }
-    }
-
-    /// Bit-exact shorthand for the classic p <= 64 full-map directory.
-    pub fn full_map(n_procs: usize, total_lines: u64) -> Self {
-        Directory::new(DirectoryMode::FullMap, n_procs, total_lines)
-    }
-
-    /// The representation this directory was built with.
-    pub fn mode(&self) -> DirectoryMode {
-        self.mode
     }
 
     /// Grow to cover at least `total_lines` lines (after new allocations).
@@ -124,13 +66,7 @@ impl Directory {
         }
         self.state.resize(n, UNOWNED);
         self.owner.resize(n, 0);
-        match &mut self.repr {
-            Repr::Bits { words_per_line, bits } => bits.resize(n * *words_per_line, 0),
-            Repr::Ptrs { slots, ptrs, count } => {
-                ptrs.resize(n * *slots, 0);
-                count.resize(n, 0);
-            }
-        }
+        self.bits.resize(n * self.words_per_line, 0);
     }
 
     #[inline]
@@ -143,53 +79,30 @@ impl Directory {
         }
     }
 
-    /// For `CoarseVector(k)`: the group index of `pe`. 0 otherwise.
+    /// The presence words of `line`.
     #[inline]
-    fn group_of(&self, pe: usize) -> usize {
-        match self.mode {
-            DirectoryMode::CoarseVector(k) => pe / k,
-            _ => 0,
-        }
+    fn words(&self, l: usize) -> &[u64] {
+        &self.bits[l * self.words_per_line..(l + 1) * self.words_per_line]
     }
 
-    /// Conservative membership: `true` when the directory would target `pe`
-    /// with an invalidation of `line` — i.e. `pe` *may* hold a copy. Exact
-    /// for `FullMap`; over-approximate for overflowed limited-pointer
-    /// entries (everyone) and coarse groups (all `k` processors of a marked
-    /// group). This is the membership test audits must use: a cached copy
-    /// outside this set is a protocol bug in every mode.
+    #[inline]
+    fn words_mut(&mut self, l: usize) -> &mut [u64] {
+        &mut self.bits[l * self.words_per_line..(l + 1) * self.words_per_line]
+    }
+
+    /// Membership: `true` when the directory would target `pe` with an
+    /// invalidation of `line` — i.e. `pe` *may* hold a copy. This is the
+    /// membership test audits must use: a cached copy outside this set is
+    /// a protocol bug.
     #[inline]
     pub fn is_sharer(&self, line: u64, pe: usize) -> bool {
-        let l = line as usize;
-        match &self.repr {
-            Repr::Bits { words_per_line, bits } => {
-                let bit = match self.mode {
-                    DirectoryMode::CoarseVector(_) => self.group_of(pe),
-                    _ => pe,
-                };
-                bits[l * words_per_line + bit / 64] & (1u64 << (bit % 64)) != 0
-            }
-            Repr::Ptrs { slots, ptrs, count } => {
-                if count[l] == OVERFLOW {
-                    return true;
-                }
-                let used = count[l] as usize;
-                ptrs[l * slots..l * slots + used].contains(&(pe as u16))
-            }
-        }
+        self.bits[line as usize * self.words_per_line + pe / 64] & (1u64 << (pe % 64)) != 0
     }
 
-    /// Low 64 bits of the full-map sharer word (diagnostics and the legacy
-    /// unit tests; meaningful for `FullMap` with p <= 64 only — other modes
-    /// synthesize the word from their representation, truncated to 64 PEs).
+    /// Low 64 bits of the sharer word (diagnostics and unit tests;
+    /// truncated to the first 64 PEs).
     pub fn sharers(&self, line: u64) -> u64 {
-        let mut word = 0u64;
-        self.for_each_target(line, None, |pe| {
-            if pe < 64 {
-                word |= 1u64 << pe;
-            }
-        });
-        word
+        self.words(line as usize)[0]
     }
 
     /// Record that `pe` obtained a Shared copy.
@@ -200,42 +113,11 @@ impl Directory {
             self.owned += 1;
         }
         self.state[l] = SHARED;
-        match &mut self.repr {
-            Repr::Bits { words_per_line, bits } => {
-                let bit = match self.mode {
-                    DirectoryMode::CoarseVector(k) => pe / k,
-                    _ => pe,
-                };
-                bits[l * *words_per_line + bit / 64] |= 1u64 << (bit % 64);
-            }
-            Repr::Ptrs { slots, ptrs, count } => {
-                if count[l] == OVERFLOW {
-                    return;
-                }
-                let used = count[l] as usize;
-                let slice = &mut ptrs[l * *slots..(l + 1) * *slots];
-                let pe16 = pe as u16;
-                match slice[..used].binary_search(&pe16) {
-                    Ok(_) => {}
-                    Err(pos) => {
-                        if used == *slots {
-                            // Dir-i-B overflow: the (i+1)-th sharer degrades
-                            // the entry to broadcast.
-                            count[l] = OVERFLOW;
-                        } else {
-                            slice.copy_within(pos..used, pos + 1);
-                            slice[pos] = pe16;
-                            count[l] = (used + 1) as u8;
-                        }
-                    }
-                }
-            }
-        }
+        self.bits[l * self.words_per_line + pe / 64] |= 1u64 << (pe % 64);
     }
 
-    /// Record that `pe` obtained exclusive ownership. Always reverts the
-    /// entry to a precise single-pointer set (in every representation the
-    /// preceding invalidations emptied all other caches).
+    /// Record that `pe` obtained exclusive ownership: the sharer set becomes
+    /// exactly `{pe}` (the preceding invalidations emptied all other caches).
     #[inline]
     pub fn set_exclusive(&mut self, line: u64, pe: usize) {
         let l = line as usize;
@@ -244,26 +126,13 @@ impl Directory {
         }
         self.state[l] = EXCLUSIVE;
         self.owner[l] = pe as u16;
-        match &mut self.repr {
-            Repr::Bits { words_per_line, bits } => {
-                let w = l * *words_per_line;
-                bits[w..w + *words_per_line].fill(0);
-                let bit = match self.mode {
-                    DirectoryMode::CoarseVector(k) => pe / k,
-                    _ => pe,
-                };
-                bits[w + bit / 64] = 1u64 << (bit % 64);
-            }
-            Repr::Ptrs { slots, ptrs, count } => {
-                ptrs[l * *slots] = pe as u16;
-                count[l] = 1;
-            }
-        }
+        let words = self.words_mut(l);
+        words.fill(0);
+        words[pe / 64] = 1u64 << (pe % 64);
     }
 
     /// Record that the line left all caches (writeback of the only copy, or
-    /// invalidation broadcast finished with no new owner). Reverts any
-    /// overflow/coarse imprecision.
+    /// invalidation broadcast finished with no new owner).
     #[inline]
     pub fn set_unowned(&mut self, line: u64) {
         let l = line as usize;
@@ -271,58 +140,17 @@ impl Directory {
             self.owned -= 1;
         }
         self.state[l] = UNOWNED;
-        match &mut self.repr {
-            Repr::Bits { words_per_line, bits } => {
-                let w = l * *words_per_line;
-                bits[w..w + *words_per_line].fill(0);
-            }
-            Repr::Ptrs { count, .. } => count[l] = 0,
-        }
+        self.words_mut(l).fill(0);
     }
 
     /// Remove `pe` from the sharer set (eviction notification / writeback).
-    /// Downgrades to Unowned when the representation can prove the last
-    /// sharer left. Imprecise representations may be unable to remove:
-    /// an overflowed limited-pointer entry stays broadcast, and a coarse
-    /// group bit stays set while *any* processor of the group may hold the
-    /// line — stale over-targeting, exactly like the real hardware.
+    /// Downgrades to Unowned when the last sharer left.
     #[inline]
     pub fn remove_sharer(&mut self, line: u64, pe: usize) {
         let l = line as usize;
-        let mut now_empty = false;
-        match &mut self.repr {
-            Repr::Bits { words_per_line, bits } => {
-                let w = l * *words_per_line;
-                let words = &mut bits[w..w + *words_per_line];
-                match self.mode {
-                    DirectoryMode::CoarseVector(_) => {
-                        // A group bit covers k processors; clearing it on one
-                        // eviction would under-target the others. Only an
-                        // exclusive owner's eviction is provably the last.
-                        if self.state[l] == EXCLUSIVE && self.owner[l] == pe as u16 {
-                            words.fill(0);
-                            now_empty = true;
-                        }
-                    }
-                    _ => {
-                        words[pe / 64] &= !(1u64 << (pe % 64));
-                        now_empty = words.iter().all(|&w| w == 0);
-                    }
-                }
-            }
-            Repr::Ptrs { slots, ptrs, count } => {
-                if count[l] != OVERFLOW {
-                    let used = count[l] as usize;
-                    let slice = &mut ptrs[l * *slots..(l + 1) * *slots];
-                    if let Ok(pos) = slice[..used].binary_search(&(pe as u16)) {
-                        slice.copy_within(pos + 1..used, pos);
-                        count[l] = (used - 1) as u8;
-                    }
-                    now_empty = count[l] == 0;
-                }
-            }
-        }
-        if now_empty {
+        let words = self.words_mut(l);
+        words[pe / 64] &= !(1u64 << (pe % 64));
+        if words.iter().all(|&w| w == 0) {
             if self.state[l] != UNOWNED {
                 self.owned -= 1;
             }
@@ -334,38 +162,15 @@ impl Directory {
 
     /// Shrink the sharer set to (at most) `{pe}` after every other
     /// potential holder was invalidated, keeping the state byte otherwise
-    /// unchanged (used by un-timed staging copies). For `FullMap` this is
-    /// bit-exact with removing each other sharer in turn; imprecise
-    /// representations keep the minimal representable superset of `{pe}`.
+    /// unchanged (used by un-timed staging copies). Bit-exact with removing
+    /// each other sharer in turn.
     pub fn retain_only(&mut self, line: u64, pe: usize) {
         let l = line as usize;
-        let mut now_empty = false;
-        match &mut self.repr {
-            Repr::Bits { words_per_line, bits } => {
-                let bit = match self.mode {
-                    DirectoryMode::CoarseVector(k) => pe / k,
-                    _ => pe,
-                };
-                let w = l * *words_per_line;
-                let words = &mut bits[w..w + *words_per_line];
-                let keep = words[bit / 64] & (1u64 << (bit % 64));
-                words.fill(0);
-                words[bit / 64] = keep;
-                now_empty = keep == 0;
-            }
-            Repr::Ptrs { slots, ptrs, count } => {
-                let was_member = count[l] == OVERFLOW
-                    || ptrs[l * *slots..l * *slots + count[l] as usize].contains(&(pe as u16));
-                if was_member {
-                    ptrs[l * *slots] = pe as u16;
-                    count[l] = 1;
-                } else {
-                    count[l] = 0;
-                    now_empty = true;
-                }
-            }
-        }
-        if now_empty {
+        let words = self.words_mut(l);
+        let keep = words[pe / 64] & (1u64 << (pe % 64));
+        words.fill(0);
+        words[pe / 64] = keep;
+        if keep == 0 {
             if self.state[l] != UNOWNED {
                 self.owned -= 1;
             }
@@ -376,11 +181,8 @@ impl Directory {
     }
 
     /// Visit every invalidation target of `line` except `exclude`, in
-    /// ascending processor order (the order the bit-scan of the classic
-    /// full-map word produced, preserved in every mode so runs are
-    /// deterministic). Returns the number of targets visited — for
-    /// imprecise representations this is the *charged* invalidation count,
-    /// including over-targeted processors that hold no copy.
+    /// ascending processor order (the bit-scan order, so runs are
+    /// deterministic). Returns the number of targets visited.
     #[inline]
     pub fn for_each_target(
         &self,
@@ -388,65 +190,19 @@ impl Directory {
         exclude: Option<usize>,
         mut f: impl FnMut(usize),
     ) -> u64 {
-        let l = line as usize;
         let mut n = 0u64;
-        match &self.repr {
-            Repr::Bits { words_per_line, bits } => {
-                let words = &bits[l * words_per_line..(l + 1) * words_per_line];
-                match self.mode {
-                    DirectoryMode::CoarseVector(k) => {
-                        for (wi, &word) in words.iter().enumerate() {
-                            let mut w = word;
-                            while w != 0 {
-                                let g = wi * 64 + w.trailing_zeros() as usize;
-                                w &= w - 1;
-                                let hi = ((g + 1) * k).min(self.n_procs);
-                                for pe in g * k..hi {
-                                    if Some(pe) != exclude {
-                                        f(pe);
-                                        n += 1;
-                                    }
-                                }
-                            }
-                        }
-                    }
-                    _ => {
-                        for (wi, &word) in words.iter().enumerate() {
-                            let mut w = word;
-                            if let Some(x) = exclude {
-                                if x / 64 == wi {
-                                    w &= !(1u64 << (x % 64));
-                                }
-                            }
-                            while w != 0 {
-                                let pe = wi * 64 + w.trailing_zeros() as usize;
-                                w &= w - 1;
-                                f(pe);
-                                n += 1;
-                            }
-                        }
-                    }
+        for (wi, &word) in self.words(line as usize).iter().enumerate() {
+            let mut w = word;
+            if let Some(x) = exclude {
+                if x / 64 == wi {
+                    w &= !(1u64 << (x % 64));
                 }
             }
-            Repr::Ptrs { slots, ptrs, count } => {
-                if count[l] == OVERFLOW {
-                    // Broadcast: the directory lost track, so a write must
-                    // invalidate every processor it cannot rule out.
-                    for pe in 0..self.n_procs {
-                        if Some(pe) != exclude {
-                            f(pe);
-                            n += 1;
-                        }
-                    }
-                } else {
-                    for &p in &ptrs[l * slots..l * slots + count[l] as usize] {
-                        let pe = p as usize;
-                        if Some(pe) != exclude {
-                            f(pe);
-                            n += 1;
-                        }
-                    }
-                }
+            while w != 0 {
+                let pe = wi * 64 + w.trailing_zeros() as usize;
+                w &= w - 1;
+                f(pe);
+                n += 1;
             }
         }
         n
@@ -458,65 +214,20 @@ impl Directory {
         self.for_each_target(line, exclude, |_| {})
     }
 
-    /// Whether the entry currently tracks its sharers precisely (always for
-    /// `FullMap`; `false` once a limited-pointer entry has overflowed; for
-    /// `CoarseVector` only single-owner/empty entries are provably precise).
-    pub fn is_precise(&self, line: u64) -> bool {
-        let l = line as usize;
-        match &self.repr {
-            Repr::Bits { .. } => match self.mode {
-                DirectoryMode::CoarseVector(k) => k == 1 || self.state[l] != SHARED,
-                _ => true,
-            },
-            Repr::Ptrs { count, .. } => count[l] != OVERFLOW,
-        }
-    }
-
-    /// Representation-level invariants of one entry, for
-    /// [`crate::Machine::audit`]: no sharer bit / pointer / group may refer
-    /// to a processor at or beyond the processor count, pointer slots must
-    /// be sorted and unique, and an Exclusive entry's set must be exactly
-    /// its owner. Returns a violation description, or `None`.
+    /// Entry invariants, for [`crate::Machine::audit`]: no sharer bit may
+    /// refer to a processor at or beyond the processor count, and an
+    /// Exclusive entry's owner must be in its own set. Returns a violation
+    /// description, or `None`.
     pub fn audit_entry(&self, line: u64) -> Option<String> {
         let l = line as usize;
-        match &self.repr {
-            Repr::Bits { words_per_line, bits } => {
-                let words = &bits[l * words_per_line..(l + 1) * words_per_line];
-                let units = match self.mode {
-                    DirectoryMode::CoarseVector(k) => self.n_procs.div_ceil(k),
-                    _ => self.n_procs,
-                };
-                for (wi, &w) in words.iter().enumerate() {
-                    let hi = units.saturating_sub(wi * 64).min(64);
-                    let ghost = if hi == 64 { 0 } else { w >> hi };
-                    if ghost != 0 {
-                        return Some(format!(
-                            "line {line}: directory sharer bits beyond processor count ({ghost:#x} << {units})"
-                        ));
-                    }
-                }
-            }
-            Repr::Ptrs { slots, ptrs, count } => {
-                if count[l] == OVERFLOW {
-                    return None;
-                }
-                let used = count[l] as usize;
-                if used > *slots {
-                    return Some(format!(
-                        "line {line}: limited-pointer count {used} exceeds {slots} slots"
-                    ));
-                }
-                let slice = &ptrs[l * slots..l * slots + used];
-                if slice.iter().any(|&p| p as usize >= self.n_procs) {
-                    return Some(format!(
-                        "line {line}: limited-pointer slot beyond processor count ({slice:?})"
-                    ));
-                }
-                if slice.windows(2).any(|w| w[0] >= w[1]) {
-                    return Some(format!(
-                        "line {line}: limited-pointer slots unsorted/duplicated ({slice:?})"
-                    ));
-                }
+        let units = self.n_procs;
+        for (wi, &w) in self.words(l).iter().enumerate() {
+            let hi = units.saturating_sub(wi * 64).min(64);
+            let ghost = if hi == 64 { 0 } else { w >> hi };
+            if ghost != 0 {
+                return Some(format!(
+                    "line {line}: directory sharer bits beyond processor count ({ghost:#x} << {units})"
+                ));
             }
         }
         if self.state[l] == EXCLUSIVE {
@@ -560,7 +271,7 @@ mod tests {
 
     #[test]
     fn lifecycle() {
-        let mut d = Directory::full_map(16, 8);
+        let mut d = Directory::new(16, 8);
         assert_eq!(d.state(3), DirState::Unowned);
         d.add_sharer(3, 5);
         assert_eq!(d.state(3), DirState::Shared);
@@ -576,7 +287,7 @@ mod tests {
 
     #[test]
     fn exclusive_owner_eviction_with_stale_sharer() {
-        let mut d = Directory::full_map(4, 4);
+        let mut d = Directory::new(4, 4);
         d.add_sharer(0, 1);
         d.add_sharer(0, 2);
         d.remove_sharer(0, 1);
@@ -587,7 +298,7 @@ mod tests {
 
     #[test]
     fn owned_lines_counter_tracks_transitions() {
-        let mut d = Directory::full_map(8, 8);
+        let mut d = Directory::new(8, 8);
         assert_eq!(d.owned_lines(), 0);
         d.add_sharer(0, 1);
         d.add_sharer(0, 2); // already owned: no double count
@@ -608,7 +319,7 @@ mod tests {
 
     #[test]
     fn ensure_grows() {
-        let mut d = Directory::full_map(64, 2);
+        let mut d = Directory::new(64, 2);
         d.ensure(10);
         assert_eq!(d.state(9), DirState::Unowned);
         d.set_exclusive(9, 63);
@@ -620,7 +331,7 @@ mod tests {
 
     #[test]
     fn full_map_past_64_procs_uses_more_words() {
-        let mut d = Directory::full_map(256, 4);
+        let mut d = Directory::new(256, 4);
         d.add_sharer(0, 3);
         d.add_sharer(0, 64);
         d.add_sharer(0, 200);
@@ -639,80 +350,8 @@ mod tests {
     }
 
     #[test]
-    fn limited_pointer_overflow_broadcasts_and_reverts() {
-        let mut d = Directory::new(DirectoryMode::LimitedPointer(2), 8, 4);
-        d.add_sharer(0, 5);
-        d.add_sharer(0, 1);
-        assert!(d.is_precise(0));
-        assert_eq!(targets(&d, 0, None), vec![1, 5], "pointers stay sorted");
-        // Third sharer overflows the two pointer slots -> broadcast.
-        d.add_sharer(0, 3);
-        assert!(!d.is_precise(0));
-        assert!(d.is_sharer(0, 7), "overflow is conservative: everyone may hold");
-        assert_eq!(targets(&d, 0, Some(3)), vec![0, 1, 2, 4, 5, 6, 7]);
-        assert_eq!(d.target_count(0, Some(3)), 7);
-        // Evictions cannot shrink an overflowed set...
-        d.remove_sharer(0, 1);
-        assert!(!d.is_precise(0));
-        assert_eq!(d.state(0), DirState::Shared);
-        // ...but regaining a single owner reverts it to precise.
-        d.set_exclusive(0, 3);
-        assert!(d.is_precise(0));
-        assert_eq!(d.state(0), DirState::Exclusive(3));
-        assert_eq!(targets(&d, 0, None), vec![3]);
-        d.set_unowned(0);
-        assert_eq!(d.state(0), DirState::Unowned);
-        assert_eq!(d.target_count(0, None), 0);
-        assert!(d.audit_entry(0).is_none());
-    }
-
-    #[test]
-    fn limited_pointer_precise_below_width() {
-        let mut d = Directory::new(DirectoryMode::LimitedPointer(3), 16, 2);
-        d.add_sharer(1, 9);
-        d.add_sharer(1, 4);
-        d.add_sharer(1, 9); // re-add: no duplicate slot
-        assert_eq!(targets(&d, 1, None), vec![4, 9]);
-        d.remove_sharer(1, 4);
-        assert_eq!(targets(&d, 1, None), vec![9]);
-        d.remove_sharer(1, 9);
-        assert_eq!(d.state(1), DirState::Unowned);
-        assert!(d.audit_entry(1).is_none());
-    }
-
-    #[test]
-    fn coarse_vector_targets_whole_groups() {
-        let mut d = Directory::new(DirectoryMode::CoarseVector(4), 16, 2);
-        d.add_sharer(0, 5); // group 1 = PEs 4..8
-        d.add_sharer(0, 14); // group 3 = PEs 12..16
-        assert!(d.is_sharer(0, 7), "whole group is targeted");
-        assert!(!d.is_sharer(0, 8));
-        assert_eq!(targets(&d, 0, Some(5)), vec![4, 6, 7, 12, 13, 14, 15]);
-        assert_eq!(d.target_count(0, Some(5)), 7);
-        // A plain eviction cannot clear the group bit (others may hold)...
-        d.remove_sharer(0, 5);
-        assert!(d.is_sharer(0, 5), "group bit stays: stale over-targeting");
-        // ...but an exclusive owner's eviction is provably the last copy.
-        d.set_exclusive(0, 14);
-        assert_eq!(targets(&d, 0, None), vec![12, 13, 14, 15]);
-        d.remove_sharer(0, 14);
-        assert_eq!(d.state(0), DirState::Unowned);
-        assert_eq!(d.target_count(0, None), 0);
-        assert!(d.audit_entry(0).is_none());
-    }
-
-    #[test]
-    fn coarse_vector_ragged_last_group() {
-        // 10 PEs with k = 4: groups {0..4}, {4..8}, {8..10} (ragged).
-        let mut d = Directory::new(DirectoryMode::CoarseVector(4), 10, 1);
-        d.add_sharer(0, 9);
-        assert_eq!(targets(&d, 0, None), vec![8, 9], "last group is clamped to n_procs");
-        assert!(d.audit_entry(0).is_none());
-    }
-
-    #[test]
     fn retain_only_matches_per_sharer_removal() {
-        let mut d = Directory::full_map(8, 2);
+        let mut d = Directory::new(8, 2);
         d.add_sharer(0, 1);
         d.add_sharer(0, 5);
         d.add_sharer(0, 6);
@@ -733,7 +372,7 @@ mod tests {
     fn audit_entry_flags_ghost_bits() {
         // 10 PEs in one word: bits 10..64 must be zero. Forge one via
         // add_sharer with an out-of-range pe (the machine never does this).
-        let mut d = Directory::full_map(10, 1);
+        let mut d = Directory::new(10, 1);
         d.add_sharer(0, 12);
         assert!(d.audit_entry(0).is_some());
     }

@@ -7,13 +7,10 @@
 //!
 //! The simulator models, per processor, a set-associative write-back cache
 //! ([`cache::Cache`]) and a TLB ([`tlb::Tlb`]); globally, a directory
-//! invalidation protocol ([`directory::Directory`], full-map by default,
-//! with limited-pointer and coarse-vector representations selectable via
-//! [`config::DirectoryMode`]) over a paged,
-//! placement-aware address space ([`memory::AddressSpace`]), a pluggable
-//! interconnect ([`topology::Topology`]: hypercube by default, 2-D mesh and
-//! fat-tree via [`config::InterconnectKind`]) and a phase-level controller
-//! contention model ([`contention::PhaseTraffic`]). The directory's write
+//! invalidation protocol ([`directory::Directory`], a full-map bit-vector)
+//! over a paged, placement-aware address space ([`memory::AddressSpace`]),
+//! a hypercube interconnect ([`topology::Topology`]) and a phase-level
+//! controller contention model ([`contention::PhaseTraffic`]). The directory's write
 //! transitions are equally pluggable ([`protocol`]): MESI-style
 //! invalidation by default, a Dragon-style update mode via
 //! [`config::ProtocolMode`]. Programs running on the machine accumulate
@@ -49,7 +46,7 @@ pub mod stats;
 pub mod tlb;
 pub mod topology;
 
-pub use config::{CacheGeom, DirectoryMode, InterconnectKind, MachineConfig, ProtocolMode, MAX_PROCS};
+pub use config::{CacheGeom, MachineConfig, ProtocolMode, MAX_PROCS};
 pub use directory::{DirState, Directory};
 pub use machine::Machine;
 pub use memory::{ArrayId, Placement};

@@ -161,7 +161,7 @@ impl Machine {
             page_shift: cfg.page_shift(),
             traffic: PhaseTraffic::new(n_procs, n_nodes),
             phase_start: vec![0.0; n_procs],
-            dir: Directory::new(cfg.directory_mode, n_procs, 0),
+            dir: Directory::new(n_procs, 0),
             sections: vec![("(untagged)", vec![TimeBreakdown::default(); n_procs])],
             cur_section: 0,
             section_audit: false,
@@ -1103,9 +1103,8 @@ impl Machine {
                         }
                     }
                     // `is_sharer` is the conservative (may-hold) membership
-                    // test, so this invariant holds in every directory mode:
-                    // a real copy outside the set the directory would
-                    // invalidate is a protocol bug, full-map or not.
+                    // test: a real copy outside the set the directory would
+                    // invalidate is a protocol bug.
                     Some(LineState::Shared) if !self.dir.is_sharer(line, pe) => {
                         errs.push(format!(
                             "line {line}: cached Shared by pe {pe} but absent from sharer set"
@@ -1200,9 +1199,8 @@ impl Machine {
                 ));
             }
         }
-        // Representation-level directory invariants (ghost bits / pointers
-        // beyond the processor count, slot ordering, owner membership) —
-        // checked per mode by the directory itself.
+        // Directory entry invariants (ghost bits beyond the processor
+        // count, owner membership), checked by the directory itself.
         for line in 0..self.mem.total_lines() {
             if let Some(err) = self.dir.audit_entry(line) {
                 errs.push(err);

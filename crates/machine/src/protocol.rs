@@ -72,9 +72,8 @@ impl Machine {
             }
             Probe::UpgradeNeeded => {
                 // Write hit on a Shared line: invalidate the other sharers
-                // (every *potential* sharer, under an imprecise directory
-                // mode — the over-targeted invalidations are charged below
-                // exactly like real ones).
+                // (every *potential* sharer — stale bits left by silent
+                // evictions are charged below exactly like real ones).
                 let (dir, pes) = (&self.dir, &mut self.pes);
                 let n_inv = dir.for_each_target(line, Some(pe), |other| {
                     pes[other].invalidate_all(line);

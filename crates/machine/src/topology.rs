@@ -1,28 +1,21 @@
 //! Interconnect topology: processors on nodes, nodes on routers, routers
-//! wired by a pluggable interconnect ([`InterconnectKind`]).
+//! wired as a hypercube.
 //!
 //! The Origin 2000 in the paper has 64 processors in 32 nodes (two per
 //! node); each pair of nodes shares a router, and the 16 routers form a
 //! 4-dimensional hypercube. Read latency grows by roughly 100 ns per router
 //! hop (Section 2). The hop count between two routers in a hypercube is the
-//! Hamming distance of their identifiers — the bit-exact default. The mesh
-//! and fat-tree alternatives keep the node/router structure and the
-//! per-hop latency model and change only how router-to-router hop counts
-//! are computed, so every downstream cost (remote latency, intervention
-//! forwarding, contention windows) prices the new fabric automatically.
+//! Hamming distance of their identifiers.
 
-use crate::config::{InterconnectKind, MachineConfig};
+use crate::config::MachineConfig;
 
 /// Static topology derived from a [`MachineConfig`].
 #[derive(Debug, Clone)]
 pub struct Topology {
-    kind: InterconnectKind,
     procs_per_node: usize,
     nodes_per_router: usize,
     n_nodes: usize,
     n_routers: usize,
-    /// Mesh grid width: smallest W with W² ≥ routers (row-major ids).
-    mesh_width: usize,
     mem_local_ns: f64,
     remote_base_ns: f64,
     hop_ns: f64,
@@ -35,18 +28,11 @@ pub struct Topology {
 
 impl Topology {
     pub fn new(cfg: &MachineConfig) -> Self {
-        let n_routers = cfg.n_routers();
-        let mut mesh_width = 1usize;
-        while mesh_width * mesh_width < n_routers {
-            mesh_width += 1;
-        }
         let mut t = Topology {
-            kind: cfg.interconnect,
             procs_per_node: cfg.procs_per_node,
             nodes_per_router: cfg.nodes_per_router,
             n_nodes: cfg.n_nodes(),
-            n_routers,
-            mesh_width,
+            n_routers: cfg.n_routers(),
             mem_local_ns: cfg.mem_local_ns,
             remote_base_ns: cfg.remote_base_ns,
             hop_ns: cfg.hop_ns,
@@ -78,16 +64,9 @@ impl Topology {
         self.n_nodes
     }
 
-    /// The interconnect wiring this topology routes over.
-    #[inline]
-    pub fn kind(&self) -> InterconnectKind {
-        self.kind
-    }
-
     /// Router hops between two nodes: 0 if they share a router, otherwise
-    /// the fabric's shortest-route length between their routers.
+    /// the Hamming distance of their router ids.
     ///
-    /// **Hypercube** (default): the Hamming distance of the router ids.
     /// This stays exact for *partial* hypercubes — machines whose router
     /// count R is not a power of two, so ids occupy the contiguous range
     /// [0, R) rather than a full cube. A shortest route of exactly
@@ -96,42 +75,9 @@ impl Topology {
     /// every intermediate is < a < R), then set the bits of `b \ a` (every
     /// intermediate is a submask of b plus `a ∧ b`, hence <= b < R). The
     /// partial-hypercube tests below check this against BFS.
-    ///
-    /// **Mesh2D**: routers sit row-major on a W-wide grid (W = ⌈√R⌉), and
-    /// XY routing gives the Manhattan distance. Exact on ragged grids too:
-    /// with ids [0, R) row-major, the bottom row is the only partial one
-    /// and is a prefix of its columns, so routing horizontally in the
-    /// *upper* endpoint's row first and then vertically down the
-    /// destination column only ever crosses present routers.
-    ///
-    /// **FatTree(k)**: routers are the leaves of a complete k-ary switch
-    /// tree; a message climbs to the lowest common ancestor and back down,
-    /// so the hop count is 2ℓ where ℓ is the smallest level at which
-    /// `a / k^ℓ == b / k^ℓ`. Verified against BFS over the explicit switch
-    /// graph below.
     #[inline]
     pub fn hops(&self, node_a: usize, node_b: usize) -> u32 {
-        let ra = self.router_of(node_a);
-        let rb = self.router_of(node_b);
-        match self.kind {
-            InterconnectKind::Hypercube => (ra ^ rb).count_ones(),
-            InterconnectKind::Mesh2D => {
-                let w = self.mesh_width;
-                let (xa, ya) = (ra % w, ra / w);
-                let (xb, yb) = (rb % w, rb / w);
-                (xa.abs_diff(xb) + ya.abs_diff(yb)) as u32
-            }
-            InterconnectKind::FatTree(k) => {
-                let (mut a, mut b) = (ra, rb);
-                let mut level = 0u32;
-                while a != b {
-                    a /= k;
-                    b /= k;
-                    level += 1;
-                }
-                2 * level
-            }
-        }
+        (self.router_of(node_a) ^ self.router_of(node_b)).count_ones()
     }
 
     /// Uncontended latency for processor `pe` to fetch a line homed at
@@ -249,33 +195,25 @@ mod tests {
     #[test]
     fn avg_latency_table_matches_on_demand_everywhere() {
         for p in [1usize, 3, 12, 64, 256] {
-            for kind in
-                [InterconnectKind::Hypercube, InterconnectKind::Mesh2D, InterconnectKind::FatTree(4)]
-            {
-                let t = Topology::new(&MachineConfig::origin2000(p).with_interconnect(kind));
-                for pe in 0..p {
-                    let cached = t.avg_latency(pe);
-                    let on_demand = t.avg_latency_uncached(t.node_of(pe));
-                    assert_eq!(cached, on_demand, "p={p} {kind} pe={pe}");
-                }
+            let t = Topology::new(&MachineConfig::origin2000(p));
+            for pe in 0..p {
+                let cached = t.avg_latency(pe);
+                let on_demand = t.avg_latency_uncached(t.node_of(pe));
+                assert_eq!(cached, on_demand, "p={p} pe={pe}");
             }
         }
     }
 
     #[test]
     fn triangle_inequality_holds_for_hops() {
-        for kind in
-            [InterconnectKind::Hypercube, InterconnectKind::Mesh2D, InterconnectKind::FatTree(2)]
-        {
-            let t = Topology::new(&MachineConfig::origin2000(64).with_interconnect(kind));
-            for a in 0..32 {
-                for b in 0..32 {
-                    for c in 0..32 {
-                        assert!(
-                            t.hops(a, c) <= t.hops(a, b) + t.hops(b, c),
-                            "{kind}: triangle violated at {a},{b},{c}"
-                        );
-                    }
+        let t = topo64();
+        for a in 0..32 {
+            for b in 0..32 {
+                for c in 0..32 {
+                    assert!(
+                        t.hops(a, c) <= t.hops(a, b) + t.hops(b, c),
+                        "triangle violated at {a},{b},{c}"
+                    );
                 }
             }
         }
@@ -343,226 +281,5 @@ mod tests {
         // must pass through a present router — 0 (00) works, 3 (11) is
         // absent — and `hops` must charge exactly those 2 hops.
         assert_eq!(t.hops(2, 4), 2);
-    }
-
-    /// Shortest-path hop count over a ragged 2-D mesh: `routers` present,
-    /// ids [0, routers) row-major on a `width`-wide grid, edges between
-    /// 4-neighbours that are both present.
-    fn bfs_mesh_hops(routers: usize, width: usize, from: usize, to: usize) -> u32 {
-        let mut dist = vec![u32::MAX; routers];
-        let mut queue = std::collections::VecDeque::from([from]);
-        dist[from] = 0;
-        while let Some(r) = queue.pop_front() {
-            let (x, y) = (r % width, r / width);
-            let mut push = |nx: usize, ny: usize| {
-                let next = ny * width + nx;
-                if next < routers && dist[next] == u32::MAX {
-                    dist[next] = dist[r] + 1;
-                    queue.push_back(next);
-                }
-            };
-            if x > 0 {
-                push(x - 1, y);
-            }
-            if x + 1 < width {
-                push(x + 1, y);
-            }
-            if y > 0 {
-                push(x, y - 1);
-            }
-            push(x, y + 1);
-        }
-        dist[to]
-    }
-
-    /// The Manhattan-distance claim behind the mesh arm of
-    /// [`Topology::hops`] must hold on ragged grids (router counts that
-    /// don't fill the W×W square): checked exhaustively against BFS. The
-    /// route exists because the partial bottom row is a column prefix —
-    /// go horizontal in the upper endpoint's (full) row first, then
-    /// vertical down the destination column.
-    #[test]
-    fn mesh_manhattan_distance_is_reachable() {
-        for routers in [2usize, 3, 5, 6, 7, 11, 12, 13, 16] {
-            let mut width = 1;
-            while width * width < routers {
-                width += 1;
-            }
-            for a in 0..routers {
-                for b in 0..routers {
-                    let manhattan = ((a % width).abs_diff(b % width)
-                        + (a / width).abs_diff(b / width)) as u32;
-                    assert_eq!(
-                        bfs_mesh_hops(routers, width, a, b),
-                        manhattan,
-                        "routers={routers} w={width} {a}->{b}: claimed shortest route absent"
-                    );
-                }
-            }
-        }
-    }
-
-    /// End to end: mesh machine hop counts match BFS over the explicit
-    /// grid graph, including a ragged-grid size (p = 52 → 13 routers on a
-    /// 4-wide grid with a 1-router bottom row).
-    #[test]
-    fn mesh_machine_hops_match_bfs() {
-        for p in [52usize, 64] {
-            let cfg = MachineConfig::origin2000(p).with_interconnect(InterconnectKind::Mesh2D);
-            cfg.validate().unwrap();
-            let t = Topology::new(&cfg);
-            let routers = cfg.n_routers();
-            let mut width = 1;
-            while width * width < routers {
-                width += 1;
-            }
-            for a in 0..t.n_nodes() {
-                for b in 0..t.n_nodes() {
-                    assert_eq!(
-                        t.hops(a, b),
-                        bfs_mesh_hops(routers, width, t.router_of(a), t.router_of(b)),
-                        "p={p} nodes {a}->{b}"
-                    );
-                }
-            }
-        }
-    }
-
-    /// Shortest-path hop count through an explicit complete k-ary switch
-    /// tree over `routers` leaves: graph nodes are (level, id) with leaf
-    /// level 0; an edge joins (l, i) and (l+1, i/k).
-    fn bfs_fat_tree_hops(routers: usize, k: usize, from: usize, to: usize) -> u32 {
-        // Number of levels until everything collapses to one switch.
-        let mut levels = 0usize;
-        let mut span = routers;
-        while span > 1 {
-            span = span.div_ceil(k);
-            levels += 1;
-        }
-        let width: Vec<usize> = (0..=levels)
-            .map(|l| {
-                let mut w = routers;
-                for _ in 0..l {
-                    w = w.div_ceil(k);
-                }
-                w
-            })
-            .collect();
-        let offset: Vec<usize> =
-            width.iter().scan(0, |acc, &w| {
-                let o = *acc;
-                *acc += w;
-                Some(o)
-            }).collect();
-        let total: usize = width.iter().sum();
-        let mut dist = vec![u32::MAX; total];
-        let mut queue = std::collections::VecDeque::from([offset[0] + from]);
-        dist[offset[0] + from] = 0;
-        while let Some(v) = queue.pop_front() {
-            let level = (0..=levels).rfind(|&l| v >= offset[l]).unwrap();
-            let id = v - offset[level];
-            let mut push = |u: usize| {
-                if dist[u] == u32::MAX {
-                    dist[u] = dist[v] + 1;
-                    queue.push_back(u);
-                }
-            };
-            if level < levels {
-                push(offset[level + 1] + id / k);
-            }
-            if level > 0 {
-                for c in 0..k {
-                    let child = id * k + c;
-                    if child < width[level - 1] {
-                        push(offset[level - 1] + child);
-                    }
-                }
-            }
-        }
-        dist[offset[0] + to]
-    }
-
-    /// The 2×(levels-to-common-ancestor) claim behind the fat-tree arm of
-    /// [`Topology::hops`]: checked exhaustively against BFS over the
-    /// explicit switch graph for several arities and leaf counts
-    /// (including counts that leave the top levels ragged).
-    #[test]
-    fn fat_tree_ancestor_distance_matches_bfs() {
-        for k in [2usize, 3, 4] {
-            for routers in [2usize, 3, 5, 7, 8, 11, 16] {
-                for a in 0..routers {
-                    for b in 0..routers {
-                        let mut x = a;
-                        let mut y = b;
-                        let mut level = 0u32;
-                        while x != y {
-                            x /= k;
-                            y /= k;
-                            level += 1;
-                        }
-                        assert_eq!(
-                            bfs_fat_tree_hops(routers, k, a, b),
-                            2 * level,
-                            "k={k} routers={routers} {a}->{b}"
-                        );
-                    }
-                }
-            }
-        }
-    }
-
-    /// End to end: fat-tree machine hop counts match the BFS graph, and
-    /// far-apart routers pay deeper common ancestors.
-    #[test]
-    fn fat_tree_machine_hops_match_bfs() {
-        let cfg = MachineConfig::origin2000(64).with_interconnect(InterconnectKind::FatTree(4));
-        cfg.validate().unwrap();
-        let t = Topology::new(&cfg);
-        let routers = cfg.n_routers();
-        for a in 0..t.n_nodes() {
-            for b in 0..t.n_nodes() {
-                assert_eq!(
-                    t.hops(a, b),
-                    bfs_fat_tree_hops(routers, 4, t.router_of(a), t.router_of(b)),
-                    "nodes {a}->{b}"
-                );
-            }
-        }
-        // Same 4-ary subtree: 2 hops; different subtrees: 4 hops.
-        assert_eq!(t.hops(0, 2), 2); // routers 0 and 1
-        assert_eq!(t.hops(0, 8 * 2), 4); // routers 0 and 8
-    }
-
-    /// Paper-shape sanity: at equal p, the mesh's Θ(√R) distances dominate
-    /// the hypercube's Θ(log R) ones in the aggregate — larger diameter and
-    /// larger all-pairs mean. (Pairwise domination is false by design:
-    /// row-adjacent routers like 1 and 2 are 1 mesh hop but 2 cube hops.)
-    #[test]
-    fn mesh_hops_dominate_hypercube_hops() {
-        for p in [64usize, 256] {
-            let cube = Topology::new(&MachineConfig::origin2000(p));
-            let mesh = Topology::new(
-                &MachineConfig::origin2000(p).with_interconnect(InterconnectKind::Mesh2D),
-            );
-            let nodes = cube.n_nodes();
-            let (mut cube_sum, mut mesh_sum) = (0u64, 0u64);
-            let (mut cube_max, mut mesh_max) = (0u32, 0u32);
-            for a in 0..nodes {
-                for b in 0..nodes {
-                    cube_sum += u64::from(cube.hops(a, b));
-                    mesh_sum += u64::from(mesh.hops(a, b));
-                    cube_max = cube_max.max(cube.hops(a, b));
-                    mesh_max = mesh_max.max(mesh.hops(a, b));
-                }
-            }
-            assert!(
-                mesh_sum > cube_sum,
-                "p={p}: mesh all-pairs hops {mesh_sum} must exceed hypercube {cube_sum}"
-            );
-            assert!(
-                mesh_max > cube_max,
-                "p={p}: mesh diameter {mesh_max} must exceed hypercube {cube_max}"
-            );
-        }
     }
 }

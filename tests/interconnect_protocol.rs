@@ -1,29 +1,25 @@
-//! Acceptance tests for the pluggable interconnect (`InterconnectKind`) and
-//! coherence-protocol (`ProtocolMode`) layers: neither axis may change
-//! *what* the machine computes — sorted output is bit-identical across
-//! every topology × protocol combination — while each must change the
-//! *costs* in the direction its hardware would: the mesh's longer routes
-//! raise average latency over the hypercube's, and the Dragon update mode
-//! trades invalidation misses for update traffic.
+//! Acceptance tests for the coherence-protocol layer (`ProtocolMode`) on
+//! the hypercube, full-map machine: the protocol may not change *what* the
+//! machine computes — sorted output is bit-identical under both protocols,
+//! at p = 64 and at p = 256, where the directory's bit-vector spans four
+//! words — while the Dragon update mode must change the *costs* in the
+//! direction its hardware would: it trades invalidation misses for update
+//! traffic.
 
 use ccsort::algos::dist::generate;
 use ccsort::algos::{
     load_keys, run_experiment, Algorithm, Dist, ExpConfig, ExpResult, SamplingStrategy,
 };
-use ccsort::machine::{
-    InterconnectKind, Machine, MachineConfig, Placement, ProtocolMode, Topology,
-};
+use ccsort::machine::{Machine, MachineConfig, Placement, ProtocolMode};
 use ccsort_audit::{audit_simulated, Point};
 
-const TOPOLOGIES: [InterconnectKind; 3] =
-    [InterconnectKind::Hypercube, InterconnectKind::Mesh2D, InterconnectKind::FatTree(4)];
 const PROTOCOLS: [ProtocolMode; 2] = [ProtocolMode::Invalidate, ProtocolMode::DragonUpdate];
 
 /// The headline acceptance criterion: radix sort output is bit-identical
-/// across every topology × protocol combination (each equals
-/// `sort_unstable` of the one input) at both the real machine's p = 64 and
-/// the scaled-up p = 256, with a clean end-of-run machine audit in each —
-/// the new layers change hop counts and protocol traffic, never state.
+/// under both protocols (each equals `sort_unstable` of the one input) at
+/// both the real machine's p = 64 and the scaled-up p = 256, with a clean
+/// end-of-run machine audit in each — the protocol changes traffic, never
+/// state, and the multi-word full map satisfies the directory's invariants.
 #[test]
 fn radix_output_is_mode_independent_at_p64_and_p256() {
     for p in [64usize, 256] {
@@ -32,23 +28,13 @@ fn radix_output_is_mode_independent_at_p64_and_p256() {
         let mut expect = input.clone();
         expect.sort_unstable();
 
-        for topo in TOPOLOGIES {
-            for proto in PROTOCOLS {
-                let cfg = MachineConfig::origin2000(p)
-                    .scaled_down(256)
-                    .with_interconnect(topo)
-                    .with_protocol(proto);
-                let mut m = Machine::new(cfg);
-                let keys = load_keys(&mut m, &input);
-                let out =
-                    Algorithm::RadixCcsas.sort(&mut m, keys, n, r, SamplingStrategy::default());
-                assert!(m.raw(out) == &expect[..], "p={p} {topo}/{proto}: output not sorted input");
-                assert_eq!(
-                    m.audit(),
-                    Vec::<String>::new(),
-                    "p={p} {topo}/{proto}: machine audit failed"
-                );
-            }
+        for proto in PROTOCOLS {
+            let cfg = MachineConfig::origin2000(p).scaled_down(256).with_protocol(proto);
+            let mut m = Machine::new(cfg);
+            let keys = load_keys(&mut m, &input);
+            let out = Algorithm::RadixCcsas.sort(&mut m, keys, n, r, SamplingStrategy::default());
+            assert!(m.raw(out) == &expect[..], "p={p} {proto}: output not sorted input");
+            assert_eq!(m.audit(), Vec::<String>::new(), "p={p} {proto}: machine audit failed");
         }
     }
 }
@@ -60,59 +46,18 @@ fn radix_output_is_mode_independent_at_p64_and_p256() {
 #[test]
 fn sample_sort_verifies_in_every_mode_at_p64_and_p256() {
     for p in [64usize, 256] {
-        for topo in TOPOLOGIES {
-            for proto in PROTOCOLS {
-                let res = run_experiment(
-                    &ExpConfig::new(Algorithm::SampleCcsas, 1 << 12, p)
-                        .radix_bits(6)
-                        .dist(Dist::Stagger)
-                        .seed(7)
-                        .scale(256)
-                        .interconnect(topo)
-                        .protocol(proto),
-                );
-                assert!(res.verified, "p={p} {topo}/{proto}: output not a sorted permutation");
-            }
+        for proto in PROTOCOLS {
+            let res = run_experiment(
+                &ExpConfig::new(Algorithm::SampleCcsas, 1 << 12, p)
+                    .radix_bits(6)
+                    .dist(Dist::Stagger)
+                    .seed(7)
+                    .scale(256)
+                    .protocol(proto),
+            );
+            assert!(res.verified, "p={p} {proto}: output not a sorted permutation");
         }
     }
-}
-
-/// Topology economics, end to end: at equal p the mesh's Θ(√R) routes make
-/// the average remote fetch dearer than the hypercube's Θ(log R) routes,
-/// so the machine-level average latency — and a remote-heavy radix sort's
-/// parallel time — must both be strictly larger on the mesh.
-#[test]
-fn mesh_is_slower_than_hypercube_at_equal_p() {
-    let p = 64usize;
-    let cube = Topology::new(&MachineConfig::origin2000(p));
-    let mesh =
-        Topology::new(&MachineConfig::origin2000(p).with_interconnect(InterconnectKind::Mesh2D));
-    assert!(
-        mesh.avg_latency(0) > cube.avg_latency(0),
-        "mesh avg latency {} must exceed hypercube {}",
-        mesh.avg_latency(0),
-        cube.avg_latency(0)
-    );
-
-    let run = |topo: InterconnectKind| {
-        run_experiment(
-            &ExpConfig::new(Algorithm::RadixCcsas, 1 << 12, p)
-                .radix_bits(6)
-                .dist(Dist::Gauss)
-                .seed(0)
-                .scale(256)
-                .interconnect(topo),
-        )
-    };
-    let on_cube = run(InterconnectKind::Hypercube);
-    let on_mesh = run(InterconnectKind::Mesh2D);
-    assert!(on_cube.verified && on_mesh.verified);
-    assert!(
-        on_mesh.parallel_ns > on_cube.parallel_ns,
-        "remote-heavy sort must pay the longer mesh routes: mesh={} cube={}",
-        on_mesh.parallel_ns,
-        on_cube.parallel_ns
-    );
 }
 
 /// Dragon economics at the phase level: a producer/consumer sharing phase
@@ -173,54 +118,21 @@ fn dragon_shifts_phase_cost_from_invalidation_misses_to_updates() {
     );
 }
 
-/// Every new mode runs clean through the audit oracle — all eleven
-/// simulator programs with section audits and the race detector on — at a
-/// point with odd p (the ragged-grid / partial-tree shapes).
+/// The Dragon update mode runs clean through the audit oracle — all
+/// eleven simulator programs with section audits and the race detector
+/// on — at a point with odd p.
 #[test]
 fn new_modes_pass_the_audit_oracle() {
-    for (topo, proto) in [
-        (InterconnectKind::Mesh2D, ProtocolMode::Invalidate),
-        (InterconnectKind::FatTree(4), ProtocolMode::Invalidate),
-        (InterconnectKind::Hypercube, ProtocolMode::DragonUpdate),
-        (InterconnectKind::Mesh2D, ProtocolMode::DragonUpdate),
-    ] {
-        let pt = Point {
-            dist: Dist::Stagger,
-            n: 1 << 9,
-            p: 3,
-            r: 6,
-            seed: 0,
-            scale: 256,
-            dir: ccsort::machine::DirectoryMode::FullMap,
-            topo,
-            proto,
-        };
-        let errs = audit_simulated(&pt, &Algorithm::ALL);
-        assert_eq!(errs, Vec::<String>::new(), "{topo}/{proto}");
-    }
-}
-
-/// The new axes compose with the directory representations: an imprecise
-/// directory under Dragon over-targets *updates* instead of invalidations,
-/// and the sort still verifies with a clean audit.
-#[test]
-fn modes_compose_with_imprecise_directories() {
-    use ccsort::machine::DirectoryMode;
-    for dir in [DirectoryMode::LimitedPointer(2), DirectoryMode::CoarseVector(4)] {
-        let res = run_experiment(
-            &ExpConfig::new(Algorithm::RadixCcsas, 1 << 11, 16)
-                .radix_bits(6)
-                .dist(Dist::Gauss)
-                .seed(0)
-                .scale(256)
-                .directory_mode(dir)
-                .interconnect(InterconnectKind::FatTree(2))
-                .protocol(ProtocolMode::DragonUpdate),
-        );
-        assert!(res.verified, "dir={dir}: output not a sorted permutation");
-        let updates: u64 = res.events.iter().map(|e| e.updates).sum();
-        assert!(updates > 0, "dir={dir}: Dragon radix run sent no updates");
-    }
+    let pt = Point {
+        dist: Dist::Stagger,
+        n: 1 << 9,
+        p: 3,
+        r: 6,
+        seed: 0,
+        scale: 256,
+        proto: ProtocolMode::DragonUpdate,
+    };
+    assert_eq!(audit_simulated(&pt, &Algorithm::ALL), Vec::<String>::new());
 }
 
 /// Whole-sort event bill: the same radix experiment under both protocols —

@@ -7,26 +7,16 @@
 
 use ccsort::algos::dist::{generate, Dist};
 use ccsort::algos::{load_keys, Algorithm, SamplingStrategy};
-use ccsort::machine::{DirectoryMode, Machine, MachineConfig, Placement};
+use ccsort::machine::{Machine, MachineConfig, Placement};
 
 #[test]
 fn audit_is_clean_after_a_real_sort() {
-    // Every sharer-set representation must leave a clean machine: the
-    // audit's conservative-superset invariants hold for the imprecise
-    // modes (overflowed limited-pointer, coarse groups) too.
-    for mode in [
-        DirectoryMode::FullMap,
-        DirectoryMode::LimitedPointer(2),
-        DirectoryMode::CoarseVector(2),
-    ] {
-        let n = 1 << 11;
-        let p = 4;
-        let cfg = MachineConfig::origin2000(p).scaled_down(256).with_directory_mode(mode);
-        let mut m = Machine::new(cfg);
-        let keys = load_keys(&mut m, &generate(Dist::Stagger, n, p, 8, 0));
-        Algorithm::RadixCcsas.sort(&mut m, keys, n, 8, SamplingStrategy::default());
-        assert_eq!(m.audit(), Vec::<String>::new(), "dir={mode}");
-    }
+    let n = 1 << 11;
+    let p = 4;
+    let mut m = Machine::new(MachineConfig::origin2000(p).scaled_down(256));
+    let keys = load_keys(&mut m, &generate(Dist::Stagger, n, p, 8, 0));
+    Algorithm::RadixCcsas.sort(&mut m, keys, n, 8, SamplingStrategy::default());
+    assert_eq!(m.audit(), Vec::<String>::new());
 }
 
 #[test]

@@ -110,8 +110,6 @@ fn quick_matrix_is_race_free() {
                 r: 6,
                 seed: 0,
                 scale: 256,
-                dir: ccsort::machine::DirectoryMode::FullMap,
-                topo: ccsort::machine::InterconnectKind::Hypercube,
                 proto: ccsort::machine::ProtocolMode::Invalidate,
             };
             let errs = audit_simulated(&pt, &Algorithm::ALL);
