@@ -67,7 +67,7 @@ fn main() {
     let r = 8;
     // The ablated machines are built by hand below, so check what the
     // experiment driver would have checked.
-    if let Err(e) = ExpConfig::new(VARIANTS[0].0, n, p).validate() {
+    if let Err(e) = ExpConfig::new(VARIANTS[0].0, n, p).scale(scale).validate() {
         eprintln!("invalid configuration: {e}");
         std::process::exit(2);
     }
@@ -134,19 +134,15 @@ fn main() {
     // Protocol ablation: swap the coherence protocol instead of zeroing a
     // cost. The invalidate row is the default machine above, so every cell
     // reads as "time under this protocol relative to the paper machine".
-    let modes = [
-        ("hypercube+inv", ProtocolMode::Invalidate),
-        ("hypercube+upd", ProtocolMode::DragonUpdate),
-    ];
-    println!("\ntopology x protocol modes (same relative-to-baseline cells):");
+    println!("\nprotocol modes (same relative-to-baseline cells):");
     print!("{:>16}", "mode");
     for (_, name) in VARIANTS {
         print!(" {name:>12}");
     }
     println!();
-    for (label, proto) in modes {
+    for proto in [ProtocolMode::Invalidate, ProtocolMode::DragonUpdate] {
         let cfg = base_cfg().with_protocol(proto);
-        print!("{label:>16}");
+        print!("{:>16}", proto.to_string());
         for (k, &(v, _)) in VARIANTS.iter().enumerate() {
             let t = run(cfg.clone(), v, n, p, r);
             print!(" {:>12.3}", t / baselines[k]);

@@ -51,7 +51,10 @@ fn main() {
             "--simkeys" => {
                 let v = it.next().unwrap_or_else(|| usage());
                 opts.max_sim_n = v.parse().unwrap_or_else(|_| usage());
-                assert!(opts.max_sim_n.is_power_of_two(), "--simkeys must be a power of two");
+                if !opts.max_sim_n.is_power_of_two() {
+                    eprintln!("invalid --simkeys: {} is not a power of two", opts.max_sim_n);
+                    std::process::exit(2);
+                }
             }
             "--seed" => {
                 let v = it.next().unwrap_or_else(|| usage());
@@ -72,6 +75,11 @@ fn main() {
             "--procs" => {
                 let v = it.next().unwrap_or_else(|| usage());
                 opts.procs = v.split(',').map(|s| s.parse().unwrap_or_else(|_| usage())).collect();
+                let max = ccsort_machine::MAX_PROCS;
+                if let Some(p) = opts.procs.iter().find(|p| !(1..=max).contains(*p)) {
+                    eprintln!("invalid --procs: processor count {p} outside 1..={max}");
+                    std::process::exit(2);
+                }
             }
             "--json" => {
                 json_path = Some(it.next().unwrap_or_else(|| usage()));
@@ -89,11 +97,6 @@ fn main() {
         opts = RunnerOpts::quick();
         opts.verbose = v;
     }
-    assert!(
-        opts.procs.iter().all(|&p| (1..=ccsort_machine::MAX_PROCS).contains(&p)),
-        "processor counts must be in 1..={}",
-        ccsort_machine::MAX_PROCS
-    );
 
     println!(
         "# machine: Origin 2000 preset; per-size scale = label/{} (min 1); sizes {:?}; procs {:?}",

@@ -85,9 +85,9 @@ pub fn run_cell(
     proto: ProtocolMode,
 ) -> HotpathResult {
     let mut cfg = MachineConfig::origin2000(p).with_protocol(proto);
-    cfg.race_detector = race;
     cfg.fast_path = fast;
     let mut m = Machine::new(cfg);
+    m.set_race_detector(race);
     let arr = m.alloc(n, Placement::Partitioned { parts: p }, "hotpath");
     let chunk = n / p;
     assert!(chunk > 0, "n must be >= p");

@@ -422,7 +422,7 @@ struct Replicated {
 
 /// One `len`-element replica per rank, each on its rank's node.
 fn alloc_replicas(m: &mut Machine, len: usize, name: &'static str) -> Vec<ArrayId> {
-    (0..m.n_procs()).map(|pe| m.alloc(len, Placement::Node(m.topo().node_of(pe)), name)).collect()
+    (0..m.n_procs()).map(|pe| m.alloc(len, Placement::Node(m.node_of(pe)), name)).collect()
 }
 
 impl Replicated {
@@ -500,7 +500,7 @@ fn replicated_counts<R>(
     let runtime = runtime(m);
     let contribs: Vec<(ArrayId, usize)> = (0..p).map(|j| (flat_counts, j * p)).collect();
     for pe in 0..p {
-        let replica = m.alloc(p * p, Placement::Node(m.topo().node_of(pe)), "count-replica");
+        let replica = m.alloc(p * p, Placement::Node(m.node_of(pe)), "count-replica");
         gather(&runtime, m, pe, &contribs, p, replica);
         m.busy_cycles_fixed(pe, costs::OFFSET_CYC_PER_ENTRY * (p * p) as f64);
     }

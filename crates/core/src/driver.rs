@@ -160,11 +160,6 @@ pub struct ExpConfig {
     pub page_mult: usize,
     /// Sampling strategy for the sample-sort variants (ignored by radix).
     pub sampling: SamplingStrategy,
-    /// Warm the caches and TLBs with an untimed streaming pass over the key
-    /// arrays before measuring (the paper times sorting after
-    /// initialisation, so its first-pass reads are warm-ish; cold is the
-    /// conservative default here).
-    pub warm_caches: bool,
     /// Fault injection for the race-detector tests: skip the happens-before
     /// edge of the `k`-th global barrier (1-based) of the audited run. The
     /// barrier's timing is untouched — output and measurements are identical
@@ -172,28 +167,19 @@ pub struct ExpConfig {
     /// had forgotten that barrier. Only honoured by
     /// [`run_experiment_audited`] (the plain path has no detector).
     pub inject_missing_barrier: Option<usize>,
-    /// The simulator's fast coherence walk (`MachineConfig::fast_path`).
-    /// On by default; turning it off forces the per-line reference walk —
-    /// results are bit-identical either way (the equivalence tests assert
-    /// it), only wall-clock differs.
-    pub fast_path: bool,
-    /// Run the happens-before race detector without the rest of the audit
-    /// machinery (section-boundary audits). [`run_experiment_audited`]
-    /// implies it; this flag exists so benchmarks can measure the
-    /// detector's cost in isolation.
-    pub race_detector: bool,
     /// Coherence protocol for writes to shared lines
     /// ([`ccsort_machine::ProtocolMode`]). MESI-style invalidation by
     /// default; the Dragon-style update mode exists for the
     /// invalidate-vs-update ablation. Sorted output is bit-identical across
     /// modes — only protocol events and timing change.
     pub protocol: ProtocolMode,
-    /// Unused: keeps the config at its size from before two 16-byte fields
-    /// left it. `peak_rss_mb` on the `sim_radix_ccsas` benchmark workload
-    /// is bimodal in host heap layout (≈ 37.0 / 39.2 MiB), and the boxed
-    /// workload 32 bytes smaller moves it to the high mode, like the pads
-    /// in `comm.rs`. ROADMAP 1(b) deletes all three.
-    _heap_layout: [u64; 4],
+    /// Unused: keeps the config at its 128 bytes from before five fields
+    /// left it (two 16-byte machine-mode fields, then three flags).
+    /// `peak_rss_mb` on the `sim_radix_ccsas` benchmark workload is bimodal
+    /// in host heap layout (≈ 37.0 / 39.2 MiB), and a smaller config moves
+    /// it to the high mode, like the pads in `comm.rs`. ROADMAP 1(b)
+    /// deletes all three.
+    _heap_layout: [u64; 5],
 }
 
 impl ExpConfig {
@@ -208,12 +194,9 @@ impl ExpConfig {
             scale_denom: 16,
             page_mult: 1,
             sampling: SamplingStrategy::default(),
-            warm_caches: false,
             inject_missing_barrier: None,
-            fast_path: true,
-            race_detector: false,
             protocol: ProtocolMode::Invalidate,
-            _heap_layout: [0; 4],
+            _heap_layout: [0; 5],
         }
     }
 
@@ -247,23 +230,8 @@ impl ExpConfig {
         self
     }
 
-    pub fn warm_caches(mut self, warm: bool) -> Self {
-        self.warm_caches = warm;
-        self
-    }
-
     pub fn inject_missing_barrier(mut self, nth: usize) -> Self {
         self.inject_missing_barrier = Some(nth);
-        self
-    }
-
-    pub fn fast_path(mut self, on: bool) -> Self {
-        self.fast_path = on;
-        self
-    }
-
-    pub fn race_detector(mut self, on: bool) -> Self {
-        self.race_detector = on;
         self
     }
 
@@ -314,8 +282,6 @@ impl ExpConfig {
     fn machine_config(&self) -> MachineConfig {
         let mut cfg = MachineConfig::origin2000(self.p).scaled_down(self.scale_denom);
         cfg.page_size *= self.page_mult.max(1);
-        cfg.fast_path = self.fast_path;
-        cfg.race_detector = self.race_detector;
         cfg.protocol = self.protocol;
         cfg
     }
@@ -386,12 +352,13 @@ pub fn run_experiment(cfg: &ExpConfig) -> ExpResult {
 /// [`ccsort_machine::Machine::audit`] runs at every program `section()`
 /// boundary (panicking on protocol bugs mid-run) and once more after the
 /// sort, and the happens-before race detector
-/// ([`ccsort_machine::RaceDetector`]) checks every timed access against the
-/// program's synchronization; the final audit's violations — including one
-/// line per detected race class — are returned alongside the result. An
-/// empty list means every coherence, time-accounting, capacity and
-/// synchronization invariant held. Slower than [`run_experiment`] — meant
-/// for the conformance tooling and tests, not timing sweeps.
+/// ([`ccsort_machine::Machine::set_race_detector`]) checks every timed
+/// access against the program's synchronization; the final audit's
+/// violations — including one line per detected race class — are returned
+/// alongside the result. An empty list means every coherence,
+/// time-accounting, capacity and synchronization invariant held. Slower
+/// than [`run_experiment`] — meant for the conformance tooling and tests,
+/// not timing sweeps.
 pub fn run_experiment_audited(cfg: &ExpConfig) -> (ExpResult, Vec<String>) {
     execute(cfg, true)
 }
@@ -404,8 +371,6 @@ fn execute(cfg: &ExpConfig, audit: bool) -> (ExpResult, Vec<String>) {
     m.set_section_audit(audit);
     if audit {
         m.set_race_detector(true);
-    }
-    if audit {
         if let Some(nth) = cfg.inject_missing_barrier {
             m.inject_missing_barrier(nth);
         }
@@ -415,23 +380,6 @@ fn execute(cfg: &ExpConfig, audit: bool) -> (ExpResult, Vec<String>) {
     let r = cfg.radix_bits;
     let input = generate(cfg.dist, n, p, r, cfg.seed);
     let keys = load_keys(&mut m, &input);
-
-    if cfg.warm_caches {
-        // Each process streams over its own partition (the state
-        // initialisation would leave behind), then statistics reset. The
-        // barrier orders the warm-up reads before the sort for the race
-        // detector (initialisation is sequential on the real machine too);
-        // its time charges are zeroed by the reset, so measurements are
-        // unchanged.
-        for pe in 0..p {
-            let range = crate::common::part_range(n, p, pe);
-            let mut buf = vec![0u32; range.len()];
-            m.read_run(pe, keys[0], range.start, &mut buf);
-        }
-        m.barrier();
-        m.reset_stats();
-    }
-
     let out = cfg.algorithm.sort(&mut m, keys, n, r, cfg.sampling);
 
     let mut expect = input;
@@ -673,21 +621,6 @@ mod section_tests {
             .map(|(_, t)| t.total())
             .sum();
         assert!(local > 0.5 * res.mean_breakdown().total());
-    }
-
-    #[test]
-    fn warm_caches_reduce_time_without_changing_output() {
-        let cold = run_experiment(&ExpConfig::new(Algorithm::RadixShmem, 4096, 4).scale(64));
-        let warm = run_experiment(
-            &ExpConfig::new(Algorithm::RadixShmem, 4096, 4).scale(64).warm_caches(true),
-        );
-        assert!(cold.verified && warm.verified);
-        assert!(
-            warm.parallel_ns < cold.parallel_ns,
-            "warm start ({}) must beat cold start ({})",
-            warm.parallel_ns,
-            cold.parallel_ns
-        );
     }
 
     #[test]

@@ -88,7 +88,7 @@ impl Mpi {
         let p = m.n_procs();
         let bounce = (0..p)
             .map(|pe| {
-                let home = m.topo().node_of(pe);
+                let home = m.node_of(pe);
                 m.alloc(
                     if mode == MpiMode::Staged { bounce_capacity } else { 1 },
                     Placement::Node(home),
@@ -373,7 +373,7 @@ mod tests {
             }
         }
         let dsts: Vec<ArrayId> = (0..p)
-            .map(|pe| m.alloc(p * 8, Placement::Node(m.topo().node_of(pe)), "replica"))
+            .map(|pe| m.alloc(p * 8, Placement::Node(m.node_of(pe)), "replica"))
             .collect();
         let mpi = Mpi::new(&mut m, MpiMode::Direct, 0);
         let contribs: Vec<(ArrayId, usize)> = (0..p).map(|j| (src, j * 8)).collect();

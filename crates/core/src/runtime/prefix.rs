@@ -49,7 +49,7 @@ impl PrefixTree {
             let mut level_prefs = Vec::with_capacity(width);
             for i in 0..width {
                 let node = Self::owner(l, i).min(p - 1);
-                let home = m.topo().node_of(node);
+                let home = m.node_of(node);
                 level_sums.push(m.alloc(bins, Placement::Node(home), "prefix-sum"));
                 level_prefs.push(m.alloc(bins, Placement::Node(home), "prefix-pref"));
             }

@@ -204,7 +204,7 @@ mod tests {
             }
         }
         let dsts: Vec<_> = (0..p)
-            .map(|pe| m.alloc(p * 16, Placement::Node(m.topo().node_of(pe)), "replica"))
+            .map(|pe| m.alloc(p * 16, Placement::Node(m.node_of(pe)), "replica"))
             .collect();
         let sh = Shmem::new(&m);
         let contribs: Vec<(ccsort_machine::ArrayId, usize)> = (0..p).map(|j| (src, j * 16)).collect();
@@ -230,7 +230,7 @@ mod tests {
             let mut m = machine(p);
             let src = m.alloc(p * len, Placement::Partitioned { parts: p }, "c");
             let dsts: Vec<_> = (0..p)
-                .map(|pe| m.alloc(p * len, Placement::Node(m.topo().node_of(pe)), "r"))
+                .map(|pe| m.alloc(p * len, Placement::Node(m.node_of(pe)), "r"))
                 .collect();
             let sh = Shmem::new(&m);
             let contribs: Vec<_> = (0..p).map(|j| (src, j * len)).collect();
@@ -243,7 +243,7 @@ mod tests {
             let mut m = machine(p);
             let src = m.alloc(p * len, Placement::Partitioned { parts: p }, "c");
             let dsts: Vec<_> = (0..p)
-                .map(|pe| m.alloc(p * len, Placement::Node(m.topo().node_of(pe)), "r"))
+                .map(|pe| m.alloc(p * len, Placement::Node(m.node_of(pe)), "r"))
                 .collect();
             let mpi = Mpi::new(&mut m, MpiMode::Direct, 0);
             let contribs: Vec<_> = (0..p).map(|j| (src, j * len)).collect();

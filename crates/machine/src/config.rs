@@ -183,13 +183,6 @@ pub struct MachineConfig {
     /// relative to the Θ(n) work that the paper measured.
     pub fixed_cost_div: f64,
 
-    /// Enable the FastTrack happens-before race detector
-    /// ([`crate::RaceDetector`]): every timed access is checked against the
-    /// happens-before order built from the program's barriers and message
-    /// completions. Off by default — the audited paths (driver audits, the
-    /// conformance oracle) turn it on; timing runs keep the hot path free.
-    pub race_detector: bool,
-
     /// Enable the machine's one fast walk behind `touch_run` /
     /// `scatter_run` / `gather_run` (a per-PE last-line hint that
     /// short-circuits repeated touches, same-page TLB skip, flattened
@@ -248,7 +241,6 @@ impl MachineConfig {
             rho_cap: 0.95,
             physical_cache_indexing: true,
             fixed_cost_div: 1.0,
-            race_detector: false,
             fast_path: true,
             protocol: ProtocolMode::Invalidate,
         }
@@ -303,11 +295,6 @@ impl MachineConfig {
     /// Number of nodes.
     pub fn n_nodes(&self) -> usize {
         self.n_procs.div_ceil(self.procs_per_node)
-    }
-
-    /// Number of routers.
-    pub fn n_routers(&self) -> usize {
-        self.n_nodes().div_ceil(self.nodes_per_router)
     }
 
     /// Log2 of the line size.
@@ -395,7 +382,6 @@ mod tests {
     fn origin_geometry() {
         let c = MachineConfig::origin2000(64);
         assert_eq!(c.n_nodes(), 32);
-        assert_eq!(c.n_routers(), 16);
         assert_eq!(c.l2.sets(), 16384);
         assert_eq!(c.l2.lines(), 32768);
         assert_eq!(c.line_shift(), 7);
@@ -406,10 +392,8 @@ mod tests {
     fn odd_proc_counts_round_up_nodes() {
         let c = MachineConfig::origin2000(3);
         assert_eq!(c.n_nodes(), 2);
-        assert_eq!(c.n_routers(), 1);
         let c1 = MachineConfig::origin2000(1);
         assert_eq!(c1.n_nodes(), 1);
-        assert_eq!(c1.n_routers(), 1);
     }
 
     #[test]
@@ -457,7 +441,6 @@ mod tests {
         let c = MachineConfig::origin2000(256);
         c.validate().unwrap();
         assert_eq!(c.n_nodes(), 128);
-        assert_eq!(c.n_routers(), 64);
     }
 
     #[test]

@@ -79,11 +79,6 @@ impl PhaseTraffic {
         self.occ_share[pe * self.n_nodes + node] += occ_ns;
     }
 
-    /// Total occupancy demanded at `node` so far this phase.
-    pub fn occupancy_at(&self, node: usize) -> f64 {
-        self.occupancy[node]
-    }
-
     /// Clear for the next phase.
     pub fn reset(&mut self) {
         self.occupancy.fill(0.0);
@@ -97,20 +92,14 @@ impl PhaseTraffic {
         self.occupancy.iter().all(|&o| o == 0.0)
     }
 
-    /// Resolve the phase: compute each processor's extra stall time.
+    /// Resolve the phase: compute each processor's extra stall time into a
+    /// caller-owned buffer, so the per-phase hot path
+    /// (`Machine::resolve_phase`) reuses one scratch allocation for the
+    /// whole run. `delays` is cleared and refilled.
     ///
     /// * `elapsed` — uncontended time each processor spent in the phase.
     /// * `node_of` — node of each processor.
     /// * `rho_cap` — saturation cap (e.g. 0.95).
-    pub fn resolve(&self, elapsed: &[f64], node_of: &[usize], rho_cap: f64) -> Vec<Delay> {
-        let mut delays = Vec::new();
-        self.resolve_into(elapsed, node_of, rho_cap, &mut delays);
-        delays
-    }
-
-    /// [`PhaseTraffic::resolve`] into a caller-owned buffer, so the
-    /// per-phase hot path (`Machine::resolve_phase`) can reuse one scratch
-    /// allocation for the whole run. `delays` is cleared and refilled.
     pub fn resolve_into(
         &self,
         elapsed: &[f64],
@@ -160,10 +149,16 @@ impl PhaseTraffic {
 mod tests {
     use super::*;
 
+    fn resolve(t: &PhaseTraffic, elapsed: &[f64], node_of: &[usize], rho_cap: f64) -> Vec<Delay> {
+        let mut delays = Vec::new();
+        t.resolve_into(elapsed, node_of, rho_cap, &mut delays);
+        delays
+    }
+
     #[test]
     fn empty_phase_no_delay() {
         let t = PhaseTraffic::new(4, 2);
-        let d = t.resolve(&[100.0; 4], &[0, 0, 1, 1], 0.95);
+        let d = resolve(&t, &[100.0; 4], &[0, 0, 1, 1], 0.95);
         assert!(d.iter().all(|d| d.lmem == 0.0 && d.rmem == 0.0));
     }
 
@@ -175,7 +170,7 @@ mod tests {
         for _ in 0..10 {
             t.add(0, 0, 10.0, 1, 1);
         }
-        let d = t.resolve(&[1000.0, 1000.0], &[0, 1], 0.95);
+        let d = resolve(&t, &[1000.0, 1000.0], &[0, 1], 0.95);
         // W = 10 * 0.1 / (2 * 0.9) = 0.555..; 10 transactions -> ~5.6 ns.
         assert!(d[0].lmem > 5.0 && d[0].lmem < 6.0, "{:?}", d[0]);
         assert_eq!(d[0].rmem, 0.0);
@@ -188,7 +183,7 @@ mod tests {
         // 2000 ns of demanded occupancy in a 1000 ns phase: rho = 2.
         t.add(0, 1, 1000.0, 100, 100);
         t.add(1, 1, 1000.0, 100, 100);
-        let d = t.resolve(&[1000.0, 1000.0], &[0, 1], 0.95);
+        let d = resolve(&t, &[1000.0, 1000.0], &[0, 1], 0.95);
         // Stretch = 2000/0.95 - 1000 ≈ 1105 ns split evenly, plus queueing.
         let total_extra = d[0].rmem + d[1].lmem;
         assert!(total_extra > 1100.0, "total extra {total_extra}");
@@ -206,11 +201,11 @@ mod tests {
         let span = [10_000.0, 10_000.0];
         let mut lat = PhaseTraffic::new(2, 1);
         lat.add(0, 0, 8_000.0, 80, 80); // rho = 0.8
-        let d_lat = lat.resolve(&span, &[0, 0], 0.95);
+        let d_lat = resolve(&lat, &span, &[0, 0], 0.95);
 
         let mut bulk = PhaseTraffic::new(2, 1);
         bulk.add(0, 0, 8_000.0, 80, 0);
-        let d_bulk = bulk.resolve(&span, &[0, 0], 0.95);
+        let d_bulk = resolve(&bulk, &span, &[0, 0], 0.95);
 
         assert!(d_lat[0].lmem > 100.0, "latency class must queue: {:?}", d_lat[0]);
         assert_eq!(d_bulk[0].lmem, 0.0, "bulk class below saturation is free");
@@ -221,7 +216,7 @@ mod tests {
         let mut t = PhaseTraffic::new(2, 1);
         // rho = 3: saturated even though all traffic is bulk.
         t.add(0, 0, 3_000.0, 100, 0);
-        let d = t.resolve(&[1000.0, 1000.0], &[0, 0], 0.95);
+        let d = resolve(&t, &[1000.0, 1000.0], &[0, 0], 0.95);
         assert!(d[0].lmem > 2000.0, "{:?}", d[0]);
     }
 
@@ -230,7 +225,7 @@ mod tests {
         let mut t = PhaseTraffic::new(2, 1);
         t.add(0, 0, 3000.0, 300, 300);
         t.add(1, 0, 1000.0, 100, 100);
-        let d = t.resolve(&[1000.0, 1000.0], &[0, 0], 0.95);
+        let d = resolve(&t, &[1000.0, 1000.0], &[0, 0], 0.95);
         assert!(d[0].lmem > 2.9 * d[1].lmem && d[0].lmem < 3.1 * d[1].lmem);
     }
 
@@ -241,6 +236,5 @@ mod tests {
         assert!(!t.is_empty());
         t.reset();
         assert!(t.is_empty());
-        assert_eq!(t.occupancy_at(0), 0.0);
     }
 }

@@ -37,11 +37,6 @@ pub struct Directory {
     bits: Vec<u64>,
     state: Vec<u8>,
     owner: Vec<u16>,
-    /// Count of lines not in Unowned state, maintained incrementally by the
-    /// state transitions so [`Directory::owned_lines`] does not have to scan
-    /// every entry (it is called from diagnostics/audit paths that would
-    /// otherwise pay O(total lines) per call).
-    owned: usize,
 }
 
 impl Directory {
@@ -54,7 +49,6 @@ impl Directory {
             bits: vec![0; n * words_per_line],
             state: vec![UNOWNED; n],
             owner: vec![0; n],
-            owned: 0,
         }
     }
 
@@ -99,19 +93,10 @@ impl Directory {
         self.bits[line as usize * self.words_per_line + pe / 64] & (1u64 << (pe % 64)) != 0
     }
 
-    /// Low 64 bits of the sharer word (diagnostics and unit tests;
-    /// truncated to the first 64 PEs).
-    pub fn sharers(&self, line: u64) -> u64 {
-        self.words(line as usize)[0]
-    }
-
     /// Record that `pe` obtained a Shared copy.
     #[inline]
     pub fn add_sharer(&mut self, line: u64, pe: usize) {
         let l = line as usize;
-        if self.state[l] == UNOWNED {
-            self.owned += 1;
-        }
         self.state[l] = SHARED;
         self.bits[l * self.words_per_line + pe / 64] |= 1u64 << (pe % 64);
     }
@@ -121,9 +106,6 @@ impl Directory {
     #[inline]
     pub fn set_exclusive(&mut self, line: u64, pe: usize) {
         let l = line as usize;
-        if self.state[l] == UNOWNED {
-            self.owned += 1;
-        }
         self.state[l] = EXCLUSIVE;
         self.owner[l] = pe as u16;
         let words = self.words_mut(l);
@@ -136,9 +118,6 @@ impl Directory {
     #[inline]
     pub fn set_unowned(&mut self, line: u64) {
         let l = line as usize;
-        if self.state[l] != UNOWNED {
-            self.owned -= 1;
-        }
         self.state[l] = UNOWNED;
         self.words_mut(l).fill(0);
     }
@@ -151,9 +130,6 @@ impl Directory {
         let words = self.words_mut(l);
         words[pe / 64] &= !(1u64 << (pe % 64));
         if words.iter().all(|&w| w == 0) {
-            if self.state[l] != UNOWNED {
-                self.owned -= 1;
-            }
             self.state[l] = UNOWNED;
         } else if self.state[l] == EXCLUSIVE {
             self.state[l] = SHARED;
@@ -171,9 +147,6 @@ impl Directory {
         words.fill(0);
         words[pe / 64] = keep;
         if keep == 0 {
-            if self.state[l] != UNOWNED {
-                self.owned -= 1;
-            }
             self.state[l] = UNOWNED;
         } else if self.state[l] == EXCLUSIVE && self.owner[l] != pe as u16 {
             self.state[l] = SHARED;
@@ -208,12 +181,6 @@ impl Directory {
         n
     }
 
-    /// Number of invalidations a write by `pe` to `line` would charge
-    /// (targets excluding `pe`), without visiting them.
-    pub fn target_count(&self, line: u64, exclude: Option<usize>) -> u64 {
-        self.for_each_target(line, exclude, |_| {})
-    }
-
     /// Entry invariants, for [`crate::Machine::audit`]: no sharer bit may
     /// refer to a processor at or beyond the processor count, and an
     /// Exclusive entry's owner must be in its own set. Returns a violation
@@ -245,18 +212,6 @@ impl Directory {
         }
         None
     }
-
-    /// Number of lines not in Unowned state (diagnostics/tests). O(1): the
-    /// count is maintained by the transitions above; debug builds check it
-    /// against the full scan.
-    pub fn owned_lines(&self) -> usize {
-        debug_assert_eq!(
-            self.owned,
-            self.state.iter().filter(|&&s| s != UNOWNED).count(),
-            "owned-line counter drifted from the entry states"
-        );
-        self.owned
-    }
 }
 
 #[cfg(test)]
@@ -276,11 +231,11 @@ mod tests {
         d.add_sharer(3, 5);
         assert_eq!(d.state(3), DirState::Shared);
         d.add_sharer(3, 9);
-        assert_eq!(d.sharers(3), (1 << 5) | (1 << 9));
+        assert_eq!(targets(&d, 3, None), vec![5, 9]);
         assert_eq!(targets(&d, 3, Some(5)), vec![9]);
         d.set_exclusive(3, 9);
         assert_eq!(d.state(3), DirState::Exclusive(9));
-        assert_eq!(d.sharers(3), 1 << 9);
+        assert_eq!(targets(&d, 3, None), vec![9]);
         d.remove_sharer(3, 9);
         assert_eq!(d.state(3), DirState::Unowned);
     }
@@ -294,27 +249,6 @@ mod tests {
         assert_eq!(d.state(0), DirState::Shared);
         d.remove_sharer(0, 2);
         assert_eq!(d.state(0), DirState::Unowned);
-    }
-
-    #[test]
-    fn owned_lines_counter_tracks_transitions() {
-        let mut d = Directory::new(8, 8);
-        assert_eq!(d.owned_lines(), 0);
-        d.add_sharer(0, 1);
-        d.add_sharer(0, 2); // already owned: no double count
-        d.set_exclusive(1, 3);
-        d.set_exclusive(1, 4); // exclusive -> exclusive: no double count
-        assert_eq!(d.owned_lines(), 2);
-        d.remove_sharer(0, 1);
-        assert_eq!(d.owned_lines(), 2, "line 0 still has a sharer");
-        d.remove_sharer(0, 2);
-        assert_eq!(d.owned_lines(), 1, "last sharer left");
-        d.remove_sharer(0, 2); // removing from an unowned line: no underflow
-        assert_eq!(d.owned_lines(), 1);
-        d.set_unowned(1);
-        assert_eq!(d.owned_lines(), 0);
-        d.set_unowned(1); // repeat: no underflow
-        assert_eq!(d.owned_lines(), 0);
     }
 
     #[test]
@@ -339,7 +273,7 @@ mod tests {
         assert!(d.is_sharer(0, 200));
         assert!(!d.is_sharer(0, 201));
         assert_eq!(targets(&d, 0, Some(64)), vec![3, 200, 255]);
-        assert_eq!(d.target_count(0, None), 4);
+        assert_eq!(d.for_each_target(0, None, |_| {}), 4);
         d.remove_sharer(0, 3);
         d.remove_sharer(0, 64);
         d.remove_sharer(0, 200);
@@ -356,7 +290,7 @@ mod tests {
         d.add_sharer(0, 5);
         d.add_sharer(0, 6);
         d.retain_only(0, 5);
-        assert_eq!(d.sharers(0), 1 << 5);
+        assert_eq!(targets(&d, 0, None), vec![5]);
         assert_eq!(d.state(0), DirState::Shared);
         d.retain_only(0, 2); // 2 never held it -> empty
         assert_eq!(d.state(0), DirState::Unowned);

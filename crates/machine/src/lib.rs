@@ -5,17 +5,23 @@
 //! 64-processor SGI Origin 2000 studied in Shan & Singh, *Parallel Sorting
 //! on Cache-coherent DSM Multiprocessors* (SC 1999).
 //!
-//! The simulator models, per processor, a set-associative write-back cache
-//! ([`cache::Cache`]) and a TLB ([`tlb::Tlb`]); globally, a directory
-//! invalidation protocol ([`directory::Directory`], a full-map bit-vector)
-//! over a paged, placement-aware address space ([`memory::AddressSpace`]),
-//! a hypercube interconnect ([`topology::Topology`]) and a phase-level
-//! controller contention model ([`contention::PhaseTraffic`]). The directory's write
-//! transitions are equally pluggable ([`protocol`]): MESI-style
-//! invalidation by default, a Dragon-style update mode via
-//! [`config::ProtocolMode`]. Programs running on the machine accumulate
-//! virtual time split into the paper's four buckets — BUSY, LMEM, RMEM,
-//! SYNC ([`stats::TimeBreakdown`]).
+//! A program sees one type, [`Machine`], built from a [`MachineConfig`]. It
+//! allocates simulated arrays ([`Machine::alloc`] with a [`Placement`]),
+//! issues timed loads and stores ([`Machine::read_at`] /
+//! [`Machine::write_at`], streamed runs such as [`Machine::read_run`],
+//! scattered batches such as [`Machine::gather_run`] and
+//! [`Machine::scatter_run`]), bulk transfers ([`Machine::dma_copy`]) and
+//! barriers, and reads back virtual time split into the paper's four
+//! buckets — BUSY, LMEM, RMEM, SYNC ([`TimeBreakdown`]) — plus the
+//! protocol [`EventCounters`] behind them.
+//!
+//! Behind that contract, and private to this crate: per-processor L1 and
+//! L2 set-associative write-back caches and a TLB; a full-map directory
+//! over a paged, placement-aware address space; a hypercube interconnect;
+//! a phase-level controller contention model; MESI-style invalidation or
+//! a Dragon-style update protocol ([`ProtocolMode`]); and an opt-in
+//! happens-before race detector ([`Machine::set_race_detector`],
+//! [`RaceReport`]).
 //!
 //! Crucially, simulated arrays have *real* backing stores: algorithms
 //! running on the machine genuinely sort data, and tests verify the output.
@@ -34,22 +40,20 @@
 //! assert!(m.breakdown(0).busy > 0.0);
 //! ```
 
-pub mod cache;
-pub mod config;
-pub mod contention;
-pub mod directory;
-pub mod machine;
-pub mod memory;
-pub mod protocol;
-pub mod race;
-pub mod stats;
-pub mod tlb;
-pub mod topology;
+mod cache;
+mod config;
+mod contention;
+mod directory;
+mod machine;
+mod memory;
+mod protocol;
+mod race;
+mod stats;
+mod tlb;
+mod topology;
 
 pub use config::{CacheGeom, MachineConfig, ProtocolMode, MAX_PROCS};
-pub use directory::{DirState, Directory};
 pub use machine::Machine;
 pub use memory::{ArrayId, Placement};
-pub use race::{MsgToken, RaceDetector, RaceKind, RaceReport};
+pub use race::{MsgToken, RaceKind, RaceReport};
 pub use stats::{Bucket, EventCounters, TimeBreakdown};
-pub use topology::Topology;

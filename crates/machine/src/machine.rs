@@ -98,7 +98,7 @@ pub struct Machine {
     /// [`Machine::set_section_audit`]).
     section_audit: bool,
     /// Happens-before race detector; `None` keeps every access path free of
-    /// detector work (see `MachineConfig::race_detector`).
+    /// detector work (see [`Machine::set_race_detector`]).
     race: Option<RaceDetector>,
     /// Scratch buffers reused by `resolve_phase`, so phase resolution does
     /// not allocate on the hot path (one pair for the machine's lifetime).
@@ -165,13 +165,7 @@ impl Machine {
             sections: vec![("(untagged)", vec![TimeBreakdown::default(); n_procs])],
             cur_section: 0,
             section_audit: false,
-            race: if cfg.race_detector {
-                let mut det = RaceDetector::new(n_procs);
-                det.set_batching(cfg.fast_path);
-                Some(det)
-            } else {
-                None
-            },
+            race: None,
             resolve_elapsed: Vec::new(),
             resolve_delays: Vec::new(),
             cfg,
@@ -189,9 +183,10 @@ impl Machine {
         &self.cfg
     }
 
-    /// The interconnect topology.
-    pub fn topo(&self) -> &Topology {
-        &self.topo
+    /// Node hosting processor `pe`.
+    #[inline]
+    pub fn node_of(&self, pe: usize) -> usize {
+        self.node_of[pe]
     }
 
     /// Number of processors.
@@ -360,12 +355,6 @@ impl Machine {
     #[inline]
     pub fn busy_cycles_fixed(&mut self, pe: usize, cycles: f64) {
         self.charge(pe, cycles * self.cfg.cycle_ns / self.cfg.fixed_cost_div, Bucket::Busy);
-    }
-
-    /// The fixed-size-work cost divisor (1 at full scale).
-    #[inline]
-    pub fn fixed_div(&self) -> f64 {
-        self.cfg.fixed_cost_div
     }
 
     /// Number of elements of a fixed-size structure to run through the
@@ -1007,21 +996,6 @@ impl Machine {
         }
     }
 
-    /// Align a subset of processors (used by group-local synchronization in
-    /// sample sort). Does not resolve global contention.
-    pub fn barrier_subset(&mut self, pes: &[usize]) {
-        if let Some(det) = self.race.as_mut() {
-            det.barrier_subset(pes);
-        }
-        let t_max = pes.iter().map(|&pe| self.pes[pe].time).fold(0.0_f64, f64::max);
-        let levels = (pes.len().max(2) as f64).log2().ceil();
-        let cost = self.cfg.barrier_base_ns + 2.0 * levels * self.cfg.barrier_level_ns;
-        for &pe in pes {
-            let wait = t_max - self.pes[pe].time;
-            self.charge(pe, wait + cost, Bucket::Sync);
-        }
-    }
-
     /// Make `pe` wait until at least time `t` (message arrival, rendezvous);
     /// waiting time is SYNC.
     ///
@@ -1050,24 +1024,6 @@ impl Machine {
         if let (Some(det), Some(clock)) = (self.race.as_mut(), token.0.as_deref()) {
             det.acquire(pe, clock);
         }
-    }
-
-    /// Zero all clocks, breakdowns, counters, section profiles and pending
-    /// phase traffic, *keeping cache, TLB and directory state*. This is the
-    /// warm-cache measurement methodology: run a warm-up pass, reset the
-    /// statistics, measure the real pass — as hardware-counter studies on
-    /// the real machine (including the paper's) effectively do by timing
-    /// after initialisation.
-    pub fn reset_stats(&mut self) {
-        for pe in self.pes.iter_mut() {
-            pe.time = 0.0;
-            pe.brk = TimeBreakdown::default();
-            pe.ev = EventCounters::default();
-        }
-        self.phase_start.fill(0.0);
-        self.traffic.reset();
-        self.sections = vec![("(untagged)", vec![TimeBreakdown::default(); self.cfg.n_procs])];
-        self.cur_section = 0;
     }
 
     /// Longest per-processor total time — the parallel execution time.
@@ -1247,11 +1203,6 @@ impl Machine {
         }
     }
 
-    /// Whether the race detector is currently on.
-    pub fn race_detector_on(&self) -> bool {
-        self.race.is_some()
-    }
-
     /// Races detected so far (empty when the detector is off). One report is
     /// recorded per (kind, PE pair, array) class; see
     /// [`Machine::race_suppressed`] for the overflow count.
@@ -1276,15 +1227,6 @@ impl Machine {
             .as_mut()
             .expect("inject_missing_barrier requires the race detector to be on")
             .inject_missing_barrier(nth);
-    }
-
-    /// Sum of the per-processor breakdowns.
-    pub fn total_breakdown(&self) -> TimeBreakdown {
-        let mut t = TimeBreakdown::default();
-        for pe in 0..self.cfg.n_procs {
-            t.add(&self.pes[pe].brk);
-        }
-        t
     }
 }
 
@@ -1701,10 +1643,8 @@ mod scaling_tests {
     #[test]
     fn fixed_prefix_follows_scale() {
         let m1 = Machine::new(MachineConfig::origin2000(2));
-        assert_eq!(m1.fixed_div(), 1.0);
         assert_eq!(m1.fixed_prefix(256), 256);
         let m16 = Machine::new(MachineConfig::origin2000(2).scaled_down(16));
-        assert_eq!(m16.fixed_div(), 16.0);
         assert_eq!(m16.fixed_prefix(256), 16);
         assert_eq!(m16.fixed_prefix(1), 1, "never below one element");
         assert_eq!(m16.fixed_prefix(0), 1);

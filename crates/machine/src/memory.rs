@@ -114,24 +114,6 @@ impl AddressSpace {
         self.arrays[arr.0].base + (idx as u64) * 4
     }
 
-    /// Global line index of a byte address.
-    #[inline]
-    pub fn line_of(&self, addr: u64) -> u64 {
-        addr >> self.line_shift
-    }
-
-    /// Page number of a byte address.
-    #[inline]
-    pub fn page_of(&self, addr: u64) -> u64 {
-        addr >> self.page_shift
-    }
-
-    /// Home node of the page containing `addr`.
-    #[inline]
-    pub fn home_of(&self, addr: u64) -> usize {
-        self.page_homes[(addr >> self.page_shift) as usize] as usize
-    }
-
     /// Home node of the page containing a line (lines never span pages).
     #[inline]
     pub fn home_of_line(&self, line: u64) -> usize {
@@ -153,11 +135,6 @@ impl AddressSpace {
     #[inline]
     pub fn name(&self, arr: ArrayId) -> &'static str {
         self.arrays[arr.0].name
-    }
-
-    /// True if the array has no elements.
-    pub fn is_empty(&self, arr: ArrayId) -> bool {
-        self.len(arr) == 0
     }
 
     #[inline]
@@ -219,6 +196,11 @@ mod tests {
         (AddressSpace::new(&cfg), Topology::new(&cfg))
     }
 
+    /// Home node of the page containing byte address `addr`.
+    fn home_of(s: &AddressSpace, addr: u64) -> usize {
+        s.home_of_line(addr >> s.line_shift)
+    }
+
     #[test]
     fn allocations_are_page_aligned_and_disjoint() {
         let (mut s, t) = space();
@@ -227,8 +209,8 @@ mod tests {
         assert_eq!(s.addr_of(a, 0) % 65536, 0);
         assert_eq!(s.addr_of(b, 0) % 65536, 0);
         assert!(s.addr_of(b, 0) >= s.addr_of(a, 99) + 4);
-        assert_eq!(s.home_of(s.addr_of(a, 0)), 0);
-        assert_eq!(s.home_of(s.addr_of(b, 0)), 1);
+        assert_eq!(home_of(&s, s.addr_of(a, 0)), 0);
+        assert_eq!(home_of(&s, s.addr_of(b, 0)), 1);
     }
 
     #[test]
@@ -240,7 +222,7 @@ mod tests {
         for pe in 0..64usize {
             let first = pe * 16384;
             let addr = s.addr_of(a, first);
-            assert_eq!(s.home_of(addr), pe / 2, "partition {pe}");
+            assert_eq!(home_of(&s, addr), pe / 2, "partition {pe}");
         }
     }
 
@@ -251,7 +233,7 @@ mod tests {
         let a = s.alloc(elems_per_page * 8, Placement::Interleaved, "x", &t);
         let mut homes = std::collections::BTreeSet::new();
         for p in 0..8 {
-            homes.insert(s.home_of(s.addr_of(a, p * elems_per_page)));
+            homes.insert(home_of(&s, s.addr_of(a, p * elems_per_page)));
         }
         assert_eq!(homes.len(), 8);
     }
@@ -281,8 +263,8 @@ mod tests {
         let (mut s, t) = space();
         let a = s.alloc(1024, Placement::Node(3), "a", &t);
         let addr = s.addr_of(a, 32); // 128 bytes in -> line 1 of the array
-        assert_eq!(s.line_of(addr), s.line_of(s.addr_of(a, 0)) + 1);
-        assert_eq!(s.home_of_line(s.line_of(addr)), 3);
+        assert_eq!(addr >> s.line_shift, (s.addr_of(a, 0) >> s.line_shift) + 1);
+        assert_eq!(s.home_of_line(addr >> s.line_shift), 3);
         assert!(s.total_lines() >= 512);
     }
 }
@@ -293,8 +275,8 @@ mod properties {
     use crate::config::MachineConfig;
     use ccsort_rng::{check_cases, SplitMix64};
 
-    /// Every element of every allocation has a well-defined home node and
-    /// a line/page consistent with its address.
+    /// Every element of every allocation has a well-defined home node, and
+    /// its line's home is its page's home (lines never span pages).
     #[test]
     fn allocation_geometry_is_consistent() {
         let case = |rng: &mut SplitMix64| {
@@ -320,11 +302,11 @@ mod properties {
             for (id, &len) in ids.iter().zip(lens) {
                 for idx in [0, len / 2, len - 1] {
                     let addr = s.addr_of(*id, idx);
-                    let line = s.line_of(addr);
-                    assert_eq!(s.home_of(addr), s.home_of_line(line));
-                    assert!(s.home_of(addr) < topo.n_nodes());
+                    let line = addr >> cfg.line_shift();
+                    let home = s.home_of_line(line);
+                    assert_eq!(home, s.page_homes[(addr >> cfg.page_shift()) as usize] as usize);
+                    assert!(home < topo.n_nodes());
                     assert!(line < s.total_lines());
-                    assert_eq!(s.page_of(addr), addr >> cfg.page_shift());
                 }
             }
             // Arrays never overlap: last address of one < first of the next.

@@ -18,8 +18,7 @@
 //!   when reads are genuinely concurrent (the common same-epoch and
 //!   ordered-read cases stay O(1));
 //! * [`RaceDetector::barrier`] joins all clocks (everything before the
-//!   barrier happens-before everything after), [`RaceDetector::barrier_subset`]
-//!   joins a subset, and release/acquire tokens
+//!   barrier happens-before everything after), and release/acquire tokens
 //!   ([`RaceDetector::release`]/[`RaceDetector::acquire`]) carry the edge a
 //!   completed message send creates from sender to receiver.
 //!
@@ -112,17 +111,16 @@ struct VarState {
 }
 
 /// A release token: snapshot of the sender's vector clock at the moment a
-/// message's data became visible. Passing it to [`RaceDetector::acquire`]
-/// (via [`crate::Machine::hb_acquire`]) installs the sender→receiver edge.
+/// message's data became visible. Passing it to
+/// [`crate::Machine::hb_acquire`] installs the sender→receiver edge.
 /// The payload is `None` when the detector is disabled, making the token
 /// free to create and carry on the hot path.
 #[derive(Debug, Clone, Default)]
 pub struct MsgToken(pub(crate) Option<Box<[u32]>>);
 
-/// The detector. Owned by [`crate::Machine`] when
-/// `MachineConfig::race_detector` (or [`crate::Machine::set_race_detector`])
-/// turns it on; all methods are driven from the machine's access and sync
-/// paths.
+/// The detector. Owned by [`crate::Machine`] while
+/// [`crate::Machine::set_race_detector`] has it on; all methods are driven
+/// from the machine's access and sync paths.
 #[derive(Debug, Clone)]
 pub struct RaceDetector {
     p: usize,
@@ -640,20 +638,6 @@ impl RaceDetector {
         }
     }
 
-    /// Barrier over a subset of PEs: join their clocks among themselves.
-    pub fn barrier_subset(&mut self, pes: &[usize]) {
-        let mut mx = vec![0u32; self.p];
-        for &pe in pes {
-            for (m, &c) in mx.iter_mut().zip(&self.vc[pe]) {
-                *m = (*m).max(c);
-            }
-        }
-        for &pe in pes {
-            self.vc[pe].copy_from_slice(&mx);
-            self.vc[pe][pe] += 1;
-        }
-    }
-
     /// Release: snapshot `pe`'s clock (the token a completed message hands
     /// to its receiver) and advance `pe` into a fresh epoch so its later
     /// accesses are not covered by the token.
@@ -760,19 +744,6 @@ mod tests {
     }
 
     #[test]
-    fn subset_barrier_orders_only_the_subset() {
-        let mut d = RaceDetector::new(4);
-        acc(&mut d, 0, 1, true);
-        acc(&mut d, 3, 2, true);
-        d.barrier_subset(&[0, 1]);
-        acc(&mut d, 1, 1, false); // ordered via the subset barrier
-        acc(&mut d, 2, 2, false); // NOT ordered after pe 3's write
-        assert_eq!(d.reports().len(), 1);
-        assert_eq!(d.reports()[0].prev_pe, 3);
-        assert_eq!(d.reports()[0].pe, 2);
-    }
-
-    #[test]
     fn injected_missing_barrier_skips_exactly_one_join() {
         let mut d = RaceDetector::new(2);
         d.inject_missing_barrier(2);
@@ -831,11 +802,6 @@ mod tests {
                     bulk.barrier();
                     elem.barrier();
                 }
-                1 => {
-                    let sub: &[usize] = if rng(2) == 0 { &[0, 1] } else { &[1, 2, 3] };
-                    bulk.barrier_subset(sub);
-                    elem.barrier_subset(sub);
-                }
                 2 => {
                     let to = rng(4);
                     let tb = bulk.release(pe);
@@ -880,11 +846,6 @@ mod tests {
                 0 => {
                     bulk.barrier();
                     elem.barrier();
-                }
-                1 => {
-                    let sub: &[usize] = if rng(2) == 0 { &[0, 1] } else { &[1, 2, 3] };
-                    bulk.barrier_subset(sub);
-                    elem.barrier_subset(sub);
                 }
                 2 => {
                     let to = rng(4);

@@ -109,19 +109,6 @@ impl Tlb {
         }
     }
 
-    /// Drop all mappings (e.g. between experiments).
-    pub fn flush(&mut self) {
-        for page in &mut self.pages {
-            if *page != u64::MAX {
-                self.slot_of[*page as usize] = u16::MAX;
-                *page = u64::MAX;
-            }
-        }
-        self.referenced.fill(0);
-        self.hand = 0;
-        self.last = u64::MAX;
-    }
-
     /// Number of mapped entries (diagnostics/tests).
     pub fn mapped(&self) -> usize {
         self.pages.iter().filter(|p| **p != u64::MAX).count()
@@ -213,29 +200,16 @@ mod tests {
                 self.referenced[i] = false;
             }
         }
-
-        fn flush(&mut self) {
-            self.pages.fill(u64::MAX);
-            self.referenced.fill(false);
-            self.hand = 0;
-            self.last = u64::MAX;
-        }
     }
 
     /// Drive `t` and `r` with `stream`, comparing the whole observable state
-    /// after every access (`None` = flush both).
-    fn assert_matches_reference(entries: usize, stream: impl IntoIterator<Item = Option<u64>>) {
+    /// after every access.
+    fn assert_matches_reference(entries: usize, stream: impl IntoIterator<Item = u64>) {
         let mut t = Tlb::new(entries);
         let mut r = RefTlb::new(entries);
-        for (step, access) in stream.into_iter().enumerate() {
-            let ctx = || format!("entries {entries}, step {step}, access {access:?}");
-            match access {
-                Some(page) => assert_eq!(t.access(page), r.access(page), "hit/miss: {}", ctx()),
-                None => {
-                    t.flush();
-                    r.flush();
-                }
-            }
+        for (step, page) in stream.into_iter().enumerate() {
+            let ctx = || format!("entries {entries}, step {step}, page {page}");
+            assert_eq!(t.access(page), r.access(page), "hit/miss: {}", ctx());
             assert_eq!(t.pages, r.pages, "pages: {}", ctx());
             assert_eq!(t.hand, r.hand, "hand: {}", ctx());
             for (i, &bit) in r.referenced.iter().enumerate() {
@@ -260,15 +234,12 @@ mod tests {
             for set in [entries.div_ceil(2), entries, 4 * entries] {
                 let mut x = 0x9E37_79B9u64 ^ (entries * 1000 + set) as u64;
                 let mut stream = Vec::new();
-                for step in 0..4000 {
+                for _ in 0..4000 {
                     x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
                     let page = (x >> 33) % set as u64;
-                    // Runs of one repeated page, and a flush mid-stream.
+                    // Runs of one repeated page.
                     let run = if (x >> 20).is_multiple_of(8) { 1 + (x >> 24) % 5 } else { 1 };
-                    stream.extend((0..run).map(|_| Some(page)));
-                    if step == 2000 {
-                        stream.push(None);
-                    }
+                    stream.extend((0..run).map(|_| page));
                 }
                 assert_matches_reference(entries, stream);
             }
@@ -290,24 +261,14 @@ mod tests {
             x ^= x >> 7;
             x ^= x << 17;
             let c = (x % CURSORS) as usize;
-            stream.push(Some((c as u64 * 8) + pos[c] / PAGE_WORDS));
+            stream.push((c as u64 * 8) + pos[c] / PAGE_WORDS);
             pos[c] += 1;
         }
         let t_misses = {
             let mut t = Tlb::new(64);
-            stream.iter().flatten().filter(|&&p| !t.access(p)).count()
+            stream.iter().filter(|&&p| !t.access(p)).count()
         };
         assert!(t_misses > stream.len() / 2, "expected a miss-heavy stream, got {t_misses}");
         assert_matches_reference(64, stream);
-    }
-
-    #[test]
-    fn flush_empties() {
-        let mut t = Tlb::new(4);
-        t.access(1);
-        t.access(2);
-        t.flush();
-        assert_eq!(t.mapped(), 0);
-        assert!(!t.access(1));
     }
 }

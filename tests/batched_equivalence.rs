@@ -6,12 +6,15 @@
 //! (`fast_path = false`) bit for bit — times, per-PE breakdowns, section
 //! profiles, event counters, memory contents and race verdicts. Modeled on
 //! `fastpath_equivalence.rs`, which covers the streamed fast path the same
-//! way.
+//! way and shares its experiment-level check (`equivalence/mod.rs`).
 
-use ccsort_algos::{run_experiment, Algorithm, Dist, ExpConfig};
+mod equivalence;
+
+use ccsort_algos::{Algorithm, Dist};
 use ccsort_machine::{
     ArrayId, EventCounters, Machine, MachineConfig, Placement, RaceReport, TimeBreakdown,
 };
+use equivalence::assert_equivalent;
 
 // ---------------------------------------------------------------------
 // Machine-level: batched vs per-element, fast path vs reference walk.
@@ -49,9 +52,9 @@ const BATCH: usize = 512;
 fn run_schedule(batched: bool, fast: bool, race: bool, physical: bool) -> Snapshot {
     let mut cfg = MachineConfig::origin2000(P);
     cfg.fast_path = fast;
-    cfg.race_detector = race;
     cfg.physical_cache_indexing = physical;
     let mut m = Machine::new(cfg);
+    m.set_race_detector(race);
     let arr = m.alloc(N, Placement::Partitioned { parts: P }, "data");
     let shared = m.alloc(SHARED_N, Placement::Node(0), "shared");
     let chunk = N / P;
@@ -150,31 +153,6 @@ fn batched_schedule_matches_per_element_full_state() {
 // Experiment-level: the real sorting programs, which now submit their
 // permutation writes and sample gathers through the batched engine.
 // ---------------------------------------------------------------------
-
-/// Compare one configuration with the fast path on and off, field by field
-/// (same shape as `fastpath_equivalence::assert_equivalent`, plus the race
-/// detector toggle: the detector must never change the simulated time).
-fn assert_equivalent(alg: Algorithm, n: usize, p: usize, r: u32, dist: Dist, race: bool) {
-    let base = |fast: bool| {
-        run_experiment(
-            &ExpConfig::new(alg, n, p)
-                .radix_bits(r)
-                .dist(dist)
-                .seed(99991)
-                .scale(64)
-                .fast_path(fast)
-                .race_detector(race),
-        )
-    };
-    let fast = base(true);
-    let slow = base(false);
-    let ctx = format!("{alg:?} n={n} p={p} r={r} {dist:?} race={race}");
-    assert_eq!(fast.parallel_ns, slow.parallel_ns, "parallel_ns diverged: {ctx}");
-    assert_eq!(fast.verified, slow.verified, "verification diverged: {ctx}");
-    assert_eq!(fast.per_pe, slow.per_pe, "per-PE breakdowns diverged: {ctx}");
-    assert_eq!(fast.events, slow.events, "event counters diverged: {ctx}");
-    assert_eq!(fast.sections, slow.sections, "section profiles diverged: {ctx}");
-}
 
 /// Scatter-heavy programs: all five radix permutation call sites plus the
 /// sample sorts (batched sampling gathers + `local_radix_sort` scatters).

@@ -1,42 +1,13 @@
 //! The simulator's streamed-run fast path must be *exact*: for every
-//! program, distribution and processor count, an experiment run with
-//! `fast_path = false` (the legacy per-line walk) must produce bitwise
-//! identical timing, per-PE breakdowns, section profiles and event-level
-//! results to the default fast-path run.
+//! program, distribution and processor count, a sort run with
+//! `MachineConfig::fast_path = false` (the per-line reference walk) must
+//! produce bitwise identical timing, per-PE breakdowns, section profiles,
+//! event counters and output to the default fast-path run.
 
-use ccsort_algos::{run_experiment, Algorithm, Dist, ExpConfig};
+mod equivalence;
 
-/// Compare one configuration with the fast path on and off, field by
-/// field. `ExpResult` has no `PartialEq`, so compare the serialisable
-/// pieces explicitly — including the per-PE breakdowns and per-section
-/// profiles, which would expose any divergence in where time is charged.
-fn assert_equivalent(alg: Algorithm, n: usize, p: usize, r: u32, dist: Dist) {
-    let base = |fast: bool| {
-        run_experiment(
-            &ExpConfig::new(alg, n, p).radix_bits(r).dist(dist).seed(99991).scale(64).fast_path(fast),
-        )
-    };
-    let fast = base(true);
-    let slow = base(false);
-    let ctx = format!("{alg:?} n={n} p={p} r={r} {dist:?}");
-    assert_eq!(fast.parallel_ns, slow.parallel_ns, "parallel_ns diverged: {ctx}");
-    assert_eq!(fast.verified, slow.verified, "verification diverged: {ctx}");
-    assert_eq!(fast.per_pe.len(), slow.per_pe.len(), "per_pe length diverged: {ctx}");
-    for (pe, (f, s)) in fast.per_pe.iter().zip(&slow.per_pe).enumerate() {
-        assert_eq!(f.busy, s.busy, "busy diverged pe{pe}: {ctx}");
-        assert_eq!(f.lmem, s.lmem, "lmem diverged pe{pe}: {ctx}");
-        assert_eq!(f.rmem, s.rmem, "rmem diverged pe{pe}: {ctx}");
-        assert_eq!(f.sync, s.sync, "sync diverged pe{pe}: {ctx}");
-    }
-    assert_eq!(fast.sections.len(), slow.sections.len(), "section count diverged: {ctx}");
-    for ((fname, f), (sname, s)) in fast.sections.iter().zip(&slow.sections) {
-        assert_eq!(fname, sname, "section order diverged: {ctx}");
-        assert_eq!(f.busy, s.busy, "section {fname} busy diverged: {ctx}");
-        assert_eq!(f.lmem, s.lmem, "section {fname} lmem diverged: {ctx}");
-        assert_eq!(f.rmem, s.rmem, "section {fname} rmem diverged: {ctx}");
-        assert_eq!(f.sync, s.sync, "section {fname} sync diverged: {ctx}");
-    }
-}
+use ccsort_algos::{Algorithm, Dist};
+use equivalence::assert_equivalent;
 
 const ALL_ALGS: [Algorithm; 9] = [
     Algorithm::RadixShmem,
@@ -53,23 +24,23 @@ const ALL_ALGS: [Algorithm; 9] = [
 #[test]
 fn fast_path_exact_across_programs() {
     for alg in ALL_ALGS {
-        assert_equivalent(alg, 1 << 13, 8, 8, Dist::Gauss);
+        assert_equivalent(alg, 1 << 13, 8, 8, Dist::Gauss, false);
     }
 }
 
 #[test]
 fn fast_path_exact_across_distributions() {
     for dist in Dist::ALL {
-        assert_equivalent(Algorithm::RadixShmem, 1 << 13, 8, 8, dist);
-        assert_equivalent(Algorithm::SampleCcsas, 1 << 13, 8, 11, dist);
+        assert_equivalent(Algorithm::RadixShmem, 1 << 13, 8, 8, dist, false);
+        assert_equivalent(Algorithm::SampleCcsas, 1 << 13, 8, 11, dist, false);
     }
 }
 
 #[test]
 fn fast_path_exact_across_processor_counts() {
     for p in [1, 2, 4, 16] {
-        assert_equivalent(Algorithm::RadixShmem, 1 << 13, p, 8, Dist::Gauss);
-        assert_equivalent(Algorithm::RadixMpiDirect, 1 << 13, p, 10, Dist::Gauss);
+        assert_equivalent(Algorithm::RadixShmem, 1 << 13, p, 8, Dist::Gauss, false);
+        assert_equivalent(Algorithm::RadixMpiDirect, 1 << 13, p, 10, Dist::Gauss, false);
     }
 }
 
@@ -78,6 +49,6 @@ fn fast_path_exact_on_table2_radix_sizes() {
     // The Table 2 search sweeps radix sizes no other figure touches;
     // cover the full best-of set on the cell that is most sensitive.
     for r in [8, 10, 11, 12] {
-        assert_equivalent(Algorithm::RadixShmem, 1 << 13, 8, r, Dist::Gauss);
+        assert_equivalent(Algorithm::RadixShmem, 1 << 13, 8, r, Dist::Gauss, false);
     }
 }
