@@ -10,6 +10,9 @@
 //! `p1024` is a post-paper artefact (ROADMAP item 2): the streamed program
 //! set at p = 1024. It is not part of `all`/`quick`, keeping the golden
 //! byte-diff over the default artefact set unchanged.
+//! `quick` is the fast smoke pass behind `results/golden_quick.txt`: it
+//! brings its own sizes, processor counts, key cap and seed, so it exits 2
+//! if `--simkeys`, `--sizes`, `--procs` or `--seed` is given with it.
 //!
 //! OPTIONS:
 //!   --simkeys N      cap on simulated keys per run (default 2097152); each
@@ -44,9 +47,14 @@ fn main() {
     let mut opts = RunnerOpts::default();
     let mut artefacts: Vec<String> = Vec::new();
     let mut json_path: Option<String> = None;
+    // The first option given that `quick` sets itself.
+    let mut scale_flag: Option<String> = None;
 
     let mut it = args.into_iter();
     while let Some(arg) = it.next() {
+        if ["--simkeys", "--seed", "--sizes", "--procs"].contains(&arg.as_str()) {
+            scale_flag.get_or_insert_with(|| arg.clone());
+        }
         match arg.as_str() {
             "--simkeys" => {
                 let v = it.next().unwrap_or_else(|| usage());
@@ -93,6 +101,10 @@ fn main() {
         usage();
     }
     if artefacts.iter().any(|a| a == "quick") {
+        if let Some(flag) = scale_flag {
+            eprintln!("repro quick sets its own sizes, procs, simkeys and seed; drop {flag}");
+            std::process::exit(2);
+        }
         let v = opts.verbose;
         opts = RunnerOpts::quick();
         opts.verbose = v;

@@ -22,8 +22,11 @@ fn bad_arguments_exit_2_naming_the_field() {
     assert_usage_error(ablate, &["4096", "8", "0"], "scale_denom = 0");
 
     let repro = env!("CARGO_BIN_EXE_repro");
-    // `quick` replaces the options with its own; the bad count still fails.
+    // A bad value is named before `quick` refuses the option itself.
     assert_usage_error(repro, &["quick", "--procs", "0"], "processor count 0");
     assert_usage_error(repro, &["fig1", "--procs", "16,2000"], "processor count 2000");
     assert_usage_error(repro, &["quick", "--simkeys", "3"], "--simkeys: 3");
+    // `quick` sets its own scale, so a valid scale option is refused, not ignored.
+    assert_usage_error(repro, &["quick", "--procs", "4"], "--procs");
+    assert_usage_error(repro, &["quick", "--seed", "1"], "--seed");
 }

@@ -172,11 +172,6 @@ pub(crate) struct CcsasComm {
     bins: usize,
     tree: Option<PrefixTree>,
     stage: Option<ArrayId>,
-    /// Unused: keeps the boxed communicator at its size from before the
-    /// cost table left it. `peak_rss_mb` on the `sim_radix_ccsas` benchmark
-    /// workload is bimodal in host heap layout (≈ 36.9 / 39.2 MiB), and
-    /// this box 32 bytes smaller moves it to the high mode.
-    _heap_layout: [u64; 4],
 }
 
 impl CcsasComm {
@@ -187,7 +182,7 @@ impl CcsasComm {
             matches!(style, Permute::DirectScatter | Permute::ContiguousCopy),
             "CC-SAS permutes by direct scatter or buffered contiguous copy, not {style:?}"
         );
-        CcsasComm { style, bins: 0, tree: None, stage: None, _heap_layout: [0; 4] }
+        CcsasComm { style, bins: 0, tree: None, stage: None }
     }
 
     fn tree(&self) -> &PrefixTree {
@@ -525,11 +520,6 @@ pub(crate) struct MpiComm {
     mode: MpiMode,
     style: Permute,
     state: Option<MpiRadixState>,
-    /// Unused: the size the two cost tables it and its `Replicated` carried
-    /// gave the box. Without it `peak_rss_mb` on the `sim_sample_mpi`
-    /// benchmark workload reads ≈ 1.1 MiB higher, from heap layout alone
-    /// (see `CcsasComm`).
-    _heap_layout: [u64; 8],
 }
 
 impl MpiComm {
@@ -542,7 +532,7 @@ impl MpiComm {
             matches!(style, Permute::ChunkMessages | Permute::CoalescedMessages),
             "MPI permutes by per-chunk or coalesced messages, not {style:?}"
         );
-        MpiComm { mode, style, state: None, _heap_layout: [0; 8] }
+        MpiComm { mode, style, state: None }
     }
 
     fn state(&mut self) -> &mut MpiRadixState {

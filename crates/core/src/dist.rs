@@ -14,9 +14,9 @@
 //!   in every pass.
 //!
 //! Keys are unsigned 31-bit integers (`MAX = 2^31`), matching the paper.
-//! `generate` returns a vector whose slice `[i*n/p, (i+1)*n/p)` holds the
-//! keys initially assigned to process `i`. All generators are seeded and
-//! fully deterministic.
+//! `generate` returns a vector (`generate_into` fills a caller's slice) whose
+//! slice `[i*n/p, (i+1)*n/p)` holds the keys initially assigned to process
+//! `i`. All generators are seeded and fully deterministic.
 
 use ccsort_rng::SplitMix64;
 use crate::common::part_range;
@@ -27,7 +27,7 @@ pub const MAX_KEY: u64 = 1 << 31;
 pub const KEY_BITS: u32 = 31;
 /// Widest radix digit any program or generator takes, in bits: `2^16`
 /// histogram bins per process already dwarf the keys of every experiment.
-/// [`generate`] asserts it and `ExpConfig::validate` rejects wider digits.
+/// [`generate_into`] asserts it and `ExpConfig::validate` rejects wider digits.
 pub const MAX_RADIX_BITS: u32 = 16;
 
 /// Key distribution, Section 3.3 of the paper.
@@ -145,9 +145,19 @@ pub fn stagger_window(p: usize, i: usize) -> usize {
 /// last processes absorb the remainder instead of leaving a zero-filled
 /// tail).
 pub fn generate(dist: Dist, n: usize, p: usize, r: u32, seed: u64) -> Vec<u32> {
+    let mut keys = vec![0u32; n];
+    generate_into(dist, &mut keys, p, r, seed);
+    keys
+}
+
+/// [`generate`] into a caller's slice: the `keys.len()` keys `generate`
+/// returns for `n = keys.len()`. Every slot is overwritten, so `keys` may
+/// hold anything beforehand — the experiment driver fills a simulated key
+/// array with it, and refills the spare one to verify the output.
+pub fn generate_into(dist: Dist, keys: &mut [u32], p: usize, r: u32, seed: u64) {
+    let n = keys.len();
     assert!(p >= 1 && n >= p, "need at least one key per process");
     assert!((1..=MAX_RADIX_BITS).contains(&r), "radix size out of range");
-    let mut keys = vec![0u32; n];
     match dist {
         Dist::Gauss => {
             let mut g = NasRng::new();
@@ -258,7 +268,6 @@ pub fn generate(dist: Dist, n: usize, p: usize, r: u32, seed: u64) -> Vec<u32> {
             }
         }
     }
-    keys
 }
 
 #[cfg(test)]
@@ -466,6 +475,17 @@ mod tests {
         }
         // Seed changes the rand-based distributions.
         assert_ne!(generate(Dist::Random, 1024, 4, R, 1), generate(Dist::Random, 1024, 4, R, 2));
+    }
+
+    #[test]
+    fn generate_into_overwrites_every_slot() {
+        // p = 3 does not divide n, so the partitioned generators' last
+        // process absorbs a remainder; a stale slot would keep its marker.
+        for d in Dist::ALL {
+            let mut keys = vec![u32::MAX; 1000];
+            generate_into(d, &mut keys, 3, R, 9);
+            assert_eq!(keys, generate(d, 1000, 3, R, 9), "{d:?}");
+        }
     }
 
     #[test]

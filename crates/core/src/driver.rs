@@ -5,14 +5,17 @@
 //! the clock / the per-processor breakdown". This module provides exactly
 //! that, with output verification built in: an experiment whose output is
 //! not a sorted permutation of its input reports `verified == false` and
-//! the harness refuses to use it.
+//! the harness refuses to use it. The keys live only in the machine: they
+//! are generated straight into its first key array, and the check
+//! regenerates them into a key array the program did not return
+//! (`verify_output`), so an experiment's host memory is the machine's.
 
 use ccsort_machine::{
     ArrayId, EventCounters, Machine, MachineConfig, Placement, ProtocolMode, TimeBreakdown,
     MAX_PROCS,
 };
 use crate::comm::{CcsasComm, Communicator, MpiComm, Permute, ShmemComm};
-use crate::dist::{generate, Dist, KEY_BITS, MAX_RADIX_BITS};
+use crate::dist::{generate_into, Dist, KEY_BITS, MAX_RADIX_BITS};
 use crate::runtime::MpiMode;
 use crate::sample::SamplingStrategy;
 use crate::{radix, sample, seq};
@@ -133,11 +136,32 @@ impl Algorithm {
 /// over all of `m`'s processors, and put `input` in the first. `input` needs
 /// at least one key per processor ([`ExpConfig::validate`] says so by name).
 pub fn load_keys(m: &mut Machine, input: &[u32]) -> [ArrayId; 2] {
-    let parts = m.n_procs();
-    let a = m.alloc(input.len(), Placement::Partitioned { parts }, "keys0");
-    let b = m.alloc(input.len(), Placement::Partitioned { parts }, "keys1");
-    m.raw_mut(a).copy_from_slice(input);
-    [a, b]
+    let keys = alloc_keys(m, input.len(), Placement::Partitioned { parts: m.n_procs() });
+    m.raw_mut(keys[0]).copy_from_slice(input);
+    keys
+}
+
+pub(crate) fn alloc_keys(m: &mut Machine, n: usize, placement: Placement) -> [ArrayId; 2] {
+    [m.alloc(n, placement, "keys0"), m.alloc(n, placement, "keys1")]
+}
+
+/// The exact output check: does `out`, the array a program returned, hold
+/// the sorted input? `fill` writes the input into a slice (the deterministic
+/// generator the run started from); it is replayed into a key array the
+/// program did not return, which it no longer needs, and sorted there in
+/// place — so the check needs no host copy of the keys, and a lost or
+/// duplicated key fails it even when `out` is in order.
+pub(crate) fn verify_output(
+    m: &mut Machine,
+    keys: [ArrayId; 2],
+    out: ArrayId,
+    fill: impl FnOnce(&mut [u32]),
+) -> bool {
+    let spare = if out == keys[0] { keys[1] } else { keys[0] };
+    let expect = m.raw_mut(spare);
+    fill(expect);
+    expect.sort_unstable();
+    m.raw(out) == m.raw(spare)
 }
 
 /// Full description of one experiment.
@@ -173,13 +197,6 @@ pub struct ExpConfig {
     /// invalidate-vs-update ablation. Sorted output is bit-identical across
     /// modes — only protocol events and timing change.
     pub protocol: ProtocolMode,
-    /// Unused: keeps the config at its 128 bytes from before five fields
-    /// left it (two 16-byte machine-mode fields, then three flags).
-    /// `peak_rss_mb` on the `sim_radix_ccsas` benchmark workload is bimodal
-    /// in host heap layout (≈ 37.0 / 39.2 MiB), and a smaller config moves
-    /// it to the high mode, like the pads in `comm.rs`. ROADMAP 1(b)
-    /// deletes all three.
-    _heap_layout: [u64; 5],
 }
 
 impl ExpConfig {
@@ -196,7 +213,6 @@ impl ExpConfig {
             sampling: SamplingStrategy::default(),
             inject_missing_barrier: None,
             protocol: ProtocolMode::Invalidate,
-            _heap_layout: [0; 5],
         }
     }
 
@@ -378,13 +394,12 @@ fn execute(cfg: &ExpConfig, audit: bool) -> (ExpResult, Vec<String>) {
     let n = cfg.n;
     let p = cfg.p;
     let r = cfg.radix_bits;
-    let input = generate(cfg.dist, n, p, r, cfg.seed);
-    let keys = load_keys(&mut m, &input);
+    let fill = |keys: &mut [u32]| generate_into(cfg.dist, keys, p, r, cfg.seed);
+    let keys = alloc_keys(&mut m, n, Placement::Partitioned { parts: p });
+    fill(m.raw_mut(keys[0]));
     let out = cfg.algorithm.sort(&mut m, keys, n, r, cfg.sampling);
 
-    let mut expect = input;
-    expect.sort_unstable();
-    let verified = m.raw(out) == &expect[..];
+    let verified = verify_output(&mut m, keys, out, fill);
     let mut violations = if audit { m.audit() } else { Vec::new() };
     violations.extend(m.race_reports().iter().map(|race| race.to_string()));
     if m.race_suppressed() > 0 {
@@ -410,7 +425,8 @@ fn execute(cfg: &ExpConfig, audit: bool) -> (ExpResult, Vec<String>) {
 }
 
 /// Run the sequential radix-sort baseline for speedup computations
-/// (Table 1). Uses the same machine scaling as the parallel experiments.
+/// (Table 1). Uses the same machine scaling as the parallel experiments,
+/// and the same exact output check.
 pub fn run_sequential_baseline(
     n: usize,
     radix_bits: u32,
@@ -419,15 +435,15 @@ pub fn run_sequential_baseline(
     scale_denom: usize,
     page_mult: usize,
 ) -> seq::SeqResult {
-    let input = generate(dist, n, 1, radix_bits, seed);
     let mut cfg = MachineConfig::origin2000(1).scaled_down(scale_denom);
     cfg.page_size *= page_mult.max(1);
-    seq::run_on(cfg, &input, radix_bits)
+    seq::run_on(cfg, dist, n, radix_bits, seed)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dist::generate;
 
     #[test]
     fn every_algorithm_verifies() {
@@ -569,6 +585,38 @@ mod tests {
     #[should_panic(expected = "invalid experiment config")]
     fn run_experiment_panics_on_invalid_config() {
         run_experiment(&ExpConfig::new(Algorithm::RadixShmem, 1024, 0));
+    }
+
+    #[test]
+    fn verify_output_rejects_a_dropped_or_duplicated_key() {
+        // Both corruptions leave the output in order, so only a check
+        // against the input itself catches them.
+        let n = 1024;
+        let fill = |keys: &mut [u32]| generate_into(Dist::Random, keys, 4, 8, 7);
+        let mut m = Machine::new(MachineConfig::origin2000(4).scaled_down(64));
+        let keys = alloc_keys(&mut m, n, Placement::Partitioned { parts: 4 });
+        let mut sorted = vec![0; n];
+        fill(&mut sorted);
+        sorted.sort_unstable();
+        assert_ne!(sorted[100], sorted[101]);
+        let mut dropped = sorted.clone();
+        dropped.remove(100);
+        dropped.push(u32::MAX);
+        let mut duplicated = sorted.clone();
+        duplicated[101] = duplicated[100];
+
+        // The output may be either key array; the check uses the other one.
+        for out in keys {
+            let mut check = |output: &[u32]| {
+                m.raw_mut(out).copy_from_slice(output);
+                verify_output(&mut m, keys, out, fill)
+            };
+            assert!(check(&sorted));
+            for bad in [&dropped, &duplicated] {
+                assert!(bad.windows(2).all(|w| w[0] <= w[1]));
+                assert!(!check(bad));
+            }
+        }
     }
 
     #[test]

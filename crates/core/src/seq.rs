@@ -10,7 +10,8 @@
 use ccsort_machine::{Machine, MachineConfig, Placement, TimeBreakdown};
 
 use crate::common::local_radix_sort;
-use crate::dist::KEY_BITS;
+use crate::dist::{generate_into, Dist, KEY_BITS};
+use crate::driver::{alloc_keys, verify_output};
 
 /// Result of a sequential baseline run.
 #[derive(Debug, Clone)]
@@ -19,35 +20,34 @@ pub struct SeqResult {
     pub time_ns: f64,
     /// BUSY/LMEM/RMEM/SYNC split.
     pub breakdown: TimeBreakdown,
-    /// Whether the output was verified sorted.
+    /// Whether the output was verified to be the sorted input.
     pub verified: bool,
 }
 
-/// Sort `input` on a single simulated processor with an `r`-bit radix and
-/// return the timing. `cfg` must have `n_procs == 1`.
-pub fn run_on(cfg: MachineConfig, input: &[u32], r: u32) -> SeqResult {
+/// Sort the `n` keys `dist` generates (for one process, radix `r`, `seed`)
+/// on a single simulated processor with an `r`-bit radix and return the
+/// timing. The keys are generated straight into the machine's key array and
+/// the output gets the experiment driver's exact check. `cfg` must have
+/// `n_procs == 1`.
+pub fn run_on(cfg: MachineConfig, dist: Dist, n: usize, r: u32, seed: u64) -> SeqResult {
     assert_eq!(cfg.n_procs, 1, "the sequential baseline runs on one processor");
-    let n = input.len();
+    let fill = |keys: &mut [u32]| generate_into(dist, keys, 1, r, seed);
     let mut m = Machine::new(cfg);
-    let a = m.alloc(n, Placement::Node(0), "keys0");
-    let b = m.alloc(n, Placement::Node(0), "keys1");
-    m.raw_mut(a).copy_from_slice(input);
-    let out = local_radix_sort(&mut m, 0, a, b, 0, n, r, KEY_BITS);
-    let sorted = m.raw(out);
-    let verified = sorted.windows(2).all(|w| w[0] <= w[1]);
+    let keys = alloc_keys(&mut m, n, Placement::Node(0));
+    fill(m.raw_mut(keys[0]));
+    let out = local_radix_sort(&mut m, 0, keys[0], keys[1], 0, n, r, KEY_BITS);
+    let verified = verify_output(&mut m, keys, out, fill);
     SeqResult { time_ns: m.now(0), breakdown: m.breakdown(0), verified }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dist::{generate, Dist};
 
     #[test]
     fn baseline_sorts_and_accounts_time() {
-        let input = generate(Dist::Gauss, 4096, 1, 8, 0);
         let cfg = MachineConfig::origin2000(1).scaled_down(64);
-        let res = run_on(cfg, &input, 8);
+        let res = run_on(cfg, Dist::Gauss, 4096, 8, 0);
         assert!(res.verified);
         assert!(res.time_ns > 0.0);
         assert!(res.breakdown.busy > 0.0);
@@ -58,10 +58,7 @@ mod tests {
     #[test]
     fn more_keys_take_longer_superlinearly_eventually() {
         let cfg = MachineConfig::origin2000(1).scaled_down(64);
-        let t = |n: usize| {
-            let input = generate(Dist::Gauss, n, 1, 8, 0);
-            run_on(cfg.clone(), &input, 8).time_ns
-        };
+        let t = |n: usize| run_on(cfg.clone(), Dist::Gauss, n, 8, 0).time_ns;
         let t1 = t(1 << 12);
         let t4 = t(1 << 14);
         assert!(t4 > 3.5 * t1, "4x keys should cost at least ~4x: {t1} -> {t4}");
@@ -70,9 +67,8 @@ mod tests {
     #[test]
     fn fewer_passes_with_bigger_radix_help_large_sets() {
         let cfg = MachineConfig::origin2000(1).scaled_down(64);
-        let input = generate(Dist::Gauss, 1 << 14, 1, 8, 0);
-        let t8 = run_on(cfg.clone(), &input, 8).time_ns; // 4 passes
-        let t11 = run_on(cfg, &input, 11).time_ns; // 3 passes
+        let t8 = run_on(cfg.clone(), Dist::Gauss, 1 << 14, 8, 0).time_ns; // 4 passes
+        let t11 = run_on(cfg, Dist::Gauss, 1 << 14, 11, 0).time_ns; // 3 passes
         // Not asserting direction strongly (bin count matters too), only
         // that both verify and are in a sane ratio.
         assert!(t11 < t8 * 1.5 && t8 < t11 * 2.5);

@@ -18,30 +18,18 @@ pub struct Topology {
     mem_local_ns: f64,
     remote_base_ns: f64,
     hop_ns: f64,
-    /// Per-node average memory latency over all homes, precomputed at
-    /// construction (a processor's average depends only on its node).
-    /// [`Topology::avg_latency`] serves lookups from here; debug builds
-    /// re-derive the on-demand value and assert equality.
-    avg_ns: Vec<f64>,
 }
 
 impl Topology {
     pub fn new(cfg: &MachineConfig) -> Self {
-        let mut t = Topology {
+        Topology {
             procs_per_node: cfg.procs_per_node,
             nodes_per_router: cfg.nodes_per_router,
             n_nodes: cfg.n_nodes(),
             mem_local_ns: cfg.mem_local_ns,
             remote_base_ns: cfg.remote_base_ns,
             hop_ns: cfg.hop_ns,
-            avg_ns: Vec::new(),
-        };
-        // Precompute the per-node latency averages (O(nodes²) once, ≤ 512²
-        // at MAX_PROCS — cheap next to building the caches). The loop body
-        // is the exact on-demand computation, so the table entry and the
-        // recomputed value are the same f64, not merely close.
-        t.avg_ns = (0..t.n_nodes).map(|node| t.avg_latency_uncached(node)).collect();
-        t
+        }
     }
 
     /// Node hosting processor `pe`.
@@ -101,45 +89,6 @@ impl Topology {
             self.mem_local_ns + self.remote_base_ns + f64::from(self.hops(from, to)) * self.hop_ns
         }
     }
-
-    /// Average memory latency from `pe` over all nodes, weighted uniformly
-    /// (the ~796 ns figure). Served from the table precomputed at
-    /// construction; debug builds re-derive the on-demand value and assert
-    /// the table entry is identical.
-    #[cfg_attr(
-        not(test),
-        expect(
-            dead_code,
-            reason = "only tests read the table, but it stays: deleting it moved the benchmark's \
-                      peak_rss_mb on sim_radix_ccsas from 36.8-37.0 to 39.1-39.3 MiB (8 of 8 runs) \
-                      through heap layout alone (ROADMAP 1(b))"
-        )
-    )]
-    #[inline]
-    pub fn avg_latency(&self, pe: usize) -> f64 {
-        let node = self.node_of(pe);
-        let cached = self.avg_ns[node];
-        debug_assert_eq!(
-            cached,
-            self.avg_latency_uncached(node),
-            "avg_latency table stale for node {node}"
-        );
-        cached
-    }
-
-    /// The on-demand O(nodes) average the table replaces: explicit
-    /// left-to-right accumulation, because f64 addition is not associative
-    /// and any reordering of a time sum moves the bits `golden_quick` pins.
-    /// `node` is the *node* id
-    /// (averages are per-node; every PE of a node shares one).
-    fn avg_latency_uncached(&self, node: usize) -> f64 {
-        let pe = node * self.procs_per_node;
-        let mut total = 0.0_f64;
-        for h in 0..self.n_nodes {
-            total += self.mem_latency(pe, h);
-        }
-        total / self.n_nodes as f64
-    }
 }
 
 #[cfg(test)]
@@ -189,20 +138,8 @@ mod tests {
         let worst = (0..32).map(|h| t.mem_latency(0, h)).fold(0.0_f64, f64::max);
         assert!((worst - 1013.0).abs() < 1e-9);
         // Average over local + all remote: paper says ~796.
-        let avg = t.avg_latency(0);
+        let avg = (0..32).map(|h| t.mem_latency(0, h)).sum::<f64>() / 32.0;
         assert!((avg - 796.0).abs() < 60.0, "avg latency {avg} too far from 796");
-    }
-
-    #[test]
-    fn avg_latency_table_matches_on_demand_everywhere() {
-        for p in [1usize, 3, 12, 64, 256] {
-            let t = Topology::new(&MachineConfig::origin2000(p));
-            for pe in 0..p {
-                let cached = t.avg_latency(pe);
-                let on_demand = t.avg_latency_uncached(t.node_of(pe));
-                assert_eq!(cached, on_demand, "p={p} pe={pe}");
-            }
-        }
     }
 
     #[test]
