@@ -136,12 +136,13 @@ impl Algorithm {
 /// over all of `m`'s processors, and put `input` in the first. `input` needs
 /// at least one key per processor ([`ExpConfig::validate`] says so by name).
 pub fn load_keys(m: &mut Machine, input: &[u32]) -> [ArrayId; 2] {
-    let keys = alloc_keys(m, input.len(), Placement::Partitioned { parts: m.n_procs() });
+    let keys = alloc_keys(m, input.len());
     m.raw_mut(keys[0]).copy_from_slice(input);
     keys
 }
 
-pub(crate) fn alloc_keys(m: &mut Machine, n: usize, placement: Placement) -> [ArrayId; 2] {
+pub(crate) fn alloc_keys(m: &mut Machine, n: usize) -> [ArrayId; 2] {
+    let placement = Placement::Partitioned { parts: m.n_procs() };
     [m.alloc(n, placement, "keys0"), m.alloc(n, placement, "keys1")]
 }
 
@@ -395,7 +396,7 @@ fn execute(cfg: &ExpConfig, audit: bool) -> (ExpResult, Vec<String>) {
     let p = cfg.p;
     let r = cfg.radix_bits;
     let fill = |keys: &mut [u32]| generate_into(cfg.dist, keys, p, r, cfg.seed);
-    let keys = alloc_keys(&mut m, n, Placement::Partitioned { parts: p });
+    let keys = alloc_keys(&mut m, n);
     fill(m.raw_mut(keys[0]));
     let out = cfg.algorithm.sort(&mut m, keys, n, r, cfg.sampling);
 
@@ -594,7 +595,7 @@ mod tests {
         let n = 1024;
         let fill = |keys: &mut [u32]| generate_into(Dist::Random, keys, 4, 8, 7);
         let mut m = Machine::new(MachineConfig::origin2000(4).scaled_down(64));
-        let keys = alloc_keys(&mut m, n, Placement::Partitioned { parts: 4 });
+        let keys = alloc_keys(&mut m, n);
         let mut sorted = vec![0; n];
         fill(&mut sorted);
         sorted.sort_unstable();

@@ -7,7 +7,7 @@
 //! parallel runs share every machine parameter — including the cache and
 //! TLB capacity effects that make large-data-set speedups superlinear.
 
-use ccsort_machine::{Machine, MachineConfig, Placement, TimeBreakdown};
+use ccsort_machine::{Machine, MachineConfig, TimeBreakdown};
 
 use crate::common::local_radix_sort;
 use crate::dist::{generate_into, Dist, KEY_BITS};
@@ -33,7 +33,7 @@ pub fn run_on(cfg: MachineConfig, dist: Dist, n: usize, r: u32, seed: u64) -> Se
     assert_eq!(cfg.n_procs, 1, "the sequential baseline runs on one processor");
     let fill = |keys: &mut [u32]| generate_into(dist, keys, 1, r, seed);
     let mut m = Machine::new(cfg);
-    let keys = alloc_keys(&mut m, n, Placement::Node(0));
+    let keys = alloc_keys(&mut m, n);
     fill(m.raw_mut(keys[0]));
     let out = local_radix_sort(&mut m, 0, keys[0], keys[1], 0, n, r, KEY_BITS);
     let verified = verify_output(&mut m, keys, out, fill);
