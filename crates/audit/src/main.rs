@@ -50,19 +50,6 @@ fn default_point() -> Point {
     }
 }
 
-/// Cells past the real machine's 64 processors, where the full-map
-/// directory spans more than one word, one distribution each (the audit
-/// checks invariants and output, not statistics). `--quick` keeps only the
-/// p = 128 cell CI runs.
-fn large_p_cells(quick: bool, seed: u64) -> Vec<Point> {
-    let base = Point { seed, ..default_point() };
-    let mut cells = vec![Point { p: 128, ..base }];
-    if !quick {
-        cells.push(Point { dist: Dist::Stagger, p: 256, ..base });
-    }
-    cells
-}
-
 /// Dragon update cells, through the same oracle as everything else.
 /// `--quick` keeps one; the full sweep adds an odd processor count and
 /// the machine-sized p = 64.
@@ -186,15 +173,6 @@ fn sweep(args: &[String]) -> i32 {
         errs
     });
 
-    // Large-p cells (p > 64): simulator-only — the threaded sorts have no
-    // directory, and one radix + one sample program exercise every
-    // multi-word sharer-set path the full program matrix would.
-    let large = large_p_cells(quick, seed);
-    checked += large.len();
-    failures.extend(run_grid(&large, |pt| {
-        audit_simulated(pt, &[Algorithm::RadixCcsas, Algorithm::SampleCcsas])
-    }));
-
     // Dragon cells: all eleven programs under the update protocol (the
     // threaded sorts ride along — they ignore the protocol, but their
     // outputs still cross-check the simulated ones).
@@ -236,15 +214,8 @@ fn races(args: &[String]) -> i32 {
     let mut checked = cells.len();
     let mut failures = run_grid(&cells, |pt| audit_simulated(pt, &Algorithm::ALL));
 
-    // The race matrix also covers the multi-word directory at large p.
-    let large = large_p_cells(quick, seed);
-    checked += large.len();
-    failures.extend(run_grid(&large, |pt| {
-        audit_simulated(pt, &[Algorithm::RadixCcsas, Algorithm::SampleCcsas])
-    }));
-
-    // ... and the Dragon cells: update multicasts must neither introduce
-    // nor mask races.
+    // The Dragon cells: update multicasts must neither introduce nor mask
+    // races.
     let modes = mode_cells(quick, seed);
     checked += modes.len();
     failures.extend(run_grid(&modes, |pt| audit_simulated(pt, &Algorithm::ALL)));

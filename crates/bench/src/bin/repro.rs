@@ -5,11 +5,8 @@
 //!
 //! ARTEFACT: table1 | fig1 | fig2 | fig3 | fig4 | fig5 | fig6 | fig7 |
 //!           fig8 | fig9 | fig10 | table2 | predict | tradeoff | putget |
-//!           phases | sampling | p1024 | all | quick
+//!           phases | sampling | all | quick
 //!
-//! `p1024` is a post-paper artefact (ROADMAP item 2): the streamed program
-//! set at p = 1024. It is not part of `all`/`quick`, keeping the golden
-//! byte-diff over the default artefact set unchanged.
 //! `quick` is the fast smoke pass behind `results/golden_quick.txt`: it
 //! brings its own sizes, processor counts, key cap and seed, so it exits 2
 //! if `--simkeys`, `--sizes`, `--procs` or `--seed` is given with it.
@@ -18,7 +15,7 @@
 //!   --simkeys N      cap on simulated keys per run (default 2097152); each
 //!                    size label runs at scale = label/N (min 1)
 //!   --sizes A,B,..   size labels to run (subset of 1M,4M,16M,64M,256M)
-//!   --procs A,B,..   processor counts (default 16,32,64,128,256)
+//!   --procs A,B,..   processor counts, at most 64 (default 16,32,64)
 //!   --seed N         RNG seed (default 271828)
 //!   --json FILE      dump all generated points as JSON
 //!   --verbose        per-processor detail in breakdown figures
@@ -33,7 +30,7 @@ use ccsort_bench::runner::{Runner, RunnerOpts, SIZE_LABELS};
 fn usage() -> ! {
     eprintln!(
         "usage: repro [--simkeys N] [--sizes 1M,4M,...] [--procs 16,32,64] [--seed N] \
-         [--json FILE] [--verbose] <table1|fig1..fig10|table2|tradeoff|putget|p1024|all|quick>..."
+         [--json FILE] [--verbose] <table1|fig1..fig10|table2|tradeoff|putget|all|quick>..."
     );
     std::process::exit(2);
 }
@@ -137,8 +134,6 @@ fn main() {
             "putget" => figures::putget(&mut r),
             "phases" => figures::phases(&mut r),
             "sampling" => figures::sampling(&mut r),
-            // New artefact, not in `all`/`quick` (golden stays byte-stable).
-            "p1024" => figures::p1024(&mut r),
             "all" | "quick" => {
                 figures::table1(&mut r);
                 figures::fig1(&mut r);

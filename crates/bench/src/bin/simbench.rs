@@ -6,7 +6,7 @@
 //! ```
 //!
 //! The grid is {streamed, scattered, permutation} × race detector
-//! {off, on} × p ∈ {1, 16, 64, 128}, each measured twice — with the fast
+//! {off, on} × p ∈ {1, 16, 64}, each measured twice — with the fast
 //! path on (the machine's one walk, fed contiguous runs by the streamed
 //! program and index batches by the other two) and off (the per-line
 //! reference walk, i.e. the pre-optimization cost model). The metric is

@@ -198,18 +198,10 @@ fn breakdown_size(r: &Runner) -> usize {
     r.opts.sizes.iter().copied().find(|&i| i == 3).unwrap_or_else(|| *r.opts.sizes.last().unwrap())
 }
 
-/// The paper's breakdown figures are drawn at 64 processors; with the
-/// default grid now extending past the real machine (128, 256), pick the largest configured count that is
-/// still within the paper's machine, falling back to the last entry when
-/// the user configured only larger counts.
+/// The paper's breakdown figures are drawn at 64 processors, the largest
+/// count the machine takes: pick the largest configured count.
 fn breakdown_procs(r: &Runner) -> usize {
-    r.opts
-        .procs
-        .iter()
-        .copied()
-        .filter(|&p| p <= 64)
-        .max()
-        .unwrap_or_else(|| *r.opts.procs.last().unwrap())
+    r.opts.procs.iter().copied().max().expect("at least one processor count")
 }
 
 /// Relative-time-by-distribution grid (Figures 5 and 9).
@@ -313,30 +305,6 @@ pub fn fig7(r: &mut Runner) {
             (Algorithm::SampleMpiDirect, SAMPLE_R, "MPI"),
         ],
     );
-}
-
-/// ROADMAP item 2's p = 1024 cell — a **new artefact**, not one of the
-/// paper's grids, and deliberately excluded from `all`/`quick` so the
-/// golden byte-diff over the default artefact set is untouched. Runs the
-/// streamed-dominated program set — the variants whose touches the batched
-/// walk engine turns into streamed runs, which is what makes this scale
-/// feasible — at p = 1024 on the largest configured size.
-pub fn p1024(r: &mut Runner) {
-    let (saved_sizes, saved_procs) = (r.opts.sizes.clone(), r.opts.procs.clone());
-    r.opts.sizes = vec![*saved_sizes.last().expect("at least one size")];
-    r.opts.procs = vec![1024];
-    speedup_grid(
-        r,
-        "p1024",
-        "ROADMAP item 2: p = 1024 cell, streamed program set",
-        &[
-            (Algorithm::RadixCcsasNew, RADIX_R, "CC-SAS-NEW"),
-            (Algorithm::RadixShmem, RADIX_R, "SHMEM"),
-            (Algorithm::RadixMpiDirect, RADIX_R, "MPI"),
-        ],
-    );
-    r.opts.sizes = saved_sizes;
-    r.opts.procs = saved_procs;
 }
 
 /// Section 3.2's sampling-strategy space: the paper notes that how samples

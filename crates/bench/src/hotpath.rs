@@ -67,10 +67,9 @@ pub struct HotpathResult {
     pub simulated_ns: f64,
 }
 
-/// Processor counts the grid covers: 1, a mid point, the paper's full
-/// machine, and one count past 64 so the multi-word full-map directory
-/// (and the large-p coherence walk generally) shows up in the trajectory.
-pub const GRID_PROCS: [usize; 4] = [1, 16, 64, 128];
+/// Processor counts the grid covers: 1, a mid point and the paper's full
+/// machine.
+pub const GRID_PROCS: [usize; 3] = [1, 16, 64];
 
 /// Run one microprogram cell: `n` total elements across `p` partitions,
 /// swept `passes` times, under coherence protocol `proto`. Returns the

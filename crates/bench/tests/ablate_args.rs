@@ -25,6 +25,7 @@ fn bad_arguments_exit_2_naming_the_field() {
     // A bad value is named before `quick` refuses the option itself.
     assert_usage_error(repro, &["quick", "--procs", "0"], "processor count 0");
     assert_usage_error(repro, &["fig1", "--procs", "16,2000"], "processor count 2000");
+    assert_usage_error(repro, &["fig1", "--procs", "65"], "processor count 65");
     assert_usage_error(repro, &["quick", "--simkeys", "3"], "--simkeys: 3");
     // `quick` sets its own scale, so a valid scale option is refused, not ignored.
     assert_usage_error(repro, &["quick", "--procs", "4"], "--procs");

@@ -527,9 +527,8 @@ mod tests {
 
     #[test]
     fn validate_rejects_too_many_processors() {
-        // p = 65 is legal now that the directory scales past one u64 word...
-        assert_eq!(ExpConfig::new(Algorithm::RadixShmem, 1024, 65).validate(), Ok(()));
-        // ...but the MAX_PROCS cap still holds, and the error names p.
+        // The paper's 64 processors validate; one more is rejected, naming p.
+        assert_eq!(ExpConfig::new(Algorithm::RadixShmem, 1024, MAX_PROCS).validate(), Ok(()));
         let cfg = ExpConfig::new(Algorithm::RadixShmem, 1024, MAX_PROCS + 1);
         let err = cfg.validate().unwrap_err();
         assert!(err.contains(&format!("p = {}", MAX_PROCS + 1)), "{err}");

@@ -85,17 +85,18 @@ fn peak_above_start(run: impl FnOnce()) -> usize {
 }
 
 /// Host bytes per key the machine itself needs for two key arrays of `n`
-/// keys each: the `u32` data; the directory entry of each line (presence
-/// words, a state byte and a `u16` owner); and per page, a `u16` home and,
-/// on every processor, a `u16` TLB slot index. The per-line and per-page
+/// keys each: the `u32` data; the directory entry of each line (a presence
+/// word, a state byte and a `u8` owner, sized exactly but for a headroom
+/// that does not grow with `n`); and per page, a `u8` home and, on every
+/// processor, a `u16` TLB slot index. The per-page
 /// vectors grow by doubling as later arrays extend the address space, so
 /// they are allowed twice their length.
 fn machine_bytes_per_key(cfg: &MachineConfig) -> f64 {
     let keys_per_line = (cfg.l2.line / 4) as f64;
     let keys_per_page = (cfg.page_size / 4) as f64;
-    let line_bytes = (cfg.n_procs.div_ceil(64) * 8 + 1 + 2) as f64;
-    let page_bytes = (2 + 2 * cfg.n_procs) as f64;
-    2.0 * (4.0 + 2.0 * (line_bytes / keys_per_line + page_bytes / keys_per_page))
+    let line_bytes = (8 + 1 + 1) as f64;
+    let page_bytes = (1 + 2 * cfg.n_procs) as f64;
+    2.0 * (4.0 + line_bytes / keys_per_line + 2.0 * page_bytes / keys_per_page)
 }
 
 /// Peak-heap growth per added key from `n` to `2n` keys.

@@ -10,10 +10,9 @@
 //! local read latency, ~796 ns average remote latency, ~1010 ns worst case,
 //! and roughly +100 ns per router hop.
 
-/// Hard cap on the processor count. Far beyond the 64-processor Origin 2000
-/// of the paper; large enough for p = 128/256 runs while keeping `u16`
-/// processor ids comfortable.
-pub const MAX_PROCS: usize = 1024;
+/// Hard cap on the processor count: the 64-processor Origin 2000 of the
+/// paper. The directory's full-map presence vector is one `u64` per line.
+pub const MAX_PROCS: usize = 64;
 
 /// Coherence protocol the directory runs on a remote write (see
 /// `crates/machine/src/protocol.rs`).
@@ -79,8 +78,7 @@ impl CacheGeom {
 /// nothing in it consults the host clock or unseeded randomness.
 #[derive(Debug, Clone)]
 pub struct MachineConfig {
-    /// Number of processors (PEs), up to [`MAX_PROCS`]. Past 64 the
-    /// directory's full-map bit-vector grows past one 64-bit word.
+    /// Number of processors (PEs), up to [`MAX_PROCS`].
     pub n_procs: usize,
     /// Processors per node (Origin 2000: 2).
     pub procs_per_node: usize,
@@ -204,9 +202,7 @@ pub struct MachineConfig {
 }
 
 impl MachineConfig {
-    /// The SGI Origin 2000 used in the paper, at full scale. Processor
-    /// counts past the real machine's 64 extrapolate the same node/router
-    /// structure; counts beyond
+    /// The SGI Origin 2000 used in the paper, at full scale. Counts beyond
     /// [`MAX_PROCS`] are rejected by [`MachineConfig::validate`].
     pub fn origin2000(n_procs: usize) -> Self {
         MachineConfig {
@@ -417,10 +413,9 @@ mod tests {
 
     #[test]
     fn too_many_procs_rejected_with_field_name() {
-        // p = 65 used to be the hard u64-bitmask wall; now the full map
-        // scales past it and only the MAX_PROCS cap rejects, naming the field.
-        MachineConfig::origin2000(65).validate().unwrap();
-        let err = MachineConfig::origin2000(MAX_PROCS + 1).validate().unwrap_err();
+        // The cap is the paper's machine: p = 64 fits the one-word full map.
+        MachineConfig::origin2000(64).validate().unwrap();
+        let err = MachineConfig::origin2000(65).validate().unwrap_err();
         assert!(err.contains("n_procs"), "error must name the field: {err}");
     }
 
@@ -434,13 +429,6 @@ mod tests {
         let mut c = MachineConfig::origin2000(8);
         c.page_size = 100;
         assert!(c.validate().unwrap_err().contains("page_size"));
-    }
-
-    #[test]
-    fn large_machines_validate() {
-        let c = MachineConfig::origin2000(256);
-        c.validate().unwrap();
-        assert_eq!(c.n_nodes(), 128);
     }
 
     #[test]

@@ -1051,7 +1051,7 @@ impl Machine {
                 match self.pes[pe].cache.state(line) {
                     Some(LineState::Modified) | Some(LineState::Exclusive) => {
                         modified_in.push(pe);
-                        if self.dir.state(line) != DirState::Exclusive(pe as u16) {
+                        if self.dir.state(line) != DirState::Exclusive(pe as u8) {
                             errs.push(format!(
                                 "line {line}: cached exclusively by pe {pe} but directory says {:?}",
                                 self.dir.state(line)

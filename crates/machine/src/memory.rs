@@ -44,8 +44,8 @@ pub(crate) struct SimArray {
 #[derive(Debug, Clone)]
 pub struct AddressSpace {
     arrays: Vec<SimArray>,
-    /// Home node per page, indexed by page number.
-    page_homes: Vec<u16>,
+    /// Home node per page, indexed by page number (at most 64 nodes).
+    page_homes: Vec<u8>,
     next: u64,
     page_size: u64,
     line_shift: u32,
@@ -99,7 +99,7 @@ impl AddressSpace {
                 }
             };
             debug_assert_eq!(self.page_homes.len() as u64, first_page + p);
-            self.page_homes.push(home as u16);
+            self.page_homes.push(home as u8);
         }
 
         let id = ArrayId(self.arrays.len());
