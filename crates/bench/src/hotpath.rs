@@ -227,6 +227,72 @@ pub fn run_cell(
     }
 }
 
+/// `BENCH_simulator.json`'s number format: plain decimal, never NaN/Inf
+/// (the inputs are counts and positive wall-clock times).
+pub fn json_num(x: f64) -> String {
+    if x == x.trunc() && x.abs() < 1e15 {
+        format!("{:.1}", x)
+    } else {
+        format!("{:.6}", x)
+    }
+}
+
+impl HotpathResult {
+    /// The cell a `BENCH_simulator.json` row is keyed by: (program,
+    /// race_detector, p, protocol, fast_path).
+    pub fn row_key(&self) -> String {
+        row_key(self.program.name(), self.race_detector, self.p, &self.proto.to_string(), self.fast_path)
+    }
+}
+
+fn row_key(program: &str, race: bool, p: usize, protocol: &str, fast: bool) -> String {
+    format!("({program}, race_detector={race}, p={p}, protocol={protocol}, fast_path={fast})")
+}
+
+/// `(row key, formatted simulated_ns)` of every row of a
+/// `BENCH_simulator.json` (one row per line, as `simbench` writes it).
+pub fn parse_simulated_ns(json: &str) -> Result<Vec<(String, String)>, String> {
+    let mut rows = Vec::new();
+    for (i, line) in json.lines().enumerate().filter(|(_, l)| l.contains("\"program\":")) {
+        let field = |name: &str| {
+            let tail = line.split(&format!("\"{name}\": ")).nth(1);
+            let value = tail.and_then(|t| t.split([',', '}']).next());
+            value
+                .map(|v| v.trim().trim_matches('"').to_string())
+                .ok_or_else(|| format!("line {}: no {name:?} field", i + 1))
+        };
+        let flag = |name: &str| field(name).map(|v| v == "true");
+        let p = field("p")?.parse().map_err(|e| format!("line {}: p: {e}", i + 1))?;
+        let (program, protocol) = (field("program")?, field("protocol")?);
+        let key = row_key(&program, flag("race_detector")?, p, &protocol, flag("fast_path")?);
+        rows.push((key, field("simulated_ns")?));
+    }
+    if rows.is_empty() {
+        return Err("no result rows".into());
+    }
+    Ok(rows)
+}
+
+/// The first difference between a file's rows and a run's, in the run's
+/// row order: a row whose formatted `simulated_ns` differs, a row the file
+/// lacks, or (after all measured rows matched) a file row not measured.
+pub fn first_simulated_ns_mismatch(
+    file: &[(String, String)],
+    measured: &[(String, String)],
+) -> Option<String> {
+    for (key, ns) in measured {
+        match file.iter().find(|(k, _)| k == key) {
+            None => return Some(format!("{key}: not in the file")),
+            Some((_, want)) if want != ns => {
+                return Some(format!("{key}: simulated_ns {ns}, the file has {want}"))
+            }
+            Some(_) => {}
+        }
+    }
+    let missing = file.iter().find(|(k, _)| !measured.iter().any(|(m, _)| m == k));
+    missing.map(|(key, _)| format!("{key}: in the file but not measured"))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -273,5 +339,40 @@ mod tests {
             let on = run_cell(program, 4, true, true, 1 << 12, 2, ProtocolMode::Invalidate);
             assert_eq!(off.simulated_ns, on.simulated_ns, "{program:?} diverged");
         }
+    }
+
+    /// `--check`'s comparison: rows are matched by cell key in any order,
+    /// and the first differing formatted `simulated_ns` is named.
+    #[test]
+    fn simulated_ns_rows_compare_by_cell() {
+        let file = concat!(
+            "{\n  \"results\": [\n",
+            "    {\"program\": \"streamed\", \"race_detector\": false, \"p\": 1, ",
+            "\"protocol\": \"invalidate\", \"fast_path\": false, \"keys\": 8, \"wall_s\": 0.5, ",
+            "\"simulated_ns\": 443046534.736842},\n",
+            "    {\"program\": \"permutation\", \"race_detector\": true, \"p\": 64, ",
+            "\"protocol\": \"dragon-update\", \"fast_path\": true, \"keys\": 8, ",
+            "\"simulated_ns\": 12.0, \"speedup_vs_reference\": 2.0}\n",
+            "  ]\n}\n"
+        );
+        let rows = parse_simulated_ns(file).unwrap();
+        let stream = "(streamed, race_detector=false, p=1, protocol=invalidate, fast_path=false)";
+        let perm = "(permutation, race_detector=true, p=64, protocol=dragon-update, fast_path=true)";
+        let want = [(stream.to_string(), "443046534.736842".to_string()), (perm.into(), "12.0".into())];
+        assert_eq!(rows, want);
+
+        let mut measured: Vec<_> = rows.iter().rev().cloned().collect();
+        assert_eq!(first_simulated_ns_mismatch(&rows, &measured), None);
+        measured[0].1 = json_num(12.5);
+        assert_eq!(
+            first_simulated_ns_mismatch(&rows, &measured).as_deref(),
+            Some(&*format!("{perm}: simulated_ns 12.500000, the file has 12.0"))
+        );
+        measured[0].0 = perm.replace("p=64", "p=16");
+        let diff = first_simulated_ns_mismatch(&rows, &measured).unwrap();
+        assert!(diff.ends_with("p=16, protocol=dragon-update, fast_path=true): not in the file"), "{diff}");
+        let diff = first_simulated_ns_mismatch(&rows, &rows[..1]).unwrap();
+        assert!(diff.starts_with(&format!("{perm}: in the file")), "{diff}");
+        assert!(parse_simulated_ns("{}").is_err());
     }
 }

@@ -1,21 +1,28 @@
 //! Set-associative write-back cache model with MESI line states.
 //!
 //! The cache operates at line granularity: callers translate element
-//! accesses to line touches. State is kept as one flat array of per-way
-//! records (tag + LRU stamp + state together) so a probe touches a single
-//! contiguous run of host memory — cheap enough to invoke hundreds of
-//! millions of times in a simulation run, and friendly to the host's own
-//! caches when the simulated access stream is scattered.
+//! accesses to line touches. A way is one `u64`, `(line + 1) << 2 | state`
+//! (0 = empty), in one flat array, so a probe touches a single contiguous
+//! run of host memory — cheap enough to invoke hundreds of millions of
+//! times in a simulation run, and friendly to the host's own caches when
+//! the simulated access stream is scattered.
+//!
+//! Each set's ways are kept MRU → LRU with the empty ways at the tail: a
+//! hit moves its way to the front, `install` shifts the set down one place
+//! and evicts the last way, `invalidate` closes the gap. That is the order
+//! per-way LRU stamps give, so victims are the stamps' own (DESIGN.md §10;
+//! `tests::recency_order_matches_the_stamp_model`).
 
-/// Coherence state of a line in a processor's cache.
+/// Coherence state of a line in a processor's cache. The discriminants
+/// are a way word's state bits.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LineState {
-    Invalid,
-    Shared,
+    Invalid = 0,
+    Shared = 1,
     /// Exclusive clean or dirty; `Modified` tracks dirtiness separately so
     /// eviction knows whether a writeback is needed.
-    Exclusive,
-    Modified,
+    Exclusive = 2,
+    Modified = 3,
 }
 
 /// Result of probing the cache for a line.
@@ -42,66 +49,41 @@ pub struct Victim {
     pub dirty: bool,
 }
 
-/// One way of one set: tag, LRU stamp and MESI state packed into 16 bytes
-/// so a probe's tag compare, stamp refresh and state transition all land on
-/// the same host cache line, and a 4 MB simulated L2's metadata shrinks to
-/// 512 KB per PE. (Three parallel arrays — the original layout — cost three
-/// distinct host lines per probe, which dominated the simulator's hot loop
-/// once the simulated access stream stopped being sequential.)
-///
-/// `meta` holds `stamp << 2 | state`. Every stamp is written right after a
-/// private clock increment, so stamps of valid ways are pairwise distinct;
-/// therefore comparing packed `meta` values orders ways exactly as
-/// comparing bare stamps would — the state bits in the low two positions
-/// can never decide — and the LRU victim choice is bit-identical to the
-/// unpacked representation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct Way {
-    /// Global line index + 1 (0 = empty).
-    tag: u64,
-    /// `stamp << 2 | state` (state: 0 = Invalid, 1 = Shared, 2 = Exclusive,
-    /// 3 = Modified).
-    meta: u64,
-}
-
-const ST_INVALID: u64 = 0;
-const ST_SHARED: u64 = 1;
-const ST_EXCLUSIVE: u64 = 2;
-const ST_MODIFIED: u64 = 3;
-
-impl Way {
-    #[inline(always)]
-    fn state(self) -> LineState {
-        match self.meta & 3 {
-            ST_SHARED => LineState::Shared,
-            ST_EXCLUSIVE => LineState::Exclusive,
-            ST_MODIFIED => LineState::Modified,
-            _ => LineState::Invalid,
-        }
-    }
-
-    #[inline(always)]
-    fn valid(self) -> bool {
-        self.meta & 3 != ST_INVALID
-    }
-
-    #[inline(always)]
-    fn dirty(self) -> bool {
-        self.meta & 3 == ST_MODIFIED
-    }
-}
+const ST_SHARED: u64 = LineState::Shared as u64;
+const ST_MODIFIED: u64 = LineState::Modified as u64;
+const ST_MASK: u64 = 3;
 
 #[inline(always)]
-fn state_code(state: LineState) -> u64 {
-    match state {
-        LineState::Invalid => ST_INVALID,
-        LineState::Shared => ST_SHARED,
-        LineState::Exclusive => ST_EXCLUSIVE,
-        LineState::Modified => ST_MODIFIED,
-    }
+fn state_of(way: u64) -> LineState {
+    const STATES: [LineState; 4] =
+        [LineState::Invalid, LineState::Shared, LineState::Exclusive, LineState::Modified];
+    STATES[(way & ST_MASK) as usize]
 }
 
-const EMPTY_WAY: Way = Way { tag: 0, meta: 0 };
+/// The way word of `line` with its state bits clear. A resident line's
+/// state is never Invalid, so a way holds `line` exactly when its upper
+/// bits equal this.
+#[inline(always)]
+fn tag_of(line: u64) -> u64 {
+    debug_assert!(line < u64::MAX >> 2, "line {line} does not fit a way word");
+    (line + 1) << 2
+}
+
+/// The line a way holds, as a victim (`None` for an empty way).
+#[inline(always)]
+fn victim_of(way: u64) -> Option<Victim> {
+    (way != 0).then(|| Victim { line: (way >> 2) - 1, dirty: way & ST_MASK == ST_MODIFIED })
+}
+
+/// A hit on `way`: its word after the access and the probe result.
+#[inline(always)]
+fn hit(way: u64, write: bool) -> (u64, Probe) {
+    match (write, way & ST_MASK) {
+        (true, ST_SHARED) => (way, Probe::UpgradeNeeded),
+        (true, _) => (way | ST_MODIFIED, Probe::Hit(LineState::Modified)),
+        (false, _) => (way, Probe::Hit(state_of(way))),
+    }
+}
 
 /// A set-associative cache indexed by global line number.
 #[derive(Debug, Clone)]
@@ -111,9 +93,8 @@ pub struct Cache {
     /// Log2 of lines per page, for physically-indexed set selection;
     /// `u32::MAX` disables page randomization (pure modulo indexing).
     page_lines_shift: u32,
-    /// `ways[set * assoc + way]`.
-    ways: Vec<Way>,
-    clock: u64,
+    /// `ways[set * assoc..][..assoc]`, MRU first, empty ways (0) last.
+    ways: Vec<u64>,
 }
 
 /// Odd multiplier for the page-frame hash (splitmix64's constant).
@@ -129,8 +110,7 @@ impl Cache {
             assoc,
             set_mask: (sets - 1) as u64,
             page_lines_shift: u32::MAX,
-            ways: vec![EMPTY_WAY; sets * assoc],
-            clock: 0,
+            ways: vec![0; sets * assoc],
         }
     }
 
@@ -153,49 +133,41 @@ impl Cache {
         if self.page_lines_shift == u32::MAX {
             return (line & self.set_mask) as usize;
         }
-        let page = line >> self.page_lines_shift;
         // Hash the page frame and xor it across *all* set-index bits:
         // consecutive lines within a page stay in consecutive sets (good
         // for streams), while same-offset lines of different pages land in
         // unrelated sets — as they do under a real OS's scattered physical
         // page allocation.
-        let frame = page.wrapping_mul(PAGE_HASH_MULT);
-        let frame = frame ^ (frame >> 32);
+        let frame = Self::frame_of(line >> self.page_lines_shift);
         ((line ^ frame) & self.set_mask) as usize
     }
 
-    /// Probe for `line`. On a hit the LRU stamp is refreshed and, for
-    /// writes, the state is promoted to `Modified` (if it was Exclusive) or
-    /// reported as `UpgradeNeeded` (if Shared). On a miss nothing is
-    /// installed — call [`Cache::install`] after the directory transaction
-    /// resolves.
+    /// The ways of `line`'s set, MRU first.
+    #[inline]
+    fn set_ways(&mut self, line: u64) -> &mut [u64] {
+        let base = self.set_of(line) * self.assoc;
+        &mut self.ways[base..base + self.assoc]
+    }
+
+    /// Probe for `line`. On a hit the line becomes its set's MRU way and,
+    /// for writes, the state is promoted to `Modified` (if it was
+    /// Exclusive) or reported as `UpgradeNeeded` (if Shared). On a miss
+    /// nothing is installed — call [`Cache::install`] after the directory
+    /// transaction resolves.
     pub fn probe(&mut self, line: u64, write: bool) -> Probe {
-        let set = self.set_of(line);
-        let base = set * self.assoc;
-        self.clock += 1;
-        let tag = line + 1;
-        for way in 0..self.assoc {
-            let w = &mut self.ways[base + way];
-            if w.tag == tag && w.valid() {
-                if write {
-                    return match w.meta & 3 {
-                        ST_SHARED => {
-                            w.meta = (self.clock << 2) | ST_SHARED;
-                            Probe::UpgradeNeeded
-                        }
-                        _ => {
-                            w.meta = (self.clock << 2) | ST_MODIFIED;
-                            Probe::Hit(LineState::Modified)
-                        }
-                    };
-                }
-                w.meta = (self.clock << 2) | (w.meta & 3);
-                return Probe::Hit(w.state());
-            }
+        let tag = tag_of(line);
+        let ways = self.set_ways(line);
+        let Some(i) = ways.iter().position(|&w| w & !ST_MASK == tag) else {
+            return Probe::Miss { victim: victim_of(ways[ways.len() - 1]) };
+        };
+        let (w, probe) = hit(ways[i], write);
+        // Hand loops shift the set here and below: `copy_within` ran the
+        // reference walk slower.
+        for j in (0..i).rev() {
+            ways[j + 1] = ways[j];
         }
-        // Miss: choose a victim way (prefer an invalid one).
-        let victim = self.pick_victim(set);
-        Probe::Miss { victim }
+        ways[0] = w;
+        probe
     }
 
     /// The page-frame component of [`Cache::set_of`] for a physically
@@ -216,218 +188,121 @@ impl Cache {
         self.assoc == 2 && self.page_lines_shift != u32::MAX
     }
 
+    /// The two ways of `line`'s set in a 2-way physically indexed cache,
+    /// given the line's precomputed page frame (see [`Cache::frame_of`]).
+    #[inline(always)]
+    fn pair(&mut self, line: u64, frame: u64) -> &mut [u64] {
+        debug_assert!(self.has_fast_twins(), "the fast twins need a 2-way physically indexed cache");
+        debug_assert_eq!(frame, Self::frame_of(line >> self.page_lines_shift));
+        let base = ((line ^ frame) & self.set_mask) as usize * 2;
+        &mut self.ways[base..base + 2]
+    }
+
     /// Value-identical twin of [`Cache::probe`] for the machine's one fast
     /// walk: the same algorithm and state evolution, but force-inlined,
     /// with the caller-precomputed page frame (see [`Cache::frame_of`])
     /// replacing the per-probe `set_of` hash, and the two ways laid out
-    /// branch-minimally. A tag can match at most one way (installs only
-    /// happen after a miss reported the line absent), so evaluating both
-    /// ways and selecting is identical to the reference's first-match scan.
-    /// `probe` itself is deliberately left semantically untouched — it is
-    /// the per-line reference walk's cost model, frozen by the fast-path
-    /// equivalence discipline — and the `probe_fast_ext_matches_probe`
-    /// differential test drives both through a randomized
-    /// probe/install/invalidate stream asserting identical results and
-    /// identical final state.
-    ///
-    /// The LRU clock is held in a caller-owned local: the walk's line
-    /// iterator may carry raw pointers (the data move), so a clock living
-    /// inside `self` would be spilled and reloaded every line; a stack
-    /// local the walk writes back once per tight loop stays in a register.
-    /// `*clock` sees exactly the same increment sequence.
+    /// directly: a hit on way 1 swaps the pair. `probe` itself is
+    /// deliberately left semantically untouched — it is the per-line
+    /// reference walk's cost model, frozen by the fast-path equivalence
+    /// discipline — and the `probe_fast_ext_matches_probe` differential
+    /// test drives both through a randomized probe/install/invalidate
+    /// stream asserting identical results and identical final state.
     #[inline(always)]
-    pub(crate) fn probe_fast_ext(
-        &mut self,
-        line: u64,
-        frame: u64,
-        write: bool,
-        clock: &mut u64,
-    ) -> Probe {
-        debug_assert!(self.has_fast_twins(), "probe_fast_ext needs a 2-way physically indexed cache");
-        debug_assert_eq!(frame, Self::frame_of(line >> self.page_lines_shift));
-        let base = ((line ^ frame) & self.set_mask) as usize * 2;
-        *clock += 1;
-        let clock = *clock;
-        let tag = line + 1;
-        let ways = &mut self.ways[base..base + 2];
-        let hit0 = ways[0].tag == tag && ways[0].valid();
-        let hit1 = ways[1].tag == tag && ways[1].valid();
-        if hit0 | hit1 {
-            let w = &mut ways[usize::from(hit1)];
-            if write {
-                return match w.meta & 3 {
-                    ST_SHARED => {
-                        w.meta = (clock << 2) | ST_SHARED;
-                        Probe::UpgradeNeeded
-                    }
-                    _ => {
-                        w.meta = (clock << 2) | ST_MODIFIED;
-                        Probe::Hit(LineState::Modified)
-                    }
-                };
-            }
-            w.meta = (clock << 2) | (w.meta & 3);
-            return Probe::Hit(w.state());
+    pub(crate) fn probe_fast_ext(&mut self, line: u64, frame: u64, write: bool) -> Probe {
+        let tag = tag_of(line);
+        let ways = self.pair(line, frame);
+        let (w0, w1) = (ways[0], ways[1]);
+        if w0 & !ST_MASK == tag {
+            let (w, probe) = hit(w0, write);
+            ways[0] = w;
+            return probe;
         }
-        // Miss: prefer an invalid way (reference scan order: way 0 first),
-        // else evict the way with the older stamp.
-        if !ways[0].valid() || !ways[1].valid() {
-            return Probe::Miss { victim: None };
+        if w1 & !ST_MASK == tag {
+            let (w, probe) = hit(w1, write);
+            ways[0] = w;
+            ways[1] = w0;
+            return probe;
         }
-        let v = &ways[usize::from(ways[1].meta < ways[0].meta)];
-        Probe::Miss { victim: Some(Victim { line: v.tag - 1, dirty: v.dirty() }) }
+        Probe::Miss { victim: victim_of(w1) }
     }
 
-    fn pick_victim(&self, set: usize) -> Option<Victim> {
-        let base = set * self.assoc;
-        let mut lru_way = 0;
-        let mut lru_meta = u64::MAX;
-        for way in 0..self.assoc {
-            let w = &self.ways[base + way];
-            if !w.valid() {
-                return None; // room available; nothing evicted
-            }
-            if w.meta < lru_meta {
-                lru_meta = w.meta;
-                lru_way = way;
-            }
-        }
-        let w = &self.ways[base + lru_way];
-        Some(Victim { line: w.tag - 1, dirty: w.dirty() })
-    }
-
-    /// Install `line` in `state`, evicting the LRU way if the set is full.
-    /// Returns the evicted line (if any) so the caller can notify the
-    /// directory and account a writeback — silently dropping a victim
-    /// would leave the directory with ghost owners.
+    /// Install `line` in `state` as its set's MRU way, evicting the LRU way
+    /// if the set is full. Returns the evicted line (if any) so the caller
+    /// can notify the directory and account a writeback — silently dropping
+    /// a victim would leave the directory with ghost owners.
     pub fn install(&mut self, line: u64, state: LineState) -> Option<Victim> {
         debug_assert!(state != LineState::Invalid);
-        let set = self.set_of(line);
-        let base = set * self.assoc;
-        self.clock += 1;
-        // Prefer an invalid way, else evict LRU.
-        let mut target = None;
-        let mut lru_way = 0;
-        let mut lru_meta = u64::MAX;
-        for way in 0..self.assoc {
-            let w = &self.ways[base + way];
-            if !w.valid() {
-                target = Some(way);
-                break;
-            }
-            if w.meta < lru_meta {
-                lru_meta = w.meta;
-                lru_way = way;
-            }
+        let word = tag_of(line) | state as u64;
+        let ways = self.set_ways(line);
+        let last = ways[ways.len() - 1];
+        for j in (1..ways.len()).rev() {
+            ways[j] = ways[j - 1];
         }
-        let way = target.unwrap_or(lru_way);
-        let w = &mut self.ways[base + way];
-        let victim = if target.is_none() {
-            Some(Victim { line: w.tag - 1, dirty: w.dirty() })
-        } else {
-            None
-        };
-        w.tag = line + 1;
-        w.meta = (self.clock << 2) | state_code(state);
-        victim
+        ways[0] = word;
+        victim_of(last)
     }
 
     /// Value-identical twin of [`Cache::install`] for the fast walk:
-    /// caller-precomputed page frame, caller-owned LRU clock (see
-    /// [`Cache::probe_fast_ext`]) and the two ways laid out directly. The
-    /// reference scan prefers the first invalid way and way 0 is checked
-    /// first, which this reproduces. Kept in lock step with `install` by
+    /// caller-precomputed page frame (see [`Cache::probe_fast_ext`]) and
+    /// the two ways laid out directly. Kept in lock step with `install` by
     /// the `install_fast_matches_install` differential test.
     #[inline(always)]
-    pub(crate) fn install_fast(
-        &mut self,
-        line: u64,
-        frame: u64,
-        state: LineState,
-        clock: &mut u64,
-    ) -> Option<Victim> {
+    pub(crate) fn install_fast(&mut self, line: u64, frame: u64, state: LineState) -> Option<Victim> {
         debug_assert!(state != LineState::Invalid);
-        debug_assert!(self.has_fast_twins(), "install_fast needs a 2-way physically indexed cache");
-        debug_assert_eq!(frame, Self::frame_of(line >> self.page_lines_shift));
-        let base = ((line ^ frame) & self.set_mask) as usize * 2;
-        *clock += 1;
-        let clock = *clock;
-        let ways = &mut self.ways[base..base + 2];
-        let (way, evict) = if !ways[0].valid() {
-            (0, false)
-        } else if !ways[1].valid() {
-            (1, false)
-        } else {
-            (usize::from(ways[1].meta < ways[0].meta), true)
-        };
-        let w = &mut ways[way];
-        let victim = if evict { Some(Victim { line: w.tag - 1, dirty: w.dirty() }) } else { None };
-        w.tag = line + 1;
-        w.meta = (clock << 2) | state_code(state);
-        victim
-    }
-
-    /// Read/write the LRU clock around a walk that runs it in a
-    /// caller-owned local (see [`Cache::probe_fast_ext`]).
-    #[inline(always)]
-    pub(crate) fn walk_clock(&self) -> u64 {
-        self.clock
-    }
-
-    #[inline(always)]
-    pub(crate) fn set_walk_clock(&mut self, clock: u64) {
-        debug_assert!(clock >= self.clock, "walk clock must not run backwards");
-        self.clock = clock;
+        let word = tag_of(line) | state as u64;
+        let ways = self.pair(line, frame);
+        let last = ways[1];
+        ways[1] = ways[0];
+        ways[0] = word;
+        victim_of(last)
     }
 
     /// Promote a Shared line to Modified after an upgrade transaction.
     pub fn upgrade(&mut self, line: u64) {
         if let Some(i) = self.find(line) {
-            debug_assert_eq!(self.ways[i].state(), LineState::Shared);
-            self.ways[i].meta = (self.ways[i].meta & !3) | ST_MODIFIED;
+            debug_assert_eq!(state_of(self.ways[i]), LineState::Shared);
+            self.ways[i] |= ST_MODIFIED;
         }
     }
 
     /// Remove `line` if present; returns whether it was dirty.
     pub fn invalidate(&mut self, line: u64) -> bool {
-        if let Some(i) = self.find(line) {
-            let dirty = self.ways[i].dirty();
-            self.ways[i] = EMPTY_WAY;
-            dirty
-        } else {
-            false
+        let Some(i) = self.find(line) else { return false };
+        let dirty = self.ways[i] & ST_MASK == ST_MODIFIED;
+        // Close the gap: the ways behind move up one place in order.
+        let end = (i / self.assoc + 1) * self.assoc;
+        for j in i..end - 1 {
+            self.ways[j] = self.ways[j + 1];
         }
+        self.ways[end - 1] = 0;
+        dirty
     }
 
     /// Downgrade `line` to Shared (after a remote read intervention);
     /// returns whether it was dirty (data must be written back/forwarded).
     pub fn downgrade(&mut self, line: u64) -> bool {
-        if let Some(i) = self.find(line) {
-            let dirty = self.ways[i].dirty();
-            self.ways[i].meta = (self.ways[i].meta & !3) | ST_SHARED;
-            dirty
-        } else {
-            false
-        }
+        let Some(i) = self.find(line) else { return false };
+        let dirty = self.ways[i] & ST_MASK == ST_MODIFIED;
+        self.ways[i] = (self.ways[i] & !ST_MASK) | ST_SHARED;
+        dirty
     }
 
     /// Current state of `line`, if present.
     pub fn state(&self, line: u64) -> Option<LineState> {
-        self.find(line).map(|i| self.ways[i].state())
+        self.find(line).map(|i| state_of(self.ways[i]))
     }
 
+    /// Index in `ways` of `line`'s way, if resident.
     fn find(&self, line: u64) -> Option<usize> {
-        let set = self.set_of(line);
-        let base = set * self.assoc;
-        let tag = line + 1;
-        (0..self.assoc)
-            .map(|w| base + w)
-            .find(|&i| self.ways[i].tag == tag && self.ways[i].valid())
+        let base = self.set_of(line) * self.assoc;
+        let tag = tag_of(line);
+        (base..base + self.assoc).find(|&i| self.ways[i] & !ST_MASK == tag)
     }
 
     /// Number of valid lines currently resident (diagnostics/tests).
     pub fn resident(&self) -> usize {
-        self.ways.iter().filter(|w| w.valid()).count()
+        self.ways.iter().filter(|&&w| w != 0).count()
     }
 }
 
@@ -514,6 +389,116 @@ mod tests {
         assert_eq!(c.state(0), None);
         assert_eq!(c.state(1), Some(LineState::Shared));
     }
+
+    /// The per-way LRU stamps this cache's recency order replaced, as an
+    /// independent reference: a way is `(line + 1, stamp << 2 | state)`,
+    /// every operation ticks the clock, a hit re-stamps its way, and an
+    /// install fills the first empty way, else evicts the oldest stamp.
+    /// `geom` is an empty cache of the same shape, for `set_of`.
+    struct StampLru {
+        geom: Cache,
+        ways: Vec<(u64, u64)>,
+        clock: u64,
+    }
+
+    impl StampLru {
+        /// Tick the clock; `line`'s set and the index of its way in it.
+        fn set(&mut self, line: u64) -> (&mut [(u64, u64)], Option<usize>) {
+            self.clock += 1;
+            let base = self.geom.set_of(line) * self.geom.assoc;
+            let set = &mut self.ways[base..base + self.geom.assoc];
+            let i = set.iter().position(|w| w.0 == line + 1 && w.1 & 3 != 0);
+            (set, i)
+        }
+
+        /// The way an install fills and the line it evicts.
+        fn target(set: &[(u64, u64)]) -> (usize, Option<Victim>) {
+            if let Some(i) = set.iter().position(|w| w.1 & 3 == 0) {
+                return (i, None);
+            }
+            let i = (0..set.len()).min_by_key(|&i| set[i].1).unwrap();
+            (i, Some(Victim { line: set[i].0 - 1, dirty: set[i].1 & 3 == 3 }))
+        }
+
+        fn probe(&mut self, line: u64, write: bool) -> Probe {
+            let (clock, (set, i)) = (self.clock + 1, self.set(line));
+            let Some(i) = i else { return Probe::Miss { victim: Self::target(set).1 } };
+            let st = if write && set[i].1 & 3 != ST_SHARED { ST_MODIFIED } else { set[i].1 & 3 };
+            set[i].1 = clock << 2 | st;
+            if write && st == ST_SHARED { Probe::UpgradeNeeded } else { Probe::Hit(state_of(st)) }
+        }
+
+        fn install(&mut self, line: u64, state: LineState) -> Option<Victim> {
+            let (clock, (set, _)) = (self.clock + 1, self.set(line));
+            let (i, victim) = Self::target(set);
+            set[i] = (line + 1, clock << 2 | state as u64);
+            victim
+        }
+
+        /// Set `line`'s state bits to `st` (0 empties its way); returns
+        /// whether it was dirty.
+        fn restate(&mut self, line: u64, st: u64) -> bool {
+            let (set, i) = self.set(line);
+            i.is_some_and(|i| {
+                let dirty = set[i].1 & 3 == ST_MODIFIED;
+                set[i] = if st == 0 { (0, 0) } else { (set[i].0, set[i].1 & !3 | st) };
+                dirty
+            })
+        }
+
+        fn state(&mut self, line: u64) -> Option<LineState> {
+            let (set, i) = self.set(line);
+            i.map(|i| state_of(set[i].1))
+        }
+    }
+
+    /// The recency-ordered cache against the stamp model, op for op, on
+    /// randomized probe / install / upgrade / downgrade / invalidate
+    /// streams at associativity 1, 2, 4 and 8, modulo and physically
+    /// indexed: same probe results (victims and their dirtiness included),
+    /// same state of every line touched, same residency. A way is one
+    /// 8-byte word.
+    #[test]
+    fn recency_order_matches_the_stamp_model() {
+        use ccsort_rng::SplitMix64;
+        for (assoc, physical) in [1, 2, 4, 8].into_iter().flat_map(|a| [(a, false), (a, true)]) {
+            let sets = 16;
+            let mut c =
+                if physical { Cache::physically_indexed(sets, assoc, 4) } else { Cache::new(sets, assoc) };
+            assert_eq!(std::mem::size_of_val(c.ways.as_slice()), 8 * sets * assoc);
+            let mut m = StampLru { geom: c.clone(), ways: vec![(0, 0); sets * assoc], clock: 0 };
+            let mut rng = SplitMix64::seed_from_u64(assoc as u64 * 2 + u64::from(physical));
+            for step in 0..20_000 {
+                let line = rng.random_range(0..3 * (sets * assoc) as u64); // > capacity
+                let ctx = format!("assoc {assoc} physical {physical} step {step} line {line}");
+                let mut touched = vec![line];
+                match rng.random_range(0..8u32) {
+                    6 => assert_eq!(c.downgrade(line), m.restate(line, ST_SHARED), "{ctx}: downgrade"),
+                    7 => assert_eq!(c.invalidate(line), m.restate(line, 0), "{ctx}: invalidate"),
+                    _ => {
+                        let write = rng.random::<bool>();
+                        let probe = c.probe(line, write);
+                        assert_eq!(probe, m.probe(line, write), "{ctx}: probe");
+                        if let Probe::Miss { victim } = probe {
+                            let read = [LineState::Exclusive, LineState::Shared][rng.random_range(0..2usize)];
+                            let state = if write { LineState::Modified } else { read };
+                            let v = c.install(line, state);
+                            assert_eq!((v, v), (victim, m.install(line, state)), "{ctx}: install");
+                            touched.extend(v.map(|v| v.line));
+                        } else if probe == Probe::UpgradeNeeded {
+                            c.upgrade(line);
+                            m.restate(line, ST_MODIFIED);
+                        }
+                    }
+                }
+                for &l in &touched {
+                    assert_eq!(c.state(l), m.state(l), "{ctx}: state of line {l}");
+                }
+                let resident = m.ways.iter().filter(|w| w.1 & 3 != 0).count();
+                assert_eq!(c.resident(), resident, "{ctx}: resident");
+            }
+        }
+    }
 }
 
 #[cfg(test)]
@@ -568,14 +553,11 @@ mod physical_index_tests {
         (c.clone(), c)
     }
 
-    /// `b.probe_fast_ext` with the clock read from and written back to `b`,
-    /// the way the walk brackets a tight loop.
+    /// `b.probe_fast_ext` with the page frame computed the way the walk
+    /// computes it once per page.
     fn probe_twin(b: &mut Cache, line: u64, write: bool) -> Probe {
         let frame = Cache::frame_of(line >> b.page_lines_shift);
-        let mut clock = b.walk_clock();
-        let r = b.probe_fast_ext(line, frame, write, &mut clock);
-        b.set_walk_clock(clock);
-        r
+        b.probe_fast_ext(line, frame, write)
     }
 
     #[test]
@@ -608,11 +590,10 @@ mod physical_index_tests {
             }
         }
         assert_eq!(a.ways, b.ways);
-        assert_eq!(a.clock, b.clock);
     }
 
     /// Same discipline for `install_fast`: drive `install` and its twin
-    /// (external clock, precomputed frame) through the same randomized
+    /// (precomputed frame) through the same randomized
     /// miss/install stream; results and final state must match.
     #[test]
     fn install_fast_matches_install() {
@@ -623,19 +604,15 @@ mod physical_index_tests {
             let line = (x >> 33) % 300;
             let write = x & 1 == 1;
             let missed = matches!(a.probe(line, write), Probe::Miss { .. });
-            // Keep b's clock in step with a's probe tick too.
             probe_twin(&mut b, line, write);
             if missed {
                 let state = if write { LineState::Modified } else { LineState::Exclusive };
                 let va = a.install(line, state);
                 let frame = Cache::frame_of(line >> b.page_lines_shift);
-                let mut clock = b.walk_clock();
-                let vb = b.install_fast(line, frame, state, &mut clock);
-                b.set_walk_clock(clock);
+                let vb = b.install_fast(line, frame, state);
                 assert_eq!(va, vb, "step {step}: victim diverged on line {line}");
             }
         }
         assert_eq!(a.ways, b.ways);
-        assert_eq!(a.clock, b.clock);
     }
 }

@@ -48,7 +48,8 @@ pub(crate) struct PeState {
     /// Whether the hinted line was last touched by a *write* (L1 and L2 both
     /// Modified and MRU). Required for a repeat write to take the fast path;
     /// a read-established hint must send the next write down the slow path
-    /// (its L2 stamp/state update is observable).
+    /// (its move of the line to the front of its L2 set and its L2 state
+    /// update are observable).
     pub(crate) hint_write: bool,
 }
 
@@ -625,8 +626,6 @@ impl Machine {
                 let mut time = s.time;
                 let mut brk_lmem = s.brk.lmem;
                 let mut sec_lmem = sec.lmem;
-                let mut l1_clock = s.l1.walk_clock();
-                let mut l2_clock = s.cache.walk_clock();
                 for line in lines.by_ref() {
                     // Repeat of the hinted line: the whole walk is a no-op
                     // apart from the counter (see `touch_line`).
@@ -652,9 +651,9 @@ impl Machine {
                     }
                     // L1 filter (the reference's, with the probe
                     // force-inlined; see `Cache::probe_fast_ext`).
-                    if let Probe::Hit(_) = s.l1.probe_fast_ext(line, prev_frame, WRITE, &mut l1_clock) {
+                    if let Probe::Hit(_) = s.l1.probe_fast_ext(line, prev_frame, WRITE) {
                         if WRITE {
-                            s.cache.probe_fast_ext(line, prev_frame, true, &mut l2_clock);
+                            s.cache.probe_fast_ext(line, prev_frame, true);
                         }
                         l1_hits += 1;
                         hint_line = line;
@@ -663,10 +662,10 @@ impl Machine {
                     }
                     // One L2 tag probe; the Hit arm of `touch_line_post_l2`
                     // inlined (refill + charge + hint).
-                    match s.cache.probe_fast_ext(line, prev_frame, WRITE, &mut l2_clock) {
+                    match s.cache.probe_fast_ext(line, prev_frame, WRITE) {
                         Probe::Hit(state) => {
                             cache_hits += 1;
-                            s.l1.install_fast(line, prev_frame, state, &mut l1_clock);
+                            s.l1.install_fast(line, prev_frame, state);
                             time += l2_hit_ns;
                             brk_lmem += l2_hit_ns;
                             sec_lmem += l2_hit_ns;
@@ -689,8 +688,6 @@ impl Machine {
                 s.time = time;
                 s.brk.lmem = brk_lmem;
                 sec.lmem = sec_lmem;
-                s.l1.set_walk_clock(l1_clock);
-                s.cache.set_walk_clock(l2_clock);
             }
             match slow {
                 Some((line, probe)) => self.touch_line_post_l2(pe, line, WRITE, pat, probe),
@@ -718,11 +715,11 @@ impl Machine {
     }
 
     /// Assert that the fast path left `pe` with exactly the observable state
-    /// the per-line reference path produces. Cache stamps and clock values
-    /// may legitimately differ (the fast path skips re-stamping MRU lines,
-    /// which preserves every LRU *order*), so the comparison covers the
-    /// simulation's outputs: time, breakdowns, event counters and the phase
-    /// traffic fed to the contention model.
+    /// the per-line reference path produces: time, breakdowns, event
+    /// counters and the phase traffic fed to the contention model. (The
+    /// fast path's hint repeats skip moving an already-MRU line to the
+    /// front of its set, which leaves the cache as it was; `machine::tests`
+    /// compares which lines each cache holds.)
     #[cfg(debug_assertions)]
     fn assert_equiv(&self, pe: usize, reference: &Machine) {
         assert_eq!(
@@ -779,11 +776,11 @@ impl Machine {
     /// Exactness: the hint guarantees (a) the line's page is the TLB's
     /// `last` page, so the TLB access would hit without touching any state;
     /// (b) the line is resident and MRU in its L1 set (every `touch_line`
-    /// exit leaves it so), so the L1 probe would hit and its re-stamp of an
-    /// already-MRU line cannot change any future LRU decision; (c) for
+    /// exit leaves it so), so the L1 probe would hit and its move of the
+    /// line to the front of its set would leave the set as it is; (c) for
     /// writes, `hint_write` additionally guarantees L1 and L2 both hold the
     /// line Modified and MRU, so the L2 keep-in-step probe is equally a
-    /// relative no-op. Anything that breaks these guarantees from outside
+    /// no-op. Anything that breaks these guarantees from outside
     /// the PE's own touch flow (coherence invalidations/downgrades, DMA
     /// installs, fault injection) clears the hint.
     fn touch_line(&mut self, pe: usize, line: u64, write: bool, pat: Pattern) {
@@ -1444,8 +1441,7 @@ mod tests {
     /// require the same full observable state: clocks, breakdowns, events,
     /// section profile, the program's own outputs, array contents, the
     /// coherence audit (clean), and which lines each PE's L1 and L2 hold in
-    /// which state (stamps excluded — the fast walk may skip re-stamping an
-    /// MRU line). `a` is one page per PE, `b` one page on node 1.
+    /// which state. `a` is one page per PE, `b` one page on node 1.
     fn assert_fast_matches_reference(
         cfg: &MachineConfig,
         program: impl Fn(&mut Machine, ArrayId, ArrayId) -> Vec<u32>,
