@@ -8,7 +8,8 @@
 //!   programs via `run_experiment_audited`, plus the real threaded sorts in
 //!   `ccsort-parallel`), cross-checks every output against `sort_unstable`
 //!   and against each other, and collects machine-invariant violations.
-//!   Every failure message carries a one-line replay command.
+//!   Every failure message names the program and prints the point as a
+//!   `Point { .. }` literal that a one-line `audit_point` test replays.
 //! * [`distcheck`] — the distribution validator: asserts each [`Dist`]'s
 //!   documented shape properties (window permutation and coverage for
 //!   `Stagger`, per-process digit locality for `Local`/`Remote`, block
@@ -19,10 +20,8 @@
 //!   (`Machine::audit` and the opt-in per-`section()` audit mode); the
 //!   oracle turns it on for every run it makes.
 //!
-//! The `ccsort-audit` binary exposes the entry points used by CI:
-//! `sweep [--quick]` over a parameter grid, `races` (= `sweep --races`)
-//! for the simulator-only happens-before race matrix, and `replay …` for
-//! a single point reproduced from a failure artifact.
+//! The root package's `tests/conformance.rs` runs the oracle and the
+//! validator over the conformance grid on every `cargo test`.
 //!
 //! [`Dist`]: ccsort_algos::Dist
 
@@ -30,4 +29,4 @@ pub mod distcheck;
 pub mod oracle;
 
 pub use distcheck::validate_dist;
-pub use oracle::{audit_point, audit_simulated, audit_threaded, Point};
+pub use oracle::{audit_point, audit_simulated, Point};

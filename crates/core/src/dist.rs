@@ -85,11 +85,6 @@ impl Dist {
             Dist::Local => "local",
         }
     }
-
-    /// Parse a name as produced by [`Dist::name`].
-    pub fn parse(s: &str) -> Option<Dist> {
-        Dist::ALL.iter().copied().find(|d| d.name() == s)
-    }
 }
 
 /// The NAS recurrence used by Gauss/Half.
@@ -486,14 +481,6 @@ mod tests {
             generate_into(d, &mut keys, 3, R, 9);
             assert_eq!(keys, generate(d, 1000, 3, R, 9), "{d:?}");
         }
-    }
-
-    #[test]
-    fn name_roundtrip() {
-        for d in Dist::ALL {
-            assert_eq!(Dist::parse(d.name()), Some(d));
-        }
-        assert_eq!(Dist::parse("nope"), None);
     }
 }
 

@@ -5,7 +5,7 @@
 //! `f(0..workers)` under `std::thread::scope`, results in worker order, a
 //! worker's panic re-raised in the caller. [`par_map`] hands a list of
 //! independent items to those workers — the experiment grids of
-//! `ccsort-bench` and `ccsort-audit`.
+//! `ccsort-bench` and `tests/conformance.rs`.
 //!
 //! [`ChunkQueue`] is the scheduler for the histogram and permute phases.
 //! The input is cut into `m` fixed-stride chunks (`m` ≥ the worker count).
