@@ -6,26 +6,19 @@
 //! ```
 //!
 //! The grid is {streamed, scattered, permutation} × race detector
-//! {off, on} × p ∈ {1, 16, 64}, each measured twice — with the fast
-//! path on (the machine's one walk, fed contiguous runs by the streamed
-//! program and index batches by the other two) and off (the per-line
-//! reference walk, i.e. the pre-optimization cost model). The metric is
-//! simulated key touches per wall-clock second; the
-//! `speedup_vs_reference` field of each fast-path row is its throughput
-//! over the matching reference row, so the "≥ 2× on streamed-heavy
-//! programs" claim is directly readable from the file. The warm streamed
-//! cells with the detector off at p ≥ 16 are the one place a dedicated
-//! sweep loop was faster than the walk (DESIGN.md §10, corollary) —
-//! expected, not a regression to fix. A final row re-runs the permutation
-//! program at p = 64 under the Dragon update protocol (`protocol` field),
-//! tracking the host-side cost of the update walk.
+//! {off, on} × p ∈ {1, 16, 64} on the machine's one walk, fed contiguous
+//! runs by the streamed program and index batches by the other two. The
+//! metric is simulated key touches per wall-clock second, the best of
+//! three runs per cell. A final row re-runs the permutation program at
+//! p = 64 under the Dragon update protocol (`protocol` field), tracking
+//! the host-side cost of the update walk.
 //!
 //! The JSON is written by hand, so the format is identical on every
 //! toolchain the repo builds against.
 //!
 //! `--check <file>` compares every row's formatted `simulated_ns` with the
-//! file's row for the same (program, race_detector, p, protocol,
-//! fast_path) cell and exits 1 naming the first that differs, before
+//! file's row for the same (program, race_detector, p, protocol) cell and
+//! exits 1 naming the first that differs, before
 //! anything is written: a change meant to leave the simulation alone
 //! proves it on all rows at once. The file is read before the grid runs,
 //! so it may also be the `--out` path.
@@ -78,43 +71,26 @@ fn main() {
     };
 
     let t0 = Instant::now();
-    let mut rows: Vec<(HotpathResult, f64)> = Vec::new();
-    // Measure one (program, p, race, proto) cell both ways and keep each
-    // variant's best of three interleaved reps: single-core turbo/thermal
-    // drift otherwise biases whichever variant happens to run later.
+    let mut rows: Vec<HotpathResult> = Vec::new();
+    // Keep the best of three reps of each (program, p, race, proto) cell.
     let mut measure = |program: Program, p: usize, race: bool, proto: ProtocolMode| {
-        let passes = passes_for(program);
-        let run = |fast: bool| run_cell(program, p, race, fast, n, passes, proto);
-        let mut slow = run(false);
-        let mut fast = run(true);
+        let run = || run_cell(program, p, race, n, passes_for(program), proto);
+        let mut best = run();
         for _ in 0..2 {
-            let s = run(false);
-            if s.keys_per_sec > slow.keys_per_sec {
-                slow = s;
-            }
-            let f = run(true);
-            if f.keys_per_sec > fast.keys_per_sec {
-                fast = f;
+            let r = run();
+            if r.keys_per_sec > best.keys_per_sec {
+                best = r;
             }
         }
-        assert_eq!(
-            fast.simulated_ns, slow.simulated_ns,
-            "fast path must be exact: {} race={race} p={p} proto={proto}",
-            program.name()
-        );
-        let speedup = fast.keys_per_sec / slow.keys_per_sec.max(1e-9);
         println!(
-            "{:9}  race={:5}  p={:3}  proto={:13}  ref {:>10.0} keys/s  fast {:>10.0} keys/s  speedup {:>5.2}x",
+            "{:9}  race={:5}  p={:3}  proto={:13}  {:>10.0} keys/s",
             program.name(),
             race,
             p,
             proto.to_string(),
-            slow.keys_per_sec,
-            fast.keys_per_sec,
-            speedup
+            best.keys_per_sec
         );
-        rows.push((slow, 0.0));
-        rows.push((fast, speedup));
+        rows.push(best);
     };
 
     for program in [Program::Streamed, Program::Scattered, Program::Permutation] {
@@ -125,9 +101,7 @@ fn main() {
         }
     }
     // The same scattered-write-heavy program at the paper machine's p = 64
-    // under the Dragon update protocol. Simulated time differs from the
-    // default rows here (that is the point); the fast/reference exactness
-    // assert still holds within the row pair.
+    // under the Dragon update protocol.
     measure(Program::Permutation, 64, false, ProtocolMode::DragonUpdate);
 
     let mut json = String::new();
@@ -136,26 +110,24 @@ fn main() {
     json.push_str("  \"metric\": \"simulated key touches per wall-clock second\",\n");
     json.push_str(&format!("  \"elements_per_cell\": {},\n", n));
     json.push_str("  \"results\": [\n");
-    for (i, (r, speedup)) in rows.iter().enumerate() {
+    for (i, r) in rows.iter().enumerate() {
         json.push_str(&format!(
-            "    {{\"program\": \"{}\", \"race_detector\": {}, \"p\": {}, \"protocol\": \"{}\", \"fast_path\": {}, \"keys\": {}, \"wall_s\": {}, \"keys_per_sec\": {}, \"simulated_ns\": {}{}}}{}\n",
+            "    {{\"program\": \"{}\", \"race_detector\": {}, \"p\": {}, \"protocol\": \"{}\", \"keys\": {}, \"wall_s\": {}, \"keys_per_sec\": {}, \"simulated_ns\": {}}}{}\n",
             r.program.name(),
             r.race_detector,
             r.p,
             r.proto,
-            r.fast_path,
             r.keys,
             num(r.wall_s),
             num(r.keys_per_sec),
             num(r.simulated_ns),
-            if r.fast_path { format!(", \"speedup_vs_reference\": {}", num(*speedup)) } else { String::new() },
             if i + 1 == rows.len() { "" } else { "," }
         ));
     }
     json.push_str("  ]\n}\n");
 
     if let Some((path, expected)) = &check {
-        let measured: Vec<_> = rows.iter().map(|(r, _)| (r.row_key(), num(r.simulated_ns))).collect();
+        let measured: Vec<_> = rows.iter().map(|r| (r.row_key(), num(r.simulated_ns))).collect();
         if let Some(diff) = first_simulated_ns_mismatch(expected, &measured) {
             eprintln!("simbench: --check {path}: {diff}");
             std::process::exit(1);

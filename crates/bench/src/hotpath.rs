@@ -5,18 +5,15 @@
 //! pseudo-random indices inside each PE's partition) and a radix-style
 //! permutation (streamed reads of the local chunk, batched scattered
 //! writes across the whole output array) — parameterised by processor
-//! count, race detector on/off, fast path on/off and protocol. They are
-//! the workload behind the `simbench` binary that emits
+//! count, race detector on/off and protocol. They are the workload behind
+//! the `simbench` binary that emits
 //! `BENCH_simulator.json`: *host* throughput of the simulator itself,
 //! reported as simulated key touches per wall-clock second.
 //!
 //! Everything here is deterministic: the scattered index stream is a fixed
 //! LCG, the permutation's destination map is a fixed bijection, partitions
 //! and destinations never overlap within a phase (so the race detector sees
-//! a race-free program and pays only its bookkeeping), and
-//! `fast_path = false` runs the per-line reference walk — the
-//! pre-optimization cost model — on the same submitted batches, which is
-//! what makes the before/after ratio in `BENCH_simulator.json` meaningful.
+//! a race-free program and pays only its bookkeeping).
 
 use std::time::Instant;
 
@@ -26,7 +23,7 @@ use ccsort_machine::{Machine, MachineConfig, Placement, ProtocolMode};
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Program {
     /// Each PE sweeps its partition with `touch_run`, alternating read and
-    /// write passes — the streamed pattern the fast path targets.
+    /// write passes.
     Streamed,
     /// Each PE submits `gather_run`/`scatter_run` batches of LCG-generated
     /// indices inside its partition — the batched scattered coherence walk.
@@ -53,7 +50,6 @@ pub struct HotpathResult {
     pub program: Program,
     pub p: usize,
     pub race_detector: bool,
-    pub fast_path: bool,
     /// Coherence protocol the machine ran with.
     pub proto: ProtocolMode,
     /// Simulated element touches performed.
@@ -62,8 +58,8 @@ pub struct HotpathResult {
     pub wall_s: f64,
     /// `keys / wall_s` — the trajectory metric.
     pub keys_per_sec: f64,
-    /// Simulated parallel time, for sanity checks: it must not depend on
-    /// `fast_path` (asserted by the equivalence tests) or host speed.
+    /// Simulated parallel time: it must not depend on the race detector or
+    /// host speed.
     pub simulated_ns: f64,
 }
 
@@ -78,14 +74,11 @@ pub fn run_cell(
     program: Program,
     p: usize,
     race: bool,
-    fast: bool,
     n: usize,
     passes: usize,
     proto: ProtocolMode,
 ) -> HotpathResult {
-    let mut cfg = MachineConfig::origin2000(p).with_protocol(proto);
-    cfg.fast_path = fast;
-    let mut m = Machine::new(cfg);
+    let mut m = Machine::new(MachineConfig::origin2000(p).with_protocol(proto));
     m.set_race_detector(race);
     let arr = m.alloc(n, Placement::Partitioned { parts: p }, "hotpath");
     let chunk = n / p;
@@ -96,8 +89,7 @@ pub fn run_cell(
     // The access schedules (LCG index streams, permutation destination
     // maps) are generated *before* the timer starts: the cell reports host
     // throughput of the simulator engine, and schedule generation is
-    // driver work that would otherwise dilute the fast/reference ratio
-    // equally on both sides.
+    // driver work.
     let wall_s = match program {
         Program::Streamed => {
             let t = Instant::now();
@@ -218,7 +210,6 @@ pub fn run_cell(
         program,
         p,
         race_detector: race,
-        fast_path: fast,
         proto,
         keys,
         wall_s,
@@ -239,14 +230,14 @@ pub fn json_num(x: f64) -> String {
 
 impl HotpathResult {
     /// The cell a `BENCH_simulator.json` row is keyed by: (program,
-    /// race_detector, p, protocol, fast_path).
+    /// race_detector, p, protocol).
     pub fn row_key(&self) -> String {
-        row_key(self.program.name(), self.race_detector, self.p, &self.proto.to_string(), self.fast_path)
+        row_key(self.program.name(), self.race_detector, self.p, &self.proto.to_string())
     }
 }
 
-fn row_key(program: &str, race: bool, p: usize, protocol: &str, fast: bool) -> String {
-    format!("({program}, race_detector={race}, p={p}, protocol={protocol}, fast_path={fast})")
+fn row_key(program: &str, race: bool, p: usize, protocol: &str) -> String {
+    format!("({program}, race_detector={race}, p={p}, protocol={protocol})")
 }
 
 /// `(row key, formatted simulated_ns)` of every row of a
@@ -261,10 +252,10 @@ pub fn parse_simulated_ns(json: &str) -> Result<Vec<(String, String)>, String> {
                 .map(|v| v.trim().trim_matches('"').to_string())
                 .ok_or_else(|| format!("line {}: no {name:?} field", i + 1))
         };
-        let flag = |name: &str| field(name).map(|v| v == "true");
+        let race = field("race_detector")? == "true";
         let p = field("p")?.parse().map_err(|e| format!("line {}: p: {e}", i + 1))?;
         let (program, protocol) = (field("program")?, field("protocol")?);
-        let key = row_key(&program, flag("race_detector")?, p, &protocol, flag("fast_path")?);
+        let key = row_key(&program, race, p, &protocol);
         rows.push((key, field("simulated_ns")?));
     }
     if rows.is_empty() {
@@ -297,46 +288,13 @@ pub fn first_simulated_ns_mismatch(
 mod tests {
     use super::*;
 
-    /// The microprograms must themselves be exact under the fast path:
-    /// identical simulated time with `fast_path` on and off, for both
-    /// programs, with and without the race detector.
-    #[test]
-    fn cells_are_fast_path_exact() {
-        for program in [Program::Streamed, Program::Scattered, Program::Permutation] {
-            for race in [false, true] {
-                let fast = run_cell(program, 4, race, true, 1 << 12, 3, ProtocolMode::Invalidate);
-                let slow = run_cell(program, 4, race, false, 1 << 12, 3, ProtocolMode::Invalidate);
-                assert_eq!(
-                    fast.simulated_ns, slow.simulated_ns,
-                    "{program:?} race={race} diverged"
-                );
-                assert_eq!(fast.keys, slow.keys);
-            }
-        }
-    }
-
-    /// ... and under the Dragon update protocol: the fast path carries no
-    /// protocol-specific logic (Dragon's written-shared lines re-enter the
-    /// slow path by construction), so simulated time must stay
-    /// bit-identical between the batched and reference walks.
-    #[test]
-    fn cells_are_fast_path_exact_under_dragon_update() {
-        for program in [Program::Streamed, Program::Scattered, Program::Permutation] {
-            let run = |fast| run_cell(program, 4, false, fast, 1 << 12, 2, ProtocolMode::DragonUpdate);
-            let fast = run(true);
-            let slow = run(false);
-            assert_eq!(fast.simulated_ns, slow.simulated_ns, "{program:?} diverged");
-            assert_eq!(fast.keys, slow.keys);
-        }
-    }
-
-    /// Simulated time must not depend on the race detector either — the
-    /// detector observes, it never charges time.
+    /// Simulated time must not depend on the race detector: the detector
+    /// observes, it never charges time.
     #[test]
     fn race_detector_does_not_change_simulated_time() {
         for program in [Program::Streamed, Program::Scattered, Program::Permutation] {
-            let off = run_cell(program, 4, false, true, 1 << 12, 2, ProtocolMode::Invalidate);
-            let on = run_cell(program, 4, true, true, 1 << 12, 2, ProtocolMode::Invalidate);
+            let off = run_cell(program, 4, false, 1 << 12, 2, ProtocolMode::Invalidate);
+            let on = run_cell(program, 4, true, 1 << 12, 2, ProtocolMode::Invalidate);
             assert_eq!(off.simulated_ns, on.simulated_ns, "{program:?} diverged");
         }
     }
@@ -348,16 +306,15 @@ mod tests {
         let file = concat!(
             "{\n  \"results\": [\n",
             "    {\"program\": \"streamed\", \"race_detector\": false, \"p\": 1, ",
-            "\"protocol\": \"invalidate\", \"fast_path\": false, \"keys\": 8, \"wall_s\": 0.5, ",
+            "\"protocol\": \"invalidate\", \"keys\": 8, \"wall_s\": 0.5, ",
             "\"simulated_ns\": 443046534.736842},\n",
             "    {\"program\": \"permutation\", \"race_detector\": true, \"p\": 64, ",
-            "\"protocol\": \"dragon-update\", \"fast_path\": true, \"keys\": 8, ",
-            "\"simulated_ns\": 12.0, \"speedup_vs_reference\": 2.0}\n",
+            "\"protocol\": \"dragon-update\", \"keys\": 8, \"simulated_ns\": 12.0}\n",
             "  ]\n}\n"
         );
         let rows = parse_simulated_ns(file).unwrap();
-        let stream = "(streamed, race_detector=false, p=1, protocol=invalidate, fast_path=false)";
-        let perm = "(permutation, race_detector=true, p=64, protocol=dragon-update, fast_path=true)";
+        let stream = "(streamed, race_detector=false, p=1, protocol=invalidate)";
+        let perm = "(permutation, race_detector=true, p=64, protocol=dragon-update)";
         let want = [(stream.to_string(), "443046534.736842".to_string()), (perm.into(), "12.0".into())];
         assert_eq!(rows, want);
 
@@ -370,7 +327,7 @@ mod tests {
         );
         measured[0].0 = perm.replace("p=64", "p=16");
         let diff = first_simulated_ns_mismatch(&rows, &measured).unwrap();
-        assert!(diff.ends_with("p=16, protocol=dragon-update, fast_path=true): not in the file"), "{diff}");
+        assert!(diff.ends_with("p=16, protocol=dragon-update): not in the file"), "{diff}");
         let diff = first_simulated_ns_mismatch(&rows, &rows[..1]).unwrap();
         assert!(diff.starts_with(&format!("{perm}: in the file")), "{diff}");
         assert!(parse_simulated_ns("{}").is_err());

@@ -9,11 +9,6 @@
 //! histograms, section records — is fixed in n and cancels out. A host
 //! copy of the keys, kept for verification or to load the machine, is 4
 //! more bytes per key and fails the bound.
-//!
-//! Release only, like `golden_quick`: the debug profile's equivalence
-//! sampler clones the whole machine now and then, which is n-sized host
-//! memory of its own (`cargo test --release -p ccsort-algos --test
-//! host_memory`).
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
@@ -109,10 +104,6 @@ fn growth_per_key(n: usize, run: impl Fn(usize)) -> f64 {
 /// One test, so no other test's allocations land in the counters.
 #[test]
 fn peak_heap_grows_by_the_machine_alone() {
-    if cfg!(debug_assertions) {
-        eprintln!("host_memory: skipped in debug profile (run with --release)");
-        return;
-    }
     const N: usize = 1 << 16;
     const SCALE: usize = 64;
 

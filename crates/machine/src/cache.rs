@@ -10,8 +10,8 @@
 //! Each set's ways are kept MRU → LRU with the empty ways at the tail: a
 //! hit moves its way to the front, `install` shifts the set down one place
 //! and evicts the last way, `invalidate` closes the gap. That is the order
-//! per-way LRU stamps give, so victims are the stamps' own (DESIGN.md §10;
-//! `tests::recency_order_matches_the_stamp_model`).
+//! per-way LRU stamps give, so victims are the stamps' own
+//! (`tests::recency_order_matches_the_stamp_model`).
 
 /// Coherence state of a line in a processor's cache. The discriminants
 /// are a way word's state bits.
@@ -128,132 +128,73 @@ impl Cache {
         c
     }
 
-    #[inline]
-    fn set_of(&self, line: u64) -> usize {
-        if self.page_lines_shift == u32::MAX {
-            return (line & self.set_mask) as usize;
-        }
-        // Hash the page frame and xor it across *all* set-index bits:
-        // consecutive lines within a page stay in consecutive sets (good
-        // for streams), while same-offset lines of different pages land in
-        // unrelated sets — as they do under a real OS's scattered physical
-        // page allocation.
-        let frame = Self::frame_of(line >> self.page_lines_shift);
-        ((line ^ frame) & self.set_mask) as usize
+    /// The frame term of `line`'s set index, `set = (line ^ frame) & mask`:
+    /// the hash of the line's page, folded across all set-index bits so
+    /// consecutive lines within a page stay in consecutive sets (good for
+    /// streams) while same-offset lines of different pages land in
+    /// unrelated sets, as under a real OS's scattered physical page
+    /// allocation. 0 for a modulo-indexed cache. It is the same for every
+    /// line of a page, and for every cache of one page geometry, so the
+    /// walk computes it once per page change and feeds both levels.
+    #[inline(always)]
+    pub(crate) fn frame(&self, line: u64) -> u64 {
+        // A modulo cache's shift of `u32::MAX` leaves page 0, whose hash
+        // is 0.
+        let page = line.checked_shr(self.page_lines_shift).unwrap_or(0);
+        let h = page.wrapping_mul(PAGE_HASH_MULT);
+        h ^ (h >> 32)
     }
 
-    /// The ways of `line`'s set, MRU first.
-    #[inline]
-    fn set_ways(&mut self, line: u64) -> &mut [u64] {
-        let base = self.set_of(line) * self.assoc;
+    /// The ways of `line`'s set, MRU first, given `line`'s frame.
+    #[inline(always)]
+    fn set(&mut self, line: u64, frame: u64) -> &mut [u64] {
+        debug_assert_eq!(frame, self.frame(line), "frame of another page");
+        let base = ((line ^ frame) & self.set_mask) as usize * self.assoc;
         &mut self.ways[base..base + self.assoc]
     }
 
-    /// Probe for `line`. On a hit the line becomes its set's MRU way and,
-    /// for writes, the state is promoted to `Modified` (if it was
-    /// Exclusive) or reported as `UpgradeNeeded` (if Shared). On a miss
-    /// nothing is installed — call [`Cache::install`] after the directory
-    /// transaction resolves.
-    pub fn probe(&mut self, line: u64, write: bool) -> Probe {
+    /// Probe for `line`, whose frame is `frame` (see [`Cache::frame`]). On
+    /// a hit the line becomes its set's MRU way and, for writes, the state
+    /// is promoted to `Modified` (if it was Exclusive) or reported as
+    /// `UpgradeNeeded` (if Shared). On a miss nothing is installed — call
+    /// [`Cache::install`] after the directory transaction resolves.
+    #[inline(always)]
+    pub fn probe(&mut self, line: u64, frame: u64, write: bool) -> Probe {
         let tag = tag_of(line);
-        let ways = self.set_ways(line);
-        let Some(i) = ways.iter().position(|&w| w & !ST_MASK == tag) else {
-            return Probe::Miss { victim: victim_of(ways[ways.len() - 1]) };
-        };
-        let (w, probe) = hit(ways[i], write);
-        // Hand loops shift the set here and below: `copy_within` ran the
-        // reference walk slower.
-        for j in (0..i).rev() {
-            ways[j + 1] = ways[j];
-        }
-        ways[0] = w;
-        probe
-    }
-
-    /// The page-frame component of [`Cache::set_of`] for a physically
-    /// indexed cache: every cache sharing the same `lines_per_page` maps
-    /// `line` through the same frame hash, so the walk computes it once per
-    /// page change and feeds both the L1 and L2 probes.
-    #[inline(always)]
-    pub(crate) fn frame_of(page: u64) -> u64 {
-        let frame = page.wrapping_mul(PAGE_HASH_MULT);
-        frame ^ (frame >> 32)
-    }
-
-    /// Whether this cache has the fast twins below: they exist for the
-    /// 2-way, physically indexed shape only (every preset's). The walk
-    /// checks this once per call and runs the reference per line otherwise.
-    #[inline]
-    pub(crate) fn has_fast_twins(&self) -> bool {
-        self.assoc == 2 && self.page_lines_shift != u32::MAX
-    }
-
-    /// The two ways of `line`'s set in a 2-way physically indexed cache,
-    /// given the line's precomputed page frame (see [`Cache::frame_of`]).
-    #[inline(always)]
-    fn pair(&mut self, line: u64, frame: u64) -> &mut [u64] {
-        debug_assert!(self.has_fast_twins(), "the fast twins need a 2-way physically indexed cache");
-        debug_assert_eq!(frame, Self::frame_of(line >> self.page_lines_shift));
-        let base = ((line ^ frame) & self.set_mask) as usize * 2;
-        &mut self.ways[base..base + 2]
-    }
-
-    /// Value-identical twin of [`Cache::probe`] for the machine's one fast
-    /// walk: the same algorithm and state evolution, but force-inlined,
-    /// with the caller-precomputed page frame (see [`Cache::frame_of`])
-    /// replacing the per-probe `set_of` hash, and the two ways laid out
-    /// directly: a hit on way 1 swaps the pair. `probe` itself is
-    /// deliberately left semantically untouched — it is the per-line
-    /// reference walk's cost model, frozen by the fast-path equivalence
-    /// discipline — and the `probe_fast_ext_matches_probe` differential
-    /// test drives both through a randomized probe/install/invalidate
-    /// stream asserting identical results and identical final state.
-    #[inline(always)]
-    pub(crate) fn probe_fast_ext(&mut self, line: u64, frame: u64, write: bool) -> Probe {
-        let tag = tag_of(line);
-        let ways = self.pair(line, frame);
-        let (w0, w1) = (ways[0], ways[1]);
-        if w0 & !ST_MASK == tag {
-            let (w, probe) = hit(w0, write);
+        let ways = self.set(line, frame);
+        // The MRU way first: repeat and streamed touches hit it.
+        if ways[0] & !ST_MASK == tag {
+            let (w, probe) = hit(ways[0], write);
             ways[0] = w;
             return probe;
         }
-        if w1 & !ST_MASK == tag {
-            let (w, probe) = hit(w1, write);
-            ways[0] = w;
-            ways[1] = w0;
-            return probe;
+        for i in 1..ways.len() {
+            if ways[i] & !ST_MASK == tag {
+                let (w, probe) = hit(ways[i], write);
+                for j in (0..i).rev() {
+                    ways[j + 1] = ways[j];
+                }
+                ways[0] = w;
+                return probe;
+            }
         }
-        Probe::Miss { victim: victim_of(w1) }
+        Probe::Miss { victim: victim_of(ways[ways.len() - 1]) }
     }
 
-    /// Install `line` in `state` as its set's MRU way, evicting the LRU way
-    /// if the set is full. Returns the evicted line (if any) so the caller
-    /// can notify the directory and account a writeback — silently dropping
-    /// a victim would leave the directory with ghost owners.
-    pub fn install(&mut self, line: u64, state: LineState) -> Option<Victim> {
+    /// Install `line` (frame `frame`) in `state` as its set's MRU way,
+    /// evicting the LRU way if the set is full. Returns the evicted line
+    /// (if any) so the caller can notify the directory and account a
+    /// writeback — silently dropping a victim would leave the directory
+    /// with ghost owners.
+    #[inline(always)]
+    pub fn install(&mut self, line: u64, frame: u64, state: LineState) -> Option<Victim> {
         debug_assert!(state != LineState::Invalid);
         let word = tag_of(line) | state as u64;
-        let ways = self.set_ways(line);
+        let ways = self.set(line, frame);
         let last = ways[ways.len() - 1];
         for j in (1..ways.len()).rev() {
             ways[j] = ways[j - 1];
         }
-        ways[0] = word;
-        victim_of(last)
-    }
-
-    /// Value-identical twin of [`Cache::install`] for the fast walk:
-    /// caller-precomputed page frame (see [`Cache::probe_fast_ext`]) and
-    /// the two ways laid out directly. Kept in lock step with `install` by
-    /// the `install_fast_matches_install` differential test.
-    #[inline(always)]
-    pub(crate) fn install_fast(&mut self, line: u64, frame: u64, state: LineState) -> Option<Victim> {
-        debug_assert!(state != LineState::Invalid);
-        let word = tag_of(line) | state as u64;
-        let ways = self.pair(line, frame);
-        let last = ways[1];
-        ways[1] = ways[0];
         ways[0] = word;
         victim_of(last)
     }
@@ -293,6 +234,11 @@ impl Cache {
         self.find(line).map(|i| state_of(self.ways[i]))
     }
 
+    /// `line`'s set.
+    fn set_of(&self, line: u64) -> usize {
+        ((line ^ self.frame(line)) & self.set_mask) as usize
+    }
+
     /// Index in `ways` of `line`'s way, if resident.
     fn find(&self, line: u64) -> Option<usize> {
         let base = self.set_of(line) * self.assoc;
@@ -313,47 +259,47 @@ mod tests {
     #[test]
     fn miss_then_hit() {
         let mut c = Cache::new(4, 2);
-        assert!(matches!(c.probe(10, false), Probe::Miss { victim: None }));
-        c.install(10, LineState::Shared);
-        assert_eq!(c.probe(10, false), Probe::Hit(LineState::Shared));
+        assert!(matches!(c.probe(10, c.frame(10), false), Probe::Miss { victim: None }));
+        c.install(10, c.frame(10), LineState::Shared);
+        assert_eq!(c.probe(10, c.frame(10), false), Probe::Hit(LineState::Shared));
         assert_eq!(c.state(10), Some(LineState::Shared));
     }
 
     #[test]
     fn write_hit_on_shared_needs_upgrade() {
         let mut c = Cache::new(4, 2);
-        c.install(10, LineState::Shared);
-        assert_eq!(c.probe(10, true), Probe::UpgradeNeeded);
+        c.install(10, c.frame(10), LineState::Shared);
+        assert_eq!(c.probe(10, c.frame(10), true), Probe::UpgradeNeeded);
         c.upgrade(10);
         assert_eq!(c.state(10), Some(LineState::Modified));
-        assert_eq!(c.probe(10, true), Probe::Hit(LineState::Modified));
+        assert_eq!(c.probe(10, c.frame(10), true), Probe::Hit(LineState::Modified));
     }
 
     #[test]
     fn write_hit_on_exclusive_promotes_silently() {
         let mut c = Cache::new(4, 2);
-        c.install(10, LineState::Exclusive);
-        assert_eq!(c.probe(10, true), Probe::Hit(LineState::Modified));
+        c.install(10, c.frame(10), LineState::Exclusive);
+        assert_eq!(c.probe(10, c.frame(10), true), Probe::Hit(LineState::Modified));
         assert_eq!(c.state(10), Some(LineState::Modified));
     }
 
     #[test]
     fn lru_eviction_reports_dirty_victim() {
         let mut c = Cache::new(1, 2); // one set, two ways
-        c.install(0, LineState::Modified);
-        c.install(1, LineState::Shared);
+        c.install(0, c.frame(0), LineState::Modified);
+        c.install(1, c.frame(1), LineState::Shared);
         // Touch line 0 so line 1 is LRU.
-        assert_eq!(c.probe(0, false), Probe::Hit(LineState::Modified));
-        match c.probe(2, false) {
+        assert_eq!(c.probe(0, c.frame(0), false), Probe::Hit(LineState::Modified));
+        match c.probe(2, c.frame(2), false) {
             Probe::Miss { victim: Some(v) } => {
                 assert_eq!(v.line, 1);
                 assert!(!v.dirty);
             }
             other => panic!("unexpected {other:?}"),
         }
-        c.install(2, LineState::Shared);
+        c.install(2, c.frame(2), LineState::Shared);
         // Now 0 (dirty) is LRU versus 2.
-        match c.probe(3, false) {
+        match c.probe(3, c.frame(3), false) {
             Probe::Miss { victim: Some(v) } => {
                 assert_eq!(v.line, 0);
                 assert!(v.dirty);
@@ -365,7 +311,7 @@ mod tests {
     #[test]
     fn invalidate_and_downgrade() {
         let mut c = Cache::new(4, 2);
-        c.install(7, LineState::Modified);
+        c.install(7, c.frame(7), LineState::Modified);
         assert!(c.downgrade(7));
         assert_eq!(c.state(7), Some(LineState::Shared));
         assert!(!c.invalidate(7));
@@ -378,14 +324,14 @@ mod tests {
     fn distinct_sets_do_not_conflict() {
         let mut c = Cache::new(4, 1);
         for line in 0..4u64 {
-            c.install(line, LineState::Shared);
+            c.install(line, c.frame(line), LineState::Shared);
         }
         for line in 0..4u64 {
-            assert_eq!(c.probe(line, false), Probe::Hit(LineState::Shared), "line {line}");
+            assert_eq!(c.probe(line, c.frame(line), false), Probe::Hit(LineState::Shared), "line {line}");
         }
         assert_eq!(c.resident(), 4);
         // Line 4 maps to set 0 and evicts line 0 only.
-        c.install(4, LineState::Shared);
+        c.install(4, c.frame(4), LineState::Shared);
         assert_eq!(c.state(0), None);
         assert_eq!(c.state(1), Some(LineState::Shared));
     }
@@ -477,12 +423,12 @@ mod tests {
                     7 => assert_eq!(c.invalidate(line), m.restate(line, 0), "{ctx}: invalidate"),
                     _ => {
                         let write = rng.random::<bool>();
-                        let probe = c.probe(line, write);
+                        let probe = c.probe(line, c.frame(line), write);
                         assert_eq!(probe, m.probe(line, write), "{ctx}: probe");
                         if let Probe::Miss { victim } = probe {
                             let read = [LineState::Exclusive, LineState::Shared][rng.random_range(0..2usize)];
                             let state = if write { LineState::Modified } else { read };
-                            let v = c.install(line, state);
+                            let v = c.install(line, c.frame(line), state);
                             assert_eq!((v, v), (victim, m.install(line, state)), "{ctx}: install");
                             touched.extend(v.map(|v| v.line));
                         } else if probe == Probe::UpgradeNeeded {
@@ -513,7 +459,8 @@ mod physical_index_tests {
         let sets = 256;
         let resident_after = |mut c: Cache| {
             for cursor in 0..64u64 {
-                c.install(cursor * 8 * lines_per_page, LineState::Modified);
+                let line = cursor * 8 * lines_per_page;
+                c.install(line, c.frame(line), LineState::Modified);
             }
             c.resident()
         };
@@ -531,7 +478,7 @@ mod physical_index_tests {
         // no systematic aliasing).
         let mut c = Cache::physically_indexed(1024, 2, 32);
         for line in 0..1024u64 {
-            c.install(line, LineState::Shared);
+            c.install(line, c.frame(line), LineState::Shared);
         }
         assert!(c.resident() >= 850, "stream lost {} lines to conflicts", 1024 - c.resident());
     }
@@ -540,79 +487,9 @@ mod physical_index_tests {
     fn hashing_is_consistent_probe_vs_install() {
         let mut c = Cache::physically_indexed(64, 2, 16);
         for line in [0u64, 12345, 999_999, 1 << 40] {
-            assert!(matches!(c.probe(line, false), Probe::Miss { .. }));
-            c.install(line, LineState::Exclusive);
-            assert_eq!(c.probe(line, false), Probe::Hit(LineState::Exclusive), "line {line}");
+            assert!(matches!(c.probe(line, c.frame(line), false), Probe::Miss { .. }));
+            c.install(line, c.frame(line), LineState::Exclusive);
+            assert_eq!(c.probe(line, c.frame(line), false), Probe::Hit(LineState::Exclusive), "line {line}");
         }
-    }
-
-    /// Twin and reference side by side, 2-way (the only shape with twins).
-    fn twin_pair() -> (Cache, Cache) {
-        let c = Cache::physically_indexed(64, 2, 16);
-        assert!(c.has_fast_twins());
-        (c.clone(), c)
-    }
-
-    /// `b.probe_fast_ext` with the page frame computed the way the walk
-    /// computes it once per page.
-    fn probe_twin(b: &mut Cache, line: u64, write: bool) -> Probe {
-        let frame = Cache::frame_of(line >> b.page_lines_shift);
-        b.probe_fast_ext(line, frame, write)
-    }
-
-    #[test]
-    fn twins_exist_for_two_way_physically_indexed_caches_only() {
-        assert!(Cache::physically_indexed(64, 2, 16).has_fast_twins());
-        assert!(!Cache::physically_indexed(64, 4, 16).has_fast_twins());
-        assert!(!Cache::new(64, 2).has_fast_twins());
-    }
-
-    /// `probe_fast_ext` is the walk's force-inlined twin of `probe`: drive
-    /// both through the same randomized probe/install/invalidate stream and
-    /// assert identical results and identical final state.
-    #[test]
-    fn probe_fast_ext_matches_probe() {
-        let (mut a, mut b) = twin_pair();
-        let mut x = 0x0DDB_1A5E_5BAD_5EEDu64;
-        for step in 0..50_000 {
-            x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            let line = (x >> 33) % 200; // working set > capacity: misses churn
-            let write = x & 1 == 1;
-            let pa = a.probe(line, write);
-            let pb = probe_twin(&mut b, line, write);
-            assert_eq!(pa, pb, "step {step}: probe result diverged on line {line}");
-            if let Probe::Miss { .. } = pa {
-                let state = if write { LineState::Modified } else { LineState::Shared };
-                assert_eq!(a.install(line, state), b.install(line, state), "step {step}");
-            }
-            if x & 0xF0 == 0 {
-                assert_eq!(a.invalidate(line), b.invalidate(line), "step {step}");
-            }
-        }
-        assert_eq!(a.ways, b.ways);
-    }
-
-    /// Same discipline for `install_fast`: drive `install` and its twin
-    /// (precomputed frame) through the same randomized
-    /// miss/install stream; results and final state must match.
-    #[test]
-    fn install_fast_matches_install() {
-        let (mut a, mut b) = twin_pair();
-        let mut x = 0x1234_5678_9ABC_DEF0u64;
-        for step in 0..50_000 {
-            x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            let line = (x >> 33) % 300;
-            let write = x & 1 == 1;
-            let missed = matches!(a.probe(line, write), Probe::Miss { .. });
-            probe_twin(&mut b, line, write);
-            if missed {
-                let state = if write { LineState::Modified } else { LineState::Exclusive };
-                let va = a.install(line, state);
-                let frame = Cache::frame_of(line >> b.page_lines_shift);
-                let vb = b.install_fast(line, frame, state);
-                assert_eq!(va, vb, "step {step}: victim diverged on line {line}");
-            }
-        }
-        assert_eq!(a.ways, b.ways);
     }
 }

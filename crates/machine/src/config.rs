@@ -181,20 +181,6 @@ pub struct MachineConfig {
     /// relative to the Θ(n) work that the paper measured.
     pub fixed_cost_div: f64,
 
-    /// Enable the machine's one fast walk behind `touch_run` /
-    /// `scatter_run` / `gather_run` (a per-PE last-line hint that
-    /// short-circuits repeated touches, same-page TLB skip, flattened
-    /// single-pass L1→L2 probing with the hit arms inlined; it applies to
-    /// 2-way physically indexed caches, any other geometry runs the
-    /// reference per line). Also selects the race detector's bulk range
-    /// *and* scattered-index processing (group-at-a-time happens-before
-    /// checks with lazy state allocation). Provably bit-identical to the
-    /// per-line protocol walk and the scalar per-element detector (debug
-    /// builds assert the former on sampled walks; differential tests cover
-    /// the latter); disable only to measure the optimizations themselves
-    /// or to force the reference paths in equivalence tests.
-    pub fast_path: bool,
-
     /// Coherence protocol for writes to lines with other sharers. The
     /// invalidate default is bit-exact with the pre-existing MESI walk;
     /// Dragon-update trades invalidation misses for update traffic.
@@ -237,7 +223,6 @@ impl MachineConfig {
             rho_cap: 0.95,
             physical_cache_indexing: true,
             fixed_cost_div: 1.0,
-            fast_path: true,
             protocol: ProtocolMode::Invalidate,
         }
     }

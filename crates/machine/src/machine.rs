@@ -38,16 +38,15 @@ pub(crate) struct PeState {
     pub(crate) time: f64,
     pub(crate) brk: TimeBreakdown,
     pub(crate) ev: EventCounters,
-    /// Fast-path hint: the line this PE touched most recently via
-    /// `touch_line` (`u64::MAX` = none). While the hint stands, the line is
-    /// the MRU entry of its L1 set and its page is the TLB's `last` page, so
-    /// a repeat touch can skip the whole protocol walk (see `touch_line` for
-    /// the exactness argument). Cleared whenever an action outside this PE's
-    /// own `touch_line` flow changes the line's cache state.
+    /// The line this PE touched most recently (`u64::MAX` = none). While
+    /// the hint stands, the line is the MRU entry of its L1 set and its page
+    /// is the TLB's `last` page, so a repeat touch can skip the whole walk
+    /// (see `Machine::walk`). Cleared whenever an action outside this PE's
+    /// own touches changes the line's cache state.
     pub(crate) hint_line: u64,
     /// Whether the hinted line was last touched by a *write* (L1 and L2 both
-    /// Modified and MRU). Required for a repeat write to take the fast path;
-    /// a read-established hint must send the next write down the slow path
+    /// Modified and MRU). Required for a repeat write to take the hint; a
+    /// read-established hint must send the next write through the probes
     /// (its move of the line to the front of its L2 set and its L2 state
     /// update are observable).
     pub(crate) hint_write: bool,
@@ -105,18 +104,7 @@ pub struct Machine {
     /// not allocate on the hot path (one pair for the machine's lifetime).
     resolve_elapsed: Vec<f64>,
     resolve_delays: Vec<Delay>,
-    /// Debug-build sampling counter for the fast-path equivalence check:
-    /// every `EQUIV_SAMPLE_PERIOD`-th fast `walk` replays its lines through
-    /// the per-line reference on a clone of the machine and asserts
-    /// identical times, breakdowns, counters and phase traffic.
-    #[cfg(debug_assertions)]
-    equiv_tick: u64,
 }
-
-/// Sampling period of the debug fast-path equivalence check (one full
-/// machine clone per sampled walk, so keep it sparse).
-#[cfg(debug_assertions)]
-const EQUIV_SAMPLE_PERIOD: u64 = 256;
 
 impl Machine {
     /// Build a machine, panicking on an invalid configuration (the message
@@ -174,8 +162,6 @@ impl Machine {
             mem,
             pes,
             node_of,
-            #[cfg(debug_assertions)]
-            equiv_tick: 0,
         })
     }
 
@@ -396,7 +382,7 @@ impl Machine {
         }
     }
 
-    /// Debug invariant behind the repeat-touch fast path: whenever a hint is
+    /// Debug invariant behind the walk's hint repeat: whenever a hint is
     /// set, the hinted line is resident in the PE's L1 (and Modified there
     /// if `hint_write`). Checked at the boundaries of every operation that
     /// can move lines, so a violation is pinned to the operation that
@@ -425,8 +411,8 @@ impl Machine {
     #[inline]
     pub fn read_at(&mut self, pe: usize, arr: ArrayId, idx: usize) -> u32 {
         self.race_access(pe, arr, idx, 1, false);
-        let addr = self.mem.addr_of(arr, idx);
-        self.touch_line(pe, addr >> self.line_shift, false, Pattern::Scattered);
+        let line = self.mem.addr_of(arr, idx) >> self.line_shift;
+        self.walk::<false>(pe, Pattern::Scattered, std::iter::once(line));
         self.mem.get(arr, idx)
     }
 
@@ -434,8 +420,8 @@ impl Machine {
     #[inline]
     pub fn write_at(&mut self, pe: usize, arr: ArrayId, idx: usize, v: u32) {
         self.race_access(pe, arr, idx, 1, true);
-        let addr = self.mem.addr_of(arr, idx);
-        self.touch_line(pe, addr >> self.line_shift, true, Pattern::Scattered);
+        let line = self.mem.addr_of(arr, idx) >> self.line_shift;
+        self.walk::<true>(pe, Pattern::Scattered, std::iter::once(line));
         self.mem.set(arr, idx, v);
     }
 
@@ -461,8 +447,7 @@ impl Machine {
 
     /// Touch every line of `[off, off+len)` once, in address order, with
     /// the streamed pattern, without moving data (used when the data is
-    /// staged separately). Observationally identical to one reference
-    /// line touch per line; see `Machine::walk`.
+    /// staged separately); see `Machine::walk`.
     pub fn touch_run(&mut self, pe: usize, arr: ArrayId, off: usize, len: usize, write: bool) {
         if len == 0 {
             return;
@@ -541,68 +526,38 @@ impl Machine {
     }
 
     /// The one coherence walk: touch `lines` in iteration order with
-    /// pattern `pat`. Every timed run and batch ends here; a new access
-    /// shape is a new line iterator, not a new loop. An iterator may move
-    /// data as it is pulled (it is pulled exactly once per line, in order)
-    /// but must not touch simulator state.
+    /// pattern `pat`, one touch per line under the machine rules of
+    /// DESIGN.md §10. Every timed access ends here; a new access shape is a
+    /// new line iterator, not a new loop. An iterator may move data as it
+    /// is pulled (it is pulled exactly once per line, in order) but must
+    /// not touch simulator state.
     ///
-    /// With `MachineConfig::fast_path` off — or on a cache geometry the
-    /// fast twins do not cover (see `Cache::has_fast_twins`) — this is
-    /// literally one [`Machine::touch_line_ref`] per line. Otherwise the
-    /// lines run a flattened single-pass loop: repeats of the hinted line
-    /// skip the walk, a line on the page of its predecessor skips the TLB
-    /// access (a `last`-page hit is pure in the reference walk), every
-    /// page change is one O(1) [`Tlb::access`] — the reference's own — so
-    /// a contiguous run costs one TLB access per page, and each line
-    /// performs exactly one L1 and at most one L2 tag probe with the common
-    /// hit arms inlined; only upgrades and misses take the heavyweight
-    /// directory path, entered in place. Everything observable — f64 time
-    /// in accumulation order, breakdowns, sections, event counters, phase
-    /// traffic — is bit-identical to the reference sequence (DESIGN.md
-    /// §10). Debug builds replay every `EQUIV_SAMPLE_PERIOD`-th fast walk
-    /// through the reference on a clone and assert equivalence, so no
-    /// entry point reaches the fast loop unchecked.
+    /// One loop serves every cache geometry. A repeat of the hinted line
+    /// skips the touch; a line on the page of its predecessor skips the
+    /// TLB access (it would hit the TLB's `last` page); every page change
+    /// is one O(1) [`Tlb::access`] and one page-frame computation that
+    /// both levels' probes share. Each line performs exactly one L1 and at
+    /// most one L2 tag probe, with the L1-hit and L2-refill arms inlined;
+    /// only upgrades and misses take the directory path, entered in place.
     fn walk<const WRITE: bool>(
         &mut self,
         pe: usize,
         pat: Pattern,
-        lines: impl Iterator<Item = u64>,
+        mut lines: impl Iterator<Item = u64>,
     ) {
         #[cfg(debug_assertions)]
         self.debug_assert_hint(pe, "walk entry");
-        let s = &self.pes[pe];
-        if !(self.cfg.fast_path && s.l1.has_fast_twins() && s.cache.has_fast_twins()) {
-            for line in lines {
-                self.touch_line_ref(pe, line, WRITE, pat);
-            }
-            #[cfg(debug_assertions)]
-            self.debug_assert_hint(pe, "walk reference exit");
-            return;
-        }
-
-        // The sampled reference sees each line as the fast loop pulls it: a
-        // stream with a data move can be pulled only once.
-        #[cfg(debug_assertions)]
-        let mut reference = self.equiv_reference();
-        #[cfg(debug_assertions)]
-        let lines = lines.inspect(|&line| {
-            if let Some(reference) = reference.as_mut() {
-                reference.touch_line_ref(pe, line, WRITE, pat);
-            }
-        });
-        let mut lines = lines;
-
         let page_lines_shift = self.page_shift - self.line_shift;
         let l2_hit_ns = self.cfg.l2_hit_ns;
         let tlb_miss_ns = self.cfg.tlb_miss_ns;
         let cur_section = self.cur_section;
         // Last page this walk ran a TLB access for: a repeat would hit the
-        // TLB's pure `last`-page check, so skipping it is exact. (Hint hits
-        // skip the TLB in `touch_line` too, so they don't update it.)
+        // TLB's pure `last`-page check, so skipping it is exact. (Hint
+        // repeats skip the TLB too, so they don't update it.)
         let mut prev_page = u64::MAX;
-        // Set-index frame hash of `prev_page` (see `Cache::frame_of`);
-        // initialized on the first line, which always misses `prev_page`.
-        let mut prev_frame = 0u64;
+        // Set-index frame of `prev_page` (see `Cache::frame`); initialized
+        // on the first line, which always misses `prev_page`.
+        let mut frame = 0u64;
         loop {
             // Tight loop over the remaining lines with the borrows hoisted;
             // falls out only for the heavyweight upgrade/miss protocol path.
@@ -627,8 +582,8 @@ impl Machine {
                 let mut brk_lmem = s.brk.lmem;
                 let mut sec_lmem = sec.lmem;
                 for line in lines.by_ref() {
-                    // Repeat of the hinted line: the whole walk is a no-op
-                    // apart from the counter (see `touch_line`).
+                    // Repeat of the hinted line: the whole touch is a no-op
+                    // apart from the counter (see `PeState::hint_line`).
                     if hint_line == line && (!WRITE || hint_write) {
                         l1_hits += 1;
                         continue;
@@ -636,10 +591,10 @@ impl Machine {
                     let page = line >> page_lines_shift;
                     if page != prev_page {
                         prev_page = page;
-                        // L1 and L2 are physically indexed with the same
-                        // page geometry, so one frame hash serves both
-                        // probes for every line on this page.
-                        prev_frame = Cache::frame_of(page);
+                        // L1 and L2 share the page geometry and indexing,
+                        // so one frame serves both probes for every line
+                        // on this page.
+                        frame = s.l1.frame(line);
                         if !s.tlb.access(page) {
                             tlb_misses += 1;
                             // Inlined `charge`: same f64 accumulation
@@ -649,23 +604,23 @@ impl Machine {
                             sec_lmem += tlb_miss_ns;
                         }
                     }
-                    // L1 filter (the reference's, with the probe
-                    // force-inlined; see `Cache::probe_fast_ext`).
-                    if let Probe::Hit(_) = s.l1.probe_fast_ext(line, prev_frame, WRITE) {
+                    // L1 filter: a hit is free (folded into BUSY); a write
+                    // hit keeps the L2 state in step with the promoted L1.
+                    if let Probe::Hit(_) = s.l1.probe(line, frame, WRITE) {
                         if WRITE {
-                            s.cache.probe_fast_ext(line, prev_frame, true);
+                            s.cache.probe(line, frame, true);
                         }
                         l1_hits += 1;
                         hint_line = line;
                         hint_write = WRITE;
                         continue;
                     }
-                    // One L2 tag probe; the Hit arm of `touch_line_post_l2`
-                    // inlined (refill + charge + hint).
-                    match s.cache.probe_fast_ext(line, prev_frame, WRITE) {
+                    // One L2 tag probe; a hit refills L1 (its victim is
+                    // dropped silently: L2 still holds it) for `l2_hit_ns`.
+                    match s.cache.probe(line, frame, WRITE) {
                         Probe::Hit(state) => {
                             cache_hits += 1;
-                            s.l1.install_fast(line, prev_frame, state);
+                            s.l1.install(line, frame, state);
                             time += l2_hit_ns;
                             brk_lmem += l2_hit_ns;
                             sec_lmem += l2_hit_ns;
@@ -678,8 +633,8 @@ impl Machine {
                         }
                     }
                 }
-                // Write the localized state back before the slow path (the
-                // reference protocol below reads and updates all of it).
+                // Write the localized state back before the protocol path,
+                // which reads and updates all of it.
                 s.hint_line = hint_line;
                 s.hint_write = hint_write;
                 s.ev.l1_hits = l1_hits;
@@ -694,114 +649,13 @@ impl Machine {
                 None => break,
             }
         }
-
         #[cfg(debug_assertions)]
-        {
-            drop(lines); // ends the sampler closure's borrow of `reference`
-            if let Some(reference) = reference {
-                self.assert_equiv(pe, &reference);
-            }
-            self.debug_assert_hint(pe, "walk exit");
-        }
+        self.debug_assert_hint(pe, "walk exit");
     }
 
-    /// Debug-build sampling for the fast-path equivalence assertion: every
-    /// `EQUIV_SAMPLE_PERIOD`-th fast walk gets a clone of the machine to
-    /// replay its lines on through the per-line reference.
-    #[cfg(debug_assertions)]
-    fn equiv_reference(&mut self) -> Option<Machine> {
-        self.equiv_tick = self.equiv_tick.wrapping_add(1);
-        self.equiv_tick.is_multiple_of(EQUIV_SAMPLE_PERIOD).then(|| self.clone())
-    }
-
-    /// Assert that the fast path left `pe` with exactly the observable state
-    /// the per-line reference path produces: time, breakdowns, event
-    /// counters and the phase traffic fed to the contention model. (The
-    /// fast path's hint repeats skip moving an already-MRU line to the
-    /// front of its set, which leaves the cache as it was; `machine::tests`
-    /// compares which lines each cache holds.)
-    #[cfg(debug_assertions)]
-    fn assert_equiv(&self, pe: usize, reference: &Machine) {
-        assert_eq!(
-            self.pes[pe].time, reference.pes[pe].time,
-            "fast path diverged from reference on pe {pe}: time"
-        );
-        assert_eq!(
-            self.pes[pe].brk, reference.pes[pe].brk,
-            "fast path diverged from reference on pe {pe}: breakdown"
-        );
-        assert_eq!(
-            self.pes[pe].ev, reference.pes[pe].ev,
-            "fast path diverged from reference on pe {pe}: events"
-        );
-        assert_eq!(
-            self.traffic, reference.traffic,
-            "fast path diverged from reference on pe {pe}: phase traffic"
-        );
-    }
-
-    /// The frozen per-line reference: TLB, L1 filter, one L2 tag probe,
-    /// then the protocol tail both paths share. Runs every line when
-    /// `MachineConfig::fast_path` is off or the cache geometry has no fast
-    /// twins, and replays the debug equivalence sample; never consults the
-    /// hint, leaves it pointing at `line`.
-    fn touch_line_ref(&mut self, pe: usize, line: u64, write: bool, pat: Pattern) {
-        let page = (line << self.line_shift) >> self.page_shift;
-        if !self.pes[pe].tlb.access(page) {
-            self.pes[pe].ev.tlb_misses += 1;
-            self.charge(pe, self.cfg.tlb_miss_ns, Bucket::Lmem);
-        }
-        // L1 filter: a hit here is free (folded into BUSY); an upgrade or
-        // miss falls through to the L2/directory path below, which keeps
-        // the two levels' states consistent.
-        if let Probe::Hit(_) = self.pes[pe].l1.probe(line, write) {
-            if write {
-                // Keep the L2 state in step with the silently-promoted L1.
-                self.pes[pe].cache.probe(line, true);
-            }
-            self.pes[pe].ev.l1_hits += 1;
-            let s = &mut self.pes[pe];
-            s.hint_line = line;
-            s.hint_write = write;
-            return;
-        }
-        let probe = self.pes[pe].cache.probe(line, write);
-        self.touch_line_post_l2(pe, line, write, pat, probe);
-    }
-
-    /// The full coherence path for one line touch.
-    ///
-    /// Fast path: if `line` is the PE's hinted line (its most recent touch),
-    /// the whole walk below is a no-op apart from the `l1_hits` counter.
-    /// Exactness: the hint guarantees (a) the line's page is the TLB's
-    /// `last` page, so the TLB access would hit without touching any state;
-    /// (b) the line is resident and MRU in its L1 set (every `touch_line`
-    /// exit leaves it so), so the L1 probe would hit and its move of the
-    /// line to the front of its set would leave the set as it is; (c) for
-    /// writes, `hint_write` additionally guarantees L1 and L2 both hold the
-    /// line Modified and MRU, so the L2 keep-in-step probe is equally a
-    /// no-op. Anything that breaks these guarantees from outside
-    /// the PE's own touch flow (coherence invalidations/downgrades, DMA
-    /// installs, fault injection) clears the hint.
-    fn touch_line(&mut self, pe: usize, line: u64, write: bool, pat: Pattern) {
-        #[cfg(debug_assertions)]
-        self.debug_assert_hint(pe, "touch_line entry");
-        if self.cfg.fast_path {
-            let s = &self.pes[pe];
-            if s.hint_line == line && (!write || s.hint_write) {
-                self.pes[pe].ev.l1_hits += 1;
-                return;
-            }
-        }
-        self.touch_line_ref(pe, line, write, pat);
-        #[cfg(debug_assertions)]
-        self.debug_assert_hint(pe, "touch_line exit");
-    }
-
-    /// The walk below the L2 tag probe: protocol action, traffic, stall
-    /// charge, refill and hint update for an already-performed `probe`.
-    /// Split out so `walk` can run the probe inside its tight loop
-    /// (inlining the common Hit arm) and hand only upgrades/misses here —
+    /// The touch below the L2 tag probe, for an upgrade or a miss:
+    /// protocol action, traffic, stall charge, refill and hint update for
+    /// the already-performed `probe` (`walk` serves L2 hits itself), so
     /// every line still gets exactly one L2 tag walk.
     ///
     /// The transitions themselves live in [`crate::protocol`]: this is the
@@ -905,7 +759,8 @@ impl Machine {
             });
             if install_dst {
                 self.dir.set_exclusive(line, pe);
-                if let Some(v) = self.pes[pe].cache.install(line, LineState::Modified) {
+                let frame = self.pes[pe].cache.frame(line);
+                if let Some(v) = self.pes[pe].cache.install(line, frame, LineState::Modified) {
                     self.pes[pe].l1.invalidate(v.line);
                     self.dir.remove_sharer(v.line, pe);
                     if v.dirty {
@@ -1179,8 +1034,9 @@ impl Machine {
     /// bugs; the simulator itself never calls it.
     pub fn inject_stale_sharer(&mut self, pe: usize, arr: ArrayId, idx: usize) {
         let line = self.mem.addr_of(arr, idx) >> self.line_shift;
-        self.pes[pe].hint_line = u64::MAX;
-        self.pes[pe].cache.install(line, LineState::Shared);
+        let s = &mut self.pes[pe];
+        s.hint_line = u64::MAX;
+        s.cache.install(line, s.cache.frame(line), LineState::Shared);
         #[cfg(debug_assertions)]
         self.debug_assert_hint(pe, "inject_stale_sharer exit");
     }
@@ -1191,9 +1047,7 @@ impl Machine {
     pub fn set_race_detector(&mut self, on: bool) {
         if on {
             if self.race.is_none() {
-                let mut det = RaceDetector::new(self.cfg.n_procs);
-                det.set_batching(self.cfg.fast_path);
-                self.race = Some(det);
+                self.race = Some(RaceDetector::new(self.cfg.n_procs));
             }
         } else {
             self.race = None;
@@ -1422,196 +1276,6 @@ mod tests {
         // Everyone should have been pushed past their uncontended time.
         let after = m.now(0);
         assert!(after > before.iter().cloned().fold(0.0, f64::max));
-    }
-
-    /// Geometry for the differential tests: a 16-line L1 under a 128-line
-    /// L2 (so L2-only lines exist), 32-line pages, `assoc` ways at both
-    /// levels.
-    fn diff_cfg(assoc: usize, protocol: ProtocolMode) -> MachineConfig {
-        let mut cfg = MachineConfig::origin2000(4);
-        cfg.l1 = crate::config::CacheGeom { size: 2 * 1024, assoc, line: 128 };
-        cfg.l2 = crate::config::CacheGeom { size: 16 * 1024, assoc, line: 128 };
-        cfg.page_size = 4096;
-        cfg.tlb_entries = 16;
-        cfg.protocol = protocol;
-        cfg
-    }
-
-    /// Run `program` on a fast-path machine and on a reference machine and
-    /// require the same full observable state: clocks, breakdowns, events,
-    /// section profile, the program's own outputs, array contents, the
-    /// coherence audit (clean), and which lines each PE's L1 and L2 hold in
-    /// which state. `a` is one page per PE, `b` one page on node 1.
-    fn assert_fast_matches_reference(
-        cfg: &MachineConfig,
-        program: impl Fn(&mut Machine, ArrayId, ArrayId) -> Vec<u32>,
-    ) {
-        let run = |fast: bool| {
-            let mut cfg = cfg.clone();
-            cfg.fast_path = fast;
-            let mut m = Machine::new(cfg);
-            let a = m.alloc(4096, Placement::Partitioned { parts: 4 }, "a");
-            let b = m.alloc(1024, Placement::Node(1), "b");
-            let out = program(&mut m, a, b);
-            m.barrier();
-            assert_eq!(m.check_coherence(), Vec::<String>::new(), "fast_path={fast}");
-            let pes: Vec<_> = (0..4).map(|pe| (m.now(pe), m.breakdown(pe), m.events(pe))).collect();
-            let resident: Vec<_> = (0..m.mem.total_lines())
-                .flat_map(|line| m.pes.iter().map(move |s| (s.l1.state(line), s.cache.state(line))))
-                .collect();
-            (pes, m.section_profile(), out, m.raw(a).to_vec(), m.raw(b).to_vec(), resident)
-        };
-        assert_eq!(run(true), run(false));
-    }
-
-    /// One pseudo-random schedule — scattered reads/writes, streamed runs
-    /// with and without data, index batches, DMA, barriers and section
-    /// switches, so every hint-invalidation path fires — per protocol and
-    /// associativity. 4-way has no fast twins: there the walk is the
-    /// per-line fallback, which must agree with the reference all the same.
-    #[test]
-    fn fast_path_matches_reference_on_mixed_schedule() {
-        for (assoc, protocol) in [
-            (2, ProtocolMode::Invalidate),
-            (2, ProtocolMode::DragonUpdate),
-            (4, ProtocolMode::Invalidate),
-        ] {
-            assert_fast_matches_reference(&diff_cfg(assoc, protocol), |m, a, b| {
-                let mut x = 0x5EEDu64;
-                let mut rng = |md: usize| {
-                    x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-                    (x >> 33) as usize % md
-                };
-                let mut out = Vec::new();
-                for step in 0..600u32 {
-                    if step % 64 == 0 {
-                        m.section(if step % 128 == 0 { "even" } else { "odd" });
-                    }
-                    let pe = rng(4);
-                    match rng(12) {
-                        0 => m.barrier(),
-                        1 => {
-                            let t = m.dma_copy(pe, a, rng(3072), b, rng(500), 1 + rng(500), rng(2) == 0);
-                            m.charge(pe, t, Bucket::Rmem);
-                        }
-                        2 | 3 => m.write_at(pe, a, rng(4096), step),
-                        4 | 5 => out.push(m.read_at(pe, a, rng(4096))),
-                        6 => m.touch_run(pe, a, rng(3000), 1 + rng(1000), true),
-                        7 => m.touch_run(pe, a, rng(3000), 1 + rng(1000), false),
-                        8 => {
-                            let src: Vec<u32> = (0..1 + rng(600) as u32).map(|i| step ^ i).collect();
-                            m.write_run(pe, a, rng(3000), &src);
-                        }
-                        9 => {
-                            let mut buf = vec![0; 1 + rng(600)];
-                            m.read_run(pe, b, rng(400), &mut buf);
-                            out.extend(buf);
-                        }
-                        10 => {
-                            let idxs: Vec<usize> = (0..1 + rng(200)).map(|_| rng(4096)).collect();
-                            let vals: Vec<u32> = idxs.iter().map(|&i| step + i as u32).collect();
-                            m.scatter_run(pe, a, &idxs, &vals);
-                        }
-                        _ => {
-                            let idxs: Vec<usize> = (0..1 + rng(200)).map(|_| rng(4096)).collect();
-                            let mut buf = vec![0; idxs.len()];
-                            m.gather_run(pe, a, &idxs, &mut buf);
-                            out.extend(buf);
-                        }
-                    }
-                }
-                out
-            });
-        }
-    }
-
-    /// Lines 4..8 of a 12-line write run are Shared with two other PEs: the
-    /// fast loop must leave for the upgrade path and resume four times in
-    /// the middle of the run.
-    #[test]
-    fn write_run_upgrades_mid_run_across_shared_lines() {
-        assert_fast_matches_reference(&diff_cfg(2, ProtocolMode::Invalidate), |m, a, _| {
-            m.touch_run(0, a, 0, 12 * 32, false);
-            for pe in [1, 2] {
-                m.touch_run(pe, a, 4 * 32, 4 * 32, false);
-            }
-            let before = m.events(0);
-            m.touch_run(0, a, 0, 12 * 32, true);
-            let ev = m.events(0);
-            assert_eq!(ev.upgrades - before.upgrades, 4);
-            assert_eq!(ev.invalidations - before.invalidations, 8, "two sharers per line");
-            assert_eq!(ev.l1_hits - before.l1_hits, 8, "the lines around the shared ones hit");
-            assert_eq!(ev.misses(), before.misses());
-            Vec::new()
-        });
-    }
-
-    /// One read run crosses all three residency classes: lines still in the
-    /// L1, lines only the L2 kept, and lines never touched.
-    #[test]
-    fn run_over_l1_resident_l2_only_and_absent_lines() {
-        assert_fast_matches_reference(&diff_cfg(2, ProtocolMode::Invalidate), |m, a, _| {
-            // 20 lines through a 16-line L1: some are pushed out to the L2.
-            m.touch_run(0, a, 0, 20 * 32, false);
-            let before = m.events(0);
-            assert_eq!((before.misses(), before.l1_hits, before.cache_hits), (20, 0, 0));
-            m.touch_run(0, a, 0, 24 * 32, false);
-            let ev = m.events(0);
-            let (l1, l2) = (ev.l1_hits, ev.cache_hits);
-            assert!(l1 > 0 && l2 > 0, "want both hit classes, got l1 {l1} l2 {l2}");
-            assert_eq!(l1 + l2, 20);
-            assert_eq!(ev.misses(), 24, "lines 20..24 were absent");
-            Vec::new()
-        });
-    }
-
-    #[test]
-    fn page_crossing_run_takes_exactly_one_tlb_miss() {
-        assert_fast_matches_reference(&diff_cfg(2, ProtocolMode::Invalidate), |m, a, _| {
-            m.touch_run(0, a, 0, 32, false); // maps page 0
-            let before = m.events(0).tlb_misses;
-            // Two lines either side of the page 0 | page 1 boundary.
-            m.touch_run(0, a, 1024 - 64, 128, true);
-            assert_eq!(m.events(0).tlb_misses - before, 1);
-            assert_eq!(m.events(0).misses(), 5);
-            Vec::new()
-        });
-    }
-
-    /// The hint one entry point leaves is the hint the next one finds: a
-    /// run starting on a batch's last line, a write batch starting on a
-    /// read run's last line (the read hint must not license the write), a
-    /// read batch starting on a write run's last line (it may).
-    #[test]
-    fn hint_hands_off_between_runs_and_batches() {
-        assert_fast_matches_reference(&diff_cfg(2, ProtocolMode::Invalidate), |m, a, _| {
-            m.scatter_run(0, a, &[5, 70, 40], &[1, 2, 3]); // ends on line 1
-            m.touch_run(0, a, 40, 100, true); // lines 1..=4, ends on line 4
-            m.touch_run(0, a, 0, 6 * 32, false); // read hint on line 5, new so Exclusive
-            let before = m.events(0);
-            m.scatter_run(0, a, &[5 * 32, 5 * 32 + 1, 33], &[7, 8, 9]);
-            m.touch_run(0, a, 0, 64, true); // ends on line 1, write hint
-            let mut out = vec![0; 3];
-            m.gather_run(0, a, &[63, 33, 0], &mut out);
-            let ev = m.events(0);
-            assert_eq!(ev.misses(), before.misses(), "every line was resident");
-            assert_eq!(ev.l1_hits - before.l1_hits, 3 + 2 + 3);
-            assert_eq!(out, [0, 9, 0]);
-            out
-        });
-    }
-
-    #[test]
-    fn sub_line_and_unaligned_runs_touch_the_lines_they_overlap() {
-        assert_fast_matches_reference(&diff_cfg(2, ProtocolMode::Invalidate), |m, a, _| {
-            m.touch_run(0, a, 3, 5, true); // inside line 0
-            assert_eq!((m.events(0).misses(), m.events(0).l1_hits), (1, 0));
-            m.touch_run(0, a, 30, 4, false); // elements 30..34 straddle lines 0 | 1
-            assert_eq!((m.events(0).misses(), m.events(0).l1_hits), (2, 1));
-            m.touch_run(0, a, 33, 64, true); // elements 33..97: lines 1, 2, 3
-            assert_eq!((m.events(0).misses(), m.events(0).l1_hits), (4, 2));
-            Vec::new()
-        });
     }
 
     #[test]

@@ -1,8 +1,9 @@
 //! Coherence-protocol layer: the directory transitions below the L2 tag
 //! probe, dispatched on [`crate::config::ProtocolMode`].
 //!
-//! `Machine::touch_line_post_l2` hands every upgrade and miss here; the Hit
-//! arm (an L1 refill from L2) is protocol-independent. Two implementations:
+//! `Machine::touch_line_post_l2` hands every upgrade and miss here; an L2
+//! hit (an L1 refill) is protocol-independent and served by `Machine::walk`
+//! itself. Two implementations:
 //!
 //! * `Machine::post_l2_invalidate` — the MESI-style invalidate protocol
 //!   of the SGI Origin 2000 the paper measures. This is the pre-seam body
@@ -28,12 +29,11 @@
 //! | Miss, Exclusive(o)    | — (intervention, downgrade)  | intervention; owner **downgrades** (keeps a Shared copy, one update); both become sharers; install **Shared** |
 //!
 //! Because a written-shared line stays Shared in the writer's caches, every
-//! subsequent write re-enters this slow path (the L1/L2 write probes return
-//! `UpgradeNeeded` on Shared lines and the fast walk hands those here —
-//! see `Cache::probe`/`probe_fast_ext`), which is exactly Dragon's cost
-//! shape: one update transaction per write to actively-shared data. The
-//! fast walk therefore needs no Dragon-specific logic to stay exact, and
-//! the debug `equiv_reference` sampler covers the mode unchanged.
+//! subsequent write re-enters this path (the L1/L2 write probes return
+//! `UpgradeNeeded` on Shared lines and the walk hands those here — see
+//! `Cache::probe`), which is exactly Dragon's cost shape: one update
+//! transaction per write to actively-shared data. The walk needs no
+//! Dragon-specific logic, and `tests/reference_model.rs` checks both modes.
 //!
 //! Latency and occupancy use the same knobs as invalidation (an update
 //! message occupies the home controller for `ctrl_occ_ns` like an
@@ -63,13 +63,7 @@ impl Machine {
         let my_node = self.node_of[pe];
 
         match probe {
-            Probe::Hit(state) => {
-                self.pes[pe].ev.cache_hits += 1;
-                // L1 refill from L2 (no protocol action); the probe already
-                // carries the post-access state, sparing a second tag walk.
-                self.pes[pe].l1.install(line, state);
-                self.charge(pe, self.cfg.l2_hit_ns, Bucket::Lmem);
-            }
+            Probe::Hit(_) => unreachable!("the walk serves L2 hits itself"),
             Probe::UpgradeNeeded => {
                 // Write hit on a Shared line: invalidate the other sharers
                 // (every *potential* sharer — stale bits left by silent
@@ -193,13 +187,13 @@ impl Machine {
                 } else {
                     LineState::Exclusive
                 };
-                let leftover = self.pes[pe].cache.install(line, state);
+                let s = &mut self.pes[pe];
+                let frame = s.cache.frame(line);
+                let leftover = s.cache.install(line, frame, state);
                 debug_assert!(leftover.is_none(), "probe already freed a way");
-                if let Some(v1) = self.pes[pe].l1.install(line, state) {
-                    // L1 victims are silently dropped: L2 still holds the
-                    // line (inclusive hierarchy), so no state is lost.
-                    let _ = v1;
-                }
+                // L1 victims are silently dropped: L2 still holds the line
+                // (inclusive hierarchy), so no state is lost.
+                s.l1.install(line, frame, state);
             }
         }
         // The hint is only exact when the line actually sits in L1: the
@@ -230,11 +224,7 @@ impl Machine {
         let my_node = self.node_of[pe];
 
         match probe {
-            Probe::Hit(state) => {
-                self.pes[pe].ev.cache_hits += 1;
-                self.pes[pe].l1.install(line, state);
-                self.charge(pe, self.cfg.l2_hit_ns, Bucket::Lmem);
-            }
+            Probe::Hit(_) => unreachable!("the walk serves L2 hits itself"),
             Probe::UpgradeNeeded => {
                 // Write hit on a Shared line: multicast the new data to the
                 // other (potential) sharers. Nobody loses their copy and
@@ -354,17 +344,17 @@ impl Machine {
                 } else {
                     LineState::Exclusive
                 };
-                let leftover = self.pes[pe].cache.install(line, state);
+                let s = &mut self.pes[pe];
+                let frame = s.cache.frame(line);
+                let leftover = s.cache.install(line, frame, state);
                 debug_assert!(leftover.is_none(), "probe already freed a way");
-                if let Some(v1) = self.pes[pe].l1.install(line, state) {
-                    let _ = v1;
-                }
+                s.l1.install(line, frame, state);
             }
         }
         // Hint tail: same residency rule as the invalidate protocol, but
         // `hint_write` additionally requires the installed copy to be
         // Modified — a written-shared line must send every repeat write
-        // down the slow path so it pays its update transaction
+        // through this path so it pays its update transaction
         // (`debug_assert_hint` enforces exactly this invariant).
         let s = &mut self.pes[pe];
         match s.l1.state(line) {

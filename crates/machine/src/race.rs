@@ -142,12 +142,11 @@ pub struct RaceDetector {
     /// missing edge. Mirrors `Machine::inject_stale_sharer`: exists so tests
     /// can prove the detector fires on a planted missing-barrier bug.
     inject_skip_barrier: Option<usize>,
-    /// Use the bulk group-at-a-time range paths (the default). Off, every
-    /// range access runs the original scalar per-element FastTrack loop with
-    /// eager full-array state allocation — the pre-optimization cost model,
-    /// kept selectable so `MachineConfig::fast_path = false` reproduces it
-    /// and benchmarks can measure the batching itself. Reports are
-    /// identical either way (see the differential test).
+    /// Use the bulk group-at-a-time paths (always, outside tests). Off,
+    /// every range and index batch runs the plain scalar per-element
+    /// FastTrack loop with eager full-array state allocation: the model the
+    /// differential tests below hold the bulk paths to.
+    #[cfg(test)]
     batch: bool,
 }
 
@@ -169,12 +168,14 @@ impl RaceDetector {
             suppressed: 0,
             barriers_seen: 0,
             inject_skip_barrier: None,
+            #[cfg(test)]
             batch: true,
         }
     }
 
-    /// Select bulk (`true`, default) or scalar per-element (`false`) range
-    /// processing. Purely a host-cost knob: detection results are identical.
+    /// Select bulk (`true`, default) or scalar per-element (`false`)
+    /// processing, for the differential tests.
+    #[cfg(test)]
     pub fn set_batching(&mut self, on: bool) {
         self.batch = on;
     }
@@ -251,6 +252,7 @@ impl RaceDetector {
             return;
         }
         debug_assert!(off + n <= len, "access [{off}, {}) outside array of {len}", off + n);
+        #[cfg(test)]
         if !self.batch {
             // Reference path: eager full-length allocation, scalar loop.
             self.ensure(arr, len);
@@ -301,6 +303,7 @@ impl RaceDetector {
             idxs.iter().all(|&idx| idx < len),
             "scattered access outside array of {len}"
         );
+        #[cfg(test)]
         if !self.batch {
             // Reference path: eager full-length allocation, scalar loop.
             self.ensure(arr, len);

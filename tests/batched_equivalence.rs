@@ -1,23 +1,20 @@
 //! The batched scatter/gather engine must be *exact*: a schedule submitted
 //! through `scatter_run`/`gather_run` must leave the machine in the same
 //! observable state as the identical schedule issued element by element
-//! through `write_at`/`read_at`, and the batched walk under
-//! `fast_path = true` must match the per-element reference walk
-//! (`fast_path = false`) bit for bit — times, per-PE breakdowns, section
-//! profiles, event counters, memory contents and race verdicts. Modeled on
-//! `fastpath_equivalence.rs`, which covers the streamed fast path the same
-//! way and shares its experiment-level check (`equivalence/mod.rs`).
+//! through `write_at`/`read_at` — times, per-PE breakdowns, section
+//! profiles, event counters, memory contents and race verdicts. And the
+//! real sorting programs, which submit their permutation writes and sample
+//! gathers in batches, must run bit for bit the same with the batched race
+//! detector on as with it off, drawing no report.
 
-mod equivalence;
-
-use ccsort_algos::{Algorithm, Dist};
+use ccsort_algos::{dist::generate, load_keys, Algorithm, Dist, SamplingStrategy};
 use ccsort_machine::{
-    ArrayId, EventCounters, Machine, MachineConfig, Placement, RaceReport, TimeBreakdown,
+    ArrayId, CacheGeom, EventCounters, Machine, MachineConfig, Placement, ProtocolMode, RaceReport,
+    TimeBreakdown,
 };
-use equivalence::assert_equivalent;
 
 // ---------------------------------------------------------------------
-// Machine-level: batched vs per-element, fast path vs reference walk.
+// Machine-level: batched vs per-element.
 // ---------------------------------------------------------------------
 
 /// Everything observable about a machine after a run. `Eq` on this struct
@@ -47,11 +44,9 @@ const BATCH: usize = 512;
 /// batches on a small shared array that produce genuine cross-PE races —
 /// so the race-verdict comparison covers both the all-clean bulk path and
 /// the report/suppression path. `physical = false` is the ablation's
-/// virtually indexed cache, which has no fast twins: the walk must fall
-/// back to the reference per line rather than index the wrong set.
-fn run_schedule(batched: bool, fast: bool, race: bool, physical: bool) -> Snapshot {
+/// virtually indexed cache.
+fn run_schedule(batched: bool, race: bool, physical: bool) -> Snapshot {
     let mut cfg = MachineConfig::origin2000(P);
-    cfg.fast_path = fast;
     cfg.physical_cache_indexing = physical;
     let mut m = Machine::new(cfg);
     m.set_race_detector(race);
@@ -129,30 +124,68 @@ fn run_schedule(batched: bool, fast: bool, race: bool, physical: bool) -> Snapsh
     }
 }
 
-/// The 4-way comparison: {batched, per-element} × {fast path, reference}
-/// must all produce the identical machine state, with the race detector
-/// both off and on, on physically and on virtually indexed caches.
+/// Batched and per-element must produce the identical machine state, with
+/// the race detector both off and on, on physically and on virtually
+/// indexed caches.
 #[test]
 fn batched_schedule_matches_per_element_full_state() {
     for (race, physical) in [(false, true), (true, true), (false, false), (true, false)] {
-        let reference = run_schedule(false, false, race, physical);
+        let reference = run_schedule(false, race, physical);
         if race {
             assert!(!reference.races.is_empty(), "schedule must provoke races");
         }
-        for (batched, fast) in [(false, true), (true, false), (true, true)] {
-            let got = run_schedule(batched, fast, race, physical);
-            assert_eq!(
-                got, reference,
-                "state diverged: batched={batched} fast={fast} race={race} physical={physical}"
-            );
-        }
+        let got = run_schedule(true, race, physical);
+        assert_eq!(got, reference, "state diverged: race={race} physical={physical}");
     }
 }
 
 // ---------------------------------------------------------------------
-// Experiment-level: the real sorting programs, which now submit their
-// permutation writes and sample gathers through the batched engine.
+// Experiment-level: the real sorting programs, detector off vs on.
 // ---------------------------------------------------------------------
+
+/// Everything a sort leaves observable but its race verdicts.
+#[derive(Debug, PartialEq)]
+struct Observed {
+    parallel_ns: f64,
+    per_pe: Vec<TimeBreakdown>,
+    events: Vec<EventCounters>,
+    sections: Vec<(&'static str, TimeBreakdown)>,
+    output: Vec<u32>,
+}
+
+/// Sort `dist` keys with `alg` on `cfg` with the race detector off and
+/// on. The detector observes and never charges time, so both runs must
+/// agree bit for bit; the output must be sorted; and a correct program
+/// must draw no race report.
+fn assert_detector_transparent(cfg: &MachineConfig, alg: Algorithm, n: usize, r: u32, dist: Dist) {
+    let p = cfg.n_procs;
+    let input = generate(dist, n, p, r, 99991);
+    let ctx = format!("{alg:?} n={n} p={p} r={r} {dist:?}");
+    let run = |race: bool| {
+        let mut m = Machine::new(cfg.clone());
+        m.set_race_detector(race);
+        let keys = load_keys(&mut m, &input);
+        let out = alg.sort(&mut m, keys, n, r, SamplingStrategy::default());
+        assert_eq!(m.race_reports(), &[] as &[RaceReport], "{ctx}");
+        Observed {
+            parallel_ns: m.parallel_time(),
+            per_pe: (0..p).map(|pe| m.breakdown(pe)).collect(),
+            events: (0..p).map(|pe| m.events(pe)).collect(),
+            sections: m.section_profile(),
+            output: m.raw(out).to_vec(),
+        }
+    };
+    let off = run(false);
+    let mut expect = input.clone();
+    expect.sort_unstable();
+    assert_eq!(off.output, expect, "output not sorted: {ctx}");
+    assert_eq!(off, run(true), "the race detector changed the run: {ctx}");
+}
+
+/// The 1/64-scale Origin 2000 at `p` processors.
+fn scaled(p: usize) -> MachineConfig {
+    MachineConfig::origin2000(p).scaled_down(64)
+}
 
 /// Scatter-heavy programs: all five radix permutation call sites plus the
 /// sample sorts (batched sampling gathers + `local_radix_sort` scatters).
@@ -168,14 +201,20 @@ const SCATTER_HEAVY: [Algorithm; 6] = [
 #[test]
 fn batched_paths_exact_across_programs() {
     for alg in SCATTER_HEAVY {
-        assert_equivalent(alg, 1 << 13, 8, 8, Dist::Gauss, false);
+        assert_detector_transparent(&scaled(8), alg, 1 << 13, 8, Dist::Gauss);
     }
 }
 
+/// Off the preset's shape: 4-way, virtually indexed caches (the
+/// `virtual-cache` ablation's indexing) under the Dragon update protocol.
 #[test]
 fn batched_paths_exact_with_detector_on() {
+    let mut cfg = scaled(8).with_protocol(ProtocolMode::DragonUpdate);
+    cfg.physical_cache_indexing = false;
+    cfg.l1 = CacheGeom { assoc: 4, ..cfg.l1 };
+    cfg.l2 = CacheGeom { assoc: 4, ..cfg.l2 };
     for alg in [Algorithm::RadixCcsas, Algorithm::RadixShmem, Algorithm::SampleCcsas] {
-        assert_equivalent(alg, 1 << 13, 8, 8, Dist::Gauss, true);
+        assert_detector_transparent(&cfg, alg, 1 << 13, 8, Dist::Gauss);
     }
 }
 
@@ -184,14 +223,14 @@ fn batched_paths_exact_across_distributions() {
     // Remote/local stress the TLB and the remote-write arms; zero stresses
     // duplicate destinations.
     for dist in [Dist::Random, Dist::Zero, Dist::Remote, Dist::Local, Dist::Stagger] {
-        assert_equivalent(Algorithm::RadixCcsas, 1 << 13, 8, 8, dist, false);
+        assert_detector_transparent(&scaled(8), Algorithm::RadixCcsas, 1 << 13, 8, dist);
     }
 }
 
 #[test]
 fn batched_paths_exact_across_processor_counts() {
     for p in [1, 2, 4, 16] {
-        assert_equivalent(Algorithm::RadixCcsas, 1 << 13, p, 8, Dist::Gauss, false);
-        assert_equivalent(Algorithm::SampleCcsas, 1 << 13, p, 8, Dist::Gauss, p == 4);
+        assert_detector_transparent(&scaled(p), Algorithm::RadixCcsas, 1 << 13, 8, Dist::Gauss);
+        assert_detector_transparent(&scaled(p), Algorithm::SampleCcsas, 1 << 13, 8, Dist::Gauss);
     }
 }
