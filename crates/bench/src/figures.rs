@@ -312,7 +312,7 @@ pub fn fig7(r: &mut Runner) {
 /// and picks 128 regular samples per process as best on its system. This
 /// artefact compares strategies by time and by load imbalance.
 pub fn sampling(r: &mut Runner) {
-    use ccsort_algos::sample::SamplingStrategy;
+    use ccsort_algos::SamplingStrategy;
     use ccsort_algos::{run_experiment, ExpConfig};
     print_header("Section 3.2: sampling strategies for sample sort (SHMEM)");
     let si = breakdown_size(r);

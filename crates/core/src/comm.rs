@@ -36,10 +36,11 @@
 //! to the pre-trait programs.
 
 use ccsort_machine::{ArrayId, Machine, Placement};
+use ccsort_parallel::plan::{self, Layout, RadixPlan};
 
 use crate::common::{exclusive_scan, part_range};
 use crate::costs;
-use crate::radix::{blocked_permute, split_by_owner, ChunkPiece};
+use crate::radix::blocked_permute;
 use crate::runtime::{cpu_copy, read_fixed, write_fixed, Mpi, MpiMode, PrefixTree, Shmem};
 
 /// Processes per sample-collection group in the CC-SAS sample sort.
@@ -69,41 +70,21 @@ pub(crate) enum Permute {
     SenderPut,
 }
 
-/// Global destination offsets for every (process, digit) chunk, given all
-/// local histograms: `offsets[pe][d]` is where process `pe`'s keys with
-/// digit `d` start in the output array. The replicating models compute it
-/// redundantly on every rank; CC-SAS reads it from the shared tree.
-fn global_offsets(hists: &[Vec<u32>]) -> Vec<Vec<u32>> {
-    let p = hists.len();
-    let bins = hists[0].len();
-    let mut totals = vec![0u32; bins];
-    for h in hists {
-        for (t, &c) in totals.iter_mut().zip(h) {
-            *t += c;
-        }
-    }
-    let scan = exclusive_scan(&totals);
-    let mut out = vec![vec![0u32; bins]; p];
-    let mut running = scan;
-    for pe in 0..p {
-        out[pe].copy_from_slice(&running);
-        for (r, &c) in running.iter_mut().zip(&hists[pe]) {
-            *r += c;
-        }
-    }
-    out
+/// The splitter phase's comparison-sort charge for `samples` (key,
+/// position) pairs: each pair is two words, and each word moved costs
+/// [`costs::SORT_CYC_PER_CMP`] per level of `levels`.
+fn sort_cycles(samples: usize, levels: usize) -> f64 {
+    costs::SORT_CYC_PER_CMP * (2 * samples) as f64 * (levels.max(2) as f64).log2()
 }
 
-/// The all-to-all layout of the sample-sort key exchange, precomputed by
-/// the skeleton (host math; the binary-search work is charged separately):
-/// process `i` sends `counts[i][j]` keys from `src_off[i][j]` to
-/// `dst_off[i][j]` in the receive array.
-pub(crate) struct ExchangePlan {
-    pub counts: Vec<Vec<u32>>,
-    pub src_off: Vec<Vec<usize>>,
-    pub dst_off: Vec<Vec<usize>>,
-    /// Largest single receive region (sizes the MPI bounce buffers).
-    pub max_region: usize,
+/// `pe`'s local permutation of its partition of `src` into the same
+/// partition of `stage`, grouped by digit (`hist` is its histogram): the
+/// buffered styles' first step, at the buffering's extra cost per key.
+fn stage_keys(m: &mut Machine, pe: usize, [src, stage]: [ArrayId; 2], n: usize, hist: &[u32], pass: u32, r: u32) {
+    let p = m.n_procs();
+    let base = part_range(n, p, pe).start;
+    let cyc_per_key = costs::PERMUTE_CYC_PER_KEY + costs::BUFFER_EXTRA_CYC_PER_KEY;
+    blocked_permute(m, pe, src, stage, n, p, &mut exclusive_scan(hist), base, cyc_per_key, pass, r);
 }
 
 /// One programming model's supersteps, as the radix- and sample-sort
@@ -146,19 +127,22 @@ pub(crate) trait Communicator {
         hists: &[Vec<u32>],
     );
 
-    /// Sample-sort phase 3: combine the `p * s` published samples and
-    /// return the `p - 1` splitters (every model computes the same values;
-    /// they differ in who sorts what and what travels).
-    fn select_splitters(&mut self, m: &mut Machine, samples: ArrayId, s: usize) -> Vec<u32>;
+    /// Sample-sort phase 3: combine the `p * s` published sample keys, whose
+    /// global positions every process knows (`positions`, part by part), and
+    /// return the `p - 1` splitters of [`plan::splitters`] (every model
+    /// computes the same values; they differ in who sorts what and what
+    /// travels).
+    fn select_splitters(&mut self, m: &mut Machine, samples: ArrayId, positions: &[u32]) -> Vec<(u64, u64)>;
 
     /// Sample-sort count exchange: replicate the published `p × p` count
     /// matrix on every rank (shared reads, allgather, or fcollect).
     fn replicate_counts(&mut self, m: &mut Machine, flat_counts: ArrayId);
 
-    /// Sample-sort phase 4: move every bucket to its destination per the
-    /// plan. Contiguous remote reads under CC-SAS, send/recv under MPI,
-    /// `get` under SHMEM. The skeleton supplies the closing barrier.
-    fn exchange_keys(&mut self, m: &mut Machine, sorted: ArrayId, recv: ArrayId, plan: &ExchangePlan);
+    /// Sample-sort phase 4: move every bucket of the `n` keys in `sorted`
+    /// to its region of `recv` per the layout. Contiguous remote reads
+    /// under CC-SAS, send/recv under MPI, `get` under SHMEM. The skeleton
+    /// supplies the closing barrier.
+    fn exchange_keys(&mut self, m: &mut Machine, sorted: ArrayId, recv: ArrayId, n: usize, layout: &Layout);
 }
 
 // ---------------------------------------------------------------------------
@@ -272,21 +256,7 @@ impl Communicator for CcsasComm {
         self.section(m, "permute");
         let stage = self.stage.expect("setup_radix not called");
         for pe in 0..p {
-            let base = part_range(n, p, pe).start;
-            let mut cursors = exclusive_scan(&hists[pe]);
-            blocked_permute(
-                m,
-                pe,
-                src,
-                stage,
-                n,
-                p,
-                &mut cursors,
-                base,
-                costs::PERMUTE_CYC_PER_KEY + costs::BUFFER_EXTRA_CYC_PER_KEY,
-                pass,
-                r,
-            );
+            stage_keys(m, pe, [src, stage], n, &hists[pe], pass, r);
         }
         m.barrier();
         // ...then copy each digit chunk to its (remote) destination as one
@@ -315,54 +285,43 @@ impl Communicator for CcsasComm {
         }
     }
 
-    fn select_splitters(&mut self, m: &mut Machine, samples: ArrayId, s: usize) -> Vec<u32> {
+    fn select_splitters(&mut self, m: &mut Machine, samples: ArrayId, positions: &[u32]) -> Vec<(u64, u64)> {
         let p = m.n_procs();
-        let total = p * s;
+        let (total, s) = (positions.len(), positions.len() / p);
         // Groups of up to GROUP processes; the group's first member
-        // collects and sorts the group's samples into a shared array.
-        let collected = m.alloc(total, Placement::Node(0), "collected-samples");
+        // collects and sorts the group's samples into a shared array. The
+        // sort loses their order, so from here on each sample is a (key,
+        // position) pair of two words.
+        let collected = m.alloc(2 * total, Placement::Node(0), "collected-samples");
         let n_groups = p.div_ceil(GROUP);
         for g in 0..n_groups {
             let leader = g * GROUP;
-            let gsize = GROUP.min(p - leader);
-            let cnt = gsize * s;
-            let mut buf = vec![0u32; cnt];
-            read_fixed(m, leader, samples, leader * s, &mut buf);
-            m.busy_cycles_fixed(
-                leader,
-                costs::SORT_CYC_PER_CMP * cnt as f64 * (cnt.max(2) as f64).log2(),
-            );
-            buf.sort_unstable();
-            write_fixed(m, leader, collected, leader * s, &buf);
+            let group = leader * s..(leader + GROUP).min(p) * s;
+            let mut keys = vec![0u32; group.len()];
+            read_fixed(m, leader, samples, group.start, &mut keys);
+            m.busy_cycles_fixed(leader, sort_cycles(keys.len(), keys.len()));
+            let mut sorted: Vec<[u32; 2]> = keys.iter().zip(&positions[group.clone()]).map(|(&k, &at)| [k, at]).collect();
+            sorted.sort_unstable();
+            write_fixed(m, leader, collected, 2 * group.start, sorted.as_flattened());
         }
         m.barrier();
         // The first leader merges the (sorted) group blocks and publishes
         // the splitters.
-        let splitter_arr = m.alloc((p - 1).max(1), Placement::Node(0), "splitters");
-        let all = {
-            let mut buf = vec![0u32; total];
-            read_fixed(m, 0, collected, 0, &mut buf);
-            m.busy_cycles_fixed(
-                0,
-                costs::SORT_CYC_PER_CMP * total as f64 * (n_groups.max(2) as f64).log2(),
-            );
-            buf.sort_unstable();
-            let spl: Vec<u32> = (1..p).map(|k| buf[k * total / p]).collect();
-            if !spl.is_empty() {
-                write_fixed(m, 0, splitter_arr, 0, &spl);
-            }
-            buf
-        };
+        let splitter_arr = m.alloc((2 * (p - 1)).max(1), Placement::Node(0), "splitters");
+        let mut buf = vec![0u32; 2 * total];
+        read_fixed(m, 0, collected, 0, &mut buf);
+        m.busy_cycles_fixed(0, sort_cycles(total, n_groups));
+        let splitters = plan::splitters(buf.chunks_exact(2).map(|w| (w[0], w[1])), p);
+        let words: Vec<u32> = splitters.iter().flat_map(|&(key, at)| [key as u32, at as u32]).collect();
+        write_fixed(m, 0, splitter_arr, 0, &words);
         m.barrier();
         // Everyone reads the shared splitters (fine-grained shared read).
-        let mut spl = vec![0u32; (p - 1).max(1)];
+        let mut spl = vec![0u32; words.len()];
         for pe in 0..p {
-            if p > 1 {
-                read_fixed(m, pe, splitter_arr, 0, &mut spl);
-            }
+            read_fixed(m, pe, splitter_arr, 0, &mut spl);
         }
         m.barrier();
-        (1..p).map(|k| all[k * total / p]).collect()
+        splitters
     }
 
     fn replicate_counts(&mut self, m: &mut Machine, flat_counts: ArrayId) {
@@ -375,23 +334,14 @@ impl Communicator for CcsasComm {
         }
     }
 
-    fn exchange_keys(&mut self, m: &mut Machine, sorted: ArrayId, recv: ArrayId, plan: &ExchangePlan) {
+    fn exchange_keys(&mut self, m: &mut Machine, sorted: ArrayId, recv: ArrayId, n: usize, layout: &Layout) {
         let p = m.n_procs();
         // Receiver-side remote reads: one contiguous copy per source.
         for j in 0..p {
             for i in 0..p {
-                let len = plan.counts[i][j] as usize;
-                if len > 0 {
-                    cpu_copy(
-                        m,
-                        j,
-                        sorted,
-                        plan.src_off[i][j],
-                        recv,
-                        plan.dst_off[i][j],
-                        len,
-                        costs::COPY_CYC_PER_KEY,
-                    );
+                if let Some(piece) = layout.piece(i, j) {
+                    let at = part_range(n, p, i).start + piece.src_off;
+                    cpu_copy(m, j, sorted, at, recv, piece.dst_at, piece.len, costs::COPY_CYC_PER_KEY);
                 }
             }
         }
@@ -443,29 +393,29 @@ impl Replicated {
         m.barrier();
     }
 
-    /// Redundant local combine of all `p` histograms; the ranks themselves
-    /// are the precomputed `offsets[pe]`.
-    fn read_ranks(&self, m: &mut Machine, pe: usize, offsets: &[Vec<u32>]) -> Vec<u32> {
+    /// `pe`'s redundant local combine of all `p` histograms, charged; the
+    /// ranks themselves are the pass's [`RadixPlan`].
+    fn read_ranks(&self, m: &mut Machine, pe: usize) {
         let entries = m.n_procs() * self.bins;
         let mut replica = vec![0u32; entries];
         read_fixed(m, pe, self.replicas[pe], 0, &mut replica);
         m.busy_cycles_fixed(pe, costs::OFFSET_CYC_PER_ENTRY * entries as f64);
-        offsets[pe].clone()
     }
 }
 
-/// Every rank gathers all `p * s` samples, sorts them redundantly and picks
-/// the same splitters. `runtime` is built after the replicas are allocated
-/// (MPI's bounce buffers follow them in memory).
+/// Every rank gathers all `p * s` sample keys, pairs them with their
+/// positions, sorts the pairs redundantly and picks the same splitters.
+/// `runtime` is built after the replicas are allocated (MPI's bounce
+/// buffers follow them in memory).
 fn replicated_splitters<R>(
     m: &mut Machine,
     samples: ArrayId,
-    s: usize,
+    positions: &[u32],
     runtime: impl FnOnce(&mut Machine) -> R,
     gather: Collective<R>,
-) -> Vec<u32> {
+) -> Vec<(u64, u64)> {
     let p = m.n_procs();
-    let total = p * s;
+    let (total, s) = (positions.len(), positions.len() / p);
     let mut all = vec![0u32; total];
     let mut other = vec![0u32; total];
     let replicas = alloc_replicas(m, total, "sample-replica");
@@ -474,13 +424,12 @@ fn replicated_splitters<R>(
     for pe in 0..p {
         gather(&runtime, m, pe, &contribs, s, replicas[pe]);
         // Every rank's replica holds the same samples: only rank 0's copy
-        // is sorted on the host; every rank is charged for its own sort.
+        // is split on the host; every rank is charged for its own sort.
         read_fixed(m, pe, replicas[pe], 0, if pe == 0 { &mut all } else { &mut other });
-        m.busy_cycles_fixed(pe, costs::SORT_CYC_PER_CMP * total as f64 * (total.max(2) as f64).log2());
+        m.busy_cycles_fixed(pe, sort_cycles(total, total));
     }
-    all.sort_unstable();
     m.barrier();
-    (1..p).map(|k| all[k * total / p]).collect()
+    plan::splitters(all.into_iter().zip(positions.iter().copied()), p)
 }
 
 /// Every rank gathers the whole `p × p` count matrix into a fresh replica;
@@ -589,50 +538,19 @@ impl Communicator for MpiComm {
         hists: &[Vec<u32>],
     ) {
         let p = m.n_procs();
-        let bins = 1usize << r;
-        let offsets = global_offsets(hists);
+        let plan = RadixPlan::new(hists);
         let coalesced = self.style == Permute::CoalescedMessages;
         let st = self.state();
         let stage = st.stage;
         if !coalesced {
             m.section("permute");
             for pe in 0..p {
-                st.hists.read_ranks(m, pe, &offsets);
-                let base = part_range(n, p, pe).start;
-                let lscan = exclusive_scan(&hists[pe]);
-                let mut cursors = lscan.clone();
-                blocked_permute(
-                    m,
-                    pe,
-                    src,
-                    stage,
-                    n,
-                    p,
-                    &mut cursors,
-                    base,
-                    costs::PERMUTE_CYC_PER_KEY + costs::BUFFER_EXTRA_CYC_PER_KEY,
-                    pass,
-                    r,
-                );
+                st.hists.read_ranks(m, pe);
+                stage_keys(m, pe, [src, stage], n, &hists[pe], pass, r);
                 // Send each contiguously-destined chunk piece.
-                for d in 0..bins {
-                    let len = hists[pe][d] as usize;
-                    if len == 0 {
-                        continue;
-                    }
-                    let goff = offsets[pe][d] as usize;
-                    for piece in split_by_owner(n, p, goff, len) {
-                        st.mpi.send(
-                            m,
-                            pe,
-                            stage,
-                            base + lscan[d] as usize + piece.src_delta,
-                            piece.owner,
-                            dst,
-                            piece.dst_off,
-                            piece.len,
-                        );
-                    }
+                let base = part_range(n, p, pe).start;
+                for piece in plan.pieces(pe) {
+                    st.mpi.send(m, pe, stage, base + piece.src_off, piece.dst, dst, piece.dst_at, piece.len);
                 }
             }
             // Receivers complete all inbound messages.
@@ -643,74 +561,37 @@ impl Communicator for MpiComm {
             return;
         }
 
-        // Local permutation (as per chunk), but record every piece instead
-        // of sending it: all_pieces[src_pe][dst_pe] = pieces bound for dst_pe.
+        // Local permutation (as per chunk), but keep every piece instead of
+        // sending it.
         let recv_buf = st.recv_buf.expect("setup_radix not called");
-        let mut all_pieces: Vec<Vec<Vec<ChunkPiece>>> = vec![vec![Vec::new(); p]; p];
+        let mut sends = Vec::with_capacity(p);
         for pe in 0..p {
-            st.hists.read_ranks(m, pe, &offsets);
-            let base = part_range(n, p, pe).start;
-            let lscan = exclusive_scan(&hists[pe]);
-            let mut cursors = lscan.clone();
-            blocked_permute(
-                m,
-                pe,
-                src,
-                stage,
-                n,
-                p,
-                &mut cursors,
-                base,
-                costs::PERMUTE_CYC_PER_KEY + costs::BUFFER_EXTRA_CYC_PER_KEY,
-                pass,
-                r,
-            );
-            for d in 0..bins {
-                let len = hists[pe][d] as usize;
-                if len == 0 {
-                    continue;
-                }
-                let goff = offsets[pe][d] as usize;
-                for mut piece in split_by_owner(n, p, goff, len) {
-                    // Remember where in the stage this piece starts.
-                    piece.src_delta += base + lscan[d] as usize;
-                    all_pieces[pe][piece.owner].push(piece);
-                }
-            }
+            st.hists.read_ranks(m, pe);
+            stage_keys(m, pe, [src, stage], n, &hists[pe], pass, r);
+            sends.push(plan.pieces(pe));
         }
 
-        // One coalesced message per (src, dst) pair. Because the global
-        // offsets grow monotonically with the digit, a sender's chunks for a
-        // given destination sit *contiguously* in its digit-ordered stage,
-        // so the whole bundle ships as a single transfer — exactly the
-        // IS-style scheme.
+        // One coalesced message per (src, dst) pair. A sender's pieces are
+        // in digit order, so their destinations never decrease and the
+        // pieces for one destination sit *contiguously* in its
+        // digit-ordered stage: the whole bundle ships as a single transfer —
+        // exactly the IS-style scheme.
         let mut recv_cursor: Vec<usize> = (0..p).map(|j| part_range(n, p, j).start).collect();
         let mut landing: Vec<Vec<(usize, usize, usize)>> = vec![Vec::new(); p]; // (buf_off, dst_off, len)
-        for pe in 0..p {
-            for j in 0..p {
-                let pieces = &all_pieces[pe][j];
-                let total: usize = pieces.iter().map(|c| c.len).sum();
-                if total == 0 {
-                    continue;
-                }
-                let stage_start = pieces[0].src_delta;
-                debug_assert!(
-                    pieces.windows(2).all(|w| w[0].src_delta + w[0].len <= w[1].src_delta),
-                    "pieces must be in increasing stage order"
-                );
-                st.mpi.send(m, pe, stage, stage_start, j, recv_buf, recv_cursor[j], total);
+        for (pe, pieces) in sends.iter().enumerate() {
+            let base = part_range(n, p, pe).start;
+            for bundle in pieces.chunk_by(|a, b| a.dst == b.dst) {
+                let j = bundle[0].dst;
+                let total: usize = bundle.iter().map(|piece| piece.len).sum();
+                st.mpi.send(m, pe, stage, base + bundle[0].src_off, j, recv_buf, recv_cursor[j], total);
                 // Record where each chunk landed so the receiver can place it.
                 let mut buf_off = recv_cursor[j];
-                for piece in pieces {
-                    // Account for any gap between pieces in the stage (keys
-                    // of interleaved digits destined elsewhere) — the send
-                    // shipped a contiguous run, so re-place per piece from
-                    // its true stage position.
+                for piece in bundle {
                     #[expect(clippy::disallowed_methods, reason = "the st.mpi.send() above shipped and \
                         charged the whole contiguous run; this re-places pieces of already-paid-for \
                         data at their true receiver offsets")]
-                    m.copy_untimed(pe, stage, piece.src_delta, recv_buf, buf_off, piece.len);
-                    landing[j].push((buf_off, piece.dst_off, piece.len));
+                    m.copy_untimed(pe, stage, base + piece.src_off, recv_buf, buf_off, piece.len);
+                    landing[j].push((buf_off, piece.dst_at, piece.len));
                     buf_off += piece.len;
                 }
                 recv_cursor[j] = buf_off;
@@ -730,23 +611,21 @@ impl Communicator for MpiComm {
         }
     }
 
-    fn select_splitters(&mut self, m: &mut Machine, samples: ArrayId, s: usize) -> Vec<u32> {
-        replicated_splitters(m, samples, s, |m| Mpi::new(m, self.mode, 1), Self::COLLECTIVE)
+    fn select_splitters(&mut self, m: &mut Machine, samples: ArrayId, positions: &[u32]) -> Vec<(u64, u64)> {
+        replicated_splitters(m, samples, positions, |m| Mpi::new(m, self.mode, 1), Self::COLLECTIVE)
     }
 
     fn replicate_counts(&mut self, m: &mut Machine, flat_counts: ArrayId) {
         replicated_counts(m, flat_counts, |m| Mpi::new(m, self.mode, 1), Self::COLLECTIVE);
     }
 
-    fn exchange_keys(&mut self, m: &mut Machine, sorted: ArrayId, recv: ArrayId, plan: &ExchangePlan) {
+    fn exchange_keys(&mut self, m: &mut Machine, sorted: ArrayId, recv: ArrayId, n: usize, layout: &Layout) {
         let p = m.n_procs();
-        let mut mpi = Mpi::new(m, self.mode, plan.max_region + 64);
+        let mut mpi = Mpi::new(m, self.mode, layout.widest() + 64);
         for i in 0..p {
-            for j in 0..p {
-                let len = plan.counts[i][j] as usize;
-                if len > 0 {
-                    mpi.send(m, i, sorted, plan.src_off[i][j], j, recv, plan.dst_off[i][j], len);
-                }
+            let base = part_range(n, p, i).start;
+            for piece in layout.pieces(i) {
+                mpi.send(m, i, sorted, base + piece.src_off, piece.dst, recv, piece.dst_at, piece.len);
             }
         }
         for pe in 0..p {
@@ -827,29 +706,15 @@ impl Communicator for ShmemComm {
     ) {
         let p = m.n_procs();
         let bins = 1usize << r;
-        let offsets = global_offsets(hists);
+        let plan = RadixPlan::new(hists);
+        let sends: Vec<_> = (0..p).map(|pe| plan.pieces(pe)).collect();
         let st = self.state();
         let stage = st.stage;
-        let lscans: Vec<Vec<u32>> = hists.iter().map(|h| exclusive_scan(h)).collect();
         // Local permutation into contiguous staged chunks.
         self.section(m, "permute");
         for pe in 0..p {
-            st.hists.read_ranks(m, pe, &offsets);
-            let base = part_range(n, p, pe).start;
-            let mut cursors = lscans[pe].clone();
-            blocked_permute(
-                m,
-                pe,
-                src,
-                stage,
-                n,
-                p,
-                &mut cursors,
-                base,
-                costs::PERMUTE_CYC_PER_KEY + costs::BUFFER_EXTRA_CYC_PER_KEY,
-                pass,
-                r,
-            );
+            st.hists.read_ranks(m, pe);
+            stage_keys(m, pe, [src, stage], n, &hists[pe], pass, r);
         }
         m.barrier();
         self.section(m, "exchange");
@@ -858,28 +723,17 @@ impl Communicator for ShmemComm {
             // histogram table and `get`s every chunk piece that lands in its
             // own partition of the output.
             for pe in 0..p {
-                let my = part_range(n, p, pe);
                 // Scanning the p*2^r table is real (cheap) work.
                 m.busy_cycles_fixed(pe, 0.5 * (p * bins) as f64);
-                for j in 0..p {
+                for (j, pieces) in sends.iter().enumerate() {
                     let src_base = part_range(n, p, j).start;
-                    for d in 0..bins {
-                        let len = hists[j][d] as usize;
-                        if len == 0 {
-                            continue;
-                        }
-                        let goff = offsets[j][d] as usize;
-                        let s = goff.max(my.start);
-                        let e = (goff + len).min(my.end);
-                        if s >= e {
-                            continue;
-                        }
-                        let src_off = src_base + lscans[j][d] as usize + (s - goff);
+                    for piece in pieces.iter().filter(|piece| piece.dst == pe) {
+                        let src_off = src_base + piece.src_off;
                         if j == pe {
                             // Self-chunks move with a local block transfer.
-                            st.shmem.get_local(m, pe, dst, s, stage, src_off, e - s);
+                            st.shmem.get_local(m, pe, dst, piece.dst_at, stage, src_off, piece.len);
                         } else {
-                            st.shmem.get(m, pe, dst, s, stage, src_off, e - s);
+                            st.shmem.get(m, pe, dst, piece.dst_at, stage, src_off, piece.len);
                         }
                     }
                 }
@@ -893,55 +747,37 @@ impl Communicator for ShmemComm {
             for pe in 0..p {
                 m.busy_cycles_fixed(pe, 0.5 * bins as f64);
                 let base = part_range(n, p, pe).start;
-                for d in 0..bins {
-                    let len = hists[pe][d] as usize;
-                    if len == 0 {
-                        continue;
-                    }
-                    let goff = offsets[pe][d] as usize;
-                    for piece in split_by_owner(n, p, goff, len) {
-                        let src_off = base + lscans[pe][d] as usize + piece.src_delta;
-                        if piece.owner == pe {
-                            st.shmem.get_local(m, pe, dst, piece.dst_off, stage, src_off, piece.len);
-                        } else {
-                            st.shmem.put(m, pe, stage, src_off, dst, piece.dst_off, piece.len);
-                        }
+                for piece in &sends[pe] {
+                    let src_off = base + piece.src_off;
+                    if piece.dst == pe {
+                        st.shmem.get_local(m, pe, dst, piece.dst_at, stage, src_off, piece.len);
+                    } else {
+                        st.shmem.put(m, pe, stage, src_off, dst, piece.dst_at, piece.len);
                     }
                 }
             }
         }
     }
 
-    fn select_splitters(&mut self, m: &mut Machine, samples: ArrayId, s: usize) -> Vec<u32> {
-        replicated_splitters(m, samples, s, |m| Shmem::new(m), Self::COLLECTIVE)
+    fn select_splitters(&mut self, m: &mut Machine, samples: ArrayId, positions: &[u32]) -> Vec<(u64, u64)> {
+        replicated_splitters(m, samples, positions, |m| Shmem::new(m), Self::COLLECTIVE)
     }
 
     fn replicate_counts(&mut self, m: &mut Machine, flat_counts: ArrayId) {
         replicated_counts(m, flat_counts, |m| Shmem::new(m), Self::COLLECTIVE);
     }
 
-    fn exchange_keys(&mut self, m: &mut Machine, sorted: ArrayId, recv: ArrayId, plan: &ExchangePlan) {
+    fn exchange_keys(&mut self, m: &mut Machine, sorted: ArrayId, recv: ArrayId, n: usize, layout: &Layout) {
         let p = m.n_procs();
         let shmem = Shmem::new(m);
         for j in 0..p {
             for i in 0..p {
-                let len = plan.counts[i][j] as usize;
-                if len == 0 {
-                    continue;
-                }
+                let Some(piece) = layout.piece(i, j) else { continue };
+                let at = part_range(n, p, i).start + piece.src_off;
                 if i == j {
-                    cpu_copy(
-                        m,
-                        j,
-                        sorted,
-                        plan.src_off[i][j],
-                        recv,
-                        plan.dst_off[i][j],
-                        len,
-                        costs::COPY_CYC_PER_KEY,
-                    );
+                    cpu_copy(m, j, sorted, at, recv, piece.dst_at, piece.len, costs::COPY_CYC_PER_KEY);
                 } else {
-                    shmem.get(m, j, recv, plan.dst_off[i][j], sorted, plan.src_off[i][j], len);
+                    shmem.get(m, j, recv, piece.dst_at, sorted, at, piece.len);
                 }
             }
         }
@@ -951,14 +787,6 @@ impl Communicator for ShmemComm {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn global_offsets_rank_by_digit_then_process() {
-        let hists = vec![vec![2, 0, 1, 3], vec![1, 2, 0, 1]];
-        let off = global_offsets(&hists);
-        assert_eq!(off[0], vec![0, 3, 5, 6]);
-        assert_eq!(off[1], vec![2, 3, 6, 9]);
-    }
 
     #[test]
     #[should_panic(expected = "CC-SAS permutes by")]

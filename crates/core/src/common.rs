@@ -50,11 +50,8 @@ pub fn max_bits(keys: &[u32]) -> u32 {
 }
 
 /// Half-open element range of process `i`'s partition of an `n`-element
-/// array split over `p` processes.
-#[inline]
-pub fn part_range(n: usize, p: usize, i: usize) -> std::ops::Range<usize> {
-    (i * n / p)..((i + 1) * n / p)
-}
+/// array split over `p` processes: the threaded programs' partition.
+pub use ccsort_parallel::plan::part_range;
 
 /// Owning process of global element index `idx` under [`part_range`]
 /// partitioning.

@@ -5,11 +5,11 @@
 //! simulated Origin 2000 (`ccsort-machine`) through the three programming
 //! model runtimes (a private `runtime` module beside the communicators):
 //!
-//! * [`radix`] — the parallel radix sort, written once; seven
-//!   [`Algorithm`] rows pair it with a communicator.
-//! * [`sample`] — the parallel sample sort, written once; four rows, with
-//!   configurable sampling strategies (the paper's 128 regular samples per
-//!   process by default) and two local radix sorts.
+//! * `radix` — the parallel radix sort, written once; seven [`Algorithm`]
+//!   rows pair it with a communicator.
+//! * `sample` — the parallel sample sort, written once; four rows, with
+//!   configurable sampling strategies ([`SamplingStrategy`]: the paper's
+//!   128 regular samples per process by default) and two local radix sorts.
 //! * [`seq`] — the uniprocessor radix sort used as the speedup baseline for
 //!   *both* algorithms (Table 1).
 //! * [`dist`] — the eight key distributions of Section 3.3.
@@ -19,6 +19,10 @@
 //!   BUSY/LMEM/RMEM/SYNC breakdowns.
 //! * [`predict`] — the closed-form performance-prediction formula the
 //!   paper names as future work, checked against the simulator.
+//!
+//! The MPI and SHMEM radix permutes and every sample sort take their
+//! exchange plans — radix pieces, sample positions, splitters, cuts and
+//! regions — from `ccsort_parallel::plan`, the threaded programs' own.
 //!
 //! ```
 //! use ccsort_algos::{run_experiment, Algorithm, ExpConfig};
@@ -31,12 +35,14 @@
 mod comm;
 pub mod common;
 pub mod costs;
+#[cfg(test)]
+mod cross_world;
 pub mod dist;
 pub mod driver;
 pub mod predict;
-pub mod radix;
+mod radix;
 mod runtime;
-pub mod sample;
+mod sample;
 pub mod seq;
 
 pub use ccsort_machine::ProtocolMode;

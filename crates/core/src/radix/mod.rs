@@ -18,8 +18,10 @@
 //! | `RadixShmem` | `ShmemComm` | `shmem_fcollect` + redundant local combine | `ReceiverGet`: every process has the full histogram, so the *receiver* pulls each chunk with a `get`, which deposits the keys in its cache; no per-pair mailbox to stall on |
 //! | `RadixShmemPut` | `ShmemComm` | as above | `SenderPut` (§2's road not taken): the sender scans only its own `2^r` row and `put`s, but the keys land in the owner's *memory*, so the next pass's histogram sweep pays the misses `get` would have prepaid |
 //!
-//! This module keeps what every permutation shares: [`split_by_owner`] and
-//! the blocked scatter loop. Each `permute` body reproduces the
+//! This module keeps the blocked scatter loop every permutation shares; the
+//! MPI and SHMEM styles move the pieces of `ccsort_parallel::plan::RadixPlan`,
+//! the threaded programs' plan, and the CC-SAS ones read their digit starts
+//! from the prefix tree. Each `permute` body reproduces the
 //! machine-call sequence of the hand-written program it replaced, so times,
 //! breakdowns and event counts are bit-identical to the pre-refactor
 //! variants.
@@ -27,40 +29,7 @@
 use ccsort_machine::{ArrayId, Machine};
 
 use crate::comm::Communicator;
-use crate::common::{digit, local_histogram, n_passes, owner_of, part_range, BLOCK};
-
-/// A contiguous piece of one process's digit chunk, destined for a single
-/// owner's partition of the output array.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ChunkPiece {
-    /// Receiving process.
-    pub owner: usize,
-    /// Global element offset in the output array.
-    pub dst_off: usize,
-    /// Offset of this piece within the source chunk.
-    pub src_delta: usize,
-    /// Piece length in elements.
-    pub len: usize,
-}
-
-/// Split the chunk `[goff, goff+len)` of the output array along partition
-/// boundaries. Radix chunks usually land inside one partition, but a chunk
-/// straddling a boundary becomes one message per owner (the paper's MPI
-/// program sends "each contiguously-destined chunk of keys directly as a
-/// separate message").
-pub fn split_by_owner(n: usize, p: usize, goff: usize, len: usize) -> Vec<ChunkPiece> {
-    let mut out = Vec::new();
-    let mut start = goff;
-    let end = goff + len;
-    while start < end {
-        let owner = owner_of(n, p, start);
-        let part_end = part_range(n, p, owner).end;
-        let piece = end.min(part_end) - start;
-        out.push(ChunkPiece { owner, dst_off: start, src_delta: start - goff, len: piece });
-        start += piece;
-    }
-    out
-}
+use crate::common::{digit, local_histogram, n_passes, part_range, BLOCK};
 
 /// One blocked pass over `pe`'s partition of `src`: read a block, compute
 /// each key's destination (`dest_base + cursors[digit]`, post-incrementing
@@ -246,43 +215,5 @@ mod tests {
             "put must leave the destination cold, so the next histogram sweep \
              pays local-memory misses (put {hist_lmem_put}, get {hist_lmem_get})"
         );
-    }
-
-    #[test]
-    fn split_within_one_partition() {
-        // n=100, p=4: partitions of 25.
-        let pieces = split_by_owner(100, 4, 30, 10);
-        assert_eq!(pieces, vec![ChunkPiece { owner: 1, dst_off: 30, src_delta: 0, len: 10 }]);
-    }
-
-    #[test]
-    fn split_across_boundaries() {
-        let pieces = split_by_owner(100, 4, 20, 40);
-        assert_eq!(
-            pieces,
-            vec![
-                ChunkPiece { owner: 0, dst_off: 20, src_delta: 0, len: 5 },
-                ChunkPiece { owner: 1, dst_off: 25, src_delta: 5, len: 25 },
-                ChunkPiece { owner: 2, dst_off: 50, src_delta: 30, len: 10 },
-            ]
-        );
-        // Pieces tile the chunk.
-        let total: usize = pieces.iter().map(|c| c.len).sum();
-        assert_eq!(total, 40);
-    }
-
-    #[test]
-    fn split_empty_chunk() {
-        assert!(split_by_owner(100, 4, 50, 0).is_empty());
-    }
-
-    #[test]
-    fn split_with_uneven_partitions() {
-        // n=10, p=3: partitions [0,3), [3,6), [6,10).
-        let pieces = split_by_owner(10, 3, 2, 6);
-        let total: usize = pieces.iter().map(|c| c.len).sum();
-        assert_eq!(total, 6);
-        assert_eq!(pieces[0].owner, 0);
-        assert_eq!(pieces.last().unwrap().owner, 2);
     }
 }

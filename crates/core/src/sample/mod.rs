@@ -32,14 +32,12 @@
 //! | `SampleShmem` | `shmem_fcollect`, otherwise as MPI | the send/receive pair becomes a one-sided `get` |
 
 use ccsort_machine::{ArrayId, Machine, Placement};
+use ccsort_parallel::plan::{self, Layout, SAMPLES_PER_PART};
 
-use crate::comm::{Communicator, ExchangePlan};
+use crate::comm::Communicator;
 use crate::common::{local_radix_sort, n_passes, part_range};
 use crate::costs;
 use crate::runtime::write_fixed;
-
-/// Samples taken per process (the paper's choice).
-pub const SAMPLES_PER_PE: usize = 128;
 
 /// How sample keys are chosen in phase 2 — "there are many ways to decide
 /// how to sample the keys ... these affect load balance and program
@@ -60,25 +58,25 @@ pub enum SamplingStrategy {
 
 impl Default for SamplingStrategy {
     fn default() -> Self {
-        SamplingStrategy::Regular { per_pe: SAMPLES_PER_PE }
+        SamplingStrategy::Regular { per_pe: SAMPLES_PER_PART }
     }
 }
 
 impl SamplingStrategy {
-    /// Samples per process for a given processor count and partition size.
-    fn per_pe(&self, p: usize, part_len: usize) -> usize {
+    /// Samples per process for `n` keys over `p` processes.
+    fn per_pe(&self, n: usize, p: usize) -> usize {
         let want = match *self {
             SamplingStrategy::Regular { per_pe } => per_pe,
             SamplingStrategy::Random { per_pe, .. } => per_pe,
             SamplingStrategy::Oversample { factor } => factor.max(1) * p,
         };
-        want.min(part_len).max(1)
+        plan::samples_per_part(want, n, p)
     }
 
     /// The `k`-th sample index within a partition of `len` keys.
     fn index(&self, pe: usize, k: usize, s: usize, len: usize) -> usize {
         match *self {
-            SamplingStrategy::Regular { .. } | SamplingStrategy::Oversample { .. } => k * len / s,
+            SamplingStrategy::Regular { .. } | SamplingStrategy::Oversample { .. } => plan::sample_index(k, s, len),
             SamplingStrategy::Random { seed, .. } => {
                 // Hash of (seed, pe, k): deterministic pseudo-random
                 // positions.
@@ -104,12 +102,45 @@ pub(crate) fn sort_with_comm(
     strategy: SamplingStrategy,
 ) -> ArrayId {
     let p = m.n_procs();
-    let s = strategy.per_pe(p, n / p);
     let bits = key_bits.max(1);
-    let local_passes = n_passes(bits, r);
-
     let recv = m.alloc(n, Placement::Partitioned { parts: p }, "recv");
     let recv_scratch = m.alloc(n, Placement::Partitioned { parts: p }, "recv-scratch");
+    let (sorted, layout) = partition(m, comm, keys, n, r, bits, strategy);
+
+    m.section("exchange");
+    comm.exchange_keys(m, sorted, recv, n, &layout);
+    m.barrier();
+
+    // ------------------------------------------------------------------
+    // Phase 5: local sort of the received region.
+    // ------------------------------------------------------------------
+    m.section("local-sort-2");
+    for pe in 0..p {
+        let region = layout.region(pe);
+        local_radix_sort(m, pe, recv, recv_scratch, region.start, region.len(), r, bits);
+    }
+    m.barrier();
+    if n_passes(bits, r) % 2 == 1 {
+        recv_scratch
+    } else {
+        recv
+    }
+}
+
+/// Phases 1 to 4's counts: sort every partition, sample, choose splitters
+/// and lay out the exchange. Returns the array holding the sorted
+/// partitions and the layout ([`plan`]'s, the threaded programs' own).
+pub(crate) fn partition(
+    m: &mut Machine,
+    comm: &mut dyn Communicator,
+    keys: [ArrayId; 2],
+    n: usize,
+    r: u32,
+    bits: u32,
+    strategy: SamplingStrategy,
+) -> (ArrayId, Layout) {
+    let p = m.n_procs();
+    let s = strategy.per_pe(n, p);
     let samples = m.alloc(p * s, Placement::Partitioned { parts: p }, "samples");
 
     // ------------------------------------------------------------------
@@ -123,12 +154,15 @@ pub(crate) fn sort_with_comm(
     m.barrier();
     // All partitions have the same pass parity, so the sorted data is in
     // the same array everywhere.
-    let sorted = if local_passes % 2 == 1 { keys[1] } else { keys[0] };
+    let sorted = if n_passes(bits, r) % 2 == 1 { keys[1] } else { keys[0] };
 
     // ------------------------------------------------------------------
-    // Phase 2: regular sampling.
+    // Phase 2: sampling.
     // ------------------------------------------------------------------
+    // A sample's global position is a function of (pe, k) that every
+    // process computes, so only the keys travel.
     m.section("sampling");
+    let mut positions = Vec::with_capacity(p * s);
     for pe in 0..p {
         let range = part_range(n, p, pe);
         let len = range.len();
@@ -143,6 +177,7 @@ pub(crate) fn sort_with_comm(
             local_samples[k] = m.raw(sorted)[idxs[k]];
         }
         write_fixed(m, pe, samples, pe * s, &local_samples);
+        positions.extend(idxs.iter().map(|&at| at as u32));
     }
     m.barrier();
 
@@ -150,18 +185,17 @@ pub(crate) fn sort_with_comm(
     // Phase 3: splitter selection (model-specific).
     // ------------------------------------------------------------------
     m.section("splitters");
-    let splitters = comm.select_splitters(m, samples, s);
+    let splitters = comm.select_splitters(m, samples, &positions);
     debug_assert_eq!(splitters.len(), p - 1);
 
     // ------------------------------------------------------------------
     // Phase 4: partition by splitters and exchange.
     // ------------------------------------------------------------------
-    // Bucket boundaries within each sorted partition (host math; the
-    // binary-search instruction work is charged below). Ties on duplicated
-    // splitter values are spread across the tied buckets so heavily
-    // duplicated keys (e.g. the `zero` distribution) don't overload one
-    // process.
-    let mut bounds: Vec<Vec<usize>> = Vec::with_capacity(p);
+    // Bucket sizes within each sorted partition (host math; the
+    // binary-search instruction work is charged here). Keys equal to a
+    // splitter divide at its position, so duplicated keys (the `zero`
+    // distribution) spread over the ranks as the bound allows.
+    let mut counts: Vec<Vec<u32>> = Vec::with_capacity(p);
     for pe in 0..p {
         let range = part_range(n, p, pe);
         let len = range.len();
@@ -169,100 +203,19 @@ pub(crate) fn sort_with_comm(
             pe,
             costs::BSEARCH_CYC_PER_STEP * (p.max(2) - 1) as f64 * (len.max(2) as f64).log2(),
         );
-        let part = &m.raw(sorted)[range.clone()];
-        bounds.push(splitter_bounds(part, &splitters));
+        let sizes = plan::bucket_sizes(&m.raw(sorted)[range.clone()], range.start, &splitters);
+        counts.push(sizes.into_iter().map(|c| c as u32).collect());
     }
 
-    // counts[i][j]: keys process i sends to process j.
-    let counts: Vec<Vec<u32>> = (0..p)
-        .map(|i| (0..p).map(|j| (bounds[i][j + 1] - bounds[i][j]) as u32).collect())
-        .collect();
-
-    // Exchange the counts (cheap collective, same flavour per model) and
-    // compute the receive layout: region j = [rbase[j], rbase[j+1]), with
-    // source i's block at rbase[j] + sum_{i'<i} counts[i'][j].
+    // Exchange the counts (cheap collective, same flavour per model); the
+    // layout follows from them.
     exchange_counts(m, comm, &counts);
-    let mut rbase = vec![0usize; p + 1];
-    for j in 0..p {
-        let inbound: u32 = (0..p).map(|i| counts[i][j]).sum();
-        rbase[j + 1] = rbase[j] + inbound as usize;
+    let layout = Layout::new(&counts);
+    if !matches!(strategy, SamplingStrategy::Random { .. }) {
+        let (widest, bound) = (layout.widest(), plan::region_bound(n, p, s));
+        assert!(widest <= bound, "a process of {p} receives {widest} of {n} keys, bound {bound}");
     }
-    debug_assert_eq!(rbase[p], n);
-    let plan = ExchangePlan {
-        src_off: (0..p)
-            .map(|i| (0..p).map(|j| part_range(n, p, i).start + bounds[i][j]).collect())
-            .collect(),
-        dst_off: (0..p)
-            .map(|i| {
-                (0..p)
-                    .map(|j| rbase[j] + (0..i).map(|i2| counts[i2][j] as usize).sum::<usize>())
-                    .collect()
-            })
-            .collect(),
-        max_region: (0..p).map(|j| rbase[j + 1] - rbase[j]).max().unwrap_or(0),
-        counts,
-    };
-
-    m.section("exchange");
-    comm.exchange_keys(m, sorted, recv, &plan);
-    m.barrier();
-
-    // ------------------------------------------------------------------
-    // Phase 5: local sort of the received region.
-    // ------------------------------------------------------------------
-    m.section("local-sort-2");
-    for pe in 0..p {
-        let off = rbase[pe];
-        let len = rbase[pe + 1] - rbase[pe];
-        local_radix_sort(m, pe, recv, recv_scratch, off, len, r, bits);
-    }
-    m.barrier();
-    if local_passes % 2 == 1 {
-        recv_scratch
-    } else {
-        recv
-    }
-}
-
-/// Bucket cut points of a sorted `part` under `splitters`, spreading keys
-/// equal to a run of tied splitters evenly over the tied buckets.
-///
-/// A value `v` appearing as splitters `a..=b` may legally land in any of
-/// buckets `a..=b+1`: buckets `a+1..=b` hold nothing but `v`, bucket `a`
-/// holds keys `< v` plus `v`s, bucket `b+1` holds `v`s plus keys `> v`, and
-/// the phase-5 local sorts restore order inside every bucket. Without the
-/// spreading, all duplicates of a splitter value pile onto one process —
-/// the paper's `zero` distribution (every tenth key zero) would overload
-/// process 0 by an order of magnitude.
-pub fn splitter_bounds(part: &[u32], splitters: &[u32]) -> Vec<usize> {
-    let p = splitters.len() + 1;
-    let len = part.len();
-    let mut b = vec![0usize; p + 1];
-    b[p] = len;
-    let mut j = 0usize;
-    while j < splitters.len() {
-        let v = splitters[j];
-        let mut jl = j;
-        while jl + 1 < splitters.len() && splitters[jl + 1] == v {
-            jl += 1;
-        }
-        if jl == j {
-            b[j + 1] = part.partition_point(|&x| x < v);
-            j += 1;
-            continue;
-        }
-        // Tied group: splitters j..=jl all equal v; spread the run of v's
-        // over buckets j..=jl+1.
-        let lower = part.partition_point(|&x| x < v);
-        let upper = part.partition_point(|&x| x <= v);
-        let run = upper - lower;
-        let slots = jl - j + 2;
-        for (k, cut) in (j + 1..=jl + 1).enumerate() {
-            b[cut] = lower + (k + 1) * run / slots;
-        }
-        j = jl + 1;
-    }
-    b
+    (sorted, layout)
 }
 
 /// Exchange the per-pair key counts ahead of the all-to-all: publish every

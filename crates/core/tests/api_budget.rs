@@ -7,8 +7,7 @@
 
 use std::collections::BTreeSet;
 
-const MODULES: &[&str] =
-    &["common", "costs", "dist", "driver", "predict", "radix", "sample", "seq"];
+const MODULES: &[&str] = &["common", "costs", "dist", "driver", "predict", "seq"];
 
 const REEXPORTS: &[&str] = &[
     "ProtocolMode",

@@ -35,6 +35,7 @@ pub mod histogram;
 pub mod key;
 mod msg;
 pub mod pairs;
+pub mod plan;
 pub mod radix;
 pub mod seq;
 pub mod shared;
@@ -58,6 +59,7 @@ pub use radix::{
 };
 pub use seq::{radix_sort as seq_radix_sort, radix_sort_with_scratch, DEFAULT_RADIX_BITS};
 pub use shared::SharedSlice;
-pub use spmd::{par_sample_sort, SAMPLES_PER_PART};
+pub use plan::SAMPLES_PER_PART;
+pub use spmd::par_sample_sort;
 pub use steal::{default_workers, par_map, ChunkQueue};
 pub use verify::{is_sorted, is_sorted_permutation_of, multiset_fingerprint};

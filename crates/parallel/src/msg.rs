@@ -8,9 +8,12 @@
 
 use std::ops::Range;
 use std::sync::mpsc::{channel, Receiver, Sender};
+use std::sync::Mutex;
 
 use crate::key::RadixKey;
-use crate::spmd::{concat_into, Piece, Transport};
+use crate::plan::{part_range, Piece};
+use crate::spmd::{concat_into, Transport};
+use crate::steal::{abandon, run_workers};
 
 /// A rank's endpoint in an SPMD communicator of `size` ranks.
 struct Comm<M: Send> {
@@ -33,14 +36,16 @@ impl<M: Send> Comm<M> {
         self.size
     }
 
-    /// Send a message to `dst` (buffered, never blocks).
+    /// Send a message to `dst` (buffered, never blocks). A receiver that
+    /// hung up has failed, so this rank stops too.
     fn send(&self, dst: usize, msg: M) {
-        self.out[dst].send(msg).expect("receiver hung up");
+        self.out[dst].send(msg).unwrap_or_else(|_| abandon());
     }
 
-    /// Receive the next message from `src` (blocks until it arrives).
+    /// Receive the next message from `src` (blocks until it arrives, or
+    /// until `src` fails and this rank stops too).
     fn recv(&self, src: usize) -> M {
-        self.inbox[src].recv().expect("sender hung up")
+        self.inbox[src].recv().unwrap_or_else(|_| abandon())
     }
 
     /// Gather one message from every rank (including a self-copy):
@@ -79,7 +84,8 @@ impl<M: Send> Comm<M> {
 }
 
 /// Run `f` as an SPMD program over `size` ranks (one OS thread each) and
-/// return each rank's result, in rank order.
+/// return each rank's result, in rank order. A rank that panics drops its
+/// channels, so the ranks waiting on it stop rather than wait.
 fn spawn_spmd<M, R, F>(size: usize, f: F) -> Vec<R>
 where
     M: Send,
@@ -92,27 +98,15 @@ where
     let (senders, inboxes): (Vec<Vec<_>>, Vec<Vec<_>>) =
         (0..size).map(|_| (0..size).map(|_| channel()).unzip()).unzip();
     let mut senders: Vec<_> = senders.into_iter().map(Vec::into_iter).collect();
-    let comms: Vec<Comm<M>> = inboxes
+    let comms: Vec<Mutex<Option<Comm<M>>>> = inboxes
         .into_iter()
         .enumerate()
-        .map(|(rank, inbox)| Comm {
-            rank,
-            size,
-            out: senders.iter_mut().map(|row| row.next().expect("a sender per rank")).collect(),
-            inbox,
+        .map(|(rank, inbox)| {
+            let out = senders.iter_mut().map(|row| row.next().expect("a sender per rank")).collect();
+            Mutex::new(Some(Comm { rank, size, out, inbox }))
         })
         .collect();
-
-    std::thread::scope(|s| {
-        let handles: Vec<_> = comms
-            .into_iter()
-            .map(|comm| {
-                let f = &f;
-                s.spawn(move || f(comm))
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().expect("rank panicked")).collect()
-    })
+    run_workers(size, |rank| f(comms[rank].lock().expect("taken once").take().expect("one rank per comm")))
 }
 
 /// What ranks send each other in a sort: header words and keys. The
@@ -177,7 +171,7 @@ impl<K: RadixKey + Default> Transport<K> for Message<K> {
         let n = keys.len();
         let input = &*keys;
         let regions = spawn_spmd(p, |comm| {
-            let part = comm.rank() * n / p..(comm.rank() + 1) * n / p;
+            let part = part_range(n, p, comm.rank());
             let mut t = Message { comm, keys: input[part].to_vec(), stage: vec![K::default(); cap] };
             program(&mut t);
             t.keys

@@ -21,30 +21,16 @@
 //! `radix_sort::<Direct<_>, _>(keys, p, 8)`.
 
 use std::ops::Range;
-use std::sync::{Arc, Barrier, Mutex};
+use std::sync::{Arc, Condvar, Mutex};
 
 use crate::key::RadixKey;
+use crate::plan::{
+    bucket_sizes, part_range, region_bound, regular_positions, regular_samples, samples_per_part, splitters,
+    Layout, Piece, RadixPlan, SAMPLES_PER_PART,
+};
 pub use crate::{msg::Message, sym::Symmetric};
 use crate::seq::{passes_for, radix_sort_with_scratch};
-use crate::steal::{default_workers, run_workers};
-
-/// Regular samples each rank contributes to splitter selection (the
-/// paper's choice).
-pub const SAMPLES_PER_PART: usize = 128;
-
-/// One contiguous run of keys on its way from a sender's buffer to a
-/// receiver's region.
-#[derive(Debug, Clone)]
-pub struct Piece {
-    /// Where the run starts in the sender's buffer.
-    pub src_off: usize,
-    /// The receiving rank.
-    pub dst: usize,
-    /// Where the run lands, as an index into the whole output `0..n` (the
-    /// receiver's region starts at its `region.start`).
-    pub dst_at: usize,
-    pub len: usize,
-}
+use crate::steal::{abandon, default_workers, run_workers};
 
 /// One rank's endpoint in an SPMD sort of `n` keys over `size` ranks: the
 /// rank's keys, a staging buffer of the same length, and the two
@@ -101,7 +87,6 @@ pub fn radix_sort<T: Transport<K>, K: RadixKey + Default>(keys: &mut [K], p: usi
         return;
     }
     let p = p.clamp(1, n);
-    let part = |i: usize| i * n / p;
     let bins = 1usize << radix_bits;
     let mask = (bins - 1) as u64;
     T::launch(keys, p, n.div_ceil(p), |t| {
@@ -112,16 +97,7 @@ pub fn radix_sort<T: Transport<K>, K: RadixKey + Default>(keys: &mut [K], p: usi
             for k in t.local().0.iter() {
                 hist[k.digit(shift, mask)] += 1;
             }
-            let hists = t.allgather(&hist);
-            // starts[i][d]: where rank i's run of digit d begins in the output.
-            let mut starts = vec![vec![0usize; bins]; p];
-            let mut at = 0;
-            for d in 0..bins {
-                for i in 0..p {
-                    starts[i][d] = at;
-                    at += hists[i][d] as usize;
-                }
-            }
+            let plan = RadixPlan::new(&t.allgather(&hist));
             let (mine, stage) = t.local();
             let mut cursor = vec![0usize; bins];
             for d in 1..bins {
@@ -132,80 +108,11 @@ pub fn radix_sort<T: Transport<K>, K: RadixKey + Default>(keys: &mut [K], p: usi
                 stage[cursor[d]] = k;
                 cursor[d] += 1;
             }
-            // A digit's run goes to whoever owns that stretch of the
-            // output, cut where it crosses a partition boundary.
-            let plan = |src: usize| {
-                let mut pieces = Vec::new();
-                let (mut src_off, mut owner) = (0, 0);
-                for d in 0..bins {
-                    let mut at = starts[src][d];
-                    let end = at + hists[src][d] as usize;
-                    while at < end {
-                        while part(owner + 1) <= at {
-                            owner += 1;
-                        }
-                        let len = end.min(part(owner + 1)) - at;
-                        pieces.push(Piece { src_off, dst: owner, dst_at: at, len });
-                        src_off += len;
-                        at += len;
-                    }
-                }
-                pieces
-            };
-            // SAFETY: `starts` is one exclusive prefix sum over (digit,
-            // rank) of counts that total n, so the runs tile 0..n; a run is
-            // cut at the partition boundaries, which are the regions.
-            unsafe { t.exchange(true, part(me)..part(me + 1), &plan) };
+            // SAFETY: the plan's pieces tile 0..n once, each inside its
+            // receiver's partition (`RadixPlan::pieces`).
+            unsafe { t.exchange(true, plan.region(me), &|src| plan.pieces(src)) };
         }
     });
-}
-
-/// Keys sample sort gives one rank at most, out of `n` over `p` ranks.
-///
-/// Part `i` is sorted and contributes `s = min(SAMPLES_PER_PART, ⌊n/p⌋)`
-/// samples `(key, global position)` at local indices `⌊k·m/s⌋`, so
-/// consecutive samples — and the last sample and the part's end — are at
-/// most `g = ⌈⌈n/p⌉/s⌉` apart. Positions are distinct, so the `p·s` samples
-/// are strictly ordered, and with every `s`-th one as a splitter exactly
-/// `s` samples fall in a rank's interval `[splitter_j, splitter_{j+1})`.
-/// If `c_i` of them are part `i`'s, that part's keys in the interval lie
-/// strictly between two of its samples that are `c_i + 1` gaps apart: at
-/// most `(c_i + 1)·g − 1` keys. Summed over the parts, with `Σ c_i = s`:
-/// `(s + p)·g − p`, which is `≈ n/p + n/s` — whatever the duplication,
-/// because ties are split by position.
-pub fn region_bound(n: usize, p: usize) -> usize {
-    let p = p.clamp(1, n.max(1));
-    let s = SAMPLES_PER_PART.min(n / p).max(1);
-    (s + p) * n.div_ceil(p).div_ceil(s) - p
-}
-
-/// How many of a sorted part's keys — the part sits at `base` of the input
-/// — order before `(v, g)`, a key image and a global position.
-fn cut<K: RadixKey>(part: &[K], base: usize, (v, g): (u64, u64)) -> usize {
-    let lower = part.partition_point(|x| x.to_bits() < v);
-    let upper = part.partition_point(|x| x.to_bits() <= v);
-    (g as usize).saturating_sub(base).clamp(lower, upper)
-}
-
-/// The `p − 1` splitters: every `s`-th of the `p·s` gathered samples,
-/// ordered as (key image, global position).
-fn splitters(samples: &[Vec<u64>]) -> Vec<(u64, u64)> {
-    let s = samples[0].len() / 2;
-    let mut all: Vec<(u64, u64)> =
-        samples.iter().flat_map(|v| v.chunks_exact(2).map(|c| (c[0], c[1]))).collect();
-    all.sort_unstable();
-    (1..samples.len()).map(|j| all[j * s]).collect()
-}
-
-/// `s` regular samples of a sorted part at `base`, as (image, position)
-/// word pairs.
-fn regular_samples<K: RadixKey>(part: &[K], base: usize, s: usize) -> Vec<u64> {
-    (0..s)
-        .flat_map(|k| {
-            let i = k * part.len() / s;
-            [part[i].to_bits(), (base + i) as u64]
-        })
-        .collect()
 }
 
 /// The paper's parallel sample sort over `p` ranks of transport `T`: local
@@ -219,54 +126,26 @@ pub fn sample_sort<T: Transport<K>, K: RadixKey + Default>(keys: &mut [K], p: us
         return;
     }
     let p = p.clamp(1, n);
-    let s = SAMPLES_PER_PART.min(n / p);
-    let cap = region_bound(n, p);
+    let s = samples_per_part(SAMPLES_PER_PART, n, p);
+    let cap = region_bound(n, p, s);
+    let positions = regular_positions(n, p, s);
     T::launch(keys, p, cap, |t| {
         let me = t.rank();
-        let base = me * n / p;
+        let base = part_range(n, p, me).start;
         let (mine, stage) = t.local();
         radix_sort_with_scratch(mine, stage, radix_bits);
-        let samples = regular_samples(mine, base, s);
-        let splitters = splitters(&t.allgather(&samples));
-
-        let mine = t.local().0;
-        let mut bounds = vec![0; p + 1];
-        bounds[p] = mine.len();
-        for (j, &splitter) in splitters.iter().enumerate() {
-            bounds[j + 1] = cut(mine, base, splitter);
-        }
-        let counts: Vec<u64> = bounds.windows(2).map(|w| (w[1] - w[0]) as u64).collect();
-        let counts = t.allgather(&counts);
-        // Region j holds, in source order, every rank's bucket j.
-        let mut lands = vec![vec![0usize; p]; p];
-        let mut regions = vec![0usize; p + 1];
-        for j in 0..p {
-            regions[j + 1] = regions[j];
-            for i in 0..p {
-                lands[i][j] = regions[j + 1];
-                regions[j + 1] += counts[i][j] as usize;
-            }
-        }
+        let samples = regular_samples(mine, s);
+        let keys = t.allgather(&samples).concat();
+        let splitters = splitters(keys.into_iter().zip(positions.iter().copied()), p);
+        let counts = bucket_sizes(t.local().0, base, &splitters);
+        let layout = Layout::new(&t.allgather(&counts));
         // Every rank checks every region: they fail together, not one of
         // them with the rest waiting at a barrier.
-        let widest = regions.windows(2).map(|w| w[1] - w[0]).max().expect("p >= 1");
+        let widest = layout.widest();
         assert!(widest <= cap, "a rank of {p} would receive {widest} of {n} keys, bound {cap}");
-        let plan = |src: usize| {
-            let mut src_off = 0;
-            let mut pieces = Vec::new();
-            for dst in 0..p {
-                let len = counts[src][dst] as usize;
-                if len > 0 {
-                    pieces.push(Piece { src_off, dst, dst_at: lands[src][dst], len });
-                }
-                src_off += len;
-            }
-            pieces
-        };
-        // SAFETY: `lands` is one exclusive prefix sum over (bucket, rank)
-        // of counts that total n, bucket j's stretch of it is `regions[j]
-        // ..regions[j + 1]`, and the bound was asserted above.
-        unsafe { t.exchange(false, regions[me]..regions[me + 1], &plan) };
+        // SAFETY: the layout's pieces tile 0..n once, each inside its
+        // receiver's region, and no region is wider than the capacity.
+        unsafe { t.exchange(false, layout.region(me), &|src| layout.pieces(src)) };
         let (mine, stage) = t.local();
         radix_sort_with_scratch(mine, stage, radix_bits);
     });
@@ -313,6 +192,70 @@ impl Board {
         // No rank refills its slot while another still reads it.
         barrier();
         all
+    }
+}
+
+/// The barrier of the transports whose ranks share memory, which a failing
+/// rank breaks rather than leaves waiting: a generation count under a
+/// mutex, and a flag that [`Barrier::break_on_unwind`]'s guard raises when
+/// its rank unwinds. A rank waiting at a broken barrier, or arriving at one,
+/// stops ([`abandon`]), and [`run_workers`] re-raises the failing rank's
+/// own panic.
+pub(crate) struct Barrier {
+    parties: usize,
+    state: Mutex<Turn>,
+    turn: Condvar,
+}
+
+#[derive(Default)]
+struct Turn {
+    arrived: usize,
+    generation: u64,
+    broken: bool,
+}
+
+impl Barrier {
+    pub(crate) fn new(parties: usize) -> Self {
+        Barrier { parties, state: Mutex::default(), turn: Condvar::new() }
+    }
+
+    /// Wait until all parties have arrived; `true` on the last to arrive.
+    pub(crate) fn wait(&self) -> bool {
+        let mut turn = self.state.lock().expect("no rank panics holding the barrier");
+        let generation = turn.generation;
+        if !turn.broken {
+            turn.arrived += 1;
+            if turn.arrived == self.parties {
+                turn.arrived = 0;
+                turn.generation += 1;
+                self.turn.notify_all();
+                return true;
+            }
+            turn = self
+                .turn
+                .wait_while(turn, |turn| turn.generation == generation && !turn.broken)
+                .expect("no rank panics holding the barrier");
+        }
+        if turn.generation == generation {
+            drop(turn);
+            abandon();
+        }
+        false
+    }
+
+    /// A guard that breaks the barrier if it is dropped by a panic: hold
+    /// it across a rank's program.
+    pub(crate) fn break_on_unwind(&self) -> impl Drop + '_ {
+        struct Guard<'a>(&'a Barrier);
+        impl Drop for Guard<'_> {
+            fn drop(&mut self) {
+                if std::thread::panicking() {
+                    self.0.state.lock().expect("no rank panics holding the barrier").broken = true;
+                    self.0.turn.notify_all();
+                }
+            }
+        }
+        Guard(self)
     }
 }
 
@@ -419,11 +362,12 @@ impl<K: RadixKey + Default> Transport<K> for Direct<K> {
             barrier: Barrier::new(p),
         });
         run_workers(p, |rank| {
+            let _break = shared.barrier.break_on_unwind();
             let mut t = Direct {
                 rank,
                 shared: Arc::clone(&shared),
                 cur: 0,
-                region: rank * n / p..(rank + 1) * n / p,
+                region: part_range(n, p, rank),
                 stage: vec![K::default(); cap],
             };
             program(&mut t);
@@ -509,26 +453,20 @@ mod tests {
     /// `input`, computed rank by rank without a transport.
     fn region_sizes(input: &[u32], p: usize) -> Vec<usize> {
         let n = input.len();
-        let s = SAMPLES_PER_PART.min(n / p);
+        let s = samples_per_part(SAMPLES_PER_PART, n, p);
         let parts: Vec<(usize, Vec<u32>)> = (0..p)
             .map(|i| {
-                let mut part = input[i * n / p..(i + 1) * n / p].to_vec();
+                let range = part_range(n, p, i);
+                let mut part = input[range.clone()].to_vec();
                 part.sort_unstable();
-                (i * n / p, part)
+                (range.start, part)
             })
             .collect();
-        let samples: Vec<Vec<u64>> = parts.iter().map(|(base, part)| regular_samples(part, *base, s)).collect();
-        let splitters = splitters(&samples);
-        let mut sizes = vec![0; p];
-        for (base, part) in &parts {
-            let mut bounds = vec![0];
-            bounds.extend(splitters.iter().map(|&sp| cut(part, *base, sp)));
-            bounds.push(part.len());
-            for j in 0..p {
-                sizes[j] += bounds[j + 1] - bounds[j];
-            }
-        }
-        sizes
+        let keys: Vec<u64> = parts.iter().flat_map(|(_, part)| regular_samples(part, s)).collect();
+        let splitters = splitters(keys.into_iter().zip(regular_positions(n, p, s)), p);
+        let counts: Vec<Vec<u64>> = parts.iter().map(|(base, part)| bucket_sizes(part, *base, &splitters)).collect();
+        let layout = Layout::new(&counts);
+        (0..p).map(|j| layout.region(j).len()).collect()
     }
 
     #[test]
@@ -539,8 +477,8 @@ mod tests {
                 for (what, input) in shapes(n, &mut rng) {
                     let sizes = region_sizes(&input, p);
                     assert_eq!(sizes.iter().sum::<usize>(), n);
-                    let bound = region_bound(n, p);
-                    let s = SAMPLES_PER_PART.min(n / p);
+                    let s = samples_per_part(SAMPLES_PER_PART, n, p);
+                    let bound = region_bound(n, p, s);
                     assert!(bound <= n.div_ceil(p) + n.div_ceil(s) + s + p, "the bound is n/p + n/s and change");
                     assert!(
                         sizes.iter().all(|&len| len <= bound),
@@ -554,19 +492,6 @@ mod tests {
                 }
             }
         }
-        // Ties split by position: equal keys divide evenly.
-        assert_eq!(region_sizes(&vec![9; 10_000], 2), [5000, 5000]);
-    }
-
-    #[test]
-    fn ties_cut_at_the_splitters_position() {
-        let part = [3u32, 5, 5, 5, 8];
-        // Positions 10..15; the run of fives is at 11..14.
-        assert_eq!(cut(&part, 10, (5, 0)), 1);
-        assert_eq!(cut(&part, 10, (5, 12)), 2);
-        assert_eq!(cut(&part, 10, (5, 99)), 4);
-        assert_eq!(cut(&part, 10, (4, 99)), 1);
-        assert_eq!(cut(&part, 10, (9, 0)), 5);
     }
 
     /// Small enough for Miri: eight keys over three ranks, so a digit's run
@@ -587,5 +512,97 @@ mod tests {
         par_sample_sort(&mut v);
         assert_eq!(v, expect);
         par_sample_sort::<u32>(&mut []);
+    }
+
+    /// A `u32` key whose digit at bit `SHIFT` panics on [`MARKER`], so the
+    /// rank that holds it fails in that pass (or in its first local sort,
+    /// which counts every digit).
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord)]
+    struct Fragile<const SHIFT: u32>(u32);
+
+    const MARKER: u32 = 0xdead_beef;
+
+    impl<const SHIFT: u32> RadixKey for Fragile<SHIFT> {
+        const BITS: u32 = 32;
+
+        fn to_bits(self) -> u64 {
+            u64::from(self.0)
+        }
+
+        fn digit(self, shift: u32, mask: u64) -> usize {
+            assert!(self.0 != MARKER || shift != SHIFT, "the marker key failed its rank");
+            ((self.to_bits() >> shift) & mask) as usize
+        }
+    }
+
+    /// The panic message of `f`, run on a thread of its own; a failed
+    /// assertion if `f` returns, or has not finished within `bound`.
+    fn panic_within(bound: std::time::Duration, f: impl FnOnce() + Send + 'static) -> String {
+        let (done, outcome) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)).err();
+            let message = panic.map(|p| match p.downcast::<String>() {
+                Ok(message) => *message,
+                Err(p) => p.downcast::<&str>().map_or("a panic with no message".into(), |m| m.to_string()),
+            });
+            let _ = done.send(message);
+        });
+        match outcome.recv_timeout(bound) {
+            Ok(Some(message)) => message,
+            Ok(None) => panic!("the sort returned although a rank failed"),
+            Err(_) => panic!("a rank failed and the sort has not finished after {bound:?}"),
+        }
+    }
+
+    /// Every program on four ranks, the marker in rank 2's partition: the
+    /// failing rank's own panic reaches the caller, on every transport.
+    fn a_failing_rank_stops_every_program<const SHIFT: u32>() {
+        for (name, sort) in programs::<Fragile<SHIFT>>() {
+            let message = panic_within(std::time::Duration::from_secs(10), move || {
+                let mut keys: Vec<Fragile<SHIFT>> =
+                    (0..400u32).map(|i| Fragile(i.wrapping_mul(2_654_435_761) >> 1)).collect();
+                keys[250] = Fragile(MARKER);
+                sort(&mut keys, 4, 8);
+            });
+            assert!(message.contains("the marker key failed its rank"), "{name}: {message}");
+        }
+    }
+
+    #[test]
+    fn a_rank_failing_in_the_first_pass_stops_every_program() {
+        a_failing_rank_stops_every_program::<0>();
+    }
+
+    /// Radix sort's last pass comes after three exchanges; sample sort's
+    /// first local sort counts every digit, so it fails there again.
+    #[test]
+    fn a_rank_failing_in_the_last_pass_stops_every_program() {
+        a_failing_rank_stops_every_program::<24>();
+    }
+
+    #[test]
+    fn a_broken_barrier_releases_its_waiters() {
+        let message = panic_within(std::time::Duration::from_secs(10), || {
+            let barrier = Barrier::new(3);
+            let failed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                run_workers(3, |rank| {
+                    let _break = barrier.break_on_unwind();
+                    barrier.wait();
+                    assert!(rank != 1, "rank 1 failed");
+                    barrier.wait();
+                })
+            }));
+            // A broken barrier stays broken: a late arrival stops at once.
+            assert!(std::panic::catch_unwind(|| barrier.wait()).is_err());
+            std::panic::resume_unwind(failed.expect_err("rank 1 panicked"));
+        });
+        assert_eq!(message, "rank 1 failed");
+    }
+
+    #[test]
+    fn a_barrier_reports_one_leader_per_generation() {
+        let barrier = Barrier::new(4);
+        let leaders = run_workers(4, |_| (0..50).filter(|_| barrier.wait()).count());
+        assert_eq!(leaders.iter().sum::<usize>(), 50);
     }
 }

@@ -35,6 +35,7 @@
 //! mode stays because the repo benchmark's claim probe is frozen on the
 //! three-argument `new`, and for its own exactly-once test below.
 
+use std::any::Any;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
@@ -47,7 +48,9 @@ pub fn default_workers() -> usize {
 /// worker order. `workers == 1` runs inline — the single-threaded
 /// configurations pay no spawn cost. The scope join is the fork/join
 /// barrier the [`ChunkQueue`] memory-ordering argument relies on. If a
-/// worker panics, the others finish and the panic resumes in the caller.
+/// worker panics, the others finish (or abandon the work that waits
+/// on it) and the first panic that was not an abandonment resumes in the
+/// caller.
 pub fn run_workers<T, F>(workers: usize, f: F) -> Vec<T>
 where
     T: Send,
@@ -63,9 +66,32 @@ where
                 s.spawn(move || f(w))
             })
             .collect();
-        // The scope still joins the rest before a resumed panic leaves it.
-        handles.into_iter().map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p))).collect()
+        let mut done = Vec::with_capacity(workers);
+        let mut failure: Option<Box<dyn Any + Send>> = None;
+        for handle in handles {
+            match handle.join() {
+                Ok(value) => done.push(value),
+                Err(panic) if failure.as_ref().is_none_or(|first| first.is::<Abandoned>()) => {
+                    failure = Some(panic)
+                }
+                Err(_) => {}
+            }
+        }
+        if let Some(panic) = failure {
+            std::panic::resume_unwind(panic);
+        }
+        done
     })
+}
+
+/// The panic payload of a worker that stopped because another worker
+/// failed: what it waited on (a barrier, a message) will never come.
+struct Abandoned;
+
+/// Stop this worker because another one failed, without a panic message of
+/// its own: [`run_workers`] re-raises the other worker's panic instead.
+pub(crate) fn abandon() -> ! {
+    std::panic::resume_unwind(Box::new(Abandoned))
 }
 
 /// `f` of every item, in item order, computed on up to `workers` threads.

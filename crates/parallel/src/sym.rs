@@ -30,10 +30,12 @@
 
 use std::cell::UnsafeCell;
 use std::ops::Range;
-use std::sync::{Arc, Barrier, Mutex};
+use std::sync::Arc;
 
 use crate::key::RadixKey;
-use crate::spmd::{concat_into, Board, Piece, Transport};
+use crate::plan::{part_range, Piece};
+use crate::spmd::{concat_into, Barrier, Board, Transport};
+use crate::steal::run_workers;
 
 struct Segment<K> {
     data: UnsafeCell<Vec<K>>,
@@ -62,7 +64,7 @@ struct SymHeap<K> {
     barrier: Barrier,
     /// Per-epoch access claims (debug builds only; see the module docs).
     #[cfg(debug_assertions)]
-    claims: Mutex<Vec<Claim>>,
+    claims: std::sync::Mutex<Vec<Claim>>,
 }
 
 impl<K: RadixKey + Default> SymHeap<K> {
@@ -73,7 +75,7 @@ impl<K: RadixKey + Default> SymHeap<K> {
             segs: (0..npes).map(|_| Segment { data: UnsafeCell::new(vec![K::default(); seg_len]) }).collect(),
             barrier: Barrier::new(npes),
             #[cfg(debug_assertions)]
-            claims: Mutex::new(Vec::new()),
+            claims: std::sync::Mutex::new(Vec::new()),
         }
     }
 
@@ -81,7 +83,8 @@ impl<K: RadixKey + Default> SymHeap<K> {
     /// (debug builds; the release build has no checker and no log).
     #[cfg(debug_assertions)]
     fn record_claim(&self, claim: Claim) {
-        let mut log = self.claims.lock().unwrap();
+        // A poisoned log means another PE's claim failed the check.
+        let mut log = self.claims.lock().unwrap_or_else(|_| crate::steal::abandon());
         for prev in log.iter() {
             if prev.seg == claim.seg
                 && prev.pe != claim.pe
@@ -105,19 +108,17 @@ impl<K: RadixKey + Default> SymHeap<K> {
         self.segs.len()
     }
 
-    /// Run `f` as an SPMD program, one thread per PE.
-    fn run<F>(self: &Arc<Self>, f: F)
+    /// Run `f` as an SPMD program, one thread per PE, and return each PE's
+    /// result in PE order. A PE that panics breaks the barrier, so the
+    /// others stop rather than wait for it.
+    fn run<R: Send>(self: &Arc<Self>, f: impl Fn(Pe<K>) -> R + Sync) -> Vec<R>
     where
-        F: Fn(Pe<K>) + Sync,
         K: Send,
     {
-        std::thread::scope(|s| {
-            for pe in 0..self.n_pes() {
-                let heap = Arc::clone(self);
-                let f = &f;
-                s.spawn(move || f(Pe { pe, heap }));
-            }
-        });
+        run_workers(self.n_pes(), |pe| {
+            let _break = self.barrier.break_on_unwind();
+            f(Pe { pe, heap: Arc::clone(self) })
+        })
     }
 }
 
@@ -145,8 +146,8 @@ impl<K: RadixKey + Default> Pe<K> {
             // Two waits so the leader can clear the claim log while every
             // other thread is parked between them: no claim of the new
             // epoch can be recorded before the old ones are gone.
-            if self.heap.barrier.wait().is_leader() {
-                self.heap.claims.lock().unwrap().clear();
+            if self.heap.barrier.wait() {
+                self.heap.claims.lock().unwrap_or_else(|_| crate::steal::abandon()).clear();
             }
             self.heap.barrier.wait();
         }
@@ -258,15 +259,13 @@ impl<K: RadixKey + Default> Transport<K> for Symmetric<K> {
         let input = &*keys;
         let heap: Arc<SymHeap<K>> = Arc::new(SymHeap::new(p, cap));
         let board = Arc::new(Board::new(p));
-        let regions = Mutex::new(vec![Vec::new(); p]);
-        heap.run(|pe| {
-            let me = pe.pe();
-            let part = me * n / p..(me + 1) * n / p;
+        let regions = heap.run(|pe| {
+            let part = part_range(n, p, pe.pe());
             let mut t = Symmetric { pe, board: Arc::clone(&board), keys: input[part].to_vec() };
             program(&mut t);
-            regions.lock().expect("a PE panicked")[me] = t.keys;
+            t.keys
         });
-        concat_into(keys, regions.into_inner().expect("a PE panicked"));
+        concat_into(keys, regions);
     }
 }
 

@@ -6,7 +6,7 @@
 //!
 //! The paper's comparison is *the same radix sort* written under CC-SAS,
 //! MPI and SHMEM. After the communicator refactor that sentence is literal
-//! code: one radix skeleton ([`ccsort::algos::radix`]: histogram → combine
+//! code: one radix skeleton (`ccsort_algos`' private `radix`: histogram → combine
 //! → permute per pass) runs over each programming model's `Communicator`,
 //! whose `permute` is that model's own data movement, and
 //! [`ccsort::algos::Algorithm`] is the table of pairings. This example

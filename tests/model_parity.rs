@@ -12,9 +12,10 @@
 //! of `ccsort-algos`' `driver::tests::conformance_table` that tier-1 runs
 //! through the facade.
 //!
-//! The timing half of the contract is [`radix_rows_simulate_bit_for_bit`]:
-//! every radix row's simulated time, event counters and phase breakdowns,
-//! hashed and pinned, in debug and release builds alike.
+//! The timing half of the contract is [`radix_rows_simulate_bit_for_bit`]
+//! and [`sample_rows_simulate_bit_for_bit`]: every row's simulated time,
+//! event counters and phase breakdowns, hashed and pinned, in debug and
+//! release builds alike.
 
 use ccsort::algos::dist::{generate, Dist};
 use ccsort::algos::{load_keys, run_experiment, Algorithm, ExpConfig, SamplingStrategy};
@@ -83,6 +84,19 @@ fn fingerprint(alg: Algorithm, p: usize) -> u64 {
     words.into_iter().fold(0, |h, w| mix64(h ^ w))
 }
 
+/// The rows whose fingerprints at p = 4 and 7 moved from `pinned`, as
+/// replacement lines; empty when none did.
+fn moved(pinned: &[(Algorithm, [u64; 2])]) -> String {
+    let mut moved = Vec::new();
+    for &(alg, pinned) in pinned {
+        let got = [4, 7].map(|p| fingerprint(alg, p));
+        if got != pinned {
+            moved.push(format!("        (Algorithm::{alg:?}, [{:#018x}, {:#018x}]),", got[0], got[1]));
+        }
+    }
+    moved.join("\n")
+}
+
 /// The seven radix rows at n = 2048, Gauss keys, 1/64 scale, p = 4 and 7:
 /// a changed loop order, barrier, section or allocation in any transport
 /// moves its row's hash.
@@ -97,18 +111,31 @@ fn radix_rows_simulate_bit_for_bit() {
         (Algorithm::RadixShmem, [0xbabaa6876128faab, 0x79caba1207c2b3f3]),
         (Algorithm::RadixShmemPut, [0xa39e923a4f7dc420, 0xfe692d83a13480eb]),
     ];
-    let mut moved = Vec::new();
-    for (alg, pinned) in PINNED {
-        let got = [4, 7].map(|p| fingerprint(alg, p));
-        if got != pinned {
-            moved.push(format!("        (Algorithm::{alg:?}, [{:#018x}, {:#018x}]),", got[0], got[1]));
-        }
-    }
+    let moved = moved(&PINNED);
     assert!(
         moved.is_empty(),
         "simulated radix timing moved. If the change is meant to move it, \
          replace these rows of PINNED with the lines below and regenerate \
-         results/golden_quick.txt in the same commit:\n{}",
-        moved.join("\n")
+         results/golden_quick.txt in the same commit:\n{moved}"
+    );
+}
+
+/// The four sample rows, pinned the same way: a change to the sample
+/// plan (samples, splitters, cuts, regions) or to a model's splitter,
+/// count or key exchange moves its row's hash.
+#[test]
+fn sample_rows_simulate_bit_for_bit() {
+    const PINNED: [(Algorithm, [u64; 2]); 4] = [
+        (Algorithm::SampleCcsas, [0x9d85a4f8f76eec2b, 0x7bb0c4be55b14829]),
+        (Algorithm::SampleMpiStaged, [0x6c7cdda478d33f31, 0xc571255b6f8f163b]),
+        (Algorithm::SampleMpiDirect, [0xbb3a1ff51871bbfd, 0x5cfd2fdfbffa3cd0]),
+        (Algorithm::SampleShmem, [0x4256252f9cbe8a39, 0x3f96dacd48811595]),
+    ];
+    let moved = moved(&PINNED);
+    assert!(
+        moved.is_empty(),
+        "simulated sample-sort timing moved. If the change is meant to move \
+         it, replace these rows of PINNED with the lines below and regenerate \
+         results/golden_quick.txt in the same commit:\n{moved}"
     );
 }
