@@ -4,7 +4,7 @@
 //! collision, a degenerate range, a zero-filled remainder when `p ∤ n`)
 //! is caught directly instead of surfacing later as a mis-shaped figure.
 
-use ccsort_algos::common::{owner_of, part_range};
+use ccsort_algos::common::part_range;
 use ccsort_algos::dist::{generate, stagger_window, Dist, KEY_BITS, MAX_KEY};
 
 /// Validate the keys `generate(dist, n, p, r, seed)` produces. Returns a
@@ -150,6 +150,12 @@ pub fn validate_dist(dist: Dist, n: usize, p: usize, r: u32, seed: u64) -> Vec<S
     errs
 }
 
+/// Owning process of element `idx < n` under [`part_range`] partitioning:
+/// the last `i` with `i * n / p <= idx`, i.e. `i * n < (idx + 1) * p`.
+fn owner_of(n: usize, p: usize, idx: usize) -> usize {
+    ((idx + 1) * p - 1) / n
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -160,6 +166,19 @@ mod tests {
             for &(n, p) in &[(64usize, 7usize), (1 << 10, 3), (1 << 10, 8), (100, 5)] {
                 let errs = validate_dist(d, n, p, 6, 0);
                 assert!(errs.is_empty(), "{errs:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn owner_of_inverts_part_range() {
+        for n in [1usize, 2, 7, 63, 64, 100, 1000, 4096, 4097] {
+            for p in 1..=64 {
+                for i in 0..p {
+                    for idx in part_range(n, p, i) {
+                        assert_eq!(owner_of(n, p, idx), i, "n={n} p={p} idx={idx}");
+                    }
+                }
             }
         }
     }

@@ -2,8 +2,7 @@
 //!
 //! The reproduction harness for every table and figure in the evaluation
 //! section of Shan & Singh (SC 1999), plus the measurement grids for the
-//! simulator, the real threaded library and the service (`simbench`,
-//! `realbench`, `svcbench`).
+//! simulator and the real threaded library (`simbench`, `realbench`).
 //!
 //! The `repro` binary (`cargo run --release -p ccsort-bench --bin repro`)
 //! exposes one subcommand per paper artefact (`table1`–`table3`,
@@ -15,6 +14,5 @@ pub mod figures;
 pub mod hotpath;
 pub mod realbench;
 pub mod runner;
-pub mod svcbench;
 
 pub use runner::{Runner, RunnerOpts, SIZE_LABELS};

@@ -6,7 +6,6 @@
 use ccsort_machine::{ArrayId, Machine};
 
 use crate::costs;
-use crate::dist::KEY_BITS;
 
 /// Scratch-block size (elements) for streamed sweeps: large enough to
 /// amortise per-block overhead, small enough to stay cache-resident.
@@ -17,11 +16,6 @@ pub const BLOCK: usize = 4096;
 pub fn n_passes(max_bits: u32, r: u32) -> u32 {
     assert!(r >= 1);
     max_bits.max(1).div_ceil(r)
-}
-
-/// Default pass count for full-range 31-bit keys.
-pub fn default_passes(r: u32) -> u32 {
-    n_passes(KEY_BITS, r)
 }
 
 /// The `pass`-th `r`-bit digit of `key`, counting from the least
@@ -52,21 +46,6 @@ pub fn max_bits(keys: &[u32]) -> u32 {
 /// Half-open element range of process `i`'s partition of an `n`-element
 /// array split over `p` processes: the threaded programs' partition.
 pub use ccsort_parallel::plan::part_range;
-
-/// Owning process of global element index `idx` under [`part_range`]
-/// partitioning.
-#[inline]
-pub fn owner_of(n: usize, p: usize, idx: usize) -> usize {
-    // Inverse of part_range: smallest i with (i+1)*n/p > idx.
-    let mut i = (idx * p) / n.max(1);
-    while i + 1 < p && part_range(n, p, i + 1).start <= idx {
-        i += 1;
-    }
-    while i > 0 && part_range(n, p, i).start > idx {
-        i -= 1;
-    }
-    i
-}
 
 /// Timed histogram of the `pass`-th digit over `arr[range]`, executed by
 /// `pe` as a streamed sweep. Returns the (host-side private) histogram.
@@ -149,16 +128,17 @@ pub fn local_radix_sort(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dist::KEY_BITS;
     use ccsort_machine::{MachineConfig, Placement};
 
     #[test]
     fn pass_counts_match_paper() {
         // Section 4.2.3: radix 7 -> 5 passes, radix 8 -> 4, radix 11/12 -> 3.
-        assert_eq!(default_passes(7), 5);
-        assert_eq!(default_passes(8), 4);
-        assert_eq!(default_passes(11), 3);
-        assert_eq!(default_passes(12), 3);
-        assert_eq!(default_passes(6), 6);
+        assert_eq!(n_passes(KEY_BITS, 7), 5);
+        assert_eq!(n_passes(KEY_BITS, 8), 4);
+        assert_eq!(n_passes(KEY_BITS, 11), 3);
+        assert_eq!(n_passes(KEY_BITS, 12), 3);
+        assert_eq!(n_passes(KEY_BITS, 6), 6);
         assert_eq!(n_passes(0, 8), 1);
     }
 
@@ -180,9 +160,6 @@ mod tests {
                 total += range.len();
                 if i > 0 {
                     assert_eq!(part_range(n, p, i - 1).end, range.start);
-                }
-                for idx in range.clone() {
-                    assert_eq!(owner_of(n, p, idx), i, "n={n} p={p} idx={idx}");
                 }
             }
             assert_eq!(total, n);
@@ -268,19 +245,6 @@ mod tests {
 mod properties {
     use super::*;
     use ccsort_rng::{check_cases, SplitMix64};
-
-    #[test]
-    fn owner_of_inverts_part_range() {
-        let case = |rng: &mut SplitMix64| {
-            let n = rng.random_range(1usize..10_000);
-            (n, rng.random_range(1..=n.min(63)), rng.random_range(0..n))
-        };
-        check_cases(256, case, |&(n, p, idx)| {
-            let owner = owner_of(n, p, idx);
-            let range = part_range(n, p, owner);
-            assert!(range.contains(&idx), "idx {idx} not in {range:?} of owner {owner}");
-        });
-    }
 
     #[test]
     fn exclusive_scan_matches_definition() {

@@ -362,7 +362,7 @@ fn multi_digit_histogram_on<K: RadixKey>(
 }
 
 /// Exclusive prefix sum, returning the total.
-pub fn exclusive_prefix_sum(counts: &mut [usize]) -> usize {
+pub(crate) fn exclusive_prefix_sum(counts: &mut [usize]) -> usize {
     let mut acc = 0usize;
     for c in counts.iter_mut() {
         let v = *c;
@@ -370,24 +370,6 @@ pub fn exclusive_prefix_sum(counts: &mut [usize]) -> usize {
         acc += v;
     }
     acc
-}
-
-/// Counting sort for keys known to lie in `[0, max_value]`. O(n + max),
-/// stable, allocation = one count array plus the output.
-pub fn counting_sort(keys: &mut [u32], max_value: u32) {
-    let range = max_value as usize + 1;
-    assert!(range <= 1 << 26, "counting_sort range too large; use a radix sort");
-    let mut counts = vec![0usize; range];
-    for &k in keys.iter() {
-        assert!(k <= max_value, "key {k} exceeds declared max {max_value}");
-        counts[k as usize] += 1;
-    }
-    let mut out = 0usize;
-    for (v, &c) in counts.iter().enumerate() {
-        keys[out..out + c].fill(v as u32);
-        out += c;
-    }
-    debug_assert_eq!(out, keys.len());
 }
 
 #[cfg(test)]
@@ -545,31 +527,5 @@ mod tests {
         assert_eq!(total, 10);
         let mut empty: Vec<usize> = vec![];
         assert_eq!(exclusive_prefix_sum(&mut empty), 0);
-    }
-
-    #[test]
-    fn counting_sort_sorts_small_ranges() {
-        let mut rng = SplitMix64::seed_from_u64(2);
-        let mut v: Vec<u32> = (0..50_000).map(|_| rng.random_range(0..1000u32)).collect();
-        let mut expect = v.clone();
-        expect.sort_unstable();
-        counting_sort(&mut v, 999);
-        assert_eq!(v, expect);
-    }
-
-    #[test]
-    fn counting_sort_edge_cases() {
-        let mut empty: Vec<u32> = vec![];
-        counting_sort(&mut empty, 10);
-        let mut same = vec![4u32; 100];
-        counting_sort(&mut same, 4);
-        assert!(same.iter().all(|&x| x == 4));
-    }
-
-    #[test]
-    #[should_panic(expected = "exceeds declared max")]
-    fn counting_sort_rejects_out_of_range() {
-        let mut v = vec![5u32];
-        counting_sort(&mut v, 4);
     }
 }

@@ -4,9 +4,10 @@
 //! "adoptable library" counterpart of the simulated study in
 //! `ccsort-algos`.
 //!
-//! * **The engine**: [`par_radix_sort`] (and its `_pairs` / `_by_key`
-//!   forms) — the fast path for `&mut [K]` sorting. It forks one OS thread
-//!   per worker under `std::thread::scope` ([`steal::run_workers`];
+//! * **The engine**: [`par_radix_sort`] (and its key+payload form
+//!   [`par_radix_sort_pairs_with`]) — the fast path for `&mut [K]`
+//!   sorting. It forks one OS thread per worker under
+//!   `std::thread::scope` ([`steal::run_workers`];
 //!   `std::thread::available_parallelism` of them by default) and hands
 //!   inputs at or below [`RadixSortConfig::sequential_cutoff`] to the
 //!   single sequential kernel in [`seq`].
@@ -44,15 +45,9 @@ pub mod steal;
 mod sym;
 pub mod verify;
 
-pub use histogram::{
-    counting_sort, exclusive_prefix_sum, par_digit_histogram, par_multi_digit_histogram,
-    PaddedCounts,
-};
+pub use histogram::{par_digit_histogram, par_multi_digit_histogram, PaddedCounts};
 pub use key::RadixKey;
-pub use pairs::{
-    par_radix_sort_by_key, par_radix_sort_pairs, par_radix_sort_pairs_with,
-    par_radix_sort_pairs_with_scratch, radix_sort_pairs,
-};
+pub use pairs::{par_radix_sort_pairs_with, par_radix_sort_pairs_with_scratch, radix_sort_pairs};
 pub use radix::{
     par_radix_sort, par_radix_sort_with, par_radix_sort_with_scratch, RadixSortConfig, Schedule,
     SortScratch,

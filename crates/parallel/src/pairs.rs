@@ -33,16 +33,6 @@ pub fn radix_sort_pairs<K: RadixKey + Default, V: Copy + Default>(
 }
 
 /// Thread-parallel LSD radix sort of parallel `keys`/`values` arrays with
-/// the default configuration. Stable.
-pub fn par_radix_sort_pairs<K, V>(keys: &mut [K], values: &mut [V], radix_bits: u32)
-where
-    K: RadixKey + Default,
-    V: Copy + Default + Send + Sync,
-{
-    par_radix_sort_pairs_with(keys, values, &RadixSortConfig { radix_bits, ..Default::default() });
-}
-
-/// Thread-parallel LSD radix sort of parallel `keys`/`values` arrays with
 /// an explicit configuration. Runs the same engine as
 /// [`crate::par_radix_sort_with`] with the payload lane enabled, so the
 /// pairs sort gets write coalescing, work stealing, the fold and both
@@ -83,38 +73,6 @@ pub fn par_radix_sort_pairs_with_scratch<K, V>(
         return scratch.sort_sequential::<true>(keys, values, cfg.radix_bits);
     }
     crate::radix::sort_engine::<K, V, true>(keys, values, cfg, scratch);
-}
-
-/// Sort copyable records by an extracted radix key, in parallel. Stable
-/// with respect to equal keys.
-///
-/// ```
-/// use ccsort_parallel::pairs::par_radix_sort_by_key;
-///
-/// let mut orders = vec![(30u32, "c"), (10, "a"), (20, "b")];
-/// par_radix_sort_by_key(&mut orders, |o| o.0);
-/// assert_eq!(orders, vec![(10, "a"), (20, "b"), (30, "c")]);
-/// ```
-pub fn par_radix_sort_by_key<T, K, F>(items: &mut [T], key: F)
-where
-    T: Copy + Default + Send + Sync,
-    K: RadixKey + Default,
-    F: Fn(&T) -> K + Sync,
-{
-    let n = items.len();
-    if n <= 1 {
-        return;
-    }
-    let mut keys: Vec<K> = items.iter().map(&key).collect();
-    let mut order: Vec<u32> = (0..n as u32).collect();
-    assert!(n <= u32::MAX as usize, "more than u32::MAX records");
-    par_radix_sort_pairs(&mut keys, &mut order, crate::seq::DEFAULT_RADIX_BITS);
-    // Apply the permutation.
-    let src: Vec<T> = items.to_vec();
-    items
-        .iter_mut()
-        .zip(order)
-        .for_each(|(slot, idx)| *slot = src[idx as usize]);
 }
 
 #[cfg(test)]
@@ -164,17 +122,6 @@ mod tests {
     }
 
     #[test]
-    fn by_key_sorts_records() {
-        let mut rng = SplitMix64::seed_from_u64(3);
-        let mut recs: Vec<(i32, u32)> = (0..30_000).map(|i| (rng.random(), i)).collect();
-        let mut expect = recs.clone();
-        expect.sort_by_key(|r| r.0);
-        par_radix_sort_by_key(&mut recs, |r| r.0);
-        // Equal keys keep original (index) order == sort_by_key stability.
-        assert_eq!(recs, expect);
-    }
-
-    #[test]
     fn pairs_stable_under_every_config() {
         // Duplicate-heavy keys with order-recording payloads: every worker
         // count × digit width must reproduce the sequential stable order.
@@ -198,7 +145,7 @@ mod tests {
     fn pairs_edge_cases() {
         let mut k: Vec<u32> = vec![];
         let mut v: Vec<u32> = vec![];
-        par_radix_sort_pairs(&mut k, &mut v, 8);
+        par_radix_sort_pairs_with(&mut k, &mut v, &RadixSortConfig::default());
         let mut k = vec![1u32];
         let mut v = vec![9u32];
         radix_sort_pairs(&mut k, &mut v, 8);

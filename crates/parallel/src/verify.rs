@@ -15,11 +15,6 @@ pub fn is_sorted<T: Ord>(data: &[T]) -> bool {
     data.windows(2).all(|w| w[0] <= w[1])
 }
 
-/// First index `i` with `data[i] > data[i+1]`, if any — for diagnostics.
-pub fn first_unsorted_at<T: Ord>(data: &[T]) -> Option<usize> {
-    data.windows(2).position(|w| w[0] > w[1])
-}
-
 /// Order-independent multiset fingerprint: sum and xor of a per-element
 /// hash. Two slices with different fingerprints are definitely not
 /// permutations of each other; collisions are astronomically unlikely for
@@ -37,7 +32,7 @@ pub fn multiset_fingerprint<K: RadixKey>(data: &[K]) -> (u64, u64, usize) {
 }
 
 /// Are `a` and `b` permutations of each other (by fingerprint)?
-pub fn is_permutation_of<K: RadixKey>(a: &[K], b: &[K]) -> bool {
+pub(crate) fn is_permutation_of<K: RadixKey>(a: &[K], b: &[K]) -> bool {
     multiset_fingerprint(a) == multiset_fingerprint(b)
 }
 
@@ -56,8 +51,6 @@ mod tests {
         assert!(is_sorted::<u32>(&[]));
         assert!(is_sorted(&[5u32]));
         assert!(!is_sorted(&[2u32, 1]));
-        assert_eq!(first_unsorted_at(&[1u32, 3, 2, 4]), Some(1));
-        assert_eq!(first_unsorted_at(&[1u32, 2, 3]), None);
     }
 
     #[test]

@@ -14,14 +14,10 @@ const MODULES: &[&str] =
 const _: () = assert!(MODULES.len() <= 10);
 
 const REEXPORTS: &[&str] = &[
-    "counting_sort",
-    "exclusive_prefix_sum",
     "par_digit_histogram",
     "par_multi_digit_histogram",
     "PaddedCounts",
     "RadixKey",
-    "par_radix_sort_by_key",
-    "par_radix_sort_pairs",
     "par_radix_sort_pairs_with",
     "par_radix_sort_pairs_with_scratch",
     "radix_sort_pairs",

@@ -137,24 +137,18 @@ impl<K, P> LaneQueue<K, P> {
     /// (clearing it first) and return how many were taken. Strictly FIFO:
     /// a batch is always a prefix of the queue, nothing overtakes.
     ///
-    /// * The front request has [`COALESCE_GATE_KEYS`] keys or more, or
-    ///   coalescing is off: take exactly that one — it is sorted alone, in
-    ///   its own buffer.
+    /// * The front request has [`COALESCE_GATE_KEYS`] keys or more: take
+    ///   exactly that one — it is sorted alone, in its own buffer.
     /// * Otherwise take the run of below-gate requests at the front while
     ///   the batch stays under `max_batch_bytes` and
     ///   [`MAX_BATCH_REQUESTS`]; the run ends at the first at-or-above-gate
     ///   request, which waits for the next claim.
-    pub fn claim_into(
-        &mut self,
-        max_batch_bytes: usize,
-        coalescing: bool,
-        out: &mut Vec<Request<K, P>>,
-    ) -> usize {
+    pub fn claim_into(&mut self, max_batch_bytes: usize, out: &mut Vec<Request<K, P>>) -> usize {
         out.clear();
         let mut took_bytes = 0usize;
         while let Some(front) = self.q.front() {
             let b = front.bytes();
-            let solo = !coalescing || front.keys.len() >= COALESCE_GATE_KEYS;
+            let solo = front.keys.len() >= COALESCE_GATE_KEYS;
             if !out.is_empty()
                 && (solo || took_bytes + b > max_batch_bytes || out.len() >= MAX_BATCH_REQUESTS)
             {
@@ -243,8 +237,8 @@ impl<K: RadixKey + Default> KeysLaneScratch<K> {
 
     /// Sort the claimed batch, leaving every request's sorted keys in its
     /// own buffer for [`reply_all`]. Solo batches (every request at or
-    /// above the size gate, the coalescing-off baseline, and any lone
-    /// flush) skip the tag lane and sort in the requester's own buffer.
+    /// above the size gate, and any lone flush) skip the tag lane and sort
+    /// in the requester's own buffer.
     pub fn sort(&mut self, cfg: &RadixSortConfig) -> BatchOutcome {
         let KeysLaneScratch { claimed, keys, tags, cursors, sort } = self;
         debug_assert!(!claimed.is_empty(), "sort() with no claimed requests");

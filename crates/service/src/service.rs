@@ -47,10 +47,6 @@ pub struct ServiceConfig {
     /// Executor threads. `0` is the deterministic test mode: nothing runs
     /// until the caller pumps [`SortService::drain_one`].
     pub executors: usize,
-    /// `false` disables coalescing — every batch is exactly one request,
-    /// ready the moment it arrives. This is the measured baseline
-    /// `svcbench` compares against.
-    pub coalescing: bool,
     /// Engine configuration for every sort the service runs, solo and
     /// coalesced batches alike.
     pub sort: RadixSortConfig,
@@ -63,7 +59,6 @@ impl Default for ServiceConfig {
             max_batch_bytes: 1 << 17,
             max_wait_us: 200,
             executors: 1,
-            coalescing: true,
             sort: RadixSortConfig::default(),
         }
     }
@@ -192,11 +187,7 @@ fn lane_ready<K, P>(
 ) -> Option<Instant> {
     let front = lane.q.front()?.enqueued;
     let waited = now.saturating_duration_since(front);
-    // With coalescing off a batch is one request, so it is complete — and
-    // ready — the moment it arrives; making it sit out the flush window
-    // would throttle the baseline artificially.
     let ready = force
-        || !cfg.coalescing
         || lane.bytes >= cfg.max_batch_bytes
         || waited >= Duration::from_micros(cfg.max_wait_us);
     ready.then_some(front)
@@ -233,11 +224,11 @@ fn earliest_front(st: &State) -> Option<Instant> {
 
 /// Move one batch out of `st` into the executor's scratch.
 fn claim(st: &mut State, kind: LaneKind, cfg: &ServiceConfig, scratch: &mut ExecScratch) {
-    let (b, c) = (cfg.max_batch_bytes, cfg.coalescing);
+    let b = cfg.max_batch_bytes;
     let taken = match kind {
-        LaneKind::U32 => st.u32s.claim_into(b, c, &mut scratch.u32s.claimed),
-        LaneKind::U64 => st.u64s.claim_into(b, c, &mut scratch.u64s.claimed),
-        LaneKind::Pairs => st.pairs.claim_into(b, c, &mut scratch.pairs.claimed),
+        LaneKind::U32 => st.u32s.claim_into(b, &mut scratch.u32s.claimed),
+        LaneKind::U64 => st.u64s.claim_into(b, &mut scratch.u64s.claimed),
+        LaneKind::Pairs => st.pairs.claim_into(b, &mut scratch.pairs.claimed),
     };
     st.pending -= taken;
 }
@@ -369,14 +360,11 @@ impl SortService {
             // Wake an executor only on a transition it must act on: the
             // lane became nonempty (an idle pool must arm the flush-window
             // deadline), or this push crossed the byte threshold (the lane
-            // just became claimable). With coalescing off every request is
-            // immediately a complete batch, so every push qualifies.
-            // Anything else would wake an executor that re-checks, finds
+            // just became claimable). Anything else would wake an executor that re-checks, finds
             // no ready lane, and re-arms the same deadline — and under a
             // small-request flood those futile wake-ups timeshare against
             // the submitters and dominate the service's cycle budget.
-            notify = !self.shared.cfg.coalescing
-                || was_empty
+            notify = was_empty
                 || (bytes_before < self.shared.cfg.max_batch_bytes
                     && q.bytes >= self.shared.cfg.max_batch_bytes);
             st.pending += 1;
@@ -527,23 +515,6 @@ mod tests {
         }
         let stats = svc.stats();
         assert_eq!((stats.batches, stats.coalesced_requests), (1, 8));
-        svc.shutdown();
-    }
-
-    #[test]
-    fn coalescing_off_is_one_request_per_batch() {
-        let svc = SortService::start(ServiceConfig {
-            executors: 0,
-            coalescing: false,
-            ..ServiceConfig::default()
-        })
-        .unwrap();
-        let tickets: Vec<_> = (0..5).map(|i| svc.submit_u32(keys(64, i)).unwrap()).collect();
-        svc.drain_all();
-        for t in tickets {
-            assert_eq!(t.wait().batch_requests, 1);
-        }
-        assert_eq!(svc.stats().batches, 5);
         svc.shutdown();
     }
 

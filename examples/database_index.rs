@@ -17,9 +17,8 @@
 //!    for a shard of customers, submit one small index-build request per
 //!    customer (that customer's keys + row ids) to a shared
 //!    [`SortService`]. The request-coalescing batcher merges them into
-//!    shared batches; the same run with coalescing off shows what the
-//!    per-request baseline costs. Both are verified against the
-//!    monolithic index, byte for byte.
+//!    shared batches. The result is verified against the monolithic
+//!    index, byte for byte.
 //!
 //! Per-customer indexes ordered by customer concatenate to exactly the
 //! monolithic index: the composite key puts the customer in the high
@@ -77,69 +76,54 @@ fn main() {
         requests[c].1.push(r);
     }
 
-    for coalescing in [true, false] {
-        let inputs = requests.clone();
-        // The shipped defaults, as the committed `svcbench` grid measures
-        // them: ~128-key requests sit below the service's size gate
-        // (`COALESCE_GATE_KEYS`), so they coalesce into cache-resident
-        // batches of `max_batch_bytes`; only the queue is sized to the
-        // workload.
-        let svc = SortService::start(ServiceConfig {
-            coalescing,
-            queue_limit: customers as usize,
-            ..ServiceConfig::default()
-        })
-        .expect("valid service config");
-        let t = Instant::now();
-        // Each client thread owns a contiguous shard of customers and
-        // submits one index-build request per customer, then waits for
-        // its replies — many small concurrent requests, the regime the
-        // coalescing batcher exists for.
-        let mut built: Vec<Option<(Vec<u64>, Vec<u64>)>> = vec![None; customers as usize];
-        std::thread::scope(|s| {
-            let svc = &svc;
-            for (shard, out) in
-                built.chunks_mut(customers as usize / clients).enumerate()
-            {
-                let base = shard * (customers as usize / clients);
-                let inputs = &inputs;
-                s.spawn(move || {
-                    let tickets: Vec<_> = out
-                        .iter()
-                        .enumerate()
-                        .map(|(i, _)| {
-                            let (k, v) = inputs[base + i].clone();
-                            svc.submit_pairs_u64(k, v).expect("queue sized to the workload")
-                        })
-                        .collect();
-                    for (t, slot) in tickets.into_iter().zip(out.iter_mut()) {
-                        let r = t.wait();
-                        *slot = Some((r.keys, r.vals));
-                    }
-                });
-            }
-        });
-        let ms = t.elapsed().as_secs_f64() * 1e3;
-        let stats = svc.shutdown();
-        println!(
-            "service index build ({}): {ms:.1} ms — {} requests in {} batches (mean {:.1} req/batch)",
-            if coalescing { "coalesced" } else { "baseline " },
-            stats.completed,
-            stats.batches,
-            stats.completed as f64 / stats.batches.max(1) as f64,
-        );
-
-        // Verify: per-customer indexes concatenate to the monolithic one.
-        let mut off = 0usize;
-        for (c, built) in built.iter().enumerate() {
-            let (k, v) = built.as_ref().expect("every customer built");
-            assert_eq!(k[..], mono_keys[off..off + k.len()], "customer {c} keys diverge");
-            assert_eq!(v[..], mono_rows[off..off + v.len()], "customer {c} row ids diverge");
-            off += k.len();
+    // The shipped defaults: ~128-key requests sit below the service's size
+    // gate (`COALESCE_GATE_KEYS`), so they coalesce into cache-resident
+    // batches of `max_batch_bytes`; only the queue is sized to the
+    // workload.
+    let svc =
+        SortService::start(ServiceConfig { queue_limit: customers as usize, ..ServiceConfig::default() })
+            .expect("valid service config");
+    let t = Instant::now();
+    // Each client thread owns a contiguous shard of customers and submits
+    // one index-build request per customer, then waits for its replies —
+    // many small concurrent requests, the regime the coalescing batcher
+    // exists for. Each reply replaces its request's buffers in place.
+    std::thread::scope(|s| {
+        let svc = &svc;
+        for shard in requests.chunks_mut(customers as usize / clients) {
+            s.spawn(move || {
+                let tickets: Vec<_> = shard
+                    .iter_mut()
+                    .map(|(k, v)| {
+                        let (k, v) = (std::mem::take(k), std::mem::take(v));
+                        svc.submit_pairs_u64(k, v).expect("queue sized to the workload")
+                    })
+                    .collect();
+                for (t, slot) in tickets.into_iter().zip(shard.iter_mut()) {
+                    let r = t.wait();
+                    *slot = (r.keys, r.vals);
+                }
+            });
         }
-        assert_eq!(off, rows, "indexes cover the table");
+    });
+    let ms = t.elapsed().as_secs_f64() * 1e3;
+    let stats = svc.shutdown();
+    println!(
+        "service index build: {ms:.1} ms — {} requests in {} batches (mean {:.1} req/batch)",
+        stats.completed,
+        stats.batches,
+        stats.completed as f64 / stats.batches.max(1) as f64,
+    );
+
+    // Verify: per-customer indexes concatenate to the monolithic one.
+    let mut off = 0usize;
+    for (c, (k, v)) in requests.iter().enumerate() {
+        assert_eq!(k[..], mono_keys[off..off + k.len()], "customer {c} keys diverge");
+        assert_eq!(v[..], mono_rows[off..off + v.len()], "customer {c} row ids diverge");
+        off += k.len();
     }
-    println!("service-built indexes verified byte-identical to the monolithic index");
+    assert_eq!(off, rows, "indexes cover the table");
+    println!("service-built index verified byte-identical to the monolithic index");
 
     // Range queries against the monolithic index: all orders of a
     // customer, in time order.

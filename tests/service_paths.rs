@@ -125,6 +125,67 @@ fn backpressure_is_bounded_and_explicit() {
     assert_eq!(stats.completed, limit as u64);
 }
 
+/// Submit `keys`/`vals` until the service accepts them, handing every
+/// rejected buffer straight back in and counting the rejections.
+fn submit_until_accepted<K, P, T>(
+    mut kv: (Vec<K>, Vec<P>),
+    rejected: &mut u64,
+    submit: impl Fn(Vec<K>, Vec<P>) -> Result<T, SubmitError<K, P>>,
+) -> T {
+    loop {
+        match submit(kv.0, kv.1) {
+            Ok(t) => return t,
+            Err(SubmitError::Rejected { keys, vals, .. }) => kv = (keys, vals),
+            Err(SubmitError::ShuttingDown { .. }) => panic!("service shut down under load"),
+        }
+        *rejected += 1;
+        std::thread::sleep(std::time::Duration::from_micros(20));
+    }
+}
+
+#[test]
+fn overload_with_live_executors_resubmits_and_matches_solo_sorts() {
+    // A 4-deep queue in front of one running executor: submissions outrun
+    // it, and every rejected buffer goes back in until it is accepted.
+    // Whether any submission is rejected depends on timing, so only the
+    // bookkeeping is asserted: the client's count and the service's agree.
+    let svc =
+        SortService::start(ServiceConfig { executors: 1, queue_limit: 4, ..ServiceConfig::default() })
+            .unwrap();
+    let cfg = ServiceConfig::default().sort;
+    let mut rejected = 0u64;
+    let (mut singles, mut pairs) = (Vec::new(), Vec::new());
+    for i in 0..64usize {
+        // Both sides of the 256-key gate, up to 2^16 keys.
+        let n = [7, 100, 255, 256, 1_000, 4_096, 16_384, 65_472][i % 8] + i / 8;
+        let input = keys(n, 0xC000 + i as u64);
+        let mut solo = input.clone();
+        par_radix_sort_with(&mut solo, &cfg);
+        let t = submit_until_accepted((input, vec![]), &mut rejected, |k, _| svc.submit_u32(k));
+        singles.push((t, solo));
+        if i % 10 == 9 {
+            let n = [50, 300, 5_000][pairs.len() % 3] + i;
+            let k: Vec<u64> = keys64(n, i as u64).iter().map(|x| x % 17).collect();
+            let v: Vec<u64> = (0..n as u64).collect();
+            let (mut sk, mut sv) = (k.clone(), v.clone());
+            par_radix_sort_pairs_with(&mut sk, &mut sv, &cfg);
+            let t = submit_until_accepted((k, v), &mut rejected, |k, v| svc.submit_pairs_u64(k, v));
+            pairs.push((t, sk, sv));
+        }
+    }
+    let requests = (singles.len() + pairs.len()) as u64;
+    for (t, solo) in singles {
+        assert_eq!(t.wait().keys, solo, "service reply diverges from solo sort");
+    }
+    for (t, sk, sv) in pairs {
+        let r = t.wait();
+        assert_eq!((r.keys, r.vals), (sk, sv), "pairs reply diverges from solo sort");
+    }
+    let stats = svc.shutdown();
+    assert_eq!(stats.completed, requests);
+    assert_eq!(stats.rejected, rejected, "client and service disagree on rejections");
+}
+
 #[test]
 fn steady_state_serving_allocates_no_scratch() {
     // Same-shaped waves through the deterministic drain: after the first
